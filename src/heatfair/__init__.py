@@ -32,13 +32,9 @@ from .fairness import (
 )
 from .graphs import (
     DistanceRule,
-    GraphMatrices,
     Topology,
     TopologyError,
     all_pairs_shortest_paths,
-    build_distance_laplacian,
-    build_laplacian,
-    build_matrices,
     generate_ring,
     generate_tree,
     is_connected,

@@ -22,7 +22,7 @@ import time
 from . import demand, graphs, qubo, workflow
 from .fairness import FairnessError, KpiReport, score_assignment
 from .ioutil import atomic_write_text
-from .solvers import AnnealConfig, SolverError, solve_anneal, solve_exhaustive, solve_heuristic
+from .solvers import SolverError
 
 OUTPUT_DIR_ENV = "HEATFAIR_OUTPUT_DIR"
 
@@ -338,25 +338,9 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
         penalty = qubo.default_penalties(topo, weights, k)
     instance = qubo.build_qubo(topo, weights, k, penalty)
     name = args["solver"]
-    if name == "exhaustive":
-        result = solve_exhaustive(instance, max_vars=args["exhaustive_cap"])
-    elif name == "anneal":
-        result = solve_anneal(
-            instance,
-            AnnealConfig(
-                sweeps=args["sweeps"],
-                restarts=args["restarts"],
-                t_initial=args["t_initial"],
-                t_final=args["t_final"],
-                schedule=args["schedule"],
-                seed=args["seed"],
-            ),
-        )
-    else:
-        result = solve_heuristic(
-            topo, weights, k, penalty,
-            seed=args["seed"], restarts=args["restarts"], qubo=instance,
-        )
+    result = workflow._solve_cell(
+        topo, weights, k, penalty, _solver_spec(args, name), args["seed"], instance
+    )
     report = score_assignment(
         result.assignment, topo, weights,
         kpi_alpha=args["kpi_alpha"], solver_name=name, energy=result.energy,

@@ -1,11 +1,11 @@
-"""Network topologies for heat distribution and their matrix forms.
+"""Network topologies for heat distribution.
 
 A topology is an undirected graph whose nodes are consumer substations
 and whose edges are pipe segments carrying a positive length in meters.
-Everything downstream (cost construction, fairness scoring) consumes the
-matrices built here, so this module is the single place where node
-ordering and edge normalisation are decided: edges are stored with the
-smaller endpoint first and sorted lexicographically.
+Everything downstream (cost construction, fairness scoring) reads the
+edge list normalised here, so this module is the single place where
+node ordering and edge normalisation are decided: edges are stored with
+the smaller endpoint first and sorted lexicographically.
 """
 
 from __future__ import annotations
@@ -116,71 +116,6 @@ class Topology:
         if self.labels is not None:
             return self.labels[i]
         return str(i)
-
-
-@dataclasses.dataclass(frozen=True)
-class GraphMatrices:
-    """Dense matrix views of one topology, all shaped (n, n) or (n, m)."""
-
-    adjacency: np.ndarray
-    laplacian: np.ndarray
-    incidence: np.ndarray
-    distance_laplacian: np.ndarray
-
-
-def build_adjacency(topo: Topology) -> np.ndarray:
-    adj = np.zeros((topo.nodes, topo.nodes))
-    for a, b, dist in topo.edges:
-        adj[a, b] = dist
-        adj[b, a] = dist
-    return adj
-
-
-def build_laplacian(topo: Topology) -> np.ndarray:
-    """Combinatorial Laplacian: degree on the diagonal, -1 per edge."""
-    lap = np.zeros((topo.nodes, topo.nodes), dtype=np.int64)
-    for a, b, _ in topo.edges:
-        lap[a, a] += 1
-        lap[b, b] += 1
-        lap[a, b] -= 1
-        lap[b, a] -= 1
-    return lap
-
-
-def build_incidence(topo: Topology) -> np.ndarray:
-    """Node-edge incidence, +1 at the smaller endpoint, -1 at the larger."""
-    inc = np.zeros((topo.nodes, topo.num_edges))
-    for col, (a, b, _) in enumerate(topo.edges):
-        inc[a, col] = 1.0
-        inc[b, col] = -1.0
-    return inc
-
-
-def edge_distance_diagonal(topo: Topology) -> np.ndarray:
-    """Diagonal matrix of edge distances, ordered like topo.edges."""
-    return np.diag([dist for _, _, dist in topo.edges])
-
-
-def build_distance_laplacian(topo: Topology) -> np.ndarray:
-    """Off-diagonal part of -(incidence @ distances @ incidence.T).
-
-    The resulting matrix has zero diagonal and +distance at each
-    adjacent pair, so x.T @ M @ x counts twice the pipe length kept
-    inside one group.
-    """
-    inc = build_incidence(topo)
-    full = -(inc @ edge_distance_diagonal(topo) @ inc.T)
-    np.fill_diagonal(full, 0.0)
-    return full
-
-
-def build_matrices(topo: Topology) -> GraphMatrices:
-    return GraphMatrices(
-        adjacency=build_adjacency(topo),
-        laplacian=build_laplacian(topo),
-        incidence=build_incidence(topo),
-        distance_laplacian=build_distance_laplacian(topo),
-    )
 
 
 def all_pairs_shortest_paths(topo: Topology) -> np.ndarray:

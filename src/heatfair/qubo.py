@@ -13,11 +13,19 @@ var = j*n + i. The objective combines three terms:
 Expanding the squares yields linear coefficients, strictly
 upper-triangular quadratic coefficients, and a constant offset, so QUBO
 energies equal the objective value directly, with no dropped constants.
+
+Sign of the graph term: the weighted distance term charges 2*beta*d for
+every pipe kept inside one producer's area, so on its own it pushes
+neighbours apart (balance and one-hot terms do the grouping). The
+unweighted variant (build_unweighted_qubo) instead charges beta for
+every edge leaving a producer's area, which rewards keeping neighbours
+together. tests/test_qubo.py pins both readings.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -133,43 +141,6 @@ class QuboInstance:
             raise QuboError(f"variable {var} outside 0..{self.num_vars - 1}")
         return var % self.n, var // self.n
 
-    def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense (linear vector, upper-triangular quadratic matrix)."""
-        lin = np.zeros(self.num_vars)
-        for v, coeff in self.linear.items():
-            lin[v] = coeff
-        quad = np.zeros((self.num_vars, self.num_vars))
-        for (a, b), coeff in self.quadratic.items():
-            quad[a, b] = coeff
-        return lin, quad
-
-
-class _Accumulator:
-    """Collects coefficients, dropping anything that cancels to zero."""
-
-    def __init__(self) -> None:
-        self.linear: dict[int, float] = {}
-        self.quadratic: dict[tuple[int, int], float] = {}
-        self.offset = 0.0
-
-    def add_linear(self, var: int, coeff: float) -> None:
-        self.linear[var] = self.linear.get(var, 0.0) + coeff
-
-    def add_quadratic(self, v1: int, v2: int, coeff: float) -> None:
-        if v1 > v2:
-            v1, v2 = v2, v1
-        key = (v1, v2)
-        self.quadratic[key] = self.quadratic.get(key, 0.0) + coeff
-
-    def build(self, n: int, k: int) -> QuboInstance:
-        return QuboInstance(
-            n=n,
-            k=k,
-            linear={v: c for v, c in self.linear.items() if c != 0.0},
-            quadratic={key: c for key, c in self.quadratic.items() if c != 0.0},
-            offset=self.offset,
-        )
-
 
 def _weight_array(w, n: int) -> np.ndarray:
     if isinstance(w, WeightVector):
@@ -195,6 +166,71 @@ def _check_k(n: int, k: int) -> None:
         )
 
 
+def _assemble(
+    topo: graphs.Topology,
+    k: int,
+    cfg: PenaltyConfig,
+    edge_coeff: np.ndarray,
+    node_linear: np.ndarray,
+    weights: np.ndarray,
+    target: float,
+) -> QuboInstance:
+    """Coefficients of the shared objective shape, all producers at once.
+
+    Per producer: edge_coeff on each topology edge, node_linear on each
+    node, and the balance square alpha_j * (sum_i w_i x_ij - target)^2;
+    per node the one-hot square. Keys come out in a fixed order (edge
+    pairs of every producer, the other within-producer pairs, one-hot
+    pairs node by node; linear keys with a node term first) and each
+    coefficient adds its parts in a fixed order (graph or node term,
+    balance, one-hot), so energy(), which adds terms in dict order, is
+    reproducible bit for bit; tests/oracles.py accumulated_terms is the
+    term-by-term reference. Coefficients that cancel to zero are not
+    stored.
+    """
+    n = topo.nodes
+    alpha = cfg.alpha_vector(k)
+    gamma = cfg.gamma_vector(n)
+    var = np.arange(k)[:, None] * n + np.arange(n)  # var[j, i] = j*n + i
+
+    balance = alpha[:, None] * (weights * weights - 2.0 * target * weights)
+    linear = (node_linear + balance) - gamma
+    has_node_term = np.broadcast_to(node_linear != 0.0, (k, n))
+    lin_keys = np.concatenate([var[has_node_term], var[~has_node_term]])
+    lin_vals = np.concatenate([linear[has_node_term], linear[~has_node_term]])
+
+    us, vs = np.triu_indices(n, 1)  # within-producer pairs, lexicographic
+    pair = (2.0 * alpha)[:, None] * weights[us] * weights[vs]
+    ends = np.array([(u, v) for u, v, _ in topo.edges], dtype=np.int64).reshape(-1, 2)
+    edge_pos = ends[:, 0] * (2 * n - ends[:, 0] - 1) // 2 + ends[:, 1] - ends[:, 0] - 1
+    on_edge = np.zeros(us.size, dtype=bool)
+    on_edge[edge_pos] = True
+    j1, j2 = np.triu_indices(k, 1)
+    nodes = np.arange(n)[:, None]
+    quad_a = np.concatenate([
+        var[:, ends[:, 0]].ravel(), var[:, us[~on_edge]].ravel(), (j1 * n + nodes).ravel()
+    ])
+    quad_b = np.concatenate([
+        var[:, ends[:, 1]].ravel(), var[:, vs[~on_edge]].ravel(), (j2 * n + nodes).ravel()
+    ])
+    quad_vals = np.concatenate([
+        (edge_coeff + pair[:, edge_pos]).ravel(),
+        pair[:, ~on_edge].ravel(),
+        np.repeat(2.0 * gamma, j1.size),
+    ])
+
+    offset = 0.0
+    for term in (alpha * target * target).tolist() + gamma.tolist():
+        offset += term
+    keep = lin_vals != 0.0
+    linear_terms = dict(zip(lin_keys[keep].tolist(), lin_vals[keep].tolist()))
+    keep = quad_vals != 0.0
+    quadratic_terms = dict(
+        zip(zip(quad_a[keep].tolist(), quad_b[keep].tolist()), quad_vals[keep].tolist())
+    )
+    return QuboInstance(n=n, k=k, linear=linear_terms, quadratic=quadratic_terms, offset=offset)
+
+
 def build_qubo(topo: graphs.Topology, w, k: int, cfg: PenaltyConfig) -> QuboInstance:
     """Weighted objective over n*k variables; see module docstring.
 
@@ -204,39 +240,10 @@ def build_qubo(topo: graphs.Topology, w, k: int, cfg: PenaltyConfig) -> QuboInst
     n = topo.nodes
     _check_k(n, k)
     weights = _weight_array(w, n)
-    alpha = cfg.alpha_vector(k)
-    gamma = cfg.gamma_vector(n)
-    total = float(weights.sum())
-    target = total / k
-    acc = _Accumulator()
-
-    def var(i: int, j: int) -> int:
-        return j * n + i
-
-    for j in range(k):
-        for u, v, dist in topo.edges:
-            acc.add_quadratic(var(u, j), var(v, j), 2.0 * cfg.beta * dist)
-    for j in range(k):
-        aj = float(alpha[j])
-        for i in range(n):
-            wi = float(weights[i])
-            acc.add_linear(var(i, j), aj * (wi * wi - 2.0 * target * wi))
-        for u in range(n):
-            for v in range(u + 1, n):
-                acc.add_quadratic(
-                    var(u, j), var(v, j),
-                    2.0 * aj * float(weights[u]) * float(weights[v]),
-                )
-        acc.offset += aj * target * target
-    for i in range(n):
-        gi = float(gamma[i])
-        for j in range(k):
-            acc.add_linear(var(i, j), -gi)
-        for j1 in range(k):
-            for j2 in range(j1 + 1, k):
-                acc.add_quadratic(var(i, j1), var(i, j2), 2.0 * gi)
-        acc.offset += gi
-    return acc.build(n, k)
+    target = float(weights.sum()) / k
+    dists = np.array([dist for _, _, dist in topo.edges], dtype=float)
+    edge_coeff = 2.0 * cfg.beta * dists
+    return _assemble(topo, k, cfg, edge_coeff, np.zeros(n), weights, target)
 
 
 def build_unweighted_qubo(topo: graphs.Topology, k: int, cfg: PenaltyConfig) -> QuboInstance:
@@ -249,41 +256,12 @@ def build_unweighted_qubo(topo: graphs.Topology, k: int, cfg: PenaltyConfig) -> 
     """
     n = topo.nodes
     _check_k(n, k)
-    alpha = cfg.alpha_vector(k)
-    gamma = cfg.gamma_vector(n)
-    target = n / k
-    degree = [0] * n
+    degree = np.zeros(n, dtype=np.int64)
     for u, v, _ in topo.edges:
         degree[u] += 1
         degree[v] += 1
-    acc = _Accumulator()
-
-    def var(i: int, j: int) -> int:
-        return j * n + i
-
-    for j in range(k):
-        for i in range(n):
-            if degree[i]:
-                acc.add_linear(var(i, j), cfg.beta * degree[i])
-        for u, v, _ in topo.edges:
-            acc.add_quadratic(var(u, j), var(v, j), -2.0 * cfg.beta)
-    for j in range(k):
-        aj = float(alpha[j])
-        for i in range(n):
-            acc.add_linear(var(i, j), aj * (1.0 - 2.0 * target))
-        for u in range(n):
-            for v in range(u + 1, n):
-                acc.add_quadratic(var(u, j), var(v, j), 2.0 * aj)
-        acc.offset += aj * target * target
-    for i in range(n):
-        gi = float(gamma[i])
-        for j in range(k):
-            acc.add_linear(var(i, j), -gi)
-        for j1 in range(k):
-            for j2 in range(j1 + 1, k):
-                acc.add_quadratic(var(i, j1), var(i, j2), 2.0 * gi)
-        acc.offset += gi
-    return acc.build(n, k)
+    edge_coeff = np.full(topo.num_edges, -2.0 * cfg.beta)
+    return _assemble(topo, k, cfg, edge_coeff, cfg.beta * degree, np.ones(n), n / k)
 
 
 def energy(q: QuboInstance, bits) -> float:
@@ -301,15 +279,36 @@ def energy(q: QuboInstance, bits) -> float:
     return float(total)
 
 
+def _term_arrays(q: QuboInstance):
+    """Stored terms as arrays: the dense linear vector, then the
+    quadratic terms as (rows, cols, values) in dict order."""
+    lin = np.zeros(q.num_vars)
+    lin[np.fromiter(q.linear, np.int64, len(q.linear))] = np.fromiter(
+        q.linear.values(), float, len(q.linear)
+    )
+    pairs = np.fromiter(
+        itertools.chain.from_iterable(q.quadratic), np.int64, 2 * len(q.quadratic)
+    ).reshape(-1, 2)
+    vals = np.fromiter(q.quadratic.values(), float, len(q.quadratic))
+    return lin, pairs[:, 0], pairs[:, 1], vals
+
+
 def energies(q: QuboInstance, bit_matrix: np.ndarray) -> np.ndarray:
     """Vectorised energy of many bit vectors, one per row."""
-    mat = np.asarray(bit_matrix, dtype=float)
+    mat = np.asarray(bit_matrix)
     if mat.ndim != 2 or mat.shape[1] != q.num_vars:
         raise QuboError(
             f"bit matrix must be (rows, {q.num_vars}), got shape {mat.shape}"
         )
-    lin, quad = q.to_arrays()
-    return q.offset + mat @ lin + ((mat @ quad) * mat).sum(axis=1)
+    lin, rows, cols, vals = _term_arrays(q)
+    out = np.empty(mat.shape[0])
+    # cache-sized blocks of rows keep the (rows, terms) products small
+    step = max(1, (1 << 16) // max(vals.size, 1))
+    for start in range(0, mat.shape[0], step):
+        block = mat[start:start + step].astype(float)
+        pairs = block[:, rows] * block[:, cols]
+        out[start:start + step] = q.offset + block @ lin + pairs @ vals
+    return out
 
 
 def assignment_cost(

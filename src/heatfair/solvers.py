@@ -29,6 +29,7 @@ from . import graphs
 from .qubo import (
     PenaltyConfig,
     QuboInstance,
+    _term_arrays,
     _weight_array,
     assignment_cost,
     build_qubo,
@@ -148,6 +149,25 @@ def canonical_form(producer_of, k: int) -> Assignment:
     return Assignment(producer_of=tuple(out), k=k)
 
 
+def _couplings(q: QuboInstance):
+    """q's linear vector and its symmetric couplings in CSR form
+    (indptr, cols, vals), columns ascending within each row."""
+    lin, a, b, c = _term_arrays(q)
+    rows = np.concatenate([a, b])
+    cols = np.concatenate([b, a])
+    order = np.argsort(rows * q.num_vars + cols)
+    indptr = np.zeros(q.num_vars + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=q.num_vars), out=indptr[1:])
+    return lin, indptr, cols[order], np.concatenate([c, c])[order]
+
+
+def _row_sums(indptr: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """Sum of each CSR row's entries."""
+    nrows = indptr.size - 1
+    row_of = np.repeat(np.arange(nrows), np.diff(indptr))
+    return np.bincount(row_of, weights=entries, minlength=nrows)
+
+
 def decode_and_repair(q: QuboInstance, bits) -> Assignment:
     """Turn any bit vector into a feasible assignment.
 
@@ -160,27 +180,31 @@ def decode_and_repair(q: QuboInstance, bits) -> Assignment:
     vec = np.asarray(bits, dtype=float).ravel()
     if vec.size != q.num_vars:
         raise SolverError(f"got {vec.size} bits for {q.num_vars} variables")
-    lin, quad = q.to_arrays()
-    qsym = quad + quad.T
+    return _repair(q, _couplings(q), vec)
+
+
+def _repair(q: QuboInstance, couplings, vec: np.ndarray) -> Assignment:
+    lin, indptr, cols, vals = couplings
+    lin, bounds = lin.tolist(), indptr.tolist()
+    n, k = q.n, q.k
     state = vec.copy()
     producer_of = []
-    for node in range(q.n):
-        node_vars = [q.var_index(node, j) for j in range(q.k)]
-        set_producers = [j for j in range(q.k) if state[node_vars[j]] != 0.0]
+    for node in range(n):
+        set_producers = [j for j in range(k) if state[j * n + node] != 0.0]
         if len(set_producers) == 1:
             producer_of.append(set_producers[0])
             continue
-        candidates = set_producers if set_producers else list(range(q.k))
-        for v in node_vars:
-            state[v] = 0.0
-        fields = [
-            lin[node_vars[j]] + float(qsym[node_vars[j]] @ state)
-            for j in candidates
-        ]
+        candidates = set_producers if set_producers else list(range(k))
+        state[node::n] = 0.0
+        fields = []
+        for j in candidates:
+            v = j * n + node
+            row = slice(bounds[v], bounds[v + 1])
+            fields.append(lin[v] + float(vals[row] @ state[cols[row]]))
         best = candidates[int(np.argmin(fields))]
-        state[node_vars[best]] = 1.0
+        state[best * n + node] = 1.0
         producer_of.append(best)
-    return Assignment(producer_of=tuple(producer_of), k=q.k)
+    return Assignment(producer_of=tuple(producer_of), k=k)
 
 
 def _feasible_bit_matrix(n: int, k: int, assignments: np.ndarray) -> np.ndarray:
@@ -196,8 +220,9 @@ def solve_exhaustive(q: QuboInstance, max_vars: int = 24) -> SolveResult:
     """Global feasible optimum by enumerating all k^n assignments.
 
     Assignments are generated in lexicographic producer_of order and
-    argmin takes the first minimum, so exact energy ties resolve to the
-    lexicographically smallest vector.
+    the first one within a relative 1e-9 of the minimum wins, so exact
+    energy ties resolve to the lexicographically smallest vector rather
+    than to summation noise.
     """
     if q.num_vars > max_vars:
         raise SolverError(
@@ -212,7 +237,8 @@ def solve_exhaustive(q: QuboInstance, max_vars: int = 24) -> SolveResult:
         assignments[:, i] = (codes // k ** (n - 1 - i)) % k
     bits = _feasible_bit_matrix(n, k, assignments)
     all_energies = energies(q, bits)
-    best_row = int(np.argmin(all_energies))
+    lowest = all_energies.min()
+    best_row = int(np.argmax(all_energies <= lowest + 1e-9 * abs(lowest)))
     assignment = canonical_form(assignments[best_row], k)
     best_energy = energy(q, encode(assignment, q))
     return SolveResult(
@@ -225,8 +251,10 @@ def solve_exhaustive(q: QuboInstance, max_vars: int = 24) -> SolveResult:
     )
 
 
-def _auto_temperatures(lin: np.ndarray, qsym: np.ndarray) -> tuple[float, float]:
-    reach = np.abs(lin) + np.abs(qsym).sum(axis=1)
+def _auto_temperatures(
+    lin: np.ndarray, indptr: np.ndarray, vals: np.ndarray
+) -> tuple[float, float]:
+    reach = np.abs(lin) + _row_sums(indptr, np.abs(vals))
     t_initial = float(reach.max()) if reach.size else 0.0
     if t_initial <= 0.0:
         t_initial = 1.0
@@ -249,20 +277,20 @@ def solve_anneal(q: QuboInstance, cfg: AnnealConfig) -> SolveResult:
     repaired; restarts compete on post-repair energy.
     """
     start = time.monotonic()
-    lin, quad = q.to_arrays()
-    qsym = quad + quad.T
+    couplings = _couplings(q)
+    lin, indptr, cols, vals = couplings
     if cfg.t_initial is None:
-        t_initial, t_final = _auto_temperatures(lin, qsym)
+        t_initial, t_final = _auto_temperatures(lin, indptr, vals)
     else:
         t_initial, t_final = cfg.t_initial, cfg.t_final
     temps = _temperature_schedule(cfg, t_initial, t_final)
     nv = q.num_vars
-    lin_list = lin.tolist()
-    # sparse coupling rows: only touched entries cost time in the flip update
-    rows = []
-    for i in range(nv):
-        idx = np.flatnonzero(qsym[i])
-        rows.append(list(zip(idx.tolist(), qsym[i, idx].tolist())))
+    # coupling rows as lists: only touched entries cost time in the flip update
+    bounds = indptr.tolist()
+    col_list, val_list = cols.tolist(), vals.tolist()
+    rows = [
+        list(zip(col_list[s:e], val_list[s:e])) for s, e in zip(bounds, bounds[1:])
+    ]
 
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     best_result: tuple[float, Assignment] | None = None
@@ -272,7 +300,7 @@ def solve_anneal(q: QuboInstance, cfg: AnnealConfig) -> SolveResult:
         state = [0.0] * nv
         for i in range(q.n):
             state[int(start_assign[i]) * q.n + i] = 1.0
-        fields = (lin + qsym @ np.array(state)).tolist()
+        fields = (lin + _row_sums(indptr, vals * np.array(state)[cols])).tolist()
         current = energy(q, np.array(state))
         best_raw = current
         best_bits = state.copy()
@@ -293,7 +321,7 @@ def solve_anneal(q: QuboInstance, cfg: AnnealConfig) -> SolveResult:
                         best_raw = current
                         best_bits = state.copy()
         assignment = canonical_form(
-            decode_and_repair(q, np.array(best_bits)).producer_of, q.k
+            _repair(q, couplings, np.array(best_bits)).producer_of, q.k
         )
         repaired = energy(q, encode(assignment, q))
         if best_result is None or repaired < best_result[0]:

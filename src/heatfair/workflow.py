@@ -141,7 +141,8 @@ def run_sweep(
     """
     if threads < 1:
         raise WorkflowError(f"threads must be >= 1, got {threads}")
-    if not graphs.is_connected(topo):
+    sp = graphs.all_pairs_shortest_paths(topo)
+    if not np.all(np.isfinite(sp)):
         raise WorkflowError(
             "topology is disconnected; pairwise distances are unbounded"
         )
@@ -155,7 +156,6 @@ def run_sweep(
             f"max_producers={cfg.max_producers} exceeds node count {topo.nodes}"
         )
     weights = compute_weights(demands)
-    sp = graphs.all_pairs_shortest_paths(topo)
 
     cells = []
     for k in range(1, cfg.max_producers + 1):

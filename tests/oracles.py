@@ -1,10 +1,10 @@
 """Independent reference implementations used to pin expected values.
 
 Everything here recomputes results from first principles through
-different routes than the package (direct matrix placement instead of
-incidence products, path enumeration instead of Floyd-Warshall, raw
-term summation instead of coefficient assembly), so agreement between
-the two is evidence, not tautology.
+different routes than the package (dense distance and Laplacian
+matrices instead of edge lists, path enumeration instead of
+Floyd-Warshall, raw term summation instead of coefficient assembly),
+so agreement between the two is evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -126,6 +126,54 @@ def qubo_energy_direct(linear, quadratic, offset, bits) -> float:
     for (a, b), coeff in quadratic.items():
         total += coeff * vec[a] * vec[b]
     return total
+
+
+def accumulated_terms(topo, weights, k, beta, alpha, gamma, unweighted=False):
+    """QUBO coefficients added one term at a time: graph term, balance,
+    one-hot, dropping sums that cancel to zero. Returns (linear items,
+    quadratic items, offset) in insertion order, the order and float
+    arithmetic that the package's stored energies are pinned to."""
+    n = topo.nodes
+    w = [1.0] * n if unweighted else [float(v) for v in np.asarray(weights).ravel()]
+    alpha = [float(a) for a in np.broadcast_to(alpha, (k,))]
+    gamma = [float(g) for g in np.broadcast_to(gamma, (n,))]
+    target = n / k if unweighted else float(np.sum(weights)) / k
+    degree = [0] * n
+    for a, b, _ in topo.edges:
+        degree[a] += 1
+        degree[b] += 1
+    linear: dict = {}
+    quadratic: dict = {}
+
+    def add(store, key, value):
+        store[key] = store.get(key, 0.0) + value
+
+    offset = 0.0
+    for j in range(k):
+        for i in range(n):
+            if unweighted and degree[i]:
+                add(linear, j * n + i, beta * degree[i])
+        for a, b, dist in topo.edges:
+            add(quadratic, (j * n + a, j * n + b), -2.0 * beta if unweighted else 2.0 * beta * dist)
+    for j in range(k):
+        for i in range(n):
+            add(linear, j * n + i, alpha[j] * (w[i] * w[i] - 2.0 * target * w[i]))
+        for u in range(n):
+            for v in range(u + 1, n):
+                add(quadratic, (j * n + u, j * n + v), 2.0 * alpha[j] * w[u] * w[v])
+        offset += alpha[j] * target * target
+    for i in range(n):
+        for j in range(k):
+            add(linear, j * n + i, -gamma[i])
+        for j1 in range(k):
+            for j2 in range(j1 + 1, k):
+                add(quadratic, (j1 * n + i, j2 * n + i), 2.0 * gamma[i])
+        offset += gamma[i]
+    return (
+        [(v, c) for v, c in linear.items() if c != 0.0],
+        [(key, c) for key, c in quadratic.items() if c != 0.0],
+        offset,
+    )
 
 
 def shortest_paths_brute(topo: Topology) -> np.ndarray:

@@ -9,22 +9,14 @@ from heatfair import (
     Topology,
     TopologyError,
     all_pairs_shortest_paths,
-    build_distance_laplacian,
-    build_laplacian,
-    build_matrices,
     generate_ring,
     generate_tree,
     is_connected,
     load_topology,
     save_topology,
 )
-from heatfair.graphs import (
-    build_incidence,
-    edge_distance_diagonal,
-    topology_from_dict,
-    topology_to_dict,
-)
-from oracles import build_suite, distance_matrix_direct, internal_and_cut, shortest_paths_brute
+from heatfair.graphs import topology_from_dict, topology_to_dict
+from oracles import shortest_paths_brute
 
 
 def small_random_topology(seed, n=None):
@@ -72,66 +64,6 @@ def test_label_and_coord_counts_checked():
         Topology(nodes=3, edges=(), labels=("a", "b"))
     with pytest.raises(TopologyError, match="1 coordinates for 2 nodes"):
         Topology(nodes=2, edges=(), coords=((0.0, 0.0),))
-
-
-def test_laplacian_row_sums_vanish_exactly(suite):
-    for entry in suite:
-        lap = build_laplacian(entry.topo)
-        assert lap.dtype == np.int64
-        assert np.all(lap.sum(axis=0) == 0)
-        assert np.all(lap.sum(axis=1) == 0)
-
-
-def test_distance_laplacian_matches_direct_placement(suite):
-    for entry in suite:
-        built = build_distance_laplacian(entry.topo)
-        assert np.allclose(built, distance_matrix_direct(entry.topo), atol=1e-12)
-        assert np.all(np.diag(built) == 0.0)
-
-
-def test_distance_laplacian_ignores_edge_orientation():
-    topo = Topology(nodes=4, edges=((0, 1, 1.5), (1, 2, 0.5), (2, 3, 2.5)))
-    inc = build_incidence(topo)
-    dl = build_distance_laplacian(topo)
-    flipped = inc * np.array([1.0, -1.0, 1.0])  # reverse the middle edge
-    alt = -(flipped @ edge_distance_diagonal(topo) @ flipped.T)
-    np.fill_diagonal(alt, 0.0)
-    assert np.array_equal(alt, dl)
-
-
-def test_quadratic_forms_count_cut_and_internal_edges(suite):
-    # unit-distance check: x'Lx = edges leaving the set, x'DLx = twice
-    # the edges inside it, over every subset of each small graph
-    for entry in suite:
-        n = entry.topo.nodes
-        if n > 8:
-            continue
-        unit = Topology(
-            nodes=n, edges=tuple((a, b, 1.0) for a, b, _ in entry.topo.edges)
-        )
-        lap = build_laplacian(unit)
-        dl = build_distance_laplacian(unit)
-        for code in range(2**n):
-            x = np.array([(code >> i) & 1 for i in range(n)], dtype=float)
-            members = {i for i in range(n) if x[i]}
-            cut = sum(
-                1 for a, b, _ in unit.edges if (a in members) != (b in members)
-            )
-            internal = sum(
-                1 for a, b, _ in unit.edges if a in members and b in members
-            )
-            assert x @ lap @ x == pytest.approx(cut, abs=1e-12)
-            assert x @ dl @ x == pytest.approx(2 * internal, abs=1e-12)
-
-
-def test_build_matrices_bundles_consistent_views(suite):
-    entry = suite[0]
-    mats = build_matrices(entry.topo)
-    assert np.array_equal(mats.laplacian, build_laplacian(entry.topo))
-    assert np.array_equal(
-        mats.distance_laplacian, build_distance_laplacian(entry.topo)
-    )
-    assert mats.incidence.shape == (entry.topo.nodes, entry.topo.num_edges)
 
 
 @given(st.integers(0, 400))

@@ -20,6 +20,7 @@ from heatfair import (
     uniform_weights,
 )
 from oracles import (
+    accumulated_terms,
     all_bit_vectors,
     bits_to_x,
     feasible_assignments,
@@ -151,6 +152,34 @@ def test_stored_coefficients_are_canonical(suite):
             assert coeff != 0.0
 
 
+def test_assembly_matches_term_by_term_accumulation(suite):
+    # energy() adds stored terms in dict order, so the key order and the
+    # float arithmetic of every coefficient are part of the output
+    isolated = Topology(nodes=5, edges=((0, 1, 1.5), (1, 3, 0.5)))
+    cases = [(e.topo, e.weights.values) for e in suite] + [(isolated, np.arange(1.0, 6.0))]
+    for topo, w in cases:
+        n = topo.nodes
+        for k in range(1, min(3, n) + 1):
+            rng = np.random.default_rng([n, k])
+            vector = PenaltyConfig(
+                beta=0.7,
+                alpha=tuple(rng.uniform(0.5, 4.0, size=k)),
+                gamma=tuple(rng.uniform(1.0, 9.0, size=n)),
+            )
+            cancelling = PenaltyConfig(beta=1.0, alpha=1.0, gamma=2.0)
+            for cfg in (vector, cancelling):
+                for unweighted in (False, True):
+                    if unweighted:
+                        q = build_unweighted_qubo(topo, k, cfg)
+                    else:
+                        q = build_qubo(topo, w, k, cfg)
+                    expected = accumulated_terms(
+                        topo, w, k, cfg.beta, cfg.alpha, cfg.gamma, unweighted
+                    )
+                    got = (list(q.linear.items()), list(q.quadratic.items()), q.offset)
+                    assert got == expected
+
+
 def test_instance_invariants_enforced():
     with pytest.raises(QuboError, match="zero linear coefficient"):
         QuboInstance(n=1, k=2, linear={0: 0.0}, quadratic={}, offset=0.0)
@@ -237,6 +266,35 @@ def test_weighted_and_unweighted_balance_terms_align():
         balance_w = energy(q_w_unit, bits) - 2.0 * beta * internal
         balance_u = energy(q_u, bits) - 2.0 * beta * cut
         assert balance_w == pytest.approx(balance_u, rel=1e-9, abs=1e-9)
+
+
+def test_graph_term_sign_convention(suite):
+    # unit distances, every feasible assignment: the weighted graph term
+    # charges 2*beta per edge kept inside a producer; the unweighted one
+    # charges beta per edge leaving each producer, so 2*beta per cut edge
+    beta, alpha, k = 0.75, 1.3, 2
+    cfg = PenaltyConfig(beta=beta, alpha=alpha, gamma=5.0)
+    for entry in suite:
+        n = entry.topo.nodes
+        assert n <= 8
+        unit = Topology(nodes=n, edges=tuple((a, b, 1.0) for a, b, _ in entry.topo.edges))
+        w = entry.weights.values
+        q_w = build_qubo(unit, entry.weights, k, cfg)
+        q_u = build_unweighted_qubo(unit, k, cfg)
+        for producer_of in feasible_assignments(n, k):
+            bits = np.zeros(n * k)
+            bits[np.asarray(producer_of) * n + np.arange(n)] = 1
+            internal_dist, _, cut = internal_and_cut(unit, producer_of)
+            loads = np.bincount(producer_of, weights=w, minlength=k)
+            counts = np.bincount(producer_of, minlength=k)
+            balance_w = alpha * float(((loads - w.sum() / k) ** 2).sum())
+            balance_u = alpha * float(((counts - n / k) ** 2).sum())
+            assert energy(q_w, bits) - balance_w == pytest.approx(
+                2.0 * beta * internal_dist, abs=1e-9
+            )
+            assert energy(q_u, bits) - balance_u == pytest.approx(
+                2.0 * beta * cut, abs=1e-9
+            )
 
 
 def test_default_penalties_on_square_ring():

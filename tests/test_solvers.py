@@ -140,6 +140,20 @@ def test_exhaustive_tie_break_is_lexicographic():
     assert r.assignment.producer_of == (0, 0, 0)
     assert r.energy == pytest.approx(6.0, rel=1e-12)
 
+    # unit 7-ring, uniform weights, k=3: both assignments load the
+    # producers {3, 2, 2} with no internal edge, and their energies
+    # differ only by summation noise
+    ring = generate_ring(7)
+    w = uniform_weights(7)
+    cfg = default_penalties(ring, w, 3)
+    q = build_qubo(ring, w, 3, cfg)
+    first, later = (0, 1, 0, 1, 2, 0, 2), (0, 1, 0, 1, 2, 1, 2)
+    for producer_of in (first, later):
+        assert assignment_cost(ring, w, 3, cfg, producer_of) == pytest.approx(
+            4.0 / 3.0, rel=1e-12
+        )
+    assert solve_exhaustive(q).assignment.producer_of == first
+
 
 def test_exhaustive_on_unweighted_single_edge():
     topo = Topology(nodes=2, edges=((0, 1, 1.0),))
