@@ -229,7 +229,28 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--config")
     cmp_.add_argument("-o", "--output")
 
+    for command in sub.choices.values():
+        command.set_defaults(option_actions={a.dest: a for a in command._actions})
     return parser
+
+
+def _config_value(path: str, key: str, value, action: argparse.Action, default):
+    """A config value as its flag would give it: an integer for an int
+    option (never a boolean), a number as float for a float option,
+    true or false for a switch, else a string; null where the default
+    is null."""
+    if value is None and default is None:
+        return None
+    kinds = {int: (int,), float: (int, float)}.get(
+        action.type, (bool,) if action.nargs == 0 else (str,)
+    )
+    try:
+        if isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool)):
+            return float(value) if action.type is float else value
+    except OverflowError:
+        pass
+    names = " or ".join(kind.__name__ for kind in kinds)
+    raise workflow.WorkflowError(f"{path}: {key!r} must be {names}, got {json.dumps(value)}")
 
 
 def _effective_args(ns: argparse.Namespace) -> dict:
@@ -240,7 +261,7 @@ def _effective_args(ns: argparse.Namespace) -> dict:
         with open(config_path, "r", encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # bad JSON, or an int past the digit limit
                 raise workflow.WorkflowError(
                     f"{config_path}: not valid JSON ({exc})"
                 ) from exc
@@ -251,7 +272,10 @@ def _effective_args(ns: argparse.Namespace) -> dict:
             raise workflow.WorkflowError(
                 f"{config_path}: unknown config keys: {sorted(unknown)}"
             )
-        merged.update(doc)
+        merged.update(
+            (key, _config_value(config_path, key, value, ns.option_actions[key], defaults[key]))
+            for key, value in doc.items()
+        )
     for key in defaults:
         flag_value = getattr(ns, key, None)
         if flag_value is not None:
@@ -433,7 +457,7 @@ def _load_sweep_result(path: str) -> workflow.SweepResult:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or an int past the digit limit
             raise workflow.WorkflowError(f"{path}: not valid JSON ({exc})") from exc
     try:
         reports = tuple(_report_from_dict(entry) for entry in doc["reports"])

@@ -211,7 +211,7 @@ def load_weights(path: str) -> WeightVector:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or an int past the digit limit
             raise DemandError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or "weights" not in doc:
         raise DemandError(f"{path}: expected an object with a 'weights' array")

@@ -238,6 +238,21 @@ def topology_to_dict(topo: Topology) -> dict:
     return {"nodes": node_entries, "edges": edge_entries}
 
 
+def _integer(value, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TopologyError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    try:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise TopologyError(f"{what} must be a number, got {value!r}")
+
+
 def topology_from_dict(data: dict, strict: bool = False) -> Topology:
     """Reconstruct a topology from its JSON form.
 
@@ -269,9 +284,7 @@ def topology_from_dict(data: dict, strict: bool = False) -> Topology:
                 raise TopologyError(
                     f"node entry {pos} has unknown keys: {sorted(extra)}"
                 )
-        nid = entry["id"]
-        if not isinstance(nid, int) or isinstance(nid, bool):
-            raise TopologyError(f"node entry {pos}: id must be an integer")
+        nid = _integer(entry["id"], f"node entry {pos}: id")
         ids.append(nid)
         if "label" in entry:
             labels[nid] = str(entry["label"])
@@ -280,7 +293,7 @@ def topology_from_dict(data: dict, strict: bool = False) -> Topology:
                 f"node entry {pos}: 'x' and 'y' must appear together"
             )
         if "x" in entry:
-            coords[nid] = (float(entry["x"]), float(entry["y"]))
+            coords[nid] = tuple(_number(entry[c], f"node entry {pos}: {c}") for c in "xy")
 
     n = len(ids)
     if sorted(ids) != list(range(n)):
@@ -300,7 +313,11 @@ def topology_from_dict(data: dict, strict: bool = False) -> Topology:
                 raise TopologyError(
                     f"edge entry {pos} has unknown keys: {sorted(extra)}"
                 )
-        edges.append((entry["a"], entry["b"], entry["distance"]))
+        edges.append((
+            _integer(entry["a"], f"edge entry {pos}: 'a'"),
+            _integer(entry["b"], f"edge entry {pos}: 'b'"),
+            _number(entry["distance"], f"edge entry {pos}: distance"),
+        ))
 
     label_tuple = None
     if labels:
@@ -329,7 +346,7 @@ def load_topology(path: str, strict: bool = False) -> Topology:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or an int past the digit limit
             raise TopologyError(f"{path}: not valid JSON ({exc})") from exc
     try:
         return topology_from_dict(data, strict=strict)

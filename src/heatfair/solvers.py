@@ -9,7 +9,11 @@ Three routes with very different trust levels:
                     feasible assignment.
   solve_heuristic   greedy seeding plus relocate/swap local search
                     acting on the objective directly, never touching
-                    QUBO coefficients.
+                    QUBO coefficients. All restarts descend in
+                    lockstep over numpy tables of every move's delta,
+                    summed exactly as a scalar scan would: edge terms
+                    slot by slot in neighbour-list order, squares by
+                    libm pow, first minimum in scan order.
 
 All solvers are deterministic functions of (instance, config, seed) and
 return assignments in canonical producer order (the producer of the
@@ -357,43 +361,105 @@ def _greedy_seed(order, neighbours, weights, k, beta, alpha, target):
     return producer_of, loads
 
 
-def _relocate_delta(i, dest, producer_of, loads, neighbours, weights, beta, alpha, target):
-    src = producer_of[i]
-    delta = 0.0
-    for u, dist in neighbours[i]:
-        if producer_of[u] == dest:
-            delta += 2.0 * beta * dist
-        elif producer_of[u] == src:
-            delta -= 2.0 * beta * dist
-    wi = weights[i]
-    delta += alpha[dest] * ((loads[dest] + wi - target) ** 2 - (loads[dest] - target) ** 2)
-    delta += alpha[src] * ((loads[src] - wi - target) ** 2 - (loads[src] - target) ** 2)
-    return delta
+def _neighbour_slots(neighbours, beta):
+    """Neighbour lists by list position s: the nodes that have an s-th
+    neighbour (a slice when all do), that neighbour, and 2*beta*dist."""
+    slots = []
+    for s in range(max(map(len, neighbours), default=0)):
+        nodes = [i for i, nb in enumerate(neighbours) if len(nb) > s]
+        nbr, dist = zip(*(neighbours[i][s] for i in nodes))
+        rows = slice(None) if len(nodes) == len(neighbours) else np.array(nodes)
+        slots.append((rows, np.array(nbr), 2.0 * beta * np.array(dist)))
+    return slots
 
 
-def _swap_delta(i, j, producer_of, loads, neighbours, weights, beta, alpha, target):
-    a, b = producer_of[i], producer_of[j]
-    delta = 0.0
-    for u, dist in neighbours[i]:
-        if u == j:
-            continue  # the (i, j) edge stays cross-producer under a swap
-        if producer_of[u] == b:
-            delta += 2.0 * beta * dist
-        elif producer_of[u] == a:
-            delta -= 2.0 * beta * dist
-    for u, dist in neighbours[j]:
-        if u == i:
-            continue
-        if producer_of[u] == a:
-            delta += 2.0 * beta * dist
-        elif producer_of[u] == b:
-            delta -= 2.0 * beta * dist
-    wi, wj = weights[i], weights[j]
-    new_a = loads[a] - wi + wj
-    new_b = loads[b] - wj + wi
-    delta += alpha[a] * ((new_a - target) ** 2 - (loads[a] - target) ** 2)
-    delta += alpha[b] * ((new_b - target) ** 2 - (loads[b] - target) ** 2)
-    return delta
+def _square(x):
+    # libm pow, as Python's x ** 2 (x * x differs in the last bit); the
+    # array exponent keeps numpy off any scalar-exponent fast path
+    return np.float_power(x, np.broadcast_to(2.0, x.shape))
+
+
+def _add_edge_terms(table, p, slots, dest, swap):
+    """Add to table[:, i, col] node i's edge terms, one neighbour slot
+    at a time: +c for a neighbour at producer dest[:, col], -c for one
+    at i's own producer. A swap leaves the edge (i, col) cut."""
+    for nodes, nbr, c in slots:
+        pu = p[:, nbr]
+        part = np.where(
+            pu[:, :, None] == dest[:, None, :], c[:, None],
+            np.where(pu == p[:, nodes], -c, 0.0)[:, :, None],
+        )
+        if swap:
+            part[:, np.arange(nbr.size), nbr] = 0.0
+        table[:, nodes] += part
+
+
+def _move_tables(p, loads, slots, w, alpha, target):
+    """Deltas of every move, (restarts, n*k) for relocating node i to
+    producer j and (restarts, n*n) for swapping the producers of nodes
+    i < j, each summed in the order of the scalar scan. Moves that are
+    not candidates (own producer, i >= j, shared producer) hold +inf."""
+    r, n = p.shape
+    own = np.take_along_axis(loads, p, axis=1)
+    before = _square(own - target)
+    rel = np.zeros((r, n, loads.shape[1]))
+    _add_edge_terms(rel, p, slots, np.arange(loads.shape[1])[None], False)
+    rel += alpha * (
+        _square(loads[:, None, :] + w[:, None] - target)
+        - _square(loads - target)[:, None, :]
+    )
+    rel += (alpha[p] * (_square(own - w - target) - before))[:, :, None]
+    np.put_along_axis(rel, p[:, :, None], np.inf, axis=2)
+
+    swp = np.zeros((r, n, n))
+    _add_edge_terms(swp, p, slots, p, True)  # all of i's terms before j's
+    _add_edge_terms(swp.transpose(0, 2, 1), p, slots, p, True)
+    # the balance change at i's producer; j's at (i, j) is this at (j, i)
+    balance = alpha[p][:, :, None] * (
+        _square(own[:, :, None] - w[:, None] + w - target) - before[:, :, None]
+    )
+    swp += balance
+    swp += balance.transpose(0, 2, 1)
+    swp[(p[:, :, None] == p[:, None, :]) | np.tri(n, dtype=bool)] = np.inf
+    return rel.reshape(r, -1), swp.reshape(r, -1)
+
+
+def _local_search(p, loads, slots, w, alpha, target):
+    """Best-improvement relocate/swap descent of all restarts in lockstep.
+
+    p (restarts, n) producer ids and loads (restarts, k) are updated in
+    place; returns the moves applied per restart. A step takes the first
+    minimum of the relocations, row-major over (node, producer), unless
+    the first minimum of the swaps, row-major over i < j, lies strictly
+    below it; a restart stops when neither is below -1e-12.
+    """
+    r, n = p.shape
+    k = loads.shape[1]
+    group = max(1, 2**20 // n**2)  # restarts per step, bounding the swap tables
+    moves = np.zeros(r, dtype=np.int64)
+    todo = np.arange(r)
+    while todo.size:
+        live, at = todo[:group], np.arange(min(group, todo.size))
+        rel, swp = _move_tables(p[live], loads[live], slots, w, alpha, target)
+        rel_at, swp_at = rel.argmin(axis=1), swp.argmin(axis=1)
+        bar = np.minimum(rel[at, rel_at], -1e-12)
+        swap = swp[at, swp_at] < bar
+        relocate = ~swap & (bar < -1e-12)
+
+        rows, (i, dest) = live[relocate], np.divmod(rel_at[relocate], k)
+        loads[rows, p[rows, i]] -= w[i]
+        loads[rows, dest] += w[i]
+        p[rows, i] = dest
+
+        rows, (i, j) = live[swap], np.divmod(swp_at[swap], n)
+        a, b = p[rows, i], p[rows, j]
+        loads[rows, a] += w[j] - w[i]
+        loads[rows, b] += w[i] - w[j]
+        p[rows, i], p[rows, j] = b, a
+
+        moves[live] += relocate | swap
+        todo = np.concatenate([live[relocate | swap], todo[group:]])
+    return moves
 
 
 def solve_heuristic(
@@ -410,8 +476,11 @@ def solve_heuristic(
     producers), repeated over restarts with different seeding orders.
 
     Restart 0 seeds nodes heaviest-first; later restarts use random
-    orders. The reported energy is the QUBO energy of the final
-    assignment so results line up with the other solvers.
+    orders. All restarts then descend in lockstep (`_local_search`),
+    in groups whose swap tables stay near 8 MB; each restart's moves
+    and result match a scalar best-improvement scan bit for bit. The
+    reported energy is the QUBO energy of the final assignment so
+    results line up with the other solvers.
     """
     if restarts < 1:
         raise SolverError(f"restarts must be >= 1, got {restarts}")
@@ -436,63 +505,20 @@ def solve_heuristic(
         neighbours[v].append((u, dist))
 
     children = np.random.SeedSequence(seed).spawn(max(restarts - 1, 1))
-    heavy_first = sorted(range(n), key=lambda i: (-weights[i], i))
-    best: tuple[float, list[int]] | None = None
-    moves_applied = 0
-    for restart in range(restarts):
-        if restart == 0:
-            order = heavy_first
-        else:
-            rng = np.random.default_rng(children[restart - 1])
-            order = rng.permutation(n).tolist()
-        producer_of, loads = _greedy_seed(
-            order, neighbours, weights, k, beta, alpha, target
-        )
-        improved = True
-        while improved:
-            improved = False
-            best_delta = -1e-12
-            best_move = None
-            for i in range(n):
-                for dest in range(k):
-                    if dest == producer_of[i]:
-                        continue
-                    delta = _relocate_delta(
-                        i, dest, producer_of, loads, neighbours,
-                        weights, beta, alpha, target,
-                    )
-                    if delta < best_delta:
-                        best_delta = delta
-                        best_move = ("relocate", i, dest)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if producer_of[i] == producer_of[j]:
-                        continue
-                    delta = _swap_delta(
-                        i, j, producer_of, loads, neighbours,
-                        weights, beta, alpha, target,
-                    )
-                    if delta < best_delta:
-                        best_delta = delta
-                        best_move = ("swap", i, j)
-            if best_move is not None:
-                moves_applied += 1
-                improved = True
-                if best_move[0] == "relocate":
-                    _, i, dest = best_move
-                    loads[producer_of[i]] -= weights[i]
-                    loads[dest] += weights[i]
-                    producer_of[i] = dest
-                else:
-                    _, i, j = best_move
-                    a, b = producer_of[i], producer_of[j]
-                    loads[a] += weights[j] - weights[i]
-                    loads[b] += weights[i] - weights[j]
-                    producer_of[i], producer_of[j] = b, a
-        cost = assignment_cost(topo, weights_arr, k, cfg, producer_of)
-        if best is None or cost < best[0]:
-            best = (cost, list(producer_of))
-    assignment = canonical_form(best[1], k)
+    orders = [sorted(range(n), key=lambda i: (-weights[i], i))] + [
+        np.random.default_rng(child).permutation(n).tolist()
+        for child in children[: restarts - 1]
+    ]
+    producers, loads = map(np.array, zip(*(
+        _greedy_seed(order, neighbours, weights, k, beta, alpha, target)
+        for order in orders
+    )))
+    moves = _local_search(
+        producers, loads, _neighbour_slots(neighbours, beta),
+        weights_arr, np.array(alpha), target,
+    )
+    costs = [assignment_cost(topo, weights_arr, k, cfg, row) for row in producers.tolist()]
+    assignment = canonical_form(producers[costs.index(min(costs))], k)
     q = qubo if qubo is not None else build_qubo(topo, weights_arr, k, cfg)
     final_energy = energy(q, encode(assignment, q))
     return SolveResult(
@@ -500,6 +526,6 @@ def solve_heuristic(
         energy=final_energy,
         solver_name="heuristic",
         seed=seed,
-        iterations=moves_applied,
+        iterations=int(moves.sum()),
         wall_time=time.monotonic() - start,
     )

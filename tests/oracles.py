@@ -270,3 +270,93 @@ def build_suite() -> list[SuiteEntry]:
             )
         )
     return entries
+
+
+def relocate_delta(i, dest, producer_of, loads, neighbours, weights, beta, alpha, target):
+    """Objective change of moving node i to producer dest, summed term
+    by term in neighbour-list order."""
+    src = producer_of[i]
+    delta = 0.0
+    for u, dist in neighbours[i]:
+        if producer_of[u] == dest:
+            delta += 2.0 * beta * dist
+        elif producer_of[u] == src:
+            delta -= 2.0 * beta * dist
+    wi = weights[i]
+    delta += alpha[dest] * ((loads[dest] + wi - target) ** 2 - (loads[dest] - target) ** 2)
+    delta += alpha[src] * ((loads[src] - wi - target) ** 2 - (loads[src] - target) ** 2)
+    return delta
+
+
+def swap_delta(i, j, producer_of, loads, neighbours, weights, beta, alpha, target):
+    """Objective change of swapping the producers of nodes i and j."""
+    a, b = producer_of[i], producer_of[j]
+    delta = 0.0
+    for u, dist in neighbours[i]:
+        if u == j:
+            continue  # the (i, j) edge stays cross-producer under a swap
+        if producer_of[u] == b:
+            delta += 2.0 * beta * dist
+        elif producer_of[u] == a:
+            delta -= 2.0 * beta * dist
+    for u, dist in neighbours[j]:
+        if u == i:
+            continue
+        if producer_of[u] == a:
+            delta += 2.0 * beta * dist
+        elif producer_of[u] == b:
+            delta -= 2.0 * beta * dist
+    wi, wj = weights[i], weights[j]
+    new_a = loads[a] - wi + wj
+    new_b = loads[b] - wj + wi
+    delta += alpha[a] * ((new_a - target) ** 2 - (loads[a] - target) ** 2)
+    delta += alpha[b] * ((new_b - target) ** 2 - (loads[b] - target) ** 2)
+    return delta
+
+
+def local_search_reference(producer_of, loads, neighbours, weights, beta, alpha, target):
+    """Scalar best-improvement relocate/swap descent from one start.
+
+    Scans relocations over (node, producer), then swaps over i < j, both
+    row-major; a move must beat the best so far strictly, starting from
+    -1e-12. Returns (final producer_of, final loads, moves applied).
+    Inputs are plain lists (neighbours[i] holds (u, dist) pairs); none
+    is mutated.
+    """
+    producer_of, loads = list(producer_of), list(loads)
+    n, k = len(producer_of), len(loads)
+    args = (neighbours, weights, beta, alpha, target)
+    moves = 0
+    while True:
+        best_delta = -1e-12
+        best_move = None
+        for i in range(n):
+            for dest in range(k):
+                if dest == producer_of[i]:
+                    continue
+                delta = relocate_delta(i, dest, producer_of, loads, *args)
+                if delta < best_delta:
+                    best_delta = delta
+                    best_move = ("relocate", i, dest)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if producer_of[i] == producer_of[j]:
+                    continue
+                delta = swap_delta(i, j, producer_of, loads, *args)
+                if delta < best_delta:
+                    best_delta = delta
+                    best_move = ("swap", i, j)
+        if best_move is None:
+            return producer_of, loads, moves
+        moves += 1
+        if best_move[0] == "relocate":
+            _, i, dest = best_move
+            loads[producer_of[i]] -= weights[i]
+            loads[dest] += weights[i]
+            producer_of[i] = dest
+        else:
+            _, i, j = best_move
+            a, b = producer_of[i], producer_of[j]
+            loads[a] += weights[j] - weights[i]
+            loads[b] += weights[i] - weights[j]
+            producer_of[i], producer_of[j] = b, a

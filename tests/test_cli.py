@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from heatfair import (
     PenaltyConfig,
@@ -342,3 +347,138 @@ def test_missing_input_reports_one_line(tmp_path, capsys):
     assert cli.main(["weights", str(tmp_path / "nope.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("solve", {"k": "2"}),
+        ("sweep", {"restarts": 2.5}),
+        ("solve", {"sweeps": True}),
+        ("sweep", {"threads": None}),
+        ("solve", {"kpi_alpha": "0.5"}),
+        ("solve", {"output": 3}),
+        ("sweep", {"alpha": 10**400, "gamma": 1.0}),
+    ],
+    ids=["str-int", "float-int", "bool-int", "null-int", "str-float", "int-str", "huge-float"],
+)
+def test_config_values_must_match_flag_types(tmp_path, capsys, command, doc):
+    topo_path = tmp_path / "p4.json"
+    save_topology(PATH4, str(topo_path))
+    save_weights(uniform_weights(4), str(tmp_path / "w.json"))
+    write_demands(tmp_path / "d.csv", nodes=4)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    inputs = (
+        ["--weights", str(tmp_path / "w.json"), "--k", "2"] if command == "solve"
+        else ["--demands", str(tmp_path / "d.csv")]
+    )
+    assert cli.main([command, str(topo_path), *inputs, "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"'{next(iter(doc))}' must be" in err
+
+
+def test_config_accepts_integers_for_float_options(tmp_path):
+    topo_path = tmp_path / "p4.json"
+    save_topology(PATH4, str(topo_path))
+    save_weights(uniform_weights(4), str(tmp_path / "w.json"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"alpha": 2, "gamma": 3, "k": 2, "weights": None}))
+    assert cli.main([
+        "solve", str(topo_path), "--weights", str(tmp_path / "w.json"),
+        "--config", str(cfg_path), "-o", str(tmp_path / "r.json"),
+    ]) == 0
+
+
+def test_solve_rejects_fractional_edge_endpoint(tmp_path, capsys):
+    doc = {"nodes": [{"id": 0}, {"id": 1}], "edges": [{"a": 0, "b": 1.5, "distance": 1.0}]}
+    (tmp_path / "t.json").write_text(json.dumps(doc))
+    save_weights(uniform_weights(2), str(tmp_path / "w.json"))
+    assert cli.main([
+        "solve", str(tmp_path / "t.json"), "--weights", str(tmp_path / "w.json"), "--k", "2",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "edge entry 0: 'b' must be an integer" in err
+
+
+def junk(ints):
+    """Any JSON value, with integers drawn from `ints`."""
+    leaves = st.none() | st.booleans() | ints | st.floats() | st.text(max_size=3)
+    return st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=2)
+        | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+        max_leaves=3,
+    )
+
+
+# integers stay small wherever they size the work (k, sweeps, restarts, threads)
+SMALL_JUNK = junk(st.integers(-2, 3))
+CONFIG_VALUES = {
+    "k": st.integers(1, 3), "max_producers": st.integers(1, 3),
+    "solver": st.sampled_from(["heuristic", "anneal", "exhaustive"]),
+    "solvers": st.sampled_from(["heuristic", "anneal,exhaustive"]),
+    "beta": st.floats(0.1, 5), "alpha": st.floats(0.1, 50), "gamma": st.floats(0.1, 50),
+    "sweeps": st.integers(1, 20), "restarts": st.integers(1, 3),
+    "t_initial": st.floats(0.1, 10), "t_final": st.floats(0.1, 10),
+    "schedule": st.sampled_from(["geometric", "linear"]),
+    "exhaustive_cap": st.integers(0, 30), "kpi_alpha": st.floats(0, 1),
+    "seed": st.integers(0, 2**70), "threads": st.integers(1, 2),
+    "format": st.sampled_from(["json,csv", "gnuplot"]), "label": st.text(max_size=4),
+}
+
+
+def spoil(data, doc, values, depth=0):
+    """doc with one value, or itself, replaced by a draw from values;
+    the deeper the value, the likelier the replacement stops there."""
+    if not isinstance(doc, (dict, list)) or not doc or data.draw(st.integers(0, 4)) <= depth:
+        return data.draw(values)
+    key = data.draw(st.sampled_from(sorted(doc) if isinstance(doc, dict) else range(len(doc))))
+    doc = dict(doc) if isinstance(doc, dict) else list(doc)
+    doc[key] = spoil(data, doc[key], values, depth + 1)
+    return doc
+
+
+@settings(max_examples=150, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_survives_random_documents(data):
+    """Random topology and config documents, valid or with one value
+    spoilt anywhere in them, end in exit 0 or 2 and never a traceback."""
+    command = data.draw(st.sampled_from(["solve", "sweep"]))
+    n = data.draw(st.integers(1, 5))
+    chords = [(a, b) for a in range(n) for b in range(a + 2, n)]
+    pairs = [(a, a + 1) for a in range(n - 1)] + data.draw(
+        st.lists(st.sampled_from(chords), unique=True, max_size=3) if chords else st.just([])
+    )
+    topology = {
+        "nodes": [{"id": i} for i in range(n)],
+        "edges": [{"a": a, "b": b, "distance": data.draw(st.floats(0.1, 3.0))} for a, b in pairs],
+    }
+    config = {"sweep": {"max_producers": 2}, "solve": {"k": 2}}[command]
+    config.update(data.draw(st.fixed_dictionaries({}, optional={
+        key: values for key, values in CONFIG_VALUES.items() if key in cli._DEFAULTS[command]
+    })))
+    spoilt = data.draw(st.sampled_from(["none", "topology", "config"]))
+    if spoilt == "topology":
+        topology = spoil(data, topology, junk(st.integers(-2, 2**70)))
+    elif spoilt == "config":
+        config = spoil(data, config, SMALL_JUNK)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, name) for name in ("t.json", "c.json", "w.json", "d.csv")}
+        for name, doc in (("t.json", topology), ("c.json", config)):
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+        save_weights(uniform_weights(n), paths["w.json"])
+        with open(paths["d.csv"], "w", encoding="utf-8") as fh:
+            fh.write(demands_to_csv_text(synthetic_demands(n, timesteps=4, seed=0)))
+        inputs = ["--weights", paths["w.json"]] if command == "solve" else ["--demands", paths["d.csv"]]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            status = cli.main([
+                command, paths["t.json"], *inputs, "--config", paths["c.json"],
+                "-o", os.path.join(tmp, "out"),
+            ])
+    assert status in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()

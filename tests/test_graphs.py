@@ -245,6 +245,23 @@ def test_dict_form_validates_ids_and_fields():
         )
 
 
+@pytest.mark.parametrize(
+    "field, bad",
+    [("b", 1.5), ("b", True), ("a", "0"), ("a", None), ("distance", "1.0"),
+     ("distance", False), ("distance", 10**400)],
+    ids=["float", "bool", "string", "null", "string-distance", "bool-distance",
+         "huge-distance"],
+)
+def test_dict_form_rejects_non_integer_endpoints_and_non_numeric_distances(field, bad):
+    edge = {"a": 0, "b": 1, "distance": 1.0}
+    edge[field] = bad
+    doc = {"nodes": [{"id": 0}, {"id": 1}, {"id": 2}], "edges": [{"a": 1, "b": 2, "distance": 1.0}, edge]}
+    with pytest.raises(TopologyError, match=f"edge entry 1: '?{field}'? must be"):
+        topology_from_dict(doc)
+    with pytest.raises(TopologyError, match="node entry 0: x must be a number"):
+        topology_from_dict({"nodes": [{"id": 0, "x": "1", "y": 0.0}], "edges": []})
+
+
 def test_dict_form_is_stable(suite):
     entry = suite[3]
     doc = topology_to_dict(entry.topo)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,9 +26,16 @@ from heatfair import (
     solve_heuristic,
     uniform_weights,
 )
+from heatfair import solvers
+from heatfair.demand import compute_weights, synthetic_demands
+from heatfair.graphs import DistanceRule
 from oracles import (
+    build_suite,
     feasible_assignments,
+    local_search_reference,
     modified_cost_direct,
+    relocate_delta,
+    swap_delta,
     unweighted_cost_direct,
 )
 
@@ -381,3 +389,148 @@ def test_results_serialise_without_wall_time_surprises():
     }
     assert doc["assignment"] == [0, 1]
     assert dataclasses.asdict(AnnealConfig())["schedule"] == "geometric"
+
+
+def neighbour_lists(topo):
+    neighbours = [[] for _ in range(topo.nodes)]
+    for u, v, dist in topo.edges:
+        neighbours[u].append((v, dist))
+        neighbours[v].append((u, dist))
+    return neighbours
+
+
+def hub_topology(seed, n=30):
+    """Node 0 wired to all others (degree n - 1, past numpy's 8-element
+    pairwise-summation block) plus a path through the rest."""
+    rng = np.random.default_rng(seed)
+    spokes = [(0, i) for i in range(1, n)] + [(i, i + 1) for i in range(1, n - 1)]
+    return Topology(
+        nodes=n,
+        edges=tuple((a, b, float(rng.uniform(0.5, 2.0))) for a, b in spokes),
+    )
+
+
+def search_problem(topo, weights, k):
+    """Plain-list inputs of the local search under default penalties."""
+    w = [float(x) for x in np.asarray(getattr(weights, "values", weights))]
+    cfg = default_penalties(topo, w, k)
+    return neighbour_lists(topo), w, cfg.beta, cfg.alpha_vector(k).tolist(), sum(w) / k
+
+
+def loads_of(producer_of, w, k):
+    loads = [0.0] * k
+    for i, p in enumerate(producer_of):
+        loads[p] += w[i]
+    return loads
+
+
+def lockstep(starts, neighbours, w, beta, alpha, target):
+    p = np.array([s[0] for s in starts])
+    loads = np.array([s[1] for s in starts])
+    moves = solvers._local_search(
+        p, loads, solvers._neighbour_slots(neighbours, beta),
+        np.array(w), np.array(alpha), target,
+    )
+    return p, loads, moves
+
+
+def equivalence_cases():
+    for entry in build_suite():
+        n = entry.topo.nodes
+        yield entry.name, entry.topo, entry.weights
+        yield entry.name + "-uniform", entry.topo, uniform_weights(n)
+    demands = synthetic_demands(30, timesteps=48, seed=5, anchor_scale=3.0)
+    yield "hub30", hub_topology(5), compute_weights(demands)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_lockstep_search_matches_scalar_reference(k):
+    rng = np.random.default_rng(k)
+    for name, topo, weights in equivalence_cases():
+        n = topo.nodes
+        if k > n:
+            continue
+        neighbours, w, beta, alpha, target = search_problem(topo, weights, k)
+        orders = [sorted(range(n), key=lambda i: (-w[i], i))]
+        orders += [rng.permutation(n).tolist() for _ in range(3)]
+        starts = [
+            solvers._greedy_seed(order, neighbours, w, k, beta, alpha, target)
+            for order in orders
+        ]
+        randoms = [rng.integers(0, k, size=n).tolist() for _ in range(2)]
+        starts += [(p, loads_of(p, w, k)) for p in randoms]
+        p, loads, moves = lockstep(starts, neighbours, w, beta, alpha, target)
+        for r, (start_p, start_loads) in enumerate(starts):
+            ref_p, ref_loads, ref_moves = local_search_reference(
+                start_p, start_loads, neighbours, w, beta, alpha, target
+            )
+            assert p[r].tolist() == ref_p, (name, r)
+            assert loads[r].tolist() == ref_loads, (name, r)
+            assert moves[r] == ref_moves, (name, r)
+
+
+def test_move_tables_equal_reference_deltas_bit_for_bit():
+    rng = np.random.default_rng(17)
+    rule = DistanceRule(kind="uniform", low=0.5, high=2.0)
+    demands = synthetic_demands(30, timesteps=48, seed=8, anchor_scale=3.0)
+    cases = [
+        (hub_topology(2), compute_weights(demands)),
+        (generate_ring(12, chords=5, rule=rule, seed=3), uniform_weights(12)),
+    ]
+    for topo, weights in cases:
+        n = topo.nodes
+        for k in (2, 3, 5):
+            neighbours, w, beta, alpha, target = search_problem(topo, weights, k)
+            states = [rng.integers(0, k, size=n).tolist() for _ in range(3)]
+            p = np.array(states)
+            loads = np.array([loads_of(s, w, k) for s in states])
+            rel, swp = solvers._move_tables(
+                p, loads, solvers._neighbour_slots(neighbours, beta),
+                np.array(w), np.array(alpha), target,
+            )
+            args = (neighbours, w, beta, alpha, target)
+            for r, state in enumerate(states):
+                state_loads = loads[r].tolist()
+                for i in range(n):
+                    for dest in range(k):
+                        got = rel[r, i * k + dest]
+                        if dest == state[i]:
+                            assert got == np.inf
+                        else:
+                            want = relocate_delta(i, dest, state, state_loads, *args)
+                            assert float(got).hex() == want.hex(), (r, i, dest)
+                    for j in range(n):
+                        got = swp[r, i * n + j]
+                        if j <= i or state[i] == state[j]:
+                            assert got == np.inf
+                        else:
+                            want = swap_delta(i, j, state, state_loads, *args)
+                            assert float(got).hex() == want.hex(), (r, i, j)
+
+
+def test_square_matches_python_power_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    x = np.exp(rng.uniform(np.log(1e-6), np.log(1e8), size=200_000))
+    x *= rng.choice([-1.0, 1.0], size=x.size)
+    want = np.array([v ** 2 for v in x.tolist()])
+    assert np.array_equal(solvers._square(x).view(np.int64), want.view(np.int64))
+
+
+def test_local_search_memory_stays_bounded():
+    n, k = 400, 8
+    rule = DistanceRule(kind="uniform", low=0.5, high=2.0)
+    topo = generate_ring(n, chords=n // 6, rule=rule, seed=1)
+    weights = compute_weights(synthetic_demands(n, timesteps=24, seed=1))
+    neighbours, w, beta, alpha, target = search_problem(topo, weights, k)
+    rng = np.random.default_rng(0)
+    starts = [
+        solvers._greedy_seed(rng.permutation(n).tolist(), neighbours, w, k, beta, alpha, target)
+        for _ in range(8)
+    ]
+    tracemalloc.start()
+    try:
+        lockstep(starts, neighbours, w, beta, alpha, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
