@@ -37,7 +37,6 @@ from .graphs import (
     all_pairs_shortest_paths,
     generate_ring,
     generate_tree,
-    is_connected,
     load_topology,
     save_topology,
 )
@@ -46,7 +45,6 @@ from .qubo import (
     QuboError,
     QuboFormatError,
     QuboInstance,
-    assignment_cost,
     build_qubo,
     build_unweighted_qubo,
     default_penalties,

@@ -14,6 +14,7 @@ $HEATFAIR_OUTPUT_DIR when it is set.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -70,17 +71,25 @@ def _custom_penalty(args: dict) -> qubo.PenaltyConfig | None:
     return qubo.PenaltyConfig(beta=beta, alpha=args["alpha"], gamma=args["gamma"])
 
 
-def _solver_spec(args: dict, name: str) -> workflow.SolverSpec:
-    return workflow.SolverSpec(
-        name=name,
-        sweeps=args["sweeps"],
-        restarts=args["restarts"],
-        t_initial=args["t_initial"],
-        t_final=args["t_final"],
-        schedule=args["schedule"],
-        exhaustive_cap=args["exhaustive_cap"],
-    )
+# the solver knobs of solve and sweep, defaulting as in SolverSpec
+_SOLVER_DEFAULTS = {
+    f.name: f.default for f in dataclasses.fields(workflow.SolverSpec) if f.name != "name"
+}
 
+
+def _solver_spec(args: dict, name: str) -> workflow.SolverSpec:
+    return workflow.SolverSpec(name=name, **{key: args[key] for key in _SOLVER_DEFAULTS})
+
+
+# what solve and sweep share
+_SHARED_DEFAULTS = {
+    "beta": None,
+    "alpha": None,
+    "gamma": None,
+    **_SOLVER_DEFAULTS,
+    "kpi_alpha": 0.5,
+    "seed": 0,
+}
 
 # per-subcommand defaults; argparse fills None so a config file can sit
 # between these and explicit flags
@@ -109,34 +118,14 @@ _DEFAULTS: dict[str, dict] = {
         "k": None,
         "weights": None,
         "solver": "heuristic",
-        "beta": None,
-        "alpha": None,
-        "gamma": None,
-        "sweeps": 2000,
-        "restarts": 8,
-        "t_initial": None,
-        "t_final": None,
-        "schedule": "geometric",
-        "exhaustive_cap": 24,
-        "kpi_alpha": 0.5,
-        "seed": 0,
+        **_SHARED_DEFAULTS,
         "output": "result.json",
     },
     "sweep": {
         "demands": None,
         "max_producers": 4,
         "solvers": "heuristic",
-        "beta": None,
-        "alpha": None,
-        "gamma": None,
-        "sweeps": 2000,
-        "restarts": 8,
-        "t_initial": None,
-        "t_final": None,
-        "schedule": "geometric",
-        "exhaustive_cap": 24,
-        "kpi_alpha": 0.5,
-        "seed": 0,
+        **_SHARED_DEFAULTS,
         "threads": 1,
         "format": "json,csv",
         "label": None,
@@ -184,45 +173,30 @@ def _build_parser() -> argparse.ArgumentParser:
     qub.add_argument("-o", "--output")
 
     slv = sub.add_parser("solve", help="solve one instance and score it")
-    slv.add_argument("topology")
     slv.add_argument("--weights")
     slv.add_argument("--k", type=int)
     slv.add_argument("--solver", choices=workflow.SOLVER_NAMES)
-    slv.add_argument("--beta", type=float)
-    slv.add_argument("--alpha", type=float)
-    slv.add_argument("--gamma", type=float)
-    slv.add_argument("--sweeps", type=int)
-    slv.add_argument("--restarts", type=int)
-    slv.add_argument("--t-initial", type=float, dest="t_initial")
-    slv.add_argument("--t-final", type=float, dest="t_final")
-    slv.add_argument("--schedule", choices=("geometric", "linear"))
-    slv.add_argument("--exhaustive-cap", type=int, dest="exhaustive_cap")
-    slv.add_argument("--kpi-alpha", type=float, dest="kpi_alpha")
-    slv.add_argument("--seed", type=int)
-    slv.add_argument("--config")
-    slv.add_argument("-o", "--output")
 
     swp = sub.add_parser("sweep", help="score k = 1..N for each solver")
-    swp.add_argument("topology")
     swp.add_argument("--demands")
-    swp.add_argument("--max-producers", type=int, dest="max_producers")
+    swp.add_argument("--max-producers", type=int)
     swp.add_argument("--solvers", help="comma-separated solver names")
-    swp.add_argument("--beta", type=float)
-    swp.add_argument("--alpha", type=float)
-    swp.add_argument("--gamma", type=float)
-    swp.add_argument("--sweeps", type=int)
-    swp.add_argument("--restarts", type=int)
-    swp.add_argument("--t-initial", type=float, dest="t_initial")
-    swp.add_argument("--t-final", type=float, dest="t_final")
-    swp.add_argument("--schedule", choices=("geometric", "linear"))
-    swp.add_argument("--exhaustive-cap", type=int, dest="exhaustive_cap")
-    swp.add_argument("--kpi-alpha", type=float, dest="kpi_alpha")
-    swp.add_argument("--seed", type=int)
     swp.add_argument("--threads", type=int)
     swp.add_argument("--format", help="comma-separated: json, csv, gnuplot")
     swp.add_argument("--label", help="topology label used by 'compare'")
-    swp.add_argument("--config")
-    swp.add_argument("-o", "--output", help="output path prefix")
+
+    for command, output in ((slv, "result JSON path"), (swp, "output path prefix")):
+        command.add_argument("topology")
+        for flag, kind in (
+            ("--beta", float), ("--alpha", float), ("--gamma", float),
+            ("--sweeps", int), ("--restarts", int),
+            ("--t-initial", float), ("--t-final", float),
+            ("--exhaustive-cap", int), ("--kpi-alpha", float), ("--seed", int),
+        ):
+            command.add_argument(flag, type=kind)
+        command.add_argument("--schedule", choices=("geometric", "linear"))
+        command.add_argument("--config")
+        command.add_argument("-o", "--output", help=output)
 
     cmp_ = sub.add_parser("compare", help="merge sweep JSON files into one table")
     cmp_.add_argument("sweeps", nargs="+")
@@ -280,6 +254,8 @@ def _effective_args(ns: argparse.Namespace) -> dict:
         flag_value = getattr(ns, key, None)
         if flag_value is not None:
             merged[key] = flag_value
+    if merged.get("seed", 0) < 0:  # numpy seeds are non-negative
+        raise workflow.WorkflowError(f"--seed must be >= 0, got {merged['seed']}")
     return merged
 
 

@@ -208,14 +208,24 @@ def save_weights(w: WeightVector, path: str, labels=None) -> None:
 
 
 def load_weights(path: str) -> WeightVector:
+    """Read a weights document; every weight must be a JSON number."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:  # bad JSON, or an int past the digit limit
             raise DemandError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict) or "weights" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("weights"), list):
         raise DemandError(f"{path}: expected an object with a 'weights' array")
+    values = []
+    for i, value in enumerate(doc["weights"]):
+        try:
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                values.append(float(value))
+                continue
+        except OverflowError:  # an integer beyond the float range
+            pass
+        raise DemandError(f"{path}: weight {i} must be a number, got {json.dumps(value)}")
     try:
-        return WeightVector(values=np.asarray(doc["weights"], dtype=float))
-    except (DemandError, ValueError) as exc:
+        return WeightVector(values=np.array(values, dtype=float))
+    except DemandError as exc:
         raise DemandError(f"{path}: {exc}") from exc

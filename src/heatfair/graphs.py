@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
 
 import numpy as np
 
@@ -56,7 +57,9 @@ class Topology:
     """Undirected pipe network with strictly positive edge distances.
 
     nodes: number of substations, indexed 0..nodes-1.
-    edges: tuple of (a, b, distance) with a < b, no duplicates.
+    edges: tuple of (a, b, distance) with a < b, no duplicates; any
+        integer endpoint (a NumPy one too, but not a bool) is stored
+        as a Python int.
     labels: optional display names, one per node.
     coords: optional (x, y) positions for plotting, one per node.
     """
@@ -72,6 +75,14 @@ class Topology:
         seen: set[tuple[int, int]] = set()
         normalised = []
         for a, b, dist in self.edges:
+            try:
+                if isinstance(a, bool) or isinstance(b, bool):
+                    raise TypeError
+                a, b = operator.index(a), operator.index(b)
+            except TypeError:
+                raise TopologyError(
+                    f"edge ({a!r}, {b!r}) needs integer endpoints"
+                ) from None
             if not (0 <= a < self.nodes) or not (0 <= b < self.nodes):
                 raise TopologyError(
                     f"edge ({a}, {b}) references a node outside 0..{self.nodes - 1}"
@@ -112,11 +123,6 @@ class Topology:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def node_label(self, i: int) -> str:
-        if self.labels is not None:
-            return self.labels[i]
-        return str(i)
-
 
 def all_pairs_shortest_paths(topo: Topology) -> np.ndarray:
     """Shortest pipe distance between every node pair (Floyd-Warshall).
@@ -133,12 +139,6 @@ def all_pairs_shortest_paths(topo: Topology) -> np.ndarray:
     for via in range(n):
         np.minimum(dist, dist[:, via, None] + dist[None, via, :], out=dist)
     return dist
-
-
-def is_connected(topo: Topology) -> bool:
-    if topo.nodes == 1:
-        return True
-    return bool(np.all(np.isfinite(all_pairs_shortest_paths(topo))))
 
 
 def generate_tree(

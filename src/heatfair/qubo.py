@@ -265,80 +265,49 @@ def build_unweighted_qubo(topo: graphs.Topology, k: int, cfg: PenaltyConfig) -> 
 
 
 def energy(q: QuboInstance, bits) -> float:
-    """offset + sum(linear_i b_i) + sum(quad_ij b_i b_j), term by term."""
-    vec = np.asarray(bits).ravel()
-    if vec.size != q.num_vars:
-        raise QuboError(f"got {vec.size} bits for {q.num_vars} variables")
-    total = q.offset
-    for v, coeff in q.linear.items():
-        if vec[v]:
-            total += coeff
-    for (a, b), coeff in q.quadratic.items():
-        if vec[a] and vec[b]:
-            total += coeff
-    return float(total)
+    """Energy of one bit vector: the one-row case of energies()."""
+    return float(energies(q, np.asarray(bits).reshape(1, -1))[0])
 
 
 def _term_arrays(q: QuboInstance):
-    """Stored terms as arrays: the dense linear vector, then the
-    quadratic terms as (rows, cols, values) in dict order."""
-    lin = np.zeros(q.num_vars)
-    lin[np.fromiter(q.linear, np.int64, len(q.linear))] = np.fromiter(
-        q.linear.values(), float, len(q.linear)
-    )
+    """Stored terms as arrays in dict order: linear (vars, values),
+    then quadratic (rows, cols, values)."""
+    lin_vars = np.fromiter(q.linear, np.int64, len(q.linear))
+    lin_vals = np.fromiter(q.linear.values(), float, len(q.linear))
     pairs = np.fromiter(
         itertools.chain.from_iterable(q.quadratic), np.int64, 2 * len(q.quadratic)
     ).reshape(-1, 2)
     vals = np.fromiter(q.quadratic.values(), float, len(q.quadratic))
-    return lin, pairs[:, 0], pairs[:, 1], vals
+    return lin_vars, lin_vals, pairs[:, 0], pairs[:, 1], vals
 
 
 def energies(q: QuboInstance, bit_matrix: np.ndarray) -> np.ndarray:
-    """Vectorised energy of many bit vectors, one per row."""
+    """Energy of many bit vectors, one per row; any nonzero entry counts
+    as set.
+
+    Each row is offset + its set linear terms + its set quadratic terms,
+    added one at a time in dict order (a cumulative sum along the terms,
+    unset terms padded with -0.0, the exact additive identity), so every
+    energy is one fixed float sum; tests/oracles.py qubo_energy_direct
+    is the term-by-term reference.
+    """
     mat = np.asarray(bit_matrix)
     if mat.ndim != 2 or mat.shape[1] != q.num_vars:
         raise QuboError(
             f"bit matrix must be (rows, {q.num_vars}), got shape {mat.shape}"
         )
-    lin, rows, cols, vals = _term_arrays(q)
+    lin_vars, lin_vals, rows, cols, vals = _term_arrays(q)
+    width = 1 + lin_vals.size + vals.size
     out = np.empty(mat.shape[0])
-    # cache-sized blocks of rows keep the (rows, terms) products small
-    step = max(1, (1 << 16) // max(vals.size, 1))
+    step = max(1, (1 << 20) // width)  # rows per block of ~2^20 terms
     for start in range(0, mat.shape[0], step):
-        block = mat[start:start + step].astype(float)
-        pairs = block[:, rows] * block[:, cols]
-        out[start:start + step] = q.offset + block @ lin + pairs @ vals
+        on = mat[start:start + step] != 0
+        terms = np.full((on.shape[0], width), -0.0)
+        terms[:, 0] = q.offset
+        np.copyto(terms[:, 1:1 + lin_vals.size], lin_vals, where=on[:, lin_vars])
+        np.copyto(terms[:, 1 + lin_vals.size:], vals, where=on[:, rows] & on[:, cols])
+        out[start:start + step] = np.cumsum(terms, axis=1, out=terms)[:, -1]
     return out
-
-
-def assignment_cost(
-    topo: graphs.Topology, w, k: int, cfg: PenaltyConfig, producer_of
-) -> float:
-    """Objective value of a feasible assignment, evaluated directly.
-
-    For one-producer-per-node assignments the one-hot term vanishes, so
-    this equals the QUBO energy of the corresponding bit vector. Kept
-    as a second route on purpose: the local-search solver optimises
-    this, and tests cross-check it against QUBO energies.
-    """
-    n = topo.nodes
-    _check_k(n, k)
-    weights = _weight_array(w, n)
-    assign = np.asarray(producer_of, dtype=int)
-    if assign.size != n:
-        raise QuboError(f"got {assign.size} producer ids for {n} nodes")
-    if assign.size and (assign.min() < 0 or assign.max() >= k):
-        raise QuboError(f"producer ids must lie in 0..{k - 1}")
-    alpha = cfg.alpha_vector(k)
-    total = float(weights.sum())
-    target = total / k
-    cost = 0.0
-    for u, v, dist in topo.edges:
-        if assign[u] == assign[v]:
-            cost += 2.0 * cfg.beta * dist
-    loads = np.bincount(assign, weights=weights, minlength=k)
-    cost += float(np.sum(alpha * (loads - target) ** 2))
-    return cost
 
 
 def default_penalties(topo: graphs.Topology, w, k: int) -> PenaltyConfig:

@@ -8,14 +8,17 @@ Three routes with very different trust levels:
                     the raw binary variables, then repaired to a
                     feasible assignment.
   solve_heuristic   greedy seeding plus relocate/swap local search
-                    acting on the objective directly, never touching
-                    QUBO coefficients. All restarts descend in
-                    lockstep over numpy tables of every move's delta,
-                    summed exactly as a scalar scan would: edge terms
-                    slot by slot in neighbour-list order, squares by
-                    libm pow, first minimum in scan order.
+                    acting on the objective directly, not on QUBO
+                    coefficients. All restarts descend in lockstep
+                    over numpy tables of every move's delta, summed
+                    exactly as a scalar scan would: edge terms slot by
+                    slot in neighbour-list order, squares by libm pow,
+                    first minimum in scan order.
 
-All solvers are deterministic functions of (instance, config, seed) and
+All three end the same way (_result): their candidates (every
+assignment, or each restart's final one) are scored with qubo.energies,
+and the first within a relative 1e-9 of the lowest energy wins. All
+solvers are deterministic functions of (instance, config, seed) and
 return assignments in canonical producer order (the producer of the
 lowest-numbered node is 0, the next distinct producer is 1, and so on),
 so results can be compared across solvers with plain equality.
@@ -30,16 +33,7 @@ import time
 import numpy as np
 
 from . import graphs
-from .qubo import (
-    PenaltyConfig,
-    QuboInstance,
-    _term_arrays,
-    _weight_array,
-    assignment_cost,
-    build_qubo,
-    energies,
-    energy,
-)
+from .qubo import PenaltyConfig, QuboInstance, _term_arrays, _weight_array, energies, energy
 
 
 class SolverError(ValueError):
@@ -156,7 +150,9 @@ def canonical_form(producer_of, k: int) -> Assignment:
 def _couplings(q: QuboInstance):
     """q's linear vector and its symmetric couplings in CSR form
     (indptr, cols, vals), columns ascending within each row."""
-    lin, a, b, c = _term_arrays(q)
+    lin_vars, lin_vals, a, b, c = _term_arrays(q)
+    lin = np.zeros(q.num_vars)
+    lin[lin_vars] = lin_vals
     rows = np.concatenate([a, b])
     cols = np.concatenate([b, a])
     order = np.argsort(rows * q.num_vars + cols)
@@ -211,22 +207,36 @@ def _repair(q: QuboInstance, couplings, vec: np.ndarray) -> Assignment:
     return Assignment(producer_of=tuple(producer_of), k=k)
 
 
-def _feasible_bit_matrix(n: int, k: int, assignments: np.ndarray) -> np.ndarray:
-    rows = assignments.shape[0]
-    bits = np.zeros((rows, n * k), dtype=np.int8)
-    row_idx = np.arange(rows)
-    for i in range(n):
-        bits[row_idx, assignments[:, i] * n + i] = 1
-    return bits
+def _result(
+    q: QuboInstance, producer_rows, name: str, seed: int, iterations: int, start: float
+) -> SolveResult:
+    """The answer among candidate assignments, one producer row each, in
+    the solver's order: the first row whose energy lies within a
+    relative 1e-9 of the lowest, so exact ties resolve by that order
+    rather than by summation noise. It is reported in canonical form
+    with the energy of that form's bit vector."""
+    rows = np.asarray(producer_rows)
+    bits = np.zeros((rows.shape[0], q.num_vars), dtype=np.int8)
+    np.put_along_axis(bits, rows * q.n + np.arange(q.n), 1, axis=1)
+    scores = energies(q, bits)
+    lowest = scores.min()
+    best = int(np.argmax(scores <= lowest + 1e-9 * abs(lowest)))
+    assignment = canonical_form(rows[best], q.k)
+    return SolveResult(
+        assignment=assignment,
+        energy=energy(q, encode(assignment, q)),
+        solver_name=name,
+        seed=seed,
+        iterations=iterations,
+        wall_time=time.monotonic() - start,
+    )
 
 
 def solve_exhaustive(q: QuboInstance, max_vars: int = 24) -> SolveResult:
     """Global feasible optimum by enumerating all k^n assignments.
 
-    Assignments are generated in lexicographic producer_of order and
-    the first one within a relative 1e-9 of the minimum wins, so exact
-    energy ties resolve to the lexicographically smallest vector rather
-    than to summation noise.
+    Assignments are generated in lexicographic producer_of order, so
+    exact energy ties resolve to the lexicographically smallest vector.
     """
     if q.num_vars > max_vars:
         raise SolverError(
@@ -239,20 +249,7 @@ def solve_exhaustive(q: QuboInstance, max_vars: int = 24) -> SolveResult:
     assignments = np.empty((count, n), dtype=np.int64)
     for i in range(n):
         assignments[:, i] = (codes // k ** (n - 1 - i)) % k
-    bits = _feasible_bit_matrix(n, k, assignments)
-    all_energies = energies(q, bits)
-    lowest = all_energies.min()
-    best_row = int(np.argmax(all_energies <= lowest + 1e-9 * abs(lowest)))
-    assignment = canonical_form(assignments[best_row], k)
-    best_energy = energy(q, encode(assignment, q))
-    return SolveResult(
-        assignment=assignment,
-        energy=best_energy,
-        solver_name="exhaustive",
-        seed=0,
-        iterations=count,
-        wall_time=time.monotonic() - start,
-    )
+    return _result(q, assignments, "exhaustive", 0, count, start)
 
 
 def _auto_temperatures(
@@ -278,7 +275,8 @@ def solve_anneal(q: QuboInstance, cfg: AnnealConfig) -> SolveResult:
     restarts, each started from a random feasible assignment.
 
     The lowest raw-energy state seen in each restart is decoded and
-    repaired; restarts compete on post-repair energy.
+    repaired; restarts compete on post-repair energy, ties to the
+    earliest restart.
     """
     start = time.monotonic()
     couplings = _couplings(q)
@@ -297,7 +295,7 @@ def solve_anneal(q: QuboInstance, cfg: AnnealConfig) -> SolveResult:
     ]
 
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    best_result: tuple[float, Assignment] | None = None
+    repaired = []
     for restart in range(cfg.restarts):
         rng = np.random.default_rng(children[restart])
         start_assign = rng.integers(0, q.k, size=q.n)
@@ -324,20 +322,8 @@ def solve_anneal(q: QuboInstance, cfg: AnnealConfig) -> SolveResult:
                     if current < best_raw:
                         best_raw = current
                         best_bits = state.copy()
-        assignment = canonical_form(
-            _repair(q, couplings, np.array(best_bits)).producer_of, q.k
-        )
-        repaired = energy(q, encode(assignment, q))
-        if best_result is None or repaired < best_result[0]:
-            best_result = (repaired, assignment)
-    return SolveResult(
-        assignment=best_result[1],
-        energy=best_result[0],
-        solver_name="anneal",
-        seed=cfg.seed,
-        iterations=cfg.sweeps * nv * cfg.restarts,
-        wall_time=time.monotonic() - start,
-    )
+        repaired.append(_repair(q, couplings, np.array(best_bits)).producer_of)
+    return _result(q, repaired, "anneal", cfg.seed, cfg.sweeps * nv * cfg.restarts, start)
 
 
 def _greedy_seed(order, neighbours, weights, k, beta, alpha, target):
@@ -469,7 +455,8 @@ def solve_heuristic(
     cfg: PenaltyConfig,
     seed: int = 0,
     restarts: int = 8,
-    qubo: QuboInstance | None = None,
+    *,
+    qubo: QuboInstance,
 ) -> SolveResult:
     """Greedy seeding plus best-improvement local search on the
     objective itself (relocate one node, or swap two nodes across
@@ -478,9 +465,10 @@ def solve_heuristic(
     Restart 0 seeds nodes heaviest-first; later restarts use random
     orders. All restarts then descend in lockstep (`_local_search`),
     in groups whose swap tables stay near 8 MB; each restart's moves
-    and result match a scalar best-improvement scan bit for bit. The
-    reported energy is the QUBO energy of the final assignment so
-    results line up with the other solvers.
+    and result match a scalar best-improvement scan bit for bit.
+    Restarts compete on the QUBO energy of their final assignments in
+    qubo, ties to the earliest restart, so results line up with the
+    other solvers.
     """
     if restarts < 1:
         raise SolverError(f"restarts must be >= 1, got {restarts}")
@@ -488,7 +476,7 @@ def solve_heuristic(
     n = topo.nodes
     if k > n or k < 1:
         raise SolverError(f"need 1 <= k <= n, got k={k} for n={n} nodes")
-    if qubo is not None and (qubo.n != n or qubo.k != k):
+    if qubo.n != n or qubo.k != k:
         raise SolverError(
             f"supplied instance is ({qubo.n} nodes, k={qubo.k}), "
             f"expected ({n}, {k})"
@@ -517,15 +505,4 @@ def solve_heuristic(
         producers, loads, _neighbour_slots(neighbours, beta),
         weights_arr, np.array(alpha), target,
     )
-    costs = [assignment_cost(topo, weights_arr, k, cfg, row) for row in producers.tolist()]
-    assignment = canonical_form(producers[costs.index(min(costs))], k)
-    q = qubo if qubo is not None else build_qubo(topo, weights_arr, k, cfg)
-    final_energy = energy(q, encode(assignment, q))
-    return SolveResult(
-        assignment=assignment,
-        energy=final_energy,
-        solver_name="heuristic",
-        seed=seed,
-        iterations=int(moves.sum()),
-        wall_time=time.monotonic() - start,
-    )
+    return _result(qubo, producers, "heuristic", seed, int(moves.sum()), start)

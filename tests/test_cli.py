@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -403,6 +404,33 @@ def test_solve_rejects_fractional_edge_endpoint(tmp_path, capsys):
     assert "edge entry 0: 'b' must be an integer" in err
 
 
+@pytest.mark.parametrize("weights", ['[0.5, true]', '["0.5", "0.5"]'])
+def test_solve_rejects_non_numeric_weights(tmp_path, capsys, weights):
+    save_topology(Topology(nodes=2, edges=((0, 1, 1.0),)), str(tmp_path / "t.json"))
+    (tmp_path / "w.json").write_text('{"weights": %s}' % weights)
+    assert cli.main([
+        "solve", str(tmp_path / "t.json"), "--weights", str(tmp_path / "w.json"), "--k", "2",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "must be a number, got" in err
+
+
+@pytest.mark.parametrize("command", ["generate", "solve", "sweep"])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    save_topology(PATH4, str(tmp_path / "p4.json"))
+    save_weights(uniform_weights(4), str(tmp_path / "w.json"))
+    write_demands(tmp_path / "d.csv", nodes=4)
+    inputs = {
+        "generate": ["ring", "--nodes", "5"],
+        "solve": [str(tmp_path / "p4.json"), "--weights", str(tmp_path / "w.json"), "--k", "2"],
+        "sweep": [str(tmp_path / "p4.json"), "--demands", str(tmp_path / "d.csv")],
+    }[command]
+    assert cli.main([command, *inputs, "--seed", "-1", "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --seed must be >= 0, got -1\n"
+
+
 def junk(ints):
     """Any JSON value, with integers drawn from `ints`."""
     leaves = st.none() | st.booleans() | ints | st.floats() | st.text(max_size=3)
@@ -430,6 +458,20 @@ CONFIG_VALUES = {
 }
 
 
+# a demand CSV as rows of cells: a spoilt cell, row or file becomes text
+CSV_JUNK = st.text(max_size=4) | st.floats().map(repr) | st.lists(st.text(max_size=3), max_size=3)
+
+
+def csv_text(rows):
+    if not isinstance(rows, list):
+        return rows
+    out = io.StringIO()
+    writer = csv.writer(out)
+    for row in rows:
+        writer.writerow(row if isinstance(row, list) else [row])
+    return out.getvalue()
+
+
 def spoil(data, doc, values, depth=0):
     """doc with one value, or itself, replaced by a draw from values;
     the deeper the value, the likelier the replacement stops there."""
@@ -441,11 +483,12 @@ def spoil(data, doc, values, depth=0):
     return doc
 
 
-@settings(max_examples=150, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=200, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_cli_survives_random_documents(data):
-    """Random topology and config documents, valid or with one value
-    spoilt anywhere in them, end in exit 0 or 2 and never a traceback."""
+    """Random topology, config, weights (solve) and demand (sweep)
+    documents, valid or with one value spoilt anywhere in them, end in
+    exit 0 or 2 and never a traceback."""
     command = data.draw(st.sampled_from(["solve", "sweep"]))
     n = data.draw(st.integers(1, 5))
     chords = [(a, b) for a in range(n) for b in range(a + 2, n)]
@@ -460,19 +503,27 @@ def test_cli_survives_random_documents(data):
     config.update(data.draw(st.fixed_dictionaries({}, optional={
         key: values for key, values in CONFIG_VALUES.items() if key in cli._DEFAULTS[command]
     })))
-    spoilt = data.draw(st.sampled_from(["none", "topology", "config"]))
+    weights = {"weights": uniform_weights(n).values.tolist()}
+    demands = [row.split(",") for row in demands_to_csv_text(
+        synthetic_demands(n, timesteps=4, seed=0)).splitlines()]
+    spoilt = data.draw(st.sampled_from(
+        ["none", "topology", "config", "weights" if command == "solve" else "demands"]
+    ))
     if spoilt == "topology":
         topology = spoil(data, topology, junk(st.integers(-2, 2**70)))
     elif spoilt == "config":
         config = spoil(data, config, SMALL_JUNK)
+    elif spoilt == "weights":
+        weights = spoil(data, weights, junk(st.integers(-2, 2**70)))
+    elif spoilt == "demands":
+        demands = spoil(data, demands, CSV_JUNK)
     with tempfile.TemporaryDirectory() as tmp:
         paths = {name: os.path.join(tmp, name) for name in ("t.json", "c.json", "w.json", "d.csv")}
-        for name, doc in (("t.json", topology), ("c.json", config)):
+        for name, doc in (("t.json", topology), ("c.json", config), ("w.json", weights)):
             with open(paths[name], "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
-        save_weights(uniform_weights(n), paths["w.json"])
-        with open(paths["d.csv"], "w", encoding="utf-8") as fh:
-            fh.write(demands_to_csv_text(synthetic_demands(n, timesteps=4, seed=0)))
+        with open(paths["d.csv"], "w", encoding="utf-8", newline="") as fh:
+            fh.write(csv_text(demands))
         inputs = ["--weights", paths["w.json"]] if command == "solve" else ["--demands", paths["d.csv"]]
         err = io.StringIO()
         with contextlib.redirect_stderr(err):

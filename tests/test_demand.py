@@ -165,3 +165,28 @@ def test_weights_file_round_trip(tmp_path):
     bad.write_text('{"nope": 1}')
     with pytest.raises(DemandError, match="'weights' array"):
         load_weights(str(bad))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"weights": [0.5, true]}', "weight 1 must be a number, got true"),
+        ('{"weights": ["0.5", "0.5"]}', 'weight 0 must be a number, got "0.5"'),
+        ('{"weights": [0.5, null]}', "weight 1 must be a number, got null"),
+        ('{"weights": [[0.5], 0.5]}', r"weight 0 must be a number, got \[0.5\]"),
+        ('{"weights": [0.5, 1e999999]}', "every weight must be finite"),
+        ('{"weights": [0.5, %d]}' % 10**400, "weight 1 must be a number"),
+        ('{"weights": 1.0}', "'weights' array"),
+    ],
+)
+def test_weights_file_accepts_only_json_numbers(tmp_path, text, message):
+    path = tmp_path / "w.json"
+    path.write_text(text)
+    with pytest.raises(DemandError, match=message):
+        load_weights(str(path))
+
+
+def test_weights_file_accepts_integer_weights(tmp_path):
+    path = tmp_path / "w.json"
+    path.write_text('{"weights": [1]}')
+    assert load_weights(str(path)).values.tolist() == [1.0]

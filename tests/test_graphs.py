@@ -11,7 +11,6 @@ from heatfair import (
     all_pairs_shortest_paths,
     generate_ring,
     generate_tree,
-    is_connected,
     load_topology,
     save_topology,
 )
@@ -115,8 +114,7 @@ def test_disconnected_pairs_marked_infinite():
     topo = Topology(nodes=4, edges=((0, 1, 1.0), (2, 3, 1.0)))
     sp = all_pairs_shortest_paths(topo)
     assert np.isinf(sp[0, 2])
-    assert not is_connected(topo)
-    assert is_connected(Topology(nodes=1, edges=()))
+    assert np.isfinite(all_pairs_shortest_paths(Topology(nodes=1, edges=()))).all()
 
 
 def test_ring_generator_shapes():
@@ -125,7 +123,7 @@ def test_ring_generator_shapes():
     assert topo.num_edges == 6
     withchords = generate_ring(6, chords=2, seed=5)
     assert withchords.num_edges == 8
-    assert is_connected(withchords)
+    assert np.isfinite(all_pairs_shortest_paths(withchords)).all()
     assert topo.coords is not None
 
 
@@ -142,7 +140,7 @@ def test_tree_generator_shapes():
     topo = generate_tree(7, branching=2)
     assert topo.nodes == 7
     assert topo.num_edges == 6
-    assert is_connected(topo)
+    assert np.isfinite(all_pairs_shortest_paths(topo)).all()
     assert generate_tree(5, branching=1).edges == tuple(
         (i, i + 1, 1.0) for i in range(4)
     )
@@ -179,6 +177,23 @@ def test_minimal_two_node_round_trip(tmp_path):
     topo = load_topology(str(path))
     assert topo.nodes == 2
     assert topo.num_edges == 1
+
+
+@pytest.mark.parametrize("a, b", [(0, 1.5), (False, True), (0, np.True_), ("0", 1), (0, None)])
+def test_direct_construction_rejects_non_integer_endpoints(a, b):
+    with pytest.raises(TopologyError, match="needs integer endpoints"):
+        Topology(nodes=2, edges=((a, b, 1.0),))
+
+
+def test_numpy_integer_endpoints_are_stored_as_python_ints(tmp_path):
+    topo = Topology(
+        nodes=3, edges=((np.int64(2), np.int32(0), 1.5), (np.uint8(1), np.int64(2), 2.0))
+    )
+    assert topo.edges == ((0, 2, 1.5), (1, 2, 2.0))
+    assert all(type(x) is int for a, b, _ in topo.edges for x in (a, b))
+    path = tmp_path / "numpy.json"
+    save_topology(topo, str(path))
+    assert load_topology(str(path)) == topo
 
 
 def test_save_load_round_trip(suite, tmp_path):

@@ -8,7 +8,6 @@ from heatfair import (
     QuboFormatError,
     QuboInstance,
     Topology,
-    assignment_cost,
     build_qubo,
     build_unweighted_qubo,
     default_penalties,
@@ -94,6 +93,36 @@ def test_batch_energies_match_scalar_energy():
     batch = energies(q, bits)
     for row, value in zip(bits, batch):
         assert value == pytest.approx(energy(q, row), rel=1e-12)
+
+
+def test_energies_are_exact_dict_order_sums(suite, tmp_path):
+    # every energy is offset + the set terms added one by one in dict
+    # order; a pairwise sum or a matmul over the same terms differs in
+    # the last bits on some of these rows
+    def check(q, rows):
+        expected = [qubo_energy_direct(q.linear, q.quadratic, q.offset, r) for r in rows]
+        assert energies(q, rows).tolist() == expected
+        assert [energy(q, r) for r in rows] == expected
+
+    for entry in suite:
+        n = entry.topo.nodes
+        for k in range(1, min(5, n) + 1):
+            rng = np.random.default_rng([n, k, entry.topo.num_edges])
+            cfg = default_penalties(entry.topo, entry.weights, k)
+            for q in (
+                build_qubo(entry.topo, entry.weights, k, cfg),
+                build_unweighted_qubo(entry.topo, k, cfg),
+            ):
+                feasible = np.zeros((16, q.num_vars), dtype=np.int8)
+                producers = rng.integers(0, k, size=(16, n))
+                np.put_along_axis(feasible, producers * n + np.arange(n), 1, axis=1)
+                check(q, np.concatenate([rng.integers(0, 2, size=(16, q.num_vars)), feasible]))
+
+    entry = suite[-1]
+    q = build_qubo(entry.topo, entry.weights, 3, default_penalties(entry.topo, entry.weights, 3))
+    path = tmp_path / "exact.qubo"
+    export_qubo(q, str(path))
+    check(import_qubo(str(path)), np.random.default_rng(3).integers(0, 2, size=(64, q.num_vars)))
 
 
 def test_energy_of_all_zeros_is_offset(suite):
@@ -224,8 +253,8 @@ def test_feasible_assignments_pay_no_one_hot_penalty(suite):
         internal_dist, _, _ = internal_and_cut(entry.topo, producer_of)
         expected = 2.0 * internal_dist + 2.0 * float(((loads - target) ** 2).sum())
         assert energy(q, bits) == pytest.approx(expected, rel=1e-9, abs=1e-12)
-        assert assignment_cost(
-            entry.topo, entry.weights, 2, cfg, producer_of
+        assert modified_cost_direct(
+            entry.topo, w, 2, cfg.beta, cfg.alpha, cfg.gamma, bits_to_x(bits, n, 2)
         ) == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 

@@ -12,7 +12,6 @@ from heatfair import (
     QuboInstance,
     SolverError,
     Topology,
-    assignment_cost,
     build_qubo,
     build_unweighted_qubo,
     canonical_form,
@@ -91,14 +90,11 @@ def test_canonical_form_is_permutation_invariant(raw, perm):
 
 
 def test_relabelling_preserves_cost():
-    cfg = PenaltyConfig(alpha=2.0, gamma=5.0)
-    w = uniform_weights(4)
+    q = build_qubo(PATH4, uniform_weights(4), 3, PenaltyConfig(alpha=2.0, gamma=5.0))
     for producer_of in feasible_assignments(4, 3):
-        base = assignment_cost(PATH4, w, 3, cfg, producer_of)
-        canon = canonical_form(producer_of, 3).producer_of
-        assert assignment_cost(PATH4, w, 3, cfg, canon) == pytest.approx(
-            base, rel=1e-12
-        )
+        base = energy(q, encode(Assignment(producer_of=producer_of, k=3), q))
+        canon = canonical_form(producer_of, 3)
+        assert energy(q, encode(canon, q)) == pytest.approx(base, rel=1e-12)
 
 
 def test_exhaustive_single_node():
@@ -157,9 +153,8 @@ def test_exhaustive_tie_break_is_lexicographic():
     q = build_qubo(ring, w, 3, cfg)
     first, later = (0, 1, 0, 1, 2, 0, 2), (0, 1, 0, 1, 2, 1, 2)
     for producer_of in (first, later):
-        assert assignment_cost(ring, w, 3, cfg, producer_of) == pytest.approx(
-            4.0 / 3.0, rel=1e-12
-        )
+        bits = encode(Assignment(producer_of=producer_of, k=3), q)
+        assert energy(q, bits) == pytest.approx(4.0 / 3.0, rel=1e-12)
     assert solve_exhaustive(q).assignment.producer_of == first
 
 
@@ -203,7 +198,7 @@ def test_solve_result_energy_is_recomputable(suite):
     for r in (
         solve_exhaustive(q),
         solve_anneal(q, AnnealConfig(sweeps=300, restarts=2, seed=4)),
-        solve_heuristic(entry.topo, entry.weights, 2, cfg, seed=4),
+        solve_heuristic(entry.topo, entry.weights, 2, cfg, seed=4, qubo=q),
     ):
         assert r.energy == pytest.approx(
             energy(q, encode(r.assignment, q)), rel=1e-9, abs=1e-12
@@ -332,7 +327,7 @@ def test_repair_output_is_always_feasible(data):
 def test_heuristic_single_producer_is_trivial():
     w = uniform_weights(4)
     cfg = default_penalties(PATH4, w, 1)
-    r = solve_heuristic(PATH4, w, 1, cfg)
+    r = solve_heuristic(PATH4, w, 1, cfg, qubo=build_qubo(PATH4, w, 1, cfg))
     assert r.assignment.producer_of == (0, 0, 0, 0)
     assert r.solver_name == "heuristic"
 
@@ -342,7 +337,7 @@ def test_heuristic_matches_exhaustive_on_path():
     cfg = default_penalties(PATH4, w, 2)
     q = build_qubo(PATH4, w, 2, cfg)
     truth = solve_exhaustive(q)
-    r = solve_heuristic(PATH4, w, 2, cfg, seed=3)
+    r = solve_heuristic(PATH4, w, 2, cfg, seed=3, qubo=q)
     assert r.energy == pytest.approx(truth.energy, rel=1e-9, abs=1e-9)
     assert r.assignment == truth.assignment
 
@@ -350,9 +345,32 @@ def test_heuristic_matches_exhaustive_on_path():
 def test_heuristic_is_deterministic_per_seed(suite):
     entry = suite[3]
     cfg = default_penalties(entry.topo, entry.weights, 3)
-    first = solve_heuristic(entry.topo, entry.weights, 3, cfg, seed=9)
-    second = solve_heuristic(entry.topo, entry.weights, 3, cfg, seed=9)
+    q = build_qubo(entry.topo, entry.weights, 3, cfg)
+    first = solve_heuristic(entry.topo, entry.weights, 3, cfg, seed=9, qubo=q)
+    second = solve_heuristic(entry.topo, entry.weights, 3, cfg, seed=9, qubo=q)
     assert first.assignment == second.assignment and first.energy == second.energy
+
+
+def test_heuristic_ties_go_to_the_first_restart(suite, monkeypatch):
+    # uniform weights on a unit 6-ring, k=5: every restart ends at the
+    # same energy in a different assignment; the first restart's wins
+    entry = next(e for e in suite if e.name == "ring6c0s102")
+    w = uniform_weights(6)
+    cfg = default_penalties(entry.topo, w, 5)
+    q = build_qubo(entry.topo, w, 5, cfg)
+    scored = []
+    real = solvers.energies
+    monkeypatch.setattr(solvers, "energies", lambda q, bits: scored.append(bits) or real(q, bits))
+    r = solve_heuristic(entry.topo, w, 5, cfg, seed=0, qubo=q)
+
+    (bits,) = scored
+    finals = bits.reshape(len(bits), 5, 6).argmax(axis=1)
+    scores = real(q, bits)
+    assert len({canonical_form(row, 5) for row in finals}) > 1
+    assert np.all(np.abs(scores - scores.min()) <= 1e-9 * abs(scores.min()))
+    assert r.assignment == canonical_form(finals[0], 5)
+    assert r.assignment.producer_of == (0, 1, 2, 3, 4, 1)
+    assert r.energy == energy(q, encode(r.assignment, q))
 
 
 def test_heuristic_beats_random_sampling_on_large_ring():
@@ -376,7 +394,10 @@ def test_heuristic_beats_random_sampling_on_large_ring():
 def test_heuristic_validates_inputs():
     w = uniform_weights(4)
     with pytest.raises(SolverError, match="restarts"):
-        solve_heuristic(PATH4, w, 2, PenaltyConfig(), restarts=0)
+        solve_heuristic(PATH4, w, 2, PenaltyConfig(), restarts=0, qubo=None)
+    q = build_qubo(PATH4, w, 2, PenaltyConfig())
+    with pytest.raises(SolverError, match="supplied instance"):
+        solve_heuristic(PATH4, w, 3, PenaltyConfig(), qubo=q)
 
 
 def test_results_serialise_without_wall_time_surprises():
