@@ -25,6 +25,7 @@ together. tests/test_qubo.py pins both readings.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -97,7 +98,8 @@ class QuboInstance:
 
     linear maps variable -> coefficient; quadratic maps (v1, v2) with
     v1 < v2 -> coefficient; zero coefficients are not stored. Treat
-    instances as immutable even though dicts technically are not.
+    instances as immutable even though dicts technically are not: the
+    term arrays are read from the dicts once and then cached.
     """
 
     n: int
@@ -140,6 +142,23 @@ class QuboInstance:
         if not (0 <= var < self.num_vars):
             raise QuboError(f"variable {var} outside 0..{self.num_vars - 1}")
         return var % self.n, var // self.n
+
+    @functools.cached_property
+    def _term_arrays(self):
+        """Stored terms as read-only arrays in dict order: linear (vars,
+        values), then quadratic (rows, cols, values)."""
+        lin_vars = np.fromiter(self.linear, np.int64, len(self.linear))
+        lin_vals = np.fromiter(self.linear.values(), float, len(self.linear))
+        pairs = np.fromiter(
+            itertools.chain.from_iterable(self.quadratic),
+            np.int64,
+            2 * len(self.quadratic),
+        ).reshape(-1, 2)
+        vals = np.fromiter(self.quadratic.values(), float, len(self.quadratic))
+        arrays = (lin_vars, lin_vals, pairs[:, 0], pairs[:, 1], vals)
+        for arr in arrays:
+            arr.flags.writeable = False
+        return arrays
 
 
 def _weight_array(w, n: int) -> np.ndarray:
@@ -269,18 +288,6 @@ def energy(q: QuboInstance, bits) -> float:
     return float(energies(q, np.asarray(bits).reshape(1, -1))[0])
 
 
-def _term_arrays(q: QuboInstance):
-    """Stored terms as arrays in dict order: linear (vars, values),
-    then quadratic (rows, cols, values)."""
-    lin_vars = np.fromiter(q.linear, np.int64, len(q.linear))
-    lin_vals = np.fromiter(q.linear.values(), float, len(q.linear))
-    pairs = np.fromiter(
-        itertools.chain.from_iterable(q.quadratic), np.int64, 2 * len(q.quadratic)
-    ).reshape(-1, 2)
-    vals = np.fromiter(q.quadratic.values(), float, len(q.quadratic))
-    return lin_vars, lin_vals, pairs[:, 0], pairs[:, 1], vals
-
-
 def energies(q: QuboInstance, bit_matrix: np.ndarray) -> np.ndarray:
     """Energy of many bit vectors, one per row; any nonzero entry counts
     as set.
@@ -296,7 +303,7 @@ def energies(q: QuboInstance, bit_matrix: np.ndarray) -> np.ndarray:
         raise QuboError(
             f"bit matrix must be (rows, {q.num_vars}), got shape {mat.shape}"
         )
-    lin_vars, lin_vals, rows, cols, vals = _term_arrays(q)
+    lin_vars, lin_vals, rows, cols, vals = q._term_arrays
     width = 1 + lin_vals.size + vals.size
     out = np.empty(mat.shape[0])
     step = max(1, (1 << 20) // width)  # rows per block of ~2^20 terms

@@ -6,7 +6,10 @@ Three routes with very different trust levels:
                     on desk-scale instances, hard-capped by size.
   solve_anneal      Metropolis single-bit-flip simulated annealing over
                     the raw binary variables, then repaired to a
-                    feasible assignment.
+                    feasible assignment. Stretches of sweeps in which
+                    no proposal can pass are skipped by one numpy
+                    comparison; every result equals a plain
+                    proposal-by-proposal scan bit for bit.
   solve_heuristic   greedy seeding plus relocate/swap local search
                     acting on the objective directly, not on QUBO
                     coefficients. All restarts descend in lockstep
@@ -33,7 +36,7 @@ import time
 import numpy as np
 
 from . import graphs
-from .qubo import PenaltyConfig, QuboInstance, _term_arrays, _weight_array, energies, energy
+from .qubo import PenaltyConfig, QuboInstance, _weight_array, energies, energy
 
 
 class SolverError(ValueError):
@@ -150,7 +153,7 @@ def canonical_form(producer_of, k: int) -> Assignment:
 def _couplings(q: QuboInstance):
     """q's linear vector and its symmetric couplings in CSR form
     (indptr, cols, vals), columns ascending within each row."""
-    lin_vars, lin_vals, a, b, c = _term_arrays(q)
+    lin_vars, lin_vals, a, b, c = q._term_arrays
     lin = np.zeros(q.num_vars)
     lin[lin_vars] = lin_vals
     rows = np.concatenate([a, b])
@@ -264,10 +267,27 @@ def _auto_temperatures(
 
 def _temperature_schedule(cfg: AnnealConfig, t_initial: float, t_final: float):
     if cfg.sweeps == 1:
-        return [t_initial]
+        return np.array([t_initial])
     if cfg.schedule == "geometric":
-        return np.geomspace(t_initial, t_final, cfg.sweeps).tolist()
-    return np.linspace(t_initial, t_final, cfg.sweeps).tolist()
+        return np.geomspace(t_initial, t_final, cfg.sweeps)
+    return np.linspace(t_initial, t_final, cfg.sweeps)
+
+
+def _first_acceptance(deltas: np.ndarray, limits: np.ndarray, sweep: int):
+    """The first (sweep, var), row-major from row `sweep` of limits on,
+    where deltas[var] <= limits[sweep, var]; None if there is none.
+    Rows are compared in windows of 1, 2, 4, ... sweeps, so a near hit
+    costs one small comparison and a distant one few numpy calls."""
+    nv = deltas.size
+    width = 1
+    while sweep < len(limits):
+        hits = deltas <= limits[sweep:sweep + width]
+        if hits.any():
+            at = int(hits.argmax())
+            return sweep + at // nv, at % nv
+        sweep += width
+        width *= 2
+    return None
 
 
 def solve_anneal(q: QuboInstance, cfg: AnnealConfig) -> SolveResult:
@@ -277,6 +297,18 @@ def solve_anneal(q: QuboInstance, cfg: AnnealConfig) -> SolveResult:
     The lowest raw-energy state seen in each restart is decoded and
     repaired; restarts compete on post-repair energy, ties to the
     earliest restart.
+
+    Proposal (sweep, i) flips bit i when sign * field <= limit, with
+    sign = 1 - 2 * bit and limit = -temp[sweep] * log1p(-u), u drawn
+    uniform in [0, 1) for every proposal up front. Three rules keep the
+    loop cheap and every result equal to a plain proposal-by-proposal
+    scan: the limits are one numpy product, the same IEEE product as the
+    scalar one; a flip adds or subtracts each coupling, never multiplies
+    it by the sign (x - c is exactly x + (-c)); and after a sweep with
+    no flip the state cannot change until the next accepted proposal,
+    so that proposal is found by comparing the frozen sign * field
+    vector with the following limit rows, and the loop resumes there
+    (or the restart ends, if there is none).
     """
     start = time.monotonic()
     couplings = _couplings(q)
@@ -298,31 +330,41 @@ def solve_anneal(q: QuboInstance, cfg: AnnealConfig) -> SolveResult:
     repaired = []
     for restart in range(cfg.restarts):
         rng = np.random.default_rng(children[restart])
-        start_assign = rng.integers(0, q.k, size=q.n)
-        state = [0.0] * nv
-        for i in range(q.n):
-            state[int(start_assign[i]) * q.n + i] = 1.0
-        fields = (lin + _row_sums(indptr, vals * np.array(state)[cols])).tolist()
-        current = energy(q, np.array(state))
-        best_raw = current
-        best_bits = state.copy()
-        # log(1 - u) <= 0 always, so downhill moves never consult the rng
-        log_u = np.log1p(-rng.random((cfg.sweeps, nv))).tolist()
-        for sweep in range(cfg.sweeps):
-            temp = temps[sweep]
-            log_row = log_u[sweep]
-            for i in range(nv):
-                sign = 1.0 - 2.0 * state[i]
+        bits = np.zeros(nv)
+        bits[rng.integers(0, q.k, size=q.n) * q.n + np.arange(q.n)] = 1.0
+        fields = (lin + _row_sums(indptr, vals * bits[cols])).tolist()
+        current = energy(q, bits)
+        signs = (1.0 - 2.0 * bits).tolist()
+        best_raw, best_signs = current, signs.copy()
+        # log1p(-u) <= 0, so a downhill move always passes its limit
+        limits = -temps[:, None] * np.log1p(-rng.random((cfg.sweeps, nv)))
+        sweep, first = 0, 0
+        while sweep < cfg.sweeps:
+            row = limits[sweep].tolist()
+            frozen = True
+            for i in range(first, nv):
+                sign = signs[i]
                 delta = sign * fields[i]
-                if delta <= -temp * log_row[i]:
-                    state[i] += sign
-                    for m, coeff in rows[i]:
-                        fields[m] += coeff * sign
+                if delta <= row[i]:
+                    frozen = False
+                    signs[i] = -sign
+                    if sign > 0.0:
+                        for m, coeff in rows[i]:
+                            fields[m] += coeff
+                    else:
+                        for m, coeff in rows[i]:
+                            fields[m] -= coeff
                     current += delta
                     if current < best_raw:
-                        best_raw = current
-                        best_bits = state.copy()
-        repaired.append(_repair(q, couplings, np.array(best_bits)).producer_of)
+                        best_raw, best_signs = current, signs.copy()
+            sweep, first = sweep + 1, 0
+            if frozen:
+                hit = _first_acceptance(np.array(signs) * fields, limits, sweep)
+                if hit is None:
+                    break
+                sweep, first = hit
+        best_bits = (1.0 - np.array(best_signs)) / 2.0
+        repaired.append(_repair(q, couplings, best_bits).producer_of)
     return _result(q, repaired, "anneal", cfg.seed, cfg.sweeps * nv * cfg.restarts, start)
 
 

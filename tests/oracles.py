@@ -360,3 +360,78 @@ def local_search_reference(producer_of, loads, neighbours, weights, beta, alpha,
             loads[a] += weights[j] - weights[i]
             loads[b] += weights[i] - weights[j]
             producer_of[i], producer_of[j] = b, a
+
+
+def anneal_reference(linear, quadratic, offset, n, k, sweeps, restarts, seed,
+                     schedule="geometric", t_initial=None, t_final=None):
+    """Single-bit-flip Metropolis annealing, one proposal at a time: each
+    restart's lowest raw-energy bits (floats 0.0 and 1.0), in restart
+    order, drawing from the same seeded streams as the package.
+
+    Coupling rows hold (column, coefficient) pairs from the dicts,
+    columns ascending. Local fields and the automatic temperatures are
+    sums along each row in that order, and the starting energy is
+    qubo_energy_direct. Temperatures of None mean t_initial = the
+    largest single-flip reach and t_final = 1e-4 of it.
+    """
+    nv = n * k
+    rows = [[] for _ in range(nv)]
+    for (a, b), coeff in quadratic.items():
+        rows[a].append((b, coeff))
+        rows[b].append((a, coeff))
+    for row in rows:
+        row.sort()
+    lin = [linear.get(v, 0.0) for v in range(nv)]
+    if t_initial is None:
+        reach = []
+        for v in range(nv):
+            total = 0.0
+            for _, coeff in rows[v]:
+                total += abs(coeff)
+            reach.append(abs(lin[v]) + total)
+        t_initial = max(reach)
+        if t_initial <= 0.0:
+            t_initial = 1.0
+        t_final = 1e-4 * t_initial
+    if sweeps == 1:
+        temps = [t_initial]
+    elif schedule == "geometric":
+        temps = np.geomspace(t_initial, t_final, sweeps).tolist()
+    else:
+        temps = np.linspace(t_initial, t_final, sweeps).tolist()
+
+    children = np.random.SeedSequence(seed).spawn(restarts)
+    best = []
+    for restart in range(restarts):
+        rng = np.random.default_rng(children[restart])
+        start_assign = rng.integers(0, k, size=n)
+        state = [0.0] * nv
+        for i in range(n):
+            state[int(start_assign[i]) * n + i] = 1.0
+        fields = []
+        for v in range(nv):
+            total = 0.0
+            for m, coeff in rows[v]:
+                total += coeff * state[m]
+            fields.append(lin[v] + total)
+        current = qubo_energy_direct(linear, quadratic, offset, state)
+        best_raw = current
+        best_bits = state.copy()
+        # log(1 - u) <= 0 always, so downhill moves never consult the rng
+        log_u = np.log1p(-rng.random((sweeps, nv))).tolist()
+        for sweep in range(sweeps):
+            temp = temps[sweep]
+            log_row = log_u[sweep]
+            for i in range(nv):
+                sign = 1.0 - 2.0 * state[i]
+                delta = sign * fields[i]
+                if delta <= -temp * log_row[i]:
+                    state[i] += sign
+                    for m, coeff in rows[i]:
+                        fields[m] += coeff * sign
+                    current += delta
+                    if current < best_raw:
+                        best_raw = current
+                        best_bits = state.copy()
+        best.append(best_bits)
+    return best

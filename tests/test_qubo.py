@@ -134,6 +134,26 @@ def test_energy_of_all_zeros_is_offset(suite):
         assert energy(q, np.zeros(q.num_vars)) == q.offset
 
 
+def test_term_arrays_are_built_once_and_read_only(suite):
+    entry = suite[3]
+    q = build_qubo(entry.topo, entry.weights, 3,
+                   default_penalties(entry.topo, entry.weights, 3))
+    energy(q, np.zeros(q.num_vars))
+    first = vars(q)["_term_arrays"]
+    energies(q, np.ones((2, q.num_vars)))
+    energy(q, np.ones(q.num_vars))
+    assert q._term_arrays is first
+    lin_vars, lin_vals, rows, cols, vals = first
+    assert lin_vars.tolist() == list(q.linear)
+    assert lin_vals.tolist() == list(q.linear.values())
+    assert list(zip(rows.tolist(), cols.tolist())) == list(q.quadratic)
+    assert vals.tolist() == list(q.quadratic.values())
+    for arr in first:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[:1] = 0
+
+
 @given(st.integers(0, 10_000))
 def test_energy_matches_term_by_term_oracle(seed):
     rng = np.random.default_rng(seed)

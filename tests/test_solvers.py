@@ -19,7 +19,9 @@ from heatfair import (
     default_penalties,
     encode,
     energy,
+    export_qubo,
     generate_ring,
+    import_qubo,
     solve_anneal,
     solve_exhaustive,
     solve_heuristic,
@@ -29,6 +31,7 @@ from heatfair import solvers
 from heatfair.demand import compute_weights, synthetic_demands
 from heatfair.graphs import DistanceRule
 from oracles import (
+    anneal_reference,
     build_suite,
     feasible_assignments,
     local_search_reference,
@@ -555,3 +558,133 @@ def test_local_search_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 64 * 2**20
+
+
+# (sweeps, restarts, schedule, t_initial, t_final), dealt round-robin over
+# the cases below: one sweep (nothing to skip), short and long runs, both
+# schedules, derived and explicit temperatures, restarts 1 and 8
+ANNEAL_CONFIGS = [
+    (1, 1, "geometric", None, None),
+    (300, 8, "linear", None, None),
+    (2000, 1, "geometric", None, None),
+    (300, 1, "geometric", 5.0, 0.01),
+    (1, 8, "linear", 2.0, 1.0),
+    (2000, 1, "linear", 50.0, 0.001),
+    (300, 8, "geometric", None, None),
+    (2000, 8, "geometric", None, None),
+]
+
+
+def assert_anneal_matches_reference(q, sweeps, restarts, schedule, t_initial, t_final,
+                                    seed, monkeypatch):
+    """solve_anneal's raw best bits per restart and its result equal the
+    scalar reference loop's, compared with ==."""
+    cfg = AnnealConfig(sweeps=sweeps, restarts=restarts, schedule=schedule,
+                       t_initial=t_initial, t_final=t_final, seed=seed)
+    raw = []
+    repair = solvers._repair
+    monkeypatch.setattr(
+        solvers, "_repair", lambda q, c, vec: raw.append(vec.tolist()) or repair(q, c, vec)
+    )
+    got = solve_anneal(q, cfg)
+    monkeypatch.setattr(solvers, "_repair", repair)
+
+    want_raw = anneal_reference(q.linear, q.quadratic, q.offset, q.n, q.k, sweeps,
+                                restarts, seed, schedule, t_initial, t_final)
+    assert raw == want_raw
+    couplings = solvers._couplings(q)
+    rows = [repair(q, couplings, np.array(bits)).producer_of for bits in want_raw]
+    want = solvers._result(q, rows, "anneal", seed, sweeps * q.num_vars * restarts, 0.0)
+    assert got.assignment == want.assignment
+    assert got.energy.hex() == want.energy.hex()
+    assert (got.iterations, got.seed, got.solver_name) == (
+        want.iterations, want.seed, want.solver_name)
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_anneal_matches_scalar_reference(k, suite, monkeypatch):
+    case = k
+    for entry in suite:
+        if k > entry.topo.nodes:
+            continue
+        uniform = uniform_weights(entry.topo.nodes)
+        for q in (
+            build_qubo(entry.topo, entry.weights, k,
+                       default_penalties(entry.topo, entry.weights, k)),
+            build_unweighted_qubo(entry.topo, k,
+                                  default_penalties(entry.topo, uniform, k)),
+        ):
+            config = ANNEAL_CONFIGS[case % len(ANNEAL_CONFIGS)]
+            assert_anneal_matches_reference(q, *config, seed=case, monkeypatch=monkeypatch)
+            case += 1
+
+
+def test_anneal_matches_reference_on_an_imported_instance(suite, tmp_path, monkeypatch):
+    entry = suite[7]
+    q = build_qubo(entry.topo, entry.weights, 3,
+                   default_penalties(entry.topo, entry.weights, 3))
+    export_qubo(q, str(tmp_path / "q.qubo"))
+    imported = import_qubo(str(tmp_path / "q.qubo"))
+    for config in ANNEAL_CONFIGS[1:4]:
+        assert_anneal_matches_reference(imported, *config, seed=5, monkeypatch=monkeypatch)
+
+
+def test_anneal_matches_reference_on_exact_ties(monkeypatch):
+    # Energies and temperatures a few subnormal steps wide, so each limit
+    # rounds to a whole number of steps and often equals a move's cost.
+    # With k = 1 every restart starts at bits 111 (energy 0); turning
+    # off bit 0 or bit 2 costs 6 steps, after which bit 1 drops the state
+    # to 001 or 100 (-5). The barrier is crossed during frozen stretches,
+    # often on an exact tie, and which bit crosses first is the answer.
+    tick = 5e-324
+    q = QuboInstance(
+        n=3, k=1,
+        linear={0: -5 * tick, 1: 52 * tick, 2: -5 * tick},
+        quadratic={(0, 1): -41 * tick, (1, 2): -41 * tick, (0, 2): 40 * tick},
+        offset=0.0,
+    )
+    for seed in range(4):
+        for schedule in ("geometric", "linear"):
+            assert_anneal_matches_reference(q, 400, 8, schedule, 2 * tick, tick,
+                                            seed=seed, monkeypatch=monkeypatch)
+
+
+def first_acceptance_scan(deltas, limits, sweep):
+    for s in range(sweep, len(limits)):
+        for i in range(deltas.size):
+            if deltas[i] <= limits[s, i]:
+                return s, i
+    return None
+
+
+def test_first_acceptance_matches_a_row_major_scan():
+    rng = np.random.default_rng(3)
+    for trial in range(300):
+        sweeps, nv = int(rng.integers(1, 40)), int(rng.integers(1, 9))
+        # few distinct values, so exact ties and misses are both common
+        deltas = rng.choice([-1.0, -0.0, 0.0, 1.0, 2.0, 3.0], size=nv)
+        limits = rng.choice([-0.0, 0.0, 1.0, 2.0, 3.0], size=(sweeps, nv),
+                            p=[0.1, 0.1, 0.3, 0.3, 0.2])
+        sweep = int(rng.integers(0, sweeps + 1))
+        assert solvers._first_acceptance(deltas, limits, sweep) == first_acceptance_scan(
+            deltas, limits, sweep), trial
+
+
+def test_first_acceptance_edge_cases():
+    deltas = np.array([2.0, 0.0, 5.0])
+    misses = np.full((9, 3), 1.0)
+    misses[:, 1] = -1.0
+    assert solvers._first_acceptance(deltas, misses, 0) is None
+    assert solvers._first_acceptance(deltas, misses, 9) is None
+
+    tie = misses.copy()
+    tie[0, 2] = 5.0  # a hit in the first sweep, on an exact tie
+    assert solvers._first_acceptance(deltas, tie, 0) == (0, 2)
+    assert solvers._first_acceptance(deltas, tie, 1) is None
+
+    last = misses.copy()
+    last[8, 1] = -0.0  # u = 0 draws log1p(-0.0) = -0.0: 0.0 <= -0.0 holds
+    last[8, 2] = 6.0
+    assert solvers._first_acceptance(deltas, last, 0) == (8, 1)
+    assert solvers._first_acceptance(-deltas, misses, 0) == (0, 0)
+    assert solvers._first_acceptance(np.array([-0.0]), np.array([[0.0]]), 0) == (0, 0)
