@@ -76,9 +76,7 @@ def main() -> int:
         hits["anneal"] += a.energy <= truth + tol
 
         started = time.monotonic()
-        h = solve_heuristic(
-            topo, weights, k, cfg, seed=seed, restarts=args.restarts, qubo=q
-        )
+        h = solve_heuristic(q, seed=seed, restarts=args.restarts)
         spent["heuristic"] += time.monotonic() - started
         hits["heuristic"] += h.energy <= truth + tol
 

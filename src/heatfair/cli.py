@@ -338,9 +338,7 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
         penalty = qubo.default_penalties(topo, weights, k)
     instance = qubo.build_qubo(topo, weights, k, penalty)
     name = args["solver"]
-    result = workflow._solve_cell(
-        topo, weights, k, penalty, _solver_spec(args, name), args["seed"], instance
-    )
+    result = workflow._solve_cell(_solver_spec(args, name), args["seed"], instance)
     report = score_assignment(
         result.assignment, topo, weights,
         kpi_alpha=args["kpi_alpha"], solver_name=name, energy=result.energy,

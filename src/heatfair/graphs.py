@@ -253,20 +253,14 @@ def _number(value, what: str) -> float:
     raise TopologyError(f"{what} must be a number, got {value!r}")
 
 
-def topology_from_dict(data: dict, strict: bool = False) -> Topology:
-    """Reconstruct a topology from its JSON form.
-
-    strict=True rejects unknown keys instead of ignoring them.
-    """
+def topology_from_dict(data: dict) -> Topology:
+    """Reconstruct a topology from its JSON form; unknown keys are
+    ignored."""
     if not isinstance(data, dict):
         raise TopologyError("topology document must be a JSON object")
     missing = {"nodes", "edges"} - set(data)
     if missing:
         raise TopologyError(f"topology document lacks keys: {sorted(missing)}")
-    if strict:
-        extra = set(data) - {"nodes", "edges"}
-        if extra:
-            raise TopologyError(f"unknown top-level keys: {sorted(extra)}")
     raw_nodes = data["nodes"]
     raw_edges = data["edges"]
     if not isinstance(raw_nodes, list) or not isinstance(raw_edges, list):
@@ -278,12 +272,6 @@ def topology_from_dict(data: dict, strict: bool = False) -> Topology:
     for pos, entry in enumerate(raw_nodes):
         if not isinstance(entry, dict) or "id" not in entry:
             raise TopologyError(f"node entry {pos} needs an 'id' field")
-        if strict:
-            extra = set(entry) - {"id", "label", "x", "y"}
-            if extra:
-                raise TopologyError(
-                    f"node entry {pos} has unknown keys: {sorted(extra)}"
-                )
         nid = _integer(entry["id"], f"node entry {pos}: id")
         ids.append(nid)
         if "label" in entry:
@@ -307,12 +295,6 @@ def topology_from_dict(data: dict, strict: bool = False) -> Topology:
         missing = {"a", "b", "distance"} - set(entry)
         if missing:
             raise TopologyError(f"edge entry {pos} lacks keys: {sorted(missing)}")
-        if strict:
-            extra = set(entry) - {"a", "b", "distance"}
-            if extra:
-                raise TopologyError(
-                    f"edge entry {pos} has unknown keys: {sorted(extra)}"
-                )
         edges.append((
             _integer(entry["a"], f"edge entry {pos}: 'a'"),
             _integer(entry["b"], f"edge entry {pos}: 'b'"),
@@ -342,13 +324,13 @@ def save_topology(topo: Topology, path: str) -> None:
     atomic_write_text(path, json.dumps(topology_to_dict(topo), indent=2) + "\n")
 
 
-def load_topology(path: str, strict: bool = False) -> Topology:
+def load_topology(path: str) -> Topology:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except ValueError as exc:  # bad JSON, or an int past the digit limit
             raise TopologyError(f"{path}: not valid JSON ({exc})") from exc
     try:
-        return topology_from_dict(data, strict=strict)
+        return topology_from_dict(data)
     except TopologyError as exc:
         raise TopologyError(f"{path}: {exc}") from exc

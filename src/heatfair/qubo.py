@@ -19,7 +19,8 @@ every pipe kept inside one producer's area, so on its own it pushes
 neighbours apart (balance and one-hot terms do the grouping). The
 unweighted variant (build_unweighted_qubo) instead charges beta for
 every edge leaving a producer's area, which rewards keeping neighbours
-together. tests/test_qubo.py pins both readings.
+together. tests/test_qubo.py pins both readings. Both builders read
+every coefficient from one Objective, which the instance carries.
 """
 
 from __future__ import annotations
@@ -92,6 +93,28 @@ class PenaltyConfig:
         return np.array(self.gamma)
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class Objective:
+    """What a QUBO expands. Per producer j: edge_coeff[e] for each edge
+    ends[e] inside j, node_linear[i] for each node i at j, and
+    alpha[j] * (load_j - target)^2, load_j the weights at j. Per node i:
+    gamma[i] * (producers of i - 1)^2. The arrays are read-only copies."""
+
+    ends: np.ndarray  # (m, 2)
+    edge_coeff: np.ndarray  # (m,)
+    node_linear: np.ndarray  # (n,)
+    weights: np.ndarray  # (n,)
+    target: float
+    alpha: np.ndarray  # (k,)
+    gamma: np.ndarray  # (n,)
+
+    def __post_init__(self) -> None:
+        for name in ("ends", "edge_coeff", "node_linear", "weights", "alpha", "gamma"):
+            arr = np.array(getattr(self, name))
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+
 @dataclasses.dataclass(frozen=True)
 class QuboInstance:
     """Coefficients of one assignment problem.
@@ -99,7 +122,8 @@ class QuboInstance:
     linear maps variable -> coefficient; quadratic maps (v1, v2) with
     v1 < v2 -> coefficient; zero coefficients are not stored. Treat
     instances as immutable even though dicts technically are not: the
-    term arrays are read from the dicts once and then cached.
+    term arrays are read from the dicts once and then cached. objective
+    is what a builder expanded; an imported instance has none.
     """
 
     n: int
@@ -107,6 +131,7 @@ class QuboInstance:
     linear: dict[int, float]
     quadratic: dict[tuple[int, int], float]
     offset: float
+    objective: Objective | None = dataclasses.field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.k < 1:
@@ -207,20 +232,24 @@ def _assemble(
     term-by-term reference. Coefficients that cancel to zero are not
     stored.
     """
+    obj = Objective(
+        ends=np.array([(u, v) for u, v, _ in topo.edges], dtype=np.int64).reshape(-1, 2),
+        edge_coeff=edge_coeff, node_linear=node_linear, weights=weights, target=target,
+        alpha=cfg.alpha_vector(k), gamma=cfg.gamma_vector(topo.nodes),
+    )
     n = topo.nodes
-    alpha = cfg.alpha_vector(k)
-    gamma = cfg.gamma_vector(n)
+    alpha, gamma, weights, target = obj.alpha, obj.gamma, obj.weights, obj.target
     var = np.arange(k)[:, None] * n + np.arange(n)  # var[j, i] = j*n + i
 
     balance = alpha[:, None] * (weights * weights - 2.0 * target * weights)
-    linear = (node_linear + balance) - gamma
-    has_node_term = np.broadcast_to(node_linear != 0.0, (k, n))
+    linear = (obj.node_linear + balance) - gamma
+    has_node_term = np.broadcast_to(obj.node_linear != 0.0, (k, n))
     lin_keys = np.concatenate([var[has_node_term], var[~has_node_term]])
     lin_vals = np.concatenate([linear[has_node_term], linear[~has_node_term]])
 
     us, vs = np.triu_indices(n, 1)  # within-producer pairs, lexicographic
     pair = (2.0 * alpha)[:, None] * weights[us] * weights[vs]
-    ends = np.array([(u, v) for u, v, _ in topo.edges], dtype=np.int64).reshape(-1, 2)
+    ends = obj.ends
     edge_pos = ends[:, 0] * (2 * n - ends[:, 0] - 1) // 2 + ends[:, 1] - ends[:, 0] - 1
     on_edge = np.zeros(us.size, dtype=bool)
     on_edge[edge_pos] = True
@@ -233,7 +262,7 @@ def _assemble(
         var[:, ends[:, 1]].ravel(), var[:, vs[~on_edge]].ravel(), (j2 * n + nodes).ravel()
     ])
     quad_vals = np.concatenate([
-        (edge_coeff + pair[:, edge_pos]).ravel(),
+        (obj.edge_coeff + pair[:, edge_pos]).ravel(),
         pair[:, ~on_edge].ravel(),
         np.repeat(2.0 * gamma, j1.size),
     ])
@@ -247,7 +276,8 @@ def _assemble(
     quadratic_terms = dict(
         zip(zip(quad_a[keep].tolist(), quad_b[keep].tolist()), quad_vals[keep].tolist())
     )
-    return QuboInstance(n=n, k=k, linear=linear_terms, quadratic=quadratic_terms, offset=offset)
+    return QuboInstance(n=n, k=k, linear=linear_terms, quadratic=quadratic_terms,
+                        offset=offset, objective=obj)
 
 
 def build_qubo(topo: graphs.Topology, w, k: int, cfg: PenaltyConfig) -> QuboInstance:

@@ -11,18 +11,20 @@ Three routes with very different trust levels:
                     comparison; every result equals a plain
                     proposal-by-proposal scan bit for bit.
   solve_heuristic   greedy seeding plus relocate/swap local search
-                    acting on the objective directly, not on QUBO
-                    coefficients. All restarts descend in lockstep
+                    on the instance's Objective (what the builder
+                    expanded), not on QUBO coefficients; an imported
+                    instance has none. All restarts descend in lockstep
                     over numpy tables of every move's delta, summed
                     exactly as a scalar scan would: edge terms slot by
                     slot in neighbour-list order, squares by libm pow,
                     first minimum in scan order.
 
-All three end the same way (_result): their candidates (every
-assignment, or each restart's final one) are scored with qubo.energies,
-and the first within a relative 1e-9 of the lowest energy wins. All
-solvers are deterministic functions of (instance, config, seed) and
-return assignments in canonical producer order (the producer of the
+All three take only the instance and their own settings, and end the
+same way (_result): their candidates (every assignment, or each
+restart's final one) are scored with qubo.energies, and the first
+within a relative 1e-9 of the lowest energy wins. All solvers are
+deterministic functions of (instance, config, seed) and return
+assignments in canonical producer order (the producer of the
 lowest-numbered node is 0, the next distinct producer is 1, and so on),
 so results can be compared across solvers with plain equality.
 """
@@ -35,8 +37,7 @@ import time
 
 import numpy as np
 
-from . import graphs
-from .qubo import PenaltyConfig, QuboInstance, _weight_array, energies, energy
+from .qubo import QuboInstance, energies, energy
 
 
 class SolverError(ValueError):
@@ -368,7 +369,7 @@ def solve_anneal(q: QuboInstance, cfg: AnnealConfig) -> SolveResult:
     return _result(q, repaired, "anneal", cfg.seed, cfg.sweeps * nv * cfg.restarts, start)
 
 
-def _greedy_seed(order, neighbours, weights, k, beta, alpha, target):
+def _greedy_seed(order, neighbours, weights, k, alpha, target):
     producer_of = [-1] * len(weights)
     loads = [0.0] * k
     for i in order:
@@ -378,9 +379,9 @@ def _greedy_seed(order, neighbours, weights, k, beta, alpha, target):
             cost = alpha[j] * (
                 (loads[j] + weights[i] - target) ** 2 - (loads[j] - target) ** 2
             )
-            for u, dist in neighbours[i]:
+            for u, coeff in neighbours[i]:
                 if producer_of[u] == j:
-                    cost += 2.0 * beta * dist
+                    cost += coeff
             if cost < best_cost:
                 best_cost = cost
                 best_j = j
@@ -389,15 +390,15 @@ def _greedy_seed(order, neighbours, weights, k, beta, alpha, target):
     return producer_of, loads
 
 
-def _neighbour_slots(neighbours, beta):
+def _neighbour_slots(neighbours):
     """Neighbour lists by list position s: the nodes that have an s-th
-    neighbour (a slice when all do), that neighbour, and 2*beta*dist."""
+    neighbour (a slice when all do), that neighbour, and the edge's coefficient."""
     slots = []
     for s in range(max(map(len, neighbours), default=0)):
         nodes = [i for i, nb in enumerate(neighbours) if len(nb) > s]
-        nbr, dist = zip(*(neighbours[i][s] for i in nodes))
+        nbr, coeff = zip(*(neighbours[i][s] for i in nodes))
         rows = slice(None) if len(nodes) == len(neighbours) else np.array(nodes)
-        slots.append((rows, np.array(nbr), 2.0 * beta * np.array(dist)))
+        slots.append((rows, np.array(nbr), np.array(coeff)))
     return slots
 
 
@@ -490,49 +491,32 @@ def _local_search(p, loads, slots, w, alpha, target):
     return moves
 
 
-def solve_heuristic(
-    topo: graphs.Topology,
-    w,
-    k: int,
-    cfg: PenaltyConfig,
-    seed: int = 0,
-    restarts: int = 8,
-    *,
-    qubo: QuboInstance,
-) -> SolveResult:
-    """Greedy seeding plus best-improvement local search on the
-    objective itself (relocate one node, or swap two nodes across
-    producers), repeated over restarts with different seeding orders.
+def solve_heuristic(q: QuboInstance, seed: int = 0, restarts: int = 8) -> SolveResult:
+    """Greedy seeding plus best-improvement local search on q.objective
+    (relocate one node, or swap two nodes across producers), repeated
+    over restarts with different seeding orders.
 
-    Restart 0 seeds nodes heaviest-first; later restarts use random
-    orders. All restarts then descend in lockstep (`_local_search`),
-    in groups whose swap tables stay near 8 MB; each restart's moves
-    and result match a scalar best-improvement scan bit for bit.
-    Restarts compete on the QUBO energy of their final assignments in
-    qubo, ties to the earliest restart, so results line up with the
-    other solvers.
+    Node terms are left out: a feasible assignment pays each of them
+    exactly once. Restart 0 seeds nodes heaviest-first; later restarts
+    use random orders. All restarts then descend in lockstep
+    (`_local_search`), in groups whose swap tables stay near 8 MB; each
+    restart's moves and result match a scalar best-improvement scan bit
+    for bit. Restarts compete on the QUBO energy of their final
+    assignments in q, ties to the earliest restart, so results line up
+    with the other solvers.
     """
     if restarts < 1:
         raise SolverError(f"restarts must be >= 1, got {restarts}")
+    obj = q.objective
+    if obj is None:
+        raise SolverError("the heuristic needs the instance's objective; an imported one has none")
     start = time.monotonic()
-    n = topo.nodes
-    if k > n or k < 1:
-        raise SolverError(f"need 1 <= k <= n, got k={k} for n={n} nodes")
-    if qubo.n != n or qubo.k != k:
-        raise SolverError(
-            f"supplied instance is ({qubo.n} nodes, k={qubo.k}), "
-            f"expected ({n}, {k})"
-        )
-    weights_arr = _weight_array(w, n)
-    weights = [float(x) for x in weights_arr]
-    alpha = cfg.alpha_vector(k).tolist()
-    beta = cfg.beta
-    total = sum(weights)
-    target = total / k
+    n = q.n
+    weights = obj.weights.tolist()
     neighbours: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for u, v, dist in topo.edges:
-        neighbours[u].append((v, dist))
-        neighbours[v].append((u, dist))
+    for (u, v), coeff in zip(obj.ends.tolist(), obj.edge_coeff.tolist()):
+        neighbours[u].append((v, coeff))
+        neighbours[v].append((u, coeff))
 
     children = np.random.SeedSequence(seed).spawn(max(restarts - 1, 1))
     orders = [sorted(range(n), key=lambda i: (-weights[i], i))] + [
@@ -540,11 +524,10 @@ def solve_heuristic(
         for child in children[: restarts - 1]
     ]
     producers, loads = map(np.array, zip(*(
-        _greedy_seed(order, neighbours, weights, k, beta, alpha, target)
+        _greedy_seed(order, neighbours, weights, q.k, obj.alpha.tolist(), obj.target)
         for order in orders
     )))
     moves = _local_search(
-        producers, loads, _neighbour_slots(neighbours, beta),
-        weights_arr, np.array(alpha), target,
+        producers, loads, _neighbour_slots(neighbours), obj.weights, obj.alpha, obj.target
     )
-    return _result(qubo, producers, "heuristic", seed, int(moves.sum()), start)
+    return _result(q, producers, "heuristic", seed, int(moves.sum()), start)

@@ -33,8 +33,9 @@ class WorkflowError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class SolverSpec:
-    """One solver selection plus its knobs. Fields irrelevant to the
-    chosen solver are ignored."""
+    """One solver selection plus its knobs. Every knob must pass
+    AnnealConfig's checks, whichever solver is chosen; the ones the
+    chosen solver does not use are then ignored."""
 
     name: str
     sweeps: int = 2000
@@ -50,6 +51,20 @@ class SolverSpec:
                 f"unknown solver {self.name!r}; valid names: "
                 f"{', '.join(SOLVER_NAMES)}"
             )
+        try:
+            self.anneal_config(seed=0)
+        except SolverError as exc:
+            raise WorkflowError(str(exc)) from exc
+
+    def anneal_config(self, seed: int) -> AnnealConfig:
+        return AnnealConfig(
+            sweeps=self.sweeps,
+            restarts=self.restarts,
+            t_initial=self.t_initial,
+            t_final=self.t_final,
+            schedule=self.schedule,
+            seed=seed,
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,22 +125,12 @@ def _cell_seed(seed: int, k: int, solver_index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _solve_cell(topo, weights, k, penalty, spec: SolverSpec, seed: int, q):
+def _solve_cell(spec: SolverSpec, seed: int, q):
     if spec.name == "exhaustive":
         return solve_exhaustive(q, max_vars=spec.exhaustive_cap)
     if spec.name == "anneal":
-        cfg = AnnealConfig(
-            sweeps=spec.sweeps,
-            restarts=spec.restarts,
-            t_initial=spec.t_initial,
-            t_final=spec.t_final,
-            schedule=spec.schedule,
-            seed=seed,
-        )
-        return solve_anneal(q, cfg)
-    return solve_heuristic(
-        topo, weights, k, penalty, seed=seed, restarts=spec.restarts, qubo=q
-    )
+        return solve_anneal(q, spec.anneal_config(seed))
+    return solve_heuristic(q, seed=seed, restarts=spec.restarts)
 
 
 def run_sweep(
@@ -136,8 +141,9 @@ def run_sweep(
     label: str | None = None,
 ) -> SweepResult:
     """Algorithm: for each k and solver, assign nodes and score the
-    assignment. Skipped cells (solver size caps) become warnings, never
-    silent gaps. Deterministic for a fixed seed, regardless of threads.
+    assignment. Skipped cells (the exhaustive size cap) become warnings,
+    never silent gaps. Deterministic for a fixed seed, regardless of
+    threads.
     """
     if threads < 1:
         raise WorkflowError(f"threads must be >= 1, got {threads}")
@@ -165,12 +171,12 @@ def run_sweep(
         q = build_qubo(topo, weights, k, penalty)
         for solver_index, spec in enumerate(cfg.solvers):
             seed = _cell_seed(cfg.seed, k, solver_index)
-            cells.append((k, solver_index, spec, penalty, q, seed))
+            cells.append((k, solver_index, spec, q, seed))
 
     def run_one(cell):
-        k, solver_index, spec, penalty, q, seed = cell
+        k, solver_index, spec, q, seed = cell
         try:
-            result = _solve_cell(topo, weights, k, penalty, spec, seed, q)
+            result = _solve_cell(spec, seed, q)
         except SolverError as exc:
             return k, solver_index, None, f"k={k} {spec.name}: skipped ({exc})"
         report = score_assignment(

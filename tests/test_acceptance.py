@@ -155,9 +155,7 @@ def test_criterion_3_stochastic_solvers_reach_the_optimum(suite):
         a = solve_anneal(q, AnnealConfig(sweeps=2000, restarts=8, seed=seed))
         if a.energy <= truth + tol:
             anneal_hits += 1
-        h = solve_heuristic(
-            entry.topo, entry.weights, k, cfg, seed=seed, restarts=8, qubo=q
-        )
+        h = solve_heuristic(q, seed=seed, restarts=8)
         if h.energy <= truth + tol:
             heuristic_hits += 1
     elapsed = time.monotonic() - started

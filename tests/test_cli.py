@@ -262,6 +262,28 @@ def test_sweep_rejects_unknown_format(tmp_path, capsys):
     assert "unknown output formats" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--sweeps", "0"], "sweeps must be >= 1"),
+     (["--restarts", "0"], "restarts must be >= 1"),
+     (["--t-initial", "1", "--t-final", "2"], "need t_initial > t_final > 0")],
+    ids=["sweeps", "restarts", "temperatures"],
+)
+def test_sweep_rejects_invalid_solver_settings(tmp_path, capsys, flags, message):
+    save_topology(PATH4, str(tmp_path / "p4.json"))
+    write_demands(tmp_path / "d.csv", nodes=4)
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    assert cli.main([
+        "sweep", str(tmp_path / "p4.json"), "--demands", str(tmp_path / "d.csv"),
+        "--solvers", "heuristic,anneal", *flags, "-o", str(outdir / "s"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert list(outdir.iterdir()) == []
+
+
 def test_compare_spans_both_topologies(tmp_path):
     csv_path = tmp_path / "demands.csv"
     write_demands(csv_path, nodes=8, seed=3)

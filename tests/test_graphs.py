@@ -229,16 +229,12 @@ def test_load_reports_file_and_problem(tmp_path):
         load_topology(str(bad))
 
 
-def test_strict_mode_rejects_unknown_fields():
+def test_unknown_fields_are_ignored():
     doc = {
         "nodes": [{"id": 0, "colour": "red"}],
         "edges": [],
     }
     assert topology_from_dict(doc).nodes == 1
-    with pytest.raises(TopologyError, match="unknown keys.*colour"):
-        topology_from_dict(doc, strict=True)
-    with pytest.raises(TopologyError, match="unknown top-level keys"):
-        topology_from_dict({"nodes": [{"id": 0}], "edges": [], "notes": 1}, strict=True)
 
 
 def test_dict_form_validates_ids_and_fields():

@@ -148,7 +148,9 @@ def test_term_arrays_are_built_once_and_read_only(suite):
     assert lin_vals.tolist() == list(q.linear.values())
     assert list(zip(rows.tolist(), cols.tolist())) == list(q.quadratic)
     assert vals.tolist() == list(q.quadratic.values())
-    for arr in first:
+    obj = q.objective
+    for arr in (*first, obj.ends, obj.edge_coeff, obj.node_linear, obj.weights,
+                obj.alpha, obj.gamma):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[:1] = 0
@@ -376,6 +378,7 @@ def test_export_import_round_trip(suite, tmp_path):
         assert back.offset == q.offset
         assert back.linear == q.linear
         assert back.quadratic == q.quadratic
+        assert back.objective is None and back == q  # equality ignores the objective
 
 
 def test_export_golden_single_variable(tmp_path):

@@ -18,3 +18,21 @@ def test_benchmark_solvers_runs_end_to_end():
     assert optimal == ["anneal", "heuristic"], done.stdout
     assert "anneal: 1/1 optimal" in done.stdout
     assert "heuristic: 1/1 optimal" in done.stdout
+
+
+def test_reproduce_trends_runs_end_to_end(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reproduce_trends.py"),
+         "--max-producers", "3", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    written = {path.name for path in tmp_path.iterdir()}
+    assert written == {"comparison.csv"} | {
+        f"{label}.{suffix}" for label in ("ring", "tree")
+        for suffix in ("csv", "jain.dat", "distance_index.dat", "kpi.dat")
+    }
+    peaks = [line.split(":")[0] for line in done.stdout.splitlines()
+             if "blended score peaks" in line]
+    assert peaks == ["ring", "tree"], done.stdout

@@ -201,7 +201,7 @@ def test_solve_result_energy_is_recomputable(suite):
     for r in (
         solve_exhaustive(q),
         solve_anneal(q, AnnealConfig(sweeps=300, restarts=2, seed=4)),
-        solve_heuristic(entry.topo, entry.weights, 2, cfg, seed=4, qubo=q),
+        solve_heuristic(q, seed=4),
     ):
         assert r.energy == pytest.approx(
             energy(q, encode(r.assignment, q)), rel=1e-9, abs=1e-12
@@ -330,27 +330,39 @@ def test_repair_output_is_always_feasible(data):
 def test_heuristic_single_producer_is_trivial():
     w = uniform_weights(4)
     cfg = default_penalties(PATH4, w, 1)
-    r = solve_heuristic(PATH4, w, 1, cfg, qubo=build_qubo(PATH4, w, 1, cfg))
+    r = solve_heuristic(build_qubo(PATH4, w, 1, cfg))
     assert r.assignment.producer_of == (0, 0, 0, 0)
     assert r.solver_name == "heuristic"
 
 
-def test_heuristic_matches_exhaustive_on_path():
+def test_heuristic_matches_exhaustive_on_path(suite):
     w = uniform_weights(4)
     cfg = default_penalties(PATH4, w, 2)
     q = build_qubo(PATH4, w, 2, cfg)
     truth = solve_exhaustive(q)
-    r = solve_heuristic(PATH4, w, 2, cfg, seed=3, qubo=q)
+    r = solve_heuristic(q, seed=3)
     assert r.energy == pytest.approx(truth.energy, rel=1e-9, abs=1e-9)
     assert r.assignment == truth.assignment
+    # the unweighted variant: node terms are paid once by every
+    # feasible assignment, so the same search reaches its optimum too
+    for entry in suite:
+        n = entry.topo.nodes
+        for k in range(1, min(n, 4) + 1):
+            if n * k > 24:
+                continue
+            cfg = default_penalties(entry.topo, uniform_weights(n), k)
+            q = build_unweighted_qubo(entry.topo, k, cfg)
+            truth = solve_exhaustive(q)
+            r = solve_heuristic(q, seed=k)
+            assert r.energy <= truth.energy + 1e-9 * abs(truth.energy), (entry.name, k)
 
 
 def test_heuristic_is_deterministic_per_seed(suite):
     entry = suite[3]
     cfg = default_penalties(entry.topo, entry.weights, 3)
     q = build_qubo(entry.topo, entry.weights, 3, cfg)
-    first = solve_heuristic(entry.topo, entry.weights, 3, cfg, seed=9, qubo=q)
-    second = solve_heuristic(entry.topo, entry.weights, 3, cfg, seed=9, qubo=q)
+    first = solve_heuristic(q, seed=9)
+    second = solve_heuristic(q, seed=9)
     assert first.assignment == second.assignment and first.energy == second.energy
 
 
@@ -364,7 +376,7 @@ def test_heuristic_ties_go_to_the_first_restart(suite, monkeypatch):
     scored = []
     real = solvers.energies
     monkeypatch.setattr(solvers, "energies", lambda q, bits: scored.append(bits) or real(q, bits))
-    r = solve_heuristic(entry.topo, w, 5, cfg, seed=0, qubo=q)
+    r = solve_heuristic(q, seed=0)
 
     (bits,) = scored
     finals = bits.reshape(len(bits), 5, 6).argmax(axis=1)
@@ -381,7 +393,7 @@ def test_heuristic_beats_random_sampling_on_large_ring():
     w = uniform_weights(24)
     cfg = default_penalties(topo, w, 4)
     q = build_qubo(topo, w, 4, cfg)
-    r = solve_heuristic(topo, w, 4, cfg, seed=1, qubo=q)
+    r = solve_heuristic(q, seed=1)
     assert r.energy == pytest.approx(0.0, abs=1e-9)
 
     rng = np.random.default_rng(123)
@@ -394,13 +406,16 @@ def test_heuristic_beats_random_sampling_on_large_ring():
     assert r.energy <= energies(q, bits).min() + 1e-9
 
 
-def test_heuristic_validates_inputs():
-    w = uniform_weights(4)
+def test_heuristic_validates_inputs(tmp_path):
+    q = build_qubo(PATH4, uniform_weights(4), 2, PenaltyConfig())
     with pytest.raises(SolverError, match="restarts"):
-        solve_heuristic(PATH4, w, 2, PenaltyConfig(), restarts=0, qubo=None)
-    q = build_qubo(PATH4, w, 2, PenaltyConfig())
-    with pytest.raises(SolverError, match="supplied instance"):
-        solve_heuristic(PATH4, w, 3, PenaltyConfig(), qubo=q)
+        solve_heuristic(q, restarts=0)
+    path = str(tmp_path / "path4.qubo")
+    export_qubo(q, path)
+    imported = import_qubo(path)
+    assert imported.objective is None
+    with pytest.raises(SolverError, match="imported one has none"):
+        solve_heuristic(imported)
 
 
 def test_results_serialise_without_wall_time_surprises():
@@ -441,6 +456,11 @@ def search_problem(topo, weights, k):
     return neighbour_lists(topo), w, cfg.beta, cfg.alpha_vector(k).tolist(), sum(w) / k
 
 
+def edge_coefficients(neighbours, beta):
+    """The kernels' neighbour lists: (neighbour, 2 * beta * dist)."""
+    return [[(u, 2.0 * beta * dist) for u, dist in nb] for nb in neighbours]
+
+
 def loads_of(producer_of, w, k):
     loads = [0.0] * k
     for i, p in enumerate(producer_of):
@@ -452,7 +472,7 @@ def lockstep(starts, neighbours, w, beta, alpha, target):
     p = np.array([s[0] for s in starts])
     loads = np.array([s[1] for s in starts])
     moves = solvers._local_search(
-        p, loads, solvers._neighbour_slots(neighbours, beta),
+        p, loads, solvers._neighbour_slots(edge_coefficients(neighbours, beta)),
         np.array(w), np.array(alpha), target,
     )
     return p, loads, moves
@@ -477,8 +497,9 @@ def test_lockstep_search_matches_scalar_reference(k):
         neighbours, w, beta, alpha, target = search_problem(topo, weights, k)
         orders = [sorted(range(n), key=lambda i: (-w[i], i))]
         orders += [rng.permutation(n).tolist() for _ in range(3)]
+        coeffs = edge_coefficients(neighbours, beta)
         starts = [
-            solvers._greedy_seed(order, neighbours, w, k, beta, alpha, target)
+            solvers._greedy_seed(order, coeffs, w, k, alpha, target)
             for order in orders
         ]
         randoms = [rng.integers(0, k, size=n).tolist() for _ in range(2)]
@@ -509,7 +530,7 @@ def test_move_tables_equal_reference_deltas_bit_for_bit():
             p = np.array(states)
             loads = np.array([loads_of(s, w, k) for s in states])
             rel, swp = solvers._move_tables(
-                p, loads, solvers._neighbour_slots(neighbours, beta),
+                p, loads, solvers._neighbour_slots(edge_coefficients(neighbours, beta)),
                 np.array(w), np.array(alpha), target,
             )
             args = (neighbours, w, beta, alpha, target)
@@ -547,8 +568,9 @@ def test_local_search_memory_stays_bounded():
     weights = compute_weights(synthetic_demands(n, timesteps=24, seed=1))
     neighbours, w, beta, alpha, target = search_problem(topo, weights, k)
     rng = np.random.default_rng(0)
+    coeffs = edge_coefficients(neighbours, beta)
     starts = [
-        solvers._greedy_seed(rng.permutation(n).tolist(), neighbours, w, k, beta, alpha, target)
+        solvers._greedy_seed(rng.permutation(n).tolist(), coeffs, w, k, alpha, target)
         for _ in range(8)
     ]
     tracemalloc.start()

@@ -143,6 +143,19 @@ def test_sweep_config_validation():
         SolverSpec(name="magic")
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [{"sweeps": 0}, {"restarts": 0}, {"t_initial": 1.0, "t_final": 2.0}],
+    ids=["sweeps", "restarts", "temperatures"],
+)
+def test_invalid_solver_settings_fail_the_sweep_not_its_cells(settings):
+    # once a skipped warning per cell and an empty table; now one error
+    with pytest.raises(WorkflowError, match="must be|need t_initial"):
+        run_sweep(RING8, FLAT8, SweepConfig(
+            max_producers=2, solvers=(SolverSpec(name="heuristic", **settings),)
+        ))
+
+
 def test_explicit_penalty_overrides_defaults():
     topo = generate_ring(5, seed=1)
     demands = synthetic_demands(5, timesteps=24, seed=1)
