@@ -7,8 +7,8 @@ var = j*n + i. The objective combines three terms:
   beta  * sum_j x_j' DL x_j           pipe distance between same-producer
                                       neighbours (DL is the zero-diagonal
                                       edge-distance matrix)
-  alpha_j * (sum_i w_i x_ij - W/k)^2  producer load balance, W = sum w_i
-  gamma_i * (sum_j x_ij - 1)^2        each node picks exactly one producer
+  alpha * (sum_i w_i x_ij - W/k)^2    producer load balance, W = sum w_i
+  gamma * (sum_j x_ij - 1)^2          each node picks exactly one producer
 
 Expanding the squares yields linear coefficients, strictly
 upper-triangular quadratic coefficients, and a constant offset, so QUBO
@@ -29,6 +29,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import numbers
 
 import numpy as np
 
@@ -45,71 +46,45 @@ class QuboFormatError(QuboError):
     """Raised when a coordinate-format file cannot be parsed."""
 
 
-def _positive_entries(value, name: str):
-    if np.isscalar(value):
-        entries = (float(value),)
-        out = float(value)
-    else:
-        entries = tuple(float(v) for v in np.asarray(value).ravel())
-        out = entries
-    for v in entries:
-        if not math.isfinite(v) or v <= 0.0:
-            raise QuboError(f"{name} entries must be finite and positive, got {v!r}")
-    return out
-
-
 @dataclasses.dataclass(frozen=True)
 class PenaltyConfig:
-    """Penalty constants: scalars broadcast, vectors are per-producer
-    (alpha) or per-node (gamma)."""
+    """The three penalty constants of the objective (module docstring):
+    beta on pipe distance, alpha on every producer's load balance and
+    gamma on every node's one-hot square. Each must be a finite,
+    positive real number (not a bool) and is stored as a float."""
 
     beta: float = 1.0
-    alpha: float | tuple[float, ...] = 1.0
-    gamma: float | tuple[float, ...] = 1.0
+    alpha: float = 1.0
+    gamma: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "beta", float(self.beta))
-        if not math.isfinite(self.beta) or self.beta <= 0.0:
-            raise QuboError(f"beta must be finite and positive, got {self.beta!r}")
-        object.__setattr__(self, "alpha", _positive_entries(self.alpha, "alpha"))
-        object.__setattr__(self, "gamma", _positive_entries(self.gamma, "gamma"))
-
-    def alpha_vector(self, k: int) -> np.ndarray:
-        if isinstance(self.alpha, float):
-            return np.full(k, self.alpha)
-        if len(self.alpha) != k:
-            raise QuboError(
-                f"alpha vector has length {len(self.alpha)}, expected k={k}"
-            )
-        return np.array(self.alpha)
-
-    def gamma_vector(self, n: int) -> np.ndarray:
-        if isinstance(self.gamma, float):
-            return np.full(n, self.gamma)
-        if len(self.gamma) != n:
-            raise QuboError(
-                f"gamma vector has length {len(self.gamma)}, expected n={n}"
-            )
-        return np.array(self.gamma)
+        for name in ("beta", "alpha", "gamma"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise QuboError(f"{name} must be a real number, got {value!r}")
+            value = float(value)
+            if not math.isfinite(value) or value <= 0.0:
+                raise QuboError(f"{name} must be finite and positive, got {value!r}")
+            object.__setattr__(self, name, value)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Objective:
     """What a QUBO expands. Per producer j: edge_coeff[e] for each edge
     ends[e] inside j, node_linear[i] for each node i at j, and
-    alpha[j] * (load_j - target)^2, load_j the weights at j. Per node i:
-    gamma[i] * (producers of i - 1)^2. The arrays are read-only copies."""
+    alpha * (load_j - target)^2, load_j the weights at j. Per node i:
+    gamma * (producers of i - 1)^2. The four arrays are read-only copies."""
 
     ends: np.ndarray  # (m, 2)
     edge_coeff: np.ndarray  # (m,)
     node_linear: np.ndarray  # (n,)
     weights: np.ndarray  # (n,)
     target: float
-    alpha: np.ndarray  # (k,)
-    gamma: np.ndarray  # (n,)
+    alpha: float
+    gamma: float
 
     def __post_init__(self) -> None:
-        for name in ("ends", "edge_coeff", "node_linear", "weights", "alpha", "gamma"):
+        for name in ("ends", "edge_coeff", "node_linear", "weights"):
             arr = np.array(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -222,7 +197,7 @@ def _assemble(
     """Coefficients of the shared objective shape, all producers at once.
 
     Per producer: edge_coeff on each topology edge, node_linear on each
-    node, and the balance square alpha_j * (sum_i w_i x_ij - target)^2;
+    node, and the balance square alpha * (sum_i w_i x_ij - target)^2;
     per node the one-hot square. Keys come out in a fixed order (edge
     pairs of every producer, the other within-producer pairs, one-hot
     pairs node by node; linear keys with a node term first) and each
@@ -235,20 +210,20 @@ def _assemble(
     obj = Objective(
         ends=np.array([(u, v) for u, v, _ in topo.edges], dtype=np.int64).reshape(-1, 2),
         edge_coeff=edge_coeff, node_linear=node_linear, weights=weights, target=target,
-        alpha=cfg.alpha_vector(k), gamma=cfg.gamma_vector(topo.nodes),
+        alpha=cfg.alpha, gamma=cfg.gamma,
     )
     n = topo.nodes
     alpha, gamma, weights, target = obj.alpha, obj.gamma, obj.weights, obj.target
     var = np.arange(k)[:, None] * n + np.arange(n)  # var[j, i] = j*n + i
 
-    balance = alpha[:, None] * (weights * weights - 2.0 * target * weights)
-    linear = (obj.node_linear + balance) - gamma
+    balance = alpha * (weights * weights - 2.0 * target * weights)
+    linear = np.broadcast_to((obj.node_linear + balance) - gamma, (k, n))
     has_node_term = np.broadcast_to(obj.node_linear != 0.0, (k, n))
     lin_keys = np.concatenate([var[has_node_term], var[~has_node_term]])
     lin_vals = np.concatenate([linear[has_node_term], linear[~has_node_term]])
 
     us, vs = np.triu_indices(n, 1)  # within-producer pairs, lexicographic
-    pair = (2.0 * alpha)[:, None] * weights[us] * weights[vs]
+    pair = 2.0 * alpha * weights[us] * weights[vs]
     ends = obj.ends
     edge_pos = ends[:, 0] * (2 * n - ends[:, 0] - 1) // 2 + ends[:, 1] - ends[:, 0] - 1
     on_edge = np.zeros(us.size, dtype=bool)
@@ -262,13 +237,13 @@ def _assemble(
         var[:, ends[:, 1]].ravel(), var[:, vs[~on_edge]].ravel(), (j2 * n + nodes).ravel()
     ])
     quad_vals = np.concatenate([
-        (obj.edge_coeff + pair[:, edge_pos]).ravel(),
-        pair[:, ~on_edge].ravel(),
-        np.repeat(2.0 * gamma, j1.size),
+        np.tile(obj.edge_coeff + pair[edge_pos], k),
+        np.tile(pair[~on_edge], k),
+        np.full(n * j1.size, 2.0 * gamma),
     ])
 
     offset = 0.0
-    for term in (alpha * target * target).tolist() + gamma.tolist():
+    for term in [alpha * target * target] * k + [gamma] * n:
         offset += term
     keep = lin_vals != 0.0
     linear_terms = dict(zip(lin_keys[keep].tolist(), lin_vals[keep].tolist()))

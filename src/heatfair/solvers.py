@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import time
 
 import numpy as np
 
@@ -78,7 +77,6 @@ class SolveResult:
     solver_name: str
     seed: int
     iterations: int
-    wall_time: float | None
 
     def as_dict(self) -> dict:
         return {
@@ -88,7 +86,6 @@ class SolveResult:
             "solver_name": self.solver_name,
             "seed": self.seed,
             "iterations": self.iterations,
-            "wall_time": self.wall_time,
         }
 
 
@@ -211,9 +208,7 @@ def _repair(q: QuboInstance, couplings, vec: np.ndarray) -> Assignment:
     return Assignment(producer_of=tuple(producer_of), k=k)
 
 
-def _result(
-    q: QuboInstance, producer_rows, name: str, seed: int, iterations: int, start: float
-) -> SolveResult:
+def _result(q: QuboInstance, producer_rows, name: str, seed: int, iterations: int) -> SolveResult:
     """The answer among candidate assignments, one producer row each, in
     the solver's order: the first row whose energy lies within a
     relative 1e-9 of the lowest, so exact ties resolve by that order
@@ -232,7 +227,6 @@ def _result(
         solver_name=name,
         seed=seed,
         iterations=iterations,
-        wall_time=time.monotonic() - start,
     )
 
 
@@ -246,14 +240,13 @@ def solve_exhaustive(q: QuboInstance, max_vars: int = 24) -> SolveResult:
         raise SolverError(
             f"instance has {q.num_vars} variables, exhaustive cap is {max_vars}"
         )
-    start = time.monotonic()
     n, k = q.n, q.k
     count = k**n
     codes = np.arange(count)
     assignments = np.empty((count, n), dtype=np.int64)
     for i in range(n):
         assignments[:, i] = (codes // k ** (n - 1 - i)) % k
-    return _result(q, assignments, "exhaustive", 0, count, start)
+    return _result(q, assignments, "exhaustive", 0, count)
 
 
 def _auto_temperatures(
@@ -311,7 +304,6 @@ def solve_anneal(q: QuboInstance, cfg: AnnealConfig) -> SolveResult:
     vector with the following limit rows, and the loop resumes there
     (or the restart ends, if there is none).
     """
-    start = time.monotonic()
     couplings = _couplings(q)
     lin, indptr, cols, vals = couplings
     if cfg.t_initial is None:
@@ -366,7 +358,7 @@ def solve_anneal(q: QuboInstance, cfg: AnnealConfig) -> SolveResult:
                 sweep, first = hit
         best_bits = (1.0 - np.array(best_signs)) / 2.0
         repaired.append(_repair(q, couplings, best_bits).producer_of)
-    return _result(q, repaired, "anneal", cfg.seed, cfg.sweeps * nv * cfg.restarts, start)
+    return _result(q, repaired, "anneal", cfg.seed, cfg.sweeps * nv * cfg.restarts)
 
 
 def _greedy_seed(order, neighbours, weights, k, alpha, target):
@@ -376,7 +368,7 @@ def _greedy_seed(order, neighbours, weights, k, alpha, target):
         best_j = 0
         best_cost = math.inf
         for j in range(k):
-            cost = alpha[j] * (
+            cost = alpha * (
                 (loads[j] + weights[i] - target) ** 2 - (loads[j] - target) ** 2
             )
             for u, coeff in neighbours[i]:
@@ -437,14 +429,14 @@ def _move_tables(p, loads, slots, w, alpha, target):
         _square(loads[:, None, :] + w[:, None] - target)
         - _square(loads - target)[:, None, :]
     )
-    rel += (alpha[p] * (_square(own - w - target) - before))[:, :, None]
+    rel += alpha * (_square(own - w - target) - before)[:, :, None]
     np.put_along_axis(rel, p[:, :, None], np.inf, axis=2)
 
     swp = np.zeros((r, n, n))
     _add_edge_terms(swp, p, slots, p, True)  # all of i's terms before j's
     _add_edge_terms(swp.transpose(0, 2, 1), p, slots, p, True)
     # the balance change at i's producer; j's at (i, j) is this at (j, i)
-    balance = alpha[p][:, :, None] * (
+    balance = alpha * (
         _square(own[:, :, None] - w[:, None] + w - target) - before[:, :, None]
     )
     swp += balance
@@ -510,7 +502,6 @@ def solve_heuristic(q: QuboInstance, seed: int = 0, restarts: int = 8) -> SolveR
     obj = q.objective
     if obj is None:
         raise SolverError("the heuristic needs the instance's objective; an imported one has none")
-    start = time.monotonic()
     n = q.n
     weights = obj.weights.tolist()
     neighbours: list[list[tuple[int, float]]] = [[] for _ in range(n)]
@@ -524,10 +515,10 @@ def solve_heuristic(q: QuboInstance, seed: int = 0, restarts: int = 8) -> SolveR
         for child in children[: restarts - 1]
     ]
     producers, loads = map(np.array, zip(*(
-        _greedy_seed(order, neighbours, weights, q.k, obj.alpha.tolist(), obj.target)
+        _greedy_seed(order, neighbours, weights, q.k, obj.alpha, obj.target)
         for order in orders
     )))
     moves = _local_search(
         producers, loads, _neighbour_slots(neighbours), obj.weights, obj.alpha, obj.target
     )
-    return _result(q, producers, "heuristic", seed, int(moves.sum()), start)
+    return _result(q, producers, "heuristic", seed, int(moves.sum()))

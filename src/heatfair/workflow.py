@@ -33,9 +33,10 @@ class WorkflowError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class SolverSpec:
-    """One solver selection plus its knobs. Every knob must pass
-    AnnealConfig's checks, whichever solver is chosen; the ones the
-    chosen solver does not use are then ignored."""
+    """One solver selection plus its knobs. Whichever solver is chosen,
+    every knob must pass AnnealConfig's checks and exhaustive_cap must
+    be at least 1; the ones the chosen solver does not use are then
+    ignored."""
 
     name: str
     sweeps: int = 2000
@@ -51,6 +52,8 @@ class SolverSpec:
                 f"unknown solver {self.name!r}; valid names: "
                 f"{', '.join(SOLVER_NAMES)}"
             )
+        if self.exhaustive_cap < 1:
+            raise WorkflowError(f"exhaustive_cap must be >= 1, got {self.exhaustive_cap}")
         try:
             self.anneal_config(seed=0)
         except SolverError as exc:

@@ -72,8 +72,8 @@ def test_criterion_1_energy_matches_the_direct_objective(suite):
             default_penalties(entry.topo, entry.weights, k),
             PenaltyConfig(
                 beta=float(rng.uniform(0.2, 2.0)),
-                alpha=tuple(rng.uniform(1.0, 6.0, size=k)),
-                gamma=tuple(rng.uniform(1.0, 6.0, size=n)),
+                alpha=float(rng.uniform(1.0, 6.0)),
+                gamma=float(rng.uniform(1.0, 6.0)),
             ),
         ]
         for cfg in candidates:

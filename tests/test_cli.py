@@ -113,6 +113,10 @@ def test_solve_exhaustive_interleaves_path(tmp_path):
     assert doc["assignment"] == [0, 1, 0, 1]
     assert doc["energy"] == pytest.approx(0.0, abs=1e-12)
     assert doc["wall_time"] is None
+    assert list(doc) == [
+        "assignment", "k", "energy", "solver_name", "seed", "iterations", "wall_time",
+        "jain", "distance_index", "kpi", "kpi_alpha",
+    ]
     assert doc["solver_name"] == "exhaustive"
     assert 0.0 <= doc["jain"] <= 1.0 and 0.0 <= doc["kpi"] <= 1.0
     assert doc["kpi_alpha"] == 0.5
@@ -266,8 +270,9 @@ def test_sweep_rejects_unknown_format(tmp_path, capsys):
     "flags, message",
     [(["--sweeps", "0"], "sweeps must be >= 1"),
      (["--restarts", "0"], "restarts must be >= 1"),
-     (["--t-initial", "1", "--t-final", "2"], "need t_initial > t_final > 0")],
-    ids=["sweeps", "restarts", "temperatures"],
+     (["--t-initial", "1", "--t-final", "2"], "need t_initial > t_final > 0"),
+     (["--exhaustive-cap", "0"], "exhaustive_cap must be >= 1")],
+    ids=["sweeps", "restarts", "temperatures", "exhaustive_cap"],
 )
 def test_sweep_rejects_invalid_solver_settings(tmp_path, capsys, flags, message):
     save_topology(PATH4, str(tmp_path / "p4.json"))

@@ -38,13 +38,15 @@ def test_penalty_config_validation():
         PenaltyConfig(beta=0.0)
     with pytest.raises(QuboError, match="alpha"):
         PenaltyConfig(alpha=-1.0)
-    with pytest.raises(QuboError, match="gamma"):
+    with pytest.raises(QuboError, match="gamma must be a real number"):
         PenaltyConfig(gamma=(1.0, 0.0))
-    cfg = PenaltyConfig(alpha=(1.0, 2.0), gamma=4.0)
-    assert cfg.alpha_vector(2).tolist() == [1.0, 2.0]
-    assert cfg.gamma_vector(3).tolist() == [4.0, 4.0, 4.0]
-    with pytest.raises(QuboError, match="length 2, expected k=3"):
-        cfg.alpha_vector(3)
+    with pytest.raises(QuboError, match="alpha must be a real number"):
+        PenaltyConfig(alpha=True)
+    with pytest.raises(QuboError, match="beta must be a real number"):
+        PenaltyConfig(beta="3")
+    cfg = PenaltyConfig(beta=2, alpha=np.float64(1.5), gamma=4)
+    assert (cfg.beta, cfg.alpha, cfg.gamma) == (2.0, 1.5, 4.0)
+    assert all(type(v) is float for v in (cfg.beta, cfg.alpha, cfg.gamma))
 
 
 def test_single_node_energies_by_hand():
@@ -71,8 +73,8 @@ def test_ring_against_direct_oracle_on_random_vectors():
     w = rng.uniform(0.2, 1.0, size=6)
     cfg = PenaltyConfig(
         beta=0.7,
-        alpha=tuple(rng.uniform(1.0, 4.0, size=2)),
-        gamma=tuple(rng.uniform(1.0, 4.0, size=6)),
+        alpha=float(rng.uniform(1.0, 4.0)),
+        gamma=float(rng.uniform(1.0, 4.0)),
     )
     q = build_qubo(topo, w, 2, cfg)
     bits = rng.integers(0, 2, size=(500, 12))
@@ -136,8 +138,8 @@ def test_energy_of_all_zeros_is_offset(suite):
 
 def test_term_arrays_are_built_once_and_read_only(suite):
     entry = suite[3]
-    q = build_qubo(entry.topo, entry.weights, 3,
-                   default_penalties(entry.topo, entry.weights, 3))
+    cfg = default_penalties(entry.topo, entry.weights, 3)
+    q = build_qubo(entry.topo, entry.weights, 3, cfg)
     energy(q, np.zeros(q.num_vars))
     first = vars(q)["_term_arrays"]
     energies(q, np.ones((2, q.num_vars)))
@@ -149,8 +151,9 @@ def test_term_arrays_are_built_once_and_read_only(suite):
     assert list(zip(rows.tolist(), cols.tolist())) == list(q.quadratic)
     assert vals.tolist() == list(q.quadratic.values())
     obj = q.objective
-    for arr in (*first, obj.ends, obj.edge_coeff, obj.node_linear, obj.weights,
-                obj.alpha, obj.gamma):
+    assert (obj.alpha, obj.gamma) == (cfg.alpha, cfg.gamma)
+    assert type(obj.alpha) is float and type(obj.gamma) is float
+    for arr in (*first, obj.ends, obj.edge_coeff, obj.node_linear, obj.weights):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[:1] = 0
@@ -212,13 +215,13 @@ def test_assembly_matches_term_by_term_accumulation(suite):
         n = topo.nodes
         for k in range(1, min(3, n) + 1):
             rng = np.random.default_rng([n, k])
-            vector = PenaltyConfig(
+            drawn = PenaltyConfig(
                 beta=0.7,
-                alpha=tuple(rng.uniform(0.5, 4.0, size=k)),
-                gamma=tuple(rng.uniform(1.0, 9.0, size=n)),
+                alpha=float(rng.uniform(0.5, 4.0)),
+                gamma=float(rng.uniform(1.0, 9.0)),
             )
             cancelling = PenaltyConfig(beta=1.0, alpha=1.0, gamma=2.0)
-            for cfg in (vector, cancelling):
+            for cfg in (drawn, cancelling):
                 for unweighted in (False, True):
                     if unweighted:
                         q = build_unweighted_qubo(topo, k, cfg)

@@ -424,7 +424,7 @@ def test_results_serialise_without_wall_time_surprises():
     q = build_qubo(topo, w, 2, default_penalties(topo, w, 2))
     doc = solve_exhaustive(q).as_dict()
     assert set(doc) == {
-        "assignment", "k", "energy", "solver_name", "seed", "iterations", "wall_time",
+        "assignment", "k", "energy", "solver_name", "seed", "iterations",
     }
     assert doc["assignment"] == [0, 1]
     assert dataclasses.asdict(AnnealConfig())["schedule"] == "geometric"
@@ -450,10 +450,11 @@ def hub_topology(seed, n=30):
 
 
 def search_problem(topo, weights, k):
-    """Plain-list inputs of the local search under default penalties."""
+    """Plain-list inputs of the local search under default penalties;
+    alpha is the kernels' scalar, so the oracles take [alpha] * k."""
     w = [float(x) for x in np.asarray(getattr(weights, "values", weights))]
     cfg = default_penalties(topo, w, k)
-    return neighbour_lists(topo), w, cfg.beta, cfg.alpha_vector(k).tolist(), sum(w) / k
+    return neighbour_lists(topo), w, cfg.beta, cfg.alpha, sum(w) / k
 
 
 def edge_coefficients(neighbours, beta):
@@ -473,7 +474,7 @@ def lockstep(starts, neighbours, w, beta, alpha, target):
     loads = np.array([s[1] for s in starts])
     moves = solvers._local_search(
         p, loads, solvers._neighbour_slots(edge_coefficients(neighbours, beta)),
-        np.array(w), np.array(alpha), target,
+        np.array(w), alpha, target,
     )
     return p, loads, moves
 
@@ -507,7 +508,7 @@ def test_lockstep_search_matches_scalar_reference(k):
         p, loads, moves = lockstep(starts, neighbours, w, beta, alpha, target)
         for r, (start_p, start_loads) in enumerate(starts):
             ref_p, ref_loads, ref_moves = local_search_reference(
-                start_p, start_loads, neighbours, w, beta, alpha, target
+                start_p, start_loads, neighbours, w, beta, [alpha] * k, target
             )
             assert p[r].tolist() == ref_p, (name, r)
             assert loads[r].tolist() == ref_loads, (name, r)
@@ -531,9 +532,9 @@ def test_move_tables_equal_reference_deltas_bit_for_bit():
             loads = np.array([loads_of(s, w, k) for s in states])
             rel, swp = solvers._move_tables(
                 p, loads, solvers._neighbour_slots(edge_coefficients(neighbours, beta)),
-                np.array(w), np.array(alpha), target,
+                np.array(w), alpha, target,
             )
-            args = (neighbours, w, beta, alpha, target)
+            args = (neighbours, w, beta, [alpha] * k, target)
             for r, state in enumerate(states):
                 state_loads = loads[r].tolist()
                 for i in range(n):
@@ -616,7 +617,7 @@ def assert_anneal_matches_reference(q, sweeps, restarts, schedule, t_initial, t_
     assert raw == want_raw
     couplings = solvers._couplings(q)
     rows = [repair(q, couplings, np.array(bits)).producer_of for bits in want_raw]
-    want = solvers._result(q, rows, "anneal", seed, sweeps * q.num_vars * restarts, 0.0)
+    want = solvers._result(q, rows, "anneal", seed, sweeps * q.num_vars * restarts)
     assert got.assignment == want.assignment
     assert got.energy.hex() == want.energy.hex()
     assert (got.iterations, got.seed, got.solver_name) == (
