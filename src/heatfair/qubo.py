@@ -62,7 +62,11 @@ class PenaltyConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise QuboError(f"{name} must be a real number, got {value!r}")
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:
+                raise QuboError(f"{name} must be finite and positive, got an "
+                                f"integer beyond the float range") from None
             if not math.isfinite(value) or value <= 0.0:
                 raise QuboError(f"{name} must be finite and positive, got {value!r}")
             object.__setattr__(self, name, value)
@@ -88,6 +92,13 @@ class Objective:
             arr = np.array(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    @property
+    def linear(self) -> np.ndarray:
+        """The QUBO's linear coefficient of (i, j), the same at every j:
+        node_linear[i] + alpha * (w_i^2 - 2 * target * w_i) - gamma."""
+        w = self.weights
+        return (self.node_linear + self.alpha * (w * w - 2.0 * self.target * w)) - self.gamma
 
 
 @dataclasses.dataclass(frozen=True)
@@ -216,8 +227,7 @@ def _assemble(
     alpha, gamma, weights, target = obj.alpha, obj.gamma, obj.weights, obj.target
     var = np.arange(k)[:, None] * n + np.arange(n)  # var[j, i] = j*n + i
 
-    balance = alpha * (weights * weights - 2.0 * target * weights)
-    linear = np.broadcast_to((obj.node_linear + balance) - gamma, (k, n))
+    linear = np.broadcast_to(obj.linear, (k, n))
     has_node_term = np.broadcast_to(obj.node_linear != 0.0, (k, n))
     lin_keys = np.concatenate([var[has_node_term], var[~has_node_term]])
     lin_vals = np.concatenate([linear[has_node_term], linear[~has_node_term]])

@@ -5,11 +5,16 @@ Three routes with very different trust levels:
   solve_exhaustive  enumerates every feasible assignment; ground truth
                     on desk-scale instances, hard-capped by size.
   solve_anneal      Metropolis single-bit-flip simulated annealing over
-                    the raw binary variables, then repaired to a
-                    feasible assignment. Stretches of sweeps in which
-                    no proposal can pass are skipped by one numpy
-                    comparison; every result equals a plain
-                    proposal-by-proposal scan bit for bit.
+                    the raw binary variables of the instance's
+                    Objective, then repaired to a feasible assignment.
+                    A variable's field comes from running sums (edge
+                    coefficients of a node's neighbours per producer,
+                    producer loads, one-hot counts), so a flip updates
+                    O(degree + 1) of them; an imported instance has no
+                    Objective. Stretches of sweeps in which no proposal
+                    can pass are skipped by one numpy comparison; every
+                    result equals a plain proposal-by-proposal scan of
+                    the same rule bit for bit.
   solve_heuristic   greedy seeding plus relocate/swap local search
                     on the instance's Objective (what the builder
                     expanded), not on QUBO coefficients; an imported
@@ -36,7 +41,7 @@ import math
 
 import numpy as np
 
-from .qubo import QuboInstance, energies, energy
+from .qubo import Objective, QuboInstance, energies, energy
 
 
 class SolverError(ValueError):
@@ -93,7 +98,8 @@ class SolveResult:
 class AnnealConfig:
     """Simulated-annealing knobs. Temperatures of None are derived from
     the instance (t_initial = the largest possible single-flip energy
-    change, t_final = 1e-4 of that)."""
+    change, t_final = 1e-4 of that); set ones must be finite, with
+    t_initial > t_final > 0."""
 
     sweeps: int = 2000
     restarts: int = 8
@@ -114,6 +120,11 @@ class AnnealConfig:
         if (self.t_initial is None) != (self.t_final is None):
             raise SolverError("set both t_initial and t_final, or neither")
         if self.t_initial is not None:
+            if not (math.isfinite(self.t_initial) and math.isfinite(self.t_final)):
+                raise SolverError(
+                    f"t_initial and t_final must be finite, got "
+                    f"{self.t_initial!r} and {self.t_final!r}"
+                )
             if not (self.t_initial > self.t_final > 0.0):
                 raise SolverError(
                     f"need t_initial > t_final > 0, got "
@@ -284,26 +295,138 @@ def _first_acceptance(deltas: np.ndarray, limits: np.ndarray, sweep: int):
     return None
 
 
+def _field_terms(obj: Objective):
+    """The field rule's per-node constants as Python floats: lin_i,
+    2*alpha*w_i, w_i, then 2*gamma and each node's neighbours."""
+    w = obj.weights
+    return (obj.linear.tolist(), (2.0 * obj.alpha * w).tolist(), w.tolist(),
+            2.0 * obj.gamma, _neighbours(obj))
+
+
+def _neighbours(obj: Objective) -> list[list[tuple[int, float]]]:
+    """Each node's (neighbour, edge coefficient) pairs, in edge order."""
+    neighbours: list[list[tuple[int, float]]] = [[] for _ in range(obj.weights.size)]
+    for (u, v), coeff in zip(obj.ends.tolist(), obj.edge_coeff.tolist()):
+        neighbours[u].append((v, coeff))
+        neighbours[v].append((u, coeff))
+    return neighbours
+
+
+def _fields(obj: Objective, x, S, L, c) -> np.ndarray:
+    """The field of every (i, j), shape (k, n), from the running sums:
+    lin + S + 2*alpha*w_i*(L_j - w_i*x) + 2*gamma*(c_i - x), lin the
+    QUBO's linear coefficient, with the same float expressions in the
+    same order as the scalar loop of _walk."""
+    w = obj.weights
+    return obj.linear + S + 2.0 * obj.alpha * w * (L[:, None] - w * x) + 2.0 * obj.gamma * (c - x)
+
+
+def _start(obj: Objective, offset: float, bits: np.ndarray):
+    """The annealer's state at bits, (x, S, L, c, energy), per producer j:
+    x[j][i] the bit of (i, j), S[j][i] the edge coefficients of i's
+    neighbours whose bit at j is set, L[j] the weight set at j; c[i] the
+    bits node i has set. All-zero bits have the QUBO's offset as energy;
+    the set bits are switched on from there in variable order, each
+    adding its field."""
+    n = obj.weights.size
+    k = bits.size // n
+    lin, reach, w, g2, neighbours = _field_terms(obj)
+    x = [[0.0] * n for _ in range(k)]
+    S = [[0.0] * n for _ in range(k)]
+    L, c, current = [0.0] * k, [0.0] * n, offset
+    for v in np.flatnonzero(bits).tolist():
+        j, i = divmod(v, n)
+        current += lin[i] + S[j][i] + reach[i] * L[j] + g2 * c[i]
+        x[j][i] = 1.0
+        L[j] += w[i]
+        c[i] += 1.0
+        for u, coeff in neighbours[i]:
+            S[j][u] += coeff
+    return x, S, L, c, current
+
+
+def _walk(obj: Objective, x, S, L, c, current: float, limits: np.ndarray):
+    """Anneal one restart from the _start state against limits, shape
+    (sweeps, n*k); returns the lowest raw energy seen and its bits as
+    x. Proposal (sweep, v) flips bit v = j*n + i when sign * field <=
+    limit, sign = 1 - 2 * x[j][i]. A flip updates x, L[j], c[i] and S[j]
+    at i's neighbours, adding or subtracting each value (x - c is
+    exactly x + (-c)). After a sweep with no flip the state cannot
+    change until the next accepted proposal, so that proposal is found
+    by comparing the frozen sign * field vector with the following
+    limit rows, and the loop resumes there."""
+    lin, reach, w, g2, neighbours = _field_terms(obj)
+    k, n = len(L), len(c)
+    best_raw, best_x = current, [bits[:] for bits in x]
+    sweep, first = 0, 0
+    while sweep < len(limits):
+        row = limits[sweep].tolist()
+        frozen = True
+        j0, start = divmod(first, n)
+        for j in range(j0, k):
+            xj, Sj, lim = x[j], S[j], row[j * n:(j + 1) * n]
+            load = L[j]
+            for i in range(start, n):
+                if xj[i]:
+                    delta = -(lin[i] + Sj[i] + reach[i] * (load - w[i]) + g2 * (c[i] - 1.0))
+                    if not delta <= lim[i]:  # as written, so a NaN never flips
+                        continue
+                    xj[i] = 0.0
+                    load -= w[i]
+                    c[i] -= 1.0
+                    for u, coeff in neighbours[i]:
+                        Sj[u] -= coeff
+                else:
+                    delta = lin[i] + Sj[i] + reach[i] * load + g2 * c[i]
+                    if not delta <= lim[i]:
+                        continue
+                    xj[i] = 1.0
+                    load += w[i]
+                    c[i] += 1.0
+                    for u, coeff in neighbours[i]:
+                        Sj[u] += coeff
+                frozen = False
+                current += delta
+                if current < best_raw:
+                    best_raw, best_x = current, [bits[:] for bits in x]
+            L[j] = load
+            start = 0
+        sweep, first = sweep + 1, 0
+        if frozen:
+            xs = np.array(x)
+            deltas = (1.0 - 2.0 * xs) * _fields(obj, xs, np.array(S), np.array(L), np.array(c))
+            hit = _first_acceptance(deltas.ravel(), limits, sweep)
+            if hit is None:
+                break
+            sweep, first = hit
+    return best_raw, best_x
+
+
 def solve_anneal(q: QuboInstance, cfg: AnnealConfig) -> SolveResult:
-    """Single-bit-flip Metropolis annealing, best of cfg.restarts
-    restarts, each started from a random feasible assignment.
+    """Single-bit-flip Metropolis annealing on q.objective, best of
+    cfg.restarts restarts, each started from a random feasible
+    assignment.
 
     The lowest raw-energy state seen in each restart is decoded and
     repaired; restarts compete on post-repair energy, ties to the
     earliest restart.
 
-    Proposal (sweep, i) flips bit i when sign * field <= limit, with
-    sign = 1 - 2 * bit and limit = -temp[sweep] * log1p(-u), u drawn
-    uniform in [0, 1) for every proposal up front. Three rules keep the
-    loop cheap and every result equal to a plain proposal-by-proposal
-    scan: the limits are one numpy product, the same IEEE product as the
-    scalar one; a flip adds or subtracts each coupling, never multiplies
-    it by the sign (x - c is exactly x + (-c)); and after a sweep with
-    no flip the state cannot change until the next accepted proposal,
-    so that proposal is found by comparing the frozen sign * field
-    vector with the following limit rows, and the loop resumes there
-    (or the restart ends, if there is none).
+    Proposal (sweep, v) flips bit v = (i, j) when sign * field <= limit,
+    with sign = 1 - 2 * bit and limit = -temp[sweep] * log1p(-u), u drawn
+    uniform in [0, 1) for every proposal up front (one numpy product, the
+    same IEEE product as the scalar one). The field is read from running
+    sums rather than a coupling row: lin + S[j][i] + 2*alpha*w_i*(L_j -
+    w_i*bit) + 2*gamma*(c_i - bit), lin the QUBO's linear coefficient,
+    S[j][i] the edge coefficients of i's neighbours at j, L_j the load of
+    j and c_i the bits node i has set. A proposal is O(1) and a flip
+    updates O(degree + 1) sums (_walk), where a coupling row has n + k - 2
+    entries. Frozen sweeps are skipped exactly, so every result equals a
+    plain proposal-by-proposal scan of the same rule. The objective is
+    required: an imported instance has none.
     """
+    obj = q.objective
+    if obj is None:
+        raise SolverError("the annealer needs the instance's objective; an imported one has none")
     couplings = _couplings(q)
     lin, indptr, cols, vals = couplings
     if cfg.t_initial is None:
@@ -312,12 +435,6 @@ def solve_anneal(q: QuboInstance, cfg: AnnealConfig) -> SolveResult:
         t_initial, t_final = cfg.t_initial, cfg.t_final
     temps = _temperature_schedule(cfg, t_initial, t_final)
     nv = q.num_vars
-    # coupling rows as lists: only touched entries cost time in the flip update
-    bounds = indptr.tolist()
-    col_list, val_list = cols.tolist(), vals.tolist()
-    rows = [
-        list(zip(col_list[s:e], val_list[s:e])) for s, e in zip(bounds, bounds[1:])
-    ]
 
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     repaired = []
@@ -325,39 +442,10 @@ def solve_anneal(q: QuboInstance, cfg: AnnealConfig) -> SolveResult:
         rng = np.random.default_rng(children[restart])
         bits = np.zeros(nv)
         bits[rng.integers(0, q.k, size=q.n) * q.n + np.arange(q.n)] = 1.0
-        fields = (lin + _row_sums(indptr, vals * bits[cols])).tolist()
-        current = energy(q, bits)
-        signs = (1.0 - 2.0 * bits).tolist()
-        best_raw, best_signs = current, signs.copy()
         # log1p(-u) <= 0, so a downhill move always passes its limit
         limits = -temps[:, None] * np.log1p(-rng.random((cfg.sweeps, nv)))
-        sweep, first = 0, 0
-        while sweep < cfg.sweeps:
-            row = limits[sweep].tolist()
-            frozen = True
-            for i in range(first, nv):
-                sign = signs[i]
-                delta = sign * fields[i]
-                if delta <= row[i]:
-                    frozen = False
-                    signs[i] = -sign
-                    if sign > 0.0:
-                        for m, coeff in rows[i]:
-                            fields[m] += coeff
-                    else:
-                        for m, coeff in rows[i]:
-                            fields[m] -= coeff
-                    current += delta
-                    if current < best_raw:
-                        best_raw, best_signs = current, signs.copy()
-            sweep, first = sweep + 1, 0
-            if frozen:
-                hit = _first_acceptance(np.array(signs) * fields, limits, sweep)
-                if hit is None:
-                    break
-                sweep, first = hit
-        best_bits = (1.0 - np.array(best_signs)) / 2.0
-        repaired.append(_repair(q, couplings, best_bits).producer_of)
+        _, best = _walk(obj, *_start(obj, q.offset, bits), limits)
+        repaired.append(_repair(q, couplings, np.ravel(best)).producer_of)
     return _result(q, repaired, "anneal", cfg.seed, cfg.sweeps * nv * cfg.restarts)
 
 
@@ -504,10 +592,7 @@ def solve_heuristic(q: QuboInstance, seed: int = 0, restarts: int = 8) -> SolveR
         raise SolverError("the heuristic needs the instance's objective; an imported one has none")
     n = q.n
     weights = obj.weights.tolist()
-    neighbours: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for (u, v), coeff in zip(obj.ends.tolist(), obj.edge_coeff.tolist()):
-        neighbours[u].append((v, coeff))
-        neighbours[v].append((u, coeff))
+    neighbours = _neighbours(obj)
 
     children = np.random.SeedSequence(seed).spawn(max(restarts - 1, 1))
     orders = [sorted(range(n), key=lambda i: (-weights[i], i))] + [

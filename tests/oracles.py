@@ -362,33 +362,55 @@ def local_search_reference(producer_of, loads, neighbours, weights, beta, alpha,
             producer_of[i], producer_of[j] = b, a
 
 
-def anneal_reference(linear, quadratic, offset, n, k, sweeps, restarts, seed,
-                     schedule="geometric", t_initial=None, t_final=None):
-    """Single-bit-flip Metropolis annealing, one proposal at a time: each
-    restart's lowest raw-energy bits (floats 0.0 and 1.0), in restart
-    order, drawing from the same seeded streams as the package.
+def anneal_reference(ends, edge_coeff, node_linear, weights, target, alpha, gamma, k,
+                     sweeps, restarts, seed, schedule="geometric", t_initial=None,
+                     t_final=None):
+    """Single-bit-flip Metropolis annealing on an objective's arrays, one
+    proposal at a time: each restart's lowest raw-energy bits (floats
+    0.0 and 1.0), in restart order, drawing from the same seeded streams
+    as the package.
 
-    Coupling rows hold (column, coefficient) pairs from the dicts,
-    columns ascending. Local fields and the automatic temperatures are
-    sums along each row in that order, and the starting energy is
-    qubo_energy_direct. Temperatures of None mean t_initial = the
-    largest single-flip reach and t_final = 1e-4 of it.
+    The field of (i, j) is lin_i + S[j*n + i] + 2*alpha*w_i*(L_j -
+    w_i*x) + 2*gamma*(c_i - x) from running sums: S the edge coefficients
+    of i's neighbours at j, L_j the weight at j, c_i the bits set at i.
+    A flip moves each by its coefficient times the flip's sign. A
+    restart's energy starts at the objective's constant (k copies of
+    alpha*target^2, then n of gamma, added one by one) and takes the
+    field of every start bit, switched on in variable order. Temperatures
+    of None mean t_initial = the largest single-flip reach, |linear| plus
+    the |coupling| sum of a variable's QUBO row in column order, each
+    coupling built as the builder expands it, and t_final = 1e-4 of it.
     """
+    n = len(weights)
     nv = n * k
-    rows = [[] for _ in range(nv)]
-    for (a, b), coeff in quadratic.items():
-        rows[a].append((b, coeff))
-        rows[b].append((a, coeff))
-    for row in rows:
-        row.sort()
-    lin = [linear.get(v, 0.0) for v in range(nv)]
+    w = [float(v) for v in weights]
+    ends = [(int(u), int(v)) for u, v in ends]
+    edge_coeff = [float(v) for v in edge_coeff]
+    neighbours = [[] for _ in range(n)]
+    for (u, v), coeff in zip(ends, edge_coeff):
+        neighbours[u].append((v, coeff))
+        neighbours[v].append((u, coeff))
+    lin = [(float(node_linear[i]) + alpha * (w[i] * w[i] - 2.0 * target * w[i])) - gamma
+           for i in range(n)]
     if t_initial is None:
+        on_edge = dict(zip(ends, edge_coeff))
         reach = []
-        for v in range(nv):
-            total = 0.0
-            for _, coeff in rows[v]:
-                total += abs(coeff)
-            reach.append(abs(lin[v]) + total)
+        for j in range(k):
+            for i in range(n):
+                total = 0.0
+                for col in range(nv):
+                    j2, u = divmod(col, n)
+                    if col == j * n + i:
+                        continue
+                    if j2 != j:
+                        coeff = 2.0 * gamma if u == i else 0.0
+                    else:
+                        a, b = min(i, u), max(i, u)
+                        coeff = 2.0 * alpha * w[a] * w[b]
+                        if (a, b) in on_edge:
+                            coeff = on_edge[(a, b)] + coeff
+                    total += abs(coeff)
+                reach.append(abs(lin[i]) + total)
         t_initial = max(reach)
         if t_initial <= 0.0:
             t_initial = 1.0
@@ -399,6 +421,9 @@ def anneal_reference(linear, quadratic, offset, n, k, sweeps, restarts, seed,
         temps = np.geomspace(t_initial, t_final, sweeps).tolist()
     else:
         temps = np.linspace(t_initial, t_final, sweeps).tolist()
+    constant = 0.0
+    for term in [alpha * target * target] * k + [gamma] * n:
+        constant += term
 
     children = np.random.SeedSequence(seed).spawn(restarts)
     best = []
@@ -406,15 +431,28 @@ def anneal_reference(linear, quadratic, offset, n, k, sweeps, restarts, seed,
         rng = np.random.default_rng(children[restart])
         start_assign = rng.integers(0, k, size=n)
         state = [0.0] * nv
-        for i in range(n):
-            state[int(start_assign[i]) * n + i] = 1.0
-        fields = []
-        for v in range(nv):
-            total = 0.0
-            for m, coeff in rows[v]:
-                total += coeff * state[m]
-            fields.append(lin[v] + total)
-        current = qubo_energy_direct(linear, quadratic, offset, state)
+        S = [0.0] * nv
+        L = [0.0] * k
+        c = [0.0] * n
+
+        def field(v):
+            j, i = divmod(v, n)
+            x = state[v]
+            return lin[i] + S[v] + 2.0 * alpha * w[i] * (L[j] - w[i] * x) + 2.0 * gamma * (c[i] - x)
+
+        def flip(v):
+            j, i = divmod(v, n)
+            sign = 1.0 - 2.0 * state[v]
+            state[v] += sign
+            L[j] += w[i] * sign
+            c[i] += sign
+            for u, coeff in neighbours[i]:
+                S[j * n + u] += coeff * sign
+
+        current = constant
+        for v in sorted(int(p) * n + i for i, p in enumerate(start_assign)):
+            current += field(v)
+            flip(v)
         best_raw = current
         best_bits = state.copy()
         # log(1 - u) <= 0 always, so downhill moves never consult the rng
@@ -422,13 +460,10 @@ def anneal_reference(linear, quadratic, offset, n, k, sweeps, restarts, seed,
         for sweep in range(sweeps):
             temp = temps[sweep]
             log_row = log_u[sweep]
-            for i in range(nv):
-                sign = 1.0 - 2.0 * state[i]
-                delta = sign * fields[i]
-                if delta <= -temp * log_row[i]:
-                    state[i] += sign
-                    for m, coeff in rows[i]:
-                        fields[m] += coeff * sign
+            for v in range(nv):
+                delta = (1.0 - 2.0 * state[v]) * field(v)
+                if delta <= -temp * log_row[v]:
+                    flip(v)
                     current += delta
                     if current < best_raw:
                         best_raw = current

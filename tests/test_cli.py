@@ -271,8 +271,9 @@ def test_sweep_rejects_unknown_format(tmp_path, capsys):
     [(["--sweeps", "0"], "sweeps must be >= 1"),
      (["--restarts", "0"], "restarts must be >= 1"),
      (["--t-initial", "1", "--t-final", "2"], "need t_initial > t_final > 0"),
+     (["--t-initial", "inf", "--t-final", "1"], "must be finite"),
      (["--exhaustive-cap", "0"], "exhaustive_cap must be >= 1")],
-    ids=["sweeps", "restarts", "temperatures", "exhaustive_cap"],
+    ids=["sweeps", "restarts", "temperatures", "infinite_temperature", "exhaustive_cap"],
 )
 def test_sweep_rejects_invalid_solver_settings(tmp_path, capsys, flags, message):
     save_topology(PATH4, str(tmp_path / "p4.json"))

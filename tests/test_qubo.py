@@ -44,6 +44,8 @@ def test_penalty_config_validation():
         PenaltyConfig(alpha=True)
     with pytest.raises(QuboError, match="beta must be a real number"):
         PenaltyConfig(beta="3")
+    with pytest.raises(QuboError, match="alpha must be finite and positive"):
+        PenaltyConfig(alpha=10**400)
     cfg = PenaltyConfig(beta=2, alpha=np.float64(1.5), gamma=4)
     assert (cfg.beta, cfg.alpha, cfg.gamma) == (2.0, 1.5, 4.0)
     assert all(type(v) is float for v in (cfg.beta, cfg.alpha, cfg.gamma))

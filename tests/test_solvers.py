@@ -27,7 +27,7 @@ from heatfair import (
     solve_heuristic,
     uniform_weights,
 )
-from heatfair import solvers
+from heatfair import qubo, solvers
 from heatfair.demand import compute_weights, synthetic_demands
 from heatfair.graphs import DistanceRule
 from oracles import (
@@ -220,6 +220,10 @@ def test_anneal_config_validation():
         AnnealConfig(t_initial=5.0)
     with pytest.raises(SolverError, match="t_initial > t_final > 0"):
         AnnealConfig(t_initial=1.0, t_final=2.0)
+    with pytest.raises(SolverError, match="must be finite"):
+        AnnealConfig(t_initial=float("inf"), t_final=1.0)
+    with pytest.raises(SolverError, match="must be finite"):
+        AnnealConfig(t_initial=float("nan"), t_final=float("nan"))
     with pytest.raises(SolverError, match="schedule"):
         AnnealConfig(schedule="exponential")
 
@@ -238,7 +242,10 @@ def test_anneal_is_deterministic_per_seed():
 
 
 def test_anneal_handles_flat_landscape():
-    q = QuboInstance(n=2, k=1, linear={}, quadratic={}, offset=5.0)
+    flat = qubo.Objective(ends=np.zeros((0, 2), dtype=np.int64), edge_coeff=np.zeros(0),
+                          node_linear=np.zeros(2), weights=np.ones(2), target=2.0,
+                          alpha=0.0, gamma=0.0)
+    q = QuboInstance(n=2, k=1, linear={}, quadratic={}, offset=5.0, objective=flat)
     r = solve_anneal(q, AnnealConfig(sweeps=50, restarts=1, seed=0))
     assert r.assignment.producer_of == (0, 0)
     assert r.energy == 5.0
@@ -612,8 +619,10 @@ def assert_anneal_matches_reference(q, sweeps, restarts, schedule, t_initial, t_
     got = solve_anneal(q, cfg)
     monkeypatch.setattr(solvers, "_repair", repair)
 
-    want_raw = anneal_reference(q.linear, q.quadratic, q.offset, q.n, q.k, sweeps,
-                                restarts, seed, schedule, t_initial, t_final)
+    obj = q.objective
+    want_raw = anneal_reference(obj.ends, obj.edge_coeff, obj.node_linear, obj.weights,
+                                obj.target, obj.alpha, obj.gamma, q.k, sweeps, restarts,
+                                seed, schedule, t_initial, t_final)
     assert raw == want_raw
     couplings = solvers._couplings(q)
     rows = [repair(q, couplings, np.array(bits)).producer_of for bits in want_raw]
@@ -642,34 +651,73 @@ def test_anneal_matches_scalar_reference(k, suite, monkeypatch):
             case += 1
 
 
-def test_anneal_matches_reference_on_an_imported_instance(suite, tmp_path, monkeypatch):
+def test_anneal_rejects_an_imported_instance(suite, tmp_path):
     entry = suite[7]
     q = build_qubo(entry.topo, entry.weights, 3,
                    default_penalties(entry.topo, entry.weights, 3))
     export_qubo(q, str(tmp_path / "q.qubo"))
     imported = import_qubo(str(tmp_path / "q.qubo"))
-    for config in ANNEAL_CONFIGS[1:4]:
-        assert_anneal_matches_reference(imported, *config, seed=5, monkeypatch=monkeypatch)
+    assert imported.objective is None
+    with pytest.raises(SolverError, match="imported one has none"):
+        solve_anneal(imported, AnnealConfig(sweeps=10, restarts=1))
 
 
 def test_anneal_matches_reference_on_exact_ties(monkeypatch):
     # Energies and temperatures a few subnormal steps wide, so each limit
     # rounds to a whole number of steps and often equals a move's cost.
-    # With k = 1 every restart starts at bits 111 (energy 0); turning
-    # off bit 0 or bit 2 costs 6 steps, after which bit 1 drops the state
-    # to 001 or 100 (-5). The barrier is crossed during frozen stretches,
-    # often on an exact tie, and which bit crosses first is the answer.
+    # The path 0-1-2 with unit weights, target 1/2, alpha = 20 steps and
+    # gamma = 1 step expands to linear terms (-5, 52, -5), couplings -41
+    # on both edges and 40 on (0, 2), and offset 8, every field a whole
+    # number of steps. With k = 1 every restart starts at bits 111
+    # (energy 8); turning off bit 0 or bit 2 costs 6 steps, after which
+    # bit 1 drops the state to 001 or 100 (3). The barrier is crossed
+    # during frozen stretches, often on an exact tie, and which bit
+    # crosses first is the answer.
     tick = 5e-324
-    q = QuboInstance(
-        n=3, k=1,
-        linear={0: -5 * tick, 1: 52 * tick, 2: -5 * tick},
-        quadratic={(0, 1): -41 * tick, (1, 2): -41 * tick, (0, 2): 40 * tick},
-        offset=0.0,
-    )
+    path = Topology(nodes=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
+    q = qubo._assemble(path, 1, PenaltyConfig(alpha=20 * tick, gamma=tick),
+                       np.array([-81 * tick, -81 * tick]), np.array([-4, 53, -4]) * tick,
+                       np.ones(3), 0.5)
+    assert q.linear == {0: -5 * tick, 1: 52 * tick, 2: -5 * tick}
+    assert q.quadratic == {(0, 1): -41 * tick, (1, 2): -41 * tick, (0, 2): 40 * tick}
+    assert q.offset == 8 * tick
     for seed in range(4):
         for schedule in ("geometric", "linear"):
             assert_anneal_matches_reference(q, 400, 8, schedule, 2 * tick, tick,
                                             seed=seed, monkeypatch=monkeypatch)
+
+
+def test_structured_field_matches_the_qubo(suite):
+    # The reference shares the field rule, so only the QUBO itself can
+    # catch a wrong formula: at random bit vectors, mostly infeasible,
+    # the rule's fields must equal lin + Q.x and its tracked energies the
+    # QUBO energy, to 1e-9 of the penalty scale (the largest single-flip
+    # reach plus |offset|), at the start and at a walk's best state.
+    rng = np.random.default_rng(8)
+    for entry in suite:
+        uniform = uniform_weights(entry.topo.nodes)
+        for k in range(1, min(4, entry.topo.nodes) + 1):
+            for q in (
+                build_qubo(entry.topo, entry.weights, k,
+                           default_penalties(entry.topo, entry.weights, k)),
+                build_unweighted_qubo(entry.topo, k,
+                                      default_penalties(entry.topo, uniform, k)),
+            ):
+                lin, indptr, cols, vals = solvers._couplings(q)
+                scale = solvers._auto_temperatures(lin, indptr, vals)[0] + abs(q.offset)
+                obj = q.objective
+                for density in (0.1, 0.5, 0.9):
+                    bits = (rng.random(q.num_vars) < density).astype(float)
+                    x, S, L, c, tracked = solvers._start(obj, q.offset, bits)
+                    got = solvers._fields(obj, np.array(x), np.array(S),
+                                          np.array(L), np.array(c)).ravel()
+                    want = lin + solvers._row_sums(indptr, vals * bits[cols])
+                    assert np.abs(got - want).max() <= 1e-9 * scale
+                    assert abs(tracked - energy(q, bits)) <= 1e-9 * scale
+
+                    limits = rng.exponential(0.02 * scale, size=(20, q.num_vars))
+                    best_raw, best = solvers._walk(obj, x, S, L, c, tracked, limits)
+                    assert abs(best_raw - energy(q, np.ravel(best))) <= 1e-9 * scale
 
 
 def first_acceptance_scan(deltas, limits, sweep):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -146,8 +148,8 @@ def test_sweep_config_validation():
 @pytest.mark.parametrize(
     "settings",
     [{"sweeps": 0}, {"restarts": 0}, {"t_initial": 1.0, "t_final": 2.0},
-     {"exhaustive_cap": 0}],
-    ids=["sweeps", "restarts", "temperatures", "exhaustive_cap"],
+     {"t_initial": math.inf, "t_final": 1.0}, {"exhaustive_cap": 0}],
+    ids=["sweeps", "restarts", "temperatures", "infinite_temperature", "exhaustive_cap"],
 )
 def test_invalid_solver_settings_fail_the_sweep_not_its_cells(settings):
     # once a skipped warning per cell and an empty table; now one error
