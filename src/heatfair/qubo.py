@@ -94,7 +94,7 @@ class Objective:
             object.__setattr__(self, name, arr)
 
     @property
-    def linear(self) -> np.ndarray:
+    def lin(self) -> np.ndarray:
         """The QUBO's linear coefficient of (i, j), the same at every j:
         node_linear[i] + alpha * (w_i^2 - 2 * target * w_i) - gamma."""
         w = self.weights
@@ -106,10 +106,11 @@ class QuboInstance:
     """Coefficients of one assignment problem.
 
     linear maps variable -> coefficient; quadratic maps (v1, v2) with
-    v1 < v2 -> coefficient; zero coefficients are not stored. Treat
-    instances as immutable even though dicts technically are not: the
-    term arrays are read from the dicts once and then cached. objective
-    is what a builder expanded; an imported instance has none.
+    v1 < v2 -> coefficient; zero coefficients are not stored, and every
+    coefficient and the offset are finite. Treat instances as immutable
+    even though dicts technically are not: the term arrays are read from
+    the dicts once and then cached. objective is what a builder expanded,
+    sized for n nodes; an imported instance has none.
     """
 
     n: int
@@ -122,12 +123,16 @@ class QuboInstance:
     def __post_init__(self) -> None:
         if self.n < 1 or self.k < 1:
             raise QuboError(f"need n >= 1 and k >= 1, got n={self.n}, k={self.k}")
+        if not math.isfinite(self.offset):
+            raise QuboError(f"offset is {self.offset!r}, not finite")
         nv = self.num_vars
         for v, coeff in self.linear.items():
             if not (0 <= v < nv):
                 raise QuboError(f"linear variable {v} outside 0..{nv - 1}")
             if coeff == 0.0:
                 raise QuboError(f"zero linear coefficient stored for variable {v}")
+            if not math.isfinite(coeff):
+                raise QuboError(f"linear coefficient of variable {v} is {coeff!r}, not finite")
         for (a, b), coeff in self.quadratic.items():
             if not (0 <= a < b < nv):
                 raise QuboError(
@@ -136,6 +141,20 @@ class QuboInstance:
                 )
             if coeff == 0.0:
                 raise QuboError(f"zero quadratic coefficient stored for ({a}, {b})")
+            if not math.isfinite(coeff):
+                raise QuboError(f"quadratic coefficient of ({a}, {b}) is {coeff!r}, not finite")
+        obj = self.objective
+        if obj is not None and not (
+            obj.weights.shape == obj.node_linear.shape == (self.n,)
+            and obj.ends.shape == obj.edge_coeff.shape + (2,)
+            and np.all((0 <= obj.ends) & (obj.ends < self.n))
+        ):
+            raise QuboError(
+                f"objective does not fit {self.n} nodes: {obj.weights.size} weights, "
+                f"{obj.node_linear.size} node terms, {obj.edge_coeff.size} edge "
+                f"coefficients, edge ends of shape {obj.ends.shape} in "
+                f"{obj.ends.min(initial=0)}..{obj.ends.max(initial=0)}"
+            )
 
     @property
     def num_vars(self) -> int:
@@ -227,7 +246,7 @@ def _assemble(
     alpha, gamma, weights, target = obj.alpha, obj.gamma, obj.weights, obj.target
     var = np.arange(k)[:, None] * n + np.arange(n)  # var[j, i] = j*n + i
 
-    linear = np.broadcast_to(obj.linear, (k, n))
+    linear = np.broadcast_to(obj.lin, (k, n))
     has_node_term = np.broadcast_to(obj.node_linear != 0.0, (k, n))
     lin_keys = np.concatenate([var[has_node_term], var[~has_node_term]])
     lin_vals = np.concatenate([linear[has_node_term], linear[~has_node_term]])
@@ -265,6 +284,8 @@ def _assemble(
                         offset=offset, objective=obj)
 
 
+# an overflowing coefficient is QuboInstance's to reject, with no numpy warning first
+@np.errstate(over="ignore", invalid="ignore")
 def build_qubo(topo: graphs.Topology, w, k: int, cfg: PenaltyConfig) -> QuboInstance:
     """Weighted objective over n*k variables; see module docstring.
 
@@ -280,6 +301,7 @@ def build_qubo(topo: graphs.Topology, w, k: int, cfg: PenaltyConfig) -> QuboInst
     return _assemble(topo, k, cfg, edge_coeff, np.zeros(n), weights, target)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def build_unweighted_qubo(topo: graphs.Topology, k: int, cfg: PenaltyConfig) -> QuboInstance:
     """Node-count variant: cut edges via the combinatorial Laplacian and
     a balance target of n/k nodes per producer.

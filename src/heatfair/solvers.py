@@ -7,14 +7,14 @@ Three routes with very different trust levels:
   solve_anneal      Metropolis single-bit-flip simulated annealing over
                     the raw binary variables of the instance's
                     Objective, then repaired to a feasible assignment.
-                    A variable's field comes from running sums (edge
+                    Fields, auto temperatures and repair read only the
+                    Objective. A field comes from running sums (edge
                     coefficients of a node's neighbours per producer,
                     producer loads, one-hot counts), so a flip updates
-                    O(degree + 1) of them; an imported instance has no
-                    Objective. Stretches of sweeps in which no proposal
-                    can pass are skipped by one numpy comparison; every
-                    result equals a plain proposal-by-proposal scan of
-                    the same rule bit for bit.
+                    O(degree + 1) of them. Stretches of sweeps in which
+                    no proposal can pass are skipped by one numpy
+                    comparison; every result equals a plain
+                    proposal-by-proposal scan of the same rule bit for bit.
   solve_heuristic   greedy seeding plus relocate/swap local search
                     on the instance's Objective (what the builder
                     expanded), not on QUBO coefficients; an imported
@@ -159,64 +159,52 @@ def canonical_form(producer_of, k: int) -> Assignment:
     return Assignment(producer_of=tuple(out), k=k)
 
 
-def _couplings(q: QuboInstance):
-    """q's linear vector and its symmetric couplings in CSR form
-    (indptr, cols, vals), columns ascending within each row."""
-    lin_vars, lin_vals, a, b, c = q._term_arrays
-    lin = np.zeros(q.num_vars)
-    lin[lin_vars] = lin_vals
-    rows = np.concatenate([a, b])
-    cols = np.concatenate([b, a])
-    order = np.argsort(rows * q.num_vars + cols)
-    indptr = np.zeros(q.num_vars + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=q.num_vars), out=indptr[1:])
-    return lin, indptr, cols[order], np.concatenate([c, c])[order]
-
-
-def _row_sums(indptr: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    """Sum of each CSR row's entries."""
-    nrows = indptr.size - 1
-    row_of = np.repeat(np.arange(nrows), np.diff(indptr))
-    return np.bincount(row_of, weights=entries, minlength=nrows)
-
-
 def decode_and_repair(q: QuboInstance, bits) -> Assignment:
-    """Turn any bit vector into a feasible assignment.
-
-    Nodes are visited in index order. A node with exactly one producer
-    bit set keeps it. Otherwise the candidate producers (the set ones,
-    or all k if none are set) are scored by the energy of switching
-    that node to producer j with every other bit frozen, and the
-    lowest-energy producer wins, ties to the lower id.
+    """Turn any bit vector into a feasible assignment; any nonzero entry
+    counts as set. Nodes are visited in index order. A node with exactly
+    one producer bit set keeps it. Otherwise its bits are cleared, and
+    the candidate producers (the set ones, or all k if none are set) are
+    scored by the energy of switching that node to producer j with every
+    other bit frozen, read from q's objective by the annealer's field
+    rule. The first candidate within 1e-9 of the node's field scale of
+    the lowest wins, so an exact tie goes to the lower id.
     """
-    vec = np.asarray(bits, dtype=float).ravel()
+    obj = q.objective
+    if obj is None:
+        raise SolverError("repair needs the instance's objective; an imported one has none")
+    vec = np.asarray(bits).ravel()
     if vec.size != q.num_vars:
         raise SolverError(f"got {vec.size} bits for {q.num_vars} variables")
-    return _repair(q, _couplings(q), vec)
+    return _repair(obj, vec)
 
 
-def _repair(q: QuboInstance, couplings, vec: np.ndarray) -> Assignment:
-    lin, indptr, cols, vals = couplings
-    lin, bounds = lin.tolist(), indptr.tolist()
-    n, k = q.n, q.k
-    state = vec.copy()
+def _repair(obj: Objective, vec: np.ndarray) -> Assignment:
+    """decode_and_repair on _start's sums. Candidate j scores S[j][i] +
+    2*alpha*w_i*L_j, its field less what every candidate shares. The
+    field scale 2*alpha*w_i*W + sum |edge coefficient of i| never
+    vanishes; an emptied producer's load drifts to ~1e-17, not 0."""
+    x, S, L, _, _ = _start(obj, 0.0, vec)
+    _, reach, w, _, neighbours = _field_terms(obj)
+    total = float(obj.weights.sum())
     producer_of = []
-    for node in range(n):
-        set_producers = [j for j in range(k) if state[j * n + node] != 0.0]
-        if len(set_producers) == 1:
-            producer_of.append(set_producers[0])
+    for i, edges in enumerate(neighbours):
+        held = [j for j, xj in enumerate(x) if xj[i]]
+        if len(held) == 1:
+            producer_of.append(held[0])
             continue
-        candidates = set_producers if set_producers else list(range(k))
-        state[node::n] = 0.0
-        fields = []
-        for j in candidates:
-            v = j * n + node
-            row = slice(bounds[v], bounds[v + 1])
-            fields.append(lin[v] + float(vals[row] @ state[cols[row]]))
-        best = candidates[int(np.argmin(fields))]
-        state[best * n + node] = 1.0
+        for j in held:
+            L[j] -= w[i]
+            for u, coeff in edges:
+                S[j][u] -= coeff
+        candidates = held or range(len(L))
+        scores = [S[j][i] + reach[i] * L[j] for j in candidates]
+        bar = min(scores) + 1e-9 * (reach[i] * total + sum(abs(coeff) for _, coeff in edges))
+        best = next(j for j, score in zip(candidates, scores) if score <= bar)
+        L[best] += w[i]
+        for u, coeff in edges:
+            S[best][u] += coeff
         producer_of.append(best)
-    return Assignment(producer_of=tuple(producer_of), k=k)
+    return Assignment(producer_of=tuple(producer_of), k=len(L))
 
 
 def _result(q: QuboInstance, producer_rows, name: str, seed: int, iterations: int) -> SolveResult:
@@ -260,11 +248,23 @@ def solve_exhaustive(q: QuboInstance, max_vars: int = 24) -> SolveResult:
     return _result(q, assignments, "exhaustive", 0, count)
 
 
-def _auto_temperatures(
-    lin: np.ndarray, indptr: np.ndarray, vals: np.ndarray
-) -> tuple[float, float]:
-    reach = np.abs(lin) + _row_sums(indptr, np.abs(vals))
-    t_initial = float(reach.max()) if reach.size else 0.0
+def _auto_temperatures(obj: Objective, k: int) -> tuple[float, float]:
+    """t_initial = the largest single-flip reach, |lin| plus the
+    |coupling| sum of a QUBO row, and t_final = 1e-4 of it. Each row
+    holds the builder's floats and is summed in its column order: j
+    one-hot entries 2*gamma, the pairs at producer j by ascending node
+    (2*alpha*w_a*w_b, plus the edge coefficient on an edge), then
+    k-1-j one-hot entries."""
+    w, n = obj.weights, obj.weights.size
+    pair = np.triu((2.0 * obj.alpha * w)[:, None] * w, 1)
+    pair[tuple(obj.ends.T)] += obj.edge_coeff
+    pair = np.abs(pair + pair.T)
+    one_hot = abs(2.0 * obj.gamma)
+    lin = np.abs(obj.lin)
+    t_initial = 0.0
+    for j in range(k):
+        row = np.hstack([np.full((n, j), one_hot), pair, np.full((n, k - 1 - j), one_hot)])
+        t_initial = max(t_initial, float((lin + np.cumsum(row, axis=1)[:, -1]).max()))
     if t_initial <= 0.0:
         t_initial = 1.0
     return t_initial, 1e-4 * t_initial
@@ -299,7 +299,7 @@ def _field_terms(obj: Objective):
     """The field rule's per-node constants as Python floats: lin_i,
     2*alpha*w_i, w_i, then 2*gamma and each node's neighbours."""
     w = obj.weights
-    return (obj.linear.tolist(), (2.0 * obj.alpha * w).tolist(), w.tolist(),
+    return (obj.lin.tolist(), (2.0 * obj.alpha * w).tolist(), w.tolist(),
             2.0 * obj.gamma, _neighbours(obj))
 
 
@@ -318,7 +318,7 @@ def _fields(obj: Objective, x, S, L, c) -> np.ndarray:
     QUBO's linear coefficient, with the same float expressions in the
     same order as the scalar loop of _walk."""
     w = obj.weights
-    return obj.linear + S + 2.0 * obj.alpha * w * (L[:, None] - w * x) + 2.0 * obj.gamma * (c - x)
+    return obj.lin + S + 2.0 * obj.alpha * w * (L[:, None] - w * x) + 2.0 * obj.gamma * (c - x)
 
 
 def _start(obj: Objective, offset: float, bits: np.ndarray):
@@ -403,34 +403,31 @@ def _walk(obj: Objective, x, S, L, c, current: float, limits: np.ndarray):
 
 
 def solve_anneal(q: QuboInstance, cfg: AnnealConfig) -> SolveResult:
-    """Single-bit-flip Metropolis annealing on q.objective, best of
-    cfg.restarts restarts, each started from a random feasible
-    assignment.
-
-    The lowest raw-energy state seen in each restart is decoded and
-    repaired; restarts compete on post-repair energy, ties to the
-    earliest restart.
+    """Single-bit-flip Metropolis annealing on q.objective (required: an
+    imported instance has none), best of cfg.restarts restarts, each
+    started from a random feasible assignment.
 
     Proposal (sweep, v) flips bit v = (i, j) when sign * field <= limit,
     with sign = 1 - 2 * bit and limit = -temp[sweep] * log1p(-u), u drawn
     uniform in [0, 1) for every proposal up front (one numpy product, the
-    same IEEE product as the scalar one). The field is read from running
-    sums rather than a coupling row: lin + S[j][i] + 2*alpha*w_i*(L_j -
-    w_i*bit) + 2*gamma*(c_i - bit), lin the QUBO's linear coefficient,
-    S[j][i] the edge coefficients of i's neighbours at j, L_j the load of
-    j and c_i the bits node i has set. A proposal is O(1) and a flip
-    updates O(degree + 1) sums (_walk), where a coupling row has n + k - 2
-    entries. Frozen sweeps are skipped exactly, so every result equals a
-    plain proposal-by-proposal scan of the same rule. The objective is
-    required: an imported instance has none.
+    same IEEE product as the scalar one). The field is lin + S[j][i] +
+    2*alpha*w_i*(L_j - w_i*bit) + 2*gamma*(c_i - bit): lin the QUBO's
+    linear coefficient, S[j][i] the edge coefficients of i's neighbours
+    at j, L_j the load of j and c_i the bits node i has set. A proposal
+    is O(1) and a flip updates O(degree + 1) sums (_walk). Frozen sweeps
+    are skipped exactly, so every result equals a plain
+    proposal-by-proposal scan of the same rule. Auto temperatures come
+    from the objective's QUBO rows (_auto_temperatures).
+
+    The lowest raw-energy state seen in each restart is repaired by
+    decode_and_repair's rule; restarts compete on post-repair energy,
+    ties to the earliest restart.
     """
     obj = q.objective
     if obj is None:
         raise SolverError("the annealer needs the instance's objective; an imported one has none")
-    couplings = _couplings(q)
-    lin, indptr, cols, vals = couplings
     if cfg.t_initial is None:
-        t_initial, t_final = _auto_temperatures(lin, indptr, vals)
+        t_initial, t_final = _auto_temperatures(obj, q.k)
     else:
         t_initial, t_final = cfg.t_initial, cfg.t_final
     temps = _temperature_schedule(cfg, t_initial, t_final)
@@ -445,7 +442,7 @@ def solve_anneal(q: QuboInstance, cfg: AnnealConfig) -> SolveResult:
         # log1p(-u) <= 0, so a downhill move always passes its limit
         limits = -temps[:, None] * np.log1p(-rng.random((cfg.sweeps, nv)))
         _, best = _walk(obj, *_start(obj, q.offset, bits), limits)
-        repaired.append(_repair(q, couplings, np.ravel(best)).producer_of)
+        repaired.append(_repair(obj, np.ravel(best)).producer_of)
     return _result(q, repaired, "anneal", cfg.seed, cfg.sweeps * nv * cfg.restarts)
 
 

@@ -128,6 +128,44 @@ def qubo_energy_direct(linear, quadratic, offset, bits) -> float:
     return total
 
 
+def repair_reference(linear, quadratic, offset, n, k, weights, alpha, ends, edge_coeff,
+                     bits) -> list[int]:
+    """Repair of any bit vector (nonzero entries set) to one producer per
+    node, scored on the QUBO dicts. Nodes go in index order; a node with
+    exactly one set bit keeps it. Otherwise each candidate producer (the
+    set ones, or all k) is scored by the QUBO energy with the node's
+    bits cleared and that one set, every other bit as it stands, and the
+    first candidate within 1e-9 of the node's field scale of the lowest
+    wins. The field scale is 2*alpha*w_i*W + the |edge coefficients| at
+    i, W the total weight."""
+    state = [1.0 if b else 0.0 for b in np.asarray(bits).ravel()]
+    w = [float(v) for v in weights]
+    edge_scale = [0.0] * n
+    for (u, v), coeff in zip(ends, edge_coeff):
+        edge_scale[int(u)] += abs(float(coeff))
+        edge_scale[int(v)] += abs(float(coeff))
+    producer_of = []
+    for i in range(n):
+        held = [j for j in range(k) if state[j * n + i]]
+        if len(held) == 1:
+            producer_of.append(held[0])
+            continue
+        candidates = held or list(range(k))
+        scores = []
+        for j in candidates:
+            for j2 in range(k):
+                state[j2 * n + i] = 0.0
+            state[j * n + i] = 1.0
+            scores.append(qubo_energy_direct(linear, quadratic, offset, state))
+        bar = min(scores) + 1e-9 * (2.0 * alpha * w[i] * sum(w) + edge_scale[i])
+        best = next(j for j, score in zip(candidates, scores) if score <= bar)
+        for j2 in range(k):
+            state[j2 * n + i] = 0.0
+        state[best * n + i] = 1.0
+        producer_of.append(best)
+    return producer_of
+
+
 def accumulated_terms(topo, weights, k, beta, alpha, gamma, unweighted=False):
     """QUBO coefficients added one term at a time: graph term, balance,
     one-hot, dropping sums that cancel to zero. Returns (linear items,

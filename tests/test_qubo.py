@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -243,6 +245,36 @@ def test_instance_invariants_enforced():
         QuboInstance(n=1, k=2, linear={}, quadratic={(1, 0): 1.0}, offset=0.0)
     with pytest.raises(QuboError, match="outside"):
         QuboInstance(n=1, k=2, linear={5: 1.0}, quadratic={}, offset=0.0)
+
+
+def test_instance_rejects_non_finite_terms(tmp_path):
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(QuboError, match="variable 0 is .*, not finite"):
+            QuboInstance(n=1, k=2, linear={0: bad}, quadratic={}, offset=0.0)
+        with pytest.raises(QuboError, match=r"\(0, 1\) is .*, not finite"):
+            QuboInstance(n=1, k=2, linear={}, quadratic={(0, 1): bad}, offset=0.0)
+        with pytest.raises(QuboError, match="offset is .*, not finite"):
+            QuboInstance(n=1, k=2, linear={}, quadratic={}, offset=bad)
+    path = tmp_path / "inf.qubo"
+    export_qubo(QuboInstance(n=1, k=2, linear={0: 1.0}, quadratic={}, offset=0.0), str(path))
+    path.write_text(path.read_text().replace("0 0 1.0", "0 0 inf"))
+    with pytest.raises(QuboError, match="not finite"):
+        import_qubo(str(path))
+
+
+def test_instance_rejects_an_objective_of_another_size():
+    q = build_qubo(SINGLE_EDGE, uniform_weights(2), 1, PenaltyConfig())
+    for change, message in (
+        ({"weights": np.ones(3)}, "3 weights, 2 node terms"),
+        ({"node_linear": np.zeros(1)}, "2 weights, 1 node terms"),
+        ({"edge_coeff": np.ones(2)}, r"2 edge coefficients, edge ends of shape \(1, 2\)"),
+        ({"ends": np.array([[0, 1], [0, 1]])}, r"1 edge coefficients, edge ends of shape \(2, 2\)"),
+        ({"ends": np.array([[0, 2]])}, r"\(1, 2\) in 0\.\.2"),
+        ({"ends": np.array([[-1, 1]])}, r"\(1, 2\) in -1\.\.1"),
+    ):
+        with pytest.raises(QuboError, match=message):
+            QuboInstance(n=2, k=1, linear=q.linear, quadratic=q.quadratic, offset=q.offset,
+                         objective=dataclasses.replace(q.objective, **change))
 
 
 def test_too_many_producers_rejected():

@@ -21,6 +21,7 @@ from heatfair import (
     energy,
     export_qubo,
     generate_ring,
+    generate_tree,
     import_qubo,
     solve_anneal,
     solve_exhaustive,
@@ -37,6 +38,7 @@ from oracles import (
     local_search_reference,
     modified_cost_direct,
     relocate_delta,
+    repair_reference,
     swap_delta,
     unweighted_cost_direct,
 )
@@ -334,6 +336,46 @@ def test_repair_output_is_always_feasible(data):
     assert again.producer_of == a.producer_of
 
 
+def reference_repair(q, bits):
+    obj = q.objective
+    return repair_reference(q.linear, q.quadratic, q.offset, q.n, q.k, obj.weights,
+                            obj.alpha, obj.ends, obj.edge_coeff, bits)
+
+
+def test_repair_matches_reference(suite):
+    rng = np.random.default_rng(9)
+    for entry in suite:
+        uniform = uniform_weights(entry.topo.nodes)
+        for k in range(1, min(4, entry.topo.nodes) + 1):
+            for q in (
+                build_qubo(entry.topo, entry.weights, k,
+                           default_penalties(entry.topo, entry.weights, k)),
+                build_unweighted_qubo(entry.topo, k,
+                                      default_penalties(entry.topo, uniform, k)),
+            ):
+                probes = [np.zeros(q.num_vars), np.ones(q.num_vars)] + [
+                    (rng.random(q.num_vars) < density).astype(float)
+                    for density in (0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9)
+                ]
+                for bits in probes:
+                    assert list(decode_and_repair(q, bits).producer_of) == reference_repair(
+                        q, bits), (entry.name, k, bits)
+
+
+def test_repair_breaks_exact_ties_to_the_lower_id():
+    # With every bit set, each producer holds all other nodes, so node 0's
+    # candidates tie exactly; summation noise must not pick among them.
+    rule = DistanceRule(kind="uniform", low=0.5, high=2.0)
+    tree = generate_tree(24, branching=3, rule=rule, seed=7)
+    w = compute_weights(synthetic_demands(24, timesteps=168, seed=11, anchor_scale=20.0))
+    for k in range(2, 9):
+        q = build_qubo(tree, w, k, default_penalties(tree, w, k))
+        ones = np.ones(q.num_vars)
+        got = decode_and_repair(q, ones).producer_of
+        assert got[0] == 0, k
+        assert list(got) == reference_repair(q, ones)
+
+
 def test_heuristic_single_producer_is_trivial():
     w = uniform_weights(4)
     cfg = default_penalties(PATH4, w, 1)
@@ -614,7 +656,7 @@ def assert_anneal_matches_reference(q, sweeps, restarts, schedule, t_initial, t_
     raw = []
     repair = solvers._repair
     monkeypatch.setattr(
-        solvers, "_repair", lambda q, c, vec: raw.append(vec.tolist()) or repair(q, c, vec)
+        solvers, "_repair", lambda obj, vec: raw.append(vec.tolist()) or repair(obj, vec)
     )
     got = solve_anneal(q, cfg)
     monkeypatch.setattr(solvers, "_repair", repair)
@@ -624,8 +666,7 @@ def assert_anneal_matches_reference(q, sweeps, restarts, schedule, t_initial, t_
                                 obj.target, obj.alpha, obj.gamma, q.k, sweeps, restarts,
                                 seed, schedule, t_initial, t_final)
     assert raw == want_raw
-    couplings = solvers._couplings(q)
-    rows = [repair(q, couplings, np.array(bits)).producer_of for bits in want_raw]
+    rows = [repair(obj, np.array(bits)).producer_of for bits in want_raw]
     want = solvers._result(q, rows, "anneal", seed, sweeps * q.num_vars * restarts)
     assert got.assignment == want.assignment
     assert got.energy.hex() == want.energy.hex()
@@ -660,6 +701,8 @@ def test_anneal_rejects_an_imported_instance(suite, tmp_path):
     assert imported.objective is None
     with pytest.raises(SolverError, match="imported one has none"):
         solve_anneal(imported, AnnealConfig(sweeps=10, restarts=1))
+    with pytest.raises(SolverError, match="imported one has none"):
+        decode_and_repair(imported, np.zeros(q.num_vars))
 
 
 def test_anneal_matches_reference_on_exact_ties(monkeypatch):
@@ -690,9 +733,10 @@ def test_anneal_matches_reference_on_exact_ties(monkeypatch):
 def test_structured_field_matches_the_qubo(suite):
     # The reference shares the field rule, so only the QUBO itself can
     # catch a wrong formula: at random bit vectors, mostly infeasible,
-    # the rule's fields must equal lin + Q.x and its tracked energies the
-    # QUBO energy, to 1e-9 of the penalty scale (the largest single-flip
-    # reach plus |offset|), at the start and at a walk's best state.
+    # the rule's fields must equal lin + Q.x (Q the symmetric matrix of
+    # the quadratic dict) and its tracked energies the QUBO energy, to
+    # 1e-9 of the penalty scale (the largest single-flip reach plus
+    # |offset|), at the start and at a walk's best state.
     rng = np.random.default_rng(8)
     for entry in suite:
         uniform = uniform_weights(entry.topo.nodes)
@@ -703,15 +747,19 @@ def test_structured_field_matches_the_qubo(suite):
                 build_unweighted_qubo(entry.topo, k,
                                       default_penalties(entry.topo, uniform, k)),
             ):
-                lin, indptr, cols, vals = solvers._couplings(q)
-                scale = solvers._auto_temperatures(lin, indptr, vals)[0] + abs(q.offset)
+                lin = np.zeros(q.num_vars)
+                lin[list(q.linear)] = list(q.linear.values())
+                dense = np.zeros((q.num_vars, q.num_vars))
+                for (a, b), coeff in q.quadratic.items():
+                    dense[a, b] = dense[b, a] = coeff
+                scale = solvers._auto_temperatures(q.objective, k)[0] + abs(q.offset)
                 obj = q.objective
                 for density in (0.1, 0.5, 0.9):
                     bits = (rng.random(q.num_vars) < density).astype(float)
                     x, S, L, c, tracked = solvers._start(obj, q.offset, bits)
                     got = solvers._fields(obj, np.array(x), np.array(S),
                                           np.array(L), np.array(c)).ravel()
-                    want = lin + solvers._row_sums(indptr, vals * bits[cols])
+                    want = lin + dense @ bits
                     assert np.abs(got - want).max() <= 1e-9 * scale
                     assert abs(tracked - energy(q, bits)) <= 1e-9 * scale
 
