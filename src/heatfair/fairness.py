@@ -12,6 +12,7 @@ the two with a weight kpi_alpha.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -76,7 +77,8 @@ def distance_index(
     Both sums run over unordered node pairs. At k=1 the numerator is
     the same masked array as the denominator, so the result is exactly
     0; with singleton producers the numerator is empty, giving exactly
-    1. A one-node network has no pairs and scores 0.
+    1. A one-node network has no pairs and scores 0. Distances that sum
+    past the largest float raise FairnessError.
     """
     if a.n != topo.nodes:
         raise FairnessError(
@@ -95,8 +97,14 @@ def distance_index(
         )
     producers = np.asarray(a.producer_of)
     within = producers[iu] == producers[ju]
-    numerator = float(pair_dist[within].sum())
-    denominator = float(pair_dist.sum())
+    with np.errstate(over="ignore"):  # a sum past the float range is refused below
+        numerator = float(pair_dist[within].sum())
+        denominator = float(pair_dist.sum())
+    if not (math.isfinite(numerator) and math.isfinite(denominator)):
+        raise FairnessError(
+            "the pairwise pipe distances sum past the largest float; "
+            "scale the pipe lengths down"
+        )
     return 1.0 - numerator / denominator
 
 

@@ -127,17 +127,33 @@ class Topology:
 def all_pairs_shortest_paths(topo: Topology) -> np.ndarray:
     """Shortest pipe distance between every node pair (Floyd-Warshall).
 
-    Unreachable pairs hold np.inf; the diagonal is 0.
+    Unreachable pairs hold np.inf; the diagonal is 0. A reachable pair
+    whose shortest path is longer than the largest float raises
+    TopologyError rather than pass for unreachable.
     """
-    n = topo.nodes
+    dist = _floyd_warshall(topo.nodes, topo.edges)
+    if np.isinf(dist).any():
+        hops = _floyd_warshall(topo.nodes, [(a, b, 1.0) for a, b, _ in topo.edges])
+        far = np.argwhere(np.isinf(dist) & np.isfinite(hops))
+        if far.size:
+            a, b = far[0].tolist()
+            raise TopologyError(
+                f"the shortest path from node {a} to node {b} is longer than "
+                "the largest float; scale the pipe lengths down"
+            )
+    return dist
+
+
+def _floyd_warshall(n: int, edges) -> np.ndarray:
     dist = np.full((n, n), np.inf)
     np.fill_diagonal(dist, 0.0)
-    for a, b, d in topo.edges:
+    for a, b, d in edges:
         # parallel edges are rejected upstream, min() guards anyway
         dist[a, b] = min(dist[a, b], d)
         dist[b, a] = dist[a, b]
-    for via in range(n):
-        np.minimum(dist, dist[:, via, None] + dist[None, via, :], out=dist)
+    with np.errstate(over="ignore"):  # an overflowed sum is inf; the caller tells it apart
+        for via in range(n):
+            np.minimum(dist, dist[:, via, None] + dist[None, via, :], out=dist)
     return dist
 
 

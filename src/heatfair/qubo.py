@@ -361,22 +361,30 @@ def default_penalties(topo: graphs.Topology, w, k: int) -> PenaltyConfig:
 
     The distance scale S is the largest row sum of the edge-distance
     matrix; an edgeless graph has S = 0, which would zero out alpha, so
-    S falls back to 1 there to keep every penalty strictly positive.
+    S falls back to 1 there to keep every penalty strictly positive. A
+    scale or an alpha past the float range raises QuboError.
     """
     n = topo.nodes
     _check_k(n, k)
     weights = _weight_array(w, n)
     beta = 1.0
     row_sums = np.zeros(n)
-    for u, v, dist in topo.edges:
-        row_sums[u] += dist
-        row_sums[v] += dist
+    with np.errstate(over="ignore"):  # an overflowed sum is inf, refused below
+        for u, v, dist in topo.edges:
+            row_sums[u] += dist
+            row_sums[v] += dist
     scale = float(row_sums.max())
+    if not math.isfinite(scale):
+        raise QuboError(
+            "the distance scale (the largest sum of pipe lengths at one node) "
+            "is not finite; scale the pipe lengths down"
+        )
     if scale == 0.0:
         scale = 1.0
     w_min = float(weights.min())
     w_max = float(weights.max())
-    alpha = beta * scale / (w_min * w_min)
+    # a w_min**2 that underflows to 0 leaves alpha past the float range too
+    alpha = beta * scale / (w_min * w_min) if w_min * w_min else math.inf
     gamma = 2.0 * (beta * scale + alpha * w_max)
     return PenaltyConfig(beta=beta, alpha=alpha, gamma=gamma)
 

@@ -18,11 +18,13 @@ Three routes with very different trust levels:
   solve_heuristic   greedy seeding plus relocate/swap local search
                     on the instance's Objective (what the builder
                     expanded), not on QUBO coefficients; an imported
-                    instance has none. All restarts descend in lockstep
-                    over numpy tables of every move's delta, summed
-                    exactly as a scalar scan would: edge terms slot by
-                    slot in neighbour-list order, squares by libm pow,
-                    first minimum in scan order.
+                    instance has none. Neighbour lists are padded once
+                    per solve into (D, n) slot arrays; all restarts are
+                    seeded and then descend in lockstep, each step a
+                    fixed handful of numpy calls over tables of every
+                    move's delta, summed exactly as a scalar scan would:
+                    edge terms slot by slot in neighbour-list order,
+                    squares by libm pow, first minimum in scan order.
 
 All three take only the instance and their own settings, and end the
 same way (_result): their candidates (every assignment, or each
@@ -446,121 +448,152 @@ def solve_anneal(q: QuboInstance, cfg: AnnealConfig) -> SolveResult:
     return _result(q, repaired, "anneal", cfg.seed, cfg.sweeps * nv * cfg.restarts)
 
 
-def _greedy_seed(order, neighbours, weights, k, alpha, target):
-    producer_of = [-1] * len(weights)
-    loads = [0.0] * k
-    for i in order:
-        best_j = 0
-        best_cost = math.inf
-        for j in range(k):
-            cost = alpha * (
-                (loads[j] + weights[i] - target) ** 2 - (loads[j] - target) ** 2
-            )
-            for u, coeff in neighbours[i]:
-                if producer_of[u] == j:
-                    cost += coeff
-            if cost < best_cost:
-                best_cost = cost
-                best_j = j
-        producer_of[i] = best_j
-        loads[best_j] += weights[i]
-    return producer_of, loads
-
-
 def _neighbour_slots(neighbours):
-    """Neighbour lists by list position s: the nodes that have an s-th
-    neighbour (a slice when all do), that neighbour, and the edge's coefficient."""
-    slots = []
-    for s in range(max(map(len, neighbours), default=0)):
-        nodes = [i for i, nb in enumerate(neighbours) if len(nb) > s]
-        nbr, coeff = zip(*(neighbours[i][s] for i in nodes))
-        rows = slice(None) if len(nodes) == len(neighbours) else np.array(nodes)
-        slots.append((rows, np.array(nbr), np.array(coeff)))
-    return slots
+    """Neighbour lists padded to two (D, n) arrays, D the highest degree:
+    nbr[s, i] is node i's s-th neighbour and coeff[s, i] that edge's
+    coefficient. A missing slot points at the sentinel column n, whose
+    producer is -1 and weight 0.0, with coefficient 0.0."""
+    n = len(neighbours)
+    nbr = np.full((max(map(len, neighbours), default=0), n), n)
+    coeff = np.zeros(nbr.shape)
+    for i, edges in enumerate(neighbours):
+        for s, (u, c) in enumerate(edges):
+            nbr[s, i], coeff[s, i] = u, c
+    return nbr, coeff
 
 
 def _square(x):
-    # libm pow, as Python's x ** 2 (x * x differs in the last bit); the
-    # array exponent keeps numpy off any scalar-exponent fast path
-    return np.float_power(x, np.broadcast_to(2.0, x.shape))
+    # libm pow, as Python's x ** 2: np.power would take x * x for a
+    # stride-0 exponent of 2.0, which differs in the last bit
+    return np.float_power(x, 2.0)
 
 
-def _add_edge_terms(table, p, slots, dest, swap):
-    """Add to table[:, i, col] node i's edge terms, one neighbour slot
-    at a time: +c for a neighbour at producer dest[:, col], -c for one
-    at i's own producer. A swap leaves the edge (i, col) cut."""
-    for nodes, nbr, c in slots:
-        pu = p[:, nbr]
-        part = np.where(
-            pu[:, :, None] == dest[:, None, :], c[:, None],
-            np.where(pu == p[:, nodes], -c, 0.0)[:, :, None],
-        )
-        if swap:
-            part[:, np.arange(nbr.size), nbr] = 0.0
-        table[:, nodes] += part
+def _greedy_seed(orders, nbr, coeff, wz, k, alpha, target):
+    """Greedy seeding of every restart in lockstep, orders (restarts, n)
+    holding each restart's nodes in seeding order. Node i goes to the
+    producer j of lowest cost alpha*((L_j + w_i - target)**2 - (L_j -
+    target)**2) plus the coefficients of i's neighbours already at j,
+    added slot by slot; the first minimum wins. wz holds the weights and
+    the sentinel's 0.0. Returns producer ids (restarts, n + 1), the last
+    column the sentinel's -1, and loads (restarts, k)."""
+    r, n = orders.shape
+    p = np.full((r, n + 1), -1)
+    loads = np.zeros((r, k))
+    rows, producers = np.arange(r), np.arange(k)
+    # per seeding position and restart: (w_i, 0.0), so that one pow
+    # gives (L_j + w_i - target)**2 and (L_j + 0.0 - target)**2, which
+    # is (L_j - target)**2; then i's neighbour slots
+    added = np.stack([wz[orders.T], np.zeros((n, r))], axis=1)[..., None]
+    nbrs, coeffs = nbr[:, orders.T], coeff[:, orders.T][..., None]
+    for t, i in enumerate(orders.T):
+        sq = _square(loads + added[t] - target)
+        cost = alpha * (sq[0] - sq[1])
+        terms = np.where(p[rows, nbrs[:, t]][..., None] == producers, coeffs[:, t], 0.0)
+        for term in terms:  # in slot order, as the scalar loop adds them
+            cost += term
+        best = cost.argmin(axis=1)
+        p[rows, i] = best
+        loads[rows, best] += added[t, 0, :, 0]
+    return p, loads
 
 
-def _move_tables(p, loads, slots, w, alpha, target):
+def _add_slots(table, terms):
+    """Add terms (restarts, slots, ...) to table one slot at a time, in
+    slot order; an axis reduction would sum pairwise."""
+    for s in range(terms.shape[1]):
+        table += terms[:, s]
+
+
+def _move_tables(p, loads, nbr, coeff, wz, alpha, target):
     """Deltas of every move, (restarts, n*k) for relocating node i to
     producer j and (restarts, n*n) for swapping the producers of nodes
-    i < j, each summed in the order of the scalar scan. Moves that are
-    not candidates (own producer, i >= j, shared producer) hold +inf."""
-    r, n = p.shape
-    own = np.take_along_axis(loads, p, axis=1)
-    before = _square(own - target)
-    rel = np.zeros((r, n, loads.shape[1]))
-    _add_edge_terms(rel, p, slots, np.arange(loads.shape[1])[None], False)
-    rel += alpha * (
-        _square(loads[:, None, :] + w[:, None] - target)
-        - _square(loads - target)[:, None, :]
-    )
-    rel += alpha * (_square(own - w - target) - before)[:, :, None]
-    np.put_along_axis(rel, p[:, :, None], np.inf, axis=2)
+    i < j, each summed in the order of the scalar scan; p (restarts,
+    n + 1) ends in the sentinel column. Moves that are not candidates
+    (own producer, i >= j, shared producer) hold +inf.
 
+    terms[r, s, j, i], slot s's edge term for moving node i to producer
+    j, is +c where the neighbour sits at j, else -c where it sits at i's
+    own producer, else 0.0 (always for a padded slot), which leaves a
+    partial sum, never -0.0, as it is. A product with the one-hot
+    producers picks each swap term out of it exactly (one nonzero
+    product per output); the partner's term is zeroed, since a swap
+    leaves that edge cut. i's terms, then j's, are added slot by slot."""
+    r, n = p.shape[0], nbr.shape[1]
+    k = loads.shape[1]
+    mine = p[:, :n]
+    at = p[:, nbr]  # (r, D, n): the producer of each slot's neighbour
+    nearby = np.where(at == mine[:, None], -coeff, 0.0)
+    terms = np.where(at[:, :, None] == np.arange(k)[:, None], coeff[:, None], nearby[:, :, None])
+    rel = np.zeros((r, k, n))
+    _add_slots(rel, terms)
+    own_producer = mine[:, :, None] == np.arange(k)
+    one_hot = own_producer.astype(float)  # (r, n, k)
     swp = np.zeros((r, n, n))
-    _add_edge_terms(swp, p, slots, p, True)  # all of i's terms before j's
-    _add_edge_terms(swp.transpose(0, 2, 1), p, slots, p, True)
+    span = max(1, 2**20 // (r * n * n))  # slots per block of swap terms
+    blocks = []
+    for lo in range(0, len(nbr), span):
+        slot, i = np.nonzero(nbr[lo:lo + span] < n)
+        blocks.append((slice(lo, lo + span), slot, i, nbr[lo + slot, i]))
+    for b, slot, i, u in blocks:  # i's terms at (i, j), partner u's zeroed
+        part = np.matmul(terms[:, b].transpose(0, 1, 3, 2), one_hot.transpose(0, 2, 1)[:, None])
+        part[:, slot, i, u] = 0.0
+        _add_slots(swp, part)
+    for b, slot, j, u in blocks:  # then j's terms at (i, j), partner u's zeroed
+        part = np.matmul(one_hot[:, None], terms[:, b])
+        part[:, slot, u, j] = 0.0
+        _add_slots(swp, part)
+
+    # one pow per table; the sentinel's zero weight gives the squares
+    # without a node: (L_j - target)**2 and (own_i - w_i - target)**2
+    rows = np.arange(r)[:, None]
+    own = loads[rows, mine]
+    sq_rel = _square(loads[:, None, :] + wz[:, None] - target)
+    before = sq_rel[:, n][rows, mine]
+    sq_swp = _square(own[:, :, None] - wz[:n, None] + wz - target)
+    rel = rel.transpose(0, 2, 1) + alpha * (sq_rel[:, :n] - sq_rel[:, n, None])
+    rel += alpha * (sq_swp[:, :, n] - before)[:, :, None]
+    np.putmask(rel, own_producer, np.inf)
     # the balance change at i's producer; j's at (i, j) is this at (j, i)
-    balance = alpha * (
-        _square(own[:, :, None] - w[:, None] + w - target) - before[:, :, None]
-    )
+    balance = alpha * (sq_swp[:, :, :n] - before[:, :, None])
     swp += balance
     swp += balance.transpose(0, 2, 1)
-    swp[(p[:, :, None] == p[:, None, :]) | np.tri(n, dtype=bool)] = np.inf
+    lower = np.arange(n)[:, None] >= np.arange(n)
+    np.putmask(swp, (mine[:, :, None] == mine[:, None, :]) | lower, np.inf)
     return rel.reshape(r, -1), swp.reshape(r, -1)
 
 
-def _local_search(p, loads, slots, w, alpha, target):
+def _local_search(p, loads, nbr, coeff, wz, alpha, target):
     """Best-improvement relocate/swap descent of all restarts in lockstep.
 
-    p (restarts, n) producer ids and loads (restarts, k) are updated in
-    place; returns the moves applied per restart. A step takes the first
-    minimum of the relocations, row-major over (node, producer), unless
-    the first minimum of the swaps, row-major over i < j, lies strictly
-    below it; a restart stops when neither is below -1e-12.
+    p (restarts, n + 1) producer ids, ending in the sentinel column, and
+    loads (restarts, k) are updated in place; returns the moves applied
+    per restart. A step takes the first minimum of the relocations,
+    row-major over (node, producer), unless the first minimum of the
+    swaps, row-major over i < j, lies strictly below it; a restart stops
+    when neither is below -1e-12.
     """
-    r, n = p.shape
+    r, n = p.shape[0], nbr.shape[1]
     k = loads.shape[1]
     group = max(1, 2**20 // n**2)  # restarts per step, bounding the swap tables
     moves = np.zeros(r, dtype=np.int64)
     todo = np.arange(r)
     while todo.size:
         live, at = todo[:group], np.arange(min(group, todo.size))
-        rel, swp = _move_tables(p[live], loads[live], slots, w, alpha, target)
+        rel, swp = _move_tables(p[live], loads[live], nbr, coeff, wz, alpha, target)
         rel_at, swp_at = rel.argmin(axis=1), swp.argmin(axis=1)
         bar = np.minimum(rel[at, rel_at], -1e-12)
         swap = swp[at, swp_at] < bar
         relocate = ~swap & (bar < -1e-12)
 
         rows, (i, dest) = live[relocate], np.divmod(rel_at[relocate], k)
-        loads[rows, p[rows, i]] -= w[i]
-        loads[rows, dest] += w[i]
+        loads[rows, p[rows, i]] -= wz[i]
+        loads[rows, dest] += wz[i]
         p[rows, i] = dest
 
         rows, (i, j) = live[swap], np.divmod(swp_at[swap], n)
         a, b = p[rows, i], p[rows, j]
-        loads[rows, a] += w[j] - w[i]
-        loads[rows, b] += w[i] - w[j]
+        loads[rows, a] += wz[j] - wz[i]
+        loads[rows, b] += wz[i] - wz[j]
         p[rows, i], p[rows, j] = b, a
 
         moves[live] += relocate | swap
@@ -575,12 +608,12 @@ def solve_heuristic(q: QuboInstance, seed: int = 0, restarts: int = 8) -> SolveR
 
     Node terms are left out: a feasible assignment pays each of them
     exactly once. Restart 0 seeds nodes heaviest-first; later restarts
-    use random orders. All restarts then descend in lockstep
-    (`_local_search`), in groups whose swap tables stay near 8 MB; each
-    restart's moves and result match a scalar best-improvement scan bit
-    for bit. Restarts compete on the QUBO energy of their final
-    assignments in q, ties to the earliest restart, so results line up
-    with the other solvers.
+    use random orders. All restarts are seeded and then descend in
+    lockstep over padded neighbour slots, a fixed handful of numpy calls
+    per seeding position and per step, in groups whose swap tables stay
+    near 8 MB; each restart matches a scalar scan bit for bit. Restarts
+    compete on the QUBO energy of their final assignments in q, ties to
+    the earliest restart, so results line up with the other solvers.
     """
     if restarts < 1:
         raise SolverError(f"restarts must be >= 1, got {restarts}")
@@ -589,18 +622,13 @@ def solve_heuristic(q: QuboInstance, seed: int = 0, restarts: int = 8) -> SolveR
         raise SolverError("the heuristic needs the instance's objective; an imported one has none")
     n = q.n
     weights = obj.weights.tolist()
-    neighbours = _neighbours(obj)
+    nbr, coeff = _neighbour_slots(_neighbours(obj))
+    wz = np.append(obj.weights, 0.0)
 
     children = np.random.SeedSequence(seed).spawn(max(restarts - 1, 1))
-    orders = [sorted(range(n), key=lambda i: (-weights[i], i))] + [
-        np.random.default_rng(child).permutation(n).tolist()
-        for child in children[: restarts - 1]
-    ]
-    producers, loads = map(np.array, zip(*(
-        _greedy_seed(order, neighbours, weights, q.k, obj.alpha, obj.target)
-        for order in orders
-    )))
-    moves = _local_search(
-        producers, loads, _neighbour_slots(neighbours), obj.weights, obj.alpha, obj.target
-    )
-    return _result(q, producers, "heuristic", seed, int(moves.sum()))
+    orders = np.array([sorted(range(n), key=lambda i: (-weights[i], i))] + [
+        np.random.default_rng(child).permutation(n) for child in children[: restarts - 1]
+    ])
+    producers, loads = _greedy_seed(orders, nbr, coeff, wz, q.k, obj.alpha, obj.target)
+    moves = _local_search(producers, loads, nbr, coeff, wz, obj.alpha, obj.target)
+    return _result(q, producers[:, :n], "heuristic", seed, int(moves.sum()))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 
@@ -350,6 +351,33 @@ def swap_delta(i, j, producer_of, loads, neighbours, weights, beta, alpha, targe
     delta += alpha[a] * ((new_a - target) ** 2 - (loads[a] - target) ** 2)
     delta += alpha[b] * ((new_b - target) ** 2 - (loads[b] - target) ** 2)
     return delta
+
+
+def greedy_seed_reference(order, neighbours, weights, k, alpha, target):
+    """Scalar greedy seeding from one order. Node i goes to the producer
+    j of lowest cost alpha * ((L_j + w_i - target) ** 2 - (L_j - target)
+    ** 2) plus the coefficient of each neighbour already at j, added in
+    neighbour-list order; the first strict minimum wins. neighbours[i]
+    holds (u, edge coefficient) pairs and alpha is one number. Returns
+    (producer_of, loads) as plain lists."""
+    producer_of = [-1] * len(weights)
+    loads = [0.0] * k
+    for i in order:
+        best_j = 0
+        best_cost = math.inf
+        for j in range(k):
+            cost = alpha * (
+                (loads[j] + weights[i] - target) ** 2 - (loads[j] - target) ** 2
+            )
+            for u, coeff in neighbours[i]:
+                if producer_of[u] == j:
+                    cost += coeff
+            if cost < best_cost:
+                best_cost = cost
+                best_j = j
+        producer_of[i] = best_j
+        loads[best_j] += weights[i]
+    return producer_of, loads
 
 
 def local_search_reference(producer_of, loads, neighbours, weights, beta, alpha, target):

@@ -195,6 +195,34 @@ def test_overflowing_coefficients_exit_2(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+# six-node rings whose pipe lengths are finite but whose sums are not:
+# a two-pipe shortest path, a node's pipe total, or the total over pairs
+@pytest.mark.parametrize("length, command, flags, message", [
+    (1e308, "solve", ["--alpha", "1", "--beta", "1e-300", "--gamma", "1"], "longer than the largest float"),
+    (1e308, "solve", [], "distance scale"),
+    (1e308, "qubo", [], "distance scale"),
+    (1e308, "sweep", ["--alpha", "1", "--beta", "1e-300", "--gamma", "1"], "longer than the largest float"),
+    (1e307, "solve", ["--alpha", "1", "--beta", "1e-300", "--gamma", "1"], "sum past the largest float"),
+], ids=["solve-path", "solve-default-penalties", "qubo-default-penalties", "sweep-path", "solve-pair-sum"])
+def test_overflowing_distances_exit_2(length, command, flags, message, tmp_path, capsys):
+    ring = Topology(nodes=6, edges=tuple((i, (i + 1) % 6, length) for i in range(6)))
+    topo_path = tmp_path / "ring.json"
+    save_topology(ring, str(topo_path))
+    w_path = tmp_path / "w.json"
+    save_weights(uniform_weights(6), str(w_path))
+    out = tmp_path / "out"
+    if command == "sweep":
+        write_demands(tmp_path / "d.csv", 6)
+        argv = ["sweep", str(topo_path), "--demands", str(tmp_path / "d.csv"),
+                "--max-producers", "2", *flags, "-o", str(out)]
+    else:
+        argv = [command, str(topo_path), "--weights", str(w_path), "--k", "2", *flags, "-o", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err
+    assert not any(tmp_path.glob("out*"))
+
+
 def test_qubo_export_matches_library_build(tmp_path):
     topo_path = tmp_path / "p4.json"
     save_topology(PATH4, str(topo_path))

@@ -117,6 +117,24 @@ def test_disconnected_pairs_marked_infinite():
     assert np.isfinite(all_pairs_shortest_paths(Topology(nodes=1, edges=()))).all()
 
 
+def test_overflowed_paths_are_told_apart_from_unreachable_ones():
+    far = 1e308
+    # a shortest path of two pipes overflows: an error, not "unreachable"
+    with pytest.raises(TopologyError, match="longer than the largest float"):
+        all_pairs_shortest_paths(Topology(nodes=3, edges=((0, 1, far), (1, 2, far))))
+    # the same behind a second component still raises
+    with pytest.raises(TopologyError, match="from node 0 to node 2"):
+        all_pairs_shortest_paths(
+            Topology(nodes=5, edges=((0, 1, far), (1, 2, far), (3, 4, 1.0)))
+        )
+    # an overflowing detour beside a short pipe is no overflow at all
+    sp = all_pairs_shortest_paths(Topology(nodes=3, edges=((0, 1, far), (0, 2, 1.0), (1, 2, far))))
+    assert sp[0, 2] == 1.0 and sp[0, 1] == far and sp[1, 2] == far
+    # single huge pipes in separate components stay finite, the rest unreachable
+    sp = all_pairs_shortest_paths(Topology(nodes=4, edges=((0, 1, far), (2, 3, far))))
+    assert sp[0, 1] == far and np.isinf(sp[0, 2])
+
+
 def test_ring_generator_shapes():
     topo = generate_ring(6)
     assert topo.nodes == 6

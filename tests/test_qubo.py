@@ -402,6 +402,16 @@ def test_default_penalties_always_positive():
         assert cfg.alpha > 0 and cfg.gamma > 0
 
 
+def test_default_penalties_refuse_scales_past_the_float_range():
+    star = Topology(nodes=3, edges=((0, 1, 1e308), (0, 2, 1e308)))
+    with pytest.raises(QuboError, match="distance scale"):
+        default_penalties(star, uniform_weights(3), 2)
+    # the smallest weight squared underflows to 0, so alpha overflows
+    path = Topology(nodes=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
+    with pytest.raises(QuboError, match="alpha must be finite"):
+        default_penalties(path, [1e-170, 0.5, 0.5], 2)
+
+
 def test_export_import_round_trip(suite, tmp_path):
     for i, entry in enumerate(suite[:8]):
         k = min(2, entry.topo.nodes)

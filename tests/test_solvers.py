@@ -35,6 +35,7 @@ from oracles import (
     anneal_reference,
     build_suite,
     feasible_assignments,
+    greedy_seed_reference,
     local_search_reference,
     modified_cost_direct,
     relocate_delta,
@@ -511,6 +512,18 @@ def edge_coefficients(neighbours, beta):
     return [[(u, 2.0 * beta * dist) for u, dist in nb] for nb in neighbours]
 
 
+def kernel_inputs(neighbours, w, beta):
+    """The kernels' padded neighbour slots, coefficients and weights
+    followed by the sentinel's 0.0."""
+    nbr, coeff = solvers._neighbour_slots(edge_coefficients(neighbours, beta))
+    return nbr, coeff, np.append(w, 0.0)
+
+
+def with_sentinel(producers):
+    """Producer rows as the kernels hold them, ending in the sentinel's -1."""
+    return np.array([list(row) + [-1] for row in producers])
+
+
 def loads_of(producer_of, w, k):
     loads = [0.0] * k
     for i, p in enumerate(producer_of):
@@ -519,13 +532,10 @@ def loads_of(producer_of, w, k):
 
 
 def lockstep(starts, neighbours, w, beta, alpha, target):
-    p = np.array([s[0] for s in starts])
+    p = with_sentinel(s[0] for s in starts)
     loads = np.array([s[1] for s in starts])
-    moves = solvers._local_search(
-        p, loads, solvers._neighbour_slots(edge_coefficients(neighbours, beta)),
-        np.array(w), alpha, target,
-    )
-    return p, loads, moves
+    moves = solvers._local_search(p, loads, *kernel_inputs(neighbours, w, beta), alpha, target)
+    return p[:, :-1], loads, moves
 
 
 def equivalence_cases():
@@ -537,6 +547,31 @@ def equivalence_cases():
     yield "hub30", hub_topology(5), compute_weights(demands)
 
 
+def seeding_orders(w, rng, randoms=3):
+    n = len(w)
+    return [sorted(range(n), key=lambda i: (-w[i], i))] + [
+        rng.permutation(n).tolist() for _ in range(randoms)
+    ]
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_lockstep_seeding_matches_scalar_reference(k):
+    rng = np.random.default_rng(100 + k)
+    for name, topo, weights in equivalence_cases():
+        if k > topo.nodes:
+            continue
+        neighbours, w, beta, alpha, target = search_problem(topo, weights, k)
+        orders = seeding_orders(w, rng)
+        p, loads = solvers._greedy_seed(
+            np.array(orders), *kernel_inputs(neighbours, w, beta), k, alpha, target
+        )
+        coeffs = edge_coefficients(neighbours, beta)
+        for r, order in enumerate(orders):
+            ref_p, ref_loads = greedy_seed_reference(order, coeffs, w, k, alpha, target)
+            assert p[r].tolist() == ref_p + [-1], (name, r)
+            assert loads[r].tolist() == ref_loads, (name, r)
+
+
 @pytest.mark.parametrize("k", range(1, 9))
 def test_lockstep_search_matches_scalar_reference(k):
     rng = np.random.default_rng(k)
@@ -545,11 +580,10 @@ def test_lockstep_search_matches_scalar_reference(k):
         if k > n:
             continue
         neighbours, w, beta, alpha, target = search_problem(topo, weights, k)
-        orders = [sorted(range(n), key=lambda i: (-w[i], i))]
-        orders += [rng.permutation(n).tolist() for _ in range(3)]
+        orders = seeding_orders(w, rng)
         coeffs = edge_coefficients(neighbours, beta)
         starts = [
-            solvers._greedy_seed(order, coeffs, w, k, alpha, target)
+            greedy_seed_reference(order, coeffs, w, k, alpha, target)
             for order in orders
         ]
         randoms = [rng.integers(0, k, size=n).tolist() for _ in range(2)]
@@ -568,20 +602,32 @@ def test_move_tables_equal_reference_deltas_bit_for_bit():
     rng = np.random.default_rng(17)
     rule = DistanceRule(kind="uniform", low=0.5, high=2.0)
     demands = synthetic_demands(30, timesteps=48, seed=8, anchor_scale=3.0)
+    tree_demands = synthetic_demands(13, timesteps=48, seed=9, anchor_scale=3.0)
+    # (topology, weights, penalty scale): padded slots beside a degree-29
+    # hub, degree-1 leaves, no edges at all (no slots), and coefficients
+    # and balance terms at subnormal scale
     cases = [
-        (hub_topology(2), compute_weights(demands)),
-        (generate_ring(12, chords=5, rule=rule, seed=3), uniform_weights(12)),
+        (hub_topology(2), compute_weights(demands), 1.0),
+        (generate_ring(12, chords=5, rule=rule, seed=3), uniform_weights(12), 1.0),
+        (generate_tree(13, branching=3, rule=rule, seed=4), compute_weights(tree_demands), 1.0),
+        (Topology(nodes=1, edges=()), uniform_weights(1), 1.0),
+        (Topology(nodes=5, edges=()), compute_weights(synthetic_demands(5, timesteps=48, seed=10)), 1.0),
+        (generate_ring(12, chords=5, rule=rule, seed=5), uniform_weights(12), 2.0**-1060),
     ]
-    for topo, weights in cases:
+    for topo, weights, scale in cases:
         n = topo.nodes
-        for k in (2, 3, 5):
+        for k in (1, 2, 3, 5, 8):
+            if k > n:
+                continue
             neighbours, w, beta, alpha, target = search_problem(topo, weights, k)
+            beta, alpha = beta * scale, alpha * scale
+            if scale < 1.0:  # meant to run on subnormal edge coefficients
+                assert 0.0 < 2.0 * beta * max(d for _, _, d in topo.edges) < np.finfo(float).tiny
             states = [rng.integers(0, k, size=n).tolist() for _ in range(3)]
-            p = np.array(states)
+            p = with_sentinel(states)
             loads = np.array([loads_of(s, w, k) for s in states])
             rel, swp = solvers._move_tables(
-                p, loads, solvers._neighbour_slots(edge_coefficients(neighbours, beta)),
-                np.array(w), alpha, target,
+                p, loads, *kernel_inputs(neighbours, w, beta), alpha, target
             )
             args = (neighbours, w, beta, [alpha] * k, target)
             for r, state in enumerate(states):
@@ -620,7 +666,7 @@ def test_local_search_memory_stays_bounded():
     rng = np.random.default_rng(0)
     coeffs = edge_coefficients(neighbours, beta)
     starts = [
-        solvers._greedy_seed(rng.permutation(n).tolist(), coeffs, w, k, alpha, target)
+        greedy_seed_reference(rng.permutation(n).tolist(), coeffs, w, k, alpha, target)
         for _ in range(8)
     ]
     tracemalloc.start()
