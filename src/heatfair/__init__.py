@@ -51,6 +51,7 @@ from .qubo import (
     energies,
     energy,
     export_qubo,
+    feasible_energies,
     import_qubo,
 )
 from .solvers import (

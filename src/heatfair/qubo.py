@@ -19,8 +19,10 @@ every pipe kept inside one producer's area, so on its own it pushes
 neighbours apart (balance and one-hot terms do the grouping). The
 unweighted variant (build_unweighted_qubo) instead charges beta for
 every edge leaving a producer's area, which rewards keeping neighbours
-together. tests/test_qubo.py pins both readings. Both builders read
-every coefficient from one Objective, which the instance carries.
+together. tests/test_qubo.py pins both readings. Both builders build
+only the Objective, which the instance carries; its coefficient dicts
+are an export view, expanded from the Objective on first use, and
+feasible_energies scores assignments from the Objective alone.
 """
 
 from __future__ import annotations
@@ -101,60 +103,79 @@ class Objective:
         return (self.node_linear + self.alpha * (w * w - 2.0 * self.target * w)) - self.gamma
 
 
-@dataclasses.dataclass(frozen=True)
 class QuboInstance:
     """Coefficients of one assignment problem.
 
     linear maps variable -> coefficient; quadratic maps (v1, v2) with
     v1 < v2 -> coefficient; zero coefficients are not stored, and every
-    coefficient and the offset are finite. Treat instances as immutable
-    even though dicts technically are not: the term arrays are read from
-    the dicts once and then cached. objective is what a builder expanded,
-    sized for n nodes; an imported instance has none.
+    coefficient and the offset are finite. objective is what a builder
+    expanded, sized for n nodes; an imported instance has none and holds
+    its dicts. A built instance holds only its objective (linear and
+    quadratic passed as None): its dicts are an export view, expanded
+    from the objective on first use, and no solver reads them.
+    Instances are immutable; equality compares n, k, the dicts and the
+    offset, never the objective.
     """
 
-    n: int
-    k: int
-    linear: dict[int, float]
-    quadratic: dict[tuple[int, int], float]
-    offset: float
-    objective: Objective | None = dataclasses.field(default=None, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.k < 1:
-            raise QuboError(f"need n >= 1 and k >= 1, got n={self.n}, k={self.k}")
-        if not math.isfinite(self.offset):
-            raise QuboError(f"offset is {self.offset!r}, not finite")
-        nv = self.num_vars
-        for v, coeff in self.linear.items():
-            if not (0 <= v < nv):
-                raise QuboError(f"linear variable {v} outside 0..{nv - 1}")
-            if coeff == 0.0:
-                raise QuboError(f"zero linear coefficient stored for variable {v}")
-            if not math.isfinite(coeff):
-                raise QuboError(f"linear coefficient of variable {v} is {coeff!r}, not finite")
-        for (a, b), coeff in self.quadratic.items():
-            if not (0 <= a < b < nv):
-                raise QuboError(
-                    f"quadratic key ({a}, {b}) is not strictly upper-triangular "
-                    f"within 0..{nv - 1}"
-                )
-            if coeff == 0.0:
-                raise QuboError(f"zero quadratic coefficient stored for ({a}, {b})")
-            if not math.isfinite(coeff):
-                raise QuboError(f"quadratic coefficient of ({a}, {b}) is {coeff!r}, not finite")
-        obj = self.objective
+    def __init__(
+        self,
+        n: int,
+        k: int,
+        linear: dict[int, float] | None,
+        quadratic: dict[tuple[int, int], float] | None,
+        offset: float,
+        objective: Objective | None = None,
+    ) -> None:
+        for name, value in (("n", n), ("k", k), ("offset", offset), ("objective", objective)):
+            object.__setattr__(self, name, value)
+        if n < 1 or k < 1:
+            raise QuboError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+        if not math.isfinite(offset):
+            raise QuboError(f"offset is {offset!r}, not finite")
+        if (linear is None) != (quadratic is None) or (linear is None and objective is None):
+            raise QuboError("give both coefficient dicts, or neither and an objective")
+        if linear is not None:
+            _check_terms(linear, quadratic, n * k)
+            vars(self)["_dicts"] = (linear, quadratic)
+        obj = objective
         if obj is not None and not (
-            obj.weights.shape == obj.node_linear.shape == (self.n,)
+            obj.weights.shape == obj.node_linear.shape == (n,)
             and obj.ends.shape == obj.edge_coeff.shape + (2,)
-            and np.all((0 <= obj.ends) & (obj.ends < self.n))
+            and np.all((0 <= obj.ends) & (obj.ends < n))
         ):
             raise QuboError(
-                f"objective does not fit {self.n} nodes: {obj.weights.size} weights, "
+                f"objective does not fit {n} nodes: {obj.weights.size} weights, "
                 f"{obj.node_linear.size} node terms, {obj.edge_coeff.size} edge "
                 f"coefficients, edge ends of shape {obj.ends.shape} in "
                 f"{obj.ends.min(initial=0)}..{obj.ends.max(initial=0)}"
             )
+        if linear is None:
+            _check_objective_terms(obj, n, k)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"QuboInstance is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, QuboInstance):
+            return NotImplemented
+        return (self.n, self.k, self.offset, self.linear, self.quadratic) == (
+            other.n, other.k, other.offset, other.linear, other.quadratic
+        )
+
+    def __repr__(self) -> str:
+        return f"QuboInstance(n={self.n}, k={self.k}, offset={self.offset!r})"
+
+    @functools.cached_property
+    def _dicts(self):
+        return _expand(self.objective, self.n, self.k)
+
+    @property
+    def linear(self) -> dict[int, float]:
+        return self._dicts[0]
+
+    @property
+    def quadratic(self) -> dict[tuple[int, int], float]:
+        return self._dicts[1]
 
     @property
     def num_vars(self) -> int:
@@ -191,6 +212,26 @@ class QuboInstance:
         return arrays
 
 
+def _check_terms(linear, quadratic, nv: int) -> None:
+    for v, coeff in linear.items():
+        if not (0 <= v < nv):
+            raise QuboError(f"linear variable {v} outside 0..{nv - 1}")
+        if coeff == 0.0:
+            raise QuboError(f"zero linear coefficient stored for variable {v}")
+        if not math.isfinite(coeff):
+            raise QuboError(f"linear coefficient of variable {v} is {coeff!r}, not finite")
+    for (a, b), coeff in quadratic.items():
+        if not (0 <= a < b < nv):
+            raise QuboError(
+                f"quadratic key ({a}, {b}) is not strictly upper-triangular "
+                f"within 0..{nv - 1}"
+            )
+        if coeff == 0.0:
+            raise QuboError(f"zero quadratic coefficient stored for ({a}, {b})")
+        if not math.isfinite(coeff):
+            raise QuboError(f"quadratic coefficient of ({a}, {b}) is {coeff!r}, not finite")
+
+
 def _weight_array(w, n: int) -> np.ndarray:
     if isinstance(w, WeightVector):
         arr = np.asarray(w.values, dtype=float)
@@ -224,64 +265,109 @@ def _assemble(
     weights: np.ndarray,
     target: float,
 ) -> QuboInstance:
-    """Coefficients of the shared objective shape, all producers at once.
-
-    Per producer: edge_coeff on each topology edge, node_linear on each
-    node, and the balance square alpha * (sum_i w_i x_ij - target)^2;
-    per node the one-hot square. Keys come out in a fixed order (edge
-    pairs of every producer, the other within-producer pairs, one-hot
-    pairs node by node; linear keys with a node term first) and each
-    coefficient adds its parts in a fixed order (graph or node term,
-    balance, one-hot), so energy(), which adds terms in dict order, is
-    reproducible bit for bit; tests/oracles.py accumulated_terms is the
-    term-by-term reference. Coefficients that cancel to zero are not
-    stored.
+    """The instance of the shared objective shape: per producer,
+    edge_coeff on each topology edge, node_linear on each node, and the
+    balance square alpha * (sum_i w_i x_ij - target)^2; per node the
+    one-hot square. Only the Objective and the offset are built here;
+    the coefficient dicts are expanded from them on first use (_expand).
     """
     obj = Objective(
         ends=np.array([(u, v) for u, v, _ in topo.edges], dtype=np.int64).reshape(-1, 2),
         edge_coeff=edge_coeff, node_linear=node_linear, weights=weights, target=target,
         alpha=cfg.alpha, gamma=cfg.gamma,
     )
-    n = topo.nodes
-    alpha, gamma, weights, target = obj.alpha, obj.gamma, obj.weights, obj.target
-    var = np.arange(k)[:, None] * n + np.arange(n)  # var[j, i] = j*n + i
+    offset = 0.0
+    for term in [obj.alpha * obj.target * obj.target] * k + [obj.gamma] * topo.nodes:
+        offset += term
+    return QuboInstance(n=topo.nodes, k=k, linear=None, quadratic=None, offset=offset,
+                        objective=obj)
 
+
+def _linear_order(obj: Objective) -> np.ndarray:
+    """Nodes in the order of one producer's linear keys: nodes with a
+    node term first, each part by ascending node."""
+    has_node_term = obj.node_linear != 0.0
+    return np.concatenate([np.flatnonzero(has_node_term), np.flatnonzero(~has_node_term)])
+
+
+def _pair_terms(obj: Objective, n: int):
+    """One producer's pair coefficients in key order: every edge's
+    (edge coefficient plus the balance pair 2*alpha*w_u*w_v), in edge
+    order, then the other pairs (us, vs, balance pair), lexicographic."""
+    w, ends = obj.weights, obj.ends
+    us, vs = np.triu_indices(n, 1)
+    pair = 2.0 * obj.alpha * w[us] * w[vs]
+    edge_pos = ends[:, 0] * (2 * n - ends[:, 0] - 1) // 2 + ends[:, 1] - ends[:, 0] - 1
+    on_edge = np.zeros(us.size, dtype=bool)
+    on_edge[edge_pos] = True
+    return obj.edge_coeff + pair[edge_pos], us[~on_edge], vs[~on_edge], pair[~on_edge]
+
+
+def _expand(obj: Objective, n: int, k: int):
+    """The coefficient dicts of a built instance, all producers at once.
+
+    Keys come out in a fixed order (edge pairs of every producer, the
+    other within-producer pairs, one-hot pairs node by node; linear keys
+    with a node term first) and each coefficient adds its parts in a
+    fixed order (graph or node term, balance, one-hot), so energy(),
+    which adds terms in dict order, is reproducible bit for bit;
+    tests/oracles.py accumulated_terms is the term-by-term reference.
+    Coefficients that cancel to zero are not stored.
+    """
+    var = np.arange(k)[:, None] * n + np.arange(n)  # var[j, i] = j*n + i
     linear = np.broadcast_to(obj.lin, (k, n))
     has_node_term = np.broadcast_to(obj.node_linear != 0.0, (k, n))
     lin_keys = np.concatenate([var[has_node_term], var[~has_node_term]])
     lin_vals = np.concatenate([linear[has_node_term], linear[~has_node_term]])
 
-    us, vs = np.triu_indices(n, 1)  # within-producer pairs, lexicographic
-    pair = 2.0 * alpha * weights[us] * weights[vs]
+    edge_vals, us, vs, pair = _pair_terms(obj, n)
     ends = obj.ends
-    edge_pos = ends[:, 0] * (2 * n - ends[:, 0] - 1) // 2 + ends[:, 1] - ends[:, 0] - 1
-    on_edge = np.zeros(us.size, dtype=bool)
-    on_edge[edge_pos] = True
     j1, j2 = np.triu_indices(k, 1)
     nodes = np.arange(n)[:, None]
-    quad_a = np.concatenate([
-        var[:, ends[:, 0]].ravel(), var[:, us[~on_edge]].ravel(), (j1 * n + nodes).ravel()
-    ])
-    quad_b = np.concatenate([
-        var[:, ends[:, 1]].ravel(), var[:, vs[~on_edge]].ravel(), (j2 * n + nodes).ravel()
-    ])
+    quad_a = np.concatenate([var[:, ends[:, 0]].ravel(), var[:, us].ravel(), (j1 * n + nodes).ravel()])
+    quad_b = np.concatenate([var[:, ends[:, 1]].ravel(), var[:, vs].ravel(), (j2 * n + nodes).ravel()])
     quad_vals = np.concatenate([
-        np.tile(obj.edge_coeff + pair[edge_pos], k),
-        np.tile(pair[~on_edge], k),
-        np.full(n * j1.size, 2.0 * gamma),
+        np.tile(edge_vals, k), np.tile(pair, k), np.full(n * j1.size, 2.0 * obj.gamma)
     ])
-
-    offset = 0.0
-    for term in [alpha * target * target] * k + [gamma] * n:
-        offset += term
     keep = lin_vals != 0.0
-    linear_terms = dict(zip(lin_keys[keep].tolist(), lin_vals[keep].tolist()))
+    linear = dict(zip(lin_keys[keep].tolist(), lin_vals[keep].tolist()))
     keep = quad_vals != 0.0
-    quadratic_terms = dict(
-        zip(zip(quad_a[keep].tolist(), quad_b[keep].tolist()), quad_vals[keep].tolist())
-    )
-    return QuboInstance(n=n, k=k, linear=linear_terms, quadratic=quadratic_terms,
-                        offset=offset, objective=obj)
+    quadratic = dict(zip(zip(quad_a[keep].tolist(), quad_b[keep].tolist()), quad_vals[keep].tolist()))
+    return linear, quadratic
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite term is reported, not warned of
+def _check_objective_terms(obj: Objective, n: int, k: int) -> None:
+    """QuboInstance's term checks on a built instance, without its dicts.
+    Edge ends must be distinct (u, v) pairs with u < v. Every producer
+    holds the same coefficients, so the first non-finite one in dict
+    order sits at producer 0, where its key is its nodes."""
+    ends = obj.ends
+    distinct = np.all(ends[:, 0] < ends[:, 1])
+    if distinct:
+        edge_vals, us, vs, pair = _pair_terms(obj, n)
+        distinct = us.size + len(ends) == n * (n - 1) // 2  # no pair marked twice
+    if not distinct:
+        raise QuboError("objective edge ends must be distinct (u, v) pairs with u < v")
+    order = _linear_order(obj)
+    lin = obj.lin[order]
+    bad = np.flatnonzero(~np.isfinite(lin))
+    if bad.size:
+        raise QuboError(
+            f"linear coefficient of variable {int(order[bad[0]])} is "
+            f"{float(lin[bad[0]])!r}, not finite"
+        )
+    groups = [(ends[:, 0], ends[:, 1], edge_vals), (us, vs, pair)]
+    if k > 1:  # the one-hot pairs, first (node 0 at producer 0, at 1)
+        groups.append(([0], [n], [2.0 * obj.gamma]))
+    for a, b, vals in groups:
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            at = bad[0]
+            raise QuboError(
+                f"quadratic coefficient of ({int(a[at])}, {int(b[at])}) is "
+                f"{float(vals[at])!r}, not finite"
+            )
 
 
 # an overflowing coefficient is QuboInstance's to reject, with no numpy warning first
@@ -350,6 +436,57 @@ def energies(q: QuboInstance, bit_matrix: np.ndarray) -> np.ndarray:
         terms[:, 0] = q.offset
         np.copyto(terms[:, 1:1 + lin_vals.size], lin_vals, where=on[:, lin_vars])
         np.copyto(terms[:, 1 + lin_vals.size:], vals, where=on[:, rows] & on[:, cols])
+        out[start:start + step] = np.cumsum(terms, axis=1, out=terms)[:, -1]
+    return out
+
+
+def _in_key_order(keys: np.ndarray, vals: np.ndarray, unset: int) -> np.ndarray:
+    """vals (terms,) laid out per row by a stable sort of keys (rows,
+    terms); terms keyed unset or above come last, as -0.0, and so do
+    stored zeros: -0.0 adds nothing to any sum."""
+    out = np.where(vals == 0.0, -0.0, vals)[np.argsort(keys, axis=1, kind="stable")]
+    np.copyto(out, -0.0, where=np.arange(vals.size) >= (keys < unset).sum(axis=1, keepdims=True))
+    return out
+
+
+def feasible_energies(q: QuboInstance, producer_rows) -> np.ndarray:
+    """Energies of feasible assignments, one row of producer ids per
+    assignment (node i at producer row[i]), read from q's objective
+    without its dicts; each equals energies() of the row's one-hot bits
+    bit for bit.
+
+    A feasible row sets one linear term per node and its same-producer
+    pairs. energies() adds them after the offset in dict order: linear
+    terms with a node term first, each part by producer, then node; edge
+    pairs by producer, then edge order; the other pairs by producer,
+    then lexicographic. One stable sort per part lays a row's set terms
+    out in that order, and a cumulative sum adds them one at a time.
+    """
+    obj = q.objective
+    if obj is None:
+        raise QuboError("feasible energies need the instance's objective; an imported one has none")
+    rows = np.asarray(producer_rows)
+    n, k = q.n, q.k
+    if rows.ndim != 2 or rows.shape[1] != n or np.any((rows < 0) | (rows >= k)):
+        raise QuboError(f"producer rows must be (rows, {n}) ids in 0..{k - 1}")
+    small = np.int16 if 2 * k < 2**15 else np.int64  # radix-sortable keys
+    rows = rows.astype(small)
+    order = _linear_order(obj)
+    lin_part = k * (obj.node_linear[order] == 0.0).astype(small)
+    edge_vals, us, vs, pair = _pair_terms(obj, n)
+    u, v = obj.ends.T
+    width = 1 + n + u.size + us.size
+    out = np.empty(rows.shape[0])
+    step = max(1, (1 << 20) // width)  # rows per block of ~2^20 terms
+    for start in range(0, rows.shape[0], step):
+        p = rows[start:start + step]
+        terms = np.empty((p.shape[0], width))
+        terms[:, 0] = q.offset
+        terms[:, 1:1 + n] = _in_key_order(p[:, order] + lin_part, obj.lin[order], 2 * k)
+        for lo, a, b, vals in ((1 + n, u, v, edge_vals), (1 + n + u.size, us, vs, pair)):
+            at = p[:, a]
+            keys = np.where(at == p[:, b], at, small(k))
+            terms[:, lo:lo + a.size] = _in_key_order(keys, vals, k)
         out[start:start + step] = np.cumsum(terms, axis=1, out=terms)[:, -1]
     return out
 

@@ -24,11 +24,12 @@ Three routes with very different trust levels:
                     fixed handful of numpy calls over tables of every
                     move's delta, summed exactly as a scalar scan would:
                     edge terms slot by slot in neighbour-list order,
-                    squares by libm pow, first minimum in scan order.
+                    squares as x * x, first minimum in scan order.
 
 All three take only the instance and their own settings, and end the
 same way (_result): their candidates (every assignment, or each
-restart's final one) are scored with qubo.energies, and the first
+restart's final one) are scored with qubo.feasible_energies, read from
+the Objective and equal to qubo.energies bit for bit, and the first
 within a relative 1e-9 of the lowest energy wins. All solvers are
 deterministic functions of (instance, config, seed) and return
 assignments in canonical producer order (the producer of the
@@ -43,7 +44,7 @@ import math
 
 import numpy as np
 
-from .qubo import Objective, QuboInstance, energies, energy
+from .qubo import Objective, QuboInstance, feasible_energies
 
 
 class SolverError(ValueError):
@@ -216,15 +217,13 @@ def _result(q: QuboInstance, producer_rows, name: str, seed: int, iterations: in
     rather than by summation noise. It is reported in canonical form
     with the energy of that form's bit vector."""
     rows = np.asarray(producer_rows)
-    bits = np.zeros((rows.shape[0], q.num_vars), dtype=np.int8)
-    np.put_along_axis(bits, rows * q.n + np.arange(q.n), 1, axis=1)
-    scores = energies(q, bits)
+    scores = feasible_energies(q, rows)
     lowest = scores.min()
     best = int(np.argmax(scores <= lowest + 1e-9 * abs(lowest)))
     assignment = canonical_form(rows[best], q.k)
     return SolveResult(
         assignment=assignment,
-        energy=energy(q, encode(assignment, q)),
+        energy=float(feasible_energies(q, [assignment.producer_of])[0]),
         solver_name=name,
         seed=seed,
         iterations=iterations,
@@ -236,7 +235,12 @@ def solve_exhaustive(q: QuboInstance, max_vars: int = 24) -> SolveResult:
 
     Assignments are generated in lexicographic producer_of order, so
     exact energy ties resolve to the lexicographically smallest vector.
+    They are scored from q.objective (required: an imported instance has
+    none).
     """
+    if q.objective is None:
+        raise SolverError("the exhaustive solver needs the instance's objective; "
+                          "an imported one has none")
     if q.num_vars > max_vars:
         raise SolverError(
             f"instance has {q.num_vars} variables, exhaustive cap is {max_vars}"
@@ -463,9 +467,9 @@ def _neighbour_slots(neighbours):
 
 
 def _square(x):
-    # libm pow, as Python's x ** 2: np.power would take x * x for a
-    # stride-0 exponent of 2.0, which differs in the last bit
-    return np.float_power(x, 2.0)
+    # one correctly rounded IEEE product, on any libm (pow(x, 2.0) is
+    # off by one ulp on some doubles in some libms)
+    return x * x
 
 
 def _greedy_seed(orders, nbr, coeff, wz, k, alpha, target):
@@ -480,7 +484,7 @@ def _greedy_seed(orders, nbr, coeff, wz, k, alpha, target):
     p = np.full((r, n + 1), -1)
     loads = np.zeros((r, k))
     rows, producers = np.arange(r), np.arange(k)
-    # per seeding position and restart: (w_i, 0.0), so that one pow
+    # per seeding position and restart: (w_i, 0.0), so that one square
     # gives (L_j + w_i - target)**2 and (L_j + 0.0 - target)**2, which
     # is (L_j - target)**2; then i's neighbour slots
     added = np.stack([wz[orders.T], np.zeros((n, r))], axis=1)[..., None]
@@ -504,7 +508,23 @@ def _add_slots(table, terms):
         table += terms[:, s]
 
 
-def _move_tables(p, loads, nbr, coeff, wz, alpha, target):
+def _fixed_tables(nbr, r, k):
+    """What _move_tables needs that stays fixed through a solve, for
+    groups of at most r restarts: the swap terms' slot blocks (each
+    holding at most 2**20 // (r * n**2) slots, with the (slot, node,
+    neighbour) of every filled slot; the blocks only bound memory, as
+    terms are added in slot order across them), the mask of the pairs
+    i >= j, and the producer ids as a column."""
+    n = nbr.shape[1]
+    span = max(1, 2**20 // (r * n * n))  # slots per block of swap terms
+    blocks = []
+    for lo in range(0, len(nbr), span):
+        slot, i = np.nonzero(nbr[lo:lo + span] < n)
+        blocks.append((slice(lo, lo + span), slot, i, nbr[lo + slot, i]))
+    return blocks, np.arange(n)[:, None] >= np.arange(n), np.arange(k)[:, None]
+
+
+def _move_tables(p, loads, nbr, coeff, wz, alpha, target, fixed=None):
     """Deltas of every move, (restarts, n*k) for relocating node i to
     producer j and (restarts, n*n) for swapping the producers of nodes
     i < j, each summed in the order of the scalar scan; p (restarts,
@@ -517,23 +537,20 @@ def _move_tables(p, loads, nbr, coeff, wz, alpha, target):
     partial sum, never -0.0, as it is. A product with the one-hot
     producers picks each swap term out of it exactly (one nonzero
     product per output); the partner's term is zeroed, since a swap
-    leaves that edge cut. i's terms, then j's, are added slot by slot."""
+    leaves that edge cut. i's terms, then j's, are added slot by slot.
+    fixed is _fixed_tables(nbr, restarts, k), built here if not given."""
     r, n = p.shape[0], nbr.shape[1]
     k = loads.shape[1]
+    blocks, lower, producers = fixed or _fixed_tables(nbr, r, k)
     mine = p[:, :n]
     at = p[:, nbr]  # (r, D, n): the producer of each slot's neighbour
     nearby = np.where(at == mine[:, None], -coeff, 0.0)
-    terms = np.where(at[:, :, None] == np.arange(k)[:, None], coeff[:, None], nearby[:, :, None])
+    terms = np.where(at[:, :, None] == producers, coeff[:, None], nearby[:, :, None])
     rel = np.zeros((r, k, n))
     _add_slots(rel, terms)
-    own_producer = mine[:, :, None] == np.arange(k)
+    own_producer = mine[:, :, None] == producers[:, 0]
     one_hot = own_producer.astype(float)  # (r, n, k)
     swp = np.zeros((r, n, n))
-    span = max(1, 2**20 // (r * n * n))  # slots per block of swap terms
-    blocks = []
-    for lo in range(0, len(nbr), span):
-        slot, i = np.nonzero(nbr[lo:lo + span] < n)
-        blocks.append((slice(lo, lo + span), slot, i, nbr[lo + slot, i]))
     for b, slot, i, u in blocks:  # i's terms at (i, j), partner u's zeroed
         part = np.matmul(terms[:, b].transpose(0, 1, 3, 2), one_hot.transpose(0, 2, 1)[:, None])
         part[:, slot, i, u] = 0.0
@@ -543,7 +560,7 @@ def _move_tables(p, loads, nbr, coeff, wz, alpha, target):
         part[:, slot, u, j] = 0.0
         _add_slots(swp, part)
 
-    # one pow per table; the sentinel's zero weight gives the squares
+    # one square per table; the sentinel's zero weight gives the squares
     # without a node: (L_j - target)**2 and (own_i - w_i - target)**2
     rows = np.arange(r)[:, None]
     own = loads[rows, mine]
@@ -557,7 +574,6 @@ def _move_tables(p, loads, nbr, coeff, wz, alpha, target):
     balance = alpha * (sq_swp[:, :, :n] - before[:, :, None])
     swp += balance
     swp += balance.transpose(0, 2, 1)
-    lower = np.arange(n)[:, None] >= np.arange(n)
     np.putmask(swp, (mine[:, :, None] == mine[:, None, :]) | lower, np.inf)
     return rel.reshape(r, -1), swp.reshape(r, -1)
 
@@ -576,10 +592,12 @@ def _local_search(p, loads, nbr, coeff, wz, alpha, target):
     k = loads.shape[1]
     group = max(1, 2**20 // n**2)  # restarts per step, bounding the swap tables
     moves = np.zeros(r, dtype=np.int64)
+    # sized for the largest group; a smaller one fills its blocks less
+    fixed = _fixed_tables(nbr, min(group, r), k)
     todo = np.arange(r)
     while todo.size:
         live, at = todo[:group], np.arange(min(group, todo.size))
-        rel, swp = _move_tables(p[live], loads[live], nbr, coeff, wz, alpha, target)
+        rel, swp = _move_tables(p[live], loads[live], nbr, coeff, wz, alpha, target, fixed)
         rel_at, swp_at = rel.argmin(axis=1), swp.argmin(axis=1)
         bar = np.minimum(rel[at, rel_at], -1e-12)
         swap = swp[at, swp_at] < bar

@@ -146,7 +146,8 @@ def run_sweep(
     """Algorithm: for each k and solver, assign nodes and score the
     assignment. Skipped cells (the exhaustive size cap) become warnings,
     never silent gaps. Deterministic for a fixed seed, regardless of
-    threads.
+    threads: cells run largest k first, so a pool of threads does not
+    end on one long cell, and reports come out by k, then solver name.
     """
     if threads < 1:
         raise WorkflowError(f"threads must be >= 1, got {threads}")
@@ -193,6 +194,7 @@ def run_sweep(
         )
         return k, solver_index, report, None
 
+    cells.sort(key=lambda cell: -cell[0])
     if threads == 1:
         outcomes = [run_one(cell) for cell in cells]
     else:

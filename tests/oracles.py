@@ -311,6 +311,11 @@ def build_suite() -> list[SuiteEntry]:
     return entries
 
 
+def square(x: float) -> float:
+    """x * x, correctly rounded (libm pow(x, 2.0) is not always)."""
+    return x * x
+
+
 def relocate_delta(i, dest, producer_of, loads, neighbours, weights, beta, alpha, target):
     """Objective change of moving node i to producer dest, summed term
     by term in neighbour-list order."""
@@ -322,8 +327,8 @@ def relocate_delta(i, dest, producer_of, loads, neighbours, weights, beta, alpha
         elif producer_of[u] == src:
             delta -= 2.0 * beta * dist
     wi = weights[i]
-    delta += alpha[dest] * ((loads[dest] + wi - target) ** 2 - (loads[dest] - target) ** 2)
-    delta += alpha[src] * ((loads[src] - wi - target) ** 2 - (loads[src] - target) ** 2)
+    delta += alpha[dest] * (square(loads[dest] + wi - target) - square(loads[dest] - target))
+    delta += alpha[src] * (square(loads[src] - wi - target) - square(loads[src] - target))
     return delta
 
 
@@ -348,15 +353,15 @@ def swap_delta(i, j, producer_of, loads, neighbours, weights, beta, alpha, targe
     wi, wj = weights[i], weights[j]
     new_a = loads[a] - wi + wj
     new_b = loads[b] - wj + wi
-    delta += alpha[a] * ((new_a - target) ** 2 - (loads[a] - target) ** 2)
-    delta += alpha[b] * ((new_b - target) ** 2 - (loads[b] - target) ** 2)
+    delta += alpha[a] * (square(new_a - target) - square(loads[a] - target))
+    delta += alpha[b] * (square(new_b - target) - square(loads[b] - target))
     return delta
 
 
 def greedy_seed_reference(order, neighbours, weights, k, alpha, target):
     """Scalar greedy seeding from one order. Node i goes to the producer
-    j of lowest cost alpha * ((L_j + w_i - target) ** 2 - (L_j - target)
-    ** 2) plus the coefficient of each neighbour already at j, added in
+    j of lowest cost alpha * (square(L_j + w_i - target) - square(L_j -
+    target)) plus the coefficient of each neighbour already at j, added in
     neighbour-list order; the first strict minimum wins. neighbours[i]
     holds (u, edge coefficient) pairs and alpha is one number. Returns
     (producer_of, loads) as plain lists."""
@@ -367,7 +372,7 @@ def greedy_seed_reference(order, neighbours, weights, k, alpha, target):
         best_cost = math.inf
         for j in range(k):
             cost = alpha * (
-                (loads[j] + weights[i] - target) ** 2 - (loads[j] - target) ** 2
+                square(loads[j] + weights[i] - target) - square(loads[j] - target)
             )
             for u, coeff in neighbours[i]:
                 if producer_of[u] == j:

@@ -179,20 +179,26 @@ def test_solve_penalty_flags_must_pair(tmp_path, capsys):
     ["solve", "--solver", "anneal", "--alpha", "1e308", "--gamma", "1"],
     ["qubo", "--unweighted", "--beta", "1e308", "--alpha", "1", "--gamma", "1"],
     ["qubo", "--alpha", "1", "--gamma", "1e308"],
-], ids=["solve-beta", "anneal-alpha", "qubo-unweighted-beta", "qubo-gamma"])
+    ["sweep", "--beta", "1e308", "--alpha", "1", "--gamma", "1"],
+], ids=["solve-beta", "anneal-alpha", "qubo-unweighted-beta", "qubo-gamma", "sweep-beta"])
 def test_overflowing_coefficients_exit_2(argv, tmp_path, capsys):
     topo_path = tmp_path / "p4.json"
     save_topology(PATH4, str(topo_path))
     w_path = tmp_path / "w.json"
     save_weights(uniform_weights(4), str(w_path))
     command, *flags = argv
-    if "--unweighted" not in flags:
-        flags += ["--weights", str(w_path)]
+    if command == "sweep":
+        write_demands(tmp_path / "d.csv", 4)
+        flags += ["--demands", str(tmp_path / "d.csv"), "--max-producers", "2"]
+    else:
+        flags += ["--k", "2"]
+        if "--unweighted" not in flags:
+            flags += ["--weights", str(w_path)]
     out = tmp_path / "out"
-    assert cli.main([command, str(topo_path), "--k", "2", *flags, "-o", str(out)]) == 2
+    assert cli.main([command, str(topo_path), *flags, "-o", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and "not finite" in err
-    assert not out.exists()
+    assert not any(tmp_path.glob("out*"))
 
 
 # six-node rings whose pipe lengths are finite but whose sums are not:

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,14 +14,19 @@ from heatfair import (
     Topology,
     build_qubo,
     build_unweighted_qubo,
+    compute_weights,
     default_penalties,
     energies,
     energy,
     export_qubo,
+    feasible_energies,
     generate_ring,
     import_qubo,
+    synthetic_demands,
     uniform_weights,
 )
+from heatfair import qubo
+from heatfair.graphs import DistanceRule
 from oracles import (
     accumulated_terms,
     all_bit_vectors,
@@ -262,6 +269,113 @@ def test_instance_rejects_non_finite_terms(tmp_path):
         import_qubo(str(path))
 
 
+def first_non_finite_message(topo, w, k, cfg, unweighted):
+    """QuboInstance's message for the first non-finite term of
+    accumulated_terms, checked in dict order, or None."""
+    linear, quadratic, offset = accumulated_terms(
+        topo, w, k, cfg.beta, cfg.alpha, cfg.gamma, unweighted
+    )
+    if not np.isfinite(offset):
+        return f"offset is {offset!r}, not finite"
+    for v, coeff in linear:
+        if not np.isfinite(coeff):
+            return f"linear coefficient of variable {v} is {coeff!r}, not finite"
+    for (a, b), coeff in quadratic:
+        if not np.isfinite(coeff):
+            return f"quadratic coefficient of ({a}, {b}) is {coeff!r}, not finite"
+    return None
+
+
+def test_built_instances_reject_the_first_non_finite_term():
+    # the check of a built instance reads its objective, not dicts, yet
+    # must name the term that the dict-order check would name first
+    isolated = Topology(nodes=5, edges=((0, 1, 1.5), (1, 3, 0.5)))
+    ring = generate_ring(6, chords=2, seed=4)
+    configs = [
+        PenaltyConfig(beta=1e308, alpha=1.0, gamma=1.0),
+        PenaltyConfig(beta=1.0, alpha=1e308, gamma=1.0),
+        PenaltyConfig(beta=1.0, alpha=1.0, gamma=1e308),
+        PenaltyConfig(beta=1e308, alpha=1e308, gamma=1.0),
+        PenaltyConfig(beta=1.0, alpha=1e300, gamma=1e300),
+    ]
+    checked = 0
+    for topo in (isolated, ring):
+        n = topo.nodes
+        w = np.linspace(1.0, 2.0, n) * np.array([1e154] + [1.0] * (n - 1))
+        for k in (1, 2, 3):
+            for cfg in configs:
+                for unweighted in (False, True):
+                    expected = first_non_finite_message(topo, w, k, cfg, unweighted)
+                    build = (lambda: build_unweighted_qubo(topo, k, cfg)) if unweighted else (
+                        lambda: build_qubo(topo, w, k, cfg))
+                    if expected is None:
+                        build()
+                        continue
+                    with pytest.raises(QuboError) as caught:
+                        build()
+                    assert str(caught.value) == expected
+                    checked += 1
+    assert checked > 40
+    # every edge pair precedes the other pairs: here both an edge, (0, 1),
+    # and a non-edge, (0, 2), overflow
+    ring = generate_ring(6)
+    w = np.array([1e150, 1.0, 1e150, 1.0, 1.0, 1.0])
+    cfg = PenaltyConfig(beta=1e308, alpha=1.5e8, gamma=1.0)
+    message = first_non_finite_message(ring, w, 4, cfg, False)
+    assert message.startswith("quadratic coefficient of (0, 1) is inf")
+    with pytest.raises(QuboError, match=r"^quadratic coefficient of \(0, 1\) is inf, not finite$"):
+        build_qubo(ring, w, 4, cfg)
+    # with a hand-set offset, a term no builder can overflow alone: node
+    # 1's linear key (a node term) precedes node 0's; a one-hot pair
+    q = build_qubo(SINGLE_EDGE, uniform_weights(2), 2, PenaltyConfig())
+    obj = dataclasses.replace(q.objective, node_linear=np.array([0.0, np.inf]), gamma=np.inf)
+    with pytest.raises(QuboError, match=r"^linear coefficient of variable 1 is nan, not finite$"):
+        QuboInstance(n=2, k=2, linear=None, quadratic=None, offset=1.0, objective=obj)
+    obj = dataclasses.replace(q.objective, gamma=1e308)
+    with pytest.raises(QuboError, match=r"^quadratic coefficient of \(0, 2\) is inf, not finite$"):
+        QuboInstance(n=2, k=2, linear=None, quadratic=None, offset=1.0, objective=obj)
+
+
+def test_instance_dicts_are_an_export_view():
+    entry_topo = generate_ring(6, chords=2, seed=4)
+    q = build_qubo(entry_topo, uniform_weights(6), 3, PenaltyConfig(alpha=2.0, gamma=5.0))
+    assert "_dicts" not in vars(q)
+    feasible_energies(q, [[0, 1, 2, 0, 1, 2]])
+    assert "_dicts" not in vars(q)
+    linear = q.linear
+    assert "_dicts" in vars(q) and q.linear is linear
+    assert q.quadratic is q.quadratic
+    with pytest.raises(AttributeError, match="immutable"):
+        q.offset = 0.0
+    with pytest.raises(QuboError, match="both coefficient dicts"):
+        QuboInstance(n=6, k=3, linear=None, quadratic={}, offset=q.offset, objective=q.objective)
+    with pytest.raises(QuboError, match="neither and an objective"):
+        QuboInstance(n=6, k=3, linear=None, quadratic=None, offset=q.offset)
+    for ends in ([[1, 0]], [[0, 0]], [[0, 1], [0, 1]]):
+        obj = dataclasses.replace(q.objective, ends=np.array(ends),
+                                  edge_coeff=np.ones(len(ends)))
+        with pytest.raises(QuboError, match="distinct .* with u < v"):
+            QuboInstance(n=6, k=3, linear=None, quadratic=None, offset=q.offset, objective=obj)
+
+
+def test_building_at_1000_nodes_expands_no_dicts():
+    # the dicts of this instance hold 4.02M terms (~1 GB); the objective
+    # and the build-time checks need a few arrays of n*(n-1)/2 floats
+    n, k = 1000, 8
+    rule = DistanceRule(kind="uniform", low=0.5, high=2.0)
+    topo = generate_ring(n, chords=n // 6, rule=rule, seed=1)
+    w = compute_weights(synthetic_demands(n, timesteps=24, seed=1))
+    cfg = default_penalties(topo, w, k)
+    tracemalloc.start()
+    try:
+        q = build_qubo(topo, w, k, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
+    assert "_dicts" not in vars(q)
+
+
 def test_instance_rejects_an_objective_of_another_size():
     q = build_qubo(SINGLE_EDGE, uniform_weights(2), 1, PenaltyConfig())
     for change, message in (
@@ -410,6 +524,54 @@ def test_default_penalties_refuse_scales_past_the_float_range():
     path = Topology(nodes=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
     with pytest.raises(QuboError, match="alpha must be finite"):
         default_penalties(path, [1e-170, 0.5, 0.5], 2)
+
+
+def feasible_rows(n, k, rng):
+    """Every producer row when n * k is within the exhaustive cap (24
+    variables), else 256 seeded ones."""
+    if n * k <= 24:
+        return np.array(list(itertools.product(range(k), repeat=n)))
+    return rng.integers(0, k, size=(256, n))
+
+
+def test_feasible_energies_equal_dict_order_sums(suite):
+    # the evaluator reads the objective and energies() the dicts: every
+    # feasible row must score the same float, on both builders, at every
+    # k; the term-by-term oracle rechecks a sample. The isolated node has
+    # no node term in the unweighted QUBO, so its linear key comes last,
+    # and the cancelling penalties leave zero coefficients unstored.
+    isolated = Topology(nodes=5, edges=((0, 1, 1.5), (1, 3, 0.5)))
+    cases = [(e.topo, e.weights) for e in suite] + [(isolated, np.arange(1.0, 6.0))]
+    cancelling = PenaltyConfig(beta=1.0, alpha=1.0, gamma=2.0)
+    rows_checked = 0
+    for topo, w in cases:
+        n = topo.nodes
+        for k in range(1, n + 1):
+            rng = np.random.default_rng([n, k, topo.num_edges])
+            rows = feasible_rows(n, k, rng)
+            cfg = default_penalties(topo, w, k)
+            for q in (build_qubo(topo, w, k, cfg), build_unweighted_qubo(topo, k, cfg),
+                      build_unweighted_qubo(topo, k, cancelling)):
+                got = feasible_energies(q, rows)
+                bits = np.zeros((len(rows), q.num_vars), dtype=np.int8)
+                np.put_along_axis(bits, rows * n + np.arange(n), 1, axis=1)
+                assert got.tolist() == energies(q, bits).tolist()
+                for at in rng.choice(len(rows), size=min(8, len(rows)), replace=False):
+                    assert got[at] == qubo_energy_direct(q.linear, q.quadratic, q.offset, bits[at])
+                rows_checked += len(rows)
+    assert rows_checked > 200_000
+
+
+def test_feasible_energies_check_their_rows(tmp_path):
+    q = build_qubo(SINGLE_EDGE, uniform_weights(2), 2, PenaltyConfig())
+    assert feasible_energies(q, np.zeros((0, 2), dtype=int)).shape == (0,)
+    for rows in ([0, 1], [[0, 1, 1]], [[0, 2]], [[-1, 0]]):
+        with pytest.raises(QuboError, match=r"producer rows must be \(rows, 2\) ids in 0\.\.1"):
+            feasible_energies(q, rows)
+    path = tmp_path / "edge.qubo"
+    export_qubo(q, str(path))
+    with pytest.raises(QuboError, match="imported one has none"):
+        feasible_energies(import_qubo(str(path)), [[0, 1]])
 
 
 def test_export_import_round_trip(suite, tmp_path):

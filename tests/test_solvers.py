@@ -11,6 +11,8 @@ from heatfair import (
     PenaltyConfig,
     QuboInstance,
     SolverError,
+    SolverSpec,
+    SweepConfig,
     Topology,
     build_qubo,
     build_unweighted_qubo,
@@ -23,6 +25,7 @@ from heatfair import (
     generate_ring,
     generate_tree,
     import_qubo,
+    run_sweep,
     solve_anneal,
     solve_exhaustive,
     solve_heuristic,
@@ -424,13 +427,14 @@ def test_heuristic_ties_go_to_the_first_restart(suite, monkeypatch):
     cfg = default_penalties(entry.topo, w, 5)
     q = build_qubo(entry.topo, w, 5, cfg)
     scored = []
-    real = solvers.energies
-    monkeypatch.setattr(solvers, "energies", lambda q, bits: scored.append(bits) or real(q, bits))
+    real = solvers.feasible_energies
+    monkeypatch.setattr(solvers, "feasible_energies",
+                        lambda q, rows: scored.append(np.asarray(rows)) or real(q, rows))
     r = solve_heuristic(q, seed=0)
 
-    (bits,) = scored
-    finals = bits.reshape(len(bits), 5, 6).argmax(axis=1)
-    scores = real(q, bits)
+    finals, answer = scored  # the restarts' final rows, then the answer's
+    assert answer.tolist() == [list(r.assignment.producer_of)]
+    scores = real(q, finals)
     assert len({canonical_form(row, 5) for row in finals}) > 1
     assert np.all(np.abs(scores - scores.min()) <= 1e-9 * abs(scores.min()))
     assert r.assignment == canonical_form(finals[0], 5)
@@ -448,12 +452,7 @@ def test_heuristic_beats_random_sampling_on_large_ring():
 
     rng = np.random.default_rng(123)
     sample = rng.integers(0, 4, size=(100_000, 24))
-    bits = np.zeros((100_000, q.num_vars), dtype=np.int8)
-    rows = np.arange(100_000)[:, None]
-    bits[rows, sample * 24 + np.arange(24)[None, :]] = 1
-    from heatfair import energies
-
-    assert r.energy <= energies(q, bits).min() + 1e-9
+    assert r.energy <= qubo.feasible_energies(q, sample).min() + 1e-9
 
 
 def test_heuristic_validates_inputs(tmp_path):
@@ -653,7 +652,7 @@ def test_square_matches_python_power_bit_for_bit():
     rng = np.random.default_rng(2024)
     x = np.exp(rng.uniform(np.log(1e-6), np.log(1e8), size=200_000))
     x *= rng.choice([-1.0, 1.0], size=x.size)
-    want = np.array([v ** 2 for v in x.tolist()])
+    want = np.array([v * v for v in x.tolist()])
     assert np.array_equal(solvers._square(x).view(np.int64), want.view(np.int64))
 
 
@@ -736,6 +735,37 @@ def test_anneal_matches_scalar_reference(k, suite, monkeypatch):
             config = ANNEAL_CONFIGS[case % len(ANNEAL_CONFIGS)]
             assert_anneal_matches_reference(q, *config, seed=case, monkeypatch=monkeypatch)
             case += 1
+
+
+def test_exhaustive_rejects_an_imported_instance(tmp_path):
+    q = build_qubo(PATH4, uniform_weights(4), 2, PenaltyConfig())
+    path = str(tmp_path / "path4.qubo")
+    export_qubo(q, path)
+    with pytest.raises(SolverError, match="imported one has none"):
+        solve_exhaustive(import_qubo(path))
+
+
+def test_solvers_and_sweeps_never_expand_the_dicts(monkeypatch):
+    # the dicts are an export view: scoring, repair and every solver
+    # read the objective alone
+    def refuse(*args):
+        raise AssertionError("coefficient dicts expanded")
+
+    monkeypatch.setattr(qubo, "_expand", refuse)
+    topo = generate_ring(6, chords=2, seed=4)
+    demands = synthetic_demands(6, timesteps=24, seed=3)
+    w = compute_weights(demands)
+    q = build_qubo(topo, w, 2, default_penalties(topo, w, 2))
+    solve_exhaustive(q)
+    solve_heuristic(q, seed=1)
+    solve_anneal(q, AnnealConfig(sweeps=20, restarts=2, seed=1))
+    decode_and_repair(q, np.zeros(q.num_vars))
+    specs = (SolverSpec(name="exhaustive"), SolverSpec(name="anneal", sweeps=20, restarts=2),
+             SolverSpec(name="heuristic"))
+    result = run_sweep(topo, demands, SweepConfig(max_producers=3, solvers=specs))
+    assert len(result.reports) == 9
+    with pytest.raises(AssertionError, match="expanded"):
+        q.linear
 
 
 def test_anneal_rejects_an_imported_instance(suite, tmp_path):
