@@ -12,8 +12,10 @@ Three routes with very different trust levels:
                     coefficients of a node's neighbours per producer,
                     producer loads, one-hot counts), so a flip updates
                     O(degree + 1) of them. Stretches of sweeps in which
-                    no proposal can pass are skipped by one numpy
-                    comparison; every result equals a plain
+                    no proposal can pass are skipped by a few numpy
+                    comparisons. The acceptance limits are drawn a block
+                    of sweeps at a time, so memory does not grow with
+                    the sweep count; every result equals a plain
                     proposal-by-proposal scan of the same rule bit for bit.
   solve_heuristic   greedy seeding plus relocate/swap local search
                     on the instance's Objective (what the builder
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 
 import numpy as np
 
@@ -99,7 +102,8 @@ class SolveResult:
 
 @dataclasses.dataclass(frozen=True)
 class AnnealConfig:
-    """Simulated-annealing knobs. Temperatures of None are derived from
+    """Simulated-annealing knobs. sweeps and restarts are integers (not
+    bools), each at least 1. Temperatures of None are derived from
     the instance (t_initial = the largest possible single-flip energy
     change, t_final = 1e-4 of that); set ones must be finite, with
     t_initial > t_final > 0."""
@@ -112,6 +116,11 @@ class AnnealConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("sweeps", "restarts"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise SolverError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.sweeps < 1:
             raise SolverError(f"sweeps must be >= 1, got {self.sweeps}")
         if self.restarts < 1:
@@ -279,25 +288,49 @@ def _auto_temperatures(obj: Objective, k: int) -> tuple[float, float]:
 def _temperature_schedule(cfg: AnnealConfig, t_initial: float, t_final: float):
     if cfg.sweeps == 1:
         return np.array([t_initial])
-    if cfg.schedule == "geometric":
-        return np.geomspace(t_initial, t_final, cfg.sweeps)
-    return np.linspace(t_initial, t_final, cfg.sweeps)
+    space = np.geomspace if cfg.schedule == "geometric" else np.linspace
+    try:
+        return space(t_initial, t_final, cfg.sweeps)
+    except (ValueError, MemoryError):  # too big for numpy to lay out
+        raise SolverError(f"sweeps={cfg.sweeps} is too many: cannot allocate "
+                          f"its temperature schedule") from None
 
 
-def _first_acceptance(deltas: np.ndarray, limits: np.ndarray, sweep: int):
-    """The first (sweep, var), row-major from row `sweep` of limits on,
-    where deltas[var] <= limits[sweep, var]; None if there is none.
-    Rows are compared in windows of 1, 2, 4, ... sweeps, so a near hit
-    costs one small comparison and a distant one few numpy calls."""
+# limits drawn at once per restart; at least one sweep's worth
+_LIMIT_BLOCK = 2**15
+
+
+def _limit_blocks(rng, temps: np.ndarray, nv: int):
+    """A restart's limits, -temp[s] * log1p(-u) with u drawn uniform in
+    [0, 1) per proposal, in blocks of whole sweeps, each of at most
+    _LIMIT_BLOCK terms (at least one sweep). rng.random continues one
+    stream and each term is the same IEEE product, so the blocks stacked
+    equal the whole (sweeps, nv) table drawn at once, bit for bit."""
+    rows = max(1, _LIMIT_BLOCK // nv)
+    for lo in range(0, len(temps), rows):
+        t = temps[lo:lo + rows, None]
+        # log1p(-u) <= 0, so a downhill move always passes its limit
+        yield -t * np.log1p(-rng.random((len(t), nv)))
+
+
+def _first_acceptance(deltas: np.ndarray, block: np.ndarray, row: int, blocks):
+    """The first (block, row, var), row-major from row `row` of block on
+    and then through the blocks that blocks yields next, where
+    deltas[var] <= block[row, var]; None if there is none. Rows are
+    compared in windows of 1, 2, 4, ... sweeps, each cut at the end of
+    its block, so a near hit costs one small comparison and a distant
+    one few numpy calls."""
     nv = deltas.size
     width = 1
-    while sweep < len(limits):
-        hits = deltas <= limits[sweep:sweep + width]
-        if hits.any():
-            at = int(hits.argmax())
-            return sweep + at // nv, at % nv
-        sweep += width
-        width *= 2
+    while block is not None:
+        while row < len(block):
+            hits = deltas <= block[row:row + width]
+            if hits.any():
+                at = int(hits.argmax())
+                return block, row + at // nv, at % nv
+            row += width
+            width *= 2
+        block, row = next(blocks, None), 0
     return None
 
 
@@ -351,26 +384,28 @@ def _start(obj: Objective, offset: float, bits: np.ndarray):
     return x, S, L, c, current
 
 
-def _walk(obj: Objective, x, S, L, c, current: float, limits: np.ndarray):
-    """Anneal one restart from the _start state against limits, shape
-    (sweeps, n*k); returns the lowest raw energy seen and its bits as
-    x. Proposal (sweep, v) flips bit v = j*n + i when sign * field <=
+def _walk(obj: Objective, x, S, L, c, current: float, blocks):
+    """Anneal one restart from the _start state against the limits that
+    the iterator blocks yields, arrays of consecutive sweeps' rows, each
+    n*k wide; returns the lowest raw energy seen and its bits as x.
+    Proposal (sweep, v) flips bit v = j*n + i when sign * field <=
     limit, sign = 1 - 2 * x[j][i]. A flip updates x, L[j], c[i] and S[j]
     at i's neighbours, adding or subtracting each value (x - c is
     exactly x + (-c)). After a sweep with no flip the state cannot
     change until the next accepted proposal, so that proposal is found
     by comparing the frozen sign * field vector with the following
-    limit rows, and the loop resumes there."""
+    limit rows (_first_acceptance), and the loop resumes there, in
+    whichever block holds it."""
     lin, reach, w, g2, neighbours = _field_terms(obj)
     k, n = len(L), len(c)
     best_raw, best_x = current, [bits[:] for bits in x]
-    sweep, first = 0, 0
-    while sweep < len(limits):
-        row = limits[sweep].tolist()
+    block, row, first = next(blocks), 0, 0
+    while block is not None:
+        lims = block[row].tolist()
         frozen = True
         j0, start = divmod(first, n)
         for j in range(j0, k):
-            xj, Sj, lim = x[j], S[j], row[j * n:(j + 1) * n]
+            xj, Sj, lim = x[j], S[j], lims[j * n:(j + 1) * n]
             load = L[j]
             for i in range(start, n):
                 if xj[i]:
@@ -397,14 +432,16 @@ def _walk(obj: Objective, x, S, L, c, current: float, limits: np.ndarray):
                     best_raw, best_x = current, [bits[:] for bits in x]
             L[j] = load
             start = 0
-        sweep, first = sweep + 1, 0
+        row, first = row + 1, 0
         if frozen:
             xs = np.array(x)
             deltas = (1.0 - 2.0 * xs) * _fields(obj, xs, np.array(S), np.array(L), np.array(c))
-            hit = _first_acceptance(deltas.ravel(), limits, sweep)
+            hit = _first_acceptance(deltas.ravel(), block, row, blocks)
             if hit is None:
                 break
-            sweep, first = hit
+            block, row, first = hit
+        elif row == len(block):
+            block, row = next(blocks, None), 0
     return best_raw, best_x
 
 
@@ -415,15 +452,18 @@ def solve_anneal(q: QuboInstance, cfg: AnnealConfig) -> SolveResult:
 
     Proposal (sweep, v) flips bit v = (i, j) when sign * field <= limit,
     with sign = 1 - 2 * bit and limit = -temp[sweep] * log1p(-u), u drawn
-    uniform in [0, 1) for every proposal up front (one numpy product, the
-    same IEEE product as the scalar one). The field is lin + S[j][i] +
-    2*alpha*w_i*(L_j - w_i*bit) + 2*gamma*(c_i - bit): lin the QUBO's
-    linear coefficient, S[j][i] the edge coefficients of i's neighbours
-    at j, L_j the load of j and c_i the bits node i has set. A proposal
-    is O(1) and a flip updates O(degree + 1) sums (_walk). Frozen sweeps
-    are skipped exactly, so every result equals a plain
-    proposal-by-proposal scan of the same rule. Auto temperatures come
-    from the objective's QUBO rows (_auto_temperatures).
+    uniform in [0, 1) for every proposal. The limits are drawn as the
+    walk reaches them, in blocks of at most _LIMIT_BLOCK terms
+    (_limit_blocks), so a restart holds O(n*k) of them whatever the
+    sweep count; each is the same IEEE product as the scalar one. The
+    field is lin + S[j][i] + 2*alpha*w_i*(L_j - w_i*bit) +
+    2*gamma*(c_i - bit): lin the QUBO's linear coefficient, S[j][i] the
+    edge coefficients of i's neighbours at j, L_j the load of j and c_i
+    the bits node i has set. A proposal is O(1) and a flip updates
+    O(degree + 1) sums (_walk). Frozen sweeps are skipped exactly, so
+    every result equals a plain proposal-by-proposal scan of the same
+    rule. Auto temperatures come from the objective's QUBO rows
+    (_auto_temperatures).
 
     The lowest raw-energy state seen in each restart is repaired by
     decode_and_repair's rule; restarts compete on post-repair energy,
@@ -445,9 +485,7 @@ def solve_anneal(q: QuboInstance, cfg: AnnealConfig) -> SolveResult:
         rng = np.random.default_rng(children[restart])
         bits = np.zeros(nv)
         bits[rng.integers(0, q.k, size=q.n) * q.n + np.arange(q.n)] = 1.0
-        # log1p(-u) <= 0, so a downhill move always passes its limit
-        limits = -temps[:, None] * np.log1p(-rng.random((cfg.sweeps, nv)))
-        _, best = _walk(obj, *_start(obj, q.offset, bits), limits)
+        _, best = _walk(obj, *_start(obj, q.offset, bits), _limit_blocks(rng, temps, nv))
         repaired.append(_repair(obj, np.ravel(best)).producer_of)
     return _result(q, repaired, "anneal", cfg.seed, cfg.sweeps * nv * cfg.restarts)
 

@@ -145,7 +145,7 @@ def run_sweep(
 ) -> SweepResult:
     """Algorithm: for each k and solver, assign nodes and score the
     assignment. Skipped cells (the exhaustive size cap) become warnings,
-    never silent gaps. Deterministic for a fixed seed, regardless of
+    never silent gaps; any other solver error fails the sweep. Deterministic for a fixed seed, regardless of
     threads: cells run largest k first, so a pool of threads does not
     end on one long cell, and reports come out by k, then solver name.
     """
@@ -182,6 +182,8 @@ def run_sweep(
         try:
             result = _solve_cell(spec, seed, q)
         except SolverError as exc:
+            if spec.name != "exhaustive":  # only its size cap skips a cell
+                raise
             return k, solver_index, None, f"k={k} {spec.name}: skipped ({exc})"
         report = score_assignment(
             result.assignment,

@@ -499,6 +499,30 @@ def test_solve_rejects_non_numeric_weights(tmp_path, capsys, weights):
     assert "must be a number, got" in err
 
 
+@pytest.mark.parametrize("schedule", ["geometric", "linear"])
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_too_many_sweeps_exit_2(tmp_path, capsys, command, schedule):
+    # valid settings, but numpy cannot lay out a schedule of 2**62 sweeps
+    save_topology(PATH4, str(tmp_path / "p4.json"))
+    save_weights(uniform_weights(4), str(tmp_path / "w.json"))
+    write_demands(tmp_path / "d.csv", nodes=4)
+    inputs = {
+        "solve": ["--weights", str(tmp_path / "w.json"), "--k", "2", "--solver", "anneal"],
+        "sweep": ["--demands", str(tmp_path / "d.csv"), "--solvers", "anneal",
+                  "--max-producers", "2"],
+    }[command]
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    assert cli.main([
+        command, str(tmp_path / "p4.json"), *inputs, "--sweeps", str(2**62),
+        "--restarts", "1", "--schedule", schedule, "-o", str(outdir / "out"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: sweeps=4611686018427387904 is too many: cannot allocate "
+                   "its temperature schedule\n")
+    assert list(outdir.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["generate", "solve", "sweep"])
 def test_negative_seed_exits_2(tmp_path, capsys, command):
     save_topology(PATH4, str(tmp_path / "p4.json"))

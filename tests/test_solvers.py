@@ -234,6 +234,29 @@ def test_anneal_config_validation():
         AnnealConfig(schedule="exponential")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("sweeps", 2.5), ("sweeps", True), ("sweeps", "10"), ("restarts", 2.0),
+    ("restarts", False), ("restarts", None),
+])
+def test_anneal_config_checks_types(field, value):
+    with pytest.raises(SolverError, match=f"{field} must be an integer"):
+        AnnealConfig(**{field: value})
+
+
+def test_anneal_config_stores_numpy_integers_as_ints():
+    cfg = AnnealConfig(sweeps=np.int64(30), restarts=np.int32(2))
+    assert (cfg.sweeps, cfg.restarts) == (30, 2)
+    assert type(cfg.sweeps) is int and type(cfg.restarts) is int
+
+
+@pytest.mark.parametrize("schedule", ["geometric", "linear"])
+def test_anneal_rejects_a_schedule_too_big_to_lay_out(schedule):
+    q = build_qubo(PATH4, uniform_weights(4), 2, PenaltyConfig())
+    cfg = AnnealConfig(sweeps=2**62, restarts=1, schedule=schedule)
+    with pytest.raises(SolverError, match="sweeps=4611686018427387904 is too many"):
+        solve_anneal(q, cfg)
+
+
 def test_anneal_is_deterministic_per_seed():
     topo = generate_ring(6, chords=2, seed=9)
     w = uniform_weights(6)
@@ -719,6 +742,57 @@ def assert_anneal_matches_reference(q, sweeps, restarts, schedule, t_initial, t_
         want.iterations, want.seed, want.solver_name)
 
 
+@pytest.mark.parametrize("block_sweeps", [1, 2, 3])
+def test_anneal_matches_reference_across_limit_blocks(block_sweeps, suite, monkeypatch):
+    # blocks of 1, 2 or 3 sweeps, so that the skip windows of every frozen
+    # stretch cross block ends; each suite entry takes the next config
+    for case, entry in enumerate(suite):
+        k = 1 + case % min(4, entry.topo.nodes)
+        q = build_qubo(entry.topo, entry.weights, k,
+                       default_penalties(entry.topo, entry.weights, k))
+        monkeypatch.setattr(solvers, "_LIMIT_BLOCK", block_sweeps * q.num_vars)
+        config = ANNEAL_CONFIGS[case % len(ANNEAL_CONFIGS)]
+        assert_anneal_matches_reference(q, *config, seed=case, monkeypatch=monkeypatch)
+
+
+@pytest.mark.parametrize("block_sweeps", [1, 3, 7, None])
+def test_limit_blocks_equal_the_whole_table(block_sweeps, monkeypatch):
+    # numpy's log1p dispatches to SIMD loops; this pins that a term's bits
+    # do not depend on where a block cuts the stream (None: the default)
+    temps = np.geomspace(50.0, 1e-3, 500)
+    for nv in (1, 5, 96, 2**15 + 3):
+        sweeps = temps if nv < 2**15 else temps[:3]
+        if block_sweeps is not None:
+            monkeypatch.setattr(solvers, "_LIMIT_BLOCK", block_sweeps * nv)
+        rows = max(1, solvers._LIMIT_BLOCK // nv)
+        blocks = list(solvers._limit_blocks(np.random.default_rng(nv), sweeps, nv))
+        assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        assert 1 <= len(blocks[-1]) <= rows
+        u = np.random.default_rng(nv).random((len(sweeps), nv))
+        whole = -sweeps[:, None] * np.log1p(-u)
+        assert np.array_equal(np.concatenate(blocks).view(np.int64), whole.view(np.int64))
+
+
+def test_anneal_memory_stays_bounded():
+    # limits are drawn a block at a time; the whole table of this solve
+    # would be 2000 x 3200 floats, ~49 MB a copy. Cold temperatures
+    # freeze the walk at once, so the skips cover nearly every sweep.
+    n, k = 400, 8
+    rule = DistanceRule(kind="uniform", low=0.5, high=2.0)
+    topo = generate_ring(n, chords=n // 6, rule=rule, seed=1)
+    weights = compute_weights(synthetic_demands(n, timesteps=24, seed=1))
+    q = build_qubo(topo, weights, k, default_penalties(topo, weights, k))
+    auto = solvers._auto_temperatures(q.objective, k)[0]
+    cfg = AnnealConfig(sweeps=2000, restarts=2, t_initial=1e-7 * auto, t_final=1e-9 * auto)
+    tracemalloc.start()
+    try:
+        solve_anneal(q, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20
+
+
 @pytest.mark.parametrize("k", range(1, 5))
 def test_anneal_matches_scalar_reference(k, suite, monkeypatch):
     case = k
@@ -800,10 +874,14 @@ def test_anneal_matches_reference_on_exact_ties(monkeypatch):
     assert q.linear == {0: -5 * tick, 1: 52 * tick, 2: -5 * tick}
     assert q.quadratic == {(0, 1): -41 * tick, (1, 2): -41 * tick, (0, 2): 40 * tick}
     assert q.offset == 8 * tick
-    for seed in range(4):
-        for schedule in ("geometric", "linear"):
-            assert_anneal_matches_reference(q, 400, 8, schedule, 2 * tick, tick,
-                                            seed=seed, monkeypatch=monkeypatch)
+    # the default block holds all 400 sweeps; blocks of 1, 2 and 3 sweeps
+    # cut every frozen stretch
+    for block in (solvers._LIMIT_BLOCK, *(rows * q.num_vars for rows in (1, 2, 3))):
+        monkeypatch.setattr(solvers, "_LIMIT_BLOCK", block)
+        for seed in range(4):
+            for schedule in ("geometric", "linear"):
+                assert_anneal_matches_reference(q, 400, 8, schedule, 2 * tick, tick,
+                                                seed=seed, monkeypatch=monkeypatch)
 
 
 def test_structured_field_matches_the_qubo(suite):
@@ -840,7 +918,7 @@ def test_structured_field_matches_the_qubo(suite):
                     assert abs(tracked - energy(q, bits)) <= 1e-9 * scale
 
                     limits = rng.exponential(0.02 * scale, size=(20, q.num_vars))
-                    best_raw, best = solvers._walk(obj, x, S, L, c, tracked, limits)
+                    best_raw, best = solvers._walk(obj, x, S, L, c, tracked, iter([limits]))
                     assert abs(best_raw - energy(q, np.ravel(best))) <= 1e-9 * scale
 
 
@@ -852,8 +930,21 @@ def first_acceptance_scan(deltas, limits, sweep):
     return None
 
 
+def first_acceptance(deltas, limits, sweep, cuts=()):
+    """_first_acceptance from sweep `sweep` of limits cut into blocks
+    before each sweep in cuts, as (sweep, var) or None."""
+    bounds = [0, *cuts, len(limits)]
+    blocks = [limits[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    at = max(b for b, lo in enumerate(bounds[:-1]) if lo <= sweep)
+    hit = solvers._first_acceptance(deltas, blocks[at], sweep - bounds[at], iter(blocks[at + 1:]))
+    if hit is None:
+        return None
+    block, row, var = hit
+    return bounds[next(b for b, other in enumerate(blocks) if other is block)] + row, var
+
+
 def test_first_acceptance_matches_a_row_major_scan():
-    rng = np.random.default_rng(3)
+    rng, cut_rng = np.random.default_rng(3), np.random.default_rng(4)
     for trial in range(300):
         sweeps, nv = int(rng.integers(1, 40)), int(rng.integers(1, 9))
         # few distinct values, so exact ties and misses are both common
@@ -861,25 +952,27 @@ def test_first_acceptance_matches_a_row_major_scan():
         limits = rng.choice([-0.0, 0.0, 1.0, 2.0, 3.0], size=(sweeps, nv),
                             p=[0.1, 0.1, 0.3, 0.3, 0.2])
         sweep = int(rng.integers(0, sweeps + 1))
-        assert solvers._first_acceptance(deltas, limits, sweep) == first_acceptance_scan(
-            deltas, limits, sweep), trial
+        cuts = sorted(set(cut_rng.integers(1, sweeps, size=int(cut_rng.integers(0, 6))).tolist())
+                      if sweeps > 1 else ())
+        want = first_acceptance_scan(deltas, limits, sweep)
+        assert first_acceptance(deltas, limits, sweep) == want, trial
+        assert first_acceptance(deltas, limits, sweep, cuts) == want, (trial, cuts)
 
 
 def test_first_acceptance_edge_cases():
     deltas = np.array([2.0, 0.0, 5.0])
     misses = np.full((9, 3), 1.0)
     misses[:, 1] = -1.0
-    assert solvers._first_acceptance(deltas, misses, 0) is None
-    assert solvers._first_acceptance(deltas, misses, 9) is None
-
     tie = misses.copy()
     tie[0, 2] = 5.0  # a hit in the first sweep, on an exact tie
-    assert solvers._first_acceptance(deltas, tie, 0) == (0, 2)
-    assert solvers._first_acceptance(deltas, tie, 1) is None
-
     last = misses.copy()
     last[8, 1] = -0.0  # u = 0 draws log1p(-0.0) = -0.0: 0.0 <= -0.0 holds
     last[8, 2] = 6.0
-    assert solvers._first_acceptance(deltas, last, 0) == (8, 1)
-    assert solvers._first_acceptance(-deltas, misses, 0) == (0, 0)
-    assert solvers._first_acceptance(np.array([-0.0]), np.array([[0.0]]), 0) == (0, 0)
+    for cuts in ((), (1,), (3, 4), tuple(range(1, 9))):
+        assert first_acceptance(deltas, misses, 0, cuts) is None
+        assert first_acceptance(deltas, misses, 9, cuts) is None
+        assert first_acceptance(deltas, tie, 0, cuts) == (0, 2)
+        assert first_acceptance(deltas, tie, 1, cuts) is None
+        assert first_acceptance(deltas, last, 0, cuts) == (8, 1)
+        assert first_acceptance(-deltas, misses, 0, cuts) == (0, 0)
+    assert first_acceptance(np.array([-0.0]), np.array([[0.0]]), 0) == (0, 0)

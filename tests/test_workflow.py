@@ -6,6 +6,7 @@ import pytest
 from heatfair import (
     DemandMatrix,
     PenaltyConfig,
+    SolverError,
     SolverSpec,
     SweepConfig,
     Topology,
@@ -157,6 +158,13 @@ def test_invalid_solver_settings_fail_the_sweep_not_its_cells(settings):
         run_sweep(RING8, FLAT8, SweepConfig(
             max_producers=2, solvers=(SolverSpec(name="heuristic", **settings),)
         ))
+
+
+def test_an_anneal_failure_fails_the_sweep_not_its_cell():
+    # only the exhaustive size cap turns a cell into a warning
+    spec = SolverSpec(name="anneal", sweeps=2**62, restarts=1)
+    with pytest.raises(SolverError, match="too many"):
+        run_sweep(RING8, FLAT8, SweepConfig(max_producers=2, solvers=(spec,)))
 
 
 def test_explicit_penalty_overrides_defaults():
