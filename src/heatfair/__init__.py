@@ -61,7 +61,6 @@ from .solvers import (
     SolverError,
     canonical_form,
     decode_and_repair,
-    encode,
     solve_anneal,
     solve_exhaustive,
     solve_heuristic,

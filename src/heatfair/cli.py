@@ -23,7 +23,7 @@ import time
 from . import demand, graphs, qubo, workflow
 from .fairness import FairnessError, KpiReport, score_assignment
 from .ioutil import atomic_write_text
-from .solvers import SolverError
+from .solvers import SCHEDULES, SolverError
 
 OUTPUT_DIR_ENV = "HEATFAIR_OUTPUT_DIR"
 
@@ -52,10 +52,12 @@ def _write_json(doc: dict, path: str) -> None:
     atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
-def _distance_rule(args: dict) -> graphs.DistanceRule:
-    return graphs.DistanceRule(
-        kind=args["distance"], low=args["low"], high=args["high"]
-    )
+def _load_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # bad JSON, or an int past the digit limit
+            raise workflow.WorkflowError(f"{path}: not valid JSON ({exc})") from exc
 
 
 def _custom_penalty(args: dict) -> qubo.PenaltyConfig | None:
@@ -64,163 +66,22 @@ def _custom_penalty(args: dict) -> qubo.PenaltyConfig | None:
     if args["alpha"] is None and args["gamma"] is None and args["beta"] is None:
         return None
     if args["alpha"] is None or args["gamma"] is None:
-        raise workflow.WorkflowError(
-            "set --alpha and --gamma together (or neither, for defaults)"
-        )
+        raise workflow.WorkflowError("set --alpha and --gamma together (or neither, for defaults)")
     beta = 1.0 if args["beta"] is None else args["beta"]
     return qubo.PenaltyConfig(beta=beta, alpha=args["alpha"], gamma=args["gamma"])
 
 
-# the solver knobs of solve and sweep, defaulting as in SolverSpec
-_SOLVER_DEFAULTS = {
-    f.name: f.default for f in dataclasses.fields(workflow.SolverSpec) if f.name != "name"
-}
-
-
-def _solver_spec(args: dict, name: str) -> workflow.SolverSpec:
-    return workflow.SolverSpec(name=name, **{key: args[key] for key in _SOLVER_DEFAULTS})
-
-
-# what solve and sweep share
-_SHARED_DEFAULTS = {
-    "beta": None,
-    "alpha": None,
-    "gamma": None,
-    **_SOLVER_DEFAULTS,
-    "kpi_alpha": 0.5,
-    "seed": 0,
-}
-
-# per-subcommand defaults; argparse fills None so a config file can sit
-# between these and explicit flags
-_DEFAULTS: dict[str, dict] = {
-    "generate": {
-        "nodes": None,
-        "chords": 0,
-        "branching": 2,
-        "distance": "unit",
-        "low": 0.5,
-        "high": 2.0,
-        "seed": 0,
-        "output": "topology.json",
-    },
-    "weights": {"output": "weights.json"},
-    "qubo": {
-        "k": None,
-        "weights": None,
-        "unweighted": False,
-        "beta": None,
-        "alpha": None,
-        "gamma": None,
-        "output": "instance.qubo",
-    },
-    "solve": {
-        "k": None,
-        "weights": None,
-        "solver": "heuristic",
-        **_SHARED_DEFAULTS,
-        "output": "result.json",
-    },
-    "sweep": {
-        "demands": None,
-        "max_producers": 4,
-        "solvers": "heuristic",
-        **_SHARED_DEFAULTS,
-        "threads": 1,
-        "format": "json,csv",
-        "label": None,
-        "output": "sweep",
-    },
-    "compare": {"output": "comparison.csv"},
-}
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="heatfair",
-        description="Balanced producer assignment and fairness scoring "
-        "for district-heating networks.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("generate", help="generate a synthetic topology file")
-    gen.add_argument("kind", choices=("tree", "ring"))
-    gen.add_argument("--nodes", type=int)
-    gen.add_argument("--chords", type=int, help="extra non-ring edges (ring only)")
-    gen.add_argument("--branching", type=int, help="children per node (tree only)")
-    gen.add_argument("--distance", choices=("unit", "uniform"))
-    gen.add_argument("--low", type=float, help="uniform distance lower bound")
-    gen.add_argument("--high", type=float, help="uniform distance upper bound")
-    gen.add_argument("--seed", type=int)
-    gen.add_argument("--config")
-    gen.add_argument("-o", "--output")
-
-    wts = sub.add_parser("weights", help="derive node weights from a demand CSV")
-    wts.add_argument("demands")
-    wts.add_argument("--config")
-    wts.add_argument("-o", "--output")
-
-    qub = sub.add_parser("qubo", help="export an assignment instance in "
-                         "coordinate format")
-    qub.add_argument("topology")
-    qub.add_argument("--k", type=int)
-    qub.add_argument("--weights", help="weights JSON (omit with --unweighted)")
-    qub.add_argument("--unweighted", action="store_true", default=None)
-    qub.add_argument("--beta", type=float)
-    qub.add_argument("--alpha", type=float)
-    qub.add_argument("--gamma", type=float)
-    qub.add_argument("--config")
-    qub.add_argument("-o", "--output")
-
-    slv = sub.add_parser("solve", help="solve one instance and score it")
-    slv.add_argument("--weights")
-    slv.add_argument("--k", type=int)
-    slv.add_argument("--solver", choices=workflow.SOLVER_NAMES)
-
-    swp = sub.add_parser("sweep", help="score k = 1..N for each solver")
-    swp.add_argument("--demands")
-    swp.add_argument("--max-producers", type=int)
-    swp.add_argument("--solvers", help="comma-separated solver names")
-    swp.add_argument("--threads", type=int)
-    swp.add_argument("--format", help="comma-separated: json, csv, gnuplot")
-    swp.add_argument("--label", help="topology label used by 'compare'")
-
-    for command, output in ((slv, "result JSON path"), (swp, "output path prefix")):
-        command.add_argument("topology")
-        for flag, kind in (
-            ("--beta", float), ("--alpha", float), ("--gamma", float),
-            ("--sweeps", int), ("--restarts", int),
-            ("--t-initial", float), ("--t-final", float),
-            ("--exhaustive-cap", int), ("--kpi-alpha", float), ("--seed", int),
-        ):
-            command.add_argument(flag, type=kind)
-        command.add_argument("--schedule", choices=("geometric", "linear"))
-        command.add_argument("--config")
-        command.add_argument("-o", "--output", help=output)
-
-    cmp_ = sub.add_parser("compare", help="merge sweep JSON files into one table")
-    cmp_.add_argument("sweeps", nargs="+")
-    cmp_.add_argument("--config")
-    cmp_.add_argument("-o", "--output")
-
-    for command in sub.choices.values():
-        command.set_defaults(option_actions={a.dest: a for a in command._actions})
-    return parser
-
-
-def _config_value(path: str, key: str, value, action: argparse.Action, default):
+def _config_value(path: str, key: str, value, kind, default):
     """A config value as its flag would give it: an integer for an int
     option (never a boolean), a number as float for a float option,
     true or false for a switch, else a string; null where the default
-    is null."""
-    if value is None and default is None:
-        return None
-    kinds = {int: (int,), float: (int, float)}.get(
-        action.type, (bool,) if action.nargs == 0 else (str,)
-    )
+    is null or the option is required (it is left unset then)."""
+    if value is None and (default is None or default is ...):
+        return default
+    kinds = {int: (int,), float: (int, float), bool: (bool,)}.get(kind, (str,))
     try:
         if isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool)):
-            return float(value) if action.type is float else value
+            return float(value) if kind is float else value
     except OverflowError:
         pass
     names = " or ".join(kind.__name__ for kind in kinds)
@@ -228,42 +89,32 @@ def _config_value(path: str, key: str, value, action: argparse.Action, default):
 
 
 def _effective_args(ns: argparse.Namespace) -> dict:
-    defaults = dict(_DEFAULTS[ns.command])
+    defaults = _DEFAULTS[ns.command]
     merged = dict(defaults)
-    config_path = getattr(ns, "config", None)
+    config_path = ns.config
     if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except ValueError as exc:  # bad JSON, or an int past the digit limit
-                raise workflow.WorkflowError(
-                    f"{config_path}: not valid JSON ({exc})"
-                ) from exc
+        doc = _load_json(config_path)
         if not isinstance(doc, dict):
             raise workflow.WorkflowError(f"{config_path}: expected a JSON object")
         unknown = set(doc) - set(defaults)
         if unknown:
-            raise workflow.WorkflowError(
-                f"{config_path}: unknown config keys: {sorted(unknown)}"
-            )
+            raise workflow.WorkflowError(f"{config_path}: unknown config keys: {sorted(unknown)}")
         merged.update(
-            (key, _config_value(config_path, key, value, ns.option_actions[key], defaults[key]))
+            (key, _config_value(config_path, key, value, _KINDS[ns.command][key], defaults[key]))
             for key, value in doc.items()
         )
-    for key in defaults:
-        flag_value = getattr(ns, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
+    merged.update((key, getattr(ns, key)) for key in defaults if getattr(ns, key) is not None)
     if merged.get("seed", 0) < 0:  # numpy seeds are non-negative
         raise workflow.WorkflowError(f"--seed must be >= 0, got {merged['seed']}")
+    missing = [key for key, value in merged.items() if value is ...]
+    if missing:
+        raise workflow.WorkflowError(f"--{missing[0].replace('_', '-')} is required")
     return merged
 
 
 def _cmd_generate(ns: argparse.Namespace) -> int:
     args = _effective_args(ns)
-    if args["nodes"] is None:
-        raise workflow.WorkflowError("--nodes is required")
-    rule = _distance_rule(args)
+    rule = graphs.DistanceRule(kind=args["distance"], low=args["low"], high=args["high"])
     if ns.kind == "ring":
         topo = graphs.generate_ring(
             args["nodes"], chords=args["chords"], rule=rule, seed=args["seed"]
@@ -294,8 +145,6 @@ def _cmd_weights(ns: argparse.Namespace) -> int:
 
 def _cmd_qubo(ns: argparse.Namespace) -> int:
     args = _effective_args(ns)
-    if args["k"] is None:
-        raise workflow.WorkflowError("--k is required")
     topo = graphs.load_topology(ns.topology)
     penalty = _custom_penalty(args)
     if args["unweighted"]:
@@ -325,10 +174,6 @@ def _cmd_qubo(ns: argparse.Namespace) -> int:
 
 def _cmd_solve(ns: argparse.Namespace) -> int:
     args = _effective_args(ns)
-    if args["weights"] is None:
-        raise workflow.WorkflowError("--weights is required")
-    if args["k"] is None:
-        raise workflow.WorkflowError("--k is required")
     started = time.monotonic()
     topo = graphs.load_topology(ns.topology)
     weights = demand.load_weights(args["weights"])
@@ -378,8 +223,6 @@ def _sweep_formats(raw: str) -> list[str]:
 
 def _cmd_sweep(ns: argparse.Namespace) -> int:
     args = _effective_args(ns)
-    if args["demands"] is None:
-        raise workflow.WorkflowError("--demands is required")
     started = time.monotonic()
     topo = graphs.load_topology(ns.topology)
     demands = demand.load_demands(args["demands"])
@@ -428,11 +271,7 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
 
 
 def _load_sweep_result(path: str) -> workflow.SweepResult:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # bad JSON, or an int past the digit limit
-            raise workflow.WorkflowError(f"{path}: not valid JSON ({exc})") from exc
+    doc = _load_json(path)
     try:
         reports = tuple(_report_from_dict(entry) for entry in doc["reports"])
         return workflow.SweepResult(
@@ -469,21 +308,122 @@ def _cmd_compare(ns: argparse.Namespace) -> int:
     return 0
 
 
-_HANDLERS = {
-    "generate": _cmd_generate,
-    "weights": _cmd_weights,
-    "qubo": _cmd_qubo,
-    "solve": _cmd_solve,
-    "sweep": _cmd_sweep,
-    "compare": _cmd_compare,
+# One row per option, in help order: flag, kind, default, help text. A
+# kind is int, float, str, a tuple of choices or bool (a switch). A
+# default of ... marks an option the flag or the config must set. The
+# long flag with "_" for "-" is the option's config key. argparse fills
+# None, so a config file can sit between these defaults and the flags.
+_PENALTIES = (
+    ("--beta", float, None, None),
+    ("--alpha", float, None, None),
+    ("--gamma", float, None, None),
+)
+
+# the solver knobs of solve and sweep are SolverSpec's fields, with its
+# defaults; an unset temperature is a float
+_KNOBS = {f.name: f.default for f in dataclasses.fields(workflow.SolverSpec) if f.name != "name"}
+_SOLVING = (
+    *_PENALTIES,
+    *(("--" + key.replace("_", "-"), float if default is None else type(default), default, None)
+      for key, default in _KNOBS.items() if key != "schedule"),
+    ("--kpi-alpha", float, 0.5, None),
+    ("--seed", int, 0, None),
+    ("--schedule", SCHEDULES, _KNOBS["schedule"], None),
+)
+
+# per subcommand: handler, help, positional argument, options
+_COMMANDS = {
+    "generate": (_cmd_generate, "generate a synthetic topology file",
+                 ("kind", {"choices": ("tree", "ring")}), (
+        ("--nodes", int, ..., None),
+        ("--chords", int, 0, "extra non-ring edges (ring only)"),
+        ("--branching", int, 2, "children per node (tree only)"),
+        ("--distance", ("unit", "uniform"), "unit", None),
+        ("--low", float, 0.5, "uniform distance lower bound"),
+        ("--high", float, 2.0, "uniform distance upper bound"),
+        ("--seed", int, 0, None),
+        ("--output", str, "topology.json", None),
+    )),
+    "weights": (_cmd_weights, "derive node weights from a demand CSV", ("demands", {}), (
+        ("--output", str, "weights.json", None),
+    )),
+    "qubo": (_cmd_qubo, "export an assignment instance in coordinate format", ("topology", {}), (
+        ("--k", int, ..., None),
+        ("--weights", str, None, "weights JSON (omit with --unweighted)"),
+        ("--unweighted", bool, False, None),
+        *_PENALTIES,
+        ("--output", str, "instance.qubo", None),
+    )),
+    "solve": (_cmd_solve, "solve one instance and score it", ("topology", {}), (
+        ("--weights", str, ..., None),
+        ("--k", int, ..., None),
+        ("--solver", workflow.SOLVER_NAMES, "heuristic", None),
+        *_SOLVING,
+        ("--output", str, "result.json", "result JSON path"),
+    )),
+    "sweep": (_cmd_sweep, "score k = 1..N for each solver", ("topology", {}), (
+        ("--demands", str, ..., None),
+        ("--max-producers", int, 4, None),
+        ("--solvers", str, "heuristic", "comma-separated solver names"),
+        ("--threads", int, 1, None),
+        ("--format", str, "json,csv", "comma-separated: json, csv, gnuplot"),
+        ("--label", str, None, "topology label used by 'compare'"),
+        *_SOLVING,
+        ("--output", str, "sweep", "output path prefix"),
+    )),
+    "compare": (_cmd_compare, "merge sweep JSON files into one table", ("sweeps", {"nargs": "+"}), (
+        ("--output", str, "comparison.csv", None),
+    )),
 }
+# per subcommand, config key -> kind and config key -> default
+_KINDS, _DEFAULTS = (
+    {name: {row[0][2:].replace("-", "_"): row[i] for row in rows}
+     for name, (*_, rows) in _COMMANDS.items()}
+    for i in (1, 2)
+)
+
+
+def _solver_spec(args: dict, name: str) -> workflow.SolverSpec:
+    return workflow.SolverSpec(name=name, **{key: args[key] for key in _KNOBS})
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one "error: ..." line and exit
+    status 2, like every other failure; subparsers share the class."""
+
+    def error(self, message: str):
+        print(f"error: {' '.join(message.split())}", file=sys.stderr)
+        raise SystemExit(2)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="heatfair",
+        description="Balanced producer assignment and fairness scoring "
+        "for district-heating networks.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, summary, (positional, how), rows) in _COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        command.add_argument(positional, **how)
+        for flag, kind, _, text in rows:
+            if flag == "--output":  # --config, then -o/--output, end every subcommand
+                command.add_argument("--config")
+                command.add_argument("-o", flag, help=text)
+            elif kind is bool:
+                command.add_argument(flag, action="store_true", default=None, help=text)
+            elif isinstance(kind, tuple):
+                command.add_argument(flag, choices=kind, help=text)
+            else:
+                command.add_argument(flag, type=kind, help=text)
+    return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     ns = parser.parse_args(argv)
     try:
-        return _HANDLERS[ns.command](ns)
+        return _COMMANDS[ns.command][0](ns)
     except _ERROR_TYPES as exc:
         message = " ".join(str(exc).split())
         print(f"error: {message}", file=sys.stderr)

@@ -181,14 +181,6 @@ class QuboInstance:
     def num_vars(self) -> int:
         return self.n * self.k
 
-    def var_index(self, node: int, producer: int) -> int:
-        if not (0 <= node < self.n) or not (0 <= producer < self.k):
-            raise QuboError(
-                f"(node={node}, producer={producer}) outside "
-                f"n={self.n}, k={self.k}"
-            )
-        return producer * self.n + node
-
     def node_producer(self, var: int) -> tuple[int, int]:
         if not (0 <= var < self.num_vars):
             raise QuboError(f"variable {var} outside 0..{self.num_vars - 1}")

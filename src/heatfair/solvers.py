@@ -49,6 +49,8 @@ import numpy as np
 
 from .qubo import Objective, QuboInstance, feasible_energies
 
+SCHEDULES = ("geometric", "linear")
+
 
 class SolverError(ValueError):
     """Raised for invalid solver inputs or exceeded size caps."""
@@ -125,7 +127,7 @@ class AnnealConfig:
             raise SolverError(f"sweeps must be >= 1, got {self.sweeps}")
         if self.restarts < 1:
             raise SolverError(f"restarts must be >= 1, got {self.restarts}")
-        if self.schedule not in ("geometric", "linear"):
+        if self.schedule not in SCHEDULES:
             raise SolverError(
                 f"schedule must be 'geometric' or 'linear', got {self.schedule!r}"
             )
@@ -142,19 +144,6 @@ class AnnealConfig:
                     f"need t_initial > t_final > 0, got "
                     f"{self.t_initial!r} and {self.t_final!r}"
                 )
-
-
-def encode(a: Assignment, q: QuboInstance) -> np.ndarray:
-    """One-hot bit vector of an assignment, indexable by q's layout."""
-    if a.n != q.n or a.k != q.k:
-        raise SolverError(
-            f"assignment is ({a.n} nodes, k={a.k}) but instance is "
-            f"({q.n} nodes, k={q.k})"
-        )
-    bits = np.zeros(q.num_vars, dtype=np.int8)
-    for i, p in enumerate(a.producer_of):
-        bits[q.var_index(i, p)] = 1
-    return bits
 
 
 def canonical_form(producer_of, k: int) -> Assignment:

@@ -39,11 +39,11 @@ class SolverSpec:
     ignored."""
 
     name: str
-    sweeps: int = 2000
-    restarts: int = 8
-    t_initial: float | None = None
-    t_final: float | None = None
-    schedule: str = "geometric"
+    sweeps: int = AnnealConfig.sweeps
+    restarts: int = AnnealConfig.restarts
+    t_initial: float | None = AnnealConfig.t_initial
+    t_final: float | None = AnnealConfig.t_final
+    schedule: str = AnnealConfig.schedule
     exhaustive_cap: int = 24
 
     def __post_init__(self) -> None:

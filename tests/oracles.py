@@ -17,6 +17,7 @@ import numpy as np
 
 from heatfair import (
     DistanceRule,
+    SolverError,
     Topology,
     WeightVector,
     compute_weights,
@@ -51,6 +52,24 @@ def bits_to_x(bits, n: int, k: int) -> np.ndarray:
     """Variable layout var = j*n + i unpacked into an (n, k) matrix."""
     vec = np.asarray(bits).ravel()
     return vec.reshape(k, n).T
+
+
+def var_index(q, node: int, producer: int) -> int:
+    """The variable of (node, producer) in q's layout var = j*n + i."""
+    return producer * q.n + node
+
+
+def encode(a, q) -> np.ndarray:
+    """One-hot bit vector of an assignment in q's layout."""
+    if a.n != q.n or a.k != q.k:
+        raise SolverError(
+            f"assignment is ({a.n} nodes, k={a.k}) but instance is "
+            f"({q.n} nodes, k={q.k})"
+        )
+    bits = np.zeros(q.num_vars, dtype=np.int8)
+    for i, p in enumerate(a.producer_of):
+        bits[var_index(q, i, p)] = 1
+    return bits
 
 
 def modified_cost_direct(topo, weights, k, beta, alpha, gamma, x) -> float:

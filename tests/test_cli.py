@@ -151,6 +151,32 @@ def test_solve_rejects_unknown_solver(tmp_path, capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["sweep", "t.json", "--threads", "x"], "--threads"),
+        (["sweep", "t.json", "--bogus", "1"], "--bogus 1"),
+        (["solve", "t.json", "--solver", "quantum"], "quantum"),
+        (["solve"], "topology"),
+    ],
+    ids=["bad-value", "unknown-flag", "invalid-choice", "missing-positional"],
+)
+def test_bad_command_lines_print_one_error_line(capsys, argv, fragment):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and fragment in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+def test_help_still_prints_help(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: heatfair")
+
+
 def test_solve_requires_weights_and_k(tmp_path, capsys):
     topo_path = tmp_path / "p4.json"
     save_topology(PATH4, str(topo_path))

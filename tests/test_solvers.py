@@ -19,7 +19,6 @@ from heatfair import (
     canonical_form,
     decode_and_repair,
     default_penalties,
-    encode,
     energy,
     export_qubo,
     generate_ring,
@@ -37,6 +36,7 @@ from heatfair.graphs import DistanceRule
 from oracles import (
     anneal_reference,
     build_suite,
+    encode,
     feasible_assignments,
     greedy_seed_reference,
     local_search_reference,
@@ -45,6 +45,7 @@ from oracles import (
     repair_reference,
     swap_delta,
     unweighted_cost_direct,
+    var_index,
 )
 
 PATH4 = Topology(nodes=4, edges=((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)))
@@ -333,16 +334,16 @@ def test_repair_picks_the_cheaper_of_the_set_bits():
     w = uniform_weights(2)
     q = build_qubo(topo, w, 2, default_penalties(topo, w, 2))
     bits = np.zeros(4)
-    bits[q.var_index(0, 0)] = 1
-    bits[q.var_index(0, 1)] = 1  # node 0 double-assigned
-    bits[q.var_index(1, 0)] = 1  # node 1 fixed on producer 0
+    bits[var_index(q, 0, 0)] = 1
+    bits[var_index(q, 0, 1)] = 1  # node 0 double-assigned
+    bits[var_index(q, 1, 0)] = 1  # node 1 fixed on producer 0
     a = decode_and_repair(q, bits)
     assert a.producer_of[1] == 0
     candidates = {}
     for j in range(2):
         probe = np.zeros(4)
-        probe[q.var_index(0, j)] = 1
-        probe[q.var_index(1, 0)] = 1
+        probe[var_index(q, 0, j)] = 1
+        probe[var_index(q, 1, 0)] = 1
         candidates[j] = energy(q, probe)
     assert a.producer_of[0] == min(candidates, key=lambda j: (candidates[j], j))
 
