@@ -35,6 +35,7 @@ _ERROR_TYPES = (
     FairnessError,
     workflow.WorkflowError,
     OSError,
+    MemoryError,
 )
 
 
@@ -425,7 +426,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[ns.command][0](ns)
     except _ERROR_TYPES as exc:
-        message = " ".join(str(exc).split())
+        message = " ".join(str(exc).split()) or type(exc).__name__
         print(f"error: {message}", file=sys.stderr)
         return 2
 

@@ -211,23 +211,19 @@ def generate_ring(
         raise TopologyError(f"ring needs at least three nodes, got {nodes}")
     if chords < 0:
         raise TopologyError(f"chord count must be >= 0, got {chords}")
-    candidates = [
-        (a, b)
-        for a in range(nodes)
-        for b in range(a + 1, nodes)
-        if b - a != 1 and not (a == 0 and b == nodes - 1)
-    ]
-    if chords > len(candidates):
+    candidates = nodes * (nodes - 3) // 2
+    if chords > candidates:
         raise TopologyError(
-            f"ring of {nodes} nodes admits at most {len(candidates)} chords, "
+            f"ring of {nodes} nodes admits at most {candidates} chords, "
             f"got {chords}"
         )
     rng = np.random.default_rng(seed)
+    picked = rng.choice(candidates, size=chords, replace=False).tolist() if chords else []
+    # drawn before any list is built, so a ring too large to hold fails
+    # in this one allocation
+    dists = rule.draw(rng, nodes + chords)
     pairs = [(a, (a + 1) % nodes) for a in range(nodes)]
-    if chords:
-        picked = rng.choice(len(candidates), size=chords, replace=False)
-        pairs.extend(candidates[int(i)] for i in picked)
-    dists = rule.draw(rng, len(pairs))
+    pairs.extend(_chord(t, nodes) for t in picked)
     edges = tuple(
         (min(a, b), max(a, b), float(d)) for (a, b), d in zip(pairs, dists)
     )
@@ -236,6 +232,18 @@ def generate_ring(
         for i in range(nodes)
     )
     return Topology(nodes=nodes, edges=edges, coords=coords)
+
+
+def _chord(t: int, nodes: int) -> tuple[int, int]:
+    """The t-th pair (a, b), a < b, of a ring's nodes that is not a ring
+    edge, in lexicographic order. Node 0 has nodes - 3 such pairs; node
+    a >= 1 has s = nodes - a - 2, so counted from the last pair those
+    rows hold 1, 2, 3, ... pairs, and row s starts at s * (s - 1) / 2."""
+    if t < nodes - 3:
+        return 0, t + 2
+    r = (nodes - 3) * (nodes - 2) // 2 - 1 - (t - (nodes - 3))
+    s = (1 + math.isqrt(1 + 8 * r)) // 2
+    return nodes - 2 - s, nodes - 1 - (r - s * (s - 1) // 2)
 
 
 def topology_to_dict(topo: Topology) -> dict:

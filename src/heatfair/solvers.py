@@ -13,10 +13,11 @@ Three routes with very different trust levels:
                     producer loads, one-hot counts), so a flip updates
                     O(degree + 1) of them. Stretches of sweeps in which
                     no proposal can pass are skipped by a few numpy
-                    comparisons. The acceptance limits are drawn a block
-                    of sweeps at a time, so memory does not grow with
-                    the sweep count; every result equals a plain
-                    proposal-by-proposal scan of the same rule bit for bit.
+                    comparisons. The acceptance limits are drawn into
+                    one reused buffer a block of sweeps at a time, so
+                    memory does not grow with the sweep count; every
+                    result equals a plain proposal-by-proposal scan of
+                    the same rule bit for bit.
   solve_heuristic   greedy seeding plus relocate/swap local search
                     on the instance's Objective (what the builder
                     expanded), not on QUBO coefficients; an imported
@@ -257,18 +258,27 @@ def _auto_temperatures(obj: Objective, k: int) -> tuple[float, float]:
     |coupling| sum of a QUBO row, and t_final = 1e-4 of it. Each row
     holds the builder's floats and is summed in its column order: j
     one-hot entries 2*gamma, the pairs at producer j by ascending node
-    (2*alpha*w_a*w_b, plus the edge coefficient on an edge), then
-    k-1-j one-hot entries."""
+    (2*alpha*w_a*w_b for a < b, plus the edge coefficient on an edge),
+    then k-1-j one-hot entries. The sums of all n*k rows advance
+    together, one column at a time, so no n*n array is built."""
     w, n = obj.weights, obj.weights.size
-    pair = np.triu((2.0 * obj.alpha * w)[:, None] * w, 1)
-    pair[tuple(obj.ends.T)] += obj.edge_coeff
-    pair = np.abs(pair + pair.T)
+    reach = 2.0 * obj.alpha * w
     one_hot = abs(2.0 * obj.gamma)
-    lin = np.abs(obj.lin)
-    t_initial = 0.0
-    for j in range(k):
-        row = np.hstack([np.full((n, j), one_hot), pair, np.full((n, k - 1 - j), one_hot)])
-        t_initial = max(t_initial, float((lin + np.cumsum(row, axis=1)[:, -1]).max()))
+    neighbours = _neighbours(obj)
+    sums = np.zeros((n, k))  # sums[i, j]: row (i, j) so far
+    for j in range(1, k):
+        sums[:, j:] += one_hot
+    pair = np.empty(n)
+    for b in range(n):  # the pairs' column b of every row, then |.|
+        pair[:b] = reach[:b] * w[b]
+        pair[b] = 0.0
+        pair[b + 1:] = reach[b] * w[b + 1:]
+        for a, coeff in neighbours[b]:
+            pair[a] += coeff
+        sums += np.abs(pair, out=pair)[:, None]
+    for j in range(1, k):
+        sums[:, :k - j] += one_hot
+    t_initial = float((np.abs(obj.lin)[:, None] + sums).max())
     if t_initial <= 0.0:
         t_initial = 1.0
     return t_initial, 1e-4 * t_initial
@@ -285,42 +295,67 @@ def _temperature_schedule(cfg: AnnealConfig, t_initial: float, t_final: float):
                           f"its temperature schedule") from None
 
 
-# limits drawn at once per restart; at least one sweep's worth
+# limits held at once per restart; at least one sweep's worth
 _LIMIT_BLOCK = 2**15
 
+# every limit -t * log1p(-u), u < 1, lies below _CEILING * t: -log1p(-u)
+# is at most 53 * ln 2 ~ 36.74, as u is a multiple of 2**-53
+_CEILING = 37.0
 
-def _limit_blocks(rng, temps: np.ndarray, nv: int):
-    """A restart's limits, -temp[s] * log1p(-u) with u drawn uniform in
-    [0, 1) per proposal, in blocks of whole sweeps, each of at most
-    _LIMIT_BLOCK terms (at least one sweep). rng.random continues one
-    stream and each term is the same IEEE product, so the blocks stacked
-    equal the whole (sweeps, nv) table drawn at once, bit for bit."""
-    rows = max(1, _LIMIT_BLOCK // nv)
-    for lo in range(0, len(temps), rows):
-        t = temps[lo:lo + rows, None]
+
+class _Limits:
+    """A restart's acceptance limits, indexed by sweep: row s holds
+    -temps[s] * log1p(-u), u drawn uniform in [0, 1) per proposal. One
+    buffer of at most _LIMIT_BLOCK terms (at least one sweep) is refilled
+    in place a block of sweeps at a time, in sweep order. rng.random
+    continues one stream and each term is the same IEEE product, so the
+    rows equal the whole (sweeps, nv) table drawn at once, bit for bit.
+    ceiling[s] is _CEILING times the largest temperature from sweep s on,
+    so no limit from sweep s on reaches it."""
+
+    def __init__(self, rng, temps: np.ndarray, ceiling: np.ndarray, nv: int):
+        self.rng, self.temps, self.ceiling = rng, temps, ceiling
+        self.buf = np.empty((min(len(temps), max(1, _LIMIT_BLOCK // nv)), nv))
+        self.lo = self.hi = 0  # buf holds sweeps lo..hi-1
+
+    def _next_block(self) -> None:
+        lo, hi = self.hi, min(self.hi + len(self.buf), len(self.temps))
+        out = self.buf[:hi - lo]
+        self.rng.random(out=out)
+        np.negative(out, out=out)
         # log1p(-u) <= 0, so a downhill move always passes its limit
-        yield -t * np.log1p(-rng.random((len(t), nv)))
+        np.log1p(out, out=out)
+        np.multiply(-self.temps[lo:hi, None], out, out=out)
+        self.lo, self.hi = lo, hi
 
+    def row(self, sweep: int) -> list[float]:
+        """Sweep `sweep`'s limits as Python floats; sweeps are read in
+        order, apart from the ones first_acceptance passes over."""
+        if sweep == self.hi:
+            self._next_block()
+        return self.buf[sweep - self.lo].tolist()
 
-def _first_acceptance(deltas: np.ndarray, block: np.ndarray, row: int, blocks):
-    """The first (block, row, var), row-major from row `row` of block on
-    and then through the blocks that blocks yields next, where
-    deltas[var] <= block[row, var]; None if there is none. Rows are
-    compared in windows of 1, 2, 4, ... sweeps, each cut at the end of
-    its block, so a near hit costs one small comparison and a distant
-    one few numpy calls."""
-    nv = deltas.size
-    width = 1
-    while block is not None:
-        while row < len(block):
-            hits = deltas <= block[row:row + width]
+    def first_acceptance(self, deltas: np.ndarray, sweep: int):
+        """The first (sweep, var), row-major from sweep `sweep` on, where
+        deltas[var] <= limit; None if there is none. Rows are compared
+        in windows of 1, 2, 4, ... sweeps, each cut at the end of its
+        block, so a near hit costs one small comparison and a distant
+        one few numpy calls. The scan stops, drawing nothing more, at
+        the first window whose ceiling lies below every delta (fmin
+        skips a NaN, which never passes)."""
+        nv = deltas.size
+        lowest = float(np.fmin.reduce(deltas))
+        width = 1
+        while sweep < len(self.temps) and not lowest > self.ceiling[sweep]:
+            if sweep == self.hi:
+                self._next_block()
+            row = sweep - self.lo
+            hits = deltas <= self.buf[row:min(row + width, self.hi - self.lo)]
             if hits.any():
                 at = int(hits.argmax())
-                return block, row + at // nv, at % nv
-            row += width
-            width *= 2
-        block, row = next(blocks, None), 0
-    return None
+                return sweep + at // nv, at % nv
+            sweep, width = min(sweep + width, self.hi), width * 2
+        return None
 
 
 def _field_terms(obj: Objective):
@@ -373,24 +408,23 @@ def _start(obj: Objective, offset: float, bits: np.ndarray):
     return x, S, L, c, current
 
 
-def _walk(obj: Objective, x, S, L, c, current: float, blocks):
-    """Anneal one restart from the _start state against the limits that
-    the iterator blocks yields, arrays of consecutive sweeps' rows, each
-    n*k wide; returns the lowest raw energy seen and its bits as x.
-    Proposal (sweep, v) flips bit v = j*n + i when sign * field <=
-    limit, sign = 1 - 2 * x[j][i]. A flip updates x, L[j], c[i] and S[j]
-    at i's neighbours, adding or subtracting each value (x - c is
-    exactly x + (-c)). After a sweep with no flip the state cannot
-    change until the next accepted proposal, so that proposal is found
-    by comparing the frozen sign * field vector with the following
-    limit rows (_first_acceptance), and the loop resumes there, in
-    whichever block holds it."""
+def _walk(obj: Objective, x, S, L, c, current: float, limits: _Limits):
+    """Anneal one restart from the _start state against the limits of
+    the stream limits, one n*k wide row per sweep; returns the lowest
+    raw energy seen and its bits as x. Proposal (sweep, v) flips bit
+    v = j*n + i when sign * field <= limit, sign = 1 - 2 * x[j][i]. A
+    flip updates x, L[j], c[i] and S[j] at i's neighbours, adding or
+    subtracting each value (x - c is exactly x + (-c)). After a sweep
+    with no flip the state cannot change until the next accepted
+    proposal, so that proposal is found by comparing the frozen sign *
+    field vector with the following sweeps' limits
+    (_Limits.first_acceptance), and the loop resumes there."""
     lin, reach, w, g2, neighbours = _field_terms(obj)
     k, n = len(L), len(c)
     best_raw, best_x = current, [bits[:] for bits in x]
-    block, row, first = next(blocks), 0, 0
-    while block is not None:
-        lims = block[row].tolist()
+    sweep, first = 0, 0
+    while sweep < len(limits.temps):
+        lims = limits.row(sweep)
         frozen = True
         j0, start = divmod(first, n)
         for j in range(j0, k):
@@ -421,16 +455,14 @@ def _walk(obj: Objective, x, S, L, c, current: float, blocks):
                     best_raw, best_x = current, [bits[:] for bits in x]
             L[j] = load
             start = 0
-        row, first = row + 1, 0
+        sweep, first = sweep + 1, 0
         if frozen:
             xs = np.array(x)
             deltas = (1.0 - 2.0 * xs) * _fields(obj, xs, np.array(S), np.array(L), np.array(c))
-            hit = _first_acceptance(deltas.ravel(), block, row, blocks)
+            hit = limits.first_acceptance(deltas.ravel(), sweep)
             if hit is None:
                 break
-            block, row, first = hit
-        elif row == len(block):
-            block, row = next(blocks, None), 0
+            sweep, first = hit
     return best_raw, best_x
 
 
@@ -442,17 +474,18 @@ def solve_anneal(q: QuboInstance, cfg: AnnealConfig) -> SolveResult:
     Proposal (sweep, v) flips bit v = (i, j) when sign * field <= limit,
     with sign = 1 - 2 * bit and limit = -temp[sweep] * log1p(-u), u drawn
     uniform in [0, 1) for every proposal. The limits are drawn as the
-    walk reaches them, in blocks of at most _LIMIT_BLOCK terms
-    (_limit_blocks), so a restart holds O(n*k) of them whatever the
-    sweep count; each is the same IEEE product as the scalar one. The
-    field is lin + S[j][i] + 2*alpha*w_i*(L_j - w_i*bit) +
-    2*gamma*(c_i - bit): lin the QUBO's linear coefficient, S[j][i] the
-    edge coefficients of i's neighbours at j, L_j the load of j and c_i
-    the bits node i has set. A proposal is O(1) and a flip updates
-    O(degree + 1) sums (_walk). Frozen sweeps are skipped exactly, so
-    every result equals a plain proposal-by-proposal scan of the same
-    rule. Auto temperatures come from the objective's QUBO rows
-    (_auto_temperatures).
+    walk reaches them, into one buffer of at most _LIMIT_BLOCK terms
+    (_Limits), so a restart holds O(n*k) of them whatever the sweep
+    count; each is the same IEEE product as the scalar one. A frozen
+    stretch from which no limit can reach the lowest delta ends the
+    restart without drawing the rest. The field is lin + S[j][i] +
+    2*alpha*w_i*(L_j - w_i*bit) + 2*gamma*(c_i - bit): lin the QUBO's
+    linear coefficient, S[j][i] the edge coefficients of i's neighbours
+    at j, L_j the load of j and c_i the bits node i has set. A proposal
+    is O(1) and a flip updates O(degree + 1) sums (_walk). Frozen sweeps
+    are skipped exactly, so every result equals a plain
+    proposal-by-proposal scan of the same rule. Auto temperatures come
+    from the objective's QUBO rows (_auto_temperatures).
 
     The lowest raw-energy state seen in each restart is repaired by
     decode_and_repair's rule; restarts compete on post-repair energy,
@@ -466,6 +499,7 @@ def solve_anneal(q: QuboInstance, cfg: AnnealConfig) -> SolveResult:
     else:
         t_initial, t_final = cfg.t_initial, cfg.t_final
     temps = _temperature_schedule(cfg, t_initial, t_final)
+    ceiling = _CEILING * np.maximum.accumulate(temps[::-1])[::-1]
     nv = q.num_vars
 
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
@@ -474,7 +508,7 @@ def solve_anneal(q: QuboInstance, cfg: AnnealConfig) -> SolveResult:
         rng = np.random.default_rng(children[restart])
         bits = np.zeros(nv)
         bits[rng.integers(0, q.k, size=q.n) * q.n + np.arange(q.n)] = 1.0
-        _, best = _walk(obj, *_start(obj, q.offset, bits), _limit_blocks(rng, temps, nv))
+        _, best = _walk(obj, *_start(obj, q.offset, bits), _Limits(rng, temps, ceiling, nv))
         repaired.append(_repair(obj, np.ravel(best)).producer_of)
     return _result(q, repaired, "anneal", cfg.seed, cfg.sweeps * nv * cfg.restarts)
 

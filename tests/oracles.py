@@ -560,3 +560,53 @@ def anneal_reference(ends, edge_coeff, node_linear, weights, target, alpha, gamm
                         best_bits = state.copy()
         best.append(best_bits)
     return best
+
+
+def auto_temperatures_reference(obj, k):
+    """solvers._auto_temperatures through n x n arrays: the symmetric
+    |pair| matrix, and per producer j each QUBO row laid out in full (j
+    one-hot entries, the pairs, k-1-j one-hot entries) and summed by
+    np.cumsum in column order."""
+    w, n = obj.weights, obj.weights.size
+    pair = np.triu((2.0 * obj.alpha * w)[:, None] * w, 1)
+    pair[tuple(obj.ends.T)] += obj.edge_coeff
+    pair = np.abs(pair + pair.T)
+    one_hot = abs(2.0 * obj.gamma)
+    lin = np.abs(obj.lin)
+    t_initial = 0.0
+    for j in range(k):
+        row = np.hstack([np.full((n, j), one_hot), pair, np.full((n, k - 1 - j), one_hot)])
+        t_initial = max(t_initial, float((lin + np.cumsum(row, axis=1)[:, -1]).max()))
+    if t_initial <= 0.0:
+        t_initial = 1.0
+    return t_initial, 1e-4 * t_initial
+
+
+def ring_reference(nodes, chords, rule, seed):
+    """generate_ring with its chords picked from the listed non-ring
+    pairs: the ring edges, then the picked pairs, each drawn a distance
+    in that order after the pick."""
+    candidates = ring_candidates(nodes)
+    rng = np.random.default_rng(seed)
+    pairs = [(a, (a + 1) % nodes) for a in range(nodes)]
+    if chords:
+        picked = rng.choice(len(candidates), size=chords, replace=False)
+        pairs.extend(candidates[int(i)] for i in picked)
+    dists = rule.draw(rng, len(pairs))
+    edges = tuple((min(a, b), max(a, b), float(d)) for (a, b), d in zip(pairs, dists))
+    coords = tuple(
+        (math.cos(2.0 * math.pi * i / nodes), math.sin(2.0 * math.pi * i / nodes))
+        for i in range(nodes)
+    )
+    return Topology(nodes=nodes, edges=edges, coords=coords)
+
+
+def ring_candidates(nodes):
+    """Every pair (a, b), a < b, of a ring's nodes that is not a ring
+    edge, in lexicographic order."""
+    return [
+        (a, b)
+        for a in range(nodes)
+        for b in range(a + 1, nodes)
+        if b - a != 1 and not (a == 0 and b == nodes - 1)
+    ]

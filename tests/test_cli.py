@@ -3,8 +3,12 @@ import csv
 import io
 import json
 import os
+import resource
+import subprocess
+import sys
 import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from heatfair import (
     cli,
     default_penalties,
     demands_to_csv_text,
+    graphs,
     import_qubo,
     load_topology,
     load_weights,
@@ -67,6 +72,35 @@ def test_generate_rejects_bad_sizes(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "\n" == err[-1] and err.count("\n") == 1
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+
+
+@pytest.mark.parametrize("kind", ["ring", "tree"])
+def test_generate_out_of_memory_prints_one_error_line(kind, tmp_path):
+    # a billion nodes' distances alone need 8 GB, past a 2 GB address space
+    out = tmp_path / "big.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from heatfair import cli; sys.exit(cli.main())",
+         "generate", kind, "--nodes", "1000000000", "-o", str(out)],
+        preexec_fn=_limit_address_space, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
+    assert not out.exists()
+
+
+def test_memory_error_without_a_message_prints_one_error_line(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(graphs, "generate_ring", exhausted)
+    assert cli.main(["generate", "ring", "--nodes", "6"]) == 2
+    assert capsys.readouterr().err == "error: MemoryError\n"
 
 
 def test_generate_requires_nodes(capsys):

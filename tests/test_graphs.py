@@ -14,8 +14,9 @@ from heatfair import (
     load_topology,
     save_topology,
 )
+from heatfair import graphs
 from heatfair.graphs import topology_from_dict, topology_to_dict
-from oracles import shortest_paths_brute
+from oracles import ring_candidates, ring_reference, shortest_paths_brute
 
 
 def small_random_topology(seed, n=None):
@@ -152,6 +153,27 @@ def test_ring_chord_budget_enforced():
         generate_ring(5, chords=6)
     with pytest.raises(TopologyError, match="at least three nodes"):
         generate_ring(2)
+
+
+@pytest.mark.parametrize("nodes, chords, seed", [
+    (4, 2, 0), (5, 5, 1), (9, 3, 2), (24, 4, 0), (24, 40, 7), (97, 16, 3),
+    (160, 26, 11), (300, 2000, 5),
+])
+def test_ring_chords_equal_the_listed_picks(nodes, chords, seed):
+    # a chord's pair comes from its index by arithmetic, not from a list
+    # of all ~n^2/2 candidates; the last case makes numpy's choice permute
+    candidates = ring_candidates(nodes)
+    assert [graphs._chord(t, nodes) for t in range(len(candidates))] == candidates
+    rule = DistanceRule(kind="uniform", low=0.5, high=2.0)
+    topo = generate_ring(nodes, chords=chords, rule=rule, seed=seed)
+    want = ring_reference(nodes, chords, rule, seed)
+    assert topo.edges == want.edges and topo.coords == want.coords
+
+
+def test_large_ring_lists_no_candidate_pairs():
+    topo = generate_ring(20000, chords=5, seed=1)
+    assert topo.num_edges == 20005
+    assert sum(b - a not in (1, 19999) for a, b, _ in topo.edges) == 5
 
 
 def test_tree_generator_shapes():

@@ -35,6 +35,7 @@ from heatfair.demand import compute_weights, synthetic_demands
 from heatfair.graphs import DistanceRule
 from oracles import (
     anneal_reference,
+    auto_temperatures_reference,
     build_suite,
     encode,
     feasible_assignments,
@@ -766,12 +767,19 @@ def test_limit_blocks_equal_the_whole_table(block_sweeps, monkeypatch):
         if block_sweeps is not None:
             monkeypatch.setattr(solvers, "_LIMIT_BLOCK", block_sweeps * nv)
         rows = max(1, solvers._LIMIT_BLOCK // nv)
-        blocks = list(solvers._limit_blocks(np.random.default_rng(nv), sweeps, nv))
-        assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
-        assert 1 <= len(blocks[-1]) <= rows
+        ceiling = np.full(len(sweeps), np.inf)
+        limits = solvers._Limits(np.random.default_rng(nv), sweeps, ceiling, nv)
+        table, blocks = [], []
+        for sweep in range(len(sweeps)):
+            table.append(limits.row(sweep))
+            if (limits.lo, limits.hi) not in blocks:
+                blocks.append((limits.lo, limits.hi))
+        assert len(limits.buf) == min(rows, len(sweeps))  # one buffer, refilled
+        assert [hi - lo for lo, hi in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        assert 1 <= blocks[-1][1] - blocks[-1][0] <= rows
         u = np.random.default_rng(nv).random((len(sweeps), nv))
         whole = -sweeps[:, None] * np.log1p(-u)
-        assert np.array_equal(np.concatenate(blocks).view(np.int64), whole.view(np.int64))
+        assert np.array_equal(np.array(table).view(np.int64), whole.view(np.int64))
 
 
 def test_anneal_memory_stays_bounded():
@@ -792,6 +800,43 @@ def test_anneal_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 12 * 2**20
+
+
+def ring_instance(n, k):
+    rule = DistanceRule(kind="uniform", low=0.5, high=2.0)
+    topo = generate_ring(n, chords=n // 6, rule=rule, seed=1)
+    weights = compute_weights(synthetic_demands(n, timesteps=24, seed=1))
+    return build_qubo(topo, weights, k, default_penalties(topo, weights, k))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_auto_temperatures_equal_the_dense_rows(k, suite):
+    instances = [ring_instance(n, k) for n in ((24, 160, 1000) if k == 8 else (24, 160))]
+    for entry in suite:
+        if k <= entry.topo.nodes:
+            uniform = uniform_weights(entry.topo.nodes)
+            instances += [
+                build_qubo(entry.topo, entry.weights, k,
+                           default_penalties(entry.topo, entry.weights, k)),
+                build_unweighted_qubo(entry.topo, k, default_penalties(entry.topo, uniform, k)),
+            ]
+    for q in instances:
+        got = solvers._auto_temperatures(q.objective, k)
+        want = auto_temperatures_reference(q.objective, k)
+        assert [t.hex() for t in got] == [t.hex() for t in want]
+
+
+def test_auto_temperatures_build_no_square_array():
+    # the row sums advance a column at a time in an (n, k) array; the
+    # dense rows' n x n pair matrix alone would be 8 MB here
+    q = ring_instance(1000, 8)
+    tracemalloc.start()
+    try:
+        solvers._auto_temperatures(q.objective, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 * 2**20
 
 
 @pytest.mark.parametrize("k", range(1, 5))
@@ -919,7 +964,7 @@ def test_structured_field_matches_the_qubo(suite):
                     assert abs(tracked - energy(q, bits)) <= 1e-9 * scale
 
                     limits = rng.exponential(0.02 * scale, size=(20, q.num_vars))
-                    best_raw, best = solvers._walk(obj, x, S, L, c, tracked, iter([limits]))
+                    best_raw, best = solvers._walk(obj, x, S, L, c, tracked, TableLimits(limits))
                     assert abs(best_raw - energy(q, np.ravel(best))) <= 1e-9 * scale
 
 
@@ -931,17 +976,34 @@ def first_acceptance_scan(deltas, limits, sweep):
     return None
 
 
+class TableLimits(solvers._Limits):
+    """The annealer's limit stream over a given (sweeps, nv) table, its
+    blocks ending before each sweep in cuts and at the last sweep. Its
+    ceiling is infinite, so the scan never stops early and must find
+    what a full scan finds."""
+
+    def __init__(self, table, cuts=()):
+        sweeps, nv = table.shape
+        super().__init__(None, np.full(sweeps, np.inf), np.full(sweeps, np.inf), nv)
+        self.ends = [*cuts, sweeps]
+        self.buf = np.empty((max(np.diff([0, *self.ends])), nv))
+        self.table = table
+
+    def _next_block(self):
+        lo = self.hi
+        hi = next(end for end in self.ends if end > lo)
+        self.buf[:hi - lo] = self.table[lo:hi]
+        self.lo, self.hi = lo, hi
+
+
 def first_acceptance(deltas, limits, sweep, cuts=()):
-    """_first_acceptance from sweep `sweep` of limits cut into blocks
-    before each sweep in cuts, as (sweep, var) or None."""
-    bounds = [0, *cuts, len(limits)]
-    blocks = [limits[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    at = max(b for b, lo in enumerate(bounds[:-1]) if lo <= sweep)
-    hit = solvers._first_acceptance(deltas, blocks[at], sweep - bounds[at], iter(blocks[at + 1:]))
-    if hit is None:
-        return None
-    block, row, var = hit
-    return bounds[next(b for b, other in enumerate(blocks) if other is block)] + row, var
+    """_Limits.first_acceptance from sweep `sweep` of the table limits
+    cut into blocks before each sweep in cuts, once the sweeps before it
+    are read as the walk reads them; (sweep, var) or None."""
+    stream = TableLimits(limits, cuts)
+    for before in range(sweep):
+        stream.row(before)
+    return stream.first_acceptance(deltas, sweep)
 
 
 def test_first_acceptance_matches_a_row_major_scan():
@@ -977,3 +1039,75 @@ def test_first_acceptance_edge_cases():
         assert first_acceptance(deltas, last, 0, cuts) == (8, 1)
         assert first_acceptance(-deltas, misses, 0, cuts) == (0, 0)
     assert first_acceptance(np.array([-0.0]), np.array([[0.0]]), 0) == (0, 0)
+
+
+def cold_stream(temps, nv, seed):
+    """A restart's limit stream over temps, as solve_anneal builds it,
+    and the whole table it draws."""
+    ceiling = solvers._CEILING * np.maximum.accumulate(temps[::-1])[::-1]
+    whole = -temps[:, None] * np.log1p(-np.random.default_rng(seed).random((len(temps), nv)))
+    return solvers._Limits(np.random.default_rng(seed), temps, ceiling, nv), ceiling, whole
+
+
+def test_no_limit_reaches_the_ceiling():
+    # the largest u below 1 that rng.random draws gives the largest limit
+    assert -np.log1p(-np.array([1.0 - 2.0**-53]))[0] < solvers._CEILING
+
+
+def test_scan_stops_at_the_first_unreachable_sweep(monkeypatch):
+    # a NaN never passes and +inf passes no finite limit, so the lowest
+    # delta that counts is 1.0; from sweep `cold` on no limit reaches it
+    sweeps, nv = 400, 4
+    temps = np.geomspace(0.05, 1e-6, sweeps)
+    deltas = np.array([np.nan, 1.0, np.inf, 3.0])
+    for rows in (1, 2, 5, 64, sweeps):
+        monkeypatch.setattr(solvers, "_LIMIT_BLOCK", rows * nv)
+        for seed in range(5):
+            limits, ceiling, whole = cold_stream(temps, nv, seed)
+            cold = int(np.argmax(1.0 > ceiling))
+            assert 0 < cold < sweeps
+            assert first_acceptance_scan(deltas, whole, 0) is None
+            assert limits.first_acceptance(deltas, 0) is None
+            assert limits.lo < cold  # no block drawn from `cold` on
+            # a hit before `cold` is still found, after the same reads
+            limits, _, whole = cold_stream(temps, nv, seed)
+            for sweep in range(cold // 2):
+                limits.row(sweep)
+            low = np.array([np.nan, 0.9 * whole[cold // 2:cold, 1].max(), np.inf, 3.0])
+            want = first_acceptance_scan(low, whole, cold // 2)
+            assert want is not None and want[0] < cold
+            assert limits.first_acceptance(low, cold // 2) == want
+
+
+def test_scan_with_nan_and_infinite_deltas_matches_a_row_major_scan(monkeypatch):
+    rng = np.random.default_rng(12)
+    for trial in range(300):
+        sweeps, nv = int(rng.integers(1, 60)), int(rng.integers(1, 7))
+        monkeypatch.setattr(solvers, "_LIMIT_BLOCK", int(rng.integers(1, sweeps + 1)) * nv)
+        hot, cold = 10.0 ** rng.uniform(-1, 1), 10.0 ** rng.uniform(-9, -2)
+        space = np.geomspace if rng.random() < 0.5 else np.linspace
+        temps = space(hot, cold, sweeps)
+        deltas = rng.choice([np.nan, np.inf, -np.inf, -1.0, 0.0, 0.5, 2.0, 20.0, 200.0],
+                            size=nv)
+        limits, _, whole = cold_stream(temps, nv, trial)
+        sweep = int(rng.integers(0, sweeps + 1))
+        for before in range(sweep):
+            limits.row(before)
+        assert limits.first_acceptance(deltas, sweep) == first_acceptance_scan(
+            deltas, whole, sweep), trial
+
+
+def test_anneal24_sized_solve_holds_one_small_buffer():
+    # a 24-node ring at k=4, 2000 sweeps x 8 restarts: one buffer of at
+    # most 2**15 limits (256 KB) and the scan's windows over it
+    rule = DistanceRule(kind="uniform", low=0.5, high=2.0)
+    topo = generate_ring(24, chords=4, rule=rule, seed=7)
+    weights = compute_weights(synthetic_demands(24, timesteps=168, seed=11, anchor_scale=20.0))
+    q = build_qubo(topo, weights, 4, default_penalties(topo, weights, 4))
+    tracemalloc.start()
+    try:
+        solve_anneal(q, AnnealConfig(sweeps=2000, restarts=8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * 2**20
