@@ -17,7 +17,6 @@ from heatfair import (
     DistanceRule,
     build_qubo,
     compute_weights,
-    default_penalties,
     generate_ring,
     generate_tree,
     solve_anneal,
@@ -57,8 +56,7 @@ def main() -> int:
     for run in range(args.runs):
         topo, weights = cases[run % len(cases)]
         k = (run % 3) + 1
-        cfg = default_penalties(topo, weights, k)
-        q = build_qubo(topo, weights, k, cfg)
+        q = build_qubo(topo, weights, k)
         key = (run % len(cases), k)
         if key not in truths:
             started = time.monotonic()

@@ -21,7 +21,7 @@ import sys
 import time
 
 from . import demand, graphs, qubo, workflow
-from .fairness import FairnessError, KpiReport, score_assignment
+from .fairness import FairnessError
 from .ioutil import atomic_write_text
 from .solvers import SCHEDULES, SolverError
 
@@ -149,10 +149,6 @@ def _cmd_qubo(ns: argparse.Namespace) -> int:
     topo = graphs.load_topology(ns.topology)
     penalty = _custom_penalty(args)
     if args["unweighted"]:
-        if penalty is None:
-            penalty = qubo.default_penalties(
-                topo, demand.uniform_weights(topo.nodes), args["k"]
-            )
         instance = qubo.build_unweighted_qubo(topo, args["k"], penalty)
     else:
         if args["weights"] is None:
@@ -160,8 +156,6 @@ def _cmd_qubo(ns: argparse.Namespace) -> int:
                 "--weights is required unless --unweighted is set"
             )
         weights = demand.load_weights(args["weights"])
-        if penalty is None:
-            penalty = qubo.default_penalties(topo, weights, args["k"])
         instance = qubo.build_qubo(topo, weights, args["k"], penalty)
     out = _resolve_output(args["output"])
     qubo.export_qubo(instance, out)
@@ -178,27 +172,14 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
     started = time.monotonic()
     topo = graphs.load_topology(ns.topology)
     weights = demand.load_weights(args["weights"])
-    k = args["k"]
-    penalty = _custom_penalty(args)
-    if penalty is None:
-        penalty = qubo.default_penalties(topo, weights, k)
-    instance = qubo.build_qubo(topo, weights, k, penalty)
     name = args["solver"]
-    result = workflow._solve_cell(_solver_spec(args, name), args["seed"], instance)
-    report = score_assignment(
-        result.assignment, topo, weights,
-        kpi_alpha=args["kpi_alpha"], solver_name=name, energy=result.energy,
+    result, report = workflow.solve_cell(
+        topo, weights, args["k"], _solver_spec(args, name), args["seed"],
+        penalty=_custom_penalty(args), kpi_alpha=args["kpi_alpha"],
     )
     doc = result.as_dict()
     doc["wall_time"] = None  # keep outputs byte-stable; timing goes to stderr
-    doc.update(
-        {
-            "jain": report.jain,
-            "distance_index": report.distance_index,
-            "kpi": report.kpi,
-            "kpi_alpha": report.kpi_alpha,
-        }
-    )
+    doc.update((key, getattr(report, key)) for key in ("jain", "distance_index", "kpi", "kpi_alpha"))
     out = _resolve_output(args["output"])
     _write_json(doc, out)
     print(
@@ -271,37 +252,15 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _load_sweep_result(path: str) -> workflow.SweepResult:
-    doc = _load_json(path)
-    try:
-        reports = tuple(_report_from_dict(entry) for entry in doc["reports"])
-        return workflow.SweepResult(
-            reports=reports,
-            warnings=tuple(doc.get("warnings", ())),
-            provenance=doc["provenance"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise workflow.WorkflowError(
-            f"{path}: not a sweep result file ({exc!r})"
-        ) from exc
-
-
-def _report_from_dict(entry: dict) -> KpiReport:
-    return KpiReport(
-        k=entry["k"],
-        jain=entry["jain"],
-        distance_index=entry["distance_index"],
-        kpi=entry["kpi"],
-        kpi_alpha=entry["kpi_alpha"],
-        solver_name=entry["solver"],
-        energy=entry["energy"],
-        assignment=tuple(entry.get("assignment", ())),
-    )
-
-
 def _cmd_compare(ns: argparse.Namespace) -> int:
     args = _effective_args(ns)
-    sweeps = [_load_sweep_result(path) for path in ns.sweeps]
+    sweeps = []
+    for path in ns.sweeps:
+        doc = _load_json(path)
+        try:
+            sweeps.append(workflow.sweep_from_dict(doc))
+        except workflow.WorkflowError as exc:
+            raise workflow.WorkflowError(f"{path}: {exc}") from exc
     rows = workflow.compare_topologies(sweeps)
     out = _resolve_output(args["output"])
     atomic_write_text(out, workflow.comparison_to_csv_text(rows))

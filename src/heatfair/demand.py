@@ -113,7 +113,13 @@ def compute_weights(demands: DemandMatrix) -> WeightVector:
             f"node(s) {names} have zero demand at every timestep; "
             f"weights are undefined"
         )
-    return WeightVector(values=peaks / peaks.sum())
+    with np.errstate(over="ignore"):  # an overflowed sum is inf, refused below
+        total = peaks.sum()
+    if not np.isfinite(total):
+        raise DemandError(
+            "the peak demands sum past the largest float; scale the demands down"
+        )
+    return WeightVector(values=peaks / total)
 
 
 def uniform_weights(nodes: int) -> WeightVector:

@@ -40,9 +40,9 @@ class DistanceRule:
         if self.kind not in ("unit", "uniform"):
             raise TopologyError(f"unknown distance rule kind {self.kind!r}")
         if self.kind == "uniform":
-            if not (0.0 < self.low <= self.high):
+            if not (0.0 < self.low <= self.high < math.inf):
                 raise TopologyError(
-                    f"uniform distance rule needs 0 < low <= high, got "
+                    f"uniform distance rule needs finite 0 < low <= high, got "
                     f"low={self.low!r} high={self.high!r}"
                 )
 
@@ -217,6 +217,8 @@ def generate_ring(
             f"ring of {nodes} nodes admits at most {candidates} chords, "
             f"got {chords}"
         )
+    if chords and candidates > np.iinfo(np.int64).max:  # past what rng.choice can draw from
+        raise TopologyError(f"ring of {nodes} nodes is too large to draw chords for")
     rng = np.random.default_rng(seed)
     picked = rng.choice(candidates, size=chords, replace=False).tolist() if chords else []
     # drawn before any list is built, so a ring too large to hold fails

@@ -36,7 +36,7 @@ import numbers
 import numpy as np
 
 from . import graphs
-from .demand import WeightVector
+from .demand import WeightVector, uniform_weights
 from .ioutil import atomic_write_text
 
 
@@ -364,14 +364,18 @@ def _check_objective_terms(obj: Objective, n: int, k: int) -> None:
 
 # an overflowing coefficient is QuboInstance's to reject, with no numpy warning first
 @np.errstate(over="ignore", invalid="ignore")
-def build_qubo(topo: graphs.Topology, w, k: int, cfg: PenaltyConfig) -> QuboInstance:
+def build_qubo(
+    topo: graphs.Topology, w, k: int, cfg: PenaltyConfig | None = None
+) -> QuboInstance:
     """Weighted objective over n*k variables; see module docstring.
 
     w may be a WeightVector or any positive vector; the balance target
     is W/k with W its actual sum, so unnormalised weights work too.
+    cfg None takes default_penalties(topo, w, k).
     """
     n = topo.nodes
     _check_k(n, k)
+    cfg = cfg or default_penalties(topo, w, k)
     weights = _weight_array(w, n)
     target = float(weights.sum()) / k
     dists = np.array([dist for _, _, dist in topo.edges], dtype=float)
@@ -380,16 +384,20 @@ def build_qubo(topo: graphs.Topology, w, k: int, cfg: PenaltyConfig) -> QuboInst
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def build_unweighted_qubo(topo: graphs.Topology, k: int, cfg: PenaltyConfig) -> QuboInstance:
+def build_unweighted_qubo(
+    topo: graphs.Topology, k: int, cfg: PenaltyConfig | None = None
+) -> QuboInstance:
     """Node-count variant: cut edges via the combinatorial Laplacian and
     a balance target of n/k nodes per producer.
 
     Unlike the weighted form, the graph term here rewards keeping
     neighbours together (it counts edges leaving each group), while the
     weighted form's distance term counts edges kept inside each group.
+    cfg None takes default_penalties(topo, uniform_weights(n), k).
     """
     n = topo.nodes
     _check_k(n, k)
+    cfg = cfg or default_penalties(topo, uniform_weights(n), k)
     degree = np.zeros(n, dtype=np.int64)
     for u, v, _ in topo.edges:
         degree[u] += 1

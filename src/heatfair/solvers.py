@@ -285,8 +285,6 @@ def _auto_temperatures(obj: Objective, k: int) -> tuple[float, float]:
 
 
 def _temperature_schedule(cfg: AnnealConfig, t_initial: float, t_final: float):
-    if cfg.sweeps == 1:
-        return np.array([t_initial])
     space = np.geomspace if cfg.schedule == "geometric" else np.linspace
     try:
         return space(t_initial, t_final, cfg.sweeps)
@@ -585,7 +583,7 @@ def _fixed_tables(nbr, r, k):
     return blocks, np.arange(n)[:, None] >= np.arange(n), np.arange(k)[:, None]
 
 
-def _move_tables(p, loads, nbr, coeff, wz, alpha, target, fixed=None):
+def _move_tables(p, loads, nbr, coeff, wz, alpha, target, fixed):
     """Deltas of every move, (restarts, n*k) for relocating node i to
     producer j and (restarts, n*n) for swapping the producers of nodes
     i < j, each summed in the order of the scalar scan; p (restarts,
@@ -599,10 +597,10 @@ def _move_tables(p, loads, nbr, coeff, wz, alpha, target, fixed=None):
     producers picks each swap term out of it exactly (one nonzero
     product per output); the partner's term is zeroed, since a swap
     leaves that edge cut. i's terms, then j's, are added slot by slot.
-    fixed is _fixed_tables(nbr, restarts, k), built here if not given."""
+    fixed is _fixed_tables(nbr, restarts, k)."""
     r, n = p.shape[0], nbr.shape[1]
     k = loads.shape[1]
-    blocks, lower, producers = fixed or _fixed_tables(nbr, r, k)
+    blocks, lower, producers = fixed
     mine = p[:, :n]
     at = p[:, nbr]  # (r, D, n): the producer of each slot's neighbour
     nearby = np.where(at == mine[:, None], -coeff, 0.0)

@@ -19,8 +19,10 @@ import numpy as np
 from . import graphs
 from .demand import DemandMatrix, compute_weights
 from .fairness import KpiReport, score_assignment
-from .qubo import PenaltyConfig, build_qubo, default_penalties
-from .solvers import AnnealConfig, SolverError, solve_anneal, solve_exhaustive, solve_heuristic
+from .qubo import PenaltyConfig, build_qubo
+from .solvers import (
+    AnnealConfig, SolveResult, SolverError, solve_anneal, solve_exhaustive, solve_heuristic,
+)
 
 VERSION = "0.1.0"
 
@@ -128,75 +130,71 @@ def _cell_seed(seed: int, k: int, solver_index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _solve_cell(spec: SolverSpec, seed: int, q):
+def solve_cell(
+    topo: graphs.Topology, weights, k: int, spec: SolverSpec, seed: int,
+    penalty: PenaltyConfig | None = None, kpi_alpha: float = 0.5, sp=None,
+) -> tuple[SolveResult, KpiReport]:
+    """One cell of a sweep: build the weighted QUBO for k producers
+    (penalty None takes the builder's defaults), solve it with spec's
+    solver and score the answer. sp, the all-pairs shortest paths, is
+    computed by the scoring when not given."""
+    q = build_qubo(topo, weights, k, penalty)
     if spec.name == "exhaustive":
-        return solve_exhaustive(q, max_vars=spec.exhaustive_cap)
-    if spec.name == "anneal":
-        return solve_anneal(q, spec.anneal_config(seed))
-    return solve_heuristic(q, seed=seed, restarts=spec.restarts)
+        result = solve_exhaustive(q, max_vars=spec.exhaustive_cap)
+    elif spec.name == "anneal":
+        result = solve_anneal(q, spec.anneal_config(seed))
+    else:
+        result = solve_heuristic(q, seed=seed, restarts=spec.restarts)
+    report = score_assignment(
+        result.assignment, topo, weights, kpi_alpha=kpi_alpha,
+        solver_name=spec.name, energy=result.energy, sp=sp,
+    )
+    return result, report
 
 
 def run_sweep(
-    topo: graphs.Topology,
-    demands: DemandMatrix,
-    cfg: SweepConfig,
-    threads: int = 1,
+    topo: graphs.Topology, demands: DemandMatrix, cfg: SweepConfig, threads: int = 1,
     label: str | None = None,
 ) -> SweepResult:
-    """Algorithm: for each k and solver, assign nodes and score the
-    assignment. Skipped cells (the exhaustive size cap) become warnings,
-    never silent gaps; any other solver error fails the sweep. Deterministic for a fixed seed, regardless of
-    threads: cells run largest k first, so a pool of threads does not
-    end on one long cell, and reports come out by k, then solver name.
+    """Algorithm: run solve_cell for each k and solver. Skipped cells
+    (the exhaustive size cap) become warnings, never silent gaps; any
+    other solver error fails the sweep. Deterministic for a fixed seed,
+    regardless of threads: cells run largest k first, so a pool of
+    threads does not end on one long cell, and reports come out by k,
+    then solver name.
     """
     if threads < 1:
         raise WorkflowError(f"threads must be >= 1, got {threads}")
     sp = graphs.all_pairs_shortest_paths(topo)
     if not np.all(np.isfinite(sp)):
-        raise WorkflowError(
-            "topology is disconnected; pairwise distances are unbounded"
-        )
+        raise WorkflowError("topology is disconnected; pairwise distances are unbounded")
     if demands.nodes != topo.nodes:
         raise WorkflowError(
-            f"demand table covers {demands.nodes} nodes but topology has "
-            f"{topo.nodes}"
+            f"demand table covers {demands.nodes} nodes but topology has {topo.nodes}"
         )
     if cfg.max_producers > topo.nodes:
-        raise WorkflowError(
-            f"max_producers={cfg.max_producers} exceeds node count {topo.nodes}"
-        )
+        raise WorkflowError(f"max_producers={cfg.max_producers} exceeds node count {topo.nodes}")
     weights = compute_weights(demands)
 
-    cells = []
-    for k in range(1, cfg.max_producers + 1):
-        penalty = cfg.penalty if cfg.penalty is not None else default_penalties(
-            topo, weights, k
-        )
-        q = build_qubo(topo, weights, k, penalty)
-        for solver_index, spec in enumerate(cfg.solvers):
-            seed = _cell_seed(cfg.seed, k, solver_index)
-            cells.append((k, solver_index, spec, q, seed))
+    cells = [
+        (k, solver_index, spec)
+        for k in range(cfg.max_producers, 0, -1)
+        for solver_index, spec in enumerate(cfg.solvers)
+    ]
 
     def run_one(cell):
-        k, solver_index, spec, q, seed = cell
+        k, solver_index, spec = cell
         try:
-            result = _solve_cell(spec, seed, q)
+            _, report = solve_cell(
+                topo, weights, k, spec, _cell_seed(cfg.seed, k, solver_index),
+                penalty=cfg.penalty, kpi_alpha=cfg.kpi_alpha, sp=sp,
+            )
         except SolverError as exc:
             if spec.name != "exhaustive":  # only its size cap skips a cell
                 raise
             return k, solver_index, None, f"k={k} {spec.name}: skipped ({exc})"
-        report = score_assignment(
-            result.assignment,
-            topo,
-            weights,
-            kpi_alpha=cfg.kpi_alpha,
-            solver_name=spec.name,
-            energy=result.energy,
-            sp=sp,
-        )
         return k, solver_index, report, None
 
-    cells.sort(key=lambda cell: -cell[0])
     if threads == 1:
         outcomes = [run_one(cell) for cell in cells]
     else:
@@ -227,6 +225,43 @@ def sweep_to_dict(result: SweepResult) -> dict:
     }
 
 
+# report field -> the JSON types it may hold (never a boolean), and their name
+_REPORT_TYPES = {"k": ((int,), "an integer"), "solver": ((str,), "a string"), **dict.fromkeys(
+    ("jain", "distance_index", "kpi", "kpi_alpha"), ((int, float), "a number"))}
+
+
+def sweep_from_dict(doc) -> SweepResult:
+    """The SweepResult a sweep_to_dict document holds. Raises
+    WorkflowError, "not a sweep result file (...)", unless provenance
+    is an object whose config holds max_producers and kpi_alpha, and
+    reports is a list of objects, each with the _REPORT_TYPES fields."""
+
+    def check(ok: bool, what: str) -> None:
+        if not ok:
+            raise WorkflowError(f"not a sweep result file ({what})")
+
+    provenance = doc.get("provenance") if isinstance(doc, dict) else None
+    config = provenance.get("config") if isinstance(provenance, dict) else None
+    check(isinstance(config, dict) and {"max_producers", "kpi_alpha"} <= config.keys(),
+          "expected an object whose provenance.config holds max_producers and kpi_alpha")
+    entries = doc.get("reports")
+    check(isinstance(entries, list) and all(isinstance(e, dict) for e in entries),
+          "'reports' must be a list of objects")
+    for at, entry in enumerate(entries):
+        for field, (kinds, noun) in _REPORT_TYPES.items():
+            value = entry.get(field)
+            check(isinstance(value, kinds) and not isinstance(value, bool),
+                  f"reports[{at}].{field} must be {noun}")
+    try:
+        reports = tuple(KpiReport(
+            solver_name=e["solver"], energy=e["energy"], assignment=tuple(e.get("assignment", ())),
+            **{field: e[field] for field in ("k", "jain", "distance_index", "kpi", "kpi_alpha")},
+        ) for e in entries)
+        return SweepResult(reports, tuple(doc.get("warnings", ())), provenance)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise WorkflowError(f"not a sweep result file ({exc!r})") from exc
+
+
 def sweep_to_csv_text(result: SweepResult) -> str:
     lines = ["k,solver,jain,distance_index,kpi,energy"]
     for r in result.reports:
@@ -247,11 +282,7 @@ def sweep_to_gnuplot_texts(result: SweepResult) -> dict[str, str]:
         ("kpi", lambda r: r.kpi),
     ):
         blocks = []
-        solver_names = []
-        for r in result.reports:
-            if r.solver_name not in solver_names:
-                solver_names.append(r.solver_name)
-        for name in solver_names:
+        for name in dict.fromkeys(r.solver_name for r in result.reports):
             rows = [f"# solver: {name}"]
             for r in result.reports:
                 if r.solver_name == name:
@@ -286,19 +317,11 @@ def compare_topologies(sweeps, labels=None) -> list[dict]:
                     f"sweep {label!r} has {field}={cfg[field]!r}, "
                     f"expected {reference[field]!r}"
                 )
-    rows = []
-    for label, sweep in zip(labels, sweeps):
-        for r in sweep.reports:
-            rows.append(
-                {
-                    "topology": label,
-                    "solver": r.solver_name,
-                    "k": r.k,
-                    "jain": r.jain,
-                    "distance_index": r.distance_index,
-                    "kpi": r.kpi,
-                }
-            )
+    rows = [
+        {"topology": label, "solver": r.solver_name, "k": r.k, "jain": r.jain,
+         "distance_index": r.distance_index, "kpi": r.kpi}
+        for label, sweep in zip(labels, sweeps) for r in sweep.reports
+    ]
     rows.sort(key=lambda row: (row["topology"], row["solver"], row["k"]))
     return rows
 

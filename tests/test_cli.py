@@ -94,6 +94,27 @@ def test_generate_out_of_memory_prints_one_error_line(kind, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--nodes", "10", "--distance", "uniform", "--high", "inf"], "needs finite 0 < low <= high"),
+    (["--nodes", "10", "--distance", "uniform", "--low", "nan"], "needs finite 0 < low <= high"),
+    # n(n-3)/2 candidate chords past 2**63 - 1: refused before any draw
+    (["--nodes", "5000000000", "--chords", "1"], "too large to draw chords for"),
+])
+def test_generate_rejects_what_cannot_be_drawn(flags, message, tmp_path):
+    out = tmp_path / "g.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from heatfair import cli; sys.exit(cli.main())",
+         "generate", "ring", *flags, "-o", str(out)],
+        preexec_fn=_limit_address_space, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
+    assert message in done.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_memory_error_without_a_message_prints_one_error_line(monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError
@@ -123,6 +144,16 @@ def test_weights_rejects_idle_node(tmp_path, capsys):
     csv_path.write_text("hub,annex\n1.0,0.0\n2.0,0.0\n")
     assert cli.main(["weights", str(csv_path)]) == 2
     assert "annex" in capsys.readouterr().err
+
+
+def test_weights_reject_peaks_summing_past_the_float_range(tmp_path, capsys):
+    csv_path = tmp_path / "huge.csv"
+    csv_path.write_text("a,b,c\n1e308,1e308,1e308\n")
+    assert cli.main(["weights", str(csv_path), "-o", str(tmp_path / "w.json")]) == 2
+    assert capsys.readouterr().err == (
+        "error: the peak demands sum past the largest float; scale the demands down\n"
+    )
+    assert not (tmp_path / "w.json").exists()
 
 
 def test_weights_scales_to_a_year(tmp_path):
@@ -441,6 +472,61 @@ def test_compare_rejects_mismatched_sweeps(tmp_path, capsys):
         "compare", str(tmp_path / "a.json"), str(tmp_path / "b.json"),
     ]) == 2
     assert "max_producers" in capsys.readouterr().err
+
+
+def _spoilt(doc, *path, value=None, drop=False):
+    """A copy of doc with the value at path replaced, or dropped."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    holder = doc
+    for key in parents:
+        holder = holder[key]
+    if drop:
+        del holder[last]
+    else:
+        holder[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda d: {**d, "reports": [*d["reports"], {**d["reports"][0], "k": "x"}]},
+    lambda d: _spoilt(d, "provenance", "config", drop=True),
+    lambda d: _spoilt(d, "provenance", value=[d["provenance"]]),
+    lambda d: _spoilt(d, "provenance", "config", value=[]),
+    lambda d: _spoilt(d, "provenance", "config", "kpi_alpha", drop=True),
+    lambda d: _spoilt(d, "reports", value={"0": d["reports"][0]}),
+    lambda d: _spoilt(d, "reports", 0, value=[1, 2]),
+    lambda d: _spoilt(d, "reports", 0, "k", value=True),
+    lambda d: _spoilt(d, "reports", 0, "solver", value=7),
+    lambda d: _spoilt(d, "reports", 0, "jain", value="1.0"),
+    lambda d: _spoilt(d, "reports", 0, "kpi_alpha", value=False),
+    lambda d: _spoilt(d, "reports", 0, "distance_index", value=None),
+    lambda d: _spoilt(d, "reports", 0, "kpi", drop=True),
+    lambda d: _spoilt(d, "reports", 0, "energy", drop=True),
+    lambda d: _spoilt(d, "reports", 0, "assignment", value=["x"]),
+    lambda d: _spoilt(d, "warnings", value=3),
+    lambda d: [d],
+], ids=[
+    "k-text", "no-config", "provenance-list", "config-list", "no-kpi-alpha", "reports-object",
+    "report-list", "k-bool", "solver-int", "jain-text", "kpi-alpha-bool", "distance-index-null",
+    "no-kpi", "no-energy", "assignment-text", "warnings-int", "document-list",
+])
+def test_compare_rejects_malformed_sweep_files(spoil, tmp_path, capsys):
+    topo_path, csv_path = tmp_path / "ring.json", tmp_path / "demands.csv"
+    cli.main(["generate", "ring", "--nodes", "6", "-o", str(topo_path)])
+    write_demands(csv_path, nodes=6, seed=3)
+    assert cli.main([
+        "sweep", str(topo_path), "--demands", str(csv_path), "--max-producers", "2",
+        "--label", "good", "-o", str(tmp_path / "good"),
+    ]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spoil(json.loads((tmp_path / "good.json").read_text()))))
+    capsys.readouterr()
+    out = tmp_path / "cmp.csv"
+    assert cli.main(["compare", str(tmp_path / "good.json"), str(bad), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not a sweep result file (") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_config_file_sits_between_defaults_and_flags(tmp_path):

@@ -35,6 +35,12 @@ def test_zero_column_rejected_by_name():
         compute_weights(d)
 
 
+def test_peaks_summing_past_the_float_range_are_refused():
+    d = DemandMatrix(values=np.full((2, 3), 1e308))
+    with pytest.raises(DemandError, match="sum past the largest float"):
+        compute_weights(d)
+
+
 def test_matrix_invariants_enforced():
     with pytest.raises(DemandError, match="two-dimensional"):
         DemandMatrix(values=np.ones(3))

@@ -170,6 +170,12 @@ def test_ring_chords_equal_the_listed_picks(nodes, chords, seed):
     assert topo.edges == want.edges and topo.coords == want.coords
 
 
+def test_ring_past_the_drawable_chord_count_is_refused():
+    # 4.3e9 nodes have n(n-3)/2 > 2**63 - 1 candidate chords
+    with pytest.raises(TopologyError, match="too large to draw chords"):
+        generate_ring(4_300_000_000, chords=1)
+
+
 def test_large_ring_lists_no_candidate_pairs():
     topo = generate_ring(20000, chords=5, seed=1)
     assert topo.num_edges == 20005
@@ -206,6 +212,12 @@ def test_distance_rule_validation():
         DistanceRule(kind="gauss")
     with pytest.raises(TopologyError, match="0 < low <= high"):
         DistanceRule(kind="uniform", low=2.0, high=1.0)
+
+
+@pytest.mark.parametrize("low, high", [(0.5, np.inf), (np.inf, np.inf), (np.nan, 1.0)])
+def test_distance_rule_needs_finite_bounds(low, high):
+    with pytest.raises(TopologyError, match="finite 0 < low <= high"):
+        DistanceRule(kind="uniform", low=low, high=high)
 
 
 def test_minimal_two_node_round_trip(tmp_path):

@@ -622,3 +622,30 @@ def test_import_requires_sidecar(tmp_path):
     path.write_text("p qubo 1 0 0 0.0\n")
     with pytest.raises(QuboFormatError, match="sidecar mapping file not found"):
         import_qubo(str(path))
+
+
+def test_builders_default_to_default_penalties(suite, tmp_path):
+    """Leaving cfg out takes default_penalties, with uniform weights for
+    the unweighted builder: the same offset, objective arrays and
+    exported bytes as passing those penalties."""
+
+    def exported(q):
+        path = tmp_path / "q.qubo"
+        export_qubo(q, str(path))
+        return path.read_bytes() + (tmp_path / "q.qubo.map").read_bytes()
+
+    for entry in suite:
+        topo, n = entry.topo, entry.topo.nodes
+        uniform = uniform_weights(n)
+        for k in range(1, min(4, n) + 1):
+            for got, want in (
+                (build_qubo(topo, entry.weights, k),
+                 build_qubo(topo, entry.weights, k, default_penalties(topo, entry.weights, k))),
+                (build_unweighted_qubo(topo, k),
+                 build_unweighted_qubo(topo, k, default_penalties(topo, uniform, k))),
+            ):
+                assert float(got.offset).hex() == float(want.offset).hex()
+                for field in dataclasses.fields(qubo.Objective):
+                    mine, theirs = (np.asarray(getattr(q.objective, field.name)) for q in (got, want))
+                    assert mine.tobytes() == theirs.tobytes(), (n, k, field.name)
+                assert exported(got) == exported(want)

@@ -650,9 +650,9 @@ def test_move_tables_equal_reference_deltas_bit_for_bit():
             states = [rng.integers(0, k, size=n).tolist() for _ in range(3)]
             p = with_sentinel(states)
             loads = np.array([loads_of(s, w, k) for s in states])
-            rel, swp = solvers._move_tables(
-                p, loads, *kernel_inputs(neighbours, w, beta), alpha, target
-            )
+            nbr, coeff, wz = kernel_inputs(neighbours, w, beta)
+            fixed = solvers._fixed_tables(nbr, len(states), k)
+            rel, swp = solvers._move_tables(p, loads, nbr, coeff, wz, alpha, target, fixed)
             args = (neighbours, w, beta, [alpha] * k, target)
             for r, state in enumerate(states):
                 state_loads = loads[r].tolist()

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from heatfair import (
     Topology,
     WorkflowError,
     compare_topologies,
+    compute_weights,
     comparison_to_csv_text,
     generate_ring,
     generate_tree,
@@ -20,6 +22,7 @@ from heatfair import (
     sweep_to_dict,
     sweep_to_gnuplot_texts,
     synthetic_demands,
+    workflow,
 )
 
 RING8 = generate_ring(8)
@@ -201,6 +204,12 @@ def test_serialisations_agree_on_content():
         assert len(text.strip().split("\n")) == 5  # header + one row per k
 
 
+def test_sweep_from_dict_reads_back_sweep_to_dict():
+    res = run_sweep(RING8, FLAT8, SweepConfig(max_producers=4, solvers=(SolverSpec(name="exhaustive"),)))
+    assert res.warnings  # k=4 is past the exhaustive cap
+    assert workflow.sweep_from_dict(json.loads(json.dumps(sweep_to_dict(res)))) == res
+
+
 def test_compare_topologies_merges_and_sorts():
     demands = synthetic_demands(8, timesteps=24, seed=6)
     cfg = SweepConfig(max_producers=3)
@@ -232,3 +241,25 @@ def test_compare_topologies_rejects_mismatches():
         compare_topologies([])
     with pytest.raises(WorkflowError, match="2 labels for 1 sweeps"):
         compare_topologies([ring], labels=["a", "b"])
+
+
+@pytest.mark.parametrize("penalty, kpi_alpha", [
+    (None, 0.5), (PenaltyConfig(beta=2.0, alpha=40.0, gamma=90.0), 0.3),
+])
+def test_sweep_reports_are_the_solve_cells(penalty, kpi_alpha):
+    topo = generate_ring(7, chords=2, seed=5)
+    demands = synthetic_demands(7, timesteps=36, seed=9)
+    specs = (SolverSpec(name="heuristic", restarts=4), SolverSpec(name="anneal", sweeps=150, restarts=2))
+    cfg = SweepConfig(max_producers=3, solvers=specs, penalty=penalty, kpi_alpha=kpi_alpha, seed=17)
+    reports = run_sweep(topo, demands, cfg).reports
+    weights = compute_weights(demands)
+    cells = {
+        (k, spec.name): workflow.solve_cell(
+            topo, weights, k, spec, workflow._cell_seed(17, k, index),
+            penalty=penalty, kpi_alpha=kpi_alpha,
+        )[1]
+        for k in (1, 2, 3) for index, spec in enumerate(specs)
+    }
+    assert len(reports) == len(cells) == 6
+    for report in reports:
+        assert report == cells[report.k, report.solver_name]
