@@ -160,8 +160,8 @@ def _cmd_qubo(ns: argparse.Namespace) -> int:
     out = _resolve_output(args["output"])
     qubo.export_qubo(instance, out)
     print(
-        f"wrote {instance.num_vars} variables, {len(instance.linear)} linear "
-        f"and {len(instance.quadratic)} quadratic terms to {out} (+ .map)",
+        f"wrote {instance.num_vars} variables, {instance.terms.lin_vals.size} linear "
+        f"and {instance.terms.vals.size} quadratic terms to {out} (+ .map)",
         file=sys.stderr,
     )
     return 0

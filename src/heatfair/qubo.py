@@ -20,13 +20,14 @@ neighbours apart (balance and one-hot terms do the grouping). The
 unweighted variant (build_unweighted_qubo) instead charges beta for
 every edge leaving a producer's area, which rewards keeping neighbours
 together. tests/test_qubo.py pins both readings. Both builders build
-only the Objective, which the instance carries; its coefficient dicts
-are an export view, expanded from the Objective on first use, and
-feasible_energies scores assignments from the Objective alone.
+only the Objective, which the instance carries and feasible_energies
+scores from. An instance stores its terms once, as arrays (terms,
+expanded from the Objective on first use); its dicts are views of them.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import itertools
@@ -103,18 +104,23 @@ class Objective:
         return (self.node_linear + self.alpha * (w * w - 2.0 * self.target * w)) - self.gamma
 
 
+# An instance's stored terms as read-only arrays in dict order: linear
+# (variables, values), then quadratic (rows, cols, values), rows < cols.
+Terms = collections.namedtuple("Terms", "lin_vars lin_vals rows cols vals")
+
+
 class QuboInstance:
     """Coefficients of one assignment problem.
 
-    linear maps variable -> coefficient; quadratic maps (v1, v2) with
-    v1 < v2 -> coefficient; zero coefficients are not stored, and every
-    coefficient and the offset are finite. objective is what a builder
-    expanded, sized for n nodes; an imported instance has none and holds
-    its dicts. A built instance holds only its objective (linear and
-    quadratic passed as None): its dicts are an export view, expanded
-    from the objective on first use, and no solver reads them.
-    Instances are immutable; equality compares n, k, the dicts and the
-    offset, never the objective.
+    terms holds every stored term; zero coefficients are not stored,
+    and every coefficient and the offset are finite. linear (variable
+    -> coefficient) and quadratic ((v1, v2) with v1 < v2 -> coefficient)
+    are dict views of terms, built on first use. objective is what a
+    builder expanded, sized for n nodes; an imported instance has none
+    and is given dicts, which become its terms. A built instance is
+    given only its objective (linear and quadratic None) and expands its
+    terms from it on first use; no solver reads them. Instances are
+    immutable; equality compares n, k, the dicts and the offset.
     """
 
     def __init__(
@@ -135,8 +141,7 @@ class QuboInstance:
         if (linear is None) != (quadratic is None) or (linear is None and objective is None):
             raise QuboError("give both coefficient dicts, or neither and an objective")
         if linear is not None:
-            _check_terms(linear, quadratic, n * k)
-            vars(self)["_dicts"] = (linear, quadratic)
+            vars(self)["terms"] = _terms_of_dicts(linear, quadratic, n * k)
         obj = objective
         if obj is not None and not (
             obj.weights.shape == obj.node_linear.shape == (n,)
@@ -166,62 +171,58 @@ class QuboInstance:
         return f"QuboInstance(n={self.n}, k={self.k}, offset={self.offset!r})"
 
     @functools.cached_property
-    def _dicts(self):
+    def terms(self) -> Terms:
         return _expand(self.objective, self.n, self.k)
 
-    @property
+    @functools.cached_property
     def linear(self) -> dict[int, float]:
-        return self._dicts[0]
+        return dict(zip(self.terms.lin_vars.tolist(), self.terms.lin_vals.tolist()))
 
-    @property
+    @functools.cached_property
     def quadratic(self) -> dict[tuple[int, int], float]:
-        return self._dicts[1]
+        t = self.terms
+        return dict(zip(zip(t.rows.tolist(), t.cols.tolist()), t.vals.tolist()))
 
     @property
     def num_vars(self) -> int:
         return self.n * self.k
 
-    def node_producer(self, var: int) -> tuple[int, int]:
-        if not (0 <= var < self.num_vars):
-            raise QuboError(f"variable {var} outside 0..{self.num_vars - 1}")
-        return var % self.n, var // self.n
 
-    @functools.cached_property
-    def _term_arrays(self):
-        """Stored terms as read-only arrays in dict order: linear (vars,
-        values), then quadratic (rows, cols, values)."""
-        lin_vars = np.fromiter(self.linear, np.int64, len(self.linear))
-        lin_vals = np.fromiter(self.linear.values(), float, len(self.linear))
-        pairs = np.fromiter(
-            itertools.chain.from_iterable(self.quadratic),
-            np.int64,
-            2 * len(self.quadratic),
-        ).reshape(-1, 2)
-        vals = np.fromiter(self.quadratic.values(), float, len(self.quadratic))
-        arrays = (lin_vars, lin_vals, pairs[:, 0], pairs[:, 1], vals)
-        for arr in arrays:
-            arr.flags.writeable = False
-        return arrays
+def _read_only(terms: Terms) -> Terms:
+    for arr in terms:
+        arr.flags.writeable = False
+    return terms
 
 
-def _check_terms(linear, quadratic, nv: int) -> None:
-    for v, coeff in linear.items():
-        if not (0 <= v < nv):
-            raise QuboError(f"linear variable {v} outside 0..{nv - 1}")
-        if coeff == 0.0:
-            raise QuboError(f"zero linear coefficient stored for variable {v}")
-        if not math.isfinite(coeff):
-            raise QuboError(f"linear coefficient of variable {v} is {coeff!r}, not finite")
-    for (a, b), coeff in quadratic.items():
-        if not (0 <= a < b < nv):
-            raise QuboError(
-                f"quadratic key ({a}, {b}) is not strictly upper-triangular "
-                f"within 0..{nv - 1}"
-            )
-        if coeff == 0.0:
-            raise QuboError(f"zero quadratic coefficient stored for ({a}, {b})")
-        if not math.isfinite(coeff):
-            raise QuboError(f"quadratic coefficient of ({a}, {b}) is {coeff!r}, not finite")
+def _terms_of_dicts(linear, quadratic, nv: int) -> Terms:
+    """The dicts' terms in dict order, checked: each variable in 0..nv-1,
+    each pair strictly upper-triangular, each value nonzero and finite.
+    The first term to break a rule is named, with the first it breaks."""
+    if not set(map(len, quadratic)) <= {2}:
+        raise QuboError("every quadratic key must be a pair of variables (v1, v2)")
+    count = len(linear) + 2 * len(quadratic)  # the linear keys, then both ends of each pair
+    try:
+        ids = np.fromiter(itertools.chain(linear, *quadratic), np.int64, count)
+    except OverflowError:  # no variable; kept exact to be named below
+        ids = np.fromiter(itertools.chain(linear, *quadratic), object, count)
+    v, a, b = ids[:len(linear)], ids[len(linear)::2], ids[len(linear) + 1::2]
+    t = Terms(v, np.fromiter(linear.values(), float, len(linear)),
+              a, b, np.fromiter(quadratic.values(), float, len(quadratic)))
+    for keeps, vals, messages in (
+        ((0 <= v) & (v < nv), t.lin_vals, lambda at, c: (
+            f"linear variable {v[at]} outside 0..{nv - 1}",
+            f"zero linear coefficient stored for variable {v[at]}",
+            f"linear coefficient of variable {v[at]} is {c!r}, not finite")),
+        ((0 <= a) & (a < b) & (b < nv), t.vals, lambda at, c: (
+            f"quadratic key ({a[at]}, {b[at]}) is not strictly upper-triangular within 0..{nv - 1}",
+            f"zero quadratic coefficient stored for ({a[at]}, {b[at]})",
+            f"quadratic coefficient of ({a[at]}, {b[at]}) is {c!r}, not finite")),
+    ):
+        broken = ~np.array([keeps, vals != 0.0, np.isfinite(vals)], dtype=bool)
+        at = np.flatnonzero(broken.any(axis=0))
+        if at.size:
+            raise QuboError(messages(at[0], float(vals[at[0]]))[np.argmax(broken[:, at[0]])])
+    return _read_only(t)
 
 
 def _weight_array(w, n: int) -> np.ndarray:
@@ -261,7 +262,7 @@ def _assemble(
     edge_coeff on each topology edge, node_linear on each node, and the
     balance square alpha * (sum_i w_i x_ij - target)^2; per node the
     one-hot square. Only the Objective and the offset are built here;
-    the coefficient dicts are expanded from them on first use (_expand).
+    the instance's terms are expanded from them on first use (_expand).
     """
     obj = Objective(
         ends=np.array([(u, v) for u, v, _ in topo.edges], dtype=np.int64).reshape(-1, 2),
@@ -296,7 +297,7 @@ def _pair_terms(obj: Objective, n: int):
 
 
 def _expand(obj: Objective, n: int, k: int):
-    """The coefficient dicts of a built instance, all producers at once.
+    """The terms of a built instance, all producers at once.
 
     Keys come out in a fixed order (edge pairs of every producer, the
     other within-producer pairs, one-hot pairs node by node; linear keys
@@ -321,16 +322,13 @@ def _expand(obj: Objective, n: int, k: int):
     quad_vals = np.concatenate([
         np.tile(edge_vals, k), np.tile(pair, k), np.full(n * j1.size, 2.0 * obj.gamma)
     ])
-    keep = lin_vals != 0.0
-    linear = dict(zip(lin_keys[keep].tolist(), lin_vals[keep].tolist()))
-    keep = quad_vals != 0.0
-    quadratic = dict(zip(zip(quad_a[keep].tolist(), quad_b[keep].tolist()), quad_vals[keep].tolist()))
-    return linear, quadratic
+    lin, quad = lin_vals != 0.0, quad_vals != 0.0
+    return _read_only(Terms(lin_keys[lin], lin_vals[lin], quad_a[quad], quad_b[quad], quad_vals[quad]))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite term is reported, not warned of
 def _check_objective_terms(obj: Objective, n: int, k: int) -> None:
-    """QuboInstance's term checks on a built instance, without its dicts.
+    """QuboInstance's term checks on a built instance, without its terms.
     Edge ends must be distinct (u, v) pairs with u < v. Every producer
     holds the same coefficients, so the first non-finite one in dict
     order sits at producer 0, where its key is its nodes."""
@@ -426,7 +424,7 @@ def energies(q: QuboInstance, bit_matrix: np.ndarray) -> np.ndarray:
         raise QuboError(
             f"bit matrix must be (rows, {q.num_vars}), got shape {mat.shape}"
         )
-    lin_vars, lin_vals, rows, cols, vals = q._term_arrays
+    lin_vars, lin_vals, rows, cols, vals = q.terms
     width = 1 + lin_vals.size + vals.size
     out = np.empty(mat.shape[0])
     step = max(1, (1 << 20) // width)  # rows per block of ~2^20 terms
@@ -452,7 +450,7 @@ def _in_key_order(keys: np.ndarray, vals: np.ndarray, unset: int) -> np.ndarray:
 def feasible_energies(q: QuboInstance, producer_rows) -> np.ndarray:
     """Energies of feasible assignments, one row of producer ids per
     assignment (node i at producer row[i]), read from q's objective
-    without its dicts; each equals energies() of the row's one-hot bits
+    without its terms; each equals energies() of the row's one-hot bits
     bit for bit.
 
     A feasible row sets one linear term per node and its same-producer
@@ -531,19 +529,17 @@ def export_qubo(q: QuboInstance, path: str) -> None:
     to (node, producer) pairs. Floats use shortest round-trip decimals,
     so import reproduces every coefficient bit-exactly.
     """
-    lines = [
-        f"p qubo {q.num_vars} {len(q.linear)} {len(q.quadratic)} {q.offset!r}"
-    ]
-    for v in sorted(q.linear):
-        lines.append(f"{v} {v} {q.linear[v]!r}")
-    for a, b in sorted(q.quadratic):
-        lines.append(f"{a} {b} {q.quadratic[(a, b)]!r}")
+    t = q.terms
+    lines = [f"p qubo {q.num_vars} {t.lin_vars.size} {t.vals.size} {q.offset!r}"]
+    at = np.argsort(t.lin_vars, kind="stable")
+    lines += [f"{v} {v} {c!r}" for v, c in zip(t.lin_vars[at].tolist(), t.lin_vals[at].tolist())]
+    at = np.lexsort((t.cols, t.rows))
+    lines += [f"{a} {b} {c!r}"
+              for a, b, c in zip(t.rows[at].tolist(), t.cols[at].tolist(), t.vals[at].tolist())]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
     map_lines = [f"map {q.n} {q.k}"]
-    for var in range(q.num_vars):
-        node, producer = q.node_producer(var)
-        map_lines.append(f"{var} {node} {producer}")
+    map_lines += [f"{j * q.n + i} {i} {j}" for j in range(q.k) for i in range(q.n)]
     atomic_write_text(path + ".map", "\n".join(map_lines) + "\n")
 
 
@@ -629,12 +625,12 @@ def import_qubo(path: str) -> QuboInstance:
         raise QuboFormatError(
             f"{map_path}: n*k = {n * k} does not match {num_vars} variables"
         )
-    entries = [line for line in map_raw[1:] if line.strip()]
+    entries = [(lineno, line) for lineno, line in enumerate(map_raw[1:], start=2) if line.strip()]
     if len(entries) != num_vars:
         raise QuboFormatError(
             f"{map_path}: expected {num_vars} mapping rows, found {len(entries)}"
         )
-    for lineno, line in enumerate(entries, start=2):
+    for lineno, line in entries:
         parts = line.split()
         if len(parts) != 3:
             raise QuboFormatError(
@@ -651,4 +647,7 @@ def import_qubo(path: str) -> QuboInstance:
                 f"{map_path}: line {lineno}: mapping is not producer-major "
                 f"(expected var = producer*{n} + node)"
             )
-    return QuboInstance(n=n, k=k, linear=linear, quadratic=quadratic, offset=offset)
+    try:
+        return QuboInstance(n=n, k=k, linear=linear, quadratic=quadratic, offset=offset)
+    except QuboError as exc:  # a zero or non-finite value, or n or k below 1
+        raise QuboFormatError(f"{path}: {exc}") from None

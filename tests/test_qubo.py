@@ -26,7 +26,7 @@ from heatfair import (
     uniform_weights,
 )
 from heatfair import qubo
-from heatfair.graphs import DistanceRule
+from heatfair.graphs import DistanceRule, save_topology
 from oracles import (
     accumulated_terms,
     all_bit_vectors,
@@ -153,10 +153,10 @@ def test_term_arrays_are_built_once_and_read_only(suite):
     cfg = default_penalties(entry.topo, entry.weights, 3)
     q = build_qubo(entry.topo, entry.weights, 3, cfg)
     energy(q, np.zeros(q.num_vars))
-    first = vars(q)["_term_arrays"]
+    first = vars(q)["terms"]
     energies(q, np.ones((2, q.num_vars)))
     energy(q, np.ones(q.num_vars))
-    assert q._term_arrays is first
+    assert q.terms is first
     lin_vars, lin_vals, rows, cols, vals = first
     assert lin_vars.tolist() == list(q.linear)
     assert lin_vals.tolist() == list(q.linear.values())
@@ -189,14 +189,16 @@ def test_energy_matches_term_by_term_oracle(seed):
     )
 
 
-def test_variable_layout_is_a_bijection(suite):
+def test_variable_layout_is_a_bijection(suite, tmp_path):
     entry = suite[4]
     q = build_qubo(entry.topo, entry.weights, 3, PenaltyConfig())
-    pairs = [q.node_producer(var) for var in range(q.num_vars)]
-    assert sorted(pairs) == [(i, j) for i in range(q.n) for j in range(q.k)]
-    assert all(var_index(q, i, j) == var for var, (i, j) in enumerate(pairs))
-    with pytest.raises(QuboError):
-        q.node_producer(q.num_vars)
+    export_qubo(q, str(tmp_path / "q.qubo"))
+    head, *rows = (tmp_path / "q.qubo.map").read_text().splitlines()
+    assert head == f"map {q.n} {q.k}"
+    triples = [tuple(map(int, row.split())) for row in rows]
+    assert [var for var, _, _ in triples] == list(range(q.num_vars))
+    assert sorted((i, j) for _, i, j in triples) == [(i, j) for i in range(q.n) for j in range(q.k)]
+    assert all(var_index(q, i, j) == var for var, i, j in triples)
 
 
 def test_stored_coefficients_are_canonical(suite):
@@ -247,6 +249,26 @@ def test_instance_invariants_enforced():
         QuboInstance(n=1, k=2, linear={}, quadratic={(1, 0): 1.0}, offset=0.0)
     with pytest.raises(QuboError, match="outside"):
         QuboInstance(n=1, k=2, linear={5: 1.0}, quadratic={}, offset=0.0)
+    # each case names the first bad term in dict order, by its first broken rule
+    for linear, quadratic, message in (
+        ({}, {(0, 2): 1.0}, r"quadratic key \(0, 2\) is not strictly upper-triangular within 0\.\.1"),
+        ({}, {(-1, 1): 1.0}, r"quadratic key \(-1, 1\) is not strictly upper-triangular within 0\.\.1"),
+        ({}, {(0, 1): 0.0}, r"zero quadratic coefficient stored for \(0, 1\)"),
+        ({1: 0.0, 0: np.inf}, {}, "zero linear coefficient stored for variable 1"),
+        ({0: np.inf, 1: 0.0}, {}, "linear coefficient of variable 0 is inf, not finite"),
+        ({1: 1.0, 7: 0.0, 0: 0.0}, {}, r"linear variable 7 outside 0\.\.1"),
+        ({0: np.nan}, {(1, 0): 0.0}, "linear coefficient of variable 0 is nan, not finite"),
+        ({0: 1.0}, {(0, 1): np.nan, (1, 0): 1.0}, r"quadratic coefficient of \(0, 1\) is nan, not finite"),
+        # a key past int64 is out of range too, not an OverflowError
+        ({2**70: 1.0}, {}, r"linear variable 1180591620717411303424 outside 0\.\.1"),
+        ({0: 0.0, -(2**70): 1.0}, {}, "zero linear coefficient stored for variable 0"),
+        ({}, {(0, 2**70): 1.0}, r"quadratic key \(0, 1180591620717411303424\) is not strictly"),
+    ):
+        with pytest.raises(QuboError, match=f"^{message}"):
+            QuboInstance(n=1, k=2, linear=linear, quadratic=quadratic, offset=0.0)
+    for key in ((0, 1, 2), (0,)):  # a key must be a pair, not read as one
+        with pytest.raises(QuboError, match="must be a pair"):
+            QuboInstance(n=2, k=2, linear={}, quadratic={(0, 1): 1.0, key: 1.0}, offset=0.0)
 
 
 def test_instance_rejects_non_finite_terms(tmp_path):
@@ -334,11 +356,11 @@ def test_built_instances_reject_the_first_non_finite_term():
 def test_instance_dicts_are_an_export_view():
     entry_topo = generate_ring(6, chords=2, seed=4)
     q = build_qubo(entry_topo, uniform_weights(6), 3, PenaltyConfig(alpha=2.0, gamma=5.0))
-    assert "_dicts" not in vars(q)
+    assert "terms" not in vars(q)
     feasible_energies(q, [[0, 1, 2, 0, 1, 2]])
-    assert "_dicts" not in vars(q)
+    assert "terms" not in vars(q)
     linear = q.linear
-    assert "_dicts" in vars(q) and q.linear is linear
+    assert "terms" in vars(q) and q.linear is linear
     assert q.quadratic is q.quadratic
     with pytest.raises(AttributeError, match="immutable"):
         q.offset = 0.0
@@ -368,7 +390,7 @@ def test_building_at_1000_nodes_expands_no_dicts():
     finally:
         tracemalloc.stop()
     assert peak < 50 * 2**20
-    assert "_dicts" not in vars(q)
+    assert "terms" not in vars(q)
 
 
 def test_instance_rejects_an_objective_of_another_size():
@@ -615,6 +637,59 @@ def test_import_diagnostics_carry_line_numbers(tmp_path):
     path.write_text("p qubo 2 2 0 0.0\n0 0 1.0\n")
     with pytest.raises(QuboFormatError, match="promises 2 linear"):
         import_qubo(str(path))
+
+
+def test_import_map_errors_number_raw_lines(tmp_path):
+    path = tmp_path / "gaps.qubo"
+    export_qubo(QuboInstance(n=2, k=1, linear={0: 1.0}, quadratic={}, offset=0.0), str(path))
+    map_path = tmp_path / "gaps.qubo.map"
+    map_path.write_text("map 2 1\n0 0 0\n\n\n1 0 x\n")
+    with pytest.raises(QuboFormatError, match=r"\.map: line 5: malformed entry '1 0 x'$"):
+        import_qubo(str(path))
+    map_path.write_text("\n".join(["map 2 1", "", "0 0 0", "   ", "0 1 0"]) + "\n")
+    with pytest.raises(QuboFormatError, match=r"\.map: line 5: mapping is not producer-major"):
+        import_qubo(str(path))
+
+
+def test_import_names_the_file_in_instance_errors(tmp_path):
+    path = tmp_path / "bad.qubo"
+    export_qubo(QuboInstance(n=1, k=2, linear={0: 1.0, 1: 2.0}, quadratic={}, offset=0.0),
+                str(path))
+    good = path.read_text()
+    for text, message in (
+        (good.replace("0 0 1.0", "0 0 0.0"), "zero linear coefficient stored for variable 0"),
+        (good.replace("1 1 2.0", "1 1 inf"), "linear coefficient of variable 1 is inf, not finite"),
+        (good.replace("0.0\n", "nan\n", 1), "offset is nan, not finite"),
+    ):
+        path.write_text(text)
+        with pytest.raises(QuboFormatError) as caught:
+            import_qubo(str(path))
+        assert str(caught.value) == f"{path}: {message}"
+
+
+def test_export_and_energies_build_no_dict_views(tmp_path, monkeypatch):
+    from heatfair import cli
+
+    q = build_qubo(generate_ring(6, chords=2, seed=4), uniform_weights(6), 3)
+    export_qubo(q, str(tmp_path / "q.qubo"))
+    energies(q, np.ones((3, q.num_vars)))
+    energy(q, np.zeros(q.num_vars))
+    exported = []
+    original = qubo.export_qubo
+
+    def spy(instance, path):
+        exported.append(instance)
+        original(instance, path)
+
+    monkeypatch.setattr(qubo, "export_qubo", spy)
+    topo_path = tmp_path / "ring.json"
+    save_topology(generate_ring(6, chords=2, seed=4), str(topo_path))
+    assert cli.main(["qubo", str(topo_path), "--unweighted", "--k", "3",
+                     "-o", str(tmp_path / "cli.qubo")]) == 0
+    for instance in (q, *exported):
+        assert "terms" in vars(instance)
+        assert "linear" not in vars(instance) and "quadratic" not in vars(instance)
+    assert len(exported) == 1
 
 
 def test_import_requires_sidecar(tmp_path):
