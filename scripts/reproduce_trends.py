@@ -25,11 +25,10 @@ from heatfair import (
     generate_ring,
     generate_tree,
     run_sweep,
-    sweep_to_csv_text,
-    sweep_to_gnuplot_texts,
     synthetic_demands,
 )
 from heatfair.ioutil import atomic_write_text
+from heatfair.workflow import write_sweep
 
 
 def main() -> int:
@@ -65,13 +64,7 @@ def main() -> int:
         for warning in result.warnings:
             print(f"warning: {warning}", file=sys.stderr)
         sweeps[label] = result
-        atomic_write_text(
-            os.path.join(args.out, f"{label}.csv"), sweep_to_csv_text(result)
-        )
-        for index_name, text in sweep_to_gnuplot_texts(result).items():
-            atomic_write_text(
-                os.path.join(args.out, f"{label}.{index_name}.dat"), text
-            )
+        write_sweep(result, os.path.join(args.out, label), ("csv", "gnuplot"))
 
     rows = compare_topologies([sweeps["ring"], sweeps["tree"]])
     atomic_write_text(

@@ -22,7 +22,7 @@ import time
 
 from . import demand, graphs, qubo, workflow
 from .fairness import FairnessError
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, read_json, write_json
 from .solvers import SCHEDULES, SolverError
 
 OUTPUT_DIR_ENV = "HEATFAIR_OUTPUT_DIR"
@@ -47,18 +47,6 @@ def _resolve_output(path: str) -> str:
         return path
     os.makedirs(base, exist_ok=True)
     return os.path.join(base, path)
-
-
-def _write_json(doc: dict, path: str) -> None:
-    atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
-
-
-def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:  # bad JSON, or an int past the digit limit
-            raise workflow.WorkflowError(f"{path}: not valid JSON ({exc})") from exc
 
 
 def _custom_penalty(args: dict) -> qubo.PenaltyConfig | None:
@@ -94,7 +82,7 @@ def _effective_args(ns: argparse.Namespace) -> dict:
     merged = dict(defaults)
     config_path = ns.config
     if config_path:
-        doc = _load_json(config_path)
+        doc = read_json(config_path, workflow.WorkflowError)
         if not isinstance(doc, dict):
             raise workflow.WorkflowError(f"{config_path}: expected a JSON object")
         unknown = set(doc) - set(defaults)
@@ -181,26 +169,13 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
     doc["wall_time"] = None  # keep outputs byte-stable; timing goes to stderr
     doc.update((key, getattr(report, key)) for key in ("jain", "distance_index", "kpi", "kpi_alpha"))
     out = _resolve_output(args["output"])
-    _write_json(doc, out)
+    write_json(out, doc)
     print(
         f"{name}: energy {result.energy!r}, kpi {report.kpi!r} "
         f"({time.monotonic() - started:.2f}s) -> {out}",
         file=sys.stderr,
     )
     return 0
-
-
-def _sweep_formats(raw: str) -> list[str]:
-    formats = [f.strip() for f in raw.split(",") if f.strip()]
-    valid = {"json", "csv", "gnuplot"}
-    unknown = set(formats) - valid
-    if unknown:
-        raise workflow.WorkflowError(
-            f"unknown output formats: {sorted(unknown)}; valid: json, csv, gnuplot"
-        )
-    if not formats:
-        raise workflow.WorkflowError("select at least one output format")
-    return formats
 
 
 def _cmd_sweep(ns: argparse.Namespace) -> int:
@@ -228,22 +203,8 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
     )
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    prefix = args["output"]
-    written = []
-    for fmt in _sweep_formats(args["format"]):
-        if fmt == "json":
-            path = _resolve_output(prefix + ".json")
-            _write_json(workflow.sweep_to_dict(result), path)
-            written.append(path)
-        elif fmt == "csv":
-            path = _resolve_output(prefix + ".csv")
-            atomic_write_text(path, workflow.sweep_to_csv_text(result))
-            written.append(path)
-        else:
-            for index_name, text in workflow.sweep_to_gnuplot_texts(result).items():
-                path = _resolve_output(f"{prefix}.{index_name}.dat")
-                atomic_write_text(path, text)
-                written.append(path)
+    formats = [f.strip() for f in args["format"].split(",") if f.strip()]
+    written = workflow.write_sweep(result, _resolve_output(args["output"]), formats)
     print(
         f"swept k=1..{cfg.max_producers} with {len(specs)} solver(s) in "
         f"{time.monotonic() - started:.2f}s; wrote {', '.join(written)}",
@@ -254,14 +215,7 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
 
 def _cmd_compare(ns: argparse.Namespace) -> int:
     args = _effective_args(ns)
-    sweeps = []
-    for path in ns.sweeps:
-        doc = _load_json(path)
-        try:
-            sweeps.append(workflow.sweep_from_dict(doc))
-        except workflow.WorkflowError as exc:
-            raise workflow.WorkflowError(f"{path}: {exc}") from exc
-    rows = workflow.compare_topologies(sweeps)
+    rows = workflow.compare_topologies([workflow.load_sweep(path) for path in ns.sweeps])
     out = _resolve_output(args["output"])
     atomic_write_text(out, workflow.comparison_to_csv_text(rows))
     print(f"wrote {len(rows)} comparison rows to {out}", file=sys.stderr)

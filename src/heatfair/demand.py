@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from .ioutil import atomic_write_text
+from .ioutil import read_json, write_json
 
 
 class DemandError(ValueError):
@@ -210,16 +210,12 @@ def save_weights(w: WeightVector, path: str, labels=None) -> None:
     doc: dict = {"weights": [float(v) for v in w.values]}
     if labels is not None:
         doc["labels"] = list(labels)
-    atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+    write_json(path, doc)
 
 
 def load_weights(path: str) -> WeightVector:
     """Read a weights document; every weight must be a JSON number."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # bad JSON, or an int past the digit limit
-            raise DemandError(f"{path}: not valid JSON ({exc})") from exc
+    doc = read_json(path, DemandError)
     if not isinstance(doc, dict) or not isinstance(doc.get("weights"), list):
         raise DemandError(f"{path}: expected an object with a 'weights' array")
     values = []

@@ -11,13 +11,12 @@ the smaller endpoint first and sorted lexicographically.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import operator
 
 import numpy as np
 
-from .ioutil import atomic_write_text
+from .ioutil import read_json, write_json
 
 
 class TopologyError(ValueError):
@@ -347,15 +346,11 @@ def topology_from_dict(data: dict) -> Topology:
 
 
 def save_topology(topo: Topology, path: str) -> None:
-    atomic_write_text(path, json.dumps(topology_to_dict(topo), indent=2) + "\n")
+    write_json(path, topology_to_dict(topo))
 
 
 def load_topology(path: str) -> Topology:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:  # bad JSON, or an int past the digit limit
-            raise TopologyError(f"{path}: not valid JSON ({exc})") from exc
+    data = read_json(path, TopologyError)
     try:
         return topology_from_dict(data)
     except TopologyError as exc:

@@ -194,17 +194,33 @@ def _read_only(terms: Terms) -> Terms:
     return terms
 
 
+def _is_variable(key) -> bool:
+    return isinstance(key, (int, np.integer)) and not isinstance(key, bool)
+
+
 def _terms_of_dicts(linear, quadratic, nv: int) -> Terms:
-    """The dicts' terms in dict order, checked: each variable in 0..nv-1,
-    each pair strictly upper-triangular, each value nonzero and finite.
-    The first term to break a rule is named, with the first it breaks."""
-    if not set(map(len, quadratic)) <= {2}:
-        raise QuboError("every quadratic key must be a pair of variables (v1, v2)")
+    """The dicts' terms in dict order, checked: each variable an integer
+    (numpy's too, not a bool) in 0..nv-1, each pair a tuple and strictly
+    upper-triangular, each value nonzero and finite. A key of the wrong
+    type is named first (types are checked as a set, at C speed), then
+    the first term to break a rule, with the first it breaks."""
     count = len(linear) + 2 * len(quadratic)  # the linear keys, then both ends of each pair
-    try:
-        ids = np.fromiter(itertools.chain(linear, *quadratic), np.int64, count)
-    except OverflowError:  # no variable; kept exact to be named below
+    typed = set(map(type, quadratic)) <= {tuple} and set(map(len, quadratic)) <= {2}
+    if typed:
         ids = np.fromiter(itertools.chain(linear, *quadratic), object, count)
+        typed = all(issubclass(kind, (int, np.integer)) and kind is not bool
+                    for kind in set(map(type, ids)))
+    if not typed:
+        for key in linear:
+            if not _is_variable(key):
+                raise QuboError(f"linear key {key!r} must be a variable (an integer, not a bool)")
+        key = next(key for key in quadratic if type(key) is not tuple or len(key) != 2
+                   or not all(map(_is_variable, key)))
+        raise QuboError(f"quadratic key {key!r} must be a pair of variables (v1, v2)")
+    try:
+        ids = ids.astype(np.int64)
+    except OverflowError:  # no variable; kept exact to be named below
+        pass
     v, a, b = ids[:len(linear)], ids[len(linear)::2], ids[len(linear) + 1::2]
     t = Terms(v, np.fromiter(linear.values(), float, len(linear)),
               a, b, np.fromiter(quadratic.values(), float, len(quadratic)))
@@ -630,6 +646,7 @@ def import_qubo(path: str) -> QuboInstance:
         raise QuboFormatError(
             f"{map_path}: expected {num_vars} mapping rows, found {len(entries)}"
         )
+    listed = set()
     for lineno, line in entries:
         parts = line.split()
         if len(parts) != 3:
@@ -642,11 +659,15 @@ def import_qubo(path: str) -> QuboInstance:
             raise QuboFormatError(
                 f"{map_path}: line {lineno}: malformed entry {line!r}"
             ) from None
-        if var != producer * n + node:
+        if (node, producer) != (var % n, var // n):  # var = producer*n + node, node < n
             raise QuboFormatError(
                 f"{map_path}: line {lineno}: mapping is not producer-major "
                 f"(expected var = producer*{n} + node)"
             )
+        if var in listed or not 0 <= var < num_vars:
+            why = "listed twice" if var in listed else f"outside 0..{num_vars - 1}"
+            raise QuboFormatError(f"{map_path}: line {lineno}: variable {var} {why}")
+        listed.add(var)
     try:
         return QuboInstance(n=n, k=k, linear=linear, quadratic=quadratic, offset=offset)
     except QuboError as exc:  # a zero or non-finite value, or n or k below 1

@@ -209,6 +209,12 @@ def _repair(obj: Objective, vec: np.ndarray) -> Assignment:
     return Assignment(producer_of=tuple(producer_of), k=len(L))
 
 
+def _first_lowest(scores: np.ndarray) -> int:
+    """The first score within a relative 1e-9 of the lowest."""
+    lowest = scores.min()
+    return int(np.argmax(scores <= lowest + 1e-9 * abs(lowest)))
+
+
 def _result(q: QuboInstance, producer_rows, name: str, seed: int, iterations: int) -> SolveResult:
     """The answer among candidate assignments, one producer row each, in
     the solver's order: the first row whose energy lies within a
@@ -216,10 +222,7 @@ def _result(q: QuboInstance, producer_rows, name: str, seed: int, iterations: in
     rather than by summation noise. It is reported in canonical form
     with the energy of that form's bit vector."""
     rows = np.asarray(producer_rows)
-    scores = feasible_energies(q, rows)
-    lowest = scores.min()
-    best = int(np.argmax(scores <= lowest + 1e-9 * abs(lowest)))
-    assignment = canonical_form(rows[best], q.k)
+    assignment = canonical_form(rows[_first_lowest(feasible_energies(q, rows))], q.k)
     return SolveResult(
         assignment=assignment,
         energy=float(feasible_energies(q, [assignment.producer_of])[0]),
@@ -229,13 +232,18 @@ def _result(q: QuboInstance, producer_rows, name: str, seed: int, iterations: in
     )
 
 
+# assignments solve_exhaustive lays out and scores at once
+_EXHAUSTIVE_BLOCK = 2**9
+
+
 def solve_exhaustive(q: QuboInstance, max_vars: int = 24) -> SolveResult:
     """Global feasible optimum by enumerating all k^n assignments.
 
     Assignments are generated in lexicographic producer_of order, so
     exact energy ties resolve to the lexicographically smallest vector.
     They are scored from q.objective (required: an imported instance has
-    none).
+    none) in blocks built from their codes (producer_of in base k),
+    keeping only one energy per assignment.
     """
     if q.objective is None:
         raise SolverError("the exhaustive solver needs the instance's objective; "
@@ -246,11 +254,12 @@ def solve_exhaustive(q: QuboInstance, max_vars: int = 24) -> SolveResult:
         )
     n, k = q.n, q.k
     count = k**n
-    codes = np.arange(count)
-    assignments = np.empty((count, n), dtype=np.int64)
-    for i in range(n):
-        assignments[:, i] = (codes // k ** (n - 1 - i)) % k
-    return _result(q, assignments, "exhaustive", 0, count)
+    places = k ** np.arange(n - 1, -1, -1)
+    scores = np.empty(count)
+    for lo in range(0, count, _EXHAUSTIVE_BLOCK):
+        codes = np.arange(lo, min(lo + _EXHAUSTIVE_BLOCK, count))
+        scores[lo:lo + codes.size] = feasible_energies(q, codes[:, None] // places % k)
+    return _result(q, [_first_lowest(scores) // places % k], "exhaustive", 0, count)
 
 
 def _auto_temperatures(obj: Objective, k: int) -> tuple[float, float]:
@@ -497,8 +506,10 @@ def solve_anneal(q: QuboInstance, cfg: AnnealConfig) -> SolveResult:
     else:
         t_initial, t_final = cfg.t_initial, cfg.t_final
     temps = _temperature_schedule(cfg, t_initial, t_final)
-    ceiling = _CEILING * np.maximum.accumulate(temps[::-1])[::-1]
     nv = q.num_vars
+    if q.k == 1:  # every node on producer 0 is the only feasible answer
+        return _result(q, [[0] * q.n], "anneal", cfg.seed, cfg.sweeps * nv * cfg.restarts)
+    ceiling = _CEILING * np.maximum.accumulate(temps[::-1])[::-1]
 
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     repaired = []
@@ -698,6 +709,8 @@ def solve_heuristic(q: QuboInstance, seed: int = 0, restarts: int = 8) -> SolveR
     if obj is None:
         raise SolverError("the heuristic needs the instance's objective; an imported one has none")
     n = q.n
+    if q.k == 1:  # every node on producer 0 is the only feasible answer
+        return _result(q, [[0] * n], "heuristic", seed, 0)
     weights = obj.weights.tolist()
     nbr, coeff = _neighbour_slots(_neighbours(obj))
     wz = np.append(obj.weights, 0.0)

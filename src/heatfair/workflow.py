@@ -19,6 +19,7 @@ import numpy as np
 from . import graphs
 from .demand import DemandMatrix, compute_weights
 from .fairness import KpiReport, score_assignment
+from .ioutil import atomic_write_text, read_json, write_json
 from .qubo import PenaltyConfig, build_qubo
 from .solvers import (
     AnnealConfig, SolveResult, SolverError, solve_anneal, solve_exhaustive, solve_heuristic,
@@ -276,20 +277,48 @@ def sweep_to_gnuplot_texts(result: SweepResult) -> dict[str, str]:
     """Three plottable files (k vs value), one block per solver,
     keyed by index name."""
     out = {}
-    for index_name, getter in (
-        ("jain", lambda r: r.jain),
-        ("distance_index", lambda r: r.distance_index),
-        ("kpi", lambda r: r.kpi),
-    ):
+    for index_name in ("jain", "distance_index", "kpi"):
         blocks = []
         for name in dict.fromkeys(r.solver_name for r in result.reports):
             rows = [f"# solver: {name}"]
-            for r in result.reports:
-                if r.solver_name == name:
-                    rows.append(f"{r.k} {getter(r)!r}")
+            rows += [f"{r.k} {getattr(r, index_name)!r}"
+                     for r in result.reports if r.solver_name == name]
             blocks.append("\n".join(rows))
         out[index_name] = "\n\n".join(blocks) + "\n"
     return out
+
+
+def write_sweep(result: SweepResult, prefix: str, formats) -> list[str]:
+    """Write result in each format in the order given (<prefix>.json,
+    <prefix>.csv, <prefix>.{jain,distance_index,kpi}.dat) and return the
+    paths; an unknown or empty selection writes nothing."""
+    unknown = set(formats) - {"json", "csv", "gnuplot"}
+    if unknown:
+        raise WorkflowError(f"unknown output formats: {sorted(unknown)}; valid: json, csv, gnuplot")
+    if not formats:
+        raise WorkflowError("select at least one output format")
+    written = []
+    for fmt in formats:
+        if fmt == "json":
+            written.append(prefix + ".json")
+            write_json(written[-1], sweep_to_dict(result))
+        elif fmt == "csv":
+            written.append(prefix + ".csv")
+            atomic_write_text(written[-1], sweep_to_csv_text(result))
+        else:
+            for index_name, text in sweep_to_gnuplot_texts(result).items():
+                written.append(f"{prefix}.{index_name}.dat")
+                atomic_write_text(written[-1], text)
+    return written
+
+
+def load_sweep(path: str) -> SweepResult:
+    """The sweep a write_sweep JSON file holds; errors name the file."""
+    doc = read_json(path, WorkflowError)
+    try:
+        return sweep_from_dict(doc)
+    except WorkflowError as exc:
+        raise WorkflowError(f"{path}: {exc}") from exc
 
 
 def compare_topologies(sweeps, labels=None) -> list[dict]:

@@ -269,6 +269,21 @@ def test_instance_invariants_enforced():
     for key in ((0, 1, 2), (0,)):  # a key must be a pair, not read as one
         with pytest.raises(QuboError, match="must be a pair"):
             QuboInstance(n=2, k=2, linear={}, quadratic={(0, 1): 1.0, key: 1.0}, offset=0.0)
+    # a variable is an integer, never a float or a bool, and is not truncated
+    for linear, quadratic, message in (
+        ({0: 1.0, 0.5: 1.0, 1.9: 2.0}, {}, r"linear key 0\.5 must be a variable"),
+        ({True: 1.0}, {}, "linear key True must be a variable"),
+        ({np.bool_(False): 1.0}, {}, "linear key np.False_ must be a variable"),
+        ({}, {(0.0, 1.0): 1.0}, r"quadratic key \(0\.0, 1\.0\) must be a pair of variables"),
+        ({}, {(0, 1): 1.0, (1, True): 1.0}, r"quadratic key \(1, True\) must be a pair"),
+        ({}, {5: 1.0}, "quadratic key 5 must be a pair of variables"),
+        ({}, {"01": 1.0}, "quadratic key '01' must be a pair of variables"),
+    ):
+        with pytest.raises(QuboError, match=f"^{message}"):
+            QuboInstance(n=1, k=2, linear=linear, quadratic=quadratic, offset=0.0)
+    q = QuboInstance(n=1, k=2, linear={np.int64(0): 1.0, np.uint8(1): 2.0},
+                     quadratic={(np.int32(0), 1): 3.0}, offset=0.0)
+    assert (q.linear, q.quadratic) == ({0: 1.0, 1: 2.0}, {(0, 1): 3.0})
 
 
 def test_instance_rejects_non_finite_terms(tmp_path):
@@ -649,6 +664,23 @@ def test_import_map_errors_number_raw_lines(tmp_path):
     map_path.write_text("\n".join(["map 2 1", "", "0 0 0", "   ", "0 1 0"]) + "\n")
     with pytest.raises(QuboFormatError, match=r"\.map: line 5: mapping is not producer-major"):
         import_qubo(str(path))
+
+
+def test_import_map_lists_each_variable_exactly_once(tmp_path):
+    path = tmp_path / "twice.qubo"
+    export_qubo(QuboInstance(n=2, k=2, linear={0: 1.0}, quadratic={}, offset=0.0), str(path))
+    map_path = tmp_path / "twice.qubo.map"
+    for rows, message in (
+        (["0 0 0"] * 4, r"twice\.qubo\.map: line 3: variable 0 listed twice$"),
+        (["0 0 0", "1 1 0", "2 0 1", "0 0 0"], r"twice\.qubo\.map: line 5: variable 0 listed twice$"),
+        (["0 0 0", "1 1 0", "2 0 1", "4 0 2"], r"twice\.qubo\.map: line 5: variable 4 outside 0\.\.3$"),
+        (["-1 1 -1", "1 1 0", "2 0 1", "3 1 1"], r"twice\.qubo\.map: line 2: variable -1 outside 0\.\.3$"),
+        # var = producer*n + node holds, but node 3 does not exist
+        (["0 0 0", "1 1 0", "2 0 1", "3 3 0"], r"twice\.qubo\.map: line 5: mapping is not producer-major"),
+    ):
+        map_path.write_text("\n".join(["map 2 2", *rows]) + "\n")
+        with pytest.raises(QuboFormatError, match=message):
+            import_qubo(str(path))
 
 
 def test_import_names_the_file_in_instance_errors(tmp_path):

@@ -21,6 +21,7 @@ from heatfair import (
     default_penalties,
     energy,
     export_qubo,
+    feasible_energies,
     generate_ring,
     generate_tree,
     import_qubo,
@@ -189,6 +190,30 @@ def test_exhaustive_cap_is_enforced():
     assert r.iterations == 3**9
 
 
+def test_exhaustive_scores_in_blocks(monkeypatch):
+    # 2**16 assignments of 16 nodes, 8.4 MB as one (k^n, n) int64 table
+    topo = generate_ring(16, chords=2, rule=DistanceRule(kind="uniform", low=0.5, high=2.0),
+                         seed=1)
+    q = build_qubo(topo, uniform_weights(16), 2)
+    tracemalloc.start()
+    try:
+        r = solve_exhaustive(q, max_vars=32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert r.iterations == 2**16
+    assert r.assignment.producer_of == (0, 1) * 4 + (1, 0) * 4
+    # block ends fall inside runs of tied assignments; the first still wins
+    ring = generate_ring(7)
+    tied = build_qubo(ring, uniform_weights(7), 3)
+    triangle = build_unweighted_qubo(TRIANGLE, 3, PenaltyConfig(beta=1.0, alpha=1.0, gamma=4.0))
+    for block in (1, 5, 64):
+        monkeypatch.setattr(solvers, "_EXHAUSTIVE_BLOCK", block)
+        assert solve_exhaustive(tied).assignment.producer_of == (0, 1, 0, 1, 2, 0, 2)
+        assert solve_exhaustive(triangle).assignment.producer_of == (0, 0, 0)
+
+
 def test_exhaustive_matches_brute_force_minimum(suite):
     for entry in suite[:6]:
         n = entry.topo.nodes
@@ -253,10 +278,11 @@ def test_anneal_config_stores_numpy_integers_as_ints():
 
 @pytest.mark.parametrize("schedule", ["geometric", "linear"])
 def test_anneal_rejects_a_schedule_too_big_to_lay_out(schedule):
-    q = build_qubo(PATH4, uniform_weights(4), 2, PenaltyConfig())
     cfg = AnnealConfig(sweeps=2**62, restarts=1, schedule=schedule)
-    with pytest.raises(SolverError, match="sweeps=4611686018427387904 is too many"):
-        solve_anneal(q, cfg)
+    for k in (1, 2):  # k = 1 needs no walk, yet its config is checked
+        q = build_qubo(PATH4, uniform_weights(4), k, PenaltyConfig())
+        with pytest.raises(SolverError, match="sweeps=4611686018427387904 is too many"):
+            solve_anneal(q, cfg)
 
 
 def test_anneal_is_deterministic_per_seed():
@@ -411,6 +437,19 @@ def test_heuristic_single_producer_is_trivial():
     r = solve_heuristic(build_qubo(PATH4, w, 1, cfg))
     assert r.assignment.producer_of == (0, 0, 0, 0)
     assert r.solver_name == "heuristic"
+
+
+def test_one_producer_is_answered_without_search(monkeypatch):
+    # every node on producer 0 is the only feasible assignment at k = 1
+    for name in ("_walk", "_start", "_greedy_seed", "_local_search"):
+        monkeypatch.setattr(solvers, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+    w = uniform_weights(4)
+    q = build_qubo(PATH4, w, 1)
+    for r, iterations in ((solve_anneal(q, AnnealConfig(sweeps=50, restarts=3)), 50 * 4 * 3),
+                          (solve_heuristic(q, restarts=3), 0)):
+        assert r.assignment.producer_of == (0, 0, 0, 0)
+        assert r.energy == feasible_energies(q, [[0, 0, 0, 0]])[0]
+        assert r.iterations == iterations
 
 
 def test_heuristic_matches_exhaustive_on_path(suite):
@@ -717,10 +756,35 @@ ANNEAL_CONFIGS = [
 ]
 
 
+def walked_bests(q, cfg):
+    """Each restart's raw best bits from solve_anneal's walk, started as
+    solve_anneal starts it. solve_anneal answers k = 1 without walking,
+    yet k = 1 instances are the easiest to give exact ties, and the walk
+    treats every k alike."""
+    obj = q.objective
+    if cfg.t_initial is None:
+        temps = solvers._auto_temperatures(obj, q.k)
+    else:
+        temps = cfg.t_initial, cfg.t_final
+    temps = solvers._temperature_schedule(cfg, *temps)
+    ceiling = solvers._CEILING * np.maximum.accumulate(temps[::-1])[::-1]
+    bests = []
+    for child in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
+        rng = np.random.default_rng(child)
+        bits = np.zeros(q.num_vars)
+        bits[rng.integers(0, q.k, size=q.n) * q.n + np.arange(q.n)] = 1.0
+        limits = solvers._Limits(rng, temps, ceiling, q.num_vars)
+        _, best = solvers._walk(obj, *solvers._start(obj, q.offset, bits), limits)
+        bests.append(np.ravel(best).tolist())
+    return bests
+
+
 def assert_anneal_matches_reference(q, sweeps, restarts, schedule, t_initial, t_final,
                                     seed, monkeypatch):
     """solve_anneal's raw best bits per restart and its result equal the
-    scalar reference loop's, compared with ==."""
+    scalar reference loop's, compared with ==. At k = 1 solve_anneal
+    walks nothing (no bits reach _repair), so walked_bests walks for it,
+    and its answer still equals the reference's."""
     cfg = AnnealConfig(sweeps=sweeps, restarts=restarts, schedule=schedule,
                        t_initial=t_initial, t_final=t_final, seed=seed)
     raw = []
@@ -735,6 +799,9 @@ def assert_anneal_matches_reference(q, sweeps, restarts, schedule, t_initial, t_
     want_raw = anneal_reference(obj.ends, obj.edge_coeff, obj.node_linear, obj.weights,
                                 obj.target, obj.alpha, obj.gamma, q.k, sweeps, restarts,
                                 seed, schedule, t_initial, t_final)
+    if q.k == 1:
+        assert raw == []
+        raw = walked_bests(q, cfg)
     assert raw == want_raw
     rows = [repair(obj, np.array(bits)).producer_of for bits in want_raw]
     want = solvers._result(q, rows, "anneal", seed, sweeps * q.num_vars * restarts)

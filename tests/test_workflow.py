@@ -204,10 +204,20 @@ def test_serialisations_agree_on_content():
         assert len(text.strip().split("\n")) == 5  # header + one row per k
 
 
-def test_sweep_from_dict_reads_back_sweep_to_dict():
+def test_sweep_from_dict_reads_back_sweep_to_dict(tmp_path):
     res = run_sweep(RING8, FLAT8, SweepConfig(max_producers=4, solvers=(SolverSpec(name="exhaustive"),)))
     assert res.warnings  # k=4 is past the exhaustive cap
     assert workflow.sweep_from_dict(json.loads(json.dumps(sweep_to_dict(res)))) == res
+    # the same through files: write_sweep writes in the order asked, load_sweep reads back
+    prefix = str(tmp_path / "s")
+    with pytest.raises(WorkflowError, match=r"unknown output formats: \['xml'\]"):
+        workflow.write_sweep(res, prefix, ["csv", "xml"])
+    assert list(tmp_path.iterdir()) == []
+    written = workflow.write_sweep(res, prefix, ["gnuplot", "json", "csv"])
+    assert written == [f"{prefix}.{name}" for name in (
+        "jain.dat", "distance_index.dat", "kpi.dat", "json", "csv")]
+    assert workflow.load_sweep(f"{prefix}.json") == res
+    assert (tmp_path / "s.csv").read_text() == sweep_to_csv_text(res)
 
 
 def test_compare_topologies_merges_and_sorts():
