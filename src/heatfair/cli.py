@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 import time
 
 from . import demand, graphs, qubo, workflow
 from .fairness import FairnessError
-from .ioutil import atomic_write_text, read_json, write_json
+from .ioutil import atomic_write_text, number, read_json, shown, write_json
 from .solvers import SCHEDULES, SolverError
 
 OUTPUT_DIR_ENV = "HEATFAIR_OUTPUT_DIR"
@@ -62,19 +61,19 @@ def _custom_penalty(args: dict) -> qubo.PenaltyConfig | None:
 
 def _config_value(path: str, key: str, value, kind, default):
     """A config value as its flag would give it: an integer for an int
-    option (never a boolean), a number as float for a float option,
-    true or false for a switch, else a string; null where the default
-    is null or the option is required (it is left unset then)."""
+    option, a number as float for a float option (both read by
+    ioutil.number), true or false for a switch, else a string; null
+    where the default is null or the option is required (it is left
+    unset then)."""
     if value is None and (default is None or default is ...):
         return default
-    kinds = {int: (int,), float: (int, float), bool: (bool,)}.get(kind, (str,))
-    try:
-        if isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool)):
-            return float(value) if kind is float else value
-    except OverflowError:
-        pass
-    names = " or ".join(kind.__name__ for kind in kinds)
-    raise workflow.WorkflowError(f"{path}: {key!r} must be {names}, got {json.dumps(value)}")
+    what = f"{path}: {key!r}"
+    if kind in (int, float):
+        return number(value, what, workflow.WorkflowError, integer=kind is int)
+    if isinstance(value, bool if kind is bool else str):
+        return value
+    noun = "true or false" if kind is bool else "a string"
+    raise workflow.WorkflowError(f"{what} must be {noun}, got {shown(value)}")
 
 
 def _effective_args(ns: argparse.Namespace) -> dict:
@@ -181,12 +180,12 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
 def _cmd_sweep(ns: argparse.Namespace) -> int:
     args = _effective_args(ns)
     started = time.monotonic()
+    formats = [f.strip() for f in args["format"].split(",") if f.strip()]
+    workflow.check_formats(formats)  # before any cell is solved or the output folder made
     topo = graphs.load_topology(ns.topology)
     demands = demand.load_demands(args["demands"])
     solver_names = [s.strip() for s in args["solvers"].split(",") if s.strip()]
-    if not solver_names:
-        raise workflow.WorkflowError("select at least one solver")
-    specs = tuple(_solver_spec(args, name) for name in solver_names)
+    specs = tuple(_solver_spec(args, name) for name in solver_names)  # SweepConfig refuses none
     penalty = _custom_penalty(args)
     cfg = workflow.SweepConfig(
         max_producers=args["max_producers"],
@@ -203,7 +202,6 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
     )
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    formats = [f.strip() for f in args["format"].split(",") if f.strip()]
     written = workflow.write_sweep(result, _resolve_output(args["output"]), formats)
     print(
         f"swept k=1..{cfg.max_producers} with {len(specs)} solver(s) in "

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import json
 
 import numpy as np
 
-from .ioutil import read_json, write_json
+from .ioutil import number, read_json, write_json
 
 
 class DemandError(ValueError):
@@ -218,15 +217,7 @@ def load_weights(path: str) -> WeightVector:
     doc = read_json(path, DemandError)
     if not isinstance(doc, dict) or not isinstance(doc.get("weights"), list):
         raise DemandError(f"{path}: expected an object with a 'weights' array")
-    values = []
-    for i, value in enumerate(doc["weights"]):
-        try:
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                values.append(float(value))
-                continue
-        except OverflowError:  # an integer beyond the float range
-            pass
-        raise DemandError(f"{path}: weight {i} must be a number, got {json.dumps(value)}")
+    values = [number(v, f"{path}: weight {i}", DemandError) for i, v in enumerate(doc["weights"])]
     try:
         return WeightVector(values=np.array(values, dtype=float))
     except DemandError as exc:

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import graphs
 from .demand import WeightVector
+from .ioutil import number
 from .solvers import Assignment
 
 
@@ -140,7 +141,10 @@ class KpiReport:
                 f"kpi {self.kpi!r} does not recompute from its parts "
                 f"({recomputed!r})"
             )
-        object.__setattr__(self, "assignment", tuple(int(p) for p in self.assignment))
+        object.__setattr__(self, "assignment", tuple(
+            number(p, f"assignment entry {i}", FairnessError, integer=True)
+            for i, p in enumerate(self.assignment)
+        ))
 
     def as_dict(self) -> dict:
         return {

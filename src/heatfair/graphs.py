@@ -10,13 +10,13 @@ the smaller endpoint first and sorted lexicographically.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
-import operator
 
 import numpy as np
 
-from .ioutil import read_json, write_json
+from .ioutil import number, read_json, write_json
 
 
 class TopologyError(ValueError):
@@ -38,6 +38,8 @@ class DistanceRule:
     def __post_init__(self) -> None:
         if self.kind not in ("unit", "uniform"):
             raise TopologyError(f"unknown distance rule kind {self.kind!r}")
+        for name in ("low", "high"):
+            object.__setattr__(self, name, number(getattr(self, name), name, TopologyError))
         if self.kind == "uniform":
             if not (0.0 < self.low <= self.high < math.inf):
                 raise TopologyError(
@@ -56,11 +58,12 @@ class Topology:
     """Undirected pipe network with strictly positive edge distances.
 
     nodes: number of substations, indexed 0..nodes-1.
-    edges: tuple of (a, b, distance) with a < b, no duplicates; any
-        integer endpoint (a NumPy one too, but not a bool) is stored
-        as a Python int.
+    edges: tuple of (a, b, distance) with a < b, no duplicates.
     labels: optional display names, one per node.
     coords: optional (x, y) positions for plotting, one per node.
+    Counts and ends are stored as ints, distances and positions as
+    floats, each checked by ioutil.number (so a NumPy integer passes
+    and a bool does not).
     """
 
     nodes: int
@@ -69,19 +72,15 @@ class Topology:
     coords: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "nodes", number(self.nodes, "nodes", TopologyError, integer=True))
         if self.nodes < 1:
             raise TopologyError(f"topology needs at least one node, got {self.nodes}")
         seen: set[tuple[int, int]] = set()
         normalised = []
-        for a, b, dist in self.edges:
-            try:
-                if isinstance(a, bool) or isinstance(b, bool):
-                    raise TypeError
-                a, b = operator.index(a), operator.index(b)
-            except TypeError:
-                raise TopologyError(
-                    f"edge ({a!r}, {b!r}) needs integer endpoints"
-                ) from None
+        for pos, (a, b, dist) in enumerate(self.edges):
+            a = number(a, f"edge entry {pos}: 'a'", TopologyError, integer=True)
+            b = number(b, f"edge entry {pos}: 'b'", TopologyError, integer=True)
+            dist = number(dist, f"edge entry {pos}: distance", TopologyError)
             if not (0 <= a < self.nodes) or not (0 <= b < self.nodes):
                 raise TopologyError(
                     f"edge ({a}, {b}) references a node outside 0..{self.nodes - 1}"
@@ -93,7 +92,6 @@ class Topology:
             if (a, b) in seen:
                 raise TopologyError(f"duplicate edge between nodes {a} and {b}")
             seen.add((a, b))
-            dist = float(dist)
             if not math.isfinite(dist) or dist <= 0.0:
                 raise TopologyError(
                     f"edge ({a}, {b}) needs a finite positive distance, got {dist!r}"
@@ -112,11 +110,10 @@ class Topology:
                 raise TopologyError(
                     f"got {len(self.coords)} coordinates for {self.nodes} nodes"
                 )
-            object.__setattr__(
-                self,
-                "coords",
-                tuple((float(x), float(y)) for x, y in self.coords),
-            )
+            object.__setattr__(self, "coords", tuple(
+                (number(x, f"node {i}: x", TopologyError), number(y, f"node {i}: y", TopologyError))
+                for i, (x, y) in enumerate(self.coords)
+            ))
 
     @property
     def num_edges(self) -> int:
@@ -173,25 +170,16 @@ def generate_tree(
         raise TopologyError(f"branching factor must be >= 1, got {branching}")
     rng = np.random.default_rng(seed)
     dists = rule.draw(rng, max(nodes - 1, 0))
-    edges = []
+    # ids run level by level: a level is the run of ids from first[depth]
+    edges, depth, first = [], [0] * nodes, {0: 0}
     for i in range(1, nodes):
         parent = (i - 1) // branching
         edges.append((parent, i, float(dists[i - 1])))
-
-    depth = [0] * nodes
-    for i in range(1, nodes):
-        depth[i] = depth[(i - 1) // branching] + 1
-    per_level: dict[int, int] = {}
-    order_in_level = []
-    for i in range(nodes):
-        order_in_level.append(per_level.get(depth[i], 0))
-        per_level[depth[i]] = order_in_level[-1] + 1
-    coords = []
-    for i in range(nodes):
-        width = per_level[depth[i]]
-        x = (order_in_level[i] + 0.5) / width
-        coords.append((x, -float(depth[i])))
-    return Topology(nodes=nodes, edges=tuple(edges), coords=tuple(coords))
+        depth[i] = depth[parent] + 1
+        first.setdefault(depth[i], i)
+    width = collections.Counter(depth)
+    coords = tuple(((i - first[d] + 0.5) / width[d], -float(d)) for i, d in enumerate(depth))
+    return Topology(nodes=nodes, edges=tuple(edges), coords=coords)
 
 
 def generate_ring(
@@ -263,21 +251,6 @@ def topology_to_dict(topo: Topology) -> dict:
     return {"nodes": node_entries, "edges": edge_entries}
 
 
-def _integer(value, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TopologyError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _number(value, what: str) -> float:
-    try:
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
-    except OverflowError:  # an integer beyond the float range
-        pass
-    raise TopologyError(f"{what} must be a number, got {value!r}")
-
-
 def topology_from_dict(data: dict) -> Topology:
     """Reconstruct a topology from its JSON form; unknown keys are
     ignored."""
@@ -297,7 +270,7 @@ def topology_from_dict(data: dict) -> Topology:
     for pos, entry in enumerate(raw_nodes):
         if not isinstance(entry, dict) or "id" not in entry:
             raise TopologyError(f"node entry {pos} needs an 'id' field")
-        nid = _integer(entry["id"], f"node entry {pos}: id")
+        nid = number(entry["id"], f"node entry {pos}: id", TopologyError, integer=True)
         ids.append(nid)
         if "label" in entry:
             labels[nid] = str(entry["label"])
@@ -306,7 +279,7 @@ def topology_from_dict(data: dict) -> Topology:
                 f"node entry {pos}: 'x' and 'y' must appear together"
             )
         if "x" in entry:
-            coords[nid] = tuple(_number(entry[c], f"node entry {pos}: {c}") for c in "xy")
+            coords[nid] = tuple(number(entry[c], f"node entry {pos}: {c}", TopologyError) for c in "xy")
 
     n = len(ids)
     if sorted(ids) != list(range(n)):
@@ -320,11 +293,7 @@ def topology_from_dict(data: dict) -> Topology:
         missing = {"a", "b", "distance"} - set(entry)
         if missing:
             raise TopologyError(f"edge entry {pos} lacks keys: {sorted(missing)}")
-        edges.append((
-            _integer(entry["a"], f"edge entry {pos}: 'a'"),
-            _integer(entry["b"], f"edge entry {pos}: 'b'"),
-            _number(entry["distance"], f"edge entry {pos}: distance"),
-        ))
+        edges.append((entry["a"], entry["b"], entry["distance"]))  # Topology checks them
 
     label_tuple = None
     if labels:

@@ -1,16 +1,19 @@
-"""File helpers shared across modules: atomic writes, JSON in and out."""
+"""File helpers shared across modules: atomic writes, JSON in and out,
+and the one check of a number read from outside."""
 
 from __future__ import annotations
 
 import json
+import numbers
+import operator
 import os
-import tempfile
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a sibling temp file so readers never see partial output."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write via a sibling temp file so readers never see partial output.
+    The file gets the mode a plain open() gives: 0o666 less the umask."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -33,3 +36,36 @@ def read_json(path: str, error: type[Exception]):
 def write_json(path: str, doc) -> None:
     """doc as indented JSON plus a newline, written atomically."""
     atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+
+
+def integral(kind: type) -> bool:
+    """Whether values of kind count as integers: Python's and numpy's,
+    never a bool."""
+    return issubclass(kind, numbers.Integral) and not issubclass(kind, bool)
+
+
+def shown(value) -> str:
+    """value as JSON (true, null, "0.5", [0.5]), or its repr where JSON
+    cannot show it; never raises."""
+    for render in (json.dumps, repr):
+        try:
+            return render(value)
+        except Exception:  # not JSON, or a repr that fails
+            pass
+    return f"a value of type {type(value).__name__}"
+
+
+def number(value, what: str, error, integer: bool = False):
+    """value as an int (integer) or a float: an integer, or for a number
+    also a real such as a float, never a bool. Anything else, or an
+    integer past the float range where a number is due, raises
+    error(f"{what} must be an integer|a number, got {shown(value)}")."""
+    kind = type(value)
+    try:
+        if integral(kind):
+            return operator.index(value) if integer else float(value)
+        if not integer and issubclass(kind, numbers.Real) and kind is not bool:
+            return float(value)
+    except OverflowError:  # an integer past the float range
+        pass
+    raise error(f"{what} must be {'an integer' if integer else 'a number'}, got {shown(value)}")

@@ -32,13 +32,12 @@ import dataclasses
 import functools
 import itertools
 import math
-import numbers
 
 import numpy as np
 
 from . import graphs
 from .demand import WeightVector, uniform_weights
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, integral, number
 
 
 class QuboError(ValueError):
@@ -54,7 +53,7 @@ class PenaltyConfig:
     """The three penalty constants of the objective (module docstring):
     beta on pipe distance, alpha on every producer's load balance and
     gamma on every node's one-hot square. Each must be a finite,
-    positive real number (not a bool) and is stored as a float."""
+    positive number (ioutil.number) and is stored as a float."""
 
     beta: float = 1.0
     alpha: float = 1.0
@@ -62,14 +61,7 @@ class PenaltyConfig:
 
     def __post_init__(self) -> None:
         for name in ("beta", "alpha", "gamma"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise QuboError(f"{name} must be a real number, got {value!r}")
-            try:
-                value = float(value)
-            except OverflowError:
-                raise QuboError(f"{name} must be finite and positive, got an "
-                                f"integer beyond the float range") from None
+            value = number(getattr(self, name), name, QuboError)
             if not math.isfinite(value) or value <= 0.0:
                 raise QuboError(f"{name} must be finite and positive, got {value!r}")
             object.__setattr__(self, name, value)
@@ -194,13 +186,9 @@ def _read_only(terms: Terms) -> Terms:
     return terms
 
 
-def _is_variable(key) -> bool:
-    return isinstance(key, (int, np.integer)) and not isinstance(key, bool)
-
-
 def _terms_of_dicts(linear, quadratic, nv: int) -> Terms:
     """The dicts' terms in dict order, checked: each variable an integer
-    (numpy's too, not a bool) in 0..nv-1, each pair a tuple and strictly
+    (ioutil.integral) in 0..nv-1, each pair a tuple and strictly
     upper-triangular, each value nonzero and finite. A key of the wrong
     type is named first (types are checked as a set, at C speed), then
     the first term to break a rule, with the first it breaks."""
@@ -208,14 +196,13 @@ def _terms_of_dicts(linear, quadratic, nv: int) -> Terms:
     typed = set(map(type, quadratic)) <= {tuple} and set(map(len, quadratic)) <= {2}
     if typed:
         ids = np.fromiter(itertools.chain(linear, *quadratic), object, count)
-        typed = all(issubclass(kind, (int, np.integer)) and kind is not bool
-                    for kind in set(map(type, ids)))
+        typed = all(map(integral, set(map(type, ids))))
     if not typed:
         for key in linear:
-            if not _is_variable(key):
+            if not integral(type(key)):
                 raise QuboError(f"linear key {key!r} must be a variable (an integer, not a bool)")
         key = next(key for key in quadratic if type(key) is not tuple or len(key) != 2
-                   or not all(map(_is_variable, key)))
+                   or not all(integral(type(v)) for v in key))
         raise QuboError(f"quadratic key {key!r} must be a pair of variables (v1, v2)")
     try:
         ids = ids.astype(np.int64)

@@ -44,10 +44,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 
 import numpy as np
 
+from .ioutil import number
 from .qubo import Objective, QuboInstance, feasible_energies
 
 SCHEDULES = ("geometric", "linear")
@@ -70,9 +70,9 @@ class Assignment:
             raise SolverError(f"need k >= 1, got {self.k}")
         if not self.producer_of:
             raise SolverError("assignment needs at least one node")
-        object.__setattr__(
-            self, "producer_of", tuple(int(p) for p in self.producer_of)
-        )
+        object.__setattr__(self, "producer_of", tuple(
+            number(p, f"node {i}", SolverError, integer=True) for i, p in enumerate(self.producer_of)
+        ))
         for i, p in enumerate(self.producer_of):
             if not (0 <= p < self.k):
                 raise SolverError(
@@ -105,11 +105,11 @@ class SolveResult:
 
 @dataclasses.dataclass(frozen=True)
 class AnnealConfig:
-    """Simulated-annealing knobs. sweeps and restarts are integers (not
-    bools), each at least 1. Temperatures of None are derived from
-    the instance (t_initial = the largest possible single-flip energy
-    change, t_final = 1e-4 of that); set ones must be finite, with
-    t_initial > t_final > 0."""
+    """Simulated-annealing knobs, read by ioutil.number. sweeps and
+    restarts are integers of at least 1, seed one of at least 0.
+    Temperatures of None are derived from the instance (t_initial = the
+    largest possible single-flip energy change, t_final = 1e-4 of that);
+    set ones must be finite, with t_initial > t_final > 0."""
 
     sweeps: int = 2000
     restarts: int = 8
@@ -119,15 +119,14 @@ class AnnealConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("sweeps", "restarts"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise SolverError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.sweeps < 1:
-            raise SolverError(f"sweeps must be >= 1, got {self.sweeps}")
-        if self.restarts < 1:
-            raise SolverError(f"restarts must be >= 1, got {self.restarts}")
+        for name, least in (("sweeps", 1), ("restarts", 1), ("seed", 0)):  # numpy seeds are >= 0
+            value = number(getattr(self, name), name, SolverError, integer=True)
+            if value < least:
+                raise SolverError(f"{name} must be >= {least}, got {value}")
+            object.__setattr__(self, name, value)
+        for name in ("t_initial", "t_final"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, number(getattr(self, name), name, SolverError))
         if self.schedule not in SCHEDULES:
             raise SolverError(
                 f"schedule must be 'geometric' or 'linear', got {self.schedule!r}"
@@ -153,8 +152,8 @@ def canonical_form(producer_of, k: int) -> Assignment:
     this only fixes the representative."""
     relabel: dict[int, int] = {}
     out = []
-    for p in producer_of:
-        p = int(p)
+    for i, p in enumerate(producer_of):
+        p = number(p, f"node {i}", SolverError, integer=True)
         if p not in relabel:
             relabel[p] = len(relabel)
         out.append(relabel[p])
@@ -209,10 +208,10 @@ def _repair(obj: Objective, vec: np.ndarray) -> Assignment:
     return Assignment(producer_of=tuple(producer_of), k=len(L))
 
 
-def _first_lowest(scores: np.ndarray) -> int:
-    """The first score within a relative 1e-9 of the lowest."""
+def _near_lowest(scores: np.ndarray) -> np.ndarray:
+    """Which scores lie within a relative 1e-9 of the lowest."""
     lowest = scores.min()
-    return int(np.argmax(scores <= lowest + 1e-9 * abs(lowest)))
+    return scores <= lowest + 1e-9 * abs(lowest)
 
 
 def _result(q: QuboInstance, producer_rows, name: str, seed: int, iterations: int) -> SolveResult:
@@ -222,7 +221,7 @@ def _result(q: QuboInstance, producer_rows, name: str, seed: int, iterations: in
     rather than by summation noise. It is reported in canonical form
     with the energy of that form's bit vector."""
     rows = np.asarray(producer_rows)
-    assignment = canonical_form(rows[_first_lowest(feasible_energies(q, rows))], q.k)
+    assignment = canonical_form(rows[np.argmax(_near_lowest(feasible_energies(q, rows)))], q.k)
     return SolveResult(
         assignment=assignment,
         energy=float(feasible_energies(q, [assignment.producer_of])[0]),
@@ -243,7 +242,8 @@ def solve_exhaustive(q: QuboInstance, max_vars: int = 24) -> SolveResult:
     exact energy ties resolve to the lexicographically smallest vector.
     They are scored from q.objective (required: an imported instance has
     none) in blocks built from their codes (producer_of in base k),
-    keeping only one energy per assignment.
+    keeping only the codes _near_lowest the running lowest. That bound
+    rises with the lowest, so a dropped code is not near the final one.
     """
     if q.objective is None:
         raise SolverError("the exhaustive solver needs the instance's objective; "
@@ -255,11 +255,14 @@ def solve_exhaustive(q: QuboInstance, max_vars: int = 24) -> SolveResult:
     n, k = q.n, q.k
     count = k**n
     places = k ** np.arange(n - 1, -1, -1)
-    scores = np.empty(count)
+    kept, scores = np.empty(0, dtype=np.int64), np.empty(0)
     for lo in range(0, count, _EXHAUSTIVE_BLOCK):
         codes = np.arange(lo, min(lo + _EXHAUSTIVE_BLOCK, count))
-        scores[lo:lo + codes.size] = feasible_energies(q, codes[:, None] // places % k)
-    return _result(q, [_first_lowest(scores) // places % k], "exhaustive", 0, count)
+        kept = np.concatenate((kept, codes))
+        scores = np.concatenate((scores, feasible_energies(q, codes[:, None] // places % k)))
+        near = _near_lowest(scores)
+        kept, scores = kept[near], scores[near]
+    return _result(q, [kept[0] // places % k], "exhaustive", 0, count)
 
 
 def _auto_temperatures(obj: Objective, k: int) -> tuple[float, float]:

@@ -19,7 +19,7 @@ import numpy as np
 from . import graphs
 from .demand import DemandMatrix, compute_weights
 from .fairness import KpiReport, score_assignment
-from .ioutil import atomic_write_text, read_json, write_json
+from .ioutil import atomic_write_text, number, read_json, shown, write_json
 from .qubo import PenaltyConfig, build_qubo
 from .solvers import (
     AnnealConfig, SolveResult, SolverError, solve_anneal, solve_exhaustive, solve_heuristic,
@@ -37,9 +37,9 @@ class WorkflowError(ValueError):
 @dataclasses.dataclass(frozen=True)
 class SolverSpec:
     """One solver selection plus its knobs. Whichever solver is chosen,
-    every knob must pass AnnealConfig's checks and exhaustive_cap must
-    be at least 1; the ones the chosen solver does not use are then
-    ignored."""
+    every knob must pass AnnealConfig's checks, and is stored as it
+    stores it, and exhaustive_cap must be an integer of at least 1; the
+    ones the chosen solver does not use are then ignored."""
 
     name: str
     sweeps: int = AnnealConfig.sweeps
@@ -55,12 +55,16 @@ class SolverSpec:
                 f"unknown solver {self.name!r}; valid names: "
                 f"{', '.join(SOLVER_NAMES)}"
             )
-        if self.exhaustive_cap < 1:
-            raise WorkflowError(f"exhaustive_cap must be >= 1, got {self.exhaustive_cap}")
+        cap = number(self.exhaustive_cap, "exhaustive_cap", WorkflowError, integer=True)
+        if cap < 1:
+            raise WorkflowError(f"exhaustive_cap must be >= 1, got {cap}")
+        object.__setattr__(self, "exhaustive_cap", cap)
         try:
-            self.anneal_config(seed=0)
+            cfg = self.anneal_config(seed=0)
         except SolverError as exc:
             raise WorkflowError(str(exc)) from exc
+        for name in ("sweeps", "restarts", "t_initial", "t_final"):  # as ints and floats
+            object.__setattr__(self, name, getattr(cfg, name))
 
     def anneal_config(self, seed: int) -> AnnealConfig:
         return AnnealConfig(
@@ -82,12 +86,14 @@ class SweepConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_producers < 1:
-            raise WorkflowError(
-                f"max_producers must be >= 1, got {self.max_producers}"
-            )
+        for name, least in (("max_producers", 1), ("seed", 0)):  # numpy seeds are >= 0
+            value = number(getattr(self, name), name, WorkflowError, integer=True)
+            if value < least:
+                raise WorkflowError(f"{name} must be >= {least}, got {value}")
+            object.__setattr__(self, name, value)
         if not self.solvers:
             raise WorkflowError("select at least one solver")
+        object.__setattr__(self, "kpi_alpha", number(self.kpi_alpha, "kpi_alpha", WorkflowError))
         if not (0.0 <= self.kpi_alpha <= 1.0):
             raise WorkflowError(
                 f"kpi_alpha must lie in [0, 1], got {self.kpi_alpha!r}"
@@ -226,41 +232,39 @@ def sweep_to_dict(result: SweepResult) -> dict:
     }
 
 
-# report field -> the JSON types it may hold (never a boolean), and their name
-_REPORT_TYPES = {"k": ((int,), "an integer"), "solver": ((str,), "a string"), **dict.fromkeys(
-    ("jain", "distance_index", "kpi", "kpi_alpha"), ((int, float), "a number"))}
-
-
 def sweep_from_dict(doc) -> SweepResult:
     """The SweepResult a sweep_to_dict document holds. Raises
     WorkflowError, "not a sweep result file (...)", unless provenance
     is an object whose config holds max_producers and kpi_alpha, and
-    reports is a list of objects, each with the _REPORT_TYPES fields."""
+    reports is a list of objects, each with an integer k, a string
+    solver and numbers jain, distance_index, kpi, kpi_alpha and energy.
+    Numbers are read by ioutil.number."""
 
-    def check(ok: bool, what: str) -> None:
-        if not ok:
-            raise WorkflowError(f"not a sweep result file ({what})")
+    def bad(what: str) -> WorkflowError:
+        return WorkflowError(f"not a sweep result file ({what})")
 
     provenance = doc.get("provenance") if isinstance(doc, dict) else None
     config = provenance.get("config") if isinstance(provenance, dict) else None
-    check(isinstance(config, dict) and {"max_producers", "kpi_alpha"} <= config.keys(),
-          "expected an object whose provenance.config holds max_producers and kpi_alpha")
+    if not (isinstance(config, dict) and {"max_producers", "kpi_alpha"} <= config.keys()):
+        raise bad("expected an object whose provenance.config holds max_producers and kpi_alpha")
+    for field in ("max_producers", "kpi_alpha"):
+        number(config[field], f"provenance.config.{field}", bad, field == "max_producers")
     entries = doc.get("reports")
-    check(isinstance(entries, list) and all(isinstance(e, dict) for e in entries),
-          "'reports' must be a list of objects")
-    for at, entry in enumerate(entries):
-        for field, (kinds, noun) in _REPORT_TYPES.items():
-            value = entry.get(field)
-            check(isinstance(value, kinds) and not isinstance(value, bool),
-                  f"reports[{at}].{field} must be {noun}")
+    if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+        raise bad("'reports' must be a list of objects")
+    fields = []
+    for at, e in enumerate(entries):
+        if not isinstance(e.get("solver"), str):
+            raise bad(f"reports[{at}].solver must be a string, got {shown(e.get('solver'))}")
+        fields.append({field: number(e.get(field), f"reports[{at}].{field}", bad, field == "k")
+                       for field in ("k", "jain", "distance_index", "kpi", "kpi_alpha", "energy")})
     try:
         reports = tuple(KpiReport(
-            solver_name=e["solver"], energy=e["energy"], assignment=tuple(e.get("assignment", ())),
-            **{field: e[field] for field in ("k", "jain", "distance_index", "kpi", "kpi_alpha")},
-        ) for e in entries)
+            solver_name=e["solver"], assignment=tuple(e.get("assignment", ())), **checked,
+        ) for e, checked in zip(entries, fields))
         return SweepResult(reports, tuple(doc.get("warnings", ())), provenance)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise WorkflowError(f"not a sweep result file ({exc!r})") from exc
+    except (TypeError, ValueError) as exc:  # assignment or warnings not lists, or a KpiReport's own check
+        raise bad(repr(exc)) from exc
 
 
 def sweep_to_csv_text(result: SweepResult) -> str:
@@ -288,15 +292,21 @@ def sweep_to_gnuplot_texts(result: SweepResult) -> dict[str, str]:
     return out
 
 
-def write_sweep(result: SweepResult, prefix: str, formats) -> list[str]:
-    """Write result in each format in the order given (<prefix>.json,
-    <prefix>.csv, <prefix>.{jain,distance_index,kpi}.dat) and return the
-    paths; an unknown or empty selection writes nothing."""
+def check_formats(formats) -> None:
+    """Raise WorkflowError unless formats names at least one output
+    format and only known ones: json, csv, gnuplot."""
     unknown = set(formats) - {"json", "csv", "gnuplot"}
     if unknown:
         raise WorkflowError(f"unknown output formats: {sorted(unknown)}; valid: json, csv, gnuplot")
     if not formats:
         raise WorkflowError("select at least one output format")
+
+
+def write_sweep(result: SweepResult, prefix: str, formats) -> list[str]:
+    """Write result in each format in the order given (<prefix>.json,
+    <prefix>.csv, <prefix>.{jain,distance_index,kpi}.dat) and return the
+    paths; a selection check_formats refuses writes nothing."""
+    check_formats(formats)
     written = []
     for fmt in formats:
         if fmt == "json":

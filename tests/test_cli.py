@@ -29,6 +29,7 @@ from heatfair import (
     save_weights,
     synthetic_demands,
     uniform_weights,
+    workflow,
 )
 
 PATH4 = Topology(nodes=4, edges=((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)))
@@ -410,6 +411,27 @@ def test_sweep_rejects_unknown_format(tmp_path, capsys):
         "sweep", str(topo_path), "--demands", str(csv_path), "--format", "xml",
     ]) == 2
     assert "unknown output formats" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("formats, message", [
+    ("json,xml", "unknown output formats: ['xml']; valid: json, csv, gnuplot"),
+    (",", "select at least one output format"),
+], ids=["unknown", "empty"])
+def test_sweep_checks_formats_before_solving(tmp_path, capsys, monkeypatch, formats, message):
+    save_topology(PATH4, str(tmp_path / "p4.json"))
+    write_demands(tmp_path / "d.csv", nodes=4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_sweep called before the formats were checked")
+
+    monkeypatch.setattr(workflow, "run_sweep", refuse)
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "out"))
+    assert cli.main([
+        "sweep", str(tmp_path / "p4.json"), "--demands", str(tmp_path / "d.csv"),
+        "--format", formats,
+    ]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

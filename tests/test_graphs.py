@@ -233,7 +233,7 @@ def test_minimal_two_node_round_trip(tmp_path):
 
 @pytest.mark.parametrize("a, b", [(0, 1.5), (False, True), (0, np.True_), ("0", 1), (0, None)])
 def test_direct_construction_rejects_non_integer_endpoints(a, b):
-    with pytest.raises(TopologyError, match="needs integer endpoints"):
+    with pytest.raises(TopologyError, match="edge entry 0: '[ab]' must be an integer, got"):
         Topology(nodes=2, edges=((a, b, 1.0),))
 
 

@@ -1,0 +1,198 @@
+"""The one check of a number read from outside (ioutil.number), as every
+reader and constructor applies it, and the mode of written files."""
+
+import json
+import os
+import re
+import stat
+
+import numpy as np
+import pytest
+
+from heatfair import (
+    AnnealConfig,
+    Assignment,
+    DistanceRule,
+    FairnessError,
+    KpiReport,
+    PenaltyConfig,
+    QuboError,
+    SolverError,
+    SolverSpec,
+    SweepConfig,
+    Topology,
+    TopologyError,
+    WorkflowError,
+    canonical_form,
+    cli,
+    generate_ring,
+    run_sweep,
+    save_topology,
+    save_weights,
+    sweep_to_dict,
+    synthetic_demands,
+    uniform_weights,
+)
+from heatfair.ioutil import atomic_write_text, number, shown
+
+HUGE = 10**400  # an integer past the float range
+
+
+@pytest.mark.parametrize("value, text", [
+    (True, "true"), (None, "null"), ("0.5", '"0.5"'), ([0.5], "[0.5]"), (HUGE, str(HUGE)),
+    (np.int64(3), "np.int64(3)"), ({(1, 2): 0}, "{(1, 2): 0}"), (10**5000, "a value of type int"),
+], ids=["bool", "null", "text", "list", "huge", "numpy", "tuple-key", "past-repr"])
+def test_shown_is_json_then_repr_and_never_raises(value, text):
+    assert shown(value) == text
+
+
+def test_number_reads_integers_and_reals_but_never_bools():
+    assert number(np.int32(4), "n", ValueError, integer=True) == 4
+    assert type(number(np.int32(4), "n", ValueError, integer=True)) is int
+    assert number(3, "x", ValueError) == 3.0 and type(number(3, "x", ValueError)) is float
+    assert number(np.float32(0.5), "x", ValueError) == 0.5
+    for value, integer in ((True, True), (np.True_, True), (False, False), (2.0, True),
+                           ("1", False), (HUGE, False), (None, False)):
+        with pytest.raises(ValueError, match=r"^x must be (an integer|a number), got "):
+            number(value, "x", ValueError, integer)
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: SweepConfig(max_producers=2.5), WorkflowError),
+    (lambda: SweepConfig(seed=-1), WorkflowError),
+    (lambda: SweepConfig(kpi_alpha="0.5"), WorkflowError),
+    (lambda: AnnealConfig(t_initial="a", t_final="b"), SolverError),
+    (lambda: AnnealConfig(seed=True), SolverError),
+    (lambda: DistanceRule(kind="uniform", low="a"), TopologyError),
+    (lambda: Topology(nodes=True, edges=()), TopologyError),
+    (lambda: Topology(nodes=1, edges=(), coords=(("0", 0.0),)), TopologyError),
+    (lambda: SolverSpec(name="exhaustive", exhaustive_cap=True), WorkflowError),
+], ids=["max-producers-float", "seed-negative", "kpi-alpha-text", "temperatures-text",
+        "anneal-seed-bool", "low-text", "nodes-bool", "coords-text", "cap-bool"])
+def test_constructors_refuse_what_is_not_their_number(build, error):
+    with pytest.raises(error, match="must be (an integer|a number), got|must be >= 0"):
+        build()
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A good topology, weights file and sweep file, and the documents
+    the table below spoils one value of."""
+    at = tmp_path_factory.mktemp("inputs")
+    topo = Topology(nodes=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
+    save_topology(topo, str(at / "t.json"))
+    save_weights(uniform_weights(3), str(at / "w.json"))
+    sweep = run_sweep(topo, synthetic_demands(3, timesteps=4), SweepConfig(max_producers=2),
+                      label="good")
+    (at / "good.json").write_text(json.dumps(sweep_to_dict(sweep)))
+    return at, {
+        "topology": json.loads((at / "t.json").read_text()),
+        "weights": json.loads((at / "w.json").read_text()),
+        "config": {},
+        "sweep": {**sweep_to_dict(sweep), "provenance": {**sweep.provenance, "label": "bad"}},
+    }
+
+
+# reader -> (whether an integer is due, where) for each value spoilt
+SLOTS = {
+    "topology": ((True, ("edges", 0, "a")), (False, ("edges", 0, "distance"))),
+    "weights": ((False, ("weights", 1)),),
+    "config": ((True, ("seed",)), (False, ("kpi_alpha",))),
+    "sweep": ((True, ("reports", 0, "k")), (False, ("reports", 0, "jain")),
+              (True, ("reports", 0, "assignment", 1)), (False, ("reports", 0, "energy")),
+              (True, ("provenance", "config", "max_producers"))),
+}
+SHARED = {"bool": "true", "null": "null", "text": '"1"', "list": "[1]"}
+BAD = {True: {**SHARED, "fraction": "1.5"}, False: {**SHARED, "huge": str(HUGE)}}
+
+
+@pytest.mark.parametrize("reader, integer, path, text", [
+    pytest.param(reader, integer, path, text, id=f"{reader}-{path[-1]}-{name}")
+    for reader, slots in SLOTS.items()
+    for integer, path in slots
+    for name, text in BAD[integer].items()
+])
+def test_every_reader_shows_a_bad_number_the_same_way(inputs, capsys, reader, integer, path, text):
+    at, docs = inputs
+    doc = json.loads(json.dumps(docs[reader]))
+    *parents, last = path
+    holder = doc
+    for key in parents:
+        holder = holder[key]
+    holder[last] = json.loads(text)
+    bad = at / f"bad-{reader}.json"
+    bad.write_text(json.dumps(doc))
+    topo, weights = str(at / "t.json"), str(at / "w.json")
+    argv = {
+        "topology": ["solve", str(bad), "--weights", weights, "--k", "2"],
+        "weights": ["solve", topo, "--weights", str(bad), "--k", "2"],
+        "config": ["solve", topo, "--weights", weights, "--k", "2", "--config", str(bad)],
+        "sweep": ["compare", str(at / "good.json"), str(bad)],
+    }[reader]
+    assert cli.main([*argv, "-o", str(at / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+    assert f" must be {'an integer' if integer else 'a number'}, got {text}" in err
+    assert not (at / "out").exists()
+
+
+def test_constructors_store_what_number_returns():
+    spec = SolverSpec(name="anneal", sweeps=np.int64(20), restarts=np.int32(1), t_initial=5,
+                      t_final=np.float32(0.5), exhaustive_cap=np.int16(8))
+    cfg = SweepConfig(max_producers=np.int64(2), solvers=(spec,), kpi_alpha=1, seed=np.uint8(3))
+    assert [type(v) for v in (spec.sweeps, spec.restarts, spec.exhaustive_cap)] == [int] * 3
+    assert (spec.t_initial, spec.t_final, cfg.kpi_alpha) == (5.0, 0.5, 1.0)
+    assert [type(v) for v in (cfg.max_producers, cfg.seed)] == [int] * 2
+    # so the sweep's config echo is JSON
+    sweep = run_sweep(generate_ring(4), synthetic_demands(4, timesteps=4), cfg)
+    echo = json.loads(json.dumps(sweep_to_dict(sweep)))["provenance"]["config"]
+    assert echo["solvers"][0]["sweeps"] == 20 and echo["max_producers"] == 2
+
+
+# constructor -> its error, a build where an integer is due, one where a number is due
+BUILDS = {
+    "Topology": (TopologyError, lambda v: Topology(nodes=v, edges=()),
+                 lambda v: Topology(nodes=2, edges=((0, 1, v),))),
+    "DistanceRule": (TopologyError, None, lambda v: DistanceRule(kind="uniform", high=v)),
+    "PenaltyConfig": (QuboError, None, lambda v: PenaltyConfig(gamma=v)),
+    # a temperature of null is derived, so it has no place here
+    "AnnealConfig": (SolverError, lambda v: AnnealConfig(restarts=v), None),
+    "SolverSpec": (WorkflowError, lambda v: SolverSpec(name="heuristic", exhaustive_cap=v), None),
+    "SweepConfig": (WorkflowError, lambda v: SweepConfig(seed=v),
+                    lambda v: SweepConfig(kpi_alpha=v)),
+    "Assignment": (SolverError, lambda v: Assignment(producer_of=(0, v), k=2), None),
+    "canonical_form": (SolverError, lambda v: canonical_form((0, v), 2), None),
+    "KpiReport": (FairnessError, lambda v: KpiReport(
+        k=1, jain=1.0, distance_index=1.0, kpi=1.0, kpi_alpha=0.5, solver_name="heuristic",
+        energy=0.0, assignment=(v,)), None),
+}
+
+
+@pytest.mark.parametrize("owner, integer, text", [
+    pytest.param(owner, integer, text, id=f"{owner}-{'integer' if integer else 'number'}-{name}")
+    for owner, (_, *builds) in BUILDS.items()
+    for integer, build in zip((True, False), builds) if build
+    for name, text in BAD[integer].items()
+])
+def test_every_constructor_shows_a_bad_number_the_same_way(owner, integer, text):
+    error, *builds = BUILDS[owner]
+    noun = "an integer" if integer else "a number"
+    with pytest.raises(error, match=re.escape(f" must be {noun}, got {text}")):
+        builds[not integer](json.loads(text))
+
+
+@pytest.mark.parametrize("mask", [0o022, 0o077])
+def test_written_files_get_the_mode_a_plain_open_gives(tmp_path, mask):
+    old = os.umask(mask)
+    try:
+        with open(tmp_path / "plain.txt", "w") as fh:
+            fh.write("x")
+        atomic_write_text(str(tmp_path / "atomic.txt"), "x")
+        save_topology(generate_ring(4), str(tmp_path / "ring.json"))
+    finally:
+        os.umask(old)
+    want = stat.S_IMODE(os.stat(tmp_path / "plain.txt").st_mode)
+    assert want == 0o666 & ~mask
+    for name in ("atomic.txt", "ring.json"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == want
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["atomic.txt", "plain.txt", "ring.json"]

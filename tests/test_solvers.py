@@ -214,6 +214,44 @@ def test_exhaustive_scores_in_blocks(monkeypatch):
         assert solve_exhaustive(triangle).assignment.producer_of == (0, 0, 0)
 
 
+def test_exhaustive_holds_no_energy_per_assignment():
+    # beyond what one block of 512 assignments needs, the parent held
+    # 8 bytes per assignment: 32 KB at n=12, 512 KB at n=16
+    def traced_peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for n in (12, 16):
+        topo = generate_ring(n, chords=2, rule=DistanceRule(kind="uniform"), seed=1)
+        q = build_qubo(topo, uniform_weights(n), 2)
+        places = 2 ** np.arange(n - 1, -1, -1)
+        block = traced_peak(lambda: feasible_energies(q, np.arange(512)[:, None] // places % 2))
+        whole = traced_peak(lambda: solve_exhaustive(q, max_vars=2 * n))
+        assert whole - block < 64 * 2**10
+
+
+@pytest.mark.parametrize("energies, code", [
+    ({3: -1.0 + 5e-10, 600: -1.0}, 3),  # within the tolerance of a later, lower energy
+    ({3: -0.5, 600: -1.0, 900: -1.0}, 600),  # lowest of its block, passed by a later one
+], ids=["near-tie-first", "lowest-falls"])
+def test_exhaustive_keeps_near_ties_across_blocks(monkeypatch, energies, code):
+    # 2**10 assignments make two blocks; energies are read from a table by code
+    n = 10
+    places = 2 ** np.arange(n - 1, -1, -1)
+    table = np.zeros(2**n)
+    for at, value in energies.items():
+        table[at] = value
+    monkeypatch.setattr(solvers, "feasible_energies", lambda q, rows: table[np.asarray(rows) @ places])
+    q = build_qubo(generate_ring(n), uniform_weights(n), 2)
+    r = solve_exhaustive(q, max_vars=2 * n)
+    assert r.assignment == canonical_form(code // places % 2, 2)
+    assert r.iterations == 2**n
+
+
 def test_exhaustive_matches_brute_force_minimum(suite):
     for entry in suite[:6]:
         n = entry.topo.nodes
