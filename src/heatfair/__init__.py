@@ -45,6 +45,7 @@ from .qubo import (
     QuboError,
     QuboFormatError,
     QuboInstance,
+    Terms,
     build_qubo,
     build_unweighted_qubo,
     default_penalties,

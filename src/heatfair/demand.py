@@ -122,6 +122,7 @@ def compute_weights(demands: DemandMatrix) -> WeightVector:
 
 
 def uniform_weights(nodes: int) -> WeightVector:
+    nodes = number(nodes, "nodes", DemandError, integer=True)
     if nodes < 1:
         raise DemandError(f"need at least one node, got {nodes}")
     return WeightVector(values=np.full(nodes, 1.0 / nodes))
@@ -140,11 +141,13 @@ def synthetic_demands(
     site among households). The shape over time is a daily sinusoid
     plus noise, clipped at zero.
     """
+    nodes = number(nodes, "nodes", DemandError, integer=True)
+    timesteps = number(timesteps, "timesteps", DemandError, integer=True)
     if nodes < 1:
         raise DemandError(f"need at least one node, got {nodes}")
     if timesteps < 1:
         raise DemandError(f"need at least one timestep, got {timesteps}")
-    if anchor_scale <= 0.0:
+    if number(anchor_scale, "anchor_scale", DemandError) <= 0.0:
         raise DemandError(f"anchor_scale must be positive, got {anchor_scale}")
     rng = np.random.default_rng(seed)
     peaks = rng.uniform(0.5, 2.0, size=nodes)

@@ -116,7 +116,7 @@ def combined_kpi(jain: float, distance_idx: float, kpi_alpha: float = 0.5) -> fl
         ("distance index", distance_idx),
         ("kpi_alpha", kpi_alpha),
     ):
-        if not (0.0 <= value <= 1.0):
+        if not (0.0 <= number(value, name, FairnessError) <= 1.0):
             raise FairnessError(f"{name} must lie in [0, 1], got {value!r}")
     return kpi_alpha * jain + (1.0 - kpi_alpha) * distance_idx
 

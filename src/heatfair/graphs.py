@@ -164,6 +164,8 @@ def generate_tree(
     branching=1 degenerates to a path. Coordinates lay nodes out in
     layers by depth for plotting.
     """
+    nodes = number(nodes, "nodes", TopologyError, integer=True)
+    branching = number(branching, "branching", TopologyError, integer=True)
     if nodes < 1:
         raise TopologyError(f"tree needs at least one node, got {nodes}")
     if branching < 1:
@@ -194,6 +196,8 @@ def generate_ring(
     pairs not already on the ring. Coordinates place nodes on a unit
     circle.
     """
+    nodes = number(nodes, "nodes", TopologyError, integer=True)
+    chords = number(chords, "chords", TopologyError, integer=True)
     if nodes < 3:
         raise TopologyError(f"ring needs at least three nodes, got {nodes}")
     if chords < 0:

@@ -7,16 +7,18 @@ import json
 import numbers
 import operator
 import os
+from collections.abc import Iterable
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via a sibling temp file so readers never see partial output.
-    The file gets the mode a plain open() gives: 0o666 less the umask."""
+def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
+    """Write text, one str or blocks of it in turn, via a sibling temp
+    file so readers never see partial output. The file gets the mode a
+    plain open() gives: 0o666 less the umask."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

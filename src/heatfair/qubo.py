@@ -22,7 +22,8 @@ every edge leaving a producer's area, which rewards keeping neighbours
 together. tests/test_qubo.py pins both readings. Both builders build
 only the Objective, which the instance carries and feasible_energies
 scores from. An instance stores its terms once, as arrays (terms,
-expanded from the Objective on first use); its dicts are views of them.
+expanded from the Objective on first use, or read from a file by
+import_qubo); its dicts are views of them.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import graphs
 from .demand import WeightVector, uniform_weights
-from .ioutil import atomic_write_text, integral, number
+from .ioutil import atomic_write_text, number
 
 
 class QuboError(ValueError):
@@ -96,7 +97,7 @@ class Objective:
         return (self.node_linear + self.alpha * (w * w - 2.0 * self.target * w)) - self.gamma
 
 
-# An instance's stored terms as read-only arrays in dict order: linear
+# An instance's stored terms as read-only arrays in term order: linear
 # (variables, values), then quadratic (rows, cols, values), rows < cols.
 Terms = collections.namedtuple("Terms", "lin_vars lin_vals rows cols vals")
 
@@ -105,24 +106,24 @@ class QuboInstance:
     """Coefficients of one assignment problem.
 
     terms holds every stored term; zero coefficients are not stored,
-    and every coefficient and the offset are finite. linear (variable
-    -> coefficient) and quadratic ((v1, v2) with v1 < v2 -> coefficient)
-    are dict views of terms, built on first use. objective is what a
-    builder expanded, sized for n nodes; an imported instance has none
-    and is given dicts, which become its terms. A built instance is
-    given only its objective (linear and quadratic None) and expands its
-    terms from it on first use; no solver reads them. Instances are
-    immutable; equality compares n, k, the dicts and the offset.
+    and every coefficient and the offset are finite. An instance is
+    given exactly one of objective and terms. objective is what a
+    builder expanded, sized for n nodes; the terms are expanded from it
+    on first use, and no solver reads them. Given terms (import_qubo's)
+    are checked and copied by _checked_terms. linear (variable ->
+    coefficient) and quadratic ((v1, v2) with v1 < v2 -> coefficient)
+    are dict views of terms, built on first use. Instances are
+    immutable; equality compares n, k, the offset and the terms in key
+    order.
     """
 
     def __init__(
         self,
         n: int,
         k: int,
-        linear: dict[int, float] | None,
-        quadratic: dict[tuple[int, int], float] | None,
         offset: float,
         objective: Objective | None = None,
+        terms: Terms | None = None,
     ) -> None:
         for name, value in (("n", n), ("k", k), ("offset", offset), ("objective", objective)):
             object.__setattr__(self, name, value)
@@ -130,12 +131,12 @@ class QuboInstance:
             raise QuboError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
         if not math.isfinite(offset):
             raise QuboError(f"offset is {offset!r}, not finite")
-        if (linear is None) != (quadratic is None) or (linear is None and objective is None):
-            raise QuboError("give both coefficient dicts, or neither and an objective")
-        if linear is not None:
-            vars(self)["terms"] = _terms_of_dicts(linear, quadratic, n * k)
+        if (objective is None) == (terms is None):
+            raise QuboError("give an instance either its terms or its objective")
         obj = objective
-        if obj is not None and not (
+        if terms is not None:
+            vars(self)["terms"] = _checked_terms(terms, n * k)
+        elif not (
             obj.weights.shape == obj.node_linear.shape == (n,)
             and obj.ends.shape == obj.edge_coeff.shape + (2,)
             and np.all((0 <= obj.ends) & (obj.ends < n))
@@ -146,7 +147,7 @@ class QuboInstance:
                 f"coefficients, edge ends of shape {obj.ends.shape} in "
                 f"{obj.ends.min(initial=0)}..{obj.ends.max(initial=0)}"
             )
-        if linear is None:
+        else:
             _check_objective_terms(obj, n, k)
 
     def __setattr__(self, name, value):
@@ -155,8 +156,10 @@ class QuboInstance:
     def __eq__(self, other):
         if not isinstance(other, QuboInstance):
             return NotImplemented
-        return (self.n, self.k, self.offset, self.linear, self.quadratic) == (
-            other.n, other.k, other.offset, other.linear, other.quadratic
+        mine, theirs = self.terms, other.terms
+        return (self.n, self.k, self.offset) == (other.n, other.k, other.offset) and all(
+            map(np.array_equal, map(np.take, mine, _key_order(mine)),
+                map(np.take, theirs, _key_order(theirs)))
         )
 
     def __repr__(self) -> str:
@@ -186,46 +189,61 @@ def _read_only(terms: Terms) -> Terms:
     return terms
 
 
-def _terms_of_dicts(linear, quadratic, nv: int) -> Terms:
-    """The dicts' terms in dict order, checked: each variable an integer
-    (ioutil.integral) in 0..nv-1, each pair a tuple and strictly
-    upper-triangular, each value nonzero and finite. A key of the wrong
-    type is named first (types are checked as a set, at C speed), then
-    the first term to break a rule, with the first it breaks."""
-    count = len(linear) + 2 * len(quadratic)  # the linear keys, then both ends of each pair
-    typed = set(map(type, quadratic)) <= {tuple} and set(map(len, quadratic)) <= {2}
-    if typed:
-        ids = np.fromiter(itertools.chain(linear, *quadratic), object, count)
-        typed = all(map(integral, set(map(type, ids))))
-    if not typed:
-        for key in linear:
-            if not integral(type(key)):
-                raise QuboError(f"linear key {key!r} must be a variable (an integer, not a bool)")
-        key = next(key for key in quadratic if type(key) is not tuple or len(key) != 2
-                   or not all(integral(type(v)) for v in key))
-        raise QuboError(f"quadratic key {key!r} must be a pair of variables (v1, v2)")
-    try:
-        ids = ids.astype(np.int64)
-    except OverflowError:  # no variable; kept exact to be named below
-        pass
-    v, a, b = ids[:len(linear)], ids[len(linear)::2], ids[len(linear) + 1::2]
-    t = Terms(v, np.fromiter(linear.values(), float, len(linear)),
-              a, b, np.fromiter(quadratic.values(), float, len(quadratic)))
-    for keeps, vals, messages in (
-        ((0 <= v) & (v < nv), t.lin_vals, lambda at, c: (
-            f"linear variable {v[at]} outside 0..{nv - 1}",
-            f"zero linear coefficient stored for variable {v[at]}",
-            f"linear coefficient of variable {v[at]} is {c!r}, not finite")),
-        ((0 <= a) & (a < b) & (b < nv), t.vals, lambda at, c: (
-            f"quadratic key ({a[at]}, {b[at]}) is not strictly upper-triangular within 0..{nv - 1}",
-            f"zero quadratic coefficient stored for ({a[at]}, {b[at]})",
-            f"quadratic coefficient of ({a[at]}, {b[at]}) is {c!r}, not finite")),
+def _key_order(t: Terms) -> Terms:
+    """For each array of t, the positions that read it in key order:
+    linear terms by variable, quadratic ones by (row, col)."""
+    lin, quad = np.argsort(t.lin_vars, kind="stable"), np.lexsort((t.cols, t.rows))
+    return Terms(lin, lin, quad, quad, quad)
+
+
+def _broken(a: np.ndarray, b: np.ndarray, vals: np.ndarray, lin: np.ndarray, nv: int) -> np.ndarray:
+    """Which rules each term (a, b) -> vals breaks, as a (5, terms)
+    array; lin marks the linear terms, whose a == b. The rules: an id
+    outside 0..nv-1, a quadratic pair with a >= b, a key that an earlier
+    term holds, a zero value, a value that is not finite."""
+    limit = min(max(nv, 0), np.iinfo(np.int64).max)  # a bound any numpy compares int64 with
+    at = np.lexsort((b, a))  # stable, so the first of equal keys is no repeat
+    repeat = np.zeros(a.size, dtype=bool)
+    repeat[at[1:]] = (a[at[1:]] == a[at[:-1]]) & (b[at[1:]] == b[at[:-1]])
+    return np.array([(a < 0) | (a >= limit) | (b < 0) | (b >= limit), ~lin & (a >= b),
+                     repeat, vals == 0.0, ~np.isfinite(vals)])
+
+
+def _fault(lin: bool, a, b, c: float, rule: int, nv: int) -> str:
+    """QuboInstance's message for the term (a, b) -> c, linear or not,
+    that breaks rule (a row of _broken)."""
+    kind, key = ("linear", f"variable {a}") if lin else ("quadratic", f"({a}, {b})")
+    name = f"linear {key}" if lin else f"quadratic key {key}"
+    misplaced = f"{name} outside" if lin else f"{name} is not strictly upper-triangular within"
+    return (*[f"{misplaced} 0..{nv - 1}"] * 2, f"{name} stored twice",
+            f"zero {kind} coefficient stored for {key}",
+            f"{kind} coefficient of {key} is {c!r}, not finite")[rule]
+
+
+def _checked_terms(terms, nv: int) -> Terms:
+    """Read-only int64 and float64 copies of terms, a Terms of 1-D
+    arrays: ids of an integer type that int64 holds, values of a float
+    type, one value per key. The first term to break a rule of _broken
+    (linear ones first, each block in term order) raises QuboError,
+    naming the first rule it breaks."""
+    types = ((np.int64, "iu"), (float, "f"), (np.int64, "iu"), (np.int64, "iu"), (float, "f"))
+    if not (
+        isinstance(terms, Terms)
+        and all(isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype.kind in kinds
+                and np.can_cast(x.dtype, to) for x, (to, kinds) in zip(terms, types))
+        and terms.lin_vars.size == terms.lin_vals.size
+        and terms.rows.size == terms.cols.size == terms.vals.size
     ):
-        broken = ~np.array([keeps, vals != 0.0, np.isfinite(vals)], dtype=bool)
-        at = np.flatnonzero(broken.any(axis=0))
-        if at.size:
-            raise QuboError(messages(at[0], float(vals[at[0]]))[np.argmax(broken[:, at[0]])])
-    return _read_only(t)
+        raise QuboError("terms must be a Terms of 1-D arrays, integer ids and float values, "
+                        "one value per key")
+    t = _read_only(Terms(*(x.astype(to) for x, (to, _) in zip(terms, types))))
+    for lin, a, b, vals in ((True, t.lin_vars, t.lin_vars, t.lin_vals), (False, t.rows, t.cols, t.vals)):
+        broken = _broken(a, b, vals, np.full(a.size, lin), nv)
+        bad = np.flatnonzero(broken.any(axis=0))
+        if bad.size:
+            at = bad[0]
+            raise QuboError(_fault(lin, a[at], b[at], float(vals[at]), np.argmax(broken[:, at]), nv))
+    return t
 
 
 def _weight_array(w, n: int) -> np.ndarray:
@@ -242,7 +260,8 @@ def _weight_array(w, n: int) -> np.ndarray:
     return arr
 
 
-def _check_k(n: int, k: int) -> None:
+def _check_k(n: int, k) -> int:
+    k = number(k, "k", QuboError, integer=True)
     if k < 1:
         raise QuboError(f"need at least one producer, got k={k}")
     if k > n:
@@ -250,6 +269,7 @@ def _check_k(n: int, k: int) -> None:
             f"more producers than nodes (k={k} > n={n}) makes balance "
             f"targets degenerate"
         )
+    return k
 
 
 def _assemble(
@@ -275,8 +295,7 @@ def _assemble(
     offset = 0.0
     for term in [obj.alpha * obj.target * obj.target] * k + [obj.gamma] * topo.nodes:
         offset += term
-    return QuboInstance(n=topo.nodes, k=k, linear=None, quadratic=None, offset=offset,
-                        objective=obj)
+    return QuboInstance(n=topo.nodes, k=k, offset=offset, objective=obj)
 
 
 def _linear_order(obj: Objective) -> np.ndarray:
@@ -343,24 +362,15 @@ def _check_objective_terms(obj: Objective, n: int, k: int) -> None:
     if not distinct:
         raise QuboError("objective edge ends must be distinct (u, v) pairs with u < v")
     order = _linear_order(obj)
-    lin = obj.lin[order]
-    bad = np.flatnonzero(~np.isfinite(lin))
-    if bad.size:
-        raise QuboError(
-            f"linear coefficient of variable {int(order[bad[0]])} is "
-            f"{float(lin[bad[0]])!r}, not finite"
-        )
-    groups = [(ends[:, 0], ends[:, 1], edge_vals), (us, vs, pair)]
+    groups = [(True, order, order, obj.lin[order]), (False, ends[:, 0], ends[:, 1], edge_vals),
+              (False, us, vs, pair)]
     if k > 1:  # the one-hot pairs, first (node 0 at producer 0, at 1)
-        groups.append(([0], [n], [2.0 * obj.gamma]))
-    for a, b, vals in groups:
+        groups.append((False, [0], [n], [2.0 * obj.gamma]))
+    for lin, a, b, vals in groups:
         bad = np.flatnonzero(~np.isfinite(vals))
         if bad.size:
             at = bad[0]
-            raise QuboError(
-                f"quadratic coefficient of ({int(a[at])}, {int(b[at])}) is "
-                f"{float(vals[at])!r}, not finite"
-            )
+            raise QuboError(_fault(lin, a[at], b[at], float(vals[at]), 4, n * k))
 
 
 # an overflowing coefficient is QuboInstance's to reject, with no numpy warning first
@@ -375,7 +385,7 @@ def build_qubo(
     cfg None takes default_penalties(topo, w, k).
     """
     n = topo.nodes
-    _check_k(n, k)
+    k = _check_k(n, k)
     cfg = cfg or default_penalties(topo, w, k)
     weights = _weight_array(w, n)
     target = float(weights.sum()) / k
@@ -397,7 +407,7 @@ def build_unweighted_qubo(
     cfg None takes default_penalties(topo, uniform_weights(n), k).
     """
     n = topo.nodes
-    _check_k(n, k)
+    k = _check_k(n, k)
     cfg = cfg or default_penalties(topo, uniform_weights(n), k)
     degree = np.zeros(n, dtype=np.int64)
     for u, v, _ in topo.edges:
@@ -503,7 +513,7 @@ def default_penalties(topo: graphs.Topology, w, k: int) -> PenaltyConfig:
     scale or an alpha past the float range raises QuboError.
     """
     n = topo.nodes
-    _check_k(n, k)
+    k = _check_k(n, k)
     weights = _weight_array(w, n)
     beta = 1.0
     row_sums = np.zeros(n)
@@ -530,20 +540,30 @@ def default_penalties(topo: graphs.Topology, w, k: int) -> PenaltyConfig:
 def export_qubo(q: QuboInstance, path: str) -> None:
     """Write coordinate text plus a <path>.map sidecar tying variables
     to (node, producer) pairs. Floats use shortest round-trip decimals,
-    so import reproduces every coefficient bit-exactly.
+    so import reproduces every coefficient bit-exactly. The text goes
+    out _BLOCK lines at a time, never whole.
     """
     t = q.terms
-    lines = [f"p qubo {q.num_vars} {t.lin_vars.size} {t.vals.size} {q.offset!r}"]
-    at = np.argsort(t.lin_vars, kind="stable")
-    lines += [f"{v} {v} {c!r}" for v, c in zip(t.lin_vars[at].tolist(), t.lin_vals[at].tolist())]
-    at = np.lexsort((t.cols, t.rows))
-    lines += [f"{a} {b} {c!r}"
-              for a, b, c in zip(t.rows[at].tolist(), t.cols[at].tolist(), t.vals[at].tolist())]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    order = _key_order(t)
+    atomic_write_text(path, itertools.chain(
+        [f"p qubo {q.num_vars} {t.lin_vars.size} {t.vals.size} {q.offset!r}\n"],
+        _lines(order.lin_vars, t.lin_vars, t.lin_vars, t.lin_vals),
+        _lines(order.rows, t.rows, t.cols, t.vals),
+    ))
+    var = np.arange(q.num_vars)
+    atomic_write_text(path + ".map", itertools.chain([f"map {q.n} {q.k}\n"],
+                                                     _lines(var, var, var % q.n, var // q.n)))
 
-    map_lines = [f"map {q.n} {q.k}"]
-    map_lines += [f"{j * q.n + i} {i} {j}" for j in range(q.k) for i in range(q.n)]
-    atomic_write_text(path + ".map", "\n".join(map_lines) + "\n")
+
+_BLOCK = 1 << 10  # lines written or read per step
+
+
+def _lines(order: np.ndarray, a: np.ndarray, b: np.ndarray, vals: np.ndarray):
+    """Lines '<a> <b> <value>' of the terms at order, _BLOCK at a time."""
+    for lo in range(0, order.size, _BLOCK):
+        at = order[lo:lo + _BLOCK]
+        yield "".join([f"{i} {j} {c!r}\n" for i, j, c in
+                       zip(a[at].tolist(), b[at].tolist(), vals[at].tolist())])
 
 
 def _parse_header(path: str, line: str) -> tuple[int, int, int, float]:
@@ -559,52 +579,86 @@ def _parse_header(path: str, line: str) -> tuple[int, int, int, float]:
         raise QuboFormatError(f"{path}: line 1: malformed header {line!r}") from None
 
 
+def _ids(tokens: list[str]) -> np.ndarray:
+    ids = list(map(int, tokens))
+    try:
+        return np.array(ids, dtype=np.int64)
+    except OverflowError:  # an id past int64 is outside any header's range: read it as -1
+        return np.array([i if abs(i) < 2**63 else -1 for i in ids], dtype=np.int64)
+
+
+def _columns(lines: list[str]):
+    """The positions of the entry lines among lines and their columns
+    i, j, value. Each line must be blank or three tokens that int, int
+    and float read; any other raises ValueError."""
+    # each line's split is dropped at once: a block of them kept wakes the
+    # garbage collector, whose full passes walk every line of the file
+    counts = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
+    if np.any((counts != 0) & (counts != 3)):
+        raise ValueError("a line of other than three tokens")
+    tokens = " ".join(lines).split()
+    i, j = _ids(tokens[0::3]), _ids(tokens[1::3])
+    return np.flatnonzero(counts), i, j, list(map(float, tokens[2::3]))
+
+
+def _entries(raw: list[str]):
+    """Line numbers and columns i, j, value of raw's entry lines, read
+    _BLOCK lines at a time, up to the first line that _columns cannot
+    read; and that line's fault, or None."""
+    cols = [np.empty(max(len(raw) - 1, 0), kind) for kind in (np.intp, np.int64, np.int64, float)]
+    filled, fault = 0, None
+    for lo in range(1, len(raw), _BLOCK):
+        lines = raw[lo:lo + _BLOCK]
+        try:
+            read = _columns(lines)
+        except ValueError:  # read the block up to its first unreadable line, then stop
+            for end, line in enumerate(lines):
+                try:
+                    _columns([line])
+                except ValueError:
+                    why = ("malformed entry" if len(line.split()) == 3
+                           else "expected '<i> <j> <value>', got")
+                    fault = f"line {lo + end + 1}: {why} {line!r}"
+                    break
+            read = _columns(lines[:end])
+        at = slice(filled, filled + read[0].size)
+        cols[0][at] = lo + 1 + read[0]
+        cols[1][at], cols[2][at], cols[3][at] = read[1:]
+        filled = at.stop
+        if fault:
+            break
+    return [col[:filled] for col in cols], fault
+
+
 def import_qubo(path: str) -> QuboInstance:
+    """The instance in a coordinate file and its <path>.map sidecar,
+    with its terms in file order. The first faulty line is named: one
+    that is not '<i> <j> <value>', an id out of range, a repeated entry,
+    or i > j. Then come a count other than the header's, the sidecar,
+    and a zero or non-finite value."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read().splitlines()
     if not raw:
         raise QuboFormatError(f"{path}: file is empty")
     num_vars, num_linear, num_quad, offset = _parse_header(path, raw[0])
-    linear: dict[int, float] = {}
-    quadratic: dict[tuple[int, int], float] = {}
-    for lineno, line in enumerate(raw[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise QuboFormatError(
-                f"{path}: line {lineno}: expected '<i> <j> <value>', got {line!r}"
-            )
-        try:
-            a, b, value = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError:
-            raise QuboFormatError(
-                f"{path}: line {lineno}: malformed entry {line!r}"
-            ) from None
-        if not (0 <= a < num_vars) or not (0 <= b < num_vars):
-            raise QuboFormatError(
-                f"{path}: line {lineno}: variable outside 0..{num_vars - 1}"
-            )
-        if a == b:
-            if a in linear:
-                raise QuboFormatError(
-                    f"{path}: line {lineno}: duplicate linear entry for {a}"
-                )
-            linear[a] = value
-        elif a < b:
-            if (a, b) in quadratic:
-                raise QuboFormatError(
-                    f"{path}: line {lineno}: duplicate quadratic entry ({a}, {b})"
-                )
-            quadratic[(a, b)] = value
-        else:
-            raise QuboFormatError(
-                f"{path}: line {lineno}: quadratic entry must have i < j"
-            )
-    if len(linear) != num_linear or len(quadratic) != num_quad:
+    (linenos, a, b, vals), fault = _entries(raw)
+    del raw  # one string per line: gone before the terms are copied
+    lin = a == b
+    broken = _broken(a, b, vals, lin, num_vars)[:3]  # the key rules; the values come last
+    bad = np.flatnonzero(broken.any(axis=0))
+    if bad.size:
+        at = bad[0]
+        why = (f"variable outside 0..{num_vars - 1}", "quadratic entry must have i < j",
+               f"duplicate linear entry for {a[at]}" if lin[at]
+               else f"duplicate quadratic entry ({a[at]}, {b[at]})")[np.argmax(broken[:, at])]
+        raise QuboFormatError(f"{path}: line {linenos[at]}: {why}")
+    if fault:
+        raise QuboFormatError(f"{path}: {fault}")
+    terms = Terms(a[lin], vals[lin], a[~lin], b[~lin], vals[~lin])
+    if terms.lin_vars.size != num_linear or terms.rows.size != num_quad:
         raise QuboFormatError(
             f"{path}: header promises {num_linear} linear and {num_quad} "
-            f"quadratic entries, found {len(linear)} and {len(quadratic)}"
+            f"quadratic entries, found {terms.lin_vars.size} and {terms.rows.size}"
         )
 
     map_path = path + ".map"
@@ -656,6 +710,6 @@ def import_qubo(path: str) -> QuboInstance:
             raise QuboFormatError(f"{map_path}: line {lineno}: variable {var} {why}")
         listed.add(var)
     try:
-        return QuboInstance(n=n, k=k, linear=linear, quadratic=quadratic, offset=offset)
+        return QuboInstance(n=n, k=k, offset=offset, terms=terms)
     except QuboError as exc:  # a zero or non-finite value, or n or k below 1
         raise QuboFormatError(f"{path}: {exc}") from None

@@ -103,6 +103,14 @@ class SolveResult:
         }
 
 
+def _at_least(value, name: str, least: int) -> int:
+    """value as an int (ioutil.number) of at least least; numpy seeds are >= 0."""
+    value = number(value, name, SolverError, integer=True)
+    if value < least:
+        raise SolverError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
 @dataclasses.dataclass(frozen=True)
 class AnnealConfig:
     """Simulated-annealing knobs, read by ioutil.number. sweeps and
@@ -119,11 +127,8 @@ class AnnealConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, least in (("sweeps", 1), ("restarts", 1), ("seed", 0)):  # numpy seeds are >= 0
-            value = number(getattr(self, name), name, SolverError, integer=True)
-            if value < least:
-                raise SolverError(f"{name} must be >= {least}, got {value}")
-            object.__setattr__(self, name, value)
+        for name, least in (("sweeps", 1), ("restarts", 1), ("seed", 0)):
+            object.__setattr__(self, name, _at_least(getattr(self, name), name, least))
         for name in ("t_initial", "t_final"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, number(getattr(self, name), name, SolverError))
@@ -248,7 +253,7 @@ def solve_exhaustive(q: QuboInstance, max_vars: int = 24) -> SolveResult:
     if q.objective is None:
         raise SolverError("the exhaustive solver needs the instance's objective; "
                           "an imported one has none")
-    if q.num_vars > max_vars:
+    if q.num_vars > number(max_vars, "max_vars", SolverError, integer=True):
         raise SolverError(
             f"instance has {q.num_vars} variables, exhaustive cap is {max_vars}"
         )
@@ -706,8 +711,7 @@ def solve_heuristic(q: QuboInstance, seed: int = 0, restarts: int = 8) -> SolveR
     compete on the QUBO energy of their final assignments in q, ties to
     the earliest restart, so results line up with the other solvers.
     """
-    if restarts < 1:
-        raise SolverError(f"restarts must be >= 1, got {restarts}")
+    restarts, seed = _at_least(restarts, "restarts", 1), _at_least(seed, "seed", 0)
     obj = q.objective
     if obj is None:
         raise SolverError("the heuristic needs the instance's objective; an imported one has none")

@@ -17,7 +17,9 @@ import numpy as np
 
 from heatfair import (
     DistanceRule,
+    QuboInstance,
     SolverError,
+    Terms,
     Topology,
     WeightVector,
     compute_weights,
@@ -46,6 +48,17 @@ def laplacian_direct(topo: Topology) -> np.ndarray:
         lap[a, b] -= 1
         lap[b, a] -= 1
     return lap
+
+
+def instance_of(n: int, k: int, linear: dict, quadratic: dict, offset: float = 0.0):
+    """A QuboInstance given the terms of coefficient dicts, in dict
+    order, as int64 id and float value arrays."""
+    return QuboInstance(n=n, k=k, offset=offset, terms=Terms(
+        np.array(list(linear), dtype=np.int64), np.array(list(linear.values()), dtype=float),
+        np.array([a for a, _ in quadratic], dtype=np.int64),
+        np.array([b for _, b in quadratic], dtype=np.int64),
+        np.array(list(quadratic.values()), dtype=float),
+    ))
 
 
 def bits_to_x(bits, n: int, k: int) -> np.ndarray:

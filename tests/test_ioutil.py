@@ -12,6 +12,7 @@ import pytest
 from heatfair import (
     AnnealConfig,
     Assignment,
+    DemandError,
     DistanceRule,
     FairnessError,
     KpiReport,
@@ -23,12 +24,18 @@ from heatfair import (
     Topology,
     TopologyError,
     WorkflowError,
+    build_qubo,
+    build_unweighted_qubo,
     canonical_form,
     cli,
     generate_ring,
+    generate_tree,
     run_sweep,
     save_topology,
     save_weights,
+    score_assignment,
+    solve_exhaustive,
+    solve_heuristic,
     sweep_to_dict,
     synthetic_demands,
     uniform_weights,
@@ -72,6 +79,42 @@ def test_number_reads_integers_and_reals_but_never_bools():
 def test_constructors_refuse_what_is_not_their_number(build, error):
     with pytest.raises(error, match="must be (an integer|a number), got|must be >= 0"):
         build()
+
+
+RING = generate_ring(4)
+RING_QUBO = build_qubo(RING, uniform_weights(4), 2)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: solve_heuristic(RING_QUBO, seed=-1), SolverError, "seed must be >= 0, got -1"),
+    (lambda: solve_heuristic(RING_QUBO, seed=None), SolverError, "seed must be an integer, got null"),
+    (lambda: solve_heuristic(RING_QUBO, restarts=True), SolverError,
+     "restarts must be an integer, got true"),
+    (lambda: solve_heuristic(RING_QUBO, restarts=2.5), SolverError,
+     "restarts must be an integer, got 2.5"),
+    (lambda: solve_exhaustive(RING_QUBO, max_vars=True), SolverError,
+     "max_vars must be an integer, got true"),
+    (lambda: generate_ring(5.5), TopologyError, "nodes must be an integer, got 5.5"),
+    (lambda: generate_ring(5, chords=1.5), TopologyError, "chords must be an integer, got 1.5"),
+    (lambda: generate_tree(3, branching=True), TopologyError,
+     "branching must be an integer, got true"),
+    (lambda: uniform_weights(2.5), DemandError, "nodes must be an integer, got 2.5"),
+    (lambda: synthetic_demands(4, timesteps=2.5), DemandError,
+     "timesteps must be an integer, got 2.5"),
+    (lambda: synthetic_demands(4, anchor_scale="2"), DemandError,
+     'anchor_scale must be a number, got "2"'),
+    (lambda: build_qubo(RING, uniform_weights(4), True), QuboError, "k must be an integer, got true"),
+    (lambda: build_qubo(RING, uniform_weights(4), 2.5), QuboError, "k must be an integer, got 2.5"),
+    (lambda: build_unweighted_qubo(RING, 2.0), QuboError, "k must be an integer, got 2.0"),
+    (lambda: score_assignment(Assignment(producer_of=(0, 1, 0, 1), k=2), RING, uniform_weights(4),
+                              kpi_alpha="0.5"), FairnessError, 'kpi_alpha must be a number, got "0.5"'),
+], ids=["heuristic-seed", "heuristic-seed-none", "heuristic-restarts-bool",
+        "heuristic-restarts-float", "exhaustive-cap-bool", "ring-nodes", "ring-chords",
+        "tree-branching", "uniform-nodes", "demand-timesteps", "demand-anchor", "qubo-k-bool",
+        "qubo-k-float", "unweighted-k-float", "kpi-alpha-text"])
+def test_api_arguments_refuse_what_is_not_their_number(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.fixture(scope="module")

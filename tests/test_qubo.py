@@ -11,6 +11,7 @@ from heatfair import (
     QuboError,
     QuboFormatError,
     QuboInstance,
+    Terms,
     Topology,
     build_qubo,
     build_unweighted_qubo,
@@ -32,6 +33,7 @@ from oracles import (
     all_bit_vectors,
     bits_to_x,
     feasible_assignments,
+    instance_of,
     internal_and_cut,
     modified_cost_batch,
     modified_cost_direct,
@@ -242,60 +244,89 @@ def test_assembly_matches_term_by_term_accumulation(suite):
                     assert got == expected
 
 
+def arrays(lin_vars=(), lin_vals=(), rows=(), cols=(), vals=()):
+    """Terms of int64 ids and float values."""
+    ids, values = (lambda x: np.array(x, dtype=np.int64)), (lambda x: np.array(x, dtype=float))
+    return Terms(ids(lin_vars), values(lin_vals), ids(rows), ids(cols), values(vals))
+
+
 def test_instance_invariants_enforced():
     with pytest.raises(QuboError, match="zero linear coefficient"):
-        QuboInstance(n=1, k=2, linear={0: 0.0}, quadratic={}, offset=0.0)
+        instance_of(1, 2, {0: 0.0}, {})
     with pytest.raises(QuboError, match="not strictly upper-triangular"):
-        QuboInstance(n=1, k=2, linear={}, quadratic={(1, 0): 1.0}, offset=0.0)
+        instance_of(1, 2, {}, {(1, 0): 1.0})
     with pytest.raises(QuboError, match="outside"):
-        QuboInstance(n=1, k=2, linear={5: 1.0}, quadratic={}, offset=0.0)
-    # each case names the first bad term in dict order, by its first broken rule
+        instance_of(1, 2, {5: 1.0}, {})
+    # each case names the first bad term in term order, by its first broken rule
     for linear, quadratic, message in (
         ({}, {(0, 2): 1.0}, r"quadratic key \(0, 2\) is not strictly upper-triangular within 0\.\.1"),
         ({}, {(-1, 1): 1.0}, r"quadratic key \(-1, 1\) is not strictly upper-triangular within 0\.\.1"),
+        ({}, {(1, 1): 1.0}, r"quadratic key \(1, 1\) is not strictly upper-triangular within 0\.\.1"),
         ({}, {(0, 1): 0.0}, r"zero quadratic coefficient stored for \(0, 1\)"),
         ({1: 0.0, 0: np.inf}, {}, "zero linear coefficient stored for variable 1"),
         ({0: np.inf, 1: 0.0}, {}, "linear coefficient of variable 0 is inf, not finite"),
         ({1: 1.0, 7: 0.0, 0: 0.0}, {}, r"linear variable 7 outside 0\.\.1"),
         ({0: np.nan}, {(1, 0): 0.0}, "linear coefficient of variable 0 is nan, not finite"),
         ({0: 1.0}, {(0, 1): np.nan, (1, 0): 1.0}, r"quadratic coefficient of \(0, 1\) is nan, not finite"),
-        # a key past int64 is out of range too, not an OverflowError
-        ({2**70: 1.0}, {}, r"linear variable 1180591620717411303424 outside 0\.\.1"),
-        ({0: 0.0, -(2**70): 1.0}, {}, "zero linear coefficient stored for variable 0"),
-        ({}, {(0, 2**70): 1.0}, r"quadratic key \(0, 1180591620717411303424\) is not strictly"),
     ):
-        with pytest.raises(QuboError, match=f"^{message}"):
-            QuboInstance(n=1, k=2, linear=linear, quadratic=quadratic, offset=0.0)
-    for key in ((0, 1, 2), (0,)):  # a key must be a pair, not read as one
-        with pytest.raises(QuboError, match="must be a pair"):
-            QuboInstance(n=2, k=2, linear={}, quadratic={(0, 1): 1.0, key: 1.0}, offset=0.0)
-    # a variable is an integer, never a float or a bool, and is not truncated
-    for linear, quadratic, message in (
-        ({0: 1.0, 0.5: 1.0, 1.9: 2.0}, {}, r"linear key 0\.5 must be a variable"),
-        ({True: 1.0}, {}, "linear key True must be a variable"),
-        ({np.bool_(False): 1.0}, {}, "linear key np.False_ must be a variable"),
-        ({}, {(0.0, 1.0): 1.0}, r"quadratic key \(0\.0, 1\.0\) must be a pair of variables"),
-        ({}, {(0, 1): 1.0, (1, True): 1.0}, r"quadratic key \(1, True\) must be a pair"),
-        ({}, {5: 1.0}, "quadratic key 5 must be a pair of variables"),
-        ({}, {"01": 1.0}, "quadratic key '01' must be a pair of variables"),
+        with pytest.raises(QuboError, match=f"^{message}$"):
+            instance_of(1, 2, linear, quadratic)
+    # only arrays can repeat a key; a repeat is named before its value
+    for terms, message in (
+        (arrays([0, 1, 0], [1.0, 2.0, 0.0]), "linear variable 0 stored twice"),
+        (arrays([1, 1], [0.0, 1.0]), "zero linear coefficient stored for variable 1"),
+        (arrays([], [], [0, 0, 0], [1, 2, 1], [1.0, 1.0, np.nan]), r"quadratic key \(0, 1\) stored twice"),
+        (arrays([1, 1], [1.0, 1.0], [0, 0], [1, 1], [1.0, 1.0]), "linear variable 1 stored twice"),
     ):
-        with pytest.raises(QuboError, match=f"^{message}"):
-            QuboInstance(n=1, k=2, linear=linear, quadratic=quadratic, offset=0.0)
-    q = QuboInstance(n=1, k=2, linear={np.int64(0): 1.0, np.uint8(1): 2.0},
-                     quadratic={(np.int32(0), 1): 3.0}, offset=0.0)
+        with pytest.raises(QuboError, match=f"^{message}$"):
+            QuboInstance(n=1, k=3, offset=0.0, terms=terms)
+    # ids are arrays of an integer type that int64 holds and values
+    # arrays of a float type, one value per key: never floats, bools,
+    # objects or lists, and nothing is truncated
+    good = arrays([0], [1.0], [0], [1], [1.0])
+    for terms in (
+        good._replace(lin_vars=np.array([0.5])),
+        good._replace(lin_vars=np.array([True])),
+        good._replace(rows=np.array([2**70], dtype=object)),
+        good._replace(cols=np.array([1], dtype=np.uint64)),
+        good._replace(lin_vals=np.array([1])),
+        good._replace(vals=np.array([1.0 + 0j])),
+        good._replace(vals=np.array(["1.0"])),
+        good._replace(rows=np.array([[0]])),
+        good._replace(cols=np.array([1, 1])),
+        good._replace(lin_vals=np.array([1.0, 2.0])),
+        good._replace(rows=[0]),
+        tuple(good),
+        "terms",
+    ):
+        with pytest.raises(QuboError, match="^terms must be a Terms of 1-D arrays, integer ids and float values"):
+            QuboInstance(n=1, k=2, offset=0.0, terms=terms)
+    q = QuboInstance(n=1, k=2, offset=0.0, terms=Terms(
+        np.array([0, 1], dtype=np.int32), np.array([1.0, 2.0], dtype=np.float32),
+        np.array([0], dtype=np.uint8), np.array([1], dtype=np.int16), np.array([3.0])))
     assert (q.linear, q.quadratic) == ({0: 1.0, 1: 2.0}, {(0, 1): 3.0})
+    assert [x.dtype for x in q.terms] == [np.int64, np.float64, np.int64, np.int64, np.float64]
+    given = arrays([1, 0], [2.0, 1.0], [0], [1], [3.0])
+    q = QuboInstance(n=1, k=2, offset=0.0, terms=given)
+    assert (q.linear, q.quadratic) == ({1: 2.0, 0: 1.0}, {(0, 1): 3.0})
+    given.lin_vals[0] = 0.0  # the instance holds read-only copies
+    assert q.terms.lin_vals.tolist() == [2.0, 1.0] and not q.terms.lin_vals.flags.writeable
+    assert q == instance_of(1, 2, {0: 1.0, 1: 2.0}, {(0, 1): 3.0})  # equality reads key order
+    assert q != instance_of(1, 2, {0: 1.0, 1: 2.5}, {(0, 1): 3.0})
+    assert q != instance_of(1, 2, {0: 1.0}, {(0, 1): 3.0})
+    assert q != instance_of(1, 2, {0: 1.0, 1: 2.0}, {(0, 1): 3.0}, offset=1.0)
 
 
 def test_instance_rejects_non_finite_terms(tmp_path):
     for bad in (np.inf, -np.inf, np.nan):
         with pytest.raises(QuboError, match="variable 0 is .*, not finite"):
-            QuboInstance(n=1, k=2, linear={0: bad}, quadratic={}, offset=0.0)
+            instance_of(1, 2, {0: bad}, {})
         with pytest.raises(QuboError, match=r"\(0, 1\) is .*, not finite"):
-            QuboInstance(n=1, k=2, linear={}, quadratic={(0, 1): bad}, offset=0.0)
+            instance_of(1, 2, {}, {(0, 1): bad})
         with pytest.raises(QuboError, match="offset is .*, not finite"):
-            QuboInstance(n=1, k=2, linear={}, quadratic={}, offset=bad)
+            instance_of(1, 2, {}, {}, offset=bad)
     path = tmp_path / "inf.qubo"
-    export_qubo(QuboInstance(n=1, k=2, linear={0: 1.0}, quadratic={}, offset=0.0), str(path))
+    export_qubo(instance_of(1, 2, {0: 1.0}, {}), str(path))
     path.write_text(path.read_text().replace("0 0 1.0", "0 0 inf"))
     with pytest.raises(QuboError, match="not finite"):
         import_qubo(str(path))
@@ -362,10 +393,10 @@ def test_built_instances_reject_the_first_non_finite_term():
     q = build_qubo(SINGLE_EDGE, uniform_weights(2), 2, PenaltyConfig())
     obj = dataclasses.replace(q.objective, node_linear=np.array([0.0, np.inf]), gamma=np.inf)
     with pytest.raises(QuboError, match=r"^linear coefficient of variable 1 is nan, not finite$"):
-        QuboInstance(n=2, k=2, linear=None, quadratic=None, offset=1.0, objective=obj)
+        QuboInstance(n=2, k=2, offset=1.0, objective=obj)
     obj = dataclasses.replace(q.objective, gamma=1e308)
     with pytest.raises(QuboError, match=r"^quadratic coefficient of \(0, 2\) is inf, not finite$"):
-        QuboInstance(n=2, k=2, linear=None, quadratic=None, offset=1.0, objective=obj)
+        QuboInstance(n=2, k=2, offset=1.0, objective=obj)
 
 
 def test_instance_dicts_are_an_export_view():
@@ -379,15 +410,14 @@ def test_instance_dicts_are_an_export_view():
     assert q.quadratic is q.quadratic
     with pytest.raises(AttributeError, match="immutable"):
         q.offset = 0.0
-    with pytest.raises(QuboError, match="both coefficient dicts"):
-        QuboInstance(n=6, k=3, linear=None, quadratic={}, offset=q.offset, objective=q.objective)
-    with pytest.raises(QuboError, match="neither and an objective"):
-        QuboInstance(n=6, k=3, linear=None, quadratic=None, offset=q.offset)
+    for given in ({}, {"objective": q.objective, "terms": q.terms}):
+        with pytest.raises(QuboError, match="^give an instance either its terms or its objective$"):
+            QuboInstance(n=6, k=3, offset=q.offset, **given)
     for ends in ([[1, 0]], [[0, 0]], [[0, 1], [0, 1]]):
         obj = dataclasses.replace(q.objective, ends=np.array(ends),
                                   edge_coeff=np.ones(len(ends)))
         with pytest.raises(QuboError, match="distinct .* with u < v"):
-            QuboInstance(n=6, k=3, linear=None, quadratic=None, offset=q.offset, objective=obj)
+            QuboInstance(n=6, k=3, offset=q.offset, objective=obj)
 
 
 def test_building_at_1000_nodes_expands_no_dicts():
@@ -419,8 +449,7 @@ def test_instance_rejects_an_objective_of_another_size():
         ({"ends": np.array([[-1, 1]])}, r"\(1, 2\) in -1\.\.1"),
     ):
         with pytest.raises(QuboError, match=message):
-            QuboInstance(n=2, k=1, linear=q.linear, quadratic=q.quadratic, offset=q.offset,
-                         objective=dataclasses.replace(q.objective, **change))
+            QuboInstance(n=2, k=1, offset=q.offset, objective=dataclasses.replace(q.objective, **change))
 
 
 def test_too_many_producers_rejected():
@@ -632,7 +661,7 @@ def test_export_golden_single_variable(tmp_path):
 
 
 def test_offset_survives_round_trip(tmp_path):
-    q = QuboInstance(n=1, k=2, linear={0: 1.0}, quadratic={(0, 1): -2.5}, offset=3.25)
+    q = instance_of(1, 2, {0: 1.0}, {(0, 1): -2.5}, offset=3.25)
     path = tmp_path / "off.qubo"
     export_qubo(q, str(path))
     assert import_qubo(str(path)).offset == 3.25
@@ -656,7 +685,7 @@ def test_import_diagnostics_carry_line_numbers(tmp_path):
 
 def test_import_map_errors_number_raw_lines(tmp_path):
     path = tmp_path / "gaps.qubo"
-    export_qubo(QuboInstance(n=2, k=1, linear={0: 1.0}, quadratic={}, offset=0.0), str(path))
+    export_qubo(instance_of(2, 1, {0: 1.0}, {}), str(path))
     map_path = tmp_path / "gaps.qubo.map"
     map_path.write_text("map 2 1\n0 0 0\n\n\n1 0 x\n")
     with pytest.raises(QuboFormatError, match=r"\.map: line 5: malformed entry '1 0 x'$"):
@@ -668,7 +697,7 @@ def test_import_map_errors_number_raw_lines(tmp_path):
 
 def test_import_map_lists_each_variable_exactly_once(tmp_path):
     path = tmp_path / "twice.qubo"
-    export_qubo(QuboInstance(n=2, k=2, linear={0: 1.0}, quadratic={}, offset=0.0), str(path))
+    export_qubo(instance_of(2, 2, {0: 1.0}, {}), str(path))
     map_path = tmp_path / "twice.qubo.map"
     for rows, message in (
         (["0 0 0"] * 4, r"twice\.qubo\.map: line 3: variable 0 listed twice$"),
@@ -685,8 +714,7 @@ def test_import_map_lists_each_variable_exactly_once(tmp_path):
 
 def test_import_names_the_file_in_instance_errors(tmp_path):
     path = tmp_path / "bad.qubo"
-    export_qubo(QuboInstance(n=1, k=2, linear={0: 1.0, 1: 2.0}, quadratic={}, offset=0.0),
-                str(path))
+    export_qubo(instance_of(1, 2, {0: 1.0, 1: 2.0}, {}), str(path))
     good = path.read_text()
     for text, message in (
         (good.replace("0 0 1.0", "0 0 0.0"), "zero linear coefficient stored for variable 0"),
@@ -697,6 +725,47 @@ def test_import_names_the_file_in_instance_errors(tmp_path):
         with pytest.raises(QuboFormatError) as caught:
             import_qubo(str(path))
         assert str(caught.value) == f"{path}: {message}"
+
+
+HUGE = 2**70  # an id past int64
+
+
+@pytest.mark.parametrize("block", [None, 1, 2])
+def test_import_names_the_first_fault_of_many(tmp_path, monkeypatch, block):
+    # one file, several faults: the first faulty line wins, then the
+    # header's counts, then the sidecar, and a zero or non-finite value
+    # last, in whatever blocks the lines are read
+    if block:
+        monkeypatch.setattr(qubo, "_BLOCK", block, raising=False)
+    path = tmp_path / "many.qubo"
+    export_qubo(instance_of(2, 1, {0: 1.0}, {}), str(path))  # the sidecar: map 2 1
+    for text, message in (
+        ("p qubo 2 1 1 0.0\n0 1 1.0\n0 1 2.0\n1 0 1.0\n", "line 3: duplicate quadratic entry (0, 1)"),
+        ("p qubo 2 1 0 0.0\n0 0 0.0\n\n0 0 1.0\n", "line 4: duplicate linear entry for 0"),
+        ("p qubo 2 9 9 0.0\n0 0 1.0\n\n1 0 1.0\n0 1 x\n", "line 4: quadratic entry must have i < j"),
+        ("p qubo 2 1 0 0.0\n0 0 nan\n5 1 1.0\n0 1\n", "line 3: variable outside 0..1"),
+        ("p qubo 2 1 0 0.0\n0 0 1.0\n0 1\n1 0 1.0\n", "line 3: expected '<i> <j> <value>', got '0 1'"),
+        ("p qubo 2 1 0 0.0\n0 0 x\n0 1\n", "line 2: malformed entry '0 0 x'"),
+        ("p qubo 2 1 0 0.0\n0 1 1.0\n0 1 1.0\nx y z\n", "line 3: duplicate quadratic entry (0, 1)"),
+        ("p qubo 2 1 0 0.0\n\n\n0 0 1.0\n1 1 1.0 2\n0 0 1.0\n",
+         "line 5: expected '<i> <j> <value>', got '1 1 1.0 2'"),
+        (f"p qubo 2 1 0 0.0\n{HUGE} {HUGE} 1.0\n0 {HUGE} 0.0\n", "line 2: variable outside 0..1"),
+        (f"p qubo 2 1 0 0.0\n0 1 1.0\n0 {-HUGE} 1.0\n", "line 3: variable outside 0..1"),
+        ("p qubo 2 1 0 0.0\n0 0\x0c1.0\n", "line 2: expected '<i> <j> <value>', got '0 0'"),
+        ("p qubo 2 1 0 0.0\n1\xa01\t0.0\n", "zero linear coefficient stored for variable 1"),
+        ("p qubo 2 2 0 nan\n0 0 0.0\n", "header promises 2 linear and 0 quadratic entries, found 1 and 0"),
+        ("p qubo 2 1 1 1.5\n0 1 inf\n1 1 0.0\n", "zero linear coefficient stored for variable 1"),
+        ("p qubo 2 0 1 1.5\n0 1 -inf\n", "quadratic coefficient of (0, 1) is -inf, not finite"),
+    ):
+        path.write_text(text)
+        with pytest.raises(QuboFormatError) as caught:
+            import_qubo(str(path))
+        assert str(caught.value) == f"{path}: {message}"
+    path.write_text("p qubo 3 1 0 0.0\n0 0 0.0\n")
+    with pytest.raises(QuboFormatError, match=r"many\.qubo\.map: n\*k = 2 does not match 3 variables$"):
+        import_qubo(str(path))
+    path.write_text("p qubo 2 1 1 0.5\n\n1 1 2.0\n\n\n0 1 -1.5\n")
+    assert import_qubo(str(path)) == instance_of(2, 1, {1: 2.0}, {(0, 1): -1.5}, offset=0.5)
 
 
 def test_export_and_energies_build_no_dict_views(tmp_path, monkeypatch):
@@ -718,10 +787,41 @@ def test_export_and_energies_build_no_dict_views(tmp_path, monkeypatch):
     save_topology(generate_ring(6, chords=2, seed=4), str(topo_path))
     assert cli.main(["qubo", str(topo_path), "--unweighted", "--k", "3",
                      "-o", str(tmp_path / "cli.qubo")]) == 0
-    for instance in (q, *exported):
+    back = import_qubo(str(tmp_path / "cli.qubo"))
+    export_qubo(back, str(tmp_path / "back.qubo"))
+    energies(back, np.ones((2, back.num_vars)))
+    assert back == exported[0]
+    for instance in (q, *exported, back):
         assert "terms" in vars(instance)
         assert "linear" not in vars(instance) and "quadratic" not in vars(instance)
     assert len(exported) == 1
+
+
+def test_export_writes_in_blocks(tmp_path, monkeypatch):
+    # a mid-size text goes out without being held whole: the peak stays
+    # far below it (joined into one string it took about seven times its size)
+    n = 200
+    w = compute_weights(synthetic_demands(n, timesteps=24, seed=1))
+    q = build_qubo(generate_ring(n, chords=n // 6, seed=1), w, 4)
+    q.terms  # expanded before the count starts
+    path = tmp_path / "q.qubo"
+    tracemalloc.start()
+    try:
+        export_qubo(q, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 2
+    # the bytes do not depend on where the blocks end
+    q = build_qubo(generate_ring(7, chords=2, seed=3), uniform_weights(7), 3)
+    want = "".join([f"p qubo {q.num_vars} {len(q.linear)} {len(q.quadratic)} {q.offset!r}\n"]
+                   + [f"{v} {v} {c!r}\n" for v, c in sorted(q.linear.items())]
+                   + [f"{a} {b} {c!r}\n" for (a, b), c in sorted(q.quadratic.items())])
+    for block in (1, 4, 1 << 10):
+        monkeypatch.setattr(qubo, "_BLOCK", block)
+        export_qubo(q, str(path))
+        assert path.read_text() == want
+        assert import_qubo(str(path)) == q
 
 
 def test_import_requires_sidecar(tmp_path):
