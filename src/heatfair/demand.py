@@ -122,9 +122,7 @@ def compute_weights(demands: DemandMatrix) -> WeightVector:
 
 
 def uniform_weights(nodes: int) -> WeightVector:
-    nodes = number(nodes, "nodes", DemandError, integer=True)
-    if nodes < 1:
-        raise DemandError(f"need at least one node, got {nodes}")
+    nodes = number(nodes, "nodes", DemandError, integer=True, least=1)
     return WeightVector(values=np.full(nodes, 1.0 / nodes))
 
 
@@ -141,15 +139,11 @@ def synthetic_demands(
     site among households). The shape over time is a daily sinusoid
     plus noise, clipped at zero.
     """
-    nodes = number(nodes, "nodes", DemandError, integer=True)
-    timesteps = number(timesteps, "timesteps", DemandError, integer=True)
-    if nodes < 1:
-        raise DemandError(f"need at least one node, got {nodes}")
-    if timesteps < 1:
-        raise DemandError(f"need at least one timestep, got {timesteps}")
+    nodes = number(nodes, "nodes", DemandError, integer=True, least=1)
+    timesteps = number(timesteps, "timesteps", DemandError, integer=True, least=1)
+    rng = np.random.default_rng(number(seed, "seed", DemandError, integer=True, least=0))
     if number(anchor_scale, "anchor_scale", DemandError) <= 0.0:
         raise DemandError(f"anchor_scale must be positive, got {anchor_scale}")
-    rng = np.random.default_rng(seed)
     peaks = rng.uniform(0.5, 2.0, size=nodes)
     peaks[0] *= anchor_scale
     hours = np.arange(timesteps)[:, None]

@@ -78,18 +78,21 @@ def distance_index(
     Both sums run over unordered node pairs. At k=1 the numerator is
     the same masked array as the denominator, so the result is exactly
     0; with singleton producers the numerator is empty, giving exactly
-    1. A one-node network has no pairs and scores 0. Distances that sum
-    past the largest float raise FairnessError.
+    1. A one-node network has no pairs and scores 0. A given sp of
+    another shape than (n, n), or distances that sum past the largest
+    float, raise FairnessError.
     """
     if a.n != topo.nodes:
         raise FairnessError(
             f"assignment covers {a.n} nodes but topology has {topo.nodes}"
         )
     n = topo.nodes
-    if n == 1:
-        return 0.0
     if sp is None:
         sp = graphs.all_pairs_shortest_paths(topo)
+    elif np.shape(sp) != (n, n):
+        raise FairnessError(f"sp has shape {np.shape(sp)}, but {n} nodes need ({n}, {n})")
+    if n == 1:
+        return 0.0
     iu, ju = np.triu_indices(n, k=1)
     pair_dist = sp[iu, ju]
     if not np.all(np.isfinite(pair_dist)):

@@ -72,9 +72,7 @@ class Topology:
     coords: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", number(self.nodes, "nodes", TopologyError, integer=True))
-        if self.nodes < 1:
-            raise TopologyError(f"topology needs at least one node, got {self.nodes}")
+        object.__setattr__(self, "nodes", number(self.nodes, "nodes", TopologyError, integer=True, least=1))
         seen: set[tuple[int, int]] = set()
         normalised = []
         for pos, (a, b, dist) in enumerate(self.edges):
@@ -164,13 +162,9 @@ def generate_tree(
     branching=1 degenerates to a path. Coordinates lay nodes out in
     layers by depth for plotting.
     """
-    nodes = number(nodes, "nodes", TopologyError, integer=True)
-    branching = number(branching, "branching", TopologyError, integer=True)
-    if nodes < 1:
-        raise TopologyError(f"tree needs at least one node, got {nodes}")
-    if branching < 1:
-        raise TopologyError(f"branching factor must be >= 1, got {branching}")
-    rng = np.random.default_rng(seed)
+    nodes = number(nodes, "nodes", TopologyError, integer=True, least=1)
+    branching = number(branching, "branching", TopologyError, integer=True, least=1)
+    rng = np.random.default_rng(number(seed, "seed", TopologyError, integer=True, least=0))
     dists = rule.draw(rng, max(nodes - 1, 0))
     # ids run level by level: a level is the run of ids from first[depth]
     edges, depth, first = [], [0] * nodes, {0: 0}
@@ -196,12 +190,9 @@ def generate_ring(
     pairs not already on the ring. Coordinates place nodes on a unit
     circle.
     """
-    nodes = number(nodes, "nodes", TopologyError, integer=True)
-    chords = number(chords, "chords", TopologyError, integer=True)
-    if nodes < 3:
-        raise TopologyError(f"ring needs at least three nodes, got {nodes}")
-    if chords < 0:
-        raise TopologyError(f"chord count must be >= 0, got {chords}")
+    nodes = number(nodes, "nodes", TopologyError, integer=True, least=3)
+    chords = number(chords, "chords", TopologyError, integer=True, least=0)
+    seed = number(seed, "seed", TopologyError, integer=True, least=0)
     candidates = nodes * (nodes - 3) // 2
     if chords > candidates:
         raise TopologyError(

@@ -57,15 +57,19 @@ def shown(value) -> str:
     return f"a value of type {type(value).__name__}"
 
 
-def number(value, what: str, error, integer: bool = False):
+def number(value, what: str, error, integer: bool = False, least: int | None = None):
     """value as an int (integer) or a float: an integer, or for a number
     also a real such as a float, never a bool. Anything else, or an
     integer past the float range where a number is due, raises
-    error(f"{what} must be an integer|a number, got {shown(value)}")."""
+    error(f"{what} must be an integer|a number, got {shown(value)}"), and
+    an integer below least raises error(f"{what} must be >= {least}, got {value}")."""
     kind = type(value)
     try:
-        if integral(kind):
-            return operator.index(value) if integer else float(value)
+        if integral(kind) and integer:
+            value = operator.index(value)
+            if least is None or value >= least:
+                return value
+            raise error(f"{what} must be >= {least}, got {value}")
         if not integer and issubclass(kind, numbers.Real) and kind is not bool:
             return float(value)
     except OverflowError:  # an integer past the float range

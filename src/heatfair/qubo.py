@@ -105,16 +105,17 @@ Terms = collections.namedtuple("Terms", "lin_vars lin_vals rows cols vals")
 class QuboInstance:
     """Coefficients of one assignment problem.
 
-    terms holds every stored term; zero coefficients are not stored,
-    and every coefficient and the offset are finite. An instance is
-    given exactly one of objective and terms. objective is what a
-    builder expanded, sized for n nodes; the terms are expanded from it
-    on first use, and no solver reads them. Given terms (import_qubo's)
-    are checked and copied by _checked_terms. linear (variable ->
-    coefficient) and quadratic ((v1, v2) with v1 < v2 -> coefficient)
-    are dict views of terms, built on first use. Instances are
-    immutable; equality compares n, k, the offset and the terms in key
-    order.
+    n and k are integers of at least 1 and the offset a number, read by
+    ioutil.number. terms holds every stored term; zero coefficients are
+    not stored, and every coefficient and the offset are finite. An
+    instance is given exactly one of objective and terms. objective is
+    what a builder expanded, sized for n nodes; the terms are expanded
+    from it on first use, and no solver reads them. Given terms
+    (import_qubo's) are checked and copied by _checked_terms. linear
+    (variable -> coefficient) and quadratic ((v1, v2) with v1 < v2 ->
+    coefficient) are dict views of terms, built on first use. Instances
+    are immutable; equality compares n, k, the offset and the terms in
+    key order.
     """
 
     def __init__(
@@ -125,10 +126,11 @@ class QuboInstance:
         objective: Objective | None = None,
         terms: Terms | None = None,
     ) -> None:
+        n = number(n, "n", QuboError, integer=True, least=1)
+        k = number(k, "k", QuboError, integer=True, least=1)
+        offset = number(offset, "offset", QuboError)
         for name, value in (("n", n), ("k", k), ("offset", offset), ("objective", objective)):
             object.__setattr__(self, name, value)
-        if n < 1 or k < 1:
-            raise QuboError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
         if not math.isfinite(offset):
             raise QuboError(f"offset is {offset!r}, not finite")
         if (objective is None) == (terms is None):
@@ -261,9 +263,7 @@ def _weight_array(w, n: int) -> np.ndarray:
 
 
 def _check_k(n: int, k) -> int:
-    k = number(k, "k", QuboError, integer=True)
-    if k < 1:
-        raise QuboError(f"need at least one producer, got k={k}")
+    k = number(k, "k", QuboError, integer=True, least=1)
     if k > n:
         raise QuboError(
             f"more producers than nodes (k={k} > n={n}) makes balance "

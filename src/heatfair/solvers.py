@@ -66,8 +66,7 @@ class Assignment:
     k: int
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise SolverError(f"need k >= 1, got {self.k}")
+        object.__setattr__(self, "k", number(self.k, "k", SolverError, integer=True, least=1))
         if not self.producer_of:
             raise SolverError("assignment needs at least one node")
         object.__setattr__(self, "producer_of", tuple(
@@ -103,14 +102,6 @@ class SolveResult:
         }
 
 
-def _at_least(value, name: str, least: int) -> int:
-    """value as an int (ioutil.number) of at least least; numpy seeds are >= 0."""
-    value = number(value, name, SolverError, integer=True)
-    if value < least:
-        raise SolverError(f"{name} must be >= {least}, got {value}")
-    return value
-
-
 @dataclasses.dataclass(frozen=True)
 class AnnealConfig:
     """Simulated-annealing knobs, read by ioutil.number. sweeps and
@@ -128,7 +119,8 @@ class AnnealConfig:
 
     def __post_init__(self) -> None:
         for name, least in (("sweeps", 1), ("restarts", 1), ("seed", 0)):
-            object.__setattr__(self, name, _at_least(getattr(self, name), name, least))
+            value = number(getattr(self, name), name, SolverError, integer=True, least=least)
+            object.__setattr__(self, name, value)
         for name in ("t_initial", "t_final"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, number(getattr(self, name), name, SolverError))
@@ -283,19 +275,23 @@ def _auto_temperatures(obj: Objective, k: int) -> tuple[float, float]:
     one_hot = abs(2.0 * obj.gamma)
     neighbours = _neighbours(obj)
     sums = np.zeros((n, k))  # sums[i, j]: row (i, j) so far
-    for j in range(1, k):
-        sums[:, j:] += one_hot
-    pair = np.empty(n)
-    for b in range(n):  # the pairs' column b of every row, then |.|
-        pair[:b] = reach[:b] * w[b]
-        pair[b] = 0.0
-        pair[b + 1:] = reach[b] * w[b + 1:]
-        for a, coeff in neighbours[b]:
-            pair[a] += coeff
-        sums += np.abs(pair, out=pair)[:, None]
-    for j in range(1, k):
-        sums[:, :k - j] += one_hot
-    t_initial = float((np.abs(obj.lin)[:, None] + sums).max())
+    with np.errstate(over="ignore"):  # an overflowed row sum is inf, refused below
+        for j in range(1, k):
+            sums[:, j:] += one_hot
+        pair = np.empty(n)
+        for b in range(n):  # the pairs' column b of every row, then |.|
+            pair[:b] = reach[:b] * w[b]
+            pair[b] = 0.0
+            pair[b + 1:] = reach[b] * w[b + 1:]
+            for a, coeff in neighbours[b]:
+                pair[a] += coeff
+            sums += np.abs(pair, out=pair)[:, None]
+        for j in range(1, k):
+            sums[:, :k - j] += one_hot
+        t_initial = float((np.abs(obj.lin)[:, None] + sums).max())
+    if not math.isfinite(t_initial):
+        raise SolverError("the largest single-flip energy change, the derived initial "
+                          "temperature, is not finite; scale the penalties down")
     if t_initial <= 0.0:
         t_initial = 1.0
     return t_initial, 1e-4 * t_initial
@@ -340,7 +336,8 @@ class _Limits:
         np.negative(out, out=out)
         # log1p(-u) <= 0, so a downhill move always passes its limit
         np.log1p(out, out=out)
-        np.multiply(-self.temps[lo:hi, None], out, out=out)
+        with np.errstate(over="ignore"):  # a limit past the float range is +inf (solve_anneal)
+            np.multiply(-self.temps[lo:hi, None], out, out=out)
         self.lo, self.hi = lo, hi
 
     def row(self, sweep: int) -> list[float]:
@@ -517,7 +514,10 @@ def solve_anneal(q: QuboInstance, cfg: AnnealConfig) -> SolveResult:
     nv = q.num_vars
     if q.k == 1:  # every node on producer 0 is the only feasible answer
         return _result(q, [[0] * q.n], "anneal", cfg.seed, cfg.sweeps * nv * cfg.restarts)
-    ceiling = _CEILING * np.maximum.accumulate(temps[::-1])[::-1]
+    # a temperature near the largest float gives limits and ceilings of
+    # +inf, as Python floats give them: every finite delta then passes
+    with np.errstate(over="ignore"):
+        ceiling = _CEILING * np.maximum.accumulate(temps[::-1])[::-1]
 
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     repaired = []
@@ -711,7 +711,8 @@ def solve_heuristic(q: QuboInstance, seed: int = 0, restarts: int = 8) -> SolveR
     compete on the QUBO energy of their final assignments in q, ties to
     the earliest restart, so results line up with the other solvers.
     """
-    restarts, seed = _at_least(restarts, "restarts", 1), _at_least(seed, "seed", 0)
+    restarts = number(restarts, "restarts", SolverError, integer=True, least=1)
+    seed = number(seed, "seed", SolverError, integer=True, least=0)
     obj = q.objective
     if obj is None:
         raise SolverError("the heuristic needs the instance's objective; an imported one has none")

@@ -55,9 +55,7 @@ class SolverSpec:
                 f"unknown solver {self.name!r}; valid names: "
                 f"{', '.join(SOLVER_NAMES)}"
             )
-        cap = number(self.exhaustive_cap, "exhaustive_cap", WorkflowError, integer=True)
-        if cap < 1:
-            raise WorkflowError(f"exhaustive_cap must be >= 1, got {cap}")
+        cap = number(self.exhaustive_cap, "exhaustive_cap", WorkflowError, integer=True, least=1)
         object.__setattr__(self, "exhaustive_cap", cap)
         try:
             cfg = self.anneal_config(seed=0)
@@ -87,9 +85,7 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         for name, least in (("max_producers", 1), ("seed", 0)):  # numpy seeds are >= 0
-            value = number(getattr(self, name), name, WorkflowError, integer=True)
-            if value < least:
-                raise WorkflowError(f"{name} must be >= {least}, got {value}")
+            value = number(getattr(self, name), name, WorkflowError, integer=True, least=least)
             object.__setattr__(self, name, value)
         if not self.solvers:
             raise WorkflowError("select at least one solver")
@@ -170,17 +166,17 @@ def run_sweep(
     threads does not end on one long cell, and reports come out by k,
     then solver name.
     """
-    if threads < 1:
-        raise WorkflowError(f"threads must be >= 1, got {threads}")
-    sp = graphs.all_pairs_shortest_paths(topo)
-    if not np.all(np.isfinite(sp)):
-        raise WorkflowError("topology is disconnected; pairwise distances are unbounded")
+    threads = number(threads, "threads", WorkflowError, integer=True, least=1)
     if demands.nodes != topo.nodes:
         raise WorkflowError(
             f"demand table covers {demands.nodes} nodes but topology has {topo.nodes}"
         )
     if cfg.max_producers > topo.nodes:
         raise WorkflowError(f"max_producers={cfg.max_producers} exceeds node count {topo.nodes}")
+    # the cheap checks above run before the O(n^3) paths this one needs
+    sp = graphs.all_pairs_shortest_paths(topo)
+    if not np.all(np.isfinite(sp)):
+        raise WorkflowError("topology is disconnected; pairwise distances are unbounded")
     weights = compute_weights(demands)
 
     cells = [

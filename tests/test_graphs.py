@@ -151,7 +151,7 @@ def test_ring_chord_budget_enforced():
     generate_ring(5, chords=5)
     with pytest.raises(TopologyError, match="at most 5 chords"):
         generate_ring(5, chords=6)
-    with pytest.raises(TopologyError, match="at least three nodes"):
+    with pytest.raises(TopologyError, match=r"^nodes must be >= 3, got 2$"):
         generate_ring(2)
 
 
@@ -190,7 +190,7 @@ def test_tree_generator_shapes():
     assert generate_tree(5, branching=1).edges == tuple(
         (i, i + 1, 1.0) for i in range(4)
     )
-    with pytest.raises(TopologyError, match="at least one node"):
+    with pytest.raises(TopologyError, match=r"^nodes must be >= 1, got 0$"):
         generate_tree(0)
 
 

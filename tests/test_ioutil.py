@@ -18,6 +18,7 @@ from heatfair import (
     KpiReport,
     PenaltyConfig,
     QuboError,
+    QuboInstance,
     SolverError,
     SolverSpec,
     SweepConfig,
@@ -28,6 +29,7 @@ from heatfair import (
     build_unweighted_qubo,
     canonical_form,
     cli,
+    distance_index,
     generate_ring,
     generate_tree,
     run_sweep,
@@ -108,10 +110,53 @@ RING_QUBO = build_qubo(RING, uniform_weights(4), 2)
     (lambda: build_unweighted_qubo(RING, 2.0), QuboError, "k must be an integer, got 2.0"),
     (lambda: score_assignment(Assignment(producer_of=(0, 1, 0, 1), k=2), RING, uniform_weights(4),
                               kpi_alpha="0.5"), FairnessError, 'kpi_alpha must be a number, got "0.5"'),
+    (lambda: generate_ring(5, seed=-1), TopologyError, "seed must be >= 0, got -1"),
+    (lambda: generate_ring(5, seed=1.5), TopologyError, "seed must be an integer, got 1.5"),
+    (lambda: generate_ring(5, seed=True), TopologyError, "seed must be an integer, got true"),
+    (lambda: generate_tree(5, seed=-1), TopologyError, "seed must be >= 0, got -1"),
+    (lambda: generate_tree(5, seed=1.5), TopologyError, "seed must be an integer, got 1.5"),
+    (lambda: generate_tree(5, seed=True), TopologyError, "seed must be an integer, got true"),
+    (lambda: synthetic_demands(4, seed=-1), DemandError, "seed must be >= 0, got -1"),
+    (lambda: synthetic_demands(4, seed=1.5), DemandError, "seed must be an integer, got 1.5"),
+    (lambda: synthetic_demands(4, seed=True), DemandError, "seed must be an integer, got true"),
+    (lambda: QuboInstance(n="2", k=1, offset=0.0, objective=RING_QUBO.objective), QuboError,
+     'n must be an integer, got "2"'),
+    (lambda: QuboInstance(n=4, k=True, offset=0.0, objective=RING_QUBO.objective), QuboError,
+     "k must be an integer, got true"),
+    (lambda: QuboInstance(n=4, k=2, offset="0", objective=RING_QUBO.objective), QuboError,
+     'offset must be a number, got "0"'),
+    (lambda: Assignment(producer_of=(0, 1), k=1.5), SolverError, "k must be an integer, got 1.5"),
+    (lambda: run_sweep(RING, synthetic_demands(4, timesteps=4), SweepConfig(max_producers=2),
+                       threads=2.5), WorkflowError, "threads must be an integer, got 2.5"),
+    (lambda: run_sweep(RING, synthetic_demands(4, timesteps=4), SweepConfig(max_producers=2),
+                       threads=True), WorkflowError, "threads must be an integer, got true"),
+    (lambda: Topology(nodes=0, edges=()), TopologyError, "nodes must be >= 1, got 0"),
+    (lambda: generate_tree(3, branching=0), TopologyError, "branching must be >= 1, got 0"),
+    (lambda: generate_ring(5, chords=-1), TopologyError, "chords must be >= 0, got -1"),
+    (lambda: uniform_weights(0), DemandError, "nodes must be >= 1, got 0"),
+    (lambda: synthetic_demands(0), DemandError, "nodes must be >= 1, got 0"),
+    (lambda: synthetic_demands(4, timesteps=0), DemandError, "timesteps must be >= 1, got 0"),
+    (lambda: build_qubo(RING, uniform_weights(4), 0), QuboError, "k must be >= 1, got 0"),
+    (lambda: QuboInstance(n=0, k=1, offset=0.0, objective=RING_QUBO.objective), QuboError,
+     "n must be >= 1, got 0"),
+    (lambda: QuboInstance(n=4, k=0, offset=0.0, objective=RING_QUBO.objective), QuboError,
+     "k must be >= 1, got 0"),
+    (lambda: distance_index(Assignment(producer_of=(0, 1, 0, 1), k=2), RING, sp=np.zeros((2, 2))),
+     FairnessError, "sp has shape (2, 2), but 4 nodes need (4, 4)"),
+    (lambda: score_assignment(Assignment(producer_of=(0, 1, 0, 1), k=2), RING, uniform_weights(4),
+                              sp=np.ones((5, 5))), FairnessError,
+     "sp has shape (5, 5), but 4 nodes need (4, 4)"),
 ], ids=["heuristic-seed", "heuristic-seed-none", "heuristic-restarts-bool",
         "heuristic-restarts-float", "exhaustive-cap-bool", "ring-nodes", "ring-chords",
         "tree-branching", "uniform-nodes", "demand-timesteps", "demand-anchor", "qubo-k-bool",
-        "qubo-k-float", "unweighted-k-float", "kpi-alpha-text"])
+        "qubo-k-float", "unweighted-k-float", "kpi-alpha-text",
+        "ring-seed-negative", "ring-seed-float", "ring-seed-bool", "tree-seed-negative",
+        "tree-seed-float", "tree-seed-bool", "demand-seed-negative", "demand-seed-float",
+        "demand-seed-bool",
+        "instance-n-text", "instance-k-bool", "instance-offset-text", "assignment-k-float",
+        "sweep-threads-float", "sweep-threads-bool", "topology-nodes-0", "tree-branching-0",
+        "ring-chords-negative", "uniform-nodes-0", "demand-nodes-0", "demand-timesteps-0",
+        "qubo-k-0", "instance-n-0", "instance-k-0", "distance-sp-small", "score-sp-large"])
 def test_api_arguments_refuse_what_is_not_their_number(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()

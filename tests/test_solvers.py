@@ -72,7 +72,7 @@ def brute_optimum(topo, w, k, cfg):
 def test_assignment_validation():
     with pytest.raises(SolverError, match="outside 0..1"):
         Assignment(producer_of=(0, 2), k=2)
-    with pytest.raises(SolverError, match="k >= 1"):
+    with pytest.raises(SolverError, match=r"^k must be >= 1, got 0$"):
         Assignment(producer_of=(0,), k=0)
     with pytest.raises(SolverError, match="at least one node"):
         Assignment(producer_of=(), k=1)
@@ -321,6 +321,26 @@ def test_anneal_rejects_a_schedule_too_big_to_lay_out(schedule):
         q = build_qubo(PATH4, uniform_weights(4), k, PenaltyConfig())
         with pytest.raises(SolverError, match="sweeps=4611686018427387904 is too many"):
             solve_anneal(q, cfg)
+
+
+@pytest.mark.parametrize("schedule", ["geometric", "linear"])
+def test_anneal_at_temperatures_near_the_float_limit_matches_the_reference(schedule, monkeypatch):
+    # limits and ceilings past the largest float are +inf, as the
+    # reference's Python floats give them, and no overflow is warned of
+    topo = generate_ring(6, chords=2, seed=9)
+    w = uniform_weights(6)
+    q = build_qubo(topo, w, 2, default_penalties(topo, w, 2))
+    assert_anneal_matches_reference(q, 30, 2, schedule, 1e308, 1e-308, seed=5,
+                                    monkeypatch=monkeypatch)
+
+
+def test_anneal_refuses_a_derived_temperature_past_the_float_range():
+    # the offset stays finite, but a QUBO row's |coupling| sum does not
+    q = build_qubo(generate_ring(12), uniform_weights(12), 12, PenaltyConfig(alpha=1.0, gamma=1e307))
+    assert np.isfinite(q.offset)
+    with pytest.raises(SolverError, match=r"derived initial temperature, is not finite; "
+                                          r"scale the penalties down$"):
+        solve_anneal(q, AnnealConfig(sweeps=10, restarts=1))
 
 
 def test_anneal_is_deterministic_per_seed():

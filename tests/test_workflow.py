@@ -138,6 +138,21 @@ def test_sweep_input_validation():
         run_sweep(RING8, demands, SweepConfig(max_producers=9))
 
 
+def test_sweep_refuses_a_bad_setup_before_the_shortest_paths(monkeypatch):
+    # the O(n^3) paths run only once the cheap checks pass
+    def refuse(topo):
+        raise AssertionError("all_pairs_shortest_paths ran")
+    monkeypatch.setattr(workflow.graphs, "all_pairs_shortest_paths", refuse)
+    demands = synthetic_demands(8, timesteps=12, seed=0)
+    for table, cfg, threads, message in (
+        (synthetic_demands(5, timesteps=12, seed=0), SweepConfig(), 1, "covers 5 nodes"),
+        (demands, SweepConfig(max_producers=9), 1, "exceeds node count"),
+        (demands, SweepConfig(max_producers=2), 0, "threads must be >= 1, got 0"),
+    ):
+        with pytest.raises(WorkflowError, match=message):
+            run_sweep(RING8, table, cfg, threads=threads)
+
+
 def test_sweep_config_validation():
     with pytest.raises(WorkflowError, match="max_producers"):
         SweepConfig(max_producers=0)
