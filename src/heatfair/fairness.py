@@ -61,12 +61,13 @@ def producer_loads(a: Assignment, w: WeightVector) -> ProducerLoads:
 
 def jain_index(loads: ProducerLoads) -> float:
     """(sum y)^2 / (k * sum y^2); 1 iff all shares equal, 1/k at full
-    concentration."""
+    concentration. The index is at most 1 (Cauchy-Schwarz), so a
+    rounding excess over 1, as for k equal loads at k = 12, is clamped."""
     y = loads.y
     total = float(y.sum())
     if total == 0.0:
         raise FairnessError("all producer loads are zero; the index is undefined")
-    return float(total * total / (loads.k * float(y @ y)))
+    return min(float(total * total / (loads.k * float(y @ y))), 1.0)
 
 
 def distance_index(

@@ -20,9 +20,11 @@ neighbours apart (balance and one-hot terms do the grouping). The
 unweighted variant (build_unweighted_qubo) instead charges beta for
 every edge leaving a producer's area, which rewards keeping neighbours
 together. tests/test_qubo.py pins both readings. Both builders build
-only the Objective, which the instance carries and feasible_energies
-scores from. An instance stores its terms once, as arrays (terms,
-expanded from the Objective on first use, or read from a file by
+only the Objective, which the instance carries. The Objective holds one
+layout of a single producer's terms (Objective._layout): the build
+check reads it, feasible_energies scores from it, and the expansion
+tiles it over the producers. An instance stores its terms once, as
+arrays (terms, expanded on first use, or read from a file by
 import_qubo); its dicts are views of them.
 """
 
@@ -95,6 +97,32 @@ class Objective:
         node_linear[i] + alpha * (w_i^2 - 2 * target * w_i) - gamma."""
         w = self.weights
         return (self.node_linear + self.alpha * (w * w - 2.0 * self.target * w)) - self.gamma
+
+    @functools.cached_property
+    @np.errstate(over="ignore", invalid="ignore")  # a non-finite term is the build check's to name
+    def _layout(self):
+        """Producer 0's terms in key order, zeros dropped, as a Terms, and
+        each linear and each quadratic term's part (False 0, True 1).
+        Linear keys: the nodes with a node term (part 0), then the rest
+        (part 1), each ascending. Quadratic keys: the edges in edge order
+        (part 0), then the other pairs, lexicographic (part 1); an edge's
+        coefficient is edge_coeff plus the balance pair 2*alpha*w_u*w_v.
+        Producer j holds the same coefficients at keys shifted by j*n.
+        Edge ends must be distinct pairs u < v (_check_objective_terms)."""
+        n, w, ends = self.weights.size, self.weights, self.ends
+        lin_part = self.node_linear == 0.0
+        nodes = np.argsort(lin_part, kind="stable")
+        lin_vals = self.lin[nodes]
+        us, vs = np.triu_indices(n, 1)
+        pair = 2.0 * self.alpha * w[us] * w[vs]
+        edge_pos = ends[:, 0] * (2 * n - ends[:, 0] - 1) // 2 + ends[:, 1] - ends[:, 0] - 1
+        off_edge = np.ones(us.size, dtype=bool)
+        off_edge[edge_pos] = False
+        vals = np.concatenate([self.edge_coeff + pair[edge_pos], pair[off_edge]])
+        lin, quad = lin_vals != 0.0, vals != 0.0
+        terms = Terms(nodes[lin], lin_vals[lin], np.concatenate([ends[:, 0], us[off_edge]])[quad],
+                      np.concatenate([ends[:, 1], vs[off_edge]])[quad], vals[quad])
+        return _read_only(terms), lin_part[nodes][lin], (np.arange(vals.size) >= len(ends))[quad]
 
 
 # An instance's stored terms as read-only arrays in term order: linear
@@ -298,79 +326,48 @@ def _assemble(
     return QuboInstance(n=topo.nodes, k=k, offset=offset, objective=obj)
 
 
-def _linear_order(obj: Objective) -> np.ndarray:
-    """Nodes in the order of one producer's linear keys: nodes with a
-    node term first, each part by ascending node."""
-    has_node_term = obj.node_linear != 0.0
-    return np.concatenate([np.flatnonzero(has_node_term), np.flatnonzero(~has_node_term)])
-
-
-def _pair_terms(obj: Objective, n: int):
-    """One producer's pair coefficients in key order: every edge's
-    (edge coefficient plus the balance pair 2*alpha*w_u*w_v), in edge
-    order, then the other pairs (us, vs, balance pair), lexicographic."""
-    w, ends = obj.weights, obj.ends
-    us, vs = np.triu_indices(n, 1)
-    pair = 2.0 * obj.alpha * w[us] * w[vs]
-    edge_pos = ends[:, 0] * (2 * n - ends[:, 0] - 1) // 2 + ends[:, 1] - ends[:, 0] - 1
-    on_edge = np.zeros(us.size, dtype=bool)
-    on_edge[edge_pos] = True
-    return obj.edge_coeff + pair[edge_pos], us[~on_edge], vs[~on_edge], pair[~on_edge]
-
-
 def _expand(obj: Objective, n: int, k: int):
-    """The terms of a built instance, all producers at once.
-
-    Keys come out in a fixed order (edge pairs of every producer, the
-    other within-producer pairs, one-hot pairs node by node; linear keys
-    with a node term first) and each coefficient adds its parts in a
+    """The terms of a built instance: obj._layout at every producer,
+    part by part (part 0 of each producer, then part 1), then the
+    one-hot pairs node by node. Each coefficient adds its parts in a
     fixed order (graph or node term, balance, one-hot), so energy(),
     which adds terms in dict order, is reproducible bit for bit;
     tests/oracles.py accumulated_terms is the term-by-term reference.
-    Coefficients that cancel to zero are not stored.
     """
-    var = np.arange(k)[:, None] * n + np.arange(n)  # var[j, i] = j*n + i
-    linear = np.broadcast_to(obj.lin, (k, n))
-    has_node_term = np.broadcast_to(obj.node_linear != 0.0, (k, n))
-    lin_keys = np.concatenate([var[has_node_term], var[~has_node_term]])
-    lin_vals = np.concatenate([linear[has_node_term], linear[~has_node_term]])
+    t, lin_part, quad_part = obj._layout
+    shift = n * np.arange(k)[:, None]  # producer j's keys are producer 0's plus j*n
 
-    edge_vals, us, vs, pair = _pair_terms(obj, n)
-    ends = obj.ends
+    def tiled(x, part, keys):  # x at every producer (keys shifted), part by part
+        x = shift + x if keys else np.broadcast_to(x, (k, x.size))
+        return [x[:, ~part].ravel(), x[:, part].ravel()]
+
     j1, j2 = np.triu_indices(k, 1)
     nodes = np.arange(n)[:, None]
-    quad_a = np.concatenate([var[:, ends[:, 0]].ravel(), var[:, us].ravel(), (j1 * n + nodes).ravel()])
-    quad_b = np.concatenate([var[:, ends[:, 1]].ravel(), var[:, vs].ravel(), (j2 * n + nodes).ravel()])
-    quad_vals = np.concatenate([
-        np.tile(edge_vals, k), np.tile(pair, k), np.full(n * j1.size, 2.0 * obj.gamma)
-    ])
-    lin, quad = lin_vals != 0.0, quad_vals != 0.0
-    return _read_only(Terms(lin_keys[lin], lin_vals[lin], quad_a[quad], quad_b[quad], quad_vals[quad]))
+    return _read_only(Terms(
+        np.concatenate(tiled(t.lin_vars, lin_part, True)),
+        np.concatenate(tiled(t.lin_vals, lin_part, False)),
+        np.concatenate(tiled(t.rows, quad_part, True) + [(j1 * n + nodes).ravel()]),
+        np.concatenate(tiled(t.cols, quad_part, True) + [(j2 * n + nodes).ravel()]),
+        np.concatenate(tiled(t.vals, quad_part, False) + [np.full(n * j1.size, 2.0 * obj.gamma)]),
+    ))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite term is reported, not warned of
 def _check_objective_terms(obj: Objective, n: int, k: int) -> None:
     """QuboInstance's term checks on a built instance, without its terms.
     Edge ends must be distinct (u, v) pairs with u < v. Every producer
     holds the same coefficients, so the first non-finite one in dict
-    order sits at producer 0, where its key is its nodes."""
+    order is the first among producer 0's (obj._layout) and the first
+    one-hot pair, (0, n); _checked_terms names it."""
     ends = obj.ends
-    distinct = np.all(ends[:, 0] < ends[:, 1])
-    if distinct:
-        edge_vals, us, vs, pair = _pair_terms(obj, n)
-        distinct = us.size + len(ends) == n * (n - 1) // 2  # no pair marked twice
-    if not distinct:
+    if not (np.all(ends[:, 0] < ends[:, 1])
+            and np.unique(ends[:, 0] * n + ends[:, 1]).size == len(ends)):
         raise QuboError("objective edge ends must be distinct (u, v) pairs with u < v")
-    order = _linear_order(obj)
-    groups = [(True, order, order, obj.lin[order]), (False, ends[:, 0], ends[:, 1], edge_vals),
-              (False, us, vs, pair)]
-    if k > 1:  # the one-hot pairs, first (node 0 at producer 0, at 1)
-        groups.append((False, [0], [n], [2.0 * obj.gamma]))
-    for lin, a, b, vals in groups:
-        bad = np.flatnonzero(~np.isfinite(vals))
-        if bad.size:
-            at = bad[0]
-            raise QuboError(_fault(lin, a[at], b[at], float(vals[at]), 4, n * k))
+    t = obj._layout[0]
+    first = np.arange(min(k - 1, 1))  # the first one-hot pair, if k > 1
+    one_hot = np.full(first.size, 2.0 * obj.gamma)
+    if not all(np.isfinite(vals).all() for vals in (t.lin_vals, t.vals, one_hot)):
+        _checked_terms(t._replace(rows=np.append(t.rows, first), cols=np.append(t.cols, first + n),
+                                  vals=np.append(t.vals, one_hot)), n * k)
 
 
 # an overflowing coefficient is QuboInstance's to reject, with no numpy warning first
@@ -453,9 +450,9 @@ def energies(q: QuboInstance, bit_matrix: np.ndarray) -> np.ndarray:
 
 def _in_key_order(keys: np.ndarray, vals: np.ndarray, unset: int) -> np.ndarray:
     """vals (terms,) laid out per row by a stable sort of keys (rows,
-    terms); terms keyed unset or above come last, as -0.0, and so do
-    stored zeros: -0.0 adds nothing to any sum."""
-    out = np.where(vals == 0.0, -0.0, vals)[np.argsort(keys, axis=1, kind="stable")]
+    terms); terms keyed unset or above come last, as -0.0, which adds
+    nothing to any sum."""
+    out = vals[np.argsort(keys, axis=1, kind="stable")]
     np.copyto(out, -0.0, where=np.arange(vals.size) >= (keys < unset).sum(axis=1, keepdims=True))
     return out
 
@@ -467,11 +464,12 @@ def feasible_energies(q: QuboInstance, producer_rows) -> np.ndarray:
     bit for bit.
 
     A feasible row sets one linear term per node and its same-producer
-    pairs. energies() adds them after the offset in dict order: linear
-    terms with a node term first, each part by producer, then node; edge
-    pairs by producer, then edge order; the other pairs by producer,
-    then lexicographic. One stable sort per part lays a row's set terms
-    out in that order, and a cumulative sum adds them one at a time.
+    pairs. energies() adds them after the offset in dict order, which
+    tiles the objective's layout (Objective._layout) part by part: a
+    row's term at producer p in part t is keyed p + k*t, so one stable
+    sort of the linear keys and one of the quadratic keys lay the row's
+    set terms out in that order, and a cumulative sum adds them one at
+    a time.
     """
     obj = q.objective
     if obj is None:
@@ -482,22 +480,20 @@ def feasible_energies(q: QuboInstance, producer_rows) -> np.ndarray:
         raise QuboError(f"producer rows must be (rows, {n}) ids in 0..{k - 1}")
     small = np.int16 if 2 * k < 2**15 else np.int64  # radix-sortable keys
     rows = rows.astype(small)
-    order = _linear_order(obj)
-    lin_part = k * (obj.node_linear[order] == 0.0).astype(small)
-    edge_vals, us, vs, pair = _pair_terms(obj, n)
-    u, v = obj.ends.T
-    width = 1 + n + u.size + us.size
+    t, lin_part, quad_part = obj._layout
+    lin_shift, quad_shift = small(k) * lin_part, small(k) * quad_part
+    quad = 1 + t.lin_vals.size  # the first quadratic column
+    width = quad + t.vals.size
     out = np.empty(rows.shape[0])
     step = max(1, (1 << 20) // width)  # rows per block of ~2^20 terms
     for start in range(0, rows.shape[0], step):
         p = rows[start:start + step]
         terms = np.empty((p.shape[0], width))
         terms[:, 0] = q.offset
-        terms[:, 1:1 + n] = _in_key_order(p[:, order] + lin_part, obj.lin[order], 2 * k)
-        for lo, a, b, vals in ((1 + n, u, v, edge_vals), (1 + n + u.size, us, vs, pair)):
-            at = p[:, a]
-            keys = np.where(at == p[:, b], at, small(k))
-            terms[:, lo:lo + a.size] = _in_key_order(keys, vals, k)
+        terms[:, 1:quad] = _in_key_order(p[:, t.lin_vars] + lin_shift, t.lin_vals, 2 * k)
+        at = p[:, t.rows]
+        keys = np.where(at == p[:, t.cols], at + quad_shift, small(2 * k))
+        terms[:, quad:] = _in_key_order(keys, t.vals, 2 * k)
         out[start:start + step] = np.cumsum(terms, axis=1, out=terms)[:, -1]
     return out
 

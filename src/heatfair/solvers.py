@@ -586,15 +586,19 @@ def _add_slots(table, terms):
         table += terms[:, s]
 
 
+# swap terms per block in _fixed_tables: 2 MiB of floats, one core's L2 cache
+_SWAP_BLOCK = 2**18
+
+
 def _fixed_tables(nbr, r, k):
     """What _move_tables needs that stays fixed through a solve, for
     groups of at most r restarts: the swap terms' slot blocks (each
-    holding at most 2**20 // (r * n**2) slots, with the (slot, node,
-    neighbour) of every filled slot; the blocks only bound memory, as
-    terms are added in slot order across them), the mask of the pairs
+    holding at most _SWAP_BLOCK // (r * n**2) slots, with the (slot,
+    node, neighbour) of every filled slot; the blocks only bound memory,
+    as terms are added in slot order across them), the mask of the pairs
     i >= j, and the producer ids as a column."""
     n = nbr.shape[1]
-    span = max(1, 2**20 // (r * n * n))  # slots per block of swap terms
+    span = max(1, _SWAP_BLOCK // (r * n * n))  # slots per block of swap terms
     blocks = []
     for lo in range(0, len(nbr), span):
         slot, i = np.nonzero(nbr[lo:lo + span] < n)

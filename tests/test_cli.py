@@ -208,6 +208,22 @@ def test_solve_is_byte_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("solver", ["heuristic", "anneal"])
+def test_solve_reaches_one_node_per_producer(solver, tmp_path):
+    # k = n on uniform weights: every producer serves one node, and the
+    # Jain index of the equal loads is exactly 1
+    topo_path, w_path, out = tmp_path / "ring.json", tmp_path / "w.json", tmp_path / "res.json"
+    assert cli.main(["generate", "ring", "--nodes", "12", "--chords", "2", "-o", str(topo_path)]) == 0
+    save_weights(uniform_weights(12), str(w_path))
+    assert cli.main([
+        "solve", str(topo_path), "--weights", str(w_path), "--k", "12",
+        "--solver", solver, "-o", str(out),
+    ]) == 0
+    doc = json.loads(out.read_text())
+    assert sorted(doc["assignment"]) == list(range(12))
+    assert doc["jain"] == 1.0
+
+
 def test_solve_rejects_unknown_solver(tmp_path, capsys):
     topo_path = tmp_path / "p4.json"
     save_topology(PATH4, str(topo_path))

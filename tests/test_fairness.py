@@ -69,6 +69,11 @@ def test_jain_known_values():
         0.8771929824561403, abs=1e-15
     )
     assert jain_index(ProducerLoads(y=np.array([7.0]))) == 1.0
+    # one node per producer on uniform weights: here the float quotient
+    # of the equal loads rounds past 1
+    for k in (10, 12, 21, 23, 25, 35, 39):
+        a = Assignment(producer_of=tuple(range(k)), k=k)
+        assert jain_index(producer_loads(a, uniform_weights(k))) == 1.0
 
 
 def test_jain_all_zero_is_undefined():

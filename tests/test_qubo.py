@@ -399,6 +399,16 @@ def test_built_instances_reject_the_first_non_finite_term():
         QuboInstance(n=2, k=2, offset=1.0, objective=obj)
 
 
+def test_a_refused_build_expands_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("coefficient dicts expanded")
+
+    monkeypatch.setattr(qubo, "_expand", refuse)
+    ring = generate_ring(6, chords=2, seed=4)
+    with pytest.raises(QuboError, match=r"^quadratic coefficient of \(0, 1\) is inf, not finite$"):
+        build_qubo(ring, uniform_weights(6), 3, PenaltyConfig(beta=1e308, alpha=1.0, gamma=1.0))
+
+
 def test_instance_dicts_are_an_export_view():
     entry_topo = generate_ring(6, chords=2, seed=4)
     q = build_qubo(entry_topo, uniform_weights(6), 3, PenaltyConfig(alpha=2.0, gamma=5.0))

@@ -719,23 +719,28 @@ def test_lockstep_search_matches_scalar_reference(k):
             assert moves[r] == ref_moves, (name, r)
 
 
-def test_move_tables_equal_reference_deltas_bit_for_bit():
+def test_move_tables_equal_reference_deltas_bit_for_bit(monkeypatch):
     rng = np.random.default_rng(17)
     rule = DistanceRule(kind="uniform", low=0.5, high=2.0)
     demands = synthetic_demands(30, timesteps=48, seed=8, anchor_scale=3.0)
     tree_demands = synthetic_demands(13, timesteps=48, seed=9, anchor_scale=3.0)
-    # (topology, weights, penalty scale): padded slots beside a degree-29
-    # hub, degree-1 leaves, no edges at all (no slots), and coefficients
-    # and balance terms at subnormal scale
+    default = solvers._SWAP_BLOCK
+    # (topology, weights, penalty scale, swap terms per block): padded
+    # slots beside a degree-29 hub, degree-1 leaves, no edges at all (no
+    # slots), coefficients and balance terms at subnormal scale, and the
+    # hub's 29 slots in blocks of 4 (3 restarts of 30**2 terms a slot)
     cases = [
-        (hub_topology(2), compute_weights(demands), 1.0),
-        (generate_ring(12, chords=5, rule=rule, seed=3), uniform_weights(12), 1.0),
-        (generate_tree(13, branching=3, rule=rule, seed=4), compute_weights(tree_demands), 1.0),
-        (Topology(nodes=1, edges=()), uniform_weights(1), 1.0),
-        (Topology(nodes=5, edges=()), compute_weights(synthetic_demands(5, timesteps=48, seed=10)), 1.0),
-        (generate_ring(12, chords=5, rule=rule, seed=5), uniform_weights(12), 2.0**-1060),
+        (hub_topology(2), compute_weights(demands), 1.0, default),
+        (generate_ring(12, chords=5, rule=rule, seed=3), uniform_weights(12), 1.0, default),
+        (generate_tree(13, branching=3, rule=rule, seed=4), compute_weights(tree_demands), 1.0, default),
+        (Topology(nodes=1, edges=()), uniform_weights(1), 1.0, default),
+        (Topology(nodes=5, edges=()), compute_weights(synthetic_demands(5, timesteps=48, seed=10)), 1.0,
+         default),
+        (generate_ring(12, chords=5, rule=rule, seed=5), uniform_weights(12), 2.0**-1060, default),
+        (hub_topology(2), compute_weights(demands), 1.0, 4 * 3 * 30**2),
     ]
-    for topo, weights, scale in cases:
+    for topo, weights, scale, block in cases:
+        monkeypatch.setattr(solvers, "_SWAP_BLOCK", block)
         n = topo.nodes
         for k in (1, 2, 3, 5, 8):
             if k > n:
@@ -749,6 +754,8 @@ def test_move_tables_equal_reference_deltas_bit_for_bit():
             loads = np.array([loads_of(s, w, k) for s in states])
             nbr, coeff, wz = kernel_inputs(neighbours, w, beta)
             fixed = solvers._fixed_tables(nbr, len(states), k)
+            if block != default:
+                assert len(fixed[0]) == 8  # 29 slots, 4 a block
             rel, swp = solvers._move_tables(p, loads, nbr, coeff, wz, alpha, target, fixed)
             args = (neighbours, w, beta, [alpha] * k, target)
             for r, state in enumerate(states):

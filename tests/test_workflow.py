@@ -58,6 +58,14 @@ def test_even_splits_keep_perfect_jain_on_ring():
     assert res.warnings == ()
 
 
+def test_sweep_on_flat_demands_reaches_one_node_per_producer():
+    res = run_sweep(generate_ring(12, chords=2), DemandMatrix(values=np.ones((4, 12))),
+                    SweepConfig(max_producers=12))
+    assert [r.k for r in res.reports] == list(range(1, 13))
+    assert all(0.0 < r.jain <= 1.0 for r in res.reports)
+    assert res.reports[-1].jain == 1.0
+
+
 def test_size_capped_cells_become_warnings_not_gaps():
     cfg = SweepConfig(max_producers=4, solvers=(SolverSpec(name="exhaustive"),))
     res = run_sweep(RING8, FLAT8, cfg)
