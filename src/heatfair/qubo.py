@@ -24,8 +24,10 @@ only the Objective, which the instance carries. The Objective holds one
 layout of a single producer's terms (Objective._layout): the build
 check reads it, feasible_energies scores from it, and the expansion
 tiles it over the producers. An instance stores its terms once, as
-arrays (terms, expanded on first use, or read from a file by
-import_qubo); its dicts are views of them.
+arrays in key order (linear terms by variable, quadratic ones by (row,
+col)), expanded on first use or read from a file by import_qubo; its
+dicts are views of them. Energies add the terms in that order, so an
+instance and its exported copy give the same floats.
 """
 
 from __future__ import annotations
@@ -91,42 +93,35 @@ class Objective:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    @property
-    def lin(self) -> np.ndarray:
-        """The QUBO's linear coefficient of (i, j), the same at every j:
-        node_linear[i] + alpha * (w_i^2 - 2 * target * w_i) - gamma."""
-        w = self.weights
-        return (self.node_linear + self.alpha * (w * w - 2.0 * self.target * w)) - self.gamma
-
     @functools.cached_property
     @np.errstate(over="ignore", invalid="ignore")  # a non-finite term is the build check's to name
-    def _layout(self):
-        """Producer 0's terms in key order, zeros dropped, as a Terms, and
-        each linear and each quadratic term's part (False 0, True 1).
-        Linear keys: the nodes with a node term (part 0), then the rest
-        (part 1), each ascending. Quadratic keys: the edges in edge order
-        (part 0), then the other pairs, lexicographic (part 1); an edge's
-        coefficient is edge_coeff plus the balance pair 2*alpha*w_u*w_v.
-        Producer j holds the same coefficients at keys shifted by j*n.
-        Edge ends must be distinct pairs u < v (_check_objective_terms)."""
-        n, w, ends = self.weights.size, self.weights, self.ends
-        lin_part = self.node_linear == 0.0
-        nodes = np.argsort(lin_part, kind="stable")
-        lin_vals = self.lin[nodes]
+    def lin(self) -> np.ndarray:
+        """The QUBO's linear coefficient of (i, j), the same at every j,
+        read-only: node_linear[i] + alpha * (w_i^2 - 2*target*w_i) - gamma."""
+        w = self.weights
+        lin = (self.node_linear + self.alpha * (w * w - 2.0 * self.target * w)) - self.gamma
+        lin.flags.writeable = False
+        return lin
+
+    @functools.cached_property
+    @np.errstate(over="ignore", invalid="ignore")
+    def _layout(self) -> Terms:
+        """Producer 0's terms in key order, zeros dropped, as a Terms; an
+        edge's coefficient is edge_coeff plus the balance pair
+        2*alpha*w_u*w_v. Producer j holds the same coefficients at keys
+        shifted by j*n. Edge ends must be distinct pairs u < v
+        (_check_objective_terms)."""
+        n, w, (u, v) = self.weights.size, self.weights, self.ends.T
         us, vs = np.triu_indices(n, 1)
-        pair = 2.0 * self.alpha * w[us] * w[vs]
-        edge_pos = ends[:, 0] * (2 * n - ends[:, 0] - 1) // 2 + ends[:, 1] - ends[:, 0] - 1
-        off_edge = np.ones(us.size, dtype=bool)
-        off_edge[edge_pos] = False
-        vals = np.concatenate([self.edge_coeff + pair[edge_pos], pair[off_edge]])
-        lin, quad = lin_vals != 0.0, vals != 0.0
-        terms = Terms(nodes[lin], lin_vals[lin], np.concatenate([ends[:, 0], us[off_edge]])[quad],
-                      np.concatenate([ends[:, 1], vs[off_edge]])[quad], vals[quad])
-        return _read_only(terms), lin_part[nodes][lin], (np.arange(vals.size) >= len(ends))[quad]
+        vals = 2.0 * self.alpha * w[us] * w[vs]
+        edges = u * (2 * n - u - 1) // 2 + v - u - 1  # each edge's position among the pairs
+        vals[edges] = self.edge_coeff + vals[edges]
+        nodes, quad = np.flatnonzero(self.lin), vals != 0.0
+        return _read_only(Terms(nodes, self.lin[nodes], us[quad], vs[quad], vals[quad]))
 
 
-# An instance's stored terms as read-only arrays in term order: linear
-# (variables, values), then quadratic (rows, cols, values), rows < cols.
+# An instance's stored terms, read-only arrays in key order: linear
+# (variables, values) by variable, then quadratic (rows, cols, values).
 Terms = collections.namedtuple("Terms", "lin_vars lin_vals rows cols vals")
 
 
@@ -139,11 +134,11 @@ class QuboInstance:
     instance is given exactly one of objective and terms. objective is
     what a builder expanded, sized for n nodes; the terms are expanded
     from it on first use, and no solver reads them. Given terms
-    (import_qubo's) are checked and copied by _checked_terms. linear
-    (variable -> coefficient) and quadratic ((v1, v2) with v1 < v2 ->
-    coefficient) are dict views of terms, built on first use. Instances
-    are immutable; equality compares n, k, the offset and the terms in
-    key order.
+    (import_qubo's) are checked and stored by _checked_terms. Either
+    way they are in key order. linear (variable -> coefficient) and
+    quadratic ((v1, v2) with v1 < v2 -> coefficient) are dict views of
+    terms, built on first use. Instances are immutable; equality
+    compares n, k, the offset and the terms.
     """
 
     def __init__(
@@ -186,11 +181,8 @@ class QuboInstance:
     def __eq__(self, other):
         if not isinstance(other, QuboInstance):
             return NotImplemented
-        mine, theirs = self.terms, other.terms
         return (self.n, self.k, self.offset) == (other.n, other.k, other.offset) and all(
-            map(np.array_equal, map(np.take, mine, _key_order(mine)),
-                map(np.take, theirs, _key_order(theirs)))
-        )
+            map(np.array_equal, self.terms, other.terms))
 
     def __repr__(self) -> str:
         return f"QuboInstance(n={self.n}, k={self.k}, offset={self.offset!r})"
@@ -219,16 +211,10 @@ def _read_only(terms: Terms) -> Terms:
     return terms
 
 
-def _key_order(t: Terms) -> Terms:
-    """For each array of t, the positions that read it in key order:
-    linear terms by variable, quadratic ones by (row, col)."""
-    lin, quad = np.argsort(t.lin_vars, kind="stable"), np.lexsort((t.cols, t.rows))
-    return Terms(lin, lin, quad, quad, quad)
-
-
-def _broken(a: np.ndarray, b: np.ndarray, vals: np.ndarray, lin: np.ndarray, nv: int) -> np.ndarray:
+def _broken(a: np.ndarray, b: np.ndarray, vals: np.ndarray, lin: np.ndarray, nv: int):
     """Which rules each term (a, b) -> vals breaks, as a (5, terms)
-    array; lin marks the linear terms, whose a == b. The rules: an id
+    array, and the positions that read the terms in key order; lin
+    marks the linear terms, whose a == b. The rules: an id
     outside 0..nv-1, a quadratic pair with a >= b, a key that an earlier
     term holds, a zero value, a value that is not finite."""
     limit = min(max(nv, 0), np.iinfo(np.int64).max)  # a bound any numpy compares int64 with
@@ -236,7 +222,7 @@ def _broken(a: np.ndarray, b: np.ndarray, vals: np.ndarray, lin: np.ndarray, nv:
     repeat = np.zeros(a.size, dtype=bool)
     repeat[at[1:]] = (a[at[1:]] == a[at[:-1]]) & (b[at[1:]] == b[at[:-1]])
     return np.array([(a < 0) | (a >= limit) | (b < 0) | (b >= limit), ~lin & (a >= b),
-                     repeat, vals == 0.0, ~np.isfinite(vals)])
+                     repeat, vals == 0.0, ~np.isfinite(vals)]), at
 
 
 def _fault(lin: bool, a, b, c: float, rule: int, nv: int) -> str:
@@ -253,9 +239,9 @@ def _fault(lin: bool, a, b, c: float, rule: int, nv: int) -> str:
 def _checked_terms(terms, nv: int) -> Terms:
     """Read-only int64 and float64 copies of terms, a Terms of 1-D
     arrays: ids of an integer type that int64 holds, values of a float
-    type, one value per key. The first term to break a rule of _broken
-    (linear ones first, each block in term order) raises QuboError,
-    naming the first rule it breaks."""
+    type, one value per key; the copies are in key order. The first term
+    to break a rule of _broken (linear ones first, each block in the
+    given order) raises QuboError, naming the first rule it breaks."""
     types = ((np.int64, "iu"), (float, "f"), (np.int64, "iu"), (np.int64, "iu"), (float, "f"))
     if not (
         isinstance(terms, Terms)
@@ -266,14 +252,17 @@ def _checked_terms(terms, nv: int) -> Terms:
     ):
         raise QuboError("terms must be a Terms of 1-D arrays, integer ids and float values, "
                         "one value per key")
-    t = _read_only(Terms(*(x.astype(to) for x, (to, _) in zip(terms, types))))
+    t = Terms(*(np.asarray(x, dtype=to) for x, (to, _) in zip(terms, types)))
+    orders = []
     for lin, a, b, vals in ((True, t.lin_vars, t.lin_vars, t.lin_vals), (False, t.rows, t.cols, t.vals)):
-        broken = _broken(a, b, vals, np.full(a.size, lin), nv)
+        broken, order = _broken(a, b, vals, np.full(a.size, lin), nv)
         bad = np.flatnonzero(broken.any(axis=0))
         if bad.size:
             at = bad[0]
             raise QuboError(_fault(lin, a[at], b[at], float(vals[at]), np.argmax(broken[:, at]), nv))
-    return t
+        orders.append(order)
+    lin, quad = orders
+    return _read_only(Terms(t.lin_vars[lin], t.lin_vals[lin], t.rows[quad], t.cols[quad], t.vals[quad]))
 
 
 def _weight_array(w, n: int) -> np.ndarray:
@@ -326,48 +315,44 @@ def _assemble(
     return QuboInstance(n=topo.nodes, k=k, offset=offset, objective=obj)
 
 
-def _expand(obj: Objective, n: int, k: int):
-    """The terms of a built instance: obj._layout at every producer,
-    part by part (part 0 of each producer, then part 1), then the
-    one-hot pairs node by node. Each coefficient adds its parts in a
-    fixed order (graph or node term, balance, one-hot), so energy(),
-    which adds terms in dict order, is reproducible bit for bit;
-    tests/oracles.py accumulated_terms is the term-by-term reference.
-    """
-    t, lin_part, quad_part = obj._layout
+def _expand(obj: Objective, n: int, k: int) -> Terms:
+    """The terms of a built instance in key order: obj._layout at every
+    producer, each row's pairs followed by its one-hot pairs. Each
+    coefficient adds its parts in a fixed order (graph or node term,
+    balance, one-hot); tests/oracles.py accumulated_terms is the
+    term-by-term reference."""
+    t = obj._layout
     shift = n * np.arange(k)[:, None]  # producer j's keys are producer 0's plus j*n
-
-    def tiled(x, part, keys):  # x at every producer (keys shifted), part by part
-        x = shift + x if keys else np.broadcast_to(x, (k, x.size))
-        return [x[:, ~part].ravel(), x[:, part].ravel()]
-
-    j1, j2 = np.triu_indices(k, 1)
-    nodes = np.arange(n)[:, None]
+    upper = np.triu(np.ones((k, k), dtype=bool), 1)[:, None]
+    j, i, j2 = np.nonzero(np.broadcast_to(upper, (k, n, k)))  # the one-hot pairs in key order
+    rows = np.concatenate([(shift + t.rows).ravel(), j * n + i])
+    # a stable merge of two runs sorted by row: a row's pairs stay before
+    # its one-hot pairs, whose columns lie past the row's producer
+    at = np.argsort(rows, kind="stable")
     return _read_only(Terms(
-        np.concatenate(tiled(t.lin_vars, lin_part, True)),
-        np.concatenate(tiled(t.lin_vals, lin_part, False)),
-        np.concatenate(tiled(t.rows, quad_part, True) + [(j1 * n + nodes).ravel()]),
-        np.concatenate(tiled(t.cols, quad_part, True) + [(j2 * n + nodes).ravel()]),
-        np.concatenate(tiled(t.vals, quad_part, False) + [np.full(n * j1.size, 2.0 * obj.gamma)]),
+        (shift + t.lin_vars).ravel(), np.tile(t.lin_vals, k), rows[at],
+        np.concatenate([(shift + t.cols).ravel(), j2 * n + i])[at],
+        np.concatenate([np.tile(t.vals, k), np.full(i.size, 2.0 * obj.gamma)])[at],
     ))
 
 
 def _check_objective_terms(obj: Objective, n: int, k: int) -> None:
     """QuboInstance's term checks on a built instance, without its terms.
     Edge ends must be distinct (u, v) pairs with u < v. Every producer
-    holds the same coefficients, so the first non-finite one in dict
-    order is the first among producer 0's (obj._layout) and the first
-    one-hot pair, (0, n); _checked_terms names it."""
+    holds the same coefficients, so the first non-finite one in key
+    order is among producer 0's (obj._layout) and the one-hot pair
+    (0, n) after row 0's pairs; _checked_terms names it."""
     ends = obj.ends
     if not (np.all(ends[:, 0] < ends[:, 1])
             and np.unique(ends[:, 0] * n + ends[:, 1]).size == len(ends)):
         raise QuboError("objective edge ends must be distinct (u, v) pairs with u < v")
-    t = obj._layout[0]
+    t = obj._layout
     first = np.arange(min(k - 1, 1))  # the first one-hot pair, if k > 1
     one_hot = np.full(first.size, 2.0 * obj.gamma)
     if not all(np.isfinite(vals).all() for vals in (t.lin_vals, t.vals, one_hot)):
-        _checked_terms(t._replace(rows=np.append(t.rows, first), cols=np.append(t.cols, first + n),
-                                  vals=np.append(t.vals, one_hot)), n * k)
+        at = np.searchsorted(t.rows, 1)
+        _checked_terms(t._replace(rows=np.insert(t.rows, at, first), cols=np.insert(t.cols, at, first + n),
+                                  vals=np.insert(t.vals, at, one_hot)), n * k)
 
 
 # an overflowing coefficient is QuboInstance's to reject, with no numpy warning first
@@ -424,10 +409,10 @@ def energies(q: QuboInstance, bit_matrix: np.ndarray) -> np.ndarray:
     as set.
 
     Each row is offset + its set linear terms + its set quadratic terms,
-    added one at a time in dict order (a cumulative sum along the terms,
+    added one at a time in key order (a cumulative sum along the terms,
     unset terms padded with -0.0, the exact additive identity), so every
-    energy is one fixed float sum; tests/oracles.py qubo_energy_direct
-    is the term-by-term reference.
+    energy is one fixed float sum, the same for an instance and its
+    exported copy; tests/oracles.py qubo_energy_direct is the reference.
     """
     mat = np.asarray(bit_matrix)
     if mat.ndim != 2 or mat.shape[1] != q.num_vars:
@@ -464,12 +449,11 @@ def feasible_energies(q: QuboInstance, producer_rows) -> np.ndarray:
     bit for bit.
 
     A feasible row sets one linear term per node and its same-producer
-    pairs. energies() adds them after the offset in dict order, which
-    tiles the objective's layout (Objective._layout) part by part: a
-    row's term at producer p in part t is keyed p + k*t, so one stable
-    sort of the linear keys and one of the quadratic keys lay the row's
-    set terms out in that order, and a cumulative sum adds them one at
-    a time.
+    pairs. energies() adds them after the offset in key order, which
+    tiles the objective's layout (Objective._layout) producer by
+    producer: so one stable sort of the row's linear terms by producer,
+    and one of its set pairs, lay them out in that order, and a
+    cumulative sum adds them one at a time.
     """
     obj = q.objective
     if obj is None:
@@ -478,10 +462,9 @@ def feasible_energies(q: QuboInstance, producer_rows) -> np.ndarray:
     n, k = q.n, q.k
     if rows.ndim != 2 or rows.shape[1] != n or np.any((rows < 0) | (rows >= k)):
         raise QuboError(f"producer rows must be (rows, {n}) ids in 0..{k - 1}")
-    small = np.int16 if 2 * k < 2**15 else np.int64  # radix-sortable keys
+    small = np.int16 if k < 2**15 else np.int64  # radix-sortable keys
     rows = rows.astype(small)
-    t, lin_part, quad_part = obj._layout
-    lin_shift, quad_shift = small(k) * lin_part, small(k) * quad_part
+    t = obj._layout
     quad = 1 + t.lin_vals.size  # the first quadratic column
     width = quad + t.vals.size
     out = np.empty(rows.shape[0])
@@ -490,10 +473,10 @@ def feasible_energies(q: QuboInstance, producer_rows) -> np.ndarray:
         p = rows[start:start + step]
         terms = np.empty((p.shape[0], width))
         terms[:, 0] = q.offset
-        terms[:, 1:quad] = _in_key_order(p[:, t.lin_vars] + lin_shift, t.lin_vals, 2 * k)
+        terms[:, 1:quad] = _in_key_order(p[:, t.lin_vars], t.lin_vals, k)
         at = p[:, t.rows]
-        keys = np.where(at == p[:, t.cols], at + quad_shift, small(2 * k))
-        terms[:, quad:] = _in_key_order(keys, t.vals, 2 * k)
+        keys = np.where(at == p[:, t.cols], at, small(k))  # an unset pair is keyed k
+        terms[:, quad:] = _in_key_order(keys, t.vals, k)
         out[start:start + step] = np.cumsum(terms, axis=1, out=terms)[:, -1]
     return out
 
@@ -536,28 +519,27 @@ def default_penalties(topo: graphs.Topology, w, k: int) -> PenaltyConfig:
 def export_qubo(q: QuboInstance, path: str) -> None:
     """Write coordinate text plus a <path>.map sidecar tying variables
     to (node, producer) pairs. Floats use shortest round-trip decimals,
-    so import reproduces every coefficient bit-exactly. The text goes
-    out _BLOCK lines at a time, never whole.
+    so import reproduces every coefficient bit-exactly. The terms go
+    out as stored, in key order, _BLOCK lines at a time, never whole.
     """
     t = q.terms
-    order = _key_order(t)
     atomic_write_text(path, itertools.chain(
         [f"p qubo {q.num_vars} {t.lin_vars.size} {t.vals.size} {q.offset!r}\n"],
-        _lines(order.lin_vars, t.lin_vars, t.lin_vars, t.lin_vals),
-        _lines(order.rows, t.rows, t.cols, t.vals),
+        _lines(t.lin_vars, t.lin_vars, t.lin_vals),
+        _lines(t.rows, t.cols, t.vals),
     ))
     var = np.arange(q.num_vars)
     atomic_write_text(path + ".map", itertools.chain([f"map {q.n} {q.k}\n"],
-                                                     _lines(var, var, var % q.n, var // q.n)))
+                                                     _lines(var, var % q.n, var // q.n)))
 
 
 _BLOCK = 1 << 10  # lines written or read per step
 
 
-def _lines(order: np.ndarray, a: np.ndarray, b: np.ndarray, vals: np.ndarray):
-    """Lines '<a> <b> <value>' of the terms at order, _BLOCK at a time."""
-    for lo in range(0, order.size, _BLOCK):
-        at = order[lo:lo + _BLOCK]
+def _lines(a: np.ndarray, b: np.ndarray, vals: np.ndarray):
+    """Lines '<a> <b> <value>' of the terms, _BLOCK at a time."""
+    for lo in range(0, a.size, _BLOCK):
+        at = slice(lo, lo + _BLOCK)
         yield "".join([f"{i} {j} {c!r}\n" for i, j, c in
                        zip(a[at].tolist(), b[at].tolist(), vals[at].tolist())])
 
@@ -628,7 +610,7 @@ def _entries(raw: list[str]):
 
 def import_qubo(path: str) -> QuboInstance:
     """The instance in a coordinate file and its <path>.map sidecar,
-    with its terms in file order. The first faulty line is named: one
+    its terms in any order. The first faulty line is named: one
     that is not '<i> <j> <value>', an id out of range, a repeated entry,
     or i > j. Then come a count other than the header's, the sidecar,
     and a zero or non-finite value."""
@@ -640,7 +622,7 @@ def import_qubo(path: str) -> QuboInstance:
     (linenos, a, b, vals), fault = _entries(raw)
     del raw  # one string per line: gone before the terms are copied
     lin = a == b
-    broken = _broken(a, b, vals, lin, num_vars)[:3]  # the key rules; the values come last
+    broken = _broken(a, b, vals, lin, num_vars)[0][:3]  # the key rules; the values come last
     bad = np.flatnonzero(broken.any(axis=0))
     if bad.size:
         at = bad[0]

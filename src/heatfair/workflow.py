@@ -12,6 +12,7 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -20,7 +21,7 @@ from . import graphs
 from .demand import DemandMatrix, compute_weights
 from .fairness import KpiReport, score_assignment
 from .ioutil import atomic_write_text, number, read_json, shown, write_json
-from .qubo import PenaltyConfig, build_qubo
+from .qubo import PenaltyConfig, QuboInstance, build_qubo
 from .solvers import (
     AnnealConfig, SolveResult, SolverError, solve_anneal, solve_exhaustive, solve_heuristic,
 )
@@ -133,14 +134,27 @@ def _cell_seed(seed: int, k: int, solver_index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _precision_warning(q: QuboInstance) -> str | None:
+    """A warning when the offset's unit in the last place exceeds the
+    smallest nonzero |edge coefficient|, so that the energy cannot
+    resolve the pipe term; None otherwise."""
+    coeff = np.abs(q.objective.edge_coeff)
+    smallest, ulp = float(coeff[coeff != 0.0].min(initial=math.inf)), math.ulp(q.offset)
+    if ulp > smallest:
+        return (f"the penalties leave the energy without precision: it is resolved only to "
+                f"{ulp:.3g}, coarser than the smallest pipe coefficient {smallest:.3g}")
+    return None
+
+
 def solve_cell(
     topo: graphs.Topology, weights, k: int, spec: SolverSpec, seed: int,
     penalty: PenaltyConfig | None = None, kpi_alpha: float = 0.5, sp=None,
-) -> tuple[SolveResult, KpiReport]:
+) -> tuple[SolveResult, KpiReport, str | None]:
     """One cell of a sweep: build the weighted QUBO for k producers
     (penalty None takes the builder's defaults), solve it with spec's
     solver and score the answer. sp, the all-pairs shortest paths, is
-    computed by the scoring when not given."""
+    computed by the scoring when not given. Also returns the instance's
+    _precision_warning."""
     q = build_qubo(topo, weights, k, penalty)
     if spec.name == "exhaustive":
         result = solve_exhaustive(q, max_vars=spec.exhaustive_cap)
@@ -152,7 +166,7 @@ def solve_cell(
         result.assignment, topo, weights, kpi_alpha=kpi_alpha,
         solver_name=spec.name, energy=result.energy, sp=sp,
     )
-    return result, report
+    return result, report, _precision_warning(q)
 
 
 def run_sweep(
@@ -160,8 +174,9 @@ def run_sweep(
     label: str | None = None,
 ) -> SweepResult:
     """Algorithm: run solve_cell for each k and solver. Skipped cells
-    (the exhaustive size cap) become warnings, never silent gaps; any
-    other solver error fails the sweep. Deterministic for a fixed seed,
+    (the exhaustive size cap) become warnings, never silent gaps, and so
+    do energies without precision (_precision_warning); any other solver
+    error fails the sweep. Deterministic for a fixed seed,
     regardless of threads: cells run largest k first, so a pool of
     threads does not end on one long cell, and reports come out by k,
     then solver name.
@@ -188,7 +203,7 @@ def run_sweep(
     def run_one(cell):
         k, solver_index, spec = cell
         try:
-            _, report = solve_cell(
+            _, report, warning = solve_cell(
                 topo, weights, k, spec, _cell_seed(cfg.seed, k, solver_index),
                 penalty=cfg.penalty, kpi_alpha=cfg.kpi_alpha, sp=sp,
             )
@@ -196,7 +211,7 @@ def run_sweep(
             if spec.name != "exhaustive":  # only its size cap skips a cell
                 raise
             return k, solver_index, None, f"k={k} {spec.name}: skipped ({exc})"
-        return k, solver_index, report, None
+        return k, solver_index, report, None if warning is None else f"k={k} {spec.name}: {warning}"
 
     if threads == 1:
         outcomes = [run_one(cell) for cell in cells]

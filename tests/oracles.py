@@ -202,8 +202,8 @@ def repair_reference(linear, quadratic, offset, n, k, weights, alpha, ends, edge
 def accumulated_terms(topo, weights, k, beta, alpha, gamma, unweighted=False):
     """QUBO coefficients added one term at a time: graph term, balance,
     one-hot, dropping sums that cancel to zero. Returns (linear items,
-    quadratic items, offset) in insertion order, the order and float
-    arithmetic that the package's stored energies are pinned to."""
+    quadratic items, offset) with the items in key order: the order and
+    float arithmetic that the package's stored energies are pinned to."""
     n = topo.nodes
     w = [1.0] * n if unweighted else [float(v) for v in np.asarray(weights).ravel()]
     alpha = [float(a) for a in np.broadcast_to(alpha, (k,))]
@@ -241,8 +241,8 @@ def accumulated_terms(topo, weights, k, beta, alpha, gamma, unweighted=False):
                 add(quadratic, (j1 * n + i, j2 * n + i), 2.0 * gamma[i])
         offset += gamma[i]
     return (
-        [(v, c) for v, c in linear.items() if c != 0.0],
-        [(key, c) for key, c in quadratic.items() if c != 0.0],
+        sorted((v, c) for v, c in linear.items() if c != 0.0),
+        sorted((key, c) for key, c in quadratic.items() if c != 0.0),
         offset,
     )
 

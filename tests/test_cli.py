@@ -337,6 +337,25 @@ def test_overflowing_distances_exit_2(length, command, flags, message, tmp_path,
     assert not any(tmp_path.glob("out*"))
 
 
+@pytest.mark.parametrize("gamma, warns", [("1e300", True), ("1e20", True), ("1e12", False), (None, False)])
+def test_solve_warns_when_the_penalties_leave_the_energy_without_precision(gamma, warns, tmp_path, capsys):
+    # the offset's last digit outweighs the smallest pipe coefficient
+    # from gamma = 1e20 on; the answer is still written, with exit 0
+    topo_path, w_path, out = tmp_path / "ring.json", tmp_path / "w.json", tmp_path / "res.json"
+    assert cli.main(["generate", "ring", "--nodes", "12", "--chords", "2", "-o", str(topo_path)]) == 0
+    write_demands(tmp_path / "d.csv", 12)
+    assert cli.main(["weights", str(tmp_path / "d.csv"), "-o", str(w_path)]) == 0
+    capsys.readouterr()
+    penalties = [] if gamma is None else ["--alpha", "1", "--gamma", gamma]
+    assert cli.main(["solve", str(topo_path), "--weights", str(w_path), "--k", "3",
+                     *penalties, "-o", str(out)]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == warns
+    if warns:
+        assert "without precision" in warnings[0]
+    assert out.exists()
+
+
 def test_qubo_export_matches_library_build(tmp_path):
     topo_path = tmp_path / "p4.json"
     save_topology(PATH4, str(topo_path))

@@ -40,24 +40,24 @@ QUBOS = {
 }
 
 GOLDEN = {
-    "ring24-heuristic.json": "1793ffc2e523e135ba897369f02a8a5103d30b1e6240ebc4ddddfca41ce16373",
-    "ring24-heuristic.csv": "6d0e3332635404f99b067b27345abc313186ca743e72722d268e39aac21cbd04",
+    "ring24-heuristic.json": "f50bbde7b079736ff35d757064040c89636b97b68bf6c545a8065bc187ec5ec3",
+    "ring24-heuristic.csv": "92b2a972c0dda006e5383b501857af1246cd0ed7b653f50ce7d8ad8329538b44",
     "ring24-heuristic.jain.dat": "b0741289de0c8b39d03e1a78e646a79d83983124e98722f5a29b7e9be2fd3834",
     "ring24-heuristic.distance_index.dat":
         "228db2b7cf2620fc70a1ee4e08c9f298f80c2ca41b638bf81b466f62afd9ef60",
     "ring24-heuristic.kpi.dat": "d55f7687e78245d6b4f3c38af549a14f90a9fca2d1832cfacc9991df5a8434aa",
     "tree24-heuristic-seed3.json":
-        "bae9b696936021cc53550f6e00b1593cf8a356e585bf399d6bfc59165e452377",
+        "6f65e84c7e775b2d9dc16174a3dfaf8673af69d4bf96bb821939503bbc9a7482",
     "tree24-heuristic-seed3.csv":
-        "018c64f54eea567f84fedf5ae01ca6aab70fd0911bfbbf4eaff51589dad5dfdc",
+        "01e8ce3df51909c2be037f7514ec0cc3eb68fd066bafa5a4b1b336734e04e798",
     "tree24-heuristic-seed3.jain.dat":
         "58d10611de57bec3758af0d8b6a5e4aa7066a9007be9478f94a405f9d8dd766c",
     "tree24-heuristic-seed3.distance_index.dat":
         "cfb02ae69a64bdc9555fc53e60857a5dd4367495db31e1745f23585c095d95a1",
     "tree24-heuristic-seed3.kpi.dat":
         "fb7a7fe222d743f008a552ff43858b51d2d6edbcaa5ea11b45ebf9cf2706b443",
-    "ring8-exhaustive.json": "1e0bd0ec80b56036f46c3879a0f981827b09a9a2cb0448e8be6b5175b8fc1ada",
-    "ring8-exhaustive.csv": "5bb6a1a5864c24a83de61c2b14e80dc0700ed4945aed122399ed6c3b9d9bc0cb",
+    "ring8-exhaustive.json": "a819e5bef4a6a9be0e8a9b286fe600d2c34e9d378cebb3b66bb8e059367be139",
+    "ring8-exhaustive.csv": "4a78afcd3b26f68f7b09747fd0276c64dc32c6a4946683c5c181579d010cb1f6",
     "ring8-exhaustive.jain.dat": "a5cc01e6ff88ee7528ba4c49eddf610b230327d0051ed84437bf72401f20731c",
     "ring8-exhaustive.distance_index.dat":
         "c0742bd3b3d97957b232d595682f25bda24f7b3b2f52b21b37721862b3bf88e5",

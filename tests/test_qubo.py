@@ -22,6 +22,7 @@ from heatfair import (
     export_qubo,
     feasible_energies,
     generate_ring,
+    generate_tree,
     import_qubo,
     synthetic_demands,
     uniform_weights,
@@ -112,7 +113,7 @@ def test_batch_energies_match_scalar_energy():
 
 
 def test_energies_are_exact_dict_order_sums(suite, tmp_path):
-    # every energy is offset + the set terms added one by one in dict
+    # every energy is offset + the set terms added one by one in key
     # order; a pairwise sum or a matmul over the same terms differs in
     # the last bits on some of these rows
     def check(q, rows):
@@ -217,8 +218,8 @@ def test_stored_coefficients_are_canonical(suite):
 
 
 def test_assembly_matches_term_by_term_accumulation(suite):
-    # energy() adds stored terms in dict order, so the key order and the
-    # float arithmetic of every coefficient are part of the output
+    # energy() adds stored terms in key order, so the float arithmetic
+    # of every coefficient is part of the output
     isolated = Topology(nodes=5, edges=((0, 1, 1.5), (1, 3, 0.5)))
     cases = [(e.topo, e.weights.values) for e in suite] + [(isolated, np.arange(1.0, 6.0))]
     for topo, w in cases:
@@ -309,9 +310,9 @@ def test_instance_invariants_enforced():
     given = arrays([1, 0], [2.0, 1.0], [0], [1], [3.0])
     q = QuboInstance(n=1, k=2, offset=0.0, terms=given)
     assert (q.linear, q.quadratic) == ({1: 2.0, 0: 1.0}, {(0, 1): 3.0})
-    given.lin_vals[0] = 0.0  # the instance holds read-only copies
-    assert q.terms.lin_vals.tolist() == [2.0, 1.0] and not q.terms.lin_vals.flags.writeable
-    assert q == instance_of(1, 2, {0: 1.0, 1: 2.0}, {(0, 1): 3.0})  # equality reads key order
+    given.lin_vals[0] = 0.0  # the instance holds read-only copies, in key order
+    assert q.terms.lin_vals.tolist() == [1.0, 2.0] and not q.terms.lin_vals.flags.writeable
+    assert q == instance_of(1, 2, {0: 1.0, 1: 2.0}, {(0, 1): 3.0})
     assert q != instance_of(1, 2, {0: 1.0, 1: 2.5}, {(0, 1): 3.0})
     assert q != instance_of(1, 2, {0: 1.0}, {(0, 1): 3.0})
     assert q != instance_of(1, 2, {0: 1.0, 1: 2.0}, {(0, 1): 3.0}, offset=1.0)
@@ -334,7 +335,7 @@ def test_instance_rejects_non_finite_terms(tmp_path):
 
 def first_non_finite_message(topo, w, k, cfg, unweighted):
     """QuboInstance's message for the first non-finite term of
-    accumulated_terms, checked in dict order, or None."""
+    accumulated_terms, checked in key order, or None."""
     linear, quadratic, offset = accumulated_terms(
         topo, w, k, cfg.beta, cfg.alpha, cfg.gamma, unweighted
     )
@@ -379,8 +380,8 @@ def test_built_instances_reject_the_first_non_finite_term():
                     assert str(caught.value) == expected
                     checked += 1
     assert checked > 40
-    # every edge pair precedes the other pairs: here both an edge, (0, 1),
-    # and a non-edge, (0, 2), overflow
+    # pairs are named in key order: here both an edge, (0, 1), and a
+    # non-edge, (0, 2), overflow
     ring = generate_ring(6)
     w = np.array([1e150, 1.0, 1e150, 1.0, 1.0, 1.0])
     cfg = PenaltyConfig(beta=1e308, alpha=1.5e8, gamma=1.0)
@@ -388,15 +389,22 @@ def test_built_instances_reject_the_first_non_finite_term():
     assert message.startswith("quadratic coefficient of (0, 1) is inf")
     with pytest.raises(QuboError, match=r"^quadratic coefficient of \(0, 1\) is inf, not finite$"):
         build_qubo(ring, w, 4, cfg)
-    # with a hand-set offset, a term no builder can overflow alone: node
-    # 1's linear key (a node term) precedes node 0's; a one-hot pair
+    # with a hand-set offset, a term no builder can overflow alone: the
+    # lowest variable first; a one-hot pair, (0, n), after row 0's pairs
+    # and before row 1's
     q = build_qubo(SINGLE_EDGE, uniform_weights(2), 2, PenaltyConfig())
     obj = dataclasses.replace(q.objective, node_linear=np.array([0.0, np.inf]), gamma=np.inf)
-    with pytest.raises(QuboError, match=r"^linear coefficient of variable 1 is nan, not finite$"):
+    with pytest.raises(QuboError, match=r"^linear coefficient of variable 0 is -inf, not finite$"):
         QuboInstance(n=2, k=2, offset=1.0, objective=obj)
     obj = dataclasses.replace(q.objective, gamma=1e308)
     with pytest.raises(QuboError, match=r"^quadratic coefficient of \(0, 2\) is inf, not finite$"):
         QuboInstance(n=2, k=2, offset=1.0, objective=obj)
+    path = Topology(nodes=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
+    q = build_qubo(path, uniform_weights(3), 2, PenaltyConfig())
+    for edge_coeff, key in (([np.inf, 1.0], "0, 1"), ([1.0, np.inf], "0, 3")):
+        obj = dataclasses.replace(q.objective, gamma=1e308, edge_coeff=np.array(edge_coeff))
+        with pytest.raises(QuboError, match=rf"^quadratic coefficient of \({key}\) is inf, not finite$"):
+            QuboInstance(n=3, k=2, offset=1.0, objective=obj)
 
 
 def test_a_refused_build_expands_nothing(monkeypatch):
@@ -606,11 +614,11 @@ def feasible_rows(n, k, rng):
 
 
 def test_feasible_energies_equal_dict_order_sums(suite):
-    # the evaluator reads the objective and energies() the dicts: every
-    # feasible row must score the same float, on both builders, at every
-    # k; the term-by-term oracle rechecks a sample. The isolated node has
-    # no node term in the unweighted QUBO, so its linear key comes last,
-    # and the cancelling penalties leave zero coefficients unstored.
+    # the evaluator reads the objective and energies() the stored terms:
+    # every feasible row must score the same float, on both builders, at
+    # every k; the term-by-term oracle rechecks a sample. The isolated
+    # node has no node term in the unweighted QUBO, and the cancelling
+    # penalties leave zero coefficients unstored.
     isolated = Topology(nodes=5, edges=((0, 1, 1.5), (1, 3, 0.5)))
     cases = [(e.topo, e.weights) for e in suite] + [(isolated, np.arange(1.0, 6.0))]
     cancelling = PenaltyConfig(beta=1.0, alpha=1.0, gamma=2.0)
@@ -659,6 +667,61 @@ def test_export_import_round_trip(suite, tmp_path):
         assert back.linear == q.linear
         assert back.quadratic == q.quadratic
         assert back.objective is None and back == q  # equality ignores the objective
+
+
+def in_key_order(q):
+    """Whether q stores its linear terms by variable and its quadratic
+    terms by (row, col)."""
+    t = q.terms
+    return bool(np.all(np.diff(t.lin_vars) > 0)
+                and np.all(np.diff(t.rows) >= 0)
+                and np.all((np.diff(t.rows) > 0) | (np.diff(t.cols) > 0)))
+
+
+def test_an_instance_and_its_exported_copy_give_the_same_energies(suite, tmp_path):
+    # built and imported instances sum their terms in one order, key
+    # order, so both, and the feasible-row scorer, give the same floats
+    rule = DistanceRule(kind="uniform", low=0.5, high=2.0)
+    w24 = compute_weights(synthetic_demands(24, timesteps=168, seed=11, anchor_scale=20.0))
+    trends = (generate_ring(24, chords=4, rule=rule, seed=7), generate_tree(24, branching=3, rule=rule, seed=7))
+    cases = [(e.topo, e.weights, k) for e in suite for k in range(2, min(3, e.topo.nodes) + 1)]
+    cases += [(topo, w24, k) for topo in trends for k in range(2, 9)]
+    path = str(tmp_path / "q.qubo")
+    for topo, w, k in cases:
+        n = topo.nodes
+        rng = np.random.default_rng([n, k, topo.num_edges])
+        producers = rng.integers(0, k, size=(32, n))
+        for q in (build_qubo(topo, w, k), build_unweighted_qubo(topo, k)):
+            one_hot = np.zeros((32, q.num_vars), dtype=np.int8)
+            np.put_along_axis(one_hot, producers * n + np.arange(n), 1, axis=1)
+            rows = np.concatenate([rng.integers(0, 2, size=(32, q.num_vars)), one_hot])
+            export_qubo(q, path)
+            back = import_qubo(path)
+            assert in_key_order(q) and in_key_order(back)
+            want = energies(q, rows).tolist()
+            assert energies(back, rows).tolist() == want
+            assert feasible_energies(q, producers).tolist() == want[32:]
+
+
+def test_a_shuffled_file_imports_the_same_instance(tmp_path):
+    rule = DistanceRule(kind="uniform", low=0.5, high=2.0)
+    topo = generate_ring(24, chords=4, rule=rule, seed=7)
+    w = compute_weights(synthetic_demands(24, timesteps=168, seed=11, anchor_scale=20.0))
+    q = build_qubo(topo, w, 4)
+    path = tmp_path / "q.qubo"
+    export_qubo(q, str(path))
+    head, *lines = path.read_text().splitlines(keepends=True)
+    np.random.default_rng(5).shuffle(lines)
+    path.write_text(head + "".join(lines))
+    back = import_qubo(str(path))
+    assert back == q and in_key_order(back)
+    rows = np.random.default_rng(6).integers(0, 2, size=(200, q.num_vars))
+    assert energies(back, rows).tolist() == energies(q, rows).tolist()
+    # given terms are stored in key order too, whatever order they come in
+    given = instance_of(2, 2, {3: 1.0, 0: 2.0, 1: 3.0}, {(1, 3): 1.0, (0, 3): 2.0, (0, 1): 3.0})
+    assert in_key_order(given)
+    assert given.terms.lin_vals.tolist() == [2.0, 3.0, 1.0]
+    assert given.terms.vals.tolist() == [3.0, 2.0, 1.0]
 
 
 def test_export_golden_single_variable(tmp_path):

@@ -74,6 +74,20 @@ def test_size_capped_cells_become_warnings_not_gaps():
     assert "k=4 exhaustive: skipped" in res.warnings[0]
 
 
+def test_energies_without_precision_become_warnings():
+    # gamma = 1e20 leaves the offset's last digit above every pipe
+    # coefficient: each cell is still reported, with a warning
+    topo = generate_ring(12, chords=2)
+    demands = synthetic_demands(12, timesteps=24, seed=0)
+    solvers = (SolverSpec(name="heuristic", restarts=2),)
+    res = run_sweep(topo, demands, SweepConfig(
+        max_producers=3, solvers=solvers, penalty=PenaltyConfig(alpha=1.0, gamma=1e20)))
+    assert [r.k for r in res.reports] == [1, 2, 3]
+    assert [w.split(":")[0] for w in res.warnings] == ["k=1 heuristic", "k=2 heuristic", "k=3 heuristic"]
+    assert all("without precision" in w for w in res.warnings)
+    assert run_sweep(topo, demands, SweepConfig(max_producers=3, solvers=solvers)).warnings == ()
+
+
 def test_sweep_is_deterministic_and_thread_invariant():
     topo = generate_ring(7, chords=2, seed=5)
     demands = synthetic_demands(7, timesteps=36, seed=9)
