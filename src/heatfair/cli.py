@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 import time
@@ -136,6 +137,8 @@ def _cmd_qubo(ns: argparse.Namespace) -> int:
     topo = graphs.load_topology(ns.topology)
     penalty = _custom_penalty(args)
     if args["unweighted"]:
+        if args["weights"] is not None:
+            raise workflow.WorkflowError("--weights and --unweighted exclude each other")
         instance = qubo.build_unweighted_qubo(topo, args["k"], penalty)
     else:
         if args["weights"] is None:
@@ -144,6 +147,9 @@ def _cmd_qubo(ns: argparse.Namespace) -> int:
             )
         weights = demand.load_weights(args["weights"])
         instance = qubo.build_qubo(topo, weights, args["k"], penalty)
+    warning = workflow.precision_warning(instance)
+    if warning:
+        print(f"warning: {warning}", file=sys.stderr)
     out = _resolve_output(args["output"])
     qubo.export_qubo(instance, out)
     print(
@@ -310,6 +316,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+@functools.cache  # built once per process; parse_args keeps no state in it
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="heatfair",

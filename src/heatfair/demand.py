@@ -165,8 +165,9 @@ def demands_to_csv_text(demands: DemandMatrix) -> str:
 
 
 def load_demands(path: str) -> DemandMatrix:
-    """Read a demand table from CSV: header of node labels, rows of samples."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    """Read a demand table from CSV: header of node labels, rows of
+    samples. A UTF-8 byte-order mark, as spreadsheets write, is skipped."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -13,11 +13,11 @@ Three routes with very different trust levels:
                     producer loads, one-hot counts), so a flip updates
                     O(degree + 1) of them. Stretches of sweeps in which
                     no proposal can pass are skipped by a few numpy
-                    comparisons. The acceptance limits are drawn into
-                    one reused buffer a block of sweeps at a time, so
-                    memory does not grow with the sweep count; every
-                    result equals a plain proposal-by-proposal scan of
-                    the same rule bit for bit.
+                    comparisons of the walk's own deltas. The limits are
+                    drawn into one reused buffer a block of sweeps at a
+                    time, so memory does not grow with the sweep count;
+                    every result equals a plain proposal-by-proposal
+                    scan of the same rule bit for bit.
   solve_heuristic   greedy seeding plus relocate/swap local search
                     on the instance's Objective (what the builder
                     expanded), not on QUBO coefficients; an imported
@@ -387,15 +387,6 @@ def _neighbours(obj: Objective) -> list[list[tuple[int, float]]]:
     return neighbours
 
 
-def _fields(obj: Objective, x, S, L, c) -> np.ndarray:
-    """The field of every (i, j), shape (k, n), from the running sums:
-    lin + S + 2*alpha*w_i*(L_j - w_i*x) + 2*gamma*(c_i - x), lin the
-    QUBO's linear coefficient, with the same float expressions in the
-    same order as the scalar loop of _walk."""
-    w = obj.weights
-    return obj.lin + S + 2.0 * obj.alpha * w * (L[:, None] - w * x) + 2.0 * obj.gamma * (c - x)
-
-
 def _start(obj: Objective, offset: float, bits: np.ndarray):
     """The annealer's state at bits, (x, S, L, c, energy), per producer j:
     x[j][i] the bit of (i, j), S[j][i] the edge coefficients of i's
@@ -428,11 +419,15 @@ def _walk(obj: Objective, x, S, L, c, current: float, limits: _Limits):
     flip updates x, L[j], c[i] and S[j] at i's neighbours, adding or
     subtracting each value (x - c is exactly x + (-c)). After a sweep
     with no flip the state cannot change until the next accepted
-    proposal, so that proposal is found by comparing the frozen sign *
-    field vector with the following sweeps' limits
-    (_Limits.first_acceptance), and the loop resumes there."""
+    proposal, so that proposal is found by comparing the deltas the
+    sweep kept in seen with the following sweeps' limits
+    (_Limits.first_acceptance), and the loop resumes there. Only a
+    rejected proposal's delta is kept, as only a sweep that rejects
+    every proposal is read; such a sweep began at bit 0 (a resumed one
+    starts at the hit, which passes), so seen is complete."""
     lin, reach, w, g2, neighbours = _field_terms(obj)
     k, n = len(L), len(c)
+    seen = [[0.0] * n for _ in range(k)]
     best_raw, best_x = current, [bits[:] for bits in x]
     sweep, first = 0, 0
     while sweep < len(limits.temps):
@@ -440,12 +435,13 @@ def _walk(obj: Objective, x, S, L, c, current: float, limits: _Limits):
         frozen = True
         j0, start = divmod(first, n)
         for j in range(j0, k):
-            xj, Sj, lim = x[j], S[j], lims[j * n:(j + 1) * n]
+            xj, Sj, dj, lim = x[j], S[j], seen[j], lims[j * n:(j + 1) * n]
             load = L[j]
             for i in range(start, n):
                 if xj[i]:
                     delta = -(lin[i] + Sj[i] + reach[i] * (load - w[i]) + g2 * (c[i] - 1.0))
                     if not delta <= lim[i]:  # as written, so a NaN never flips
+                        dj[i] = delta
                         continue
                     xj[i] = 0.0
                     load -= w[i]
@@ -455,6 +451,7 @@ def _walk(obj: Objective, x, S, L, c, current: float, limits: _Limits):
                 else:
                     delta = lin[i] + Sj[i] + reach[i] * load + g2 * c[i]
                     if not delta <= lim[i]:
+                        dj[i] = delta
                         continue
                     xj[i] = 1.0
                     load += w[i]
@@ -469,9 +466,7 @@ def _walk(obj: Objective, x, S, L, c, current: float, limits: _Limits):
             start = 0
         sweep, first = sweep + 1, 0
         if frozen:
-            xs = np.array(x)
-            deltas = (1.0 - 2.0 * xs) * _fields(obj, xs, np.array(S), np.array(L), np.array(c))
-            hit = limits.first_acceptance(deltas.ravel(), sweep)
+            hit = limits.first_acceptance(np.array(seen).ravel(), sweep)
             if hit is None:
                 break
             sweep, first = hit
@@ -495,9 +490,11 @@ def solve_anneal(q: QuboInstance, cfg: AnnealConfig) -> SolveResult:
     linear coefficient, S[j][i] the edge coefficients of i's neighbours
     at j, L_j the load of j and c_i the bits node i has set. A proposal
     is O(1) and a flip updates O(degree + 1) sums (_walk). Frozen sweeps
-    are skipped exactly, so every result equals a plain
-    proposal-by-proposal scan of the same rule. Auto temperatures come
-    from the objective's QUBO rows (_auto_temperatures).
+    are skipped exactly, by comparing the deltas the walk computed in
+    the sweep that froze with the limits that follow, so every result
+    equals a plain proposal-by-proposal scan of the same rule. Auto
+    temperatures come from the objective's QUBO rows
+    (_auto_temperatures).
 
     The lowest raw-energy state seen in each restart is repaired by
     decode_and_repair's rule; restarts compete on post-repair energy,

@@ -88,14 +88,17 @@ class SweepConfig:
         for name, least in (("max_producers", 1), ("seed", 0)):  # numpy seeds are >= 0
             value = number(getattr(self, name), name, WorkflowError, integer=True, least=least)
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "solvers", tuple(self.solvers))
         if not self.solvers:
             raise WorkflowError("select at least one solver")
+        if not all(isinstance(spec, SolverSpec) for spec in self.solvers):
+            raise WorkflowError(f"solvers must be SolverSpec objects, got {self.solvers!r}")
+        _refuse_repeats([spec.name for spec in self.solvers], "solver")
         object.__setattr__(self, "kpi_alpha", number(self.kpi_alpha, "kpi_alpha", WorkflowError))
         if not (0.0 <= self.kpi_alpha <= 1.0):
             raise WorkflowError(
                 f"kpi_alpha must lie in [0, 1], got {self.kpi_alpha!r}"
             )
-        object.__setattr__(self, "solvers", tuple(self.solvers))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -134,7 +137,7 @@ def _cell_seed(seed: int, k: int, solver_index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _precision_warning(q: QuboInstance) -> str | None:
+def precision_warning(q: QuboInstance) -> str | None:
     """A warning when the offset's unit in the last place exceeds the
     smallest nonzero |edge coefficient|, so that the energy cannot
     resolve the pipe term; None otherwise."""
@@ -154,7 +157,7 @@ def solve_cell(
     (penalty None takes the builder's defaults), solve it with spec's
     solver and score the answer. sp, the all-pairs shortest paths, is
     computed by the scoring when not given. Also returns the instance's
-    _precision_warning."""
+    precision_warning."""
     q = build_qubo(topo, weights, k, penalty)
     if spec.name == "exhaustive":
         result = solve_exhaustive(q, max_vars=spec.exhaustive_cap)
@@ -166,7 +169,7 @@ def solve_cell(
         result.assignment, topo, weights, kpi_alpha=kpi_alpha,
         solver_name=spec.name, energy=result.energy, sp=sp,
     )
-    return result, report, _precision_warning(q)
+    return result, report, precision_warning(q)
 
 
 def run_sweep(
@@ -175,7 +178,7 @@ def run_sweep(
 ) -> SweepResult:
     """Algorithm: run solve_cell for each k and solver. Skipped cells
     (the exhaustive size cap) become warnings, never silent gaps, and so
-    do energies without precision (_precision_warning); any other solver
+    do energies without precision (precision_warning); any other solver
     error fails the sweep. Deterministic for a fixed seed,
     regardless of threads: cells run largest k first, so a pool of
     threads does not end on one long cell, and reports come out by k,
@@ -303,14 +306,23 @@ def sweep_to_gnuplot_texts(result: SweepResult) -> dict[str, str]:
     return out
 
 
+def _refuse_repeats(names, what: str) -> None:
+    """Raise WorkflowError if a name occurs twice: its rows or files
+    would be written twice, and no reader could tell them apart."""
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise WorkflowError(f"{what} named more than once: {', '.join(repeated)}")
+
+
 def check_formats(formats) -> None:
     """Raise WorkflowError unless formats names at least one output
-    format and only known ones: json, csv, gnuplot."""
+    format, each once, and only known ones: json, csv, gnuplot."""
     unknown = set(formats) - {"json", "csv", "gnuplot"}
     if unknown:
         raise WorkflowError(f"unknown output formats: {sorted(unknown)}; valid: json, csv, gnuplot")
     if not formats:
         raise WorkflowError("select at least one output format")
+    _refuse_repeats(list(formats), "output format")
 
 
 def write_sweep(result: SweepResult, prefix: str, formats) -> list[str]:

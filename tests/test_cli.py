@@ -392,6 +392,43 @@ def test_qubo_requires_weights_or_unweighted(tmp_path, capsys):
     assert "--weights is required unless --unweighted" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gamma, warns", [("1e300", True), ("1e20", True), ("1e12", False), (None, False)])
+def test_qubo_warns_when_the_penalties_leave_the_energy_without_precision(gamma, warns, tmp_path, capsys):
+    # the same rule as solve's; the instance is still exported, with exit 0
+    topo_path, w_path, out = tmp_path / "ring.json", tmp_path / "w.json", tmp_path / "loose.qubo"
+    assert cli.main(["generate", "ring", "--nodes", "12", "--chords", "2", "-o", str(topo_path)]) == 0
+    write_demands(tmp_path / "d.csv", 12)
+    assert cli.main(["weights", str(tmp_path / "d.csv"), "-o", str(w_path)]) == 0
+    capsys.readouterr()
+    penalties = [] if gamma is None else ["--alpha", "1", "--gamma", gamma]
+    assert cli.main(["qubo", str(topo_path), "--weights", str(w_path), "--k", "3",
+                     *penalties, "-o", str(out)]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == warns
+    if warns:
+        assert "without precision" in warnings[0]
+    assert import_qubo(str(out)).num_vars == 36
+
+
+@pytest.mark.parametrize("config, flags", [
+    (None, ["--unweighted", "--weights", "missing.json"]),
+    ({"unweighted": True}, ["--weights", "missing.json"]),
+    ({"unweighted": True, "weights": "missing.json"}, []),
+], ids=["flags", "flag_and_config", "config"])
+def test_qubo_refuses_weights_with_unweighted(config, flags, tmp_path, capsys):
+    save_topology(PATH4, str(tmp_path / "p4.json"))
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        flags = [*flags, "--config", str(tmp_path / "cfg.json")]
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    capsys.readouterr()
+    assert cli.main(["qubo", str(tmp_path / "p4.json"), "--k", "2", *flags,
+                     "-o", str(outdir / "inst.qubo")]) == 2
+    assert capsys.readouterr().err == "error: --weights and --unweighted exclude each other\n"
+    assert list(outdir.iterdir()) == []
+
+
 def test_sweep_writes_selected_formats(tmp_path):
     topo_path = tmp_path / "ring.json"
     cli.main(["generate", "ring", "--nodes", "8", "-o", str(topo_path)])
@@ -467,6 +504,25 @@ def test_sweep_checks_formats_before_solving(tmp_path, capsys, monkeypatch, form
     ]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--solvers", "heuristic,heuristic"], "solver named more than once: heuristic"),
+    (["--solvers", "anneal,heuristic,anneal", "--sweeps", "5"], "solver named more than once: anneal"),
+    (["--format", "json,json,csv"], "output format named more than once: json"),
+], ids=["solvers", "anneal", "formats"])
+def test_sweep_refuses_a_name_given_twice(tmp_path, capsys, flags, message):
+    save_topology(PATH4, str(tmp_path / "p4.json"))
+    write_demands(tmp_path / "d.csv", nodes=4)
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    capsys.readouterr()
+    assert cli.main([
+        "sweep", str(tmp_path / "p4.json"), "--demands", str(tmp_path / "d.csv"),
+        "--max-producers", "2", *flags, "-o", str(outdir / "dup"),
+    ]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(outdir.iterdir()) == []
 
 
 @pytest.mark.parametrize(

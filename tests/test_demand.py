@@ -141,6 +141,18 @@ def test_csv_parse_diagnostics(tmp_path):
         load_demands(str(blanklabel))
 
 
+def test_csv_byte_order_mark_is_not_part_of_a_label(tmp_path):
+    # spreadsheets save UTF-8 CSV with a byte-order mark
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text("a,b,c\n1.0,2.0,3.0\n", encoding="utf-8")
+    marked.write_text("a,b,c\n1.0,2.0,3.0\n", encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbfa,")
+    for path in (plain, marked):
+        loaded = load_demands(str(path))
+        assert loaded.labels == ("a", "b", "c")
+        assert loaded.values.tolist() == [[1.0, 2.0, 3.0]]
+
+
 def test_large_csv_keeps_shape(tmp_path):
     d = synthetic_demands(10, timesteps=8760, seed=1)
     path = tmp_path / "year.csv"

@@ -1065,8 +1065,9 @@ def test_anneal_matches_reference_on_exact_ties(monkeypatch):
 def test_structured_field_matches_the_qubo(suite):
     # The reference shares the field rule, so only the QUBO itself can
     # catch a wrong formula: at random bit vectors, mostly infeasible,
-    # the rule's fields must equal lin + Q.x (Q the symmetric matrix of
-    # the quadratic dict) and its tracked energies the QUBO energy, to
+    # the deltas a frozen sweep hands to first_acceptance must equal
+    # sign * (lin + Q.x) (Q the symmetric matrix of the quadratic dict,
+    # sign = 1 - 2 * bit) and the tracked energies the QUBO energy, to
     # 1e-9 of the penalty scale (the largest single-flip reach plus
     # |offset|), at the start and at a walk's best state.
     rng = np.random.default_rng(8)
@@ -1089,10 +1090,11 @@ def test_structured_field_matches_the_qubo(suite):
                 for density in (0.1, 0.5, 0.9):
                     bits = (rng.random(q.num_vars) < density).astype(float)
                     x, S, L, c, tracked = solvers._start(obj, q.offset, bits)
-                    got = solvers._fields(obj, np.array(x), np.array(S),
-                                          np.array(L), np.array(c)).ravel()
-                    want = lin + dense @ bits
-                    assert np.abs(got - want).max() <= 1e-9 * scale
+                    frozen = FrozenLimits(q.num_vars)
+                    solvers._walk(obj, x, S, L, c, tracked, frozen)
+                    want = (1.0 - 2.0 * bits) * (lin + dense @ bits)
+                    assert len(frozen.handed) == 1
+                    assert np.abs(frozen.handed[0] - want).max() <= 1e-9 * scale
                     assert abs(tracked - energy(q, bits)) <= 1e-9 * scale
 
                     limits = rng.exponential(0.02 * scale, size=(20, q.num_vars))
@@ -1126,6 +1128,19 @@ class TableLimits(solvers._Limits):
         hi = next(end for end in self.ends if end > lo)
         self.buf[:hi - lo] = self.table[lo:hi]
         self.lo, self.hi = lo, hi
+
+
+class FrozenLimits(TableLimits):
+    """One sweep of limits that reject every finite delta; keeps the
+    deltas the walk hands to first_acceptance and ends the walk."""
+
+    def __init__(self, nv):
+        super().__init__(np.full((1, nv), -np.inf))
+        self.handed = []
+
+    def first_acceptance(self, deltas, sweep):
+        self.handed.append(deltas.copy())
+        return None
 
 
 def first_acceptance(deltas, limits, sweep, cuts=()):

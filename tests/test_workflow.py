@@ -186,6 +186,21 @@ def test_sweep_config_validation():
         SolverSpec(name="magic")
 
 
+def test_a_solver_or_format_named_twice_is_refused(tmp_path):
+    # its rows or files would be written twice, indistinguishably
+    twice = (SolverSpec(name="anneal"), SolverSpec(name="heuristic"),
+             SolverSpec(name="anneal", sweeps=10))
+    with pytest.raises(WorkflowError, match="^solver named more than once: anneal$"):
+        SweepConfig(solvers=twice)
+    with pytest.raises(WorkflowError, match="must be SolverSpec objects"):
+        SweepConfig(solvers=("heuristic",))
+    res = run_sweep(RING8, FLAT8, SweepConfig(max_producers=1))
+    prefix = str(tmp_path / "s")
+    with pytest.raises(WorkflowError, match="^output format named more than once: csv, json$"):
+        workflow.write_sweep(res, prefix, ["json", "csv", "json", "csv", "gnuplot"])
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "settings",
     [{"sweeps": 0}, {"restarts": 0}, {"t_initial": 1.0, "t_final": 2.0},
