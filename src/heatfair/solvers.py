@@ -21,13 +21,13 @@ Three routes with very different trust levels:
   solve_heuristic   greedy seeding plus relocate/swap local search
                     on the instance's Objective (what the builder
                     expanded), not on QUBO coefficients; an imported
-                    instance has none. Neighbour lists are padded once
-                    per solve into (D, n) slot arrays; all restarts are
-                    seeded and then descend in lockstep, each step a
-                    fixed handful of numpy calls over tables of every
-                    move's delta, summed exactly as a scalar scan would:
-                    edge terms slot by slot in neighbour-list order,
-                    squares as x * x, first minimum in scan order.
+                    instance has none. All restarts are seeded and then
+                    descend in lockstep, each step a fixed handful of
+                    numpy calls over tables of every move's delta, read
+                    from one table of each node's edge coefficients per
+                    producer and summed exactly as a scalar scan would:
+                    in neighbour-list order, squares as x * x, first
+                    minimum in scan order.
 
 All three take only the instance and their own settings, and end the
 same way (_result): their candidates (every assignment, or each
@@ -576,79 +576,49 @@ def _greedy_seed(orders, nbr, coeff, wz, k, alpha, target):
     return p, loads
 
 
-def _add_slots(table, terms):
-    """Add terms (restarts, slots, ...) to table one slot at a time, in
-    slot order; an axis reduction would sum pairwise."""
-    for s in range(terms.shape[1]):
-        table += terms[:, s]
+def _fixed_tables(neighbours, n):
+    """What _move_tables needs that stays fixed through a solve: every
+    (node, neighbour, edge coefficient) of the neighbour lists, node by
+    node in list order, and the mask of the pairs i >= j."""
+    node = np.array([i for i, edges in enumerate(neighbours) for _ in edges], dtype=np.intp)
+    nbr = np.array([u for edges in neighbours for u, _ in edges], dtype=np.intp)
+    coeff = np.array([c for edges in neighbours for _, c in edges], dtype=float)
+    return node, nbr, coeff, np.arange(n)[:, None] >= np.arange(n)
 
 
-# swap terms per block in _fixed_tables: 2 MiB of floats, one core's L2 cache
-_SWAP_BLOCK = 2**18
-
-
-def _fixed_tables(nbr, r, k):
-    """What _move_tables needs that stays fixed through a solve, for
-    groups of at most r restarts: the swap terms' slot blocks (each
-    holding at most _SWAP_BLOCK // (r * n**2) slots, with the (slot,
-    node, neighbour) of every filled slot; the blocks only bound memory,
-    as terms are added in slot order across them), the mask of the pairs
-    i >= j, and the producer ids as a column."""
-    n = nbr.shape[1]
-    span = max(1, _SWAP_BLOCK // (r * n * n))  # slots per block of swap terms
-    blocks = []
-    for lo in range(0, len(nbr), span):
-        slot, i = np.nonzero(nbr[lo:lo + span] < n)
-        blocks.append((slice(lo, lo + span), slot, i, nbr[lo + slot, i]))
-    return blocks, np.arange(n)[:, None] >= np.arange(n), np.arange(k)[:, None]
-
-
-def _move_tables(p, loads, nbr, coeff, wz, alpha, target, fixed):
+def _move_tables(p, loads, wz, alpha, target, fixed):
     """Deltas of every move, (restarts, n*k) for relocating node i to
     producer j and (restarts, n*n) for swapping the producers of nodes
-    i < j, each summed in the order of the scalar scan; p (restarts,
-    n + 1) ends in the sentinel column. Moves that are not candidates
-    (own producer, i >= j, shared producer) hold +inf.
+    i < j; p (restarts, n + 1) ends in the sentinel column. Moves that
+    are not candidates (own producer, i >= j, shared producer) hold +inf.
 
-    terms[r, s, j, i], slot s's edge term for moving node i to producer
-    j, is +c where the neighbour sits at j, else -c where it sits at i's
-    own producer, else 0.0 (always for a padded slot), which leaves a
-    partial sum, never -0.0, as it is. A product with the one-hot
-    producers picks each swap term out of it exactly (one nonzero
-    product per output); the partner's term is zeroed, since a swap
-    leaves that edge cut. i's terms, then j's, are added slot by slot.
-    fixed is _fixed_tables(nbr, restarts, k)."""
-    r, n = p.shape[0], nbr.shape[1]
-    k = loads.shape[1]
-    blocks, lower, producers = fixed
+    g[r, i, j] sums the coefficients of i's neighbours at producer j
+    from +0.0 in neighbour-list order (np.add.at applies repeated
+    indices in index order). Relocating i from a to j changes the edge
+    terms by g[i, j] - g[i, a]; swapping i (at a) with j (at b) by
+    (g[i, b] - g[i, a]) + (g[j, a] - g[j, b]), less 2*c_ij where i and j
+    are neighbours, as a swap leaves that edge cut. The balance terms
+    are added after. fixed is _fixed_tables(neighbours, n)."""
+    r, n, k = p.shape[0], p.shape[1] - 1, loads.shape[1]
+    node, nbr, coeff, lower = fixed
+    rows = np.arange(r)[:, None]
     mine = p[:, :n]
-    at = p[:, nbr]  # (r, D, n): the producer of each slot's neighbour
-    nearby = np.where(at == mine[:, None], -coeff, 0.0)
-    terms = np.where(at[:, :, None] == producers, coeff[:, None], nearby[:, :, None])
-    rel = np.zeros((r, k, n))
-    _add_slots(rel, terms)
-    own_producer = mine[:, :, None] == producers[:, 0]
-    one_hot = own_producer.astype(float)  # (r, n, k)
-    swp = np.zeros((r, n, n))
-    for b, slot, i, u in blocks:  # i's terms at (i, j), partner u's zeroed
-        part = np.matmul(terms[:, b].transpose(0, 1, 3, 2), one_hot.transpose(0, 2, 1)[:, None])
-        part[:, slot, i, u] = 0.0
-        _add_slots(swp, part)
-    for b, slot, j, u in blocks:  # then j's terms at (i, j), partner u's zeroed
-        part = np.matmul(one_hot[:, None], terms[:, b])
-        part[:, slot, u, j] = 0.0
-        _add_slots(swp, part)
+    g = np.zeros((r, n, k))
+    np.add.at(g, (rows, node, p[:, nbr]), coeff)
+    rel = g - g[rows, np.arange(n), mine][:, :, None]
+    swp = rel[rows[:, :, None], np.arange(n)[:, None], mine[:, None, :]]  # g[i, b] - g[i, a]
+    swp = swp + swp.transpose(0, 2, 1)
+    swp[rows, node, nbr] -= 2.0 * coeff
 
     # one square per table; the sentinel's zero weight gives the squares
     # without a node: (L_j - target)**2 and (own_i - w_i - target)**2
-    rows = np.arange(r)[:, None]
     own = loads[rows, mine]
     sq_rel = _square(loads[:, None, :] + wz[:, None] - target)
     before = sq_rel[:, n][rows, mine]
     sq_swp = _square(own[:, :, None] - wz[:n, None] + wz - target)
-    rel = rel.transpose(0, 2, 1) + alpha * (sq_rel[:, :n] - sq_rel[:, n, None])
+    rel += alpha * (sq_rel[:, :n] - sq_rel[:, n, None])
     rel += alpha * (sq_swp[:, :, n] - before)[:, :, None]
-    np.putmask(rel, own_producer, np.inf)
+    np.putmask(rel, mine[:, :, None] == np.arange(k), np.inf)
     # the balance change at i's producer; j's at (i, j) is this at (j, i)
     balance = alpha * (sq_swp[:, :, :n] - before[:, :, None])
     swp += balance
@@ -657,26 +627,28 @@ def _move_tables(p, loads, nbr, coeff, wz, alpha, target, fixed):
     return rel.reshape(r, -1), swp.reshape(r, -1)
 
 
-def _local_search(p, loads, nbr, coeff, wz, alpha, target):
+def _local_search(p, loads, neighbours, wz, alpha, target):
     """Best-improvement relocate/swap descent of all restarts in lockstep.
 
     p (restarts, n + 1) producer ids, ending in the sentinel column, and
     loads (restarts, k) are updated in place; returns the moves applied
-    per restart. A step takes the first minimum of the relocations,
-    row-major over (node, producer), unless the first minimum of the
-    swaps, row-major over i < j, lies strictly below it; a restart stops
-    when neither is below -1e-12.
+    per restart. neighbours holds each node's (neighbour, edge
+    coefficient) pairs and wz the weights, then the sentinel's 0.0. Each
+    step reads _move_tables, whose fixed arrays are built once here, and
+    takes the first minimum of the relocations, row-major over (node,
+    producer), unless the first minimum of the swaps, row-major over
+    i < j, lies strictly below it; a restart stops when neither is below
+    -1e-12.
     """
-    r, n = p.shape[0], nbr.shape[1]
+    r, n = p.shape[0], len(neighbours)
     k = loads.shape[1]
     group = max(1, 2**20 // n**2)  # restarts per step, bounding the swap tables
     moves = np.zeros(r, dtype=np.int64)
-    # sized for the largest group; a smaller one fills its blocks less
-    fixed = _fixed_tables(nbr, min(group, r), k)
+    fixed = _fixed_tables(neighbours, n)
     todo = np.arange(r)
     while todo.size:
         live, at = todo[:group], np.arange(min(group, todo.size))
-        rel, swp = _move_tables(p[live], loads[live], nbr, coeff, wz, alpha, target, fixed)
+        rel, swp = _move_tables(p[live], loads[live], wz, alpha, target, fixed)
         rel_at, swp_at = rel.argmin(axis=1), swp.argmin(axis=1)
         bar = np.minimum(rel[at, rel_at], -1e-12)
         swap = swp[at, swp_at] < bar
@@ -706,11 +678,13 @@ def solve_heuristic(q: QuboInstance, seed: int = 0, restarts: int = 8) -> SolveR
     Node terms are left out: a feasible assignment pays each of them
     exactly once. Restart 0 seeds nodes heaviest-first; later restarts
     use random orders. All restarts are seeded and then descend in
-    lockstep over padded neighbour slots, a fixed handful of numpy calls
-    per seeding position and per step, in groups whose swap tables stay
-    near 8 MB; each restart matches a scalar scan bit for bit. Restarts
-    compete on the QUBO energy of their final assignments in q, ties to
-    the earliest restart, so results line up with the other solvers.
+    lockstep, a fixed handful of numpy calls per seeding position and
+    per step (seeding over padded neighbour slots, the descent over one
+    node-by-producer table of edge coefficients, _move_tables), in
+    groups whose swap tables stay near 8 MB; each restart matches a
+    scalar scan bit for bit. Restarts compete on the QUBO energy of
+    their final assignments in q, ties to the earliest restart, so
+    results line up with the other solvers.
     """
     restarts = number(restarts, "restarts", SolverError, integer=True, least=1)
     seed = number(seed, "seed", SolverError, integer=True, least=0)
@@ -721,7 +695,8 @@ def solve_heuristic(q: QuboInstance, seed: int = 0, restarts: int = 8) -> SolveR
     if q.k == 1:  # every node on producer 0 is the only feasible answer
         return _result(q, [[0] * n], "heuristic", seed, 0)
     weights = obj.weights.tolist()
-    nbr, coeff = _neighbour_slots(_neighbours(obj))
+    neighbours = _neighbours(obj)
+    nbr, coeff = _neighbour_slots(neighbours)
     wz = np.append(obj.weights, 0.0)
 
     children = np.random.SeedSequence(seed).spawn(max(restarts - 1, 1))
@@ -729,5 +704,5 @@ def solve_heuristic(q: QuboInstance, seed: int = 0, restarts: int = 8) -> SolveR
         np.random.default_rng(child).permutation(n) for child in children[: restarts - 1]
     ])
     producers, loads = _greedy_seed(orders, nbr, coeff, wz, q.k, obj.alpha, obj.target)
-    moves = _local_search(producers, loads, nbr, coeff, wz, obj.alpha, obj.target)
+    moves = _local_search(producers, loads, neighbours, wz, obj.alpha, obj.target)
     return _result(q, producers[:, :n], "heuristic", seed, int(moves.sum()))

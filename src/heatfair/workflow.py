@@ -317,18 +317,20 @@ def _refuse_repeats(names, what: str) -> None:
 def check_formats(formats) -> None:
     """Raise WorkflowError unless formats names at least one output
     format, each once, and only known ones: json, csv, gnuplot."""
+    formats = list(formats)
     unknown = set(formats) - {"json", "csv", "gnuplot"}
     if unknown:
         raise WorkflowError(f"unknown output formats: {sorted(unknown)}; valid: json, csv, gnuplot")
     if not formats:
         raise WorkflowError("select at least one output format")
-    _refuse_repeats(list(formats), "output format")
+    _refuse_repeats(formats, "output format")
 
 
 def write_sweep(result: SweepResult, prefix: str, formats) -> list[str]:
     """Write result in each format in the order given (<prefix>.json,
     <prefix>.csv, <prefix>.{jain,distance_index,kpi}.dat) and return the
     paths; a selection check_formats refuses writes nothing."""
+    formats = list(formats)
     check_formats(formats)
     written = []
     for fmt in formats:
@@ -354,20 +356,16 @@ def load_sweep(path: str) -> SweepResult:
         raise WorkflowError(f"{path}: {exc}") from exc
 
 
-def compare_topologies(sweeps, labels=None) -> list[dict]:
+def compare_topologies(sweeps) -> list[dict]:
     """Merge sweeps into one long-format table for plotting: columns
-    topology, solver, k, jain, distance_index, kpi. Sweeps must share
+    topology (each sweep's provenance label, or sweep<i> without one),
+    solver, k, jain, distance_index, kpi. Sweeps must share
     max_producers and kpi_alpha."""
     sweeps = list(sweeps)
     if not sweeps:
         raise WorkflowError("need at least one sweep to compare")
-    if labels is None:
-        labels = [s.provenance.get("label") for s in sweeps]
+    labels = [s.provenance.get("label") for s in sweeps]
     labels = [str(x) if x is not None else f"sweep{i}" for i, x in enumerate(labels)]
-    if len(labels) != len(sweeps):
-        raise WorkflowError(
-            f"got {len(labels)} labels for {len(sweeps)} sweeps"
-        )
     if len(set(labels)) != len(labels):
         raise WorkflowError(f"sweep labels must be distinct, got {labels}")
     reference = sweeps[0].provenance["config"]

@@ -348,16 +348,23 @@ def square(x: float) -> float:
     return x * x
 
 
-def relocate_delta(i, dest, producer_of, loads, neighbours, weights, beta, alpha, target):
-    """Objective change of moving node i to producer dest, summed term
-    by term in neighbour-list order."""
-    src = producer_of[i]
-    delta = 0.0
+def producer_sum(i, j, producer_of, neighbours, beta):
+    """The edge coefficients 2 * beta * dist of i's neighbours at
+    producer j, summed from 0.0 in neighbour-list order."""
+    total = 0.0
     for u, dist in neighbours[i]:
-        if producer_of[u] == dest:
-            delta += 2.0 * beta * dist
-        elif producer_of[u] == src:
-            delta -= 2.0 * beta * dist
+        if producer_of[u] == j:
+            total += 2.0 * beta * dist
+    return total
+
+
+def relocate_delta(i, dest, producer_of, loads, neighbours, weights, beta, alpha, target):
+    """Objective change of moving node i to producer dest: i's edge
+    coefficients at dest less those at its own producer, then the
+    balance terms."""
+    src = producer_of[i]
+    delta = (producer_sum(i, dest, producer_of, neighbours, beta)
+             - producer_sum(i, src, producer_of, neighbours, beta))
     wi = weights[i]
     delta += alpha[dest] * (square(loads[dest] + wi - target) - square(loads[dest] - target))
     delta += alpha[src] * (square(loads[src] - wi - target) - square(loads[src] - target))
@@ -365,23 +372,18 @@ def relocate_delta(i, dest, producer_of, loads, neighbours, weights, beta, alpha
 
 
 def swap_delta(i, j, producer_of, loads, neighbours, weights, beta, alpha, target):
-    """Objective change of swapping the producers of nodes i and j."""
+    """Objective change of swapping the producers of nodes i and j: each
+    node's edge coefficients at the other's producer less those at its
+    own, i's then j's, less twice the (i, j) edge's coefficient, then the
+    balance terms."""
     a, b = producer_of[i], producer_of[j]
-    delta = 0.0
+    delta = ((producer_sum(i, b, producer_of, neighbours, beta)
+              - producer_sum(i, a, producer_of, neighbours, beta))
+             + (producer_sum(j, a, producer_of, neighbours, beta)
+                - producer_sum(j, b, producer_of, neighbours, beta)))
     for u, dist in neighbours[i]:
-        if u == j:
-            continue  # the (i, j) edge stays cross-producer under a swap
-        if producer_of[u] == b:
-            delta += 2.0 * beta * dist
-        elif producer_of[u] == a:
-            delta -= 2.0 * beta * dist
-    for u, dist in neighbours[j]:
-        if u == i:
-            continue
-        if producer_of[u] == a:
-            delta += 2.0 * beta * dist
-        elif producer_of[u] == b:
-            delta -= 2.0 * beta * dist
+        if u == j:  # the (i, j) edge stays cross-producer under a swap
+            delta -= 2.0 * (2.0 * beta * dist)
     wi, wj = weights[i], weights[j]
     new_a = loads[a] - wi + wj
     new_b = loads[b] - wj + wi

@@ -655,7 +655,9 @@ def loads_of(producer_of, w, k):
 def lockstep(starts, neighbours, w, beta, alpha, target):
     p = with_sentinel(s[0] for s in starts)
     loads = np.array([s[1] for s in starts])
-    moves = solvers._local_search(p, loads, *kernel_inputs(neighbours, w, beta), alpha, target)
+    moves = solvers._local_search(
+        p, loads, edge_coefficients(neighbours, beta), np.append(w, 0.0), alpha, target
+    )
     return p[:, :-1], loads, moves
 
 
@@ -666,6 +668,16 @@ def equivalence_cases():
         yield entry.name + "-uniform", entry.topo, uniform_weights(n)
     demands = synthetic_demands(30, timesteps=48, seed=5, anchor_scale=3.0)
     yield "hub30", hub_topology(5), compute_weights(demands)
+
+
+def signed_cases():
+    """equivalence_cases with edge coefficient sign +1.0, then a ring
+    with chords, the degree-29 hub and a tree again with -1.0: the
+    unweighted builder hands the heuristic -2 * beta per edge."""
+    cases = list(equivalence_cases())
+    yield from ((*case, 1.0) for case in cases)
+    negated = ("ring8c5s109", "tree8b3s116", "hub30")
+    yield from ((*case, -1.0) for case in cases if case[0] in negated)
 
 
 def seeding_orders(w, rng, randoms=3):
@@ -696,11 +708,12 @@ def test_lockstep_seeding_matches_scalar_reference(k):
 @pytest.mark.parametrize("k", range(1, 9))
 def test_lockstep_search_matches_scalar_reference(k):
     rng = np.random.default_rng(k)
-    for name, topo, weights in equivalence_cases():
+    for name, topo, weights, sign in signed_cases():
         n = topo.nodes
         if k > n:
             continue
         neighbours, w, beta, alpha, target = search_problem(topo, weights, k)
+        beta *= sign
         orders = seeding_orders(w, rng)
         coeffs = edge_coefficients(neighbours, beta)
         starts = [
@@ -719,44 +732,39 @@ def test_lockstep_search_matches_scalar_reference(k):
             assert moves[r] == ref_moves, (name, r)
 
 
-def test_move_tables_equal_reference_deltas_bit_for_bit(monkeypatch):
+def test_move_tables_equal_reference_deltas_bit_for_bit():
     rng = np.random.default_rng(17)
     rule = DistanceRule(kind="uniform", low=0.5, high=2.0)
     demands = synthetic_demands(30, timesteps=48, seed=8, anchor_scale=3.0)
     tree_demands = synthetic_demands(13, timesteps=48, seed=9, anchor_scale=3.0)
-    default = solvers._SWAP_BLOCK
-    # (topology, weights, penalty scale, swap terms per block): padded
-    # slots beside a degree-29 hub, degree-1 leaves, no edges at all (no
-    # slots), coefficients and balance terms at subnormal scale, and the
-    # hub's 29 slots in blocks of 4 (3 restarts of 30**2 terms a slot)
+    # (topology, weights, penalty scale, edge coefficient sign): a
+    # degree-29 hub beside nodes of degree 2 and 3, degree-1 leaves, no
+    # edges at all, coefficients and balance terms at subnormal scale,
+    # and the hub, ring and tree again with negated edge coefficients
     cases = [
-        (hub_topology(2), compute_weights(demands), 1.0, default),
-        (generate_ring(12, chords=5, rule=rule, seed=3), uniform_weights(12), 1.0, default),
-        (generate_tree(13, branching=3, rule=rule, seed=4), compute_weights(tree_demands), 1.0, default),
-        (Topology(nodes=1, edges=()), uniform_weights(1), 1.0, default),
+        (hub_topology(2), compute_weights(demands), 1.0, 1.0),
+        (generate_ring(12, chords=5, rule=rule, seed=3), uniform_weights(12), 1.0, 1.0),
+        (generate_tree(13, branching=3, rule=rule, seed=4), compute_weights(tree_demands), 1.0, 1.0),
+        (Topology(nodes=1, edges=()), uniform_weights(1), 1.0, 1.0),
         (Topology(nodes=5, edges=()), compute_weights(synthetic_demands(5, timesteps=48, seed=10)), 1.0,
-         default),
-        (generate_ring(12, chords=5, rule=rule, seed=5), uniform_weights(12), 2.0**-1060, default),
-        (hub_topology(2), compute_weights(demands), 1.0, 4 * 3 * 30**2),
+         1.0),
+        (generate_ring(12, chords=5, rule=rule, seed=5), uniform_weights(12), 2.0**-1060, 1.0),
     ]
-    for topo, weights, scale, block in cases:
-        monkeypatch.setattr(solvers, "_SWAP_BLOCK", block)
+    cases += [(topo, weights, 1.0, -1.0) for topo, weights, _, _ in cases[:3]]
+    for topo, weights, scale, sign in cases:
         n = topo.nodes
         for k in (1, 2, 3, 5, 8):
             if k > n:
                 continue
             neighbours, w, beta, alpha, target = search_problem(topo, weights, k)
-            beta, alpha = beta * scale, alpha * scale
+            beta, alpha = beta * scale * sign, alpha * scale
             if scale < 1.0:  # meant to run on subnormal edge coefficients
                 assert 0.0 < 2.0 * beta * max(d for _, _, d in topo.edges) < np.finfo(float).tiny
             states = [rng.integers(0, k, size=n).tolist() for _ in range(3)]
             p = with_sentinel(states)
             loads = np.array([loads_of(s, w, k) for s in states])
-            nbr, coeff, wz = kernel_inputs(neighbours, w, beta)
-            fixed = solvers._fixed_tables(nbr, len(states), k)
-            if block != default:
-                assert len(fixed[0]) == 8  # 29 slots, 4 a block
-            rel, swp = solvers._move_tables(p, loads, nbr, coeff, wz, alpha, target, fixed)
+            fixed = solvers._fixed_tables(edge_coefficients(neighbours, beta), n)
+            rel, swp = solvers._move_tables(p, loads, np.append(w, 0.0), alpha, target, fixed)
             args = (neighbours, w, beta, [alpha] * k, target)
             for r, state in enumerate(states):
                 state_loads = loads[r].tolist()
