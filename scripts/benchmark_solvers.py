@@ -6,9 +6,10 @@ wall time per run.
 Usage:
     python scripts/benchmark_solvers.py [--runs N] [--sweeps S]
                                         [--restarts R] [--seed S0]
+
+A bad argument ends with exit status 2 and one "error: ..." line.
 """
 
-import argparse
 import sys
 import time
 
@@ -24,6 +25,7 @@ from heatfair import (
     solve_heuristic,
     synthetic_demands,
 )
+from heatfair.cli import Parser, guarded
 
 
 def build_cases(seed: int):
@@ -39,16 +41,7 @@ def build_cases(seed: int):
     return cases
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(
-        description="solver hit rates against the exhaustive optimum"
-    )
-    parser.add_argument("--runs", type=int, default=100)
-    parser.add_argument("--sweeps", type=int, default=2000)
-    parser.add_argument("--restarts", type=int, default=8)
-    parser.add_argument("--seed", type=int, default=7000)
-    args = parser.parse_args()
-
+def benchmark(args) -> int:
     cases = build_cases(args.seed)
     hits = {"anneal": 0, "heuristic": 0}
     spent = {"exhaustive": 0.0, "anneal": 0.0, "heuristic": 0.0}
@@ -86,6 +79,18 @@ def main() -> int:
             f"{spent[name] / args.runs * 1000:.1f} ms/run"
         )
     return 0
+
+
+def main() -> int:
+    parser = Parser(description="solver hit rates against the exhaustive optimum")
+    parser.add_argument("--runs", type=int, default=100)
+    parser.add_argument("--sweeps", type=int, default=2000)
+    parser.add_argument("--restarts", type=int, default=8)
+    parser.add_argument("--seed", type=int, default=7000)
+    args = parser.parse_args()
+    if args.runs < 1:
+        parser.error(f"--runs must be >= 1, got {args.runs}")
+    return guarded(benchmark, args)
 
 
 if __name__ == "__main__":

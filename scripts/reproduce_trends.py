@@ -10,9 +10,11 @@ per topology.
 Usage:
     python scripts/reproduce_trends.py [--out DIR] [--max-producers N]
                                        [--seed S] [--threads T]
+
+A bad argument ends with exit status 2 and one "error: ..." line, and
+writes nothing.
 """
 
-import argparse
 import os
 import sys
 
@@ -27,23 +29,12 @@ from heatfair import (
     run_sweep,
     synthetic_demands,
 )
+from heatfair.cli import Parser, guarded
 from heatfair.ioutil import atomic_write_text
 from heatfair.workflow import write_sweep
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(
-        description="k-sweep fairness trends on a 24-node ring vs tree"
-    )
-    parser.add_argument("--out", default="trend_output", help="output directory")
-    parser.add_argument("--max-producers", type=int, default=8)
-    parser.add_argument("--seed", type=int, default=0, help="solver seed")
-    parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument(
-        "--restarts", type=int, default=8, help="local-search restarts per k"
-    )
-    args = parser.parse_args()
-
+def reproduce(args) -> int:
     rule = DistanceRule(kind="uniform", low=0.5, high=2.0)
     topologies = {
         "ring": generate_ring(24, chords=4, rule=rule, seed=7),
@@ -57,13 +48,14 @@ def main() -> int:
         seed=args.seed,
     )
 
-    os.makedirs(args.out, exist_ok=True)
     sweeps = {}
     for label, topo in topologies.items():
         result = run_sweep(topo, demands, cfg, threads=args.threads, label=label)
         for warning in result.warnings:
             print(f"warning: {warning}", file=sys.stderr)
         sweeps[label] = result
+    os.makedirs(args.out, exist_ok=True)
+    for label, result in sweeps.items():
         write_sweep(result, os.path.join(args.out, label), ("csv", "gnuplot"))
 
     rows = compare_topologies([sweeps["ring"], sweeps["tree"]])
@@ -91,6 +83,18 @@ def main() -> int:
     print(f"ring >= tree at {wins}/{len(ring_by_k)} producer counts")
     print(f"outputs in {args.out}/")
     return 0
+
+
+def main() -> int:
+    parser = Parser(description="k-sweep fairness trends on a 24-node ring vs tree")
+    parser.add_argument("--out", default="trend_output", help="output directory")
+    parser.add_argument("--max-producers", type=int, default=8)
+    parser.add_argument("--seed", type=int, default=0, help="solver seed")
+    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument(
+        "--restarts", type=int, default=8, help="local-search restarts per k"
+    )
+    return guarded(reproduce, parser.parse_args())
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from .solvers import SCHEDULES, SolverError
 
 OUTPUT_DIR_ENV = "HEATFAIR_OUTPUT_DIR"
 
-_ERROR_TYPES = (
+ERROR_TYPES = (
     graphs.TopologyError,
     demand.DemandError,
     qubo.QuboError,
@@ -307,9 +307,10 @@ def _solver_spec(args: dict, name: str) -> workflow.SolverSpec:
     return workflow.SolverSpec(name=name, **{key: args[key] for key in _KNOBS})
 
 
-class _Parser(argparse.ArgumentParser):
+class Parser(argparse.ArgumentParser):
     """Reports a bad command line as one "error: ..." line and exit
-    status 2, like every other failure; subparsers share the class."""
+    status 2, like every other failure; subparsers share the class, and
+    the scripts under scripts/ parse with it too."""
 
     def error(self, message: str):
         print(f"error: {' '.join(message.split())}", file=sys.stderr)
@@ -318,7 +319,7 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache  # built once per process; parse_args keeps no state in it
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = Parser(
         prog="heatfair",
         description="Balanced producer assignment and fairness scoring "
         "for district-heating networks.",
@@ -340,15 +341,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+def guarded(body, *args) -> int:
+    """body(*args)'s exit status; a refused input (ERROR_TYPES) is shown
+    as one "error: ..." line instead, with exit status 2."""
     try:
-        return _COMMANDS[ns.command][0](ns)
-    except _ERROR_TYPES as exc:
+        return body(*args)
+    except ERROR_TYPES as exc:
         message = " ".join(str(exc).split()) or type(exc).__name__
         print(f"error: {message}", file=sys.stderr)
         return 2
+
+
+def main(argv=None) -> int:
+    ns = _build_parser().parse_args(argv)
+    return guarded(_COMMANDS[ns.command][0], ns)
 
 
 if __name__ == "__main__":

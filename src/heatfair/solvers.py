@@ -22,12 +22,15 @@ Three routes with very different trust levels:
                     on the instance's Objective (what the builder
                     expanded), not on QUBO coefficients; an imported
                     instance has none. All restarts are seeded and then
-                    descend in lockstep, each step a fixed handful of
-                    numpy calls over tables of every move's delta, read
-                    from one table of each node's edge coefficients per
-                    producer and summed exactly as a scalar scan would:
-                    in neighbour-list order, squares as x * x, first
-                    minimum in scan order.
+                    descend in lockstep, both reading one flat list of
+                    (node, neighbour, edge coefficient) entries. Seeding
+                    adds the coefficients of a node's placed neighbours
+                    after the balance term; each descent step is a fixed
+                    handful of numpy calls over tables of every move's
+                    delta, read from one table of each node's edge
+                    coefficients per producer. Both sum exactly as a
+                    scalar scan would: in neighbour-list order, squares
+                    as x * x, first minimum in scan order.
 
 All three take only the instance and their own settings, and end the
 same way (_result): their candidates (every assignment, or each
@@ -527,70 +530,66 @@ def solve_anneal(q: QuboInstance, cfg: AnnealConfig) -> SolveResult:
     return _result(q, repaired, "anneal", cfg.seed, cfg.sweeps * nv * cfg.restarts)
 
 
-def _neighbour_slots(neighbours):
-    """Neighbour lists padded to two (D, n) arrays, D the highest degree:
-    nbr[s, i] is node i's s-th neighbour and coeff[s, i] that edge's
-    coefficient. A missing slot points at the sentinel column n, whose
-    producer is -1 and weight 0.0, with coefficient 0.0."""
-    n = len(neighbours)
-    nbr = np.full((max(map(len, neighbours), default=0), n), n)
-    coeff = np.zeros(nbr.shape)
-    for i, edges in enumerate(neighbours):
-        for s, (u, c) in enumerate(edges):
-            nbr[s, i], coeff[s, i] = u, c
-    return nbr, coeff
-
-
 def _square(x):
     # one correctly rounded IEEE product, on any libm (pow(x, 2.0) is
     # off by one ulp on some doubles in some libms)
     return x * x
 
 
-def _greedy_seed(orders, nbr, coeff, wz, k, alpha, target):
-    """Greedy seeding of every restart in lockstep, orders (restarts, n)
-    holding each restart's nodes in seeding order. Node i goes to the
-    producer j of lowest cost alpha*((L_j + w_i - target)**2 - (L_j -
-    target)**2) plus the coefficients of i's neighbours already at j,
-    added slot by slot; the first minimum wins. wz holds the weights and
-    the sentinel's 0.0. Returns producer ids (restarts, n + 1), the last
-    column the sentinel's -1, and loads (restarts, k)."""
-    r, n = orders.shape
-    p = np.full((r, n + 1), -1)
-    loads = np.zeros((r, k))
-    rows, producers = np.arange(r), np.arange(k)
-    # per seeding position and restart: (w_i, 0.0), so that one square
-    # gives (L_j + w_i - target)**2 and (L_j + 0.0 - target)**2, which
-    # is (L_j - target)**2; then i's neighbour slots
-    added = np.stack([wz[orders.T], np.zeros((n, r))], axis=1)[..., None]
-    nbrs, coeffs = nbr[:, orders.T], coeff[:, orders.T][..., None]
-    for t, i in enumerate(orders.T):
-        sq = _square(loads + added[t] - target)
-        cost = alpha * (sq[0] - sq[1])
-        terms = np.where(p[rows, nbrs[:, t]][..., None] == producers, coeffs[:, t], 0.0)
-        for term in terms:  # in slot order, as the scalar loop adds them
-            cost += term
-        best = cost.argmin(axis=1)
-        p[rows, i] = best
-        loads[rows, best] += added[t, 0, :, 0]
-    return p, loads
-
-
 def _fixed_tables(neighbours, n):
-    """What _move_tables needs that stays fixed through a solve: every
-    (node, neighbour, edge coefficient) of the neighbour lists, node by
-    node in list order, and the mask of the pairs i >= j."""
+    """What seeding and _move_tables read that stays fixed through a
+    solve: every (node, neighbour, edge coefficient) of the neighbour
+    lists, node by node in list order, and the mask of the pairs i >= j."""
     node = np.array([i for i, edges in enumerate(neighbours) for _ in edges], dtype=np.intp)
     nbr = np.array([u for edges in neighbours for u, _ in edges], dtype=np.intp)
     coeff = np.array([c for edges in neighbours for _, c in edges], dtype=float)
     return node, nbr, coeff, np.arange(n)[:, None] >= np.arange(n)
 
 
+def _greedy_seed(orders, fixed, wz, k, alpha, target):
+    """Greedy seeding of every restart in lockstep, orders (restarts, n)
+    holding each restart's nodes in seeding order. Node i goes to the
+    producer j of lowest cost alpha*((L_j + w_i - target)**2 - (L_j -
+    target)**2), to which the coefficients of i's neighbours already at
+    j are then added in neighbour-list order; the first minimum wins.
+    fixed is _fixed_tables(neighbours, n) and wz the weights, then 0.0.
+    Returns producer ids (restarts, n), -1 before a node is placed, and
+    loads (restarts, k)."""
+    r, n = orders.shape
+    node, nbr, coeff, _ = fixed
+    p = np.full((r, n), -1)
+    loads = np.zeros((r, k))
+    rows = np.arange(r)
+    # per seeding position and restart: (w_i, 0.0), so that one square
+    # gives (L_j + w_i - target)**2 and (L_j + 0.0 - target)**2, which
+    # is (L_j - target)**2
+    added = np.stack([wz[orders.T], np.zeros((n, r))], axis=1)[..., None]
+    # the entries of i's neighbours at every position, restart by
+    # restart, each in list order; cut[t] is where position t's begin
+    first = np.searchsorted(node, np.arange(n + 1))
+    lo, count = first[orders.T].ravel(), np.diff(first)[orders.T].ravel()
+    ends = np.cumsum(count)
+    entry = np.arange(ends[-1]) - np.repeat(ends - count - lo, count)
+    restart = np.repeat(np.tile(rows, n), count)
+    cut = np.append(0, ends[r - 1::r])
+    for t, i in enumerate(orders.T):
+        sq = _square(loads + added[t] - target)
+        cost = alpha * (sq[0] - sq[1])
+        at, on = entry[cut[t]:cut[t + 1]], restart[cut[t]:cut[t + 1]]
+        producer = p[on, nbr[at]]
+        placed = producer >= 0
+        np.add.at(cost, (on[placed], producer[placed]), coeff[at[placed]])
+        best = cost.argmin(axis=1)
+        p[rows, i] = best
+        loads[rows, best] += added[t, 0, :, 0]
+    return p, loads
+
+
 def _move_tables(p, loads, wz, alpha, target, fixed):
     """Deltas of every move, (restarts, n*k) for relocating node i to
     producer j and (restarts, n*n) for swapping the producers of nodes
-    i < j; p (restarts, n + 1) ends in the sentinel column. Moves that
-    are not candidates (own producer, i >= j, shared producer) hold +inf.
+    i < j, at producer ids p (restarts, n). Moves that are not
+    candidates (own producer, i >= j, shared producer) hold +inf.
 
     g[r, i, j] sums the coefficients of i's neighbours at producer j
     from +0.0 in neighbour-list order (np.add.at applies repeated
@@ -598,53 +597,49 @@ def _move_tables(p, loads, wz, alpha, target, fixed):
     terms by g[i, j] - g[i, a]; swapping i (at a) with j (at b) by
     (g[i, b] - g[i, a]) + (g[j, a] - g[j, b]), less 2*c_ij where i and j
     are neighbours, as a swap leaves that edge cut. The balance terms
-    are added after. fixed is _fixed_tables(neighbours, n)."""
-    r, n, k = p.shape[0], p.shape[1] - 1, loads.shape[1]
+    are added after. fixed is _fixed_tables(neighbours, n) and wz the
+    weights, then 0.0."""
+    (r, n), k = p.shape, loads.shape[1]
     node, nbr, coeff, lower = fixed
     rows = np.arange(r)[:, None]
-    mine = p[:, :n]
     g = np.zeros((r, n, k))
     np.add.at(g, (rows, node, p[:, nbr]), coeff)
-    rel = g - g[rows, np.arange(n), mine][:, :, None]
-    swp = rel[rows[:, :, None], np.arange(n)[:, None], mine[:, None, :]]  # g[i, b] - g[i, a]
+    rel = g - g[rows, np.arange(n), p][:, :, None]
+    swp = rel[rows[:, :, None], np.arange(n)[:, None], p[:, None, :]]  # g[i, b] - g[i, a]
     swp = swp + swp.transpose(0, 2, 1)
     swp[rows, node, nbr] -= 2.0 * coeff
 
-    # one square per table; the sentinel's zero weight gives the squares
+    # one square per table; the closing zero weight gives the squares
     # without a node: (L_j - target)**2 and (own_i - w_i - target)**2
-    own = loads[rows, mine]
+    own = loads[rows, p]
     sq_rel = _square(loads[:, None, :] + wz[:, None] - target)
-    before = sq_rel[:, n][rows, mine]
+    before = sq_rel[:, n][rows, p]
     sq_swp = _square(own[:, :, None] - wz[:n, None] + wz - target)
     rel += alpha * (sq_rel[:, :n] - sq_rel[:, n, None])
     rel += alpha * (sq_swp[:, :, n] - before)[:, :, None]
-    np.putmask(rel, mine[:, :, None] == np.arange(k), np.inf)
+    np.putmask(rel, p[:, :, None] == np.arange(k), np.inf)
     # the balance change at i's producer; j's at (i, j) is this at (j, i)
     balance = alpha * (sq_swp[:, :, :n] - before[:, :, None])
     swp += balance
     swp += balance.transpose(0, 2, 1)
-    np.putmask(swp, (mine[:, :, None] == mine[:, None, :]) | lower, np.inf)
+    np.putmask(swp, (p[:, :, None] == p[:, None, :]) | lower, np.inf)
     return rel.reshape(r, -1), swp.reshape(r, -1)
 
 
-def _local_search(p, loads, neighbours, wz, alpha, target):
+def _local_search(p, loads, fixed, wz, alpha, target):
     """Best-improvement relocate/swap descent of all restarts in lockstep.
 
-    p (restarts, n + 1) producer ids, ending in the sentinel column, and
-    loads (restarts, k) are updated in place; returns the moves applied
-    per restart. neighbours holds each node's (neighbour, edge
-    coefficient) pairs and wz the weights, then the sentinel's 0.0. Each
-    step reads _move_tables, whose fixed arrays are built once here, and
-    takes the first minimum of the relocations, row-major over (node,
-    producer), unless the first minimum of the swaps, row-major over
-    i < j, lies strictly below it; a restart stops when neither is below
-    -1e-12.
+    p (restarts, n) producer ids and loads (restarts, k) are updated in
+    place; returns the moves applied per restart. fixed is
+    _fixed_tables(neighbours, n) and wz the weights, then 0.0. Each step
+    reads _move_tables and takes the first minimum of the relocations,
+    row-major over (node, producer), unless the first minimum of the
+    swaps, row-major over i < j, lies strictly below it; a restart stops
+    when neither is below -1e-12.
     """
-    r, n = p.shape[0], len(neighbours)
-    k = loads.shape[1]
+    (r, n), k = p.shape, loads.shape[1]
     group = max(1, 2**20 // n**2)  # restarts per step, bounding the swap tables
     moves = np.zeros(r, dtype=np.int64)
-    fixed = _fixed_tables(neighbours, n)
     todo = np.arange(r)
     while todo.size:
         live, at = todo[:group], np.arange(min(group, todo.size))
@@ -679,12 +674,15 @@ def solve_heuristic(q: QuboInstance, seed: int = 0, restarts: int = 8) -> SolveR
     exactly once. Restart 0 seeds nodes heaviest-first; later restarts
     use random orders. All restarts are seeded and then descend in
     lockstep, a fixed handful of numpy calls per seeding position and
-    per step (seeding over padded neighbour slots, the descent over one
-    node-by-producer table of edge coefficients, _move_tables), in
-    groups whose swap tables stay near 8 MB; each restart matches a
-    scalar scan bit for bit. Restarts compete on the QUBO energy of
-    their final assignments in q, ties to the earliest restart, so
-    results line up with the other solvers.
+    per step. Both read one flat list of (node, neighbour, edge
+    coefficient) entries built once per solve (_fixed_tables): seeding
+    adds the coefficients of a node's placed neighbours after the
+    balance term, in neighbour-list order, and the descent sums them
+    into one node-by-producer table (_move_tables), in groups whose
+    swap tables stay near 8 MB. Each restart matches a scalar scan bit
+    for bit. Restarts compete on the QUBO energy of their final
+    assignments in q, ties to the earliest restart, so results line up
+    with the other solvers.
     """
     restarts = number(restarts, "restarts", SolverError, integer=True, least=1)
     seed = number(seed, "seed", SolverError, integer=True, least=0)
@@ -695,14 +693,13 @@ def solve_heuristic(q: QuboInstance, seed: int = 0, restarts: int = 8) -> SolveR
     if q.k == 1:  # every node on producer 0 is the only feasible answer
         return _result(q, [[0] * n], "heuristic", seed, 0)
     weights = obj.weights.tolist()
-    neighbours = _neighbours(obj)
-    nbr, coeff = _neighbour_slots(neighbours)
+    fixed = _fixed_tables(_neighbours(obj), n)
     wz = np.append(obj.weights, 0.0)
 
     children = np.random.SeedSequence(seed).spawn(max(restarts - 1, 1))
     orders = np.array([sorted(range(n), key=lambda i: (-weights[i], i))] + [
         np.random.default_rng(child).permutation(n) for child in children[: restarts - 1]
     ])
-    producers, loads = _greedy_seed(orders, nbr, coeff, wz, q.k, obj.alpha, obj.target)
-    moves = _local_search(producers, loads, neighbours, wz, obj.alpha, obj.target)
-    return _result(q, producers[:, :n], "heuristic", seed, int(moves.sum()))
+    producers, loads = _greedy_seed(orders, fixed, wz, q.k, obj.alpha, obj.target)
+    moves = _local_search(producers, loads, fixed, wz, obj.alpha, obj.target)
+    return _result(q, producers, "heuristic", seed, int(moves.sum()))

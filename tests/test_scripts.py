@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -36,3 +38,26 @@ def test_reproduce_trends_runs_end_to_end(tmp_path):
     peaks = [line.split(":")[0] for line in done.stdout.splitlines()
              if "blended score peaks" in line]
     assert peaks == ["ring", "tree"], done.stdout
+
+
+@pytest.mark.parametrize("script, args", [
+    ("benchmark_solvers.py", ["--runs", "0"]),
+    ("benchmark_solvers.py", ["--runs", "1", "--sweeps", "0"]),
+    ("benchmark_solvers.py", ["--runs", "x"]),
+    ("reproduce_trends.py", ["--max-producers", "30"]),
+    ("reproduce_trends.py", ["--threads", "0"]),
+    ("reproduce_trends.py", ["--restarts", "0"]),
+])
+def test_scripts_refuse_bad_arguments_with_one_error_line(tmp_path, script, args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args]
+        + (["--out", str(out)] if script == "reproduce_trends.py" else []),
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 2, done.stderr
+    assert len(done.stderr.splitlines()) == 1, done.stderr
+    assert done.stderr.startswith("error: "), done.stderr
+    assert done.stdout == ""
+    assert not out.exists()

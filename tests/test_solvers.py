@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -634,15 +635,9 @@ def edge_coefficients(neighbours, beta):
 
 
 def kernel_inputs(neighbours, w, beta):
-    """The kernels' padded neighbour slots, coefficients and weights
-    followed by the sentinel's 0.0."""
-    nbr, coeff = solvers._neighbour_slots(edge_coefficients(neighbours, beta))
-    return nbr, coeff, np.append(w, 0.0)
-
-
-def with_sentinel(producers):
-    """Producer rows as the kernels hold them, ending in the sentinel's -1."""
-    return np.array([list(row) + [-1] for row in producers])
+    """The kernels' fixed neighbour entries, and the weights followed by
+    the 0.0 of the squares without a node."""
+    return solvers._fixed_tables(edge_coefficients(neighbours, beta), len(w)), np.append(w, 0.0)
 
 
 def loads_of(producer_of, w, k):
@@ -652,13 +647,23 @@ def loads_of(producer_of, w, k):
     return loads
 
 
-def lockstep(starts, neighbours, w, beta, alpha, target):
-    p = with_sentinel(s[0] for s in starts)
+def lockstep(starts, neighbours, w, beta, alpha, target, steps=None):
+    """_local_search from the starts. With steps set, a descent that asks
+    for more move tables than that fails at once, so a kernel whose
+    deltas let it cycle fails instead of running on."""
+    p = np.array([s[0] for s in starts])
     loads = np.array([s[1] for s in starts])
-    moves = solvers._local_search(
-        p, loads, edge_coefficients(neighbours, beta), np.append(w, 0.0), alpha, target
-    )
-    return p[:, :-1], loads, moves
+    tables, real = itertools.count(1), solvers._move_tables
+
+    def bounded(*args):
+        if steps is not None and next(tables) > steps:
+            pytest.fail(f"the descent took more than {steps} steps")
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "_move_tables", bounded)
+        moves = solvers._local_search(p, loads, *kernel_inputs(neighbours, w, beta), alpha, target)
+    return p, loads, moves
 
 
 def equivalence_cases():
@@ -670,14 +675,25 @@ def equivalence_cases():
     yield "hub30", hub_topology(5), compute_weights(demands)
 
 
+def complete_topology(seed, n=12):
+    """Every pair of nodes joined: neighbour lists n - 1 long."""
+    rng = np.random.default_rng(seed)
+    return Topology(nodes=n, edges=tuple(
+        (a, b, float(rng.uniform(0.5, 2.0))) for a in range(n) for b in range(a + 1, n)
+    ))
+
+
 def signed_cases():
     """equivalence_cases with edge coefficient sign +1.0, then a ring
-    with chords, the degree-29 hub and a tree again with -1.0: the
-    unweighted builder hands the heuristic -2 * beta per edge."""
+    with chords, the degree-29 hub and a tree again with -1.0 (the
+    unweighted builder hands the heuristic -2 * beta per edge), then a
+    complete graph."""
     cases = list(equivalence_cases())
     yield from ((*case, 1.0) for case in cases)
     negated = ("ring8c5s109", "tree8b3s116", "hub30")
     yield from ((*case, -1.0) for case in cases if case[0] in negated)
+    demands = synthetic_demands(12, timesteps=48, seed=6, anchor_scale=3.0)
+    yield "complete12", complete_topology(6), compute_weights(demands), 1.0
 
 
 def seeding_orders(w, rng, randoms=3):
@@ -690,10 +706,11 @@ def seeding_orders(w, rng, randoms=3):
 @pytest.mark.parametrize("k", range(1, 9))
 def test_lockstep_seeding_matches_scalar_reference(k):
     rng = np.random.default_rng(100 + k)
-    for name, topo, weights in equivalence_cases():
+    for name, topo, weights, sign in signed_cases():
         if k > topo.nodes:
             continue
         neighbours, w, beta, alpha, target = search_problem(topo, weights, k)
+        beta *= sign
         orders = seeding_orders(w, rng)
         p, loads = solvers._greedy_seed(
             np.array(orders), *kernel_inputs(neighbours, w, beta), k, alpha, target
@@ -701,7 +718,7 @@ def test_lockstep_seeding_matches_scalar_reference(k):
         coeffs = edge_coefficients(neighbours, beta)
         for r, order in enumerate(orders):
             ref_p, ref_loads = greedy_seed_reference(order, coeffs, w, k, alpha, target)
-            assert p[r].tolist() == ref_p + [-1], (name, r)
+            assert p[r].tolist() == ref_p, (name, r)
             assert loads[r].tolist() == ref_loads, (name, r)
 
 
@@ -722,11 +739,15 @@ def test_lockstep_search_matches_scalar_reference(k):
         ]
         randoms = [rng.integers(0, k, size=n).tolist() for _ in range(2)]
         starts += [(p, loads_of(p, w, k)) for p in randoms]
-        p, loads, moves = lockstep(starts, neighbours, w, beta, alpha, target)
-        for r, (start_p, start_loads) in enumerate(starts):
-            ref_p, ref_loads, ref_moves = local_search_reference(
-                start_p, start_loads, neighbours, w, beta, [alpha] * k, target
-            )
+        refs = [
+            local_search_reference(start_p, start_loads, neighbours, w, beta, [alpha] * k, target)
+            for start_p, start_loads in starts
+        ]
+        # with every restart in one group, a step per move of the longest
+        # descent and one to find that no move is left
+        steps = max(ref_moves for _, _, ref_moves in refs) + 1
+        p, loads, moves = lockstep(starts, neighbours, w, beta, alpha, target, steps)
+        for r, (ref_p, ref_loads, ref_moves) in enumerate(refs):
             assert p[r].tolist() == ref_p, (name, r)
             assert loads[r].tolist() == ref_loads, (name, r)
             assert moves[r] == ref_moves, (name, r)
@@ -761,7 +782,7 @@ def test_move_tables_equal_reference_deltas_bit_for_bit():
             if scale < 1.0:  # meant to run on subnormal edge coefficients
                 assert 0.0 < 2.0 * beta * max(d for _, _, d in topo.edges) < np.finfo(float).tiny
             states = [rng.integers(0, k, size=n).tolist() for _ in range(3)]
-            p = with_sentinel(states)
+            p = np.array(states)
             loads = np.array([loads_of(s, w, k) for s in states])
             fixed = solvers._fixed_tables(edge_coefficients(neighbours, beta), n)
             rel, swp = solvers._move_tables(p, loads, np.append(w, 0.0), alpha, target, fixed)
