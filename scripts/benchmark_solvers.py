@@ -88,8 +88,9 @@ def main() -> int:
     parser.add_argument("--restarts", type=int, default=8)
     parser.add_argument("--seed", type=int, default=7000)
     args = parser.parse_args()
-    if args.runs < 1:
-        parser.error(f"--runs must be >= 1, got {args.runs}")
+    for flag in ("runs", "sweeps", "restarts"):  # refused before any work, by the flag's name
+        if getattr(args, flag) < 1:
+            parser.error(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     return guarded(benchmark, args)
 
 

@@ -33,14 +33,16 @@ from heatfair.cli import Parser, guarded
 from heatfair.ioutil import atomic_write_text
 from heatfair.workflow import write_sweep
 
+NODES = 24  # of each network
+
 
 def reproduce(args) -> int:
     rule = DistanceRule(kind="uniform", low=0.5, high=2.0)
     topologies = {
-        "ring": generate_ring(24, chords=4, rule=rule, seed=7),
-        "tree": generate_tree(24, branching=3, rule=rule, seed=7),
+        "ring": generate_ring(NODES, chords=4, rule=rule, seed=7),
+        "tree": generate_tree(NODES, branching=3, rule=rule, seed=7),
     }
-    demands = synthetic_demands(24, timesteps=168, seed=11, anchor_scale=20.0)
+    demands = synthetic_demands(NODES, timesteps=168, seed=11, anchor_scale=20.0)
     cfg = SweepConfig(
         max_producers=args.max_producers,
         solvers=(SolverSpec(name="heuristic", restarts=args.restarts),),
@@ -94,7 +96,13 @@ def main() -> int:
     parser.add_argument(
         "--restarts", type=int, default=8, help="local-search restarts per k"
     )
-    return guarded(reproduce, parser.parse_args())
+    args = parser.parse_args()
+    if not 1 <= args.max_producers <= NODES:  # refused before any work, by the flag's name
+        parser.error(f"--max-producers must lie in 1..{NODES}, got {args.max_producers}")
+    for flag in ("threads", "restarts"):
+        if getattr(args, flag) < 1:
+            parser.error(f"--{flag} must be >= 1, got {getattr(args, flag)}")
+    return guarded(reproduce, args)
 
 
 if __name__ == "__main__":

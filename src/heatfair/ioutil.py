@@ -27,8 +27,9 @@ def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
 
 
 def read_json(path: str, error: type[Exception]):
-    """The document in path; text that is not JSON raises error."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """The document in path, a UTF-8 byte-order mark skipped; text that
+    is not JSON raises error."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             return json.load(fh)
         except ValueError as exc:  # bad JSON, or an int past the digit limit

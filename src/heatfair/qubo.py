@@ -225,6 +225,13 @@ def _broken(a: np.ndarray, b: np.ndarray, vals: np.ndarray, lin: np.ndarray, nv:
                      repeat, vals == 0.0, ~np.isfinite(vals)]), at
 
 
+def _first_broken(broken: np.ndarray):
+    """The first term that breaks a rule of broken, a (rules, terms)
+    array, and the first rule it breaks; or None."""
+    bad = np.flatnonzero(broken.any(axis=0))
+    return (bad[0], np.argmax(broken[:, bad[0]])) if bad.size else None
+
+
 def _fault(lin: bool, a, b, c: float, rule: int, nv: int) -> str:
     """QuboInstance's message for the term (a, b) -> c, linear or not,
     that breaks rule (a row of _broken)."""
@@ -256,10 +263,10 @@ def _checked_terms(terms, nv: int) -> Terms:
     orders = []
     for lin, a, b, vals in ((True, t.lin_vars, t.lin_vars, t.lin_vals), (False, t.rows, t.cols, t.vals)):
         broken, order = _broken(a, b, vals, np.full(a.size, lin), nv)
-        bad = np.flatnonzero(broken.any(axis=0))
-        if bad.size:
-            at = bad[0]
-            raise QuboError(_fault(lin, a[at], b[at], float(vals[at]), np.argmax(broken[:, at]), nv))
+        first = _first_broken(broken)
+        if first:
+            at, rule = first
+            raise QuboError(_fault(lin, a[at], b[at], float(vals[at]), rule, nv))
         orders.append(order)
     lin, quad = orders
     return _read_only(Terms(t.lin_vars[lin], t.lin_vals[lin], t.rows[quad], t.cols[quad], t.vals[quad]))
@@ -544,149 +551,138 @@ def _lines(a: np.ndarray, b: np.ndarray, vals: np.ndarray):
                        zip(a[at].tolist(), b[at].tolist(), vals[at].tolist())])
 
 
-def _parse_header(path: str, line: str) -> tuple[int, int, int, float]:
-    parts = line.split()
-    if len(parts) != 6 or parts[0] != "p" or parts[1] != "qubo":
-        raise QuboFormatError(
-            f"{path}: line 1: expected 'p qubo <vars> <linear> <quad> <offset>', "
-            f"got {line!r}"
-        )
+def _column(kind: type, tokens: list[str]) -> np.ndarray:
+    """tokens read by kind, int or float, as an int64 or a float array;
+    ints past int64 are kept as Python ints, so each reads as written."""
+    values = list(map(kind, tokens))
     try:
-        return int(parts[2]), int(parts[3]), int(parts[4]), float(parts[5])
-    except ValueError:
-        raise QuboFormatError(f"{path}: line 1: malformed header {line!r}") from None
+        return np.array(values, dtype=np.int64 if kind is int else float)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
-def _ids(tokens: list[str]) -> np.ndarray:
-    ids = list(map(int, tokens))
-    try:
-        return np.array(ids, dtype=np.int64)
-    except OverflowError:  # an id past int64 is outside any header's range: read it as -1
-        return np.array([i if abs(i) < 2**63 else -1 for i in ids], dtype=np.int64)
-
-
-def _columns(lines: list[str]):
-    """The positions of the entry lines among lines and their columns
-    i, j, value. Each line must be blank or three tokens that int, int
-    and float read; any other raises ValueError."""
-    # each line's split is dropped at once: a block of them kept wakes the
-    # garbage collector, whose full passes walk every line of the file
-    counts = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
+def _columns(lines: list[str], counts: np.ndarray, kinds) -> list[np.ndarray]:
+    """The columns of lines, whose token counts are counts. Each line
+    must be blank or three tokens that kinds (a type per column) read;
+    any other raises ValueError."""
     if np.any((counts != 0) & (counts != 3)):
         raise ValueError("a line of other than three tokens")
     tokens = " ".join(lines).split()
-    i, j = _ids(tokens[0::3]), _ids(tokens[1::3])
-    return np.flatnonzero(counts), i, j, list(map(float, tokens[2::3]))
+    return [_column(kind, tokens[at::3]) for at, kind in enumerate(kinds)]
 
 
-def _entries(raw: list[str]):
-    """Line numbers and columns i, j, value of raw's entry lines, read
-    _BLOCK lines at a time, up to the first line that _columns cannot
-    read; and that line's fault, or None."""
-    cols = [np.empty(max(len(raw) - 1, 0), kind) for kind in (np.intp, np.int64, np.int64, float)]
-    filled, fault = 0, None
-    for lo in range(1, len(raw), _BLOCK):
-        lines = raw[lo:lo + _BLOCK]
-        try:
-            read = _columns(lines)
-        except ValueError:  # read the block up to its first unreadable line, then stop
-            for end, line in enumerate(lines):
+def _read(path: str, kinds):
+    """The first line of the text file at path and, from the lines after
+    it, read _BLOCK at a time: the line numbers and columns of those
+    before the first that _columns cannot read with kinds; that line as
+    (number, text), or None; and how many of them are not blank. Lines
+    are split as str.splitlines splits the whole text, and a UTF-8
+    byte-order mark is skipped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        blocks = iter(lambda: "".join(itertools.islice(fh, _BLOCK)).splitlines(), [])
+        first = next(blocks, None)
+        if first is None:
+            raise QuboFormatError(f"{path}: file is empty")
+        read, fault, count, lineno = [], None, 0, 2
+        for lines in itertools.chain([first[1:]], blocks):
+            counts = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
+            count += np.count_nonzero(counts)
+            if fault is None:
+                end = len(lines)
                 try:
-                    _columns([line])
-                except ValueError:
-                    why = ("malformed entry" if len(line.split()) == 3
-                           else "expected '<i> <j> <value>', got")
-                    fault = f"line {lo + end + 1}: {why} {line!r}"
-                    break
-            read = _columns(lines[:end])
-        at = slice(filled, filled + read[0].size)
-        cols[0][at] = lo + 1 + read[0]
-        cols[1][at], cols[2][at], cols[3][at] = read[1:]
-        filled = at.stop
-        if fault:
-            break
-    return [col[:filled] for col in cols], fault
+                    cols = _columns(lines, counts, kinds)
+                except ValueError:  # read the block up to its first unreadable line
+                    for end, line in enumerate(lines):
+                        try:
+                            _columns([line], counts[end:end + 1], kinds)
+                        except ValueError:
+                            break
+                    fault = lineno + end, line
+                    cols = _columns(lines[:end], counts[:end], kinds)
+                read.append([lineno + np.flatnonzero(counts[:end]), *cols])
+            lineno += len(lines)
+    return first[0], [np.concatenate(col) for col in zip(*read)], fault, count
 
 
-def import_qubo(path: str) -> QuboInstance:
-    """The instance in a coordinate file and its <path>.map sidecar,
-    its terms in any order. The first faulty line is named: one
-    that is not '<i> <j> <value>', an id out of range, a repeated entry,
-    or i > j. Then come a count other than the header's, the sidecar,
-    and a zero or non-finite value."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
-    if not raw:
-        raise QuboFormatError(f"{path}: file is empty")
-    num_vars, num_linear, num_quad, offset = _parse_header(path, raw[0])
-    (linenos, a, b, vals), fault = _entries(raw)
-    del raw  # one string per line: gone before the terms are copied
+def _entries(path: str):
+    """The variable count, offset and terms of the coordinate file at
+    path. The first faulty entry line is named: one that is not '<i>
+    <j> <value>', an id out of range, a repeated entry, or i > j; then a
+    count other than the header's."""
+    head, (linenos, a, b, vals), fault, _ = _read(path, (int, int, float))
+    parts = head.split()
+    if len(parts) != 6 or parts[:2] != ["p", "qubo"]:
+        raise QuboFormatError(
+            f"{path}: line 1: expected 'p qubo <vars> <linear> <quad> <offset>', got {head!r}")
+    try:
+        num_vars, num_linear, num_quad, offset = (*map(int, parts[2:5]), float(parts[5]))
+    except ValueError:
+        raise QuboFormatError(f"{path}: line 1: malformed header {head!r}") from None
     lin = a == b
-    broken = _broken(a, b, vals, lin, num_vars)[0][:3]  # the key rules; the values come last
-    bad = np.flatnonzero(broken.any(axis=0))
-    if bad.size:
-        at = bad[0]
+    first = _first_broken(_broken(a, b, vals, lin, num_vars)[0][:3])  # the values come last
+    if first:
+        at, rule = first
         why = (f"variable outside 0..{num_vars - 1}", "quadratic entry must have i < j",
                f"duplicate linear entry for {a[at]}" if lin[at]
-               else f"duplicate quadratic entry ({a[at]}, {b[at]})")[np.argmax(broken[:, at])]
+               else f"duplicate quadratic entry ({a[at]}, {b[at]})")[rule]
         raise QuboFormatError(f"{path}: line {linenos[at]}: {why}")
     if fault:
-        raise QuboFormatError(f"{path}: {fault}")
+        lineno, line = fault
+        why = "malformed entry" if len(line.split()) == 3 else "expected '<i> <j> <value>', got"
+        raise QuboFormatError(f"{path}: line {lineno}: {why} {line!r}")
     terms = Terms(a[lin], vals[lin], a[~lin], b[~lin], vals[~lin])
     if terms.lin_vars.size != num_linear or terms.rows.size != num_quad:
         raise QuboFormatError(
             f"{path}: header promises {num_linear} linear and {num_quad} "
             f"quadratic entries, found {terms.lin_vars.size} and {terms.rows.size}"
         )
+    return num_vars, offset, terms
 
-    map_path = path + ".map"
+
+def _sidecar(path: str, num_vars: int) -> tuple[int, int]:
+    """n and k of the .map sidecar at path, whose rows must list each of
+    the num_vars variables once, producer-major. Named in turn: the
+    header, n*k, the row count, then the first faulty row."""
     try:
-        with open(map_path, "r", encoding="utf-8") as fh:
-            map_raw = fh.read().splitlines()
+        head, (linenos, var, node, producer), fault, count = _read(path, (int, int, int))
     except FileNotFoundError:
-        raise QuboFormatError(f"{map_path}: sidecar mapping file not found") from None
-    if not map_raw:
-        raise QuboFormatError(f"{map_path}: file is empty")
-    head = map_raw[0].split()
-    if len(head) != 3 or head[0] != "map":
-        raise QuboFormatError(
-            f"{map_path}: line 1: expected 'map <n> <k>', got {map_raw[0]!r}"
-        )
+        raise QuboFormatError(f"{path}: sidecar mapping file not found") from None
+    parts = head.split()
+    if len(parts) != 3 or parts[0] != "map":
+        raise QuboFormatError(f"{path}: line 1: expected 'map <n> <k>', got {head!r}")
     try:
-        n, k = int(head[1]), int(head[2])
+        n, k = int(parts[1]), int(parts[2])
     except ValueError:
-        raise QuboFormatError(f"{map_path}: line 1: malformed header") from None
+        raise QuboFormatError(f"{path}: line 1: malformed header") from None
     if n * k != num_vars:
-        raise QuboFormatError(
-            f"{map_path}: n*k = {n * k} does not match {num_vars} variables"
-        )
-    entries = [(lineno, line) for lineno, line in enumerate(map_raw[1:], start=2) if line.strip()]
-    if len(entries) != num_vars:
-        raise QuboFormatError(
-            f"{map_path}: expected {num_vars} mapping rows, found {len(entries)}"
-        )
-    listed = set()
-    for lineno, line in entries:
-        parts = line.split()
-        if len(parts) != 3:
-            raise QuboFormatError(
-                f"{map_path}: line {lineno}: expected '<var> <node> <producer>'"
-            )
-        try:
-            var, node, producer = (int(p) for p in parts)
-        except ValueError:
-            raise QuboFormatError(
-                f"{map_path}: line {lineno}: malformed entry {line!r}"
-            ) from None
-        if (node, producer) != (var % n, var // n):  # var = producer*n + node, node < n
-            raise QuboFormatError(
-                f"{map_path}: line {lineno}: mapping is not producer-major "
-                f"(expected var = producer*{n} + node)"
-            )
-        if var in listed or not 0 <= var < num_vars:
-            why = "listed twice" if var in listed else f"outside 0..{num_vars - 1}"
-            raise QuboFormatError(f"{map_path}: line {lineno}: variable {var} {why}")
-        listed.add(var)
+        raise QuboFormatError(f"{path}: n*k = {n * k} does not match {num_vars} variables")
+    if count != num_vars:
+        raise QuboFormatError(f"{path}: expected {num_vars} mapping rows, found {count}")
+    # rows are read only where n*k = num_vars rows are listed, so n fits int64
+    first = var.size and _first_broken(np.array([
+        (node != var % n) | (producer != var // n),  # var = producer*n + node, node < n
+        *_broken(var, var, np.ones(var.size), np.ones(var.size, bool), num_vars)[0][[0, 2]],
+    ]))
+    if first:
+        at, rule = first
+        why = (f"mapping is not producer-major (expected var = producer*{n} + node)",
+               f"variable {var[at]} outside 0..{num_vars - 1}", f"variable {var[at]} listed twice")[rule]
+        raise QuboFormatError(f"{path}: line {linenos[at]}: {why}")
+    if fault:
+        lineno, line = fault
+        why = f"malformed entry {line!r}" if len(line.split()) == 3 else "expected '<var> <node> <producer>'"
+        raise QuboFormatError(f"{path}: line {lineno}: {why}")
+    return n, k
+
+
+def import_qubo(path: str) -> QuboInstance:
+    """The instance in a coordinate file and its <path>.map sidecar,
+    its terms in any order. Both files are streamed, _BLOCK lines at a
+    time, never held whole, and may start with a UTF-8 byte-order mark.
+    The .qubo's faults are named first (_entries), then the sidecar's
+    (_sidecar), then a zero or non-finite value."""
+    num_vars, offset, terms = _entries(path)
+    n, k = _sidecar(path + ".map", num_vars)
     try:
         return QuboInstance(n=n, k=k, offset=offset, terms=terms)
     except QuboError as exc:  # a zero or non-finite value, or n or k below 1

@@ -642,6 +642,30 @@ def test_compare_rejects_malformed_sweep_files(spoil, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_json_inputs_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    # editors on some systems save UTF-8 text with a byte-order mark;
+    # topology, weights, config and sweep files read the same with one
+    def marked(name):
+        (tmp_path / f"bom-{name}").write_text("\ufeff" + (tmp_path / name).read_text())
+        return f"bom-{name}"
+
+    write_demands(tmp_path / "d.csv", nodes=8, seed=3)
+    (tmp_path / "cfg.json").write_text(json.dumps({"k": 3, "solver": "anneal"}))
+    assert cli.main(["weights", "d.csv", "-o", "w.json"]) == 0
+    for kind in ("ring", "tree"):
+        assert cli.main(["generate", kind, "--nodes", "8", "-o", f"{kind}.json"]) == 0
+        assert cli.main(["sweep", f"{kind}.json", "--demands", "d.csv",
+                         "--max-producers", "2", "-o", f"{kind}-sweep"]) == 0
+    names = ("ring.json", "w.json", "cfg.json", "ring-sweep.json", "tree-sweep.json")
+    for out, (topo, weights, config, *sweeps) in (("plain", names), ("bom", map(marked, names))):
+        assert cli.main(["solve", topo, "--weights", weights, "--config", config,
+                         "-o", f"{out}.json"]) == 0, capsys.readouterr().err
+        assert cli.main(["compare", *sweeps, "-o", f"{out}.csv"]) == 0, capsys.readouterr().err
+    for suffix in (".json", ".csv"):
+        assert (tmp_path / f"bom{suffix}").read_bytes() == (tmp_path / f"plain{suffix}").read_bytes()
+    assert json.loads((tmp_path / "bom.json").read_text())["solver_name"] == "anneal"
+
+
 def test_config_file_sits_between_defaults_and_flags(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"nodes": 5, "output": str(tmp_path / "c.json")}))

@@ -904,6 +904,80 @@ def test_import_requires_sidecar(tmp_path):
         import_qubo(str(path))
 
 
+def test_import_streams_the_file(tmp_path):
+    # the lines are never held all at once: the peak stays within 3.5
+    # times the file (a list of all its lines took about 4.6 times)
+    n = 200
+    w = compute_weights(synthetic_demands(n, timesteps=24, seed=1))
+    q = build_qubo(generate_ring(n, chords=n // 6, seed=1), w, 4)
+    path = tmp_path / "q.qubo"
+    export_qubo(q, str(path))
+    tracemalloc.start()
+    try:
+        back = import_qubo(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back == q
+    assert peak < 3.5 * path.stat().st_size
+
+
+@pytest.mark.parametrize("block", [None, 1, 2])
+def test_import_names_the_first_sidecar_fault_in_any_block(tmp_path, monkeypatch, block):
+    # the rows are checked as arrays, however they were read: the header,
+    # then n*k, then the row count, then the first faulty row
+    if block:
+        monkeypatch.setattr(qubo, "_BLOCK", block)
+    path = tmp_path / "late.qubo"
+    export_qubo(instance_of(2, 2, {0: 1.0}, {}), str(path))
+    map_path = tmp_path / "late.qubo.map"
+    for text, message in (
+        ("map 2 2\n\n0 0 0\n1 1 0\n\n2 0 1\n1 1 0\n", "line 7: variable 1 listed twice"),
+        ("map 2 2\n0 0 0\n1 1 0\n2 0 1\n\n3 1 1 0\n", "line 6: expected '<var> <node> <producer>'"),
+        ("map 2 2\n0 0 0\n1 1 0\n\n2 0 1\n3 1 x\n", "line 6: malformed entry '3 1 x'"),
+        ("map 2 2\n0 0 0\n1 1 0\n2 1 1\nx y z\n", "line 4: mapping is not producer-major "
+         "(expected var = producer*2 + node)"),
+        ("map 2 2\n0 0 0\n1 1 x\n0 0 0\n3 1 1\n", "line 3: malformed entry '1 1 x'"),
+        ("map 2 2\n0 0 0\n1 1 0\n\n2 0 1\n4 0 2\n", "line 6: variable 4 outside 0..3"),
+        # var = producer*n + node holds for an id past int64, which is named as written
+        (f"map 2 2\n0 0 0\n1 1 0\n2 0 1\n{2**64} 0 {2**63}\n",
+         f"line 5: variable {2**64} outside 0..3"),
+        ("map 2 2\n0 0 0\x0c1 1 0\n2 0 1\n3 1 2\n", "line 5: mapping is not producer-major "
+         "(expected var = producer*2 + node)"),
+        ("map 2 2\n0 0\n0 0 0\n1 1 0\n2 0 1\n3 1 1\n", "expected 4 mapping rows, found 5"),
+        ("map 2 2\n0 0 0\n1 1 0\n2 0 1\n3 1 1\n\n0 0 0 0\n", "expected 4 mapping rows, found 5"),
+        ("map 2 x\n0 0 0\n", "line 1: malformed header"),
+        ("map 1 2\n0 0 0\n1 1 0\n2 0 1\n3 1 1\n", "n*k = 2 does not match 4 variables"),
+    ):
+        map_path.write_text(text)
+        with pytest.raises(QuboFormatError) as caught:
+            import_qubo(str(path))
+        assert str(caught.value) == f"{map_path}: {message}"
+    map_path.write_text("map 2 2\n\n3 1 1\n0 0 0\n\n2 0 1\n1 1 0\n")
+    assert import_qubo(str(path)) == instance_of(2, 2, {0: 1.0}, {})
+
+
+def test_import_reads_crlf_files_as_lf(tmp_path):
+    q = build_qubo(generate_ring(7, chords=2, seed=3), uniform_weights(7), 3)
+    export_qubo(q, str(tmp_path / "lf.qubo"))
+    for suffix in ("", ".map"):
+        text = (tmp_path / f"lf.qubo{suffix}").read_bytes()
+        assert b"\r" not in text
+        (tmp_path / f"crlf.qubo{suffix}").write_bytes(text.replace(b"\n", b"\r\n"))
+    assert import_qubo(str(tmp_path / "crlf.qubo")) == import_qubo(str(tmp_path / "lf.qubo")) == q
+
+
+def test_import_skips_a_byte_order_mark(tmp_path):
+    # editors on some systems save UTF-8 text with a byte-order mark
+    q = build_qubo(generate_ring(7, chords=2, seed=3), uniform_weights(7), 3)
+    export_qubo(q, str(tmp_path / "plain.qubo"))
+    for marked in (("",), (".map",), ("", ".map")):
+        for suffix in ("", ".map"):
+            text = (tmp_path / f"plain.qubo{suffix}").read_text()
+            (tmp_path / f"bom.qubo{suffix}").write_text("\ufeff" * (suffix in marked) + text)
+        assert import_qubo(str(tmp_path / "bom.qubo")) == q
+
+
 def test_builders_default_to_default_penalties(suite, tmp_path):
     """Leaving cfg out takes default_penalties, with uniform weights for
     the unweighted builder: the same offset, objective arrays and

@@ -47,6 +47,9 @@ def test_reproduce_trends_runs_end_to_end(tmp_path):
     ("reproduce_trends.py", ["--max-producers", "30"]),
     ("reproduce_trends.py", ["--threads", "0"]),
     ("reproduce_trends.py", ["--restarts", "0"]),
+    ("benchmark_solvers.py", ["--runs", "1", "--restarts", "0"]),
+    ("reproduce_trends.py", ["--max-producers", "0"]),
+    ("reproduce_trends.py", ["--threads", "-1"]),
 ])
 def test_scripts_refuse_bad_arguments_with_one_error_line(tmp_path, script, args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -59,5 +62,6 @@ def test_scripts_refuse_bad_arguments_with_one_error_line(tmp_path, script, args
     assert done.returncode == 2, done.stderr
     assert len(done.stderr.splitlines()) == 1, done.stderr
     assert done.stderr.startswith("error: "), done.stderr
+    assert args[-2] in done.stderr, done.stderr  # the flag the user typed
     assert done.stdout == ""
     assert not out.exists()

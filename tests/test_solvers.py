@@ -720,6 +720,19 @@ def test_lockstep_seeding_matches_scalar_reference(k):
             ref_p, ref_loads = greedy_seed_reference(order, coeffs, w, k, alpha, target)
             assert p[r].tolist() == ref_p, (name, r)
             assert loads[r].tolist() == ref_loads, (name, r)
+    if k > 1:
+        # nodes 0..2, at producer 0 when node 3 comes, carry coefficients that
+        # sum to 1e-30 in node 3's list order and to 0.0 in reverse, so only
+        # that order sends node 3 to producer 1 rather than 0
+        coeffs = [[(3, 1.0)], [(3, -1.0)], [(3, 1e-30)], [(0, 1.0), (1, -1.0), (2, 1e-30)]]
+        w = [0.0] * 4
+        orders = [[0, 1, 2, 3], [2, 0, 1, 3], [0, 3, 1, 2]]
+        p, loads = solvers._greedy_seed(
+            np.array(orders), solvers._fixed_tables(coeffs, 4), np.append(w, 0.0), k, 1.0, 0.0
+        )
+        for r, order in enumerate(orders):
+            assert (p[r].tolist(), loads[r].tolist()) == greedy_seed_reference(order, coeffs, w, k, 1.0, 0.0)
+        assert p[:2, 3].tolist() == [1, 1]
 
 
 @pytest.mark.parametrize("k", range(1, 9))
