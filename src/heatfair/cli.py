@@ -93,16 +93,16 @@ def _effective_args(ns: argparse.Namespace) -> dict:
             for key, value in doc.items()
         )
     merged.update((key, getattr(ns, key)) for key in defaults if getattr(ns, key) is not None)
-    if merged.get("seed", 0) < 0:  # numpy seeds are non-negative
-        raise workflow.WorkflowError(f"--seed must be >= 0, got {merged['seed']}")
+    for key, least in (("seed", 0), ("threads", 1)):  # numpy seeds are >= 0
+        if merged.get(key, least) < least:
+            raise workflow.WorkflowError(f"--{key} must be >= {least}, got {merged[key]}")
     missing = [key for key, value in merged.items() if value is ...]
     if missing:
         raise workflow.WorkflowError(f"--{missing[0].replace('_', '-')} is required")
     return merged
 
 
-def _cmd_generate(ns: argparse.Namespace) -> int:
-    args = _effective_args(ns)
+def _cmd_generate(ns: argparse.Namespace, args: dict) -> int:
     rule = graphs.DistanceRule(kind=args["distance"], low=args["low"], high=args["high"])
     if ns.kind == "ring":
         topo = graphs.generate_ring(
@@ -122,8 +122,7 @@ def _cmd_generate(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_weights(ns: argparse.Namespace) -> int:
-    args = _effective_args(ns)
+def _cmd_weights(ns: argparse.Namespace, args: dict) -> int:
     demands = demand.load_demands(ns.demands)
     weights = demand.compute_weights(demands)
     out = _resolve_output(args["output"])
@@ -132,8 +131,7 @@ def _cmd_weights(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_qubo(ns: argparse.Namespace) -> int:
-    args = _effective_args(ns)
+def _cmd_qubo(ns: argparse.Namespace, args: dict) -> int:
     topo = graphs.load_topology(ns.topology)
     penalty = _custom_penalty(args)
     if args["unweighted"]:
@@ -160,8 +158,7 @@ def _cmd_qubo(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_solve(ns: argparse.Namespace) -> int:
-    args = _effective_args(ns)
+def _cmd_solve(ns: argparse.Namespace, args: dict) -> int:
     started = time.monotonic()
     topo = graphs.load_topology(ns.topology)
     weights = demand.load_weights(args["weights"])
@@ -185,12 +182,15 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(ns: argparse.Namespace) -> int:
-    args = _effective_args(ns)
+def _cmd_sweep(ns: argparse.Namespace, args: dict) -> int:
     started = time.monotonic()
     formats = [f.strip() for f in args["format"].split(",") if f.strip()]
     workflow.check_formats(formats)  # before any cell is solved or the output folder made
     topo = graphs.load_topology(ns.topology)
+    if not 1 <= args["max_producers"] <= topo.nodes:
+        raise workflow.WorkflowError(
+            f"--max-producers must lie in 1..{topo.nodes}, got {args['max_producers']}"
+        )
     demands = demand.load_demands(args["demands"])
     solver_names = [s.strip() for s in args["solvers"].split(",") if s.strip()]
     specs = tuple(_solver_spec(args, name) for name in solver_names)  # SweepConfig refuses none
@@ -219,8 +219,7 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_compare(ns: argparse.Namespace) -> int:
-    args = _effective_args(ns)
+def _cmd_compare(ns: argparse.Namespace, args: dict) -> int:
     rows = workflow.compare_topologies([workflow.load_sweep(path) for path in ns.sweeps])
     out = _resolve_output(args["output"])
     atomic_write_text(out, workflow.comparison_to_csv_text(rows))
@@ -354,7 +353,7 @@ def guarded(body, *args) -> int:
 
 def main(argv=None) -> int:
     ns = _build_parser().parse_args(argv)
-    return guarded(_COMMANDS[ns.command][0], ns)
+    return guarded(lambda: _COMMANDS[ns.command][0](ns, _effective_args(ns)))
 
 
 if __name__ == "__main__":

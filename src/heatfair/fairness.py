@@ -26,48 +26,31 @@ class FairnessError(ValueError):
     """Raised for undefined metrics or invalid inputs."""
 
 
-@dataclasses.dataclass(frozen=True)
-class ProducerLoads:
-    """Per-producer share of total demand, nonnegative, summing to the
-    total node weight."""
-
-    y: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.y, dtype=float)
-        if arr.ndim != 1 or arr.size < 1:
-            raise FairnessError(f"loads must be a non-empty vector, got {arr.shape}")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-            raise FairnessError("loads must be finite and nonnegative")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "y", arr)
-
-    @property
-    def k(self) -> int:
-        return int(self.y.size)
-
-
-def producer_loads(a: Assignment, w: WeightVector) -> ProducerLoads:
+def producer_loads(a: Assignment, w: WeightVector) -> np.ndarray:
+    """Each producer's share of the node weight: a length-k vector
+    summing to the total weight."""
     if a.n != w.nodes:
         raise FairnessError(
             f"assignment covers {a.n} nodes but weights cover {w.nodes}"
         )
-    loads = np.bincount(
-        np.asarray(a.producer_of), weights=w.values, minlength=a.k
-    )
-    return ProducerLoads(y=loads)
+    return np.bincount(np.asarray(a.producer_of), weights=w.values, minlength=a.k)
 
 
-def jain_index(loads: ProducerLoads) -> float:
-    """(sum y)^2 / (k * sum y^2); 1 iff all shares equal, 1/k at full
-    concentration. The index is at most 1 (Cauchy-Schwarz), so a
-    rounding excess over 1, as for k equal loads at k = 12, is clamped."""
-    y = loads.y
+def jain_index(loads) -> float:
+    """(sum y)^2 / (k * sum y^2) of the load vector y; 1 iff all shares
+    equal, 1/k at full concentration. The index is at most 1
+    (Cauchy-Schwarz), so a rounding excess over 1, as for k equal loads
+    at k = 12, is clamped. An empty, non-vector, negative, non-finite
+    or all-zero y raises FairnessError."""
+    y = np.asarray(loads, dtype=float)
+    if y.ndim != 1 or y.size < 1:
+        raise FairnessError(f"loads must be a non-empty vector, got {y.shape}")
+    if not np.all(np.isfinite(y)) or np.any(y < 0.0):
+        raise FairnessError("loads must be finite and nonnegative")
     total = float(y.sum())
     if total == 0.0:
         raise FairnessError("all producer loads are zero; the index is undefined")
-    return min(float(total * total / (loads.k * float(y @ y))), 1.0)
+    return min(float(total * total / (y.size * float(y @ y))), 1.0)
 
 
 def distance_index(

@@ -160,6 +160,14 @@ def canonical_form(producer_of, k: int) -> Assignment:
     return Assignment(producer_of=tuple(out), k=k)
 
 
+def _objective(q: QuboInstance, who: str) -> Objective:
+    """q.objective, which an instance read back by import_qubo lacks;
+    who names the caller in the refusal."""
+    if q.objective is None:
+        raise SolverError(f"{who} needs the instance's objective; an imported one has none")
+    return q.objective
+
+
 def decode_and_repair(q: QuboInstance, bits) -> Assignment:
     """Turn any bit vector into a feasible assignment; any nonzero entry
     counts as set. Nodes are visited in index order. A node with exactly
@@ -170,9 +178,7 @@ def decode_and_repair(q: QuboInstance, bits) -> Assignment:
     rule. The first candidate within 1e-9 of the node's field scale of
     the lowest wins, so an exact tie goes to the lower id.
     """
-    obj = q.objective
-    if obj is None:
-        raise SolverError("repair needs the instance's objective; an imported one has none")
+    obj = _objective(q, "repair")
     vec = np.asarray(bits).ravel()
     if vec.size != q.num_vars:
         raise SolverError(f"got {vec.size} bits for {q.num_vars} variables")
@@ -245,9 +251,7 @@ def solve_exhaustive(q: QuboInstance, max_vars: int = 24) -> SolveResult:
     keeping only the codes _near_lowest the running lowest. That bound
     rises with the lowest, so a dropped code is not near the final one.
     """
-    if q.objective is None:
-        raise SolverError("the exhaustive solver needs the instance's objective; "
-                          "an imported one has none")
+    _objective(q, "the exhaustive solver")
     if q.num_vars > number(max_vars, "max_vars", SolverError, integer=True):
         raise SolverError(
             f"instance has {q.num_vars} variables, exhaustive cap is {max_vars}"
@@ -503,9 +507,7 @@ def solve_anneal(q: QuboInstance, cfg: AnnealConfig) -> SolveResult:
     decode_and_repair's rule; restarts compete on post-repair energy,
     ties to the earliest restart.
     """
-    obj = q.objective
-    if obj is None:
-        raise SolverError("the annealer needs the instance's objective; an imported one has none")
+    obj = _objective(q, "the annealer")
     if cfg.t_initial is None:
         t_initial, t_final = _auto_temperatures(obj, q.k)
     else:
@@ -686,9 +688,7 @@ def solve_heuristic(q: QuboInstance, seed: int = 0, restarts: int = 8) -> SolveR
     """
     restarts = number(restarts, "restarts", SolverError, integer=True, least=1)
     seed = number(seed, "seed", SolverError, integer=True, least=0)
-    obj = q.objective
-    if obj is None:
-        raise SolverError("the heuristic needs the instance's objective; an imported one has none")
+    obj = _objective(q, "the heuristic")
     n = q.n
     if q.k == 1:  # every node on producer 0 is the only feasible answer
         return _result(q, [[0] * n], "heuristic", seed, 0)

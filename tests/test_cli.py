@@ -525,6 +525,25 @@ def test_sweep_refuses_a_name_given_twice(tmp_path, capsys, flags, message):
     assert list(outdir.iterdir()) == []
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--max-producers", "30"], "--max-producers must lie in 1..24, got 30"),
+    (["--max-producers", "0"], "--max-producers must lie in 1..24, got 0"),
+    (["--threads", "0"], "--threads must be >= 1, got 0"),
+], ids=["max-producers-past-n", "max-producers-zero", "threads-zero"])
+def test_sweep_names_the_flag_it_refuses(tmp_path, capsys, flags, message):
+    save_topology(graphs.generate_ring(24), str(tmp_path / "ring.json"))
+    write_demands(tmp_path / "d.csv", nodes=24)
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    capsys.readouterr()
+    assert cli.main([
+        "sweep", str(tmp_path / "ring.json"), "--demands", str(tmp_path / "d.csv"),
+        *flags, "-o", str(outdir / "bad"),
+    ]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(outdir.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [(["--sweeps", "0"], "sweeps must be >= 1"),

@@ -6,7 +6,6 @@ from heatfair import (
     Assignment,
     FairnessError,
     KpiReport,
-    ProducerLoads,
     Topology,
     WeightVector,
     all_pairs_shortest_paths,
@@ -34,9 +33,9 @@ def normalised(values) -> WeightVector:
 def test_producer_loads_accumulates_by_producer():
     w = normalised([1.0, 2.0, 3.0, 4.0])
     loads = producer_loads(Assignment(producer_of=(0, 1, 0, 1), k=2), w)
-    assert loads.y.tolist() == pytest.approx([0.4, 0.6], rel=1e-12)
+    assert loads.tolist() == pytest.approx([0.4, 0.6], rel=1e-12)
     empty_tail = producer_loads(Assignment(producer_of=(0, 0, 0, 0), k=3), w)
-    assert empty_tail.y.tolist() == pytest.approx([1.0, 0.0, 0.0], abs=1e-15)
+    assert empty_tail.tolist() == pytest.approx([1.0, 0.0, 0.0], abs=1e-15)
 
 
 @given(st.data())
@@ -50,25 +49,34 @@ def test_producer_loads_matches_plain_accumulation(data):
     expected = [0.0] * k
     for i, p in enumerate(producer_of):
         expected[p] += float(w.values[i])
-    assert loads.y.tolist() == pytest.approx(expected, rel=1e-12, abs=1e-15)
+    assert loads.tolist() == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 def test_producer_loads_validation():
     with pytest.raises(FairnessError, match="covers 2 nodes but weights cover 3"):
         producer_loads(Assignment(producer_of=(0, 0), k=1), uniform_weights(3))
-    with pytest.raises(FairnessError, match="nonnegative"):
-        ProducerLoads(y=np.array([0.5, -0.1]))
-    with pytest.raises(FairnessError, match="non-empty vector"):
-        ProducerLoads(y=np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("loads, message", [
+    (np.zeros((2, 2)), r"loads must be a non-empty vector, got \(2, 2\)"),
+    (7.0, r"loads must be a non-empty vector, got \(\)"),
+    ([], r"loads must be a non-empty vector, got \(0,\)"),
+    (np.array([0.5, -0.1]), "loads must be finite and nonnegative"),
+    ([0.5, float("nan")], "loads must be finite and nonnegative"),
+    ([float("inf"), 1.0], "loads must be finite and nonnegative"),
+], ids=["matrix", "scalar", "empty", "negative", "nan", "inf"])
+def test_jain_refuses_what_is_not_a_load_vector(loads, message):
+    with pytest.raises(FairnessError, match=f"^{message}$"):
+        jain_index(loads)
 
 
 def test_jain_known_values():
-    assert jain_index(ProducerLoads(y=np.array([0.5, 0.5]))) == 1.0
-    assert jain_index(ProducerLoads(y=np.array([1.0, 0.0]))) == 0.5
-    assert jain_index(ProducerLoads(y=np.array([0.2, 0.3, 0.5]))) == pytest.approx(
+    assert jain_index(np.array([0.5, 0.5])) == 1.0
+    assert jain_index(np.array([1.0, 0.0])) == 0.5
+    assert jain_index(np.array([0.2, 0.3, 0.5])) == pytest.approx(
         0.8771929824561403, abs=1e-15
     )
-    assert jain_index(ProducerLoads(y=np.array([7.0]))) == 1.0
+    assert jain_index(np.array([7.0])) == 1.0
     # one node per producer on uniform weights: here the float quotient
     # of the equal loads rounds past 1
     for k in (10, 12, 21, 23, 25, 35, 39):
@@ -78,12 +86,12 @@ def test_jain_known_values():
 
 def test_jain_all_zero_is_undefined():
     with pytest.raises(FairnessError, match="undefined"):
-        jain_index(ProducerLoads(y=np.zeros(3)))
+        jain_index(np.zeros(3))
 
 
 @given(st.floats(0.01, 50.0), st.integers(1, 8))
 def test_jain_equal_loads_score_one(value, k):
-    assert jain_index(ProducerLoads(y=np.full(k, value))) == pytest.approx(
+    assert jain_index(np.full(k, value)) == pytest.approx(
         1.0, abs=1e-12
     )
 
@@ -92,14 +100,14 @@ def test_jain_equal_loads_score_one(value, k):
 def test_jain_full_concentration_scores_one_over_k(k):
     y = np.zeros(k)
     y[0] = 3.5
-    assert jain_index(ProducerLoads(y=y)) == pytest.approx(1.0 / k, abs=1e-12)
+    assert jain_index(y) == pytest.approx(1.0 / k, abs=1e-12)
 
 
 @given(positive_loads, st.floats(0.01, 100.0))
 def test_jain_is_scale_invariant(values, c):
     y = np.asarray(values)
-    base = jain_index(ProducerLoads(y=y))
-    assert jain_index(ProducerLoads(y=c * y)) == pytest.approx(base, rel=1e-9)
+    base = jain_index(y)
+    assert jain_index(c * y) == pytest.approx(base, rel=1e-9)
     assert 1.0 / len(values) - 1e-12 <= base <= 1.0 + 1e-12
 
 
@@ -107,8 +115,8 @@ def test_jain_is_scale_invariant(values, c):
 def test_jain_is_permutation_invariant(values, rand):
     shuffled = list(values)
     rand.shuffle(shuffled)
-    assert jain_index(ProducerLoads(y=np.asarray(shuffled))) == pytest.approx(
-        jain_index(ProducerLoads(y=np.asarray(values))), rel=1e-12
+    assert jain_index(np.asarray(shuffled)) == pytest.approx(
+        jain_index(np.asarray(values)), rel=1e-12
     )
 
 
