@@ -13,7 +13,7 @@ import dataclasses
 
 import numpy as np
 
-from .ioutil import number, read_json, write_json
+from .ioutil import csv_text, number, read_json, write_json
 
 
 class DemandError(ValueError):
@@ -158,43 +158,48 @@ def synthetic_demands(
 
 
 def demands_to_csv_text(demands: DemandMatrix) -> str:
-    lines = [",".join(demands.node_label(i) for i in range(demands.nodes))]
-    for row in demands.values:
-        lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    labels = [demands.node_label(i) for i in range(demands.nodes)]
+    return csv_text([labels, *demands.values.tolist()])
 
 
 def load_demands(path: str) -> DemandMatrix:
     """Read a demand table from CSV: header of node labels, rows of
-    samples. A UTF-8 byte-order mark, as spreadsheets write, is skipped."""
+    samples. A UTF-8 byte-order mark, as spreadsheets write, is skipped,
+    and so is whitespace around a label. Text that is not UTF-8, or that
+    csv.reader refuses (a field past csv.field_size_limit()), raises
+    DemandError."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DemandError(f"{path}: file is empty") from None
-        labels = tuple(cell.strip() for cell in header)
-        if any(not lbl for lbl in labels):
-            raise DemandError(f"{path}: header contains an empty label")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(labels):
-                raise DemandError(
-                    f"{path}: line {lineno} has {len(row)} cells, "
-                    f"expected {len(labels)}"
-                )
-            parsed = []
-            for col, cell in enumerate(row):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
+            header = next(reader, None)
+            if header is None:
+                raise DemandError(f"{path}: file is empty")
+            labels = tuple(cell.strip() for cell in header)
+            if any(not lbl for lbl in labels):
+                raise DemandError(f"{path}: header contains an empty label")
+            rows = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != len(labels):
                     raise DemandError(
-                        f"{path}: line {lineno}, column {labels[col]!r}: "
-                        f"{cell!r} is not a number"
-                    ) from None
-            rows.append(parsed)
+                        f"{path}: line {lineno} has {len(row)} cells, "
+                        f"expected {len(labels)}"
+                    )
+                parsed = []
+                for col, cell in enumerate(row):
+                    try:
+                        parsed.append(float(cell))
+                    except ValueError:
+                        raise DemandError(
+                            f"{path}: line {lineno}, column {labels[col]!r}: "
+                            f"{cell!r} is not a number"
+                        ) from None
+                rows.append(parsed)
+        except csv.Error as exc:
+            raise DemandError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DemandError(f"{path}: not UTF-8 text ({exc})") from None
     if not rows:
         raise DemandError(f"{path}: no data rows after the header")
     try:

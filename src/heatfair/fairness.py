@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 
@@ -36,21 +37,31 @@ def producer_loads(a: Assignment, w: WeightVector) -> np.ndarray:
     return np.bincount(np.asarray(a.producer_of), weights=w.values, minlength=a.k)
 
 
+_NORMAL = sys.float_info.min  # the smallest normal float
+
+
 def jain_index(loads) -> float:
     """(sum y)^2 / (k * sum y^2) of the load vector y; 1 iff all shares
     equal, 1/k at full concentration. The index is at most 1
     (Cauchy-Schwarz), so a rounding excess over 1, as for k equal loads
-    at k = 12, is clamped. An empty, non-vector, negative, non-finite
-    or all-zero y raises FairnessError."""
+    at k = 12, is clamped. Where a sum overflows or falls below the
+    normal floats, y is first scaled by the power of two that brings its
+    largest entry into [0.5, 1), which leaves the index unchanged. An
+    empty, non-vector, negative, non-finite or all-zero y raises
+    FairnessError."""
     y = np.asarray(loads, dtype=float)
     if y.ndim != 1 or y.size < 1:
         raise FairnessError(f"loads must be a non-empty vector, got {y.shape}")
     if not np.all(np.isfinite(y)) or np.any(y < 0.0):
         raise FairnessError("loads must be finite and nonnegative")
-    total = float(y.sum())
-    if total == 0.0:
+    if not np.any(y):
         raise FairnessError("all producer loads are zero; the index is undefined")
-    return min(float(total * total / (y.size * float(y @ y))), 1.0)
+    with np.errstate(over="ignore", under="ignore"):
+        total, squares = float(y.sum()), float(y @ y)
+        if not (_NORMAL <= total * total < math.inf and _NORMAL <= squares < math.inf):
+            y = np.ldexp(y, -np.frexp(y.max())[1])
+            total, squares = float(y.sum()), float(y @ y)
+    return min(total * total / (y.size * squares), 1.0)
 
 
 def distance_index(

@@ -1,5 +1,6 @@
 """File helpers shared across modules: atomic writes, JSON in and out,
-and the one check of a number read from outside."""
+the one rule for CSV text, and the one check of a number read from
+outside."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import json
 import numbers
 import operator
 import os
+import re
 from collections.abc import Iterable
 
 
@@ -39,6 +41,20 @@ def read_json(path: str, error: type[Exception]):
 def write_json(path: str, doc) -> None:
     """doc as indented JSON plus a newline, written atomically."""
     atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+
+
+_CSV_QUOTED = re.compile('[,"\r\n]')
+
+
+def csv_text(rows) -> str:
+    """rows of fields as CSV lines, each ended by "\n". A field is its
+    str (for a float, the shortest text that reads back to it); one that
+    holds a comma, a double quote, a CR or an LF is wrapped in double
+    quotes with each quote inside doubled, as RFC 4180 has it."""
+    def field(value) -> str:
+        text = str(value)
+        return '"' + text.replace('"', '""') + '"' if _CSV_QUOTED.search(text) else text
+    return "".join(",".join(map(field, row)) + "\n" for row in rows)
 
 
 def integral(kind: type) -> bool:

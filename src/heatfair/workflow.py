@@ -20,7 +20,7 @@ import numpy as np
 from . import graphs
 from .demand import DemandMatrix, compute_weights
 from .fairness import KpiReport, score_assignment
-from .ioutil import atomic_write_text, number, read_json, shown, write_json
+from .ioutil import atomic_write_text, csv_text, number, read_json, shown, write_json
 from .qubo import PenaltyConfig, QuboInstance, build_qubo
 from .solvers import (
     AnnealConfig, SolveResult, SolverError, solve_anneal, solve_exhaustive, solve_heuristic,
@@ -282,13 +282,8 @@ def sweep_from_dict(doc) -> SweepResult:
 
 
 def sweep_to_csv_text(result: SweepResult) -> str:
-    lines = ["k,solver,jain,distance_index,kpi,energy"]
-    for r in result.reports:
-        lines.append(
-            f"{r.k},{r.solver_name},{r.jain!r},{r.distance_index!r},"
-            f"{r.kpi!r},{r.energy!r}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = [(r.k, r.solver_name, r.jain, r.distance_index, r.kpi, r.energy) for r in result.reports]
+    return csv_text([("k", "solver", "jain", "distance_index", "kpi", "energy"), *rows])
 
 
 def sweep_to_gnuplot_texts(result: SweepResult) -> dict[str, str]:
@@ -387,10 +382,5 @@ def compare_topologies(sweeps) -> list[dict]:
 
 
 def comparison_to_csv_text(rows: list[dict]) -> str:
-    lines = ["topology,solver,k,jain,distance_index,kpi"]
-    for row in rows:
-        lines.append(
-            f"{row['topology']},{row['solver']},{row['k']},"
-            f"{row['jain']!r},{row['distance_index']!r},{row['kpi']!r}"
-        )
-    return "\n".join(lines) + "\n"
+    columns = ("topology", "solver", "k", "jain", "distance_index", "kpi")
+    return csv_text([columns, *([row[c] for c in columns] for row in rows)])

@@ -157,6 +157,15 @@ def test_weights_reject_peaks_summing_past_the_float_range(tmp_path, capsys):
     assert not (tmp_path / "w.json").exists()
 
 
+def test_weights_refuses_a_field_past_the_csv_limit(tmp_path, capsys):
+    csv_path = tmp_path / "wide.csv"
+    csv_path.write_text("a,b\n1.0," + "2" * 200_000 + "\n")
+    assert cli.main(["weights", str(csv_path), "-o", str(tmp_path / "w.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {csv_path}: line 2: field larger than field limit (131072)\n"
+    assert not (tmp_path / "w.json").exists()
+
+
 def test_weights_scales_to_a_year(tmp_path):
     csv_path = tmp_path / "year.csv"
     write_demands(csv_path, nodes=10, timesteps=8760, seed=1)
@@ -587,6 +596,19 @@ def test_compare_spans_both_topologies(tmp_path):
     assert text.startswith("topology,solver,k,jain,distance_index,kpi\n")
     assert ",loop," not in text  # label is the row key, not embedded mid-row
     assert text.count("\nloop,") == 3 and text.count("branch,") == 3
+
+
+def test_compare_keeps_a_label_with_a_comma_whole(tmp_path):
+    write_demands(tmp_path / "demands.csv", nodes=8, seed=3)
+    for kind, label in (("ring", "ring, 8 nodes"), ("tree", 'tree "b"')):
+        cli.main(["generate", kind, "--nodes", "8", "-o", f"{kind}.json"])
+        assert cli.main(["sweep", f"{kind}.json", "--demands", "demands.csv",
+                         "--max-producers", "3", "--label", label, "-o", kind]) == 0
+    assert cli.main(["compare", "ring.json", "tree.json", "-o", "cmp.csv"]) == 0
+    with open(tmp_path / "cmp.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert all(len(row) == 6 for row in rows)
+    assert [row[0] for row in rows[1:]] == ["ring, 8 nodes"] * 3 + ['tree "b"'] * 3
 
 
 def test_compare_rejects_mismatched_sweeps(tmp_path, capsys):

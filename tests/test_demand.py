@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from heatfair import (
     DemandError,
@@ -109,6 +109,34 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(loaded.values, d.values)
 
 
+# labels a demand table can carry through its CSV: non-empty, no
+# whitespace at either end (the reader strips it), and free to hold the
+# characters the CSV rule must quote
+CSV_LABELS = st.text(
+    st.one_of(st.characters(codec="utf-8", exclude_categories=("Cc", "Cs", "Cf")),
+              st.sampled_from(',"\r\n')),
+    min_size=1, max_size=12,
+).filter(lambda s: s == s.strip())
+
+
+@given(st.lists(CSV_LABELS, min_size=1, max_size=4), st.lists(st.floats(0.0, 1e308), min_size=1, max_size=12))
+@example(["a,b", 'say "hi"', "x\ry", "p\r\nq", "plain"], [1.0, 0.5])
+def test_csv_round_trip_keeps_any_label(tmp_path_factory, labels, values):
+    rows = max(1, len(values) // len(labels))
+    d = DemandMatrix(values=np.resize(values, (rows, len(labels))), labels=labels)
+    path = tmp_path_factory.mktemp("csv") / "labelled.csv"
+    path.write_bytes(demands_to_csv_text(d).encode("utf-8"))
+    loaded = load_demands(str(path))
+    assert loaded.labels == d.labels
+    assert loaded.values.tobytes() == d.values.tobytes()
+
+
+def test_csv_labels_lose_surrounding_whitespace(tmp_path):
+    path = tmp_path / "spaced.csv"
+    path.write_bytes(demands_to_csv_text(DemandMatrix(values=[[1.0, 2.0]], labels=(" a", "b\t"))).encode())
+    assert load_demands(str(path)).labels == ("a", "b")
+
+
 def test_csv_parse_diagnostics(tmp_path):
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("a,b\n1.0,2.0\n1.0\n")
@@ -139,6 +167,16 @@ def test_csv_parse_diagnostics(tmp_path):
     blanklabel.write_text("a,\n1.0,2.0\n")
     with pytest.raises(DemandError, match="empty label"):
         load_demands(str(blanklabel))
+
+    wide = tmp_path / "wide.csv"
+    wide.write_text("a,b\n1.0," + "2" * 200_000 + "\n")
+    with pytest.raises(DemandError, match=r"wide.csv: line 2: field larger than field limit \(131072\)$"):
+        load_demands(str(wide))
+
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes("caf\u00e9,b\n1.0,2.0\n".encode("latin-1"))
+    with pytest.raises(DemandError, match="latin.csv: not UTF-8 text"):
+        load_demands(str(latin))
 
 
 def test_csv_byte_order_mark_is_not_part_of_a_label(tmp_path):

@@ -84,6 +84,30 @@ def test_jain_known_values():
         assert jain_index(producer_loads(a, uniform_weights(k))) == 1.0
 
 
+def test_jain_of_extreme_magnitudes():
+    # the squared sums overflow, or underflow to zero, unless scaled first
+    for value in (1e200, 1e308, 1e-170):
+        assert jain_index(np.array([value, value])) == 1.0
+
+
+@pytest.mark.parametrize("e", [-1000, 1000])
+def test_jain_is_exact_under_power_of_two_scaling(e):
+    vectors = [np.array(v) for v in ([0.5, 0.5], [1.0, 0.0], [0.2, 0.3, 0.5], [7.0])]
+    vectors += [producer_loads(Assignment(producer_of=tuple(range(k)), k=k), uniform_weights(k))
+                for k in (10, 12, 21, 23, 25, 35, 39)]
+    for y in vectors:
+        assert jain_index(np.ldexp(y, e)) == jain_index(y)
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=8))
+def test_jain_scores_or_refuses_any_vector(values):
+    try:
+        index = jain_index(values)
+    except FairnessError:
+        return
+    assert 1.0 / len(values) * (1.0 - 1e-12) <= index <= 1.0
+
+
 def test_jain_all_zero_is_undefined():
     with pytest.raises(FairnessError, match="undefined"):
         jain_index(np.zeros(3))

@@ -1,6 +1,9 @@
 """The one check of a number read from outside (ioutil.number), as every
-reader and constructor applies it, and the mode of written files."""
+reader and constructor applies it, the one CSV rule (ioutil.csv_text),
+and the mode of written files."""
 
+import csv
+import io
 import json
 import os
 import re
@@ -42,7 +45,7 @@ from heatfair import (
     synthetic_demands,
     uniform_weights,
 )
-from heatfair.ioutil import atomic_write_text, number, shown
+from heatfair.ioutil import atomic_write_text, csv_text, number, shown
 
 HUGE = 10**400  # an integer past the float range
 
@@ -284,3 +287,11 @@ def test_written_files_get_the_mode_a_plain_open_gives(tmp_path, mask):
     for name in ("atomic.txt", "ring.json"):
         assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == want
     assert sorted(p.name for p in tmp_path.iterdir()) == ["atomic.txt", "plain.txt", "ring.json"]
+
+
+def test_csv_text_quotes_exactly_the_fields_that_need_it():
+    fields = ["plain", "a,b", 'say "hi"', "cr\rlone", "lf\nlone", "", 3, 0.1, 1e-05, float("inf")]
+    text = csv_text([fields])
+    assert text == 'plain,"a,b","say ""hi""","cr\rlone","lf\nlone",,3,0.1,1e-05,inf\n'
+    assert list(csv.reader(io.StringIO(text, newline=""))) == [[str(f) for f in fields]]
+    assert csv_text([]) == ""

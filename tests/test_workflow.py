@@ -1,8 +1,13 @@
+import csv
+import dataclasses
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from test_demand import CSV_LABELS
 
 from heatfair import (
     DemandMatrix,
@@ -10,6 +15,7 @@ from heatfair import (
     SolverError,
     SolverSpec,
     SweepConfig,
+    SweepResult,
     Topology,
     WorkflowError,
     compare_topologies,
@@ -330,3 +336,31 @@ def test_sweep_reports_are_the_solve_cells(penalty, kpi_alpha):
     assert len(reports) == len(cells) == 6
     for report in reports:
         assert report == cells[report.k, report.solver_name]
+
+
+def _relabelled(sweep, label, solver):
+    """sweep under another provenance label, each report under another solver name."""
+    reports = tuple(dataclasses.replace(r, solver_name=solver) for r in sweep.reports)
+    return SweepResult(reports, sweep.warnings, {**sweep.provenance, "label": label})
+
+
+SWEEP8 = run_sweep(RING8, synthetic_demands(8, timesteps=24, seed=6), SweepConfig(max_producers=3))
+
+
+@given(st.lists(CSV_LABELS, min_size=2, max_size=2, unique=True), CSV_LABELS)
+def test_csv_tables_read_back_whole(labels, solver):
+    sweeps = [_relabelled(SWEEP8, label, solver) for label in labels]
+    rows = compare_topologies(sweeps)
+    for text, expected, header in (
+        (comparison_to_csv_text(rows), [list(row.values()) for row in rows],
+         ["topology", "solver", "k", "jain", "distance_index", "kpi"]),
+        (sweep_to_csv_text(sweeps[0]), [[r.k, r.solver_name, r.jain, r.distance_index, r.kpi, r.energy]
+                                        for r in sweeps[0].reports],
+         ["k", "solver", "jain", "distance_index", "kpi", "energy"]),
+    ):
+        read = list(csv.reader(io.StringIO(text, newline="")))
+        assert read[0] == header
+        assert len(read) == len(expected) + 1
+        for got, want in zip(read[1:], expected):
+            assert len(got) == len(header)
+            assert [type(v)(g) for g, v in zip(got, want)] == want
