@@ -88,9 +88,10 @@ def main() -> int:
     parser.add_argument("--restarts", type=int, default=8)
     parser.add_argument("--seed", type=int, default=7000)
     args = parser.parse_args()
-    for flag in ("runs", "sweeps", "restarts"):  # refused before any work, by the flag's name
-        if getattr(args, flag) < 1:
-            parser.error(f"--{flag} must be >= 1, got {getattr(args, flag)}")
+    # refused before any work, by the flag's name
+    for flag, least in (("runs", 1), ("sweeps", 1), ("restarts", 1), ("seed", 0)):
+        if getattr(args, flag) < least:
+            parser.error(f"--{flag} must be >= {least}, got {getattr(args, flag)}")
     return guarded(benchmark, args)
 
 

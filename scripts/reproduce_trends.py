@@ -99,9 +99,9 @@ def main() -> int:
     args = parser.parse_args()
     if not 1 <= args.max_producers <= NODES:  # refused before any work, by the flag's name
         parser.error(f"--max-producers must lie in 1..{NODES}, got {args.max_producers}")
-    for flag in ("threads", "restarts"):
-        if getattr(args, flag) < 1:
-            parser.error(f"--{flag} must be >= 1, got {getattr(args, flag)}")
+    for flag, least in (("threads", 1), ("restarts", 1), ("seed", 0)):
+        if getattr(args, flag) < least:
+            parser.error(f"--{flag} must be >= {least}, got {getattr(args, flag)}")
     return guarded(reproduce, args)
 
 

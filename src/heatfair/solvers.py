@@ -23,14 +23,16 @@ Three routes with very different trust levels:
                     expanded), not on QUBO coefficients; an imported
                     instance has none. All restarts are seeded and then
                     descend in lockstep, both reading one flat list of
-                    (node, neighbour, edge coefficient) entries. Seeding
+                    (node, neighbour, edge coefficient) entries, and
+                    both price load balance by the annealer's field
+                    rule, 2*alpha*w_i*L_j, taking no square. Seeding
                     adds the coefficients of a node's placed neighbours
                     after the balance term; each descent step is a fixed
                     handful of numpy calls over tables of every move's
                     delta, read from one table of each node's edge
                     coefficients per producer. Both sum exactly as a
-                    scalar scan would: in neighbour-list order, squares
-                    as x * x, first minimum in scan order.
+                    scalar scan would: in neighbour-list order, first
+                    minimum in scan order.
 
 All three take only the instance and their own settings, and end the
 same way (_result): their candidates (every assignment, or each
@@ -532,40 +534,34 @@ def solve_anneal(q: QuboInstance, cfg: AnnealConfig) -> SolveResult:
     return _result(q, repaired, "anneal", cfg.seed, cfg.sweeps * nv * cfg.restarts)
 
 
-def _square(x):
-    # one correctly rounded IEEE product, on any libm (pow(x, 2.0) is
-    # off by one ulp on some doubles in some libms)
-    return x * x
-
-
-def _fixed_tables(neighbours, n):
-    """What seeding and _move_tables read that stays fixed through a
-    solve: every (node, neighbour, edge coefficient) of the neighbour
-    lists, node by node in list order, and the mask of the pairs i >= j."""
+def _fixed_tables(neighbours, w, alpha):
+    """What seeding, _move_tables and _local_search read that stays
+    fixed through a solve: every (node, neighbour, edge coefficient) of
+    the neighbour lists, node by node in list order; the weights w and
+    2*alpha*w; the weight d[i, j] = w_j - w_i that swapping i and j
+    moves onto i's producer, and 2*alpha*d; and the mask of the pairs
+    i >= j."""
     node = np.array([i for i, edges in enumerate(neighbours) for _ in edges], dtype=np.intp)
     nbr = np.array([u for edges in neighbours for u, _ in edges], dtype=np.intp)
     coeff = np.array([c for edges in neighbours for _, c in edges], dtype=float)
-    return node, nbr, coeff, np.arange(n)[:, None] >= np.arange(n)
+    d = w - w[:, None]
+    lower = np.arange(w.size)[:, None] >= np.arange(w.size)
+    return node, nbr, coeff, w, 2.0 * alpha * w, d, 2.0 * alpha * d, lower
 
 
-def _greedy_seed(orders, fixed, wz, k, alpha, target):
+def _greedy_seed(orders, fixed, k):
     """Greedy seeding of every restart in lockstep, orders (restarts, n)
     holding each restart's nodes in seeding order. Node i goes to the
-    producer j of lowest cost alpha*((L_j + w_i - target)**2 - (L_j -
-    target)**2), to which the coefficients of i's neighbours already at
-    j are then added in neighbour-list order; the first minimum wins.
-    fixed is _fixed_tables(neighbours, n) and wz the weights, then 0.0.
-    Returns producer ids (restarts, n), -1 before a node is placed, and
-    loads (restarts, k)."""
+    producer j of lowest cost 2*alpha*w_i*L_j, the annealer's balance
+    field, to which the coefficients of i's neighbours already at j are
+    then added in neighbour-list order; the first minimum wins. fixed is
+    _fixed_tables(neighbours, w, alpha). Returns producer ids (restarts,
+    n), -1 before a node is placed, and loads (restarts, k)."""
     r, n = orders.shape
-    node, nbr, coeff, _ = fixed
+    node, nbr, coeff, w, reach = fixed[:5]
     p = np.full((r, n), -1)
     loads = np.zeros((r, k))
     rows = np.arange(r)
-    # per seeding position and restart: (w_i, 0.0), so that one square
-    # gives (L_j + w_i - target)**2 and (L_j + 0.0 - target)**2, which
-    # is (L_j - target)**2
-    added = np.stack([wz[orders.T], np.zeros((n, r))], axis=1)[..., None]
     # the entries of i's neighbours at every position, restart by
     # restart, each in list order; cut[t] is where position t's begin
     first = np.searchsorted(node, np.arange(n + 1))
@@ -575,19 +571,18 @@ def _greedy_seed(orders, fixed, wz, k, alpha, target):
     restart = np.repeat(np.tile(rows, n), count)
     cut = np.append(0, ends[r - 1::r])
     for t, i in enumerate(orders.T):
-        sq = _square(loads + added[t] - target)
-        cost = alpha * (sq[0] - sq[1])
+        cost = reach[i][:, None] * loads
         at, on = entry[cut[t]:cut[t + 1]], restart[cut[t]:cut[t + 1]]
         producer = p[on, nbr[at]]
         placed = producer >= 0
         np.add.at(cost, (on[placed], producer[placed]), coeff[at[placed]])
         best = cost.argmin(axis=1)
         p[rows, i] = best
-        loads[rows, best] += added[t, 0, :, 0]
+        loads[rows, best] += w[i]
     return p, loads
 
 
-def _move_tables(p, loads, wz, alpha, target, fixed):
+def _move_tables(p, loads, fixed):
     """Deltas of every move, (restarts, n*k) for relocating node i to
     producer j and (restarts, n*n) for swapping the producers of nodes
     i < j, at producer ids p (restarts, n). Moves that are not
@@ -598,11 +593,13 @@ def _move_tables(p, loads, wz, alpha, target, fixed):
     indices in index order). Relocating i from a to j changes the edge
     terms by g[i, j] - g[i, a]; swapping i (at a) with j (at b) by
     (g[i, b] - g[i, a]) + (g[j, a] - g[j, b]), less 2*c_ij where i and j
-    are neighbours, as a swap leaves that edge cut. The balance terms
-    are added after. fixed is _fixed_tables(neighbours, n) and wz the
-    weights, then 0.0."""
+    are neighbours, as a swap leaves that edge cut. The balance change
+    is added after, priced by the annealer's field rule: 2*alpha*w_i *
+    (L_j - (L_a - w_i)) for a relocation, and 2*alpha*d * ((L_a - L_b)
+    + d) for a swap, d = w_j - w_i. fixed is _fixed_tables(neighbours,
+    w, alpha)."""
     (r, n), k = p.shape, loads.shape[1]
-    node, nbr, coeff, lower = fixed
+    node, nbr, coeff, w, reach, d, reach_d, lower = fixed
     rows = np.arange(r)[:, None]
     g = np.zeros((r, n, k))
     np.add.at(g, (rows, node, p[:, nbr]), coeff)
@@ -611,55 +608,47 @@ def _move_tables(p, loads, wz, alpha, target, fixed):
     swp = swp + swp.transpose(0, 2, 1)
     swp[rows, node, nbr] -= 2.0 * coeff
 
-    # one square per table; the closing zero weight gives the squares
-    # without a node: (L_j - target)**2 and (own_i - w_i - target)**2
     own = loads[rows, p]
-    sq_rel = _square(loads[:, None, :] + wz[:, None] - target)
-    before = sq_rel[:, n][rows, p]
-    sq_swp = _square(own[:, :, None] - wz[:n, None] + wz - target)
-    rel += alpha * (sq_rel[:, :n] - sq_rel[:, n, None])
-    rel += alpha * (sq_swp[:, :, n] - before)[:, :, None]
+    rel += reach[:, None] * (loads[:, None, :] - (own - w)[:, :, None])
     np.putmask(rel, p[:, :, None] == np.arange(k), np.inf)
-    # the balance change at i's producer; j's at (i, j) is this at (j, i)
-    balance = alpha * (sq_swp[:, :, :n] - before[:, :, None])
-    swp += balance
-    swp += balance.transpose(0, 2, 1)
+    swp += reach_d * ((own[:, :, None] - own[:, None, :]) + d)
     np.putmask(swp, (p[:, :, None] == p[:, None, :]) | lower, np.inf)
     return rel.reshape(r, -1), swp.reshape(r, -1)
 
 
-def _local_search(p, loads, fixed, wz, alpha, target):
+def _local_search(p, loads, fixed):
     """Best-improvement relocate/swap descent of all restarts in lockstep.
 
     p (restarts, n) producer ids and loads (restarts, k) are updated in
     place; returns the moves applied per restart. fixed is
-    _fixed_tables(neighbours, n) and wz the weights, then 0.0. Each step
-    reads _move_tables and takes the first minimum of the relocations,
-    row-major over (node, producer), unless the first minimum of the
-    swaps, row-major over i < j, lies strictly below it; a restart stops
-    when neither is below -1e-12.
+    _fixed_tables(neighbours, w, alpha). Each step reads _move_tables
+    and takes the first minimum of the relocations, row-major over
+    (node, producer), unless the first minimum of the swaps, row-major
+    over i < j, lies strictly below it; a restart stops when neither is
+    below -1e-12.
     """
     (r, n), k = p.shape, loads.shape[1]
+    w = fixed[3]
     group = max(1, 2**20 // n**2)  # restarts per step, bounding the swap tables
     moves = np.zeros(r, dtype=np.int64)
     todo = np.arange(r)
     while todo.size:
         live, at = todo[:group], np.arange(min(group, todo.size))
-        rel, swp = _move_tables(p[live], loads[live], wz, alpha, target, fixed)
+        rel, swp = _move_tables(p[live], loads[live], fixed)
         rel_at, swp_at = rel.argmin(axis=1), swp.argmin(axis=1)
         bar = np.minimum(rel[at, rel_at], -1e-12)
         swap = swp[at, swp_at] < bar
         relocate = ~swap & (bar < -1e-12)
 
         rows, (i, dest) = live[relocate], np.divmod(rel_at[relocate], k)
-        loads[rows, p[rows, i]] -= wz[i]
-        loads[rows, dest] += wz[i]
+        loads[rows, p[rows, i]] -= w[i]
+        loads[rows, dest] += w[i]
         p[rows, i] = dest
 
         rows, (i, j) = live[swap], np.divmod(swp_at[swap], n)
         a, b = p[rows, i], p[rows, j]
-        loads[rows, a] += wz[j] - wz[i]
-        loads[rows, b] += wz[i] - wz[j]
+        loads[rows, a] += w[j] - w[i]
+        loads[rows, b] += w[i] - w[j]
         p[rows, i], p[rows, j] = b, a
 
         moves[live] += relocate | swap
@@ -679,12 +668,12 @@ def solve_heuristic(q: QuboInstance, seed: int = 0, restarts: int = 8) -> SolveR
     per step. Both read one flat list of (node, neighbour, edge
     coefficient) entries built once per solve (_fixed_tables): seeding
     adds the coefficients of a node's placed neighbours after the
-    balance term, in neighbour-list order, and the descent sums them
-    into one node-by-producer table (_move_tables), in groups whose
-    swap tables stay near 8 MB. Each restart matches a scalar scan bit
-    for bit. Restarts compete on the QUBO energy of their final
-    assignments in q, ties to the earliest restart, so results line up
-    with the other solvers.
+    balance term 2*alpha*w_i*L_j, in neighbour-list order, and the
+    descent sums them into one node-by-producer table (_move_tables),
+    in groups whose swap tables stay near 8 MB. Each restart matches a
+    scalar scan bit for bit. Restarts compete on the QUBO energy of
+    their final assignments in q, ties to the earliest restart, so
+    results line up with the other solvers.
     """
     restarts = number(restarts, "restarts", SolverError, integer=True, least=1)
     seed = number(seed, "seed", SolverError, integer=True, least=0)
@@ -693,13 +682,12 @@ def solve_heuristic(q: QuboInstance, seed: int = 0, restarts: int = 8) -> SolveR
     if q.k == 1:  # every node on producer 0 is the only feasible answer
         return _result(q, [[0] * n], "heuristic", seed, 0)
     weights = obj.weights.tolist()
-    fixed = _fixed_tables(_neighbours(obj), n)
-    wz = np.append(obj.weights, 0.0)
+    fixed = _fixed_tables(_neighbours(obj), obj.weights, obj.alpha)
 
     children = np.random.SeedSequence(seed).spawn(max(restarts - 1, 1))
     orders = np.array([sorted(range(n), key=lambda i: (-weights[i], i))] + [
         np.random.default_rng(child).permutation(n) for child in children[: restarts - 1]
     ])
-    producers, loads = _greedy_seed(orders, fixed, wz, q.k, obj.alpha, obj.target)
-    moves = _local_search(producers, loads, fixed, wz, obj.alpha, obj.target)
+    producers, loads = _greedy_seed(orders, fixed, q.k)
+    moves = _local_search(producers, loads, fixed)
     return _result(q, producers, "heuristic", seed, int(moves.sum()))

@@ -250,9 +250,12 @@ def sweep_from_dict(doc) -> SweepResult:
     """The SweepResult a sweep_to_dict document holds. Raises
     WorkflowError, "not a sweep result file (...)", unless provenance
     is an object whose config holds max_producers and kpi_alpha, and
-    reports is a list of objects, each with an integer k, a string
-    solver and numbers jain, distance_index, kpi, kpi_alpha and energy.
-    Numbers are read by ioutil.number."""
+    whose label, if any, is a string or null; warnings, if any, is a
+    list of strings; and reports is a list of objects, each with an
+    integer k in 1..max_producers, a string solver, numbers jain,
+    distance_index, kpi and kpi_alpha in [0, 1] and a number energy, no
+    two for the same (k, solver) cell. Numbers are read by
+    ioutil.number."""
 
     def bad(what: str) -> WorkflowError:
         return WorkflowError(f"not a sweep result file ({what})")
@@ -261,24 +264,39 @@ def sweep_from_dict(doc) -> SweepResult:
     config = provenance.get("config") if isinstance(provenance, dict) else None
     if not (isinstance(config, dict) and {"max_producers", "kpi_alpha"} <= config.keys()):
         raise bad("expected an object whose provenance.config holds max_producers and kpi_alpha")
-    for field in ("max_producers", "kpi_alpha"):
-        number(config[field], f"provenance.config.{field}", bad, field == "max_producers")
+    max_producers = number(config["max_producers"], "provenance.config.max_producers", bad, True)
+    number(config["kpi_alpha"], "provenance.config.kpi_alpha", bad)
+    if not isinstance(provenance.get("label", ""), str | None):
+        raise bad(f"provenance.label must be a string or null, got {shown(provenance['label'])}")
+    warnings = doc.get("warnings", [])
+    if not (isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)):
+        raise bad(f"warnings must be a list of strings, got {shown(warnings)}")
     entries = doc.get("reports")
     if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
         raise bad("'reports' must be a list of objects")
-    fields = []
+    fields, cells = [], set()
     for at, e in enumerate(entries):
         if not isinstance(e.get("solver"), str):
             raise bad(f"reports[{at}].solver must be a string, got {shown(e.get('solver'))}")
-        fields.append({field: number(e.get(field), f"reports[{at}].{field}", bad, field == "k")
-                       for field in ("k", "jain", "distance_index", "kpi", "kpi_alpha", "energy")})
+        checked = {field: number(e.get(field), f"reports[{at}].{field}", bad, field == "k")
+                   for field in ("k", "jain", "distance_index", "kpi", "kpi_alpha", "energy")}
+        if not 1 <= checked["k"] <= max_producers:
+            raise bad(f"reports[{at}].k must lie in 1..{max_producers}, got {checked['k']}")
+        for field in ("jain", "distance_index", "kpi", "kpi_alpha"):
+            if not 0.0 <= checked[field] <= 1.0:
+                raise bad(f"reports[{at}].{field} must lie in [0, 1], got {shown(e[field])}")
+        cell = (checked["k"], e["solver"])
+        if cell in cells:
+            raise bad(f"reports[{at}] repeats the cell k={cell[0]}, solver {shown(cell[1])}")
+        cells.add(cell)
+        fields.append(checked)
     try:
         reports = tuple(KpiReport(
             solver_name=e["solver"], assignment=tuple(e.get("assignment", ())), **checked,
         ) for e, checked in zip(entries, fields))
-        return SweepResult(reports, tuple(doc.get("warnings", ())), provenance)
-    except (TypeError, ValueError) as exc:  # assignment or warnings not lists, or a KpiReport's own check
+    except (TypeError, ValueError) as exc:  # assignment not a list, or a KpiReport's own check
         raise bad(repr(exc)) from exc
+    return SweepResult(reports, tuple(warnings), provenance)
 
 
 def sweep_to_csv_text(result: SweepResult) -> str:

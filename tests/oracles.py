@@ -343,11 +343,6 @@ def build_suite() -> list[SuiteEntry]:
     return entries
 
 
-def square(x: float) -> float:
-    """x * x, correctly rounded (libm pow(x, 2.0) is not always)."""
-    return x * x
-
-
 def producer_sum(i, j, producer_of, neighbours, beta):
     """The edge coefficients 2 * beta * dist of i's neighbours at
     producer j, summed from 0.0 in neighbour-list order."""
@@ -358,24 +353,26 @@ def producer_sum(i, j, producer_of, neighbours, beta):
     return total
 
 
-def relocate_delta(i, dest, producer_of, loads, neighbours, weights, beta, alpha, target):
+def relocate_delta(i, dest, producer_of, loads, neighbours, weights, beta, alpha):
     """Objective change of moving node i to producer dest: i's edge
     coefficients at dest less those at its own producer, then the
-    balance terms."""
+    balance change 2 * alpha * w_i * (L_dest - (L_src - w_i)), which is
+    alpha * ((L_dest + w_i - T)**2 - (L_dest - T)**2) plus the same at
+    the source with -w_i, for any target T."""
     src = producer_of[i]
     delta = (producer_sum(i, dest, producer_of, neighbours, beta)
              - producer_sum(i, src, producer_of, neighbours, beta))
     wi = weights[i]
-    delta += alpha[dest] * (square(loads[dest] + wi - target) - square(loads[dest] - target))
-    delta += alpha[src] * (square(loads[src] - wi - target) - square(loads[src] - target))
+    delta += 2.0 * alpha * wi * (loads[dest] - (loads[src] - wi))
     return delta
 
 
-def swap_delta(i, j, producer_of, loads, neighbours, weights, beta, alpha, target):
+def swap_delta(i, j, producer_of, loads, neighbours, weights, beta, alpha):
     """Objective change of swapping the producers of nodes i and j: each
     node's edge coefficients at the other's producer less those at its
     own, i's then j's, less twice the (i, j) edge's coefficient, then the
-    balance terms."""
+    balance change 2 * alpha * d * ((L_a - L_b) + d), d = w_j - w_i the
+    weight that moves onto i's producer a from j's producer b."""
     a, b = producer_of[i], producer_of[j]
     delta = ((producer_sum(i, b, producer_of, neighbours, beta)
               - producer_sum(i, a, producer_of, neighbours, beta))
@@ -384,20 +381,18 @@ def swap_delta(i, j, producer_of, loads, neighbours, weights, beta, alpha, targe
     for u, dist in neighbours[i]:
         if u == j:  # the (i, j) edge stays cross-producer under a swap
             delta -= 2.0 * (2.0 * beta * dist)
-    wi, wj = weights[i], weights[j]
-    new_a = loads[a] - wi + wj
-    new_b = loads[b] - wj + wi
-    delta += alpha[a] * (square(new_a - target) - square(loads[a] - target))
-    delta += alpha[b] * (square(new_b - target) - square(loads[b] - target))
+    d = weights[j] - weights[i]
+    delta += 2.0 * alpha * d * ((loads[a] - loads[b]) + d)
     return delta
 
 
-def greedy_seed_reference(order, neighbours, weights, k, alpha, target):
+def greedy_seed_reference(order, neighbours, weights, k, alpha):
     """Scalar greedy seeding from one order. Node i goes to the producer
-    j of lowest cost alpha * (square(L_j + w_i - target) - square(L_j -
-    target)) plus the coefficient of each neighbour already at j, added in
-    neighbour-list order; the first strict minimum wins. neighbours[i]
-    holds (u, edge coefficient) pairs and alpha is one number. Returns
+    j of lowest cost 2 * alpha * w_i * L_j (the balance change of placing
+    i at j, less alpha * w_i**2 and the target's share, which every
+    producer pays alike) plus the coefficient of each neighbour already
+    at j, added in neighbour-list order; the first strict minimum wins.
+    neighbours[i] holds (u, edge coefficient) pairs. Returns
     (producer_of, loads) as plain lists."""
     producer_of = [-1] * len(weights)
     loads = [0.0] * k
@@ -405,9 +400,7 @@ def greedy_seed_reference(order, neighbours, weights, k, alpha, target):
         best_j = 0
         best_cost = math.inf
         for j in range(k):
-            cost = alpha * (
-                square(loads[j] + weights[i] - target) - square(loads[j] - target)
-            )
+            cost = 2.0 * alpha * weights[i] * loads[j]
             for u, coeff in neighbours[i]:
                 if producer_of[u] == j:
                     cost += coeff
@@ -419,7 +412,7 @@ def greedy_seed_reference(order, neighbours, weights, k, alpha, target):
     return producer_of, loads
 
 
-def local_search_reference(producer_of, loads, neighbours, weights, beta, alpha, target):
+def local_search_reference(producer_of, loads, neighbours, weights, beta, alpha):
     """Scalar best-improvement relocate/swap descent from one start.
 
     Scans relocations over (node, producer), then swaps over i < j, both
@@ -430,7 +423,7 @@ def local_search_reference(producer_of, loads, neighbours, weights, beta, alpha,
     """
     producer_of, loads = list(producer_of), list(loads)
     n, k = len(producer_of), len(loads)
-    args = (neighbours, weights, beta, alpha, target)
+    args = (neighbours, weights, beta, alpha)
     moves = 0
     while True:
         best_delta = -1e-12

@@ -642,30 +642,61 @@ def _spoilt(doc, *path, value=None, drop=False):
     return doc
 
 
-@pytest.mark.parametrize("spoil", [
-    lambda d: {**d, "reports": [*d["reports"], {**d["reports"][0], "k": "x"}]},
-    lambda d: _spoilt(d, "provenance", "config", drop=True),
-    lambda d: _spoilt(d, "provenance", value=[d["provenance"]]),
-    lambda d: _spoilt(d, "provenance", "config", value=[]),
-    lambda d: _spoilt(d, "provenance", "config", "kpi_alpha", drop=True),
-    lambda d: _spoilt(d, "reports", value={"0": d["reports"][0]}),
-    lambda d: _spoilt(d, "reports", 0, value=[1, 2]),
-    lambda d: _spoilt(d, "reports", 0, "k", value=True),
-    lambda d: _spoilt(d, "reports", 0, "solver", value=7),
-    lambda d: _spoilt(d, "reports", 0, "jain", value="1.0"),
-    lambda d: _spoilt(d, "reports", 0, "kpi_alpha", value=False),
-    lambda d: _spoilt(d, "reports", 0, "distance_index", value=None),
-    lambda d: _spoilt(d, "reports", 0, "kpi", drop=True),
-    lambda d: _spoilt(d, "reports", 0, "energy", drop=True),
-    lambda d: _spoilt(d, "reports", 0, "assignment", value=["x"]),
-    lambda d: _spoilt(d, "warnings", value=3),
-    lambda d: [d],
-], ids=[
-    "k-text", "no-config", "provenance-list", "config-list", "no-kpi-alpha", "reports-object",
-    "report-list", "k-bool", "solver-int", "jain-text", "kpi-alpha-bool", "distance-index-null",
-    "no-kpi", "no-energy", "assignment-text", "warnings-int", "document-list",
+def _jain_of(d, jain):
+    """d with report 0's jain set and its kpi recomputed to match."""
+    report = d["reports"][0]
+    kpi = report["kpi_alpha"] * jain + (1.0 - report["kpi_alpha"]) * report["distance_index"]
+    return _spoilt(_spoilt(d, "reports", 0, "jain", value=jain), "reports", 0, "kpi", value=kpi)
+
+
+NO_CONFIG = "expected an object whose provenance.config holds max_producers and kpi_alpha"
+
+
+# the spoilt sweep file, and how its refusal names what is wrong: the
+# last five hold numbers and strings of the right types that no sweep writes
+@pytest.mark.parametrize("spoil, field", [
+    pytest.param(lambda d: {**d, "reports": [*d["reports"], {**d["reports"][0], "k": "x"}]},
+                 "reports[2].k must be an integer", id="k-text"),
+    pytest.param(lambda d: _spoilt(d, "provenance", "config", drop=True), NO_CONFIG, id="no-config"),
+    pytest.param(lambda d: _spoilt(d, "provenance", value=[d["provenance"]]), NO_CONFIG,
+                 id="provenance-list"),
+    pytest.param(lambda d: _spoilt(d, "provenance", "config", value=[]), NO_CONFIG, id="config-list"),
+    pytest.param(lambda d: _spoilt(d, "provenance", "config", "kpi_alpha", drop=True), NO_CONFIG,
+                 id="no-kpi-alpha"),
+    pytest.param(lambda d: _spoilt(d, "reports", value={"0": d["reports"][0]}),
+                 "'reports' must be a list of objects", id="reports-object"),
+    pytest.param(lambda d: _spoilt(d, "reports", 0, value=[1, 2]),
+                 "'reports' must be a list of objects", id="report-list"),
+    pytest.param(lambda d: _spoilt(d, "reports", 0, "k", value=True),
+                 "reports[0].k must be an integer", id="k-bool"),
+    pytest.param(lambda d: _spoilt(d, "reports", 0, "solver", value=7),
+                 "reports[0].solver must be a string", id="solver-int"),
+    pytest.param(lambda d: _spoilt(d, "reports", 0, "jain", value="1.0"),
+                 "reports[0].jain must be a number", id="jain-text"),
+    pytest.param(lambda d: _spoilt(d, "reports", 0, "kpi_alpha", value=False),
+                 "reports[0].kpi_alpha must be a number", id="kpi-alpha-bool"),
+    pytest.param(lambda d: _spoilt(d, "reports", 0, "distance_index", value=None),
+                 "reports[0].distance_index must be a number", id="distance-index-null"),
+    pytest.param(lambda d: _spoilt(d, "reports", 0, "kpi", drop=True),
+                 "reports[0].kpi must be a number", id="no-kpi"),
+    pytest.param(lambda d: _spoilt(d, "reports", 0, "energy", drop=True),
+                 "reports[0].energy must be a number", id="no-energy"),
+    pytest.param(lambda d: _spoilt(d, "reports", 0, "assignment", value=["x"]),
+                 "FairnessError('assignment entry 0 must be an integer", id="assignment-text"),
+    pytest.param(lambda d: _spoilt(d, "warnings", value=3), "warnings must be a list of strings",
+                 id="warnings-int"),
+    pytest.param(lambda d: [d], NO_CONFIG, id="document-list"),
+    pytest.param(lambda d: _spoilt(d, "reports", 0, "k", value=0), "reports[0].k must lie in 1..2",
+                 id="k-zero"),
+    pytest.param(lambda d: _jain_of(d, 2.0), "reports[0].jain must lie in [0, 1]", id="jain-above-one"),
+    pytest.param(lambda d: {**d, "reports": [*d["reports"], d["reports"][1]]},
+                 "reports[2] repeats the cell k=2", id="repeated-cell"),
+    pytest.param(lambda d: _spoilt(d, "warnings", value="abc"), "warnings must be a list of strings",
+                 id="warnings-text"),
+    pytest.param(lambda d: _spoilt(d, "provenance", "label", value=["a"]),
+                 "provenance.label must be a string or null", id="label-list"),
 ])
-def test_compare_rejects_malformed_sweep_files(spoil, tmp_path, capsys):
+def test_compare_rejects_malformed_sweep_files(spoil, field, tmp_path, capsys):
     topo_path, csv_path = tmp_path / "ring.json", tmp_path / "demands.csv"
     cli.main(["generate", "ring", "--nodes", "6", "-o", str(topo_path)])
     write_demands(csv_path, nodes=6, seed=3)
@@ -679,7 +710,7 @@ def test_compare_rejects_malformed_sweep_files(spoil, tmp_path, capsys):
     out = tmp_path / "cmp.csv"
     assert cli.main(["compare", str(tmp_path / "good.json"), str(bad), "-o", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {bad}: not a sweep result file (") and err.count("\n") == 1
+    assert err.startswith(f"error: {bad}: not a sweep result file ({field}") and err.count("\n") == 1
     assert not out.exists()
 
 

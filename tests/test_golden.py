@@ -5,7 +5,8 @@ The 24-node ring and tree and their demand profile are the ones
 scripts/reproduce_trends.py sweeps (pipe lengths uniform in [0.5, 2.0],
 topology seed 7, demand seed 11, anchor scale 20); the 8-node ring is
 small enough for the exhaustive solver. Every float in these files comes
-from IEEE arithmetic in a fixed order (squares are x * x, sums are
+from IEEE arithmetic in a fixed order (the heuristic prices load balance
+with products such as 2*alpha*w_i*L_j and takes no square, sums are
 sequential), so the digests hold on any libm. Anneal outputs are left
 out: the annealer's acceptance limits use np.log1p, whose last bit
 follows numpy's SIMD dispatch target, and a gate must not depend on the

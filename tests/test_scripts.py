@@ -50,6 +50,8 @@ def test_reproduce_trends_runs_end_to_end(tmp_path):
     ("benchmark_solvers.py", ["--runs", "1", "--restarts", "0"]),
     ("reproduce_trends.py", ["--max-producers", "0"]),
     ("reproduce_trends.py", ["--threads", "-1"]),
+    ("reproduce_trends.py", ["--seed", "-2"]),
+    ("benchmark_solvers.py", ["--runs", "1", "--seed", "-1"]),
 ])
 def test_scripts_refuse_bad_arguments_with_one_error_line(tmp_path, script, args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -63,5 +65,7 @@ def test_scripts_refuse_bad_arguments_with_one_error_line(tmp_path, script, args
     assert len(done.stderr.splitlines()) == 1, done.stderr
     assert done.stderr.startswith("error: "), done.stderr
     assert args[-2] in done.stderr, done.stderr  # the flag the user typed
+    if args[-2] == "--seed":
+        assert done.stderr == f"error: --seed must be >= 0, got {args[-1]}\n", done.stderr
     assert done.stdout == ""
     assert not out.exists()

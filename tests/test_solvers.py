@@ -627,11 +627,13 @@ def hub_topology(seed, n=30):
 
 
 def search_problem(topo, weights, k):
-    """Plain-list inputs of the local search under default penalties;
-    alpha is the kernels' scalar, so the oracles take [alpha] * k."""
+    """Plain-list inputs of the local search under default penalties:
+    neighbour lists, weights, beta and alpha. No target: the balance
+    change of a move, 2 * alpha * w_i * L_j for seeding and its
+    relocation and swap forms, does not read it."""
     w = [float(x) for x in np.asarray(getattr(weights, "values", weights))]
     cfg = default_penalties(topo, w, k)
-    return neighbour_lists(topo), w, cfg.beta, cfg.alpha, sum(w) / k
+    return neighbour_lists(topo), w, cfg.beta, cfg.alpha
 
 
 def edge_coefficients(neighbours, beta):
@@ -639,10 +641,10 @@ def edge_coefficients(neighbours, beta):
     return [[(u, 2.0 * beta * dist) for u, dist in nb] for nb in neighbours]
 
 
-def kernel_inputs(neighbours, w, beta):
-    """The kernels' fixed neighbour entries, and the weights followed by
-    the 0.0 of the squares without a node."""
-    return solvers._fixed_tables(edge_coefficients(neighbours, beta), len(w)), np.append(w, 0.0)
+def kernel_inputs(neighbours, w, beta, alpha):
+    """The kernels' fixed tables: neighbour entries, weights and the
+    balance products."""
+    return solvers._fixed_tables(edge_coefficients(neighbours, beta), np.array(w, dtype=float), alpha)
 
 
 def loads_of(producer_of, w, k):
@@ -652,7 +654,7 @@ def loads_of(producer_of, w, k):
     return loads
 
 
-def lockstep(starts, neighbours, w, beta, alpha, target, steps=None):
+def lockstep(starts, neighbours, w, beta, alpha, steps=None):
     """_local_search from the starts. With steps set, a descent that asks
     for more move tables than that fails at once, so a kernel whose
     deltas let it cycle fails instead of running on."""
@@ -667,7 +669,7 @@ def lockstep(starts, neighbours, w, beta, alpha, target, steps=None):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solvers, "_move_tables", bounded)
-        moves = solvers._local_search(p, loads, *kernel_inputs(neighbours, w, beta), alpha, target)
+        moves = solvers._local_search(p, loads, kernel_inputs(neighbours, w, beta, alpha))
     return p, loads, moves
 
 
@@ -714,15 +716,15 @@ def test_lockstep_seeding_matches_scalar_reference(k):
     for name, topo, weights, sign in signed_cases():
         if k > topo.nodes:
             continue
-        neighbours, w, beta, alpha, target = search_problem(topo, weights, k)
+        neighbours, w, beta, alpha = search_problem(topo, weights, k)
         beta *= sign
         orders = seeding_orders(w, rng)
         p, loads = solvers._greedy_seed(
-            np.array(orders), *kernel_inputs(neighbours, w, beta), k, alpha, target
+            np.array(orders), kernel_inputs(neighbours, w, beta, alpha), k
         )
         coeffs = edge_coefficients(neighbours, beta)
         for r, order in enumerate(orders):
-            ref_p, ref_loads = greedy_seed_reference(order, coeffs, w, k, alpha, target)
+            ref_p, ref_loads = greedy_seed_reference(order, coeffs, w, k, alpha)
             assert p[r].tolist() == ref_p, (name, r)
             assert loads[r].tolist() == ref_loads, (name, r)
     if k > 1:
@@ -733,10 +735,10 @@ def test_lockstep_seeding_matches_scalar_reference(k):
         w = [0.0] * 4
         orders = [[0, 1, 2, 3], [2, 0, 1, 3], [0, 3, 1, 2]]
         p, loads = solvers._greedy_seed(
-            np.array(orders), solvers._fixed_tables(coeffs, 4), np.append(w, 0.0), k, 1.0, 0.0
+            np.array(orders), solvers._fixed_tables(coeffs, np.array(w), 1.0), k
         )
         for r, order in enumerate(orders):
-            assert (p[r].tolist(), loads[r].tolist()) == greedy_seed_reference(order, coeffs, w, k, 1.0, 0.0)
+            assert (p[r].tolist(), loads[r].tolist()) == greedy_seed_reference(order, coeffs, w, k, 1.0)
         assert p[:2, 3].tolist() == [1, 1]
 
 
@@ -747,24 +749,24 @@ def test_lockstep_search_matches_scalar_reference(k):
         n = topo.nodes
         if k > n:
             continue
-        neighbours, w, beta, alpha, target = search_problem(topo, weights, k)
+        neighbours, w, beta, alpha = search_problem(topo, weights, k)
         beta *= sign
         orders = seeding_orders(w, rng)
         coeffs = edge_coefficients(neighbours, beta)
         starts = [
-            greedy_seed_reference(order, coeffs, w, k, alpha, target)
+            greedy_seed_reference(order, coeffs, w, k, alpha)
             for order in orders
         ]
         randoms = [rng.integers(0, k, size=n).tolist() for _ in range(2)]
         starts += [(p, loads_of(p, w, k)) for p in randoms]
         refs = [
-            local_search_reference(start_p, start_loads, neighbours, w, beta, [alpha] * k, target)
+            local_search_reference(start_p, start_loads, neighbours, w, beta, alpha)
             for start_p, start_loads in starts
         ]
         # with every restart in one group, a step per move of the longest
         # descent and one to find that no move is left
         steps = max(ref_moves for _, _, ref_moves in refs) + 1
-        p, loads, moves = lockstep(starts, neighbours, w, beta, alpha, target, steps)
+        p, loads, moves = lockstep(starts, neighbours, w, beta, alpha, steps)
         for r, (ref_p, ref_loads, ref_moves) in enumerate(refs):
             assert p[r].tolist() == ref_p, (name, r)
             assert loads[r].tolist() == ref_loads, (name, r)
@@ -795,16 +797,15 @@ def test_move_tables_equal_reference_deltas_bit_for_bit():
         for k in (1, 2, 3, 5, 8):
             if k > n:
                 continue
-            neighbours, w, beta, alpha, target = search_problem(topo, weights, k)
+            neighbours, w, beta, alpha = search_problem(topo, weights, k)
             beta, alpha = beta * scale * sign, alpha * scale
             if scale < 1.0:  # meant to run on subnormal edge coefficients
                 assert 0.0 < 2.0 * beta * max(d for _, _, d in topo.edges) < np.finfo(float).tiny
             states = [rng.integers(0, k, size=n).tolist() for _ in range(3)]
             p = np.array(states)
             loads = np.array([loads_of(s, w, k) for s in states])
-            fixed = solvers._fixed_tables(edge_coefficients(neighbours, beta), n)
-            rel, swp = solvers._move_tables(p, loads, np.append(w, 0.0), alpha, target, fixed)
-            args = (neighbours, w, beta, [alpha] * k, target)
+            rel, swp = solvers._move_tables(p, loads, kernel_inputs(neighbours, w, beta, alpha))
+            args = (neighbours, w, beta, alpha)
             for r, state in enumerate(states):
                 state_loads = loads[r].tolist()
                 for i in range(n):
@@ -824,12 +825,37 @@ def test_move_tables_equal_reference_deltas_bit_for_bit():
                             assert float(got).hex() == want.hex(), (r, i, j)
 
 
-def test_square_matches_python_power_bit_for_bit():
-    rng = np.random.default_rng(2024)
-    x = np.exp(rng.uniform(np.log(1e-6), np.log(1e8), size=200_000))
-    x *= rng.choice([-1.0, 1.0], size=x.size)
-    want = np.array([v * v for v in x.tolist()])
-    assert np.array_equal(solvers._square(x).view(np.int64), want.view(np.int64))
+@pytest.mark.parametrize("k", range(2, 6))
+def test_move_tables_price_the_objective(k):
+    """Every finite entry of _move_tables is the change of the QUBO's own
+    energy, feasible_energies after the move less before, within 1e-9 of
+    the energy's scale, at three random states of each case."""
+    rng = np.random.default_rng(50 + k)
+    for name, topo, weights in equivalence_cases():
+        n = topo.nodes
+        if k > n:
+            continue
+        q = build_qubo(topo, weights, k, default_penalties(topo, weights, k))
+        obj = q.objective
+        p = rng.integers(0, k, size=(3, n))
+        loads = np.array([loads_of(s, obj.weights.tolist(), k) for s in p.tolist()])
+        fixed = solvers._fixed_tables(solvers._neighbours(obj), obj.weights, obj.alpha)
+        rel, swp = solvers._move_tables(p.copy(), loads, fixed)
+        for r, state in enumerate(p):
+            before = feasible_energies(q, [state])[0]
+            afters, got = [], []
+            for i, dest in zip(*np.nonzero(np.isfinite(rel[r].reshape(n, k)))):
+                afters.append(state.copy())
+                afters[-1][i] = dest
+                got.append(rel[r, i * k + dest])
+            for i, j in zip(*np.nonzero(np.isfinite(swp[r].reshape(n, n)))):
+                afters.append(state.copy())
+                afters[-1][[i, j]] = state[[j, i]]
+                got.append(swp[r, i * n + j])
+            want = feasible_energies(q, afters) - before
+            assert len(got) == n * (k - 1) + int((state[:, None] != state).sum()) // 2
+            tolerance = 1e-9 * (abs(q.offset) + abs(before))
+            assert np.abs(np.array(got) - want).max() <= tolerance, (name, r)
 
 
 def test_local_search_memory_stays_bounded():
@@ -837,16 +863,16 @@ def test_local_search_memory_stays_bounded():
     rule = DistanceRule(kind="uniform", low=0.5, high=2.0)
     topo = generate_ring(n, chords=n // 6, rule=rule, seed=1)
     weights = compute_weights(synthetic_demands(n, timesteps=24, seed=1))
-    neighbours, w, beta, alpha, target = search_problem(topo, weights, k)
+    neighbours, w, beta, alpha = search_problem(topo, weights, k)
     rng = np.random.default_rng(0)
     coeffs = edge_coefficients(neighbours, beta)
     starts = [
-        greedy_seed_reference(rng.permutation(n).tolist(), coeffs, w, k, alpha, target)
+        greedy_seed_reference(rng.permutation(n).tolist(), coeffs, w, k, alpha)
         for _ in range(8)
     ]
     tracemalloc.start()
     try:
-        lockstep(starts, neighbours, w, beta, alpha, target)
+        lockstep(starts, neighbours, w, beta, alpha)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
