@@ -23,7 +23,6 @@ from .demand import (
 from .fairness import (
     FairnessError,
     KpiReport,
-    combined_kpi,
     distance_index,
     jain_index,
     producer_loads,

@@ -5,8 +5,11 @@ The Jain index scores how evenly producer loads are spread (1 means
 perfectly even, 1/k means one producer carries everything). The
 distance index scores how short the within-producer node-pair
 distances are relative to the whole network (0 when one producer holds
-every node, 1 when every node stands alone). The combined KPI mixes
-the two with a weight kpi_alpha.
+every node, 1 when every node stands alone). The combined KPI blends
+the two, weight kpi_alpha on the Jain index and the rest on the
+distance index. KpiReport derives it from those parts and holds every
+rule of a valid report, so a report that score_assignment builds and
+one read back from a sweep file are checked alike.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ import numpy as np
 
 from . import graphs
 from .demand import WeightVector
-from .ioutil import number
-from .solvers import Assignment
+from .ioutil import number, shown
+from .solvers import Assignment, SolverError
 
 
 class FairnessError(ValueError):
@@ -107,42 +110,45 @@ def distance_index(
     return 1.0 - numerator / denominator
 
 
-def combined_kpi(jain: float, distance_idx: float, kpi_alpha: float = 0.5) -> float:
-    """kpi_alpha * jain + (1 - kpi_alpha) * distance_idx, all in [0, 1]."""
-    for name, value in (
-        ("jain", jain),
-        ("distance index", distance_idx),
-        ("kpi_alpha", kpi_alpha),
-    ):
-        if not (0.0 <= number(value, name, FairnessError) <= 1.0):
-            raise FairnessError(f"{name} must lie in [0, 1], got {value!r}")
-    return kpi_alpha * jain + (1.0 - kpi_alpha) * distance_idx
-
-
 @dataclasses.dataclass(frozen=True)
 class KpiReport:
-    """One scored solve: indices plus the solver context they came from."""
+    """One scored solve: indices plus the solver context they came from,
+    and the one owner of a report's rules: k an integer >= 1; jain,
+    distance_index and kpi_alpha numbers in [0, 1]; energy a number;
+    solver_name a string; assignment empty, or producer ids by
+    Assignment's rule. A break raises FairnessError naming the field as
+    as_dict writes it. kpi is derived from the parts, never stored."""
 
     k: int
     jain: float
     distance_index: float
-    kpi: float
     kpi_alpha: float
     solver_name: str
     energy: float
     assignment: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        recomputed = self.kpi_alpha * self.jain + (1.0 - self.kpi_alpha) * self.distance_index
-        if abs(recomputed - self.kpi) > 1e-12:
-            raise FairnessError(
-                f"kpi {self.kpi!r} does not recompute from its parts "
-                f"({recomputed!r})"
-            )
-        object.__setattr__(self, "assignment", tuple(
-            number(p, f"assignment entry {i}", FairnessError, integer=True)
-            for i, p in enumerate(self.assignment)
-        ))
+        if not isinstance(self.solver_name, str):
+            raise FairnessError(f"solver must be a string, got {shown(self.solver_name)}")
+        object.__setattr__(self, "k", number(self.k, "k", FairnessError, integer=True, least=1))
+        for name in ("jain", "distance_index", "kpi_alpha", "energy"):
+            object.__setattr__(self, name, number(getattr(self, name), name, FairnessError))
+        for name in ("jain", "distance_index", "kpi_alpha"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise FairnessError(f"{name} must lie in [0, 1], got {shown(getattr(self, name))}")
+        if not isinstance(self.assignment, tuple | list):
+            raise FairnessError(f"assignment must be a list, got {shown(self.assignment)}")
+        try:
+            placed = Assignment(tuple(self.assignment), self.k).producer_of if self.assignment else ()
+        except SolverError as exc:
+            raise FairnessError(f"assignment: {exc}") from exc
+        object.__setattr__(self, "assignment", placed)
+
+    @property
+    def kpi(self) -> float:
+        """The combined KPI: weight kpi_alpha on jain, the rest on
+        distance_index."""
+        return self.kpi_alpha * self.jain + (1.0 - self.kpi_alpha) * self.distance_index
 
     def as_dict(self) -> dict:
         return {
@@ -166,14 +172,10 @@ def score_assignment(
     energy: float = float("nan"),
     sp: np.ndarray | None = None,
 ) -> KpiReport:
-    jain = jain_index(producer_loads(a, w))
-    d_idx = distance_index(a, topo, sp=sp)
-    kpi = combined_kpi(jain, d_idx, kpi_alpha)
     return KpiReport(
         k=a.k,
-        jain=jain,
-        distance_index=d_idx,
-        kpi=kpi,
+        jain=jain_index(producer_loads(a, w)),
+        distance_index=distance_index(a, topo, sp=sp),
         kpi_alpha=kpi_alpha,
         solver_name=solver_name,
         energy=energy,

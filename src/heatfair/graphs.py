@@ -141,10 +141,8 @@ def all_pairs_shortest_paths(topo: Topology) -> np.ndarray:
 def _floyd_warshall(n: int, edges) -> np.ndarray:
     dist = np.full((n, n), np.inf)
     np.fill_diagonal(dist, 0.0)
-    for a, b, d in edges:
-        # parallel edges are rejected upstream, min() guards anyway
-        dist[a, b] = min(dist[a, b], d)
-        dist[b, a] = dist[a, b]
+    for a, b, d in edges:  # a Topology's: no self-loops, no parallel edges
+        dist[a, b] = dist[b, a] = d
     with np.errstate(over="ignore"):  # an overflowed sum is inf; the caller tells it apart
         for via in range(n):
             np.minimum(dist, dist[:, via, None] + dist[None, via, :], out=dist)
@@ -290,23 +288,13 @@ def topology_from_dict(data: dict) -> Topology:
             raise TopologyError(f"edge entry {pos} lacks keys: {sorted(missing)}")
         edges.append((entry["a"], entry["b"], entry["distance"]))  # Topology checks them
 
-    label_tuple = None
-    if labels:
-        if len(labels) != n:
-            have = sorted(labels)
-            raise TopologyError(
-                f"either label every node or none; only ids {have} are labelled"
-            )
-        label_tuple = tuple(labels[i] for i in range(n))
-    coord_tuple = None
-    if coords:
-        if len(coords) != n:
-            have = sorted(coords)
-            raise TopologyError(
-                f"either position every node or none; only ids {have} have coords"
-            )
-        coord_tuple = tuple(coords[i] for i in range(n))
-    return Topology(nodes=n, edges=tuple(edges), labels=label_tuple, coords=coord_tuple)
+    whole = {}  # labels and coords: every node has one, or none does
+    for field, found, verb, have in (("labels", labels, "label", "are labelled"),
+                                     ("coords", coords, "position", "have coords")):
+        if found and len(found) != n:
+            raise TopologyError(f"either {verb} every node or none; only ids {sorted(found)} {have}")
+        whole[field] = tuple(found[i] for i in range(n)) if found else None
+    return Topology(nodes=n, edges=tuple(edges), **whole)
 
 
 def save_topology(topo: Topology, path: str) -> None:

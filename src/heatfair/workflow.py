@@ -19,8 +19,8 @@ import numpy as np
 
 from . import graphs
 from .demand import DemandMatrix, compute_weights
-from .fairness import KpiReport, score_assignment
-from .ioutil import atomic_write_text, csv_text, number, read_json, shown, write_json
+from .fairness import FairnessError, KpiReport, score_assignment
+from .ioutil import atomic_write_text, csv_text, integral, number, read_json, shown, write_json
 from .qubo import PenaltyConfig, QuboInstance, build_qubo
 from .solvers import (
     AnnealConfig, SolveResult, SolverError, solve_anneal, solve_exhaustive, solve_heuristic,
@@ -94,6 +94,8 @@ class SweepConfig:
         if not all(isinstance(spec, SolverSpec) for spec in self.solvers):
             raise WorkflowError(f"solvers must be SolverSpec objects, got {self.solvers!r}")
         _refuse_repeats([spec.name for spec in self.solvers], "solver")
+        if not isinstance(self.penalty, PenaltyConfig | None):
+            raise WorkflowError(f"penalty must be a PenaltyConfig or None, got {self.penalty!r}")
         object.__setattr__(self, "kpi_alpha", number(self.kpi_alpha, "kpi_alpha", WorkflowError))
         if not (0.0 <= self.kpi_alpha <= 1.0):
             raise WorkflowError(
@@ -251,11 +253,12 @@ def sweep_from_dict(doc) -> SweepResult:
     WorkflowError, "not a sweep result file (...)", unless provenance
     is an object whose config holds max_producers and kpi_alpha, and
     whose label, if any, is a string or null; warnings, if any, is a
-    list of strings; and reports is a list of objects, each with an
-    integer k in 1..max_producers, a string solver, numbers jain,
-    distance_index, kpi and kpi_alpha in [0, 1] and a number energy, no
-    two for the same (k, solver) cell. Numbers are read by
-    ioutil.number."""
+    list of strings; and reports is a list of objects, each a valid
+    KpiReport (its refusal shown after "reports[i].") whose k is at most
+    max_producers, whose kpi_alpha is the config's, whose kpi number
+    recomputes from its parts within 1e-12 and whose assignment, if
+    any, is as long as every other report's; no two reports may share a
+    (k, solver) cell. Numbers are read by ioutil.number."""
 
     def bad(what: str) -> WorkflowError:
         return WorkflowError(f"not a sweep result file ({what})")
@@ -265,7 +268,7 @@ def sweep_from_dict(doc) -> SweepResult:
     if not (isinstance(config, dict) and {"max_producers", "kpi_alpha"} <= config.keys()):
         raise bad("expected an object whose provenance.config holds max_producers and kpi_alpha")
     max_producers = number(config["max_producers"], "provenance.config.max_producers", bad, True)
-    number(config["kpi_alpha"], "provenance.config.kpi_alpha", bad)
+    kpi_alpha = number(config["kpi_alpha"], "provenance.config.kpi_alpha", bad)
     if not isinstance(provenance.get("label", ""), str | None):
         raise bad(f"provenance.label must be a string or null, got {shown(provenance['label'])}")
     warnings = doc.get("warnings", [])
@@ -274,29 +277,34 @@ def sweep_from_dict(doc) -> SweepResult:
     entries = doc.get("reports")
     if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
         raise bad("'reports' must be a list of objects")
-    fields, cells = [], set()
+    reports, cells = [], set()
     for at, e in enumerate(entries):
-        if not isinstance(e.get("solver"), str):
-            raise bad(f"reports[{at}].solver must be a string, got {shown(e.get('solver'))}")
-        checked = {field: number(e.get(field), f"reports[{at}].{field}", bad, field == "k")
-                   for field in ("k", "jain", "distance_index", "kpi", "kpi_alpha", "energy")}
-        if not 1 <= checked["k"] <= max_producers:
-            raise bad(f"reports[{at}].k must lie in 1..{max_producers}, got {checked['k']}")
-        for field in ("jain", "distance_index", "kpi", "kpi_alpha"):
-            if not 0.0 <= checked[field] <= 1.0:
-                raise bad(f"reports[{at}].{field} must lie in [0, 1], got {shown(e[field])}")
-        cell = (checked["k"], e["solver"])
+        k = e.get("k")  # before KpiReport, so k = 0 reads as outside 1..max_producers
+        if integral(type(k)) and not 1 <= k <= max_producers:
+            raise bad(f"reports[{at}].k must lie in 1..{max_producers}, got {k}")
+        try:
+            report = KpiReport(
+                solver_name=e.get("solver"), assignment=e.get("assignment", ()),
+                **{f: e.get(f) for f in ("k", "jain", "distance_index", "kpi_alpha", "energy")},
+            )
+        except FairnessError as exc:
+            raise bad(f"reports[{at}].{exc}") from exc
+        kpi = number(e.get("kpi"), f"reports[{at}].kpi", bad)
+        if not abs(kpi - report.kpi) <= 1e-12:  # a NaN kpi too
+            raise bad(f"reports[{at}].kpi {shown(kpi)} does not recompute from its parts "
+                      f"({report.kpi!r})")
+        if report.kpi_alpha != kpi_alpha:
+            raise bad(f"reports[{at}].kpi_alpha must equal provenance.config.kpi_alpha "
+                      f"{shown(kpi_alpha)}, got {shown(report.kpi_alpha)}")
+        if reports and len(report.assignment) != len(reports[0].assignment):
+            raise bad(f"reports[{at}].assignment covers {len(report.assignment)} nodes, "
+                      f"but reports[0].assignment covers {len(reports[0].assignment)}")
+        cell = (report.k, report.solver_name)
         if cell in cells:
             raise bad(f"reports[{at}] repeats the cell k={cell[0]}, solver {shown(cell[1])}")
         cells.add(cell)
-        fields.append(checked)
-    try:
-        reports = tuple(KpiReport(
-            solver_name=e["solver"], assignment=tuple(e.get("assignment", ())), **checked,
-        ) for e, checked in zip(entries, fields))
-    except (TypeError, ValueError) as exc:  # assignment not a list, or a KpiReport's own check
-        raise bad(repr(exc)) from exc
-    return SweepResult(reports, tuple(warnings), provenance)
+        reports.append(report)
+    return SweepResult(tuple(reports), tuple(warnings), provenance)
 
 
 def sweep_to_csv_text(result: SweepResult) -> str:

@@ -642,6 +642,14 @@ def _spoilt(doc, *path, value=None, drop=False):
     return doc
 
 
+def _kpi_of(d, kpi):
+    """d with report 0's jain and distance_index 0.5, so its kpi derives
+    to 0.5 at any kpi_alpha, and the kpi it states set to kpi."""
+    for field, value in (("jain", 0.5), ("distance_index", 0.5), ("kpi", kpi)):
+        d = _spoilt(d, "reports", 0, field, value=value)
+    return d
+
+
 def _jain_of(d, jain):
     """d with report 0's jain set and its kpi recomputed to match."""
     report = d["reports"][0]
@@ -653,7 +661,7 @@ NO_CONFIG = "expected an object whose provenance.config holds max_producers and 
 
 
 # the spoilt sweep file, and how its refusal names what is wrong: the
-# last five hold numbers and strings of the right types that no sweep writes
+# last ten hold numbers and strings of the right types that no sweep writes
 @pytest.mark.parametrize("spoil, field", [
     pytest.param(lambda d: {**d, "reports": [*d["reports"], {**d["reports"][0], "k": "x"}]},
                  "reports[2].k must be an integer", id="k-text"),
@@ -682,7 +690,7 @@ NO_CONFIG = "expected an object whose provenance.config holds max_producers and 
     pytest.param(lambda d: _spoilt(d, "reports", 0, "energy", drop=True),
                  "reports[0].energy must be a number", id="no-energy"),
     pytest.param(lambda d: _spoilt(d, "reports", 0, "assignment", value=["x"]),
-                 "FairnessError('assignment entry 0 must be an integer", id="assignment-text"),
+                 "reports[0].assignment: node 0 must be an integer", id="assignment-text"),
     pytest.param(lambda d: _spoilt(d, "warnings", value=3), "warnings must be a list of strings",
                  id="warnings-int"),
     pytest.param(lambda d: [d], NO_CONFIG, id="document-list"),
@@ -695,6 +703,22 @@ NO_CONFIG = "expected an object whose provenance.config holds max_producers and 
                  id="warnings-text"),
     pytest.param(lambda d: _spoilt(d, "provenance", "label", value=["a"]),
                  "provenance.label must be a string or null", id="label-list"),
+    pytest.param(lambda d: _spoilt(_spoilt(d, "reports", 0, "kpi_alpha", value=1.0),
+                                   "reports", 0, "kpi", value=d["reports"][0]["jain"]),
+                 "reports[0].kpi_alpha must equal provenance.config.kpi_alpha 0.5, got 1.0",
+                 id="kpi-alpha-other-blend"),
+    pytest.param(lambda d: _spoilt(d, "reports", 1, "assignment", value=[0, 7, 7, -3]),
+                 "reports[1].assignment: node 1 assigned to producer 7, outside 0..1",
+                 id="assignment-out-of-range"),
+    pytest.param(lambda d: _spoilt(d, "reports", 1, "assignment",
+                                   value=d["reports"][1]["assignment"][:-1]),
+                 "reports[1].assignment covers 5 nodes, but reports[0].assignment covers 6",
+                 id="assignment-one-node-short"),
+    pytest.param(lambda d: _kpi_of(d, 0.5 + 1e-9),
+                 "reports[0].kpi 0.500000001 does not recompute from its parts (0.5)",
+                 id="kpi-off-its-parts"),
+    pytest.param(lambda d: _kpi_of(d, float("nan")),
+                 "reports[0].kpi NaN does not recompute from its parts (0.5)", id="kpi-nan"),
 ])
 def test_compare_rejects_malformed_sweep_files(spoil, field, tmp_path, capsys):
     topo_path, csv_path = tmp_path / "ring.json", tmp_path / "demands.csv"
@@ -705,7 +729,9 @@ def test_compare_rejects_malformed_sweep_files(spoil, field, tmp_path, capsys):
         "--label", "good", "-o", str(tmp_path / "good"),
     ]) == 0
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(spoil(json.loads((tmp_path / "good.json").read_text()))))
+    doc = json.loads((tmp_path / "good.json").read_text())
+    doc["provenance"]["label"] = "bad"  # so a file read whole compares with exit 0
+    bad.write_text(json.dumps(spoil(doc)))
     capsys.readouterr()
     out = tmp_path / "cmp.csv"
     assert cli.main(["compare", str(tmp_path / "good.json"), str(bad), "-o", str(out)]) == 2

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -9,7 +11,6 @@ from heatfair import (
     Topology,
     WeightVector,
     all_pairs_shortest_paths,
-    combined_kpi,
     distance_index,
     generate_ring,
     jain_index,
@@ -203,29 +204,60 @@ def test_distance_index_never_drops_when_a_producer_splits(data):
     assert after >= before - 1e-12
 
 
+def _report(jain=1.0, distance=0.5, kpi_alpha=0.5, **more):
+    return KpiReport(**{"k": 2, "jain": jain, "distance_index": distance,
+                        "kpi_alpha": kpi_alpha, "solver_name": "exhaustive", "energy": 0.0, **more})
+
+
 def test_combined_kpi_blends_and_collapses():
-    assert combined_kpi(0.8772, 0.75, 0.5) == pytest.approx(0.8136, abs=1e-12)
-    assert combined_kpi(0.3, 0.9, 1.0) == 0.3
-    assert combined_kpi(0.3, 0.9, 0.0) == 0.9
+    assert _report(0.8772, 0.75).kpi == pytest.approx(0.8136, abs=1e-12)
+    assert _report(0.3, 0.9, 1.0).kpi == 0.3
+    assert _report(0.3, 0.9, 0.0).kpi == 0.9
     with pytest.raises(FairnessError, match="jain"):
-        combined_kpi(1.2, 0.5)
+        _report(1.2, 0.5)
     with pytest.raises(FairnessError, match="kpi_alpha"):
-        combined_kpi(0.5, 0.5, -0.1)
+        _report(0.5, 0.5, -0.1)
 
 
 def test_kpi_report_rejects_inconsistent_kpi():
-    with pytest.raises(FairnessError, match="does not recompute"):
-        KpiReport(
-            k=2, jain=1.0, distance_index=0.0, kpi=0.9, kpi_alpha=0.5,
-            solver_name="exhaustive", energy=0.0,
-        )
-    report = KpiReport(
-        k=2, jain=1.0, distance_index=0.5, kpi=0.75, kpi_alpha=0.5,
-        solver_name="exhaustive", energy=0.0, assignment=(0, 1),
-    )
+    # kpi is derived from its parts, so no report can hold another value
+    with pytest.raises(TypeError, match="kpi"):
+        _report(1.0, 0.0, kpi=0.9)
+    report = _report(assignment=[0, 1])
     doc = report.as_dict()
     assert doc["solver"] == "exhaustive"
-    assert doc["assignment"] == [0, 1]
+    assert doc["assignment"] == [0, 1] and report.assignment == (0, 1)
+    assert doc["kpi"] == report.kpi == 0.75
+    assert list(doc) == ["k", "solver", "jain", "distance_index", "kpi", "kpi_alpha",
+                         "energy", "assignment"]
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"k": 0}, "k must be >= 1, got 0"),
+    ({"k": 2.0}, "k must be an integer, got 2.0"),
+    ({"jain": float("nan")}, "jain must lie in [0, 1], got NaN"),
+    ({"distance_index": -0.25}, "distance_index must lie in [0, 1], got -0.25"),
+    ({"kpi_alpha": 1.5}, "kpi_alpha must lie in [0, 1], got 1.5"),
+    ({"energy": "0"}, 'energy must be a number, got "0"'),
+    ({"solver_name": None}, "solver must be a string, got null"),
+    ({"assignment": 3}, "assignment must be a list, got 3"),
+    ({"assignment": (0, 2)}, "assignment: node 1 assigned to producer 2, outside 0..1"),
+    ({"assignment": (0, -1)}, "assignment: node 1 assigned to producer -1, outside 0..1"),
+    ({"assignment": ["0"]}, 'assignment: node 0 must be an integer, got "0"'),
+], ids=["k-zero", "k-float", "jain-nan", "distance-negative", "alpha-above-one", "energy-text",
+        "solver-null", "assignment-int", "assignment-high", "assignment-negative",
+        "assignment-text"])
+def test_kpi_report_checks_every_field(change, message):
+    with pytest.raises(FairnessError, match=f"^{re.escape(message)}$"):
+        _report(**change)
+
+
+def test_kpi_report_stores_plain_numbers():
+    report = _report(np.float64(0.75), 1, k=np.int64(3), energy=np.float32(2.5),
+                     assignment=list(np.array([0, 2, 1])))
+    assert [type(v) for v in (report.k, report.jain, report.distance_index, report.energy)] == \
+        [int, float, float, float]
+    assert report.assignment == (0, 2, 1) and report.kpi == 0.5 * 0.75 + 0.5 * 1.0
 
 
 def test_score_assignment_combines_the_pieces():

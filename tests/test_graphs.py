@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -306,6 +307,22 @@ def test_dict_form_validates_ids_and_fields():
         topology_from_dict(
             {"nodes": [{"id": 0, "label": "a"}, {"id": 1}], "edges": []}
         )
+
+
+def test_dict_form_labels_and_positions_every_node_or_none():
+    three = [{"id": 0}, {"id": 1}, {"id": 2}]
+    with pytest.raises(TopologyError, match=re.escape(
+            "either label every node or none; only ids [0, 2] are labelled")):
+        topology_from_dict({"nodes": [{**three[0], "label": "a"}, three[1],
+                                      {**three[2], "label": "c"}], "edges": []})
+    with pytest.raises(TopologyError, match=re.escape(
+            "either position every node or none; only ids [1] have coords")):
+        topology_from_dict({"nodes": [three[0], {**three[1], "x": 1.0, "y": 2.0}, three[2]],
+                            "edges": []})
+    whole = topology_from_dict({"nodes": [{**n, "label": f"n{n['id']}", "x": 0.0, "y": n["id"]}
+                                          for n in three], "edges": []})
+    assert whole.labels == ("n0", "n1", "n2") and whole.coords == ((0.0, 0.0), (0.0, 1.0), (0.0, 2.0))
+    assert topology_from_dict({"nodes": three, "edges": []}).labels is None
 
 
 @pytest.mark.parametrize(

@@ -254,8 +254,9 @@ BUILDS = {
     "Assignment": (SolverError, lambda v: Assignment(producer_of=(0, v), k=2), None),
     "canonical_form": (SolverError, lambda v: canonical_form((0, v), 2), None),
     "KpiReport": (FairnessError, lambda v: KpiReport(
-        k=1, jain=1.0, distance_index=1.0, kpi=1.0, kpi_alpha=0.5, solver_name="heuristic",
-        energy=0.0, assignment=(v,)), None),
+        k=1, jain=1.0, distance_index=1.0, kpi_alpha=0.5, solver_name="heuristic",
+        energy=0.0, assignment=(v,)), lambda v: KpiReport(
+        k=1, jain=1.0, distance_index=1.0, kpi_alpha=0.5, solver_name="heuristic", energy=v)),
 }
 
 

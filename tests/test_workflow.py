@@ -192,6 +192,13 @@ def test_sweep_config_validation():
         SolverSpec(name="magic")
 
 
+def test_sweep_config_refuses_a_penalty_that_is_not_a_penalty_config():
+    loose = {"alpha": 1.0, "beta": 1.0, "gamma": 1.0}
+    with pytest.raises(WorkflowError, match="^penalty must be a PenaltyConfig or None, got "):
+        run_sweep(RING8, FLAT8, SweepConfig(max_producers=2, penalty=loose))
+    assert SweepConfig(penalty=PenaltyConfig(**loose)).penalty == PenaltyConfig(**loose)
+
+
 def test_a_solver_or_format_named_twice_is_refused(tmp_path):
     # its rows or files would be written twice, indistinguishably
     twice = (SolverSpec(name="anneal"), SolverSpec(name="heuristic"),
@@ -286,6 +293,18 @@ def test_sweep_from_dict_reads_back_sweep_to_dict(tmp_path):
         "jain.dat", "distance_index.dat", "kpi.dat", "json", "csv")]
     assert workflow.load_sweep(f"{prefix}.json") == res
     assert (tmp_path / "s.csv").read_text() == sweep_to_csv_text(res)
+
+
+def test_sweep_from_dict_reads_a_file_without_assignments():
+    res = run_sweep(RING8, FLAT8, SweepConfig(max_producers=3))
+    doc = json.loads(json.dumps(sweep_to_dict(res)))
+    for report in doc["reports"]:
+        del report["assignment"]
+    back = workflow.sweep_from_dict(doc)
+    assert [r.assignment for r in back.reports] == [()] * 3
+    assert back == dataclasses.replace(res, reports=tuple(
+        dataclasses.replace(r, assignment=()) for r in res.reports))
+    assert sweep_to_csv_text(back) == sweep_to_csv_text(res)
 
 
 def test_compare_topologies_merges_and_sorts():
