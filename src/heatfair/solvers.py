@@ -13,26 +13,29 @@ Three routes with very different trust levels:
                     producer loads, one-hot counts), so a flip updates
                     O(degree + 1) of them. Stretches of sweeps in which
                     no proposal can pass are skipped by a few numpy
-                    comparisons of the walk's own deltas. The limits are
-                    drawn into one reused buffer a block of sweeps at a
-                    time, so memory does not grow with the sweep count;
-                    every result equals a plain proposal-by-proposal
-                    scan of the same rule bit for bit.
+                    comparisons of the walk's own deltas, and the walk
+                    resumes at bit 0 of the sweep that holds the first
+                    passing proposal. The limits are drawn into one
+                    reused buffer a block of sweeps at a time, so memory
+                    does not grow with the sweep count; every result
+                    equals a plain proposal-by-proposal scan of the same
+                    rule bit for bit.
   solve_heuristic   greedy seeding plus relocate/swap local search
                     on the instance's Objective (what the builder
                     expanded), not on QUBO coefficients; an imported
-                    instance has none. All restarts are seeded and then
-                    descend in lockstep, both reading one flat list of
-                    (node, neighbour, edge coefficient) entries, and
-                    both price load balance by the annealer's field
-                    rule, 2*alpha*w_i*L_j, taking no square. Seeding
-                    adds the coefficients of a node's placed neighbours
-                    after the balance term; each descent step is a fixed
-                    handful of numpy calls over tables of every move's
-                    delta, read from one table of each node's edge
-                    coefficients per producer. Both sum exactly as a
-                    scalar scan would: in neighbour-list order, first
-                    minimum in scan order.
+                    instance has none. Seeding and descent price load
+                    balance by the annealer's field rule,
+                    2*alpha*w_i*L_j, taking no square. Seeding scans one
+                    restart after another, adding the coefficients of a
+                    node's placed neighbours from its neighbour list
+                    after the balance term. All restarts then descend
+                    in lockstep, each step a fixed handful of numpy
+                    calls over tables of every move's delta, read from
+                    one table of each node's edge coefficients per
+                    producer, summed from one flat list of (node,
+                    neighbour, edge coefficient) entries. Both sum
+                    exactly as a scalar scan would: in neighbour-list
+                    order, first minimum in scan order.
 
 All three take only the instance and their own settings, and end the
 same way (_result): their candidates (every assignment, or each
@@ -357,14 +360,13 @@ class _Limits:
         return self.buf[sweep - self.lo].tolist()
 
     def first_acceptance(self, deltas: np.ndarray, sweep: int):
-        """The first (sweep, var), row-major from sweep `sweep` on, where
+        """The first sweep, from sweep `sweep` on, in which some var has
         deltas[var] <= limit; None if there is none. Rows are compared
         in windows of 1, 2, 4, ... sweeps, each cut at the end of its
         block, so a near hit costs one small comparison and a distant
         one few numpy calls. The scan stops, drawing nothing more, at
         the first window whose ceiling lies below every delta (fmin
         skips a NaN, which never passes)."""
-        nv = deltas.size
         lowest = float(np.fmin.reduce(deltas))
         width = 1
         while sweep < len(self.temps) and not lowest > self.ceiling[sweep]:
@@ -373,8 +375,7 @@ class _Limits:
             row = sweep - self.lo
             hits = deltas <= self.buf[row:min(row + width, self.hi - self.lo)]
             if hits.any():
-                at = int(hits.argmax())
-                return sweep + at // nv, at % nv
+                return sweep + int(hits.argmax()) // deltas.size
             sweep, width = min(sweep + width, self.hi), width * 2
         return None
 
@@ -428,25 +429,25 @@ def _walk(obj: Objective, x, S, L, c, current: float, limits: _Limits):
     flip updates x, L[j], c[i] and S[j] at i's neighbours, adding or
     subtracting each value (x - c is exactly x + (-c)). After a sweep
     with no flip the state cannot change until the next accepted
-    proposal, so that proposal is found by comparing the deltas the
-    sweep kept in seen with the following sweeps' limits
-    (_Limits.first_acceptance), and the loop resumes there. Only a
-    rejected proposal's delta is kept, as only a sweep that rejects
-    every proposal is read; such a sweep began at bit 0 (a resumed one
-    starts at the hit, which passes), so seen is complete."""
+    proposal, so the sweep holding it is found by comparing the deltas
+    the sweep kept in seen with the following sweeps' limits
+    (_Limits.first_acceptance), and the loop resumes at bit 0 of that
+    sweep: its proposals before the hit fail again, as the state, their
+    deltas and their limits are unchanged. Only a rejected proposal's
+    delta is kept, as only a sweep that rejects every proposal is read;
+    every sweep begins at bit 0, so seen is then complete."""
     lin, reach, w, g2, neighbours = _field_terms(obj)
     k, n = len(L), len(c)
     seen = [[0.0] * n for _ in range(k)]
     best_raw, best_x = current, [bits[:] for bits in x]
-    sweep, first = 0, 0
+    sweep = 0
     while sweep < len(limits.temps):
         lims = limits.row(sweep)
         frozen = True
-        j0, start = divmod(first, n)
-        for j in range(j0, k):
+        for j in range(k):
             xj, Sj, dj, lim = x[j], S[j], seen[j], lims[j * n:(j + 1) * n]
             load = L[j]
-            for i in range(start, n):
+            for i in range(n):
                 if xj[i]:
                     delta = -(lin[i] + Sj[i] + reach[i] * (load - w[i]) + g2 * (c[i] - 1.0))
                     if not delta <= lim[i]:  # as written, so a NaN never flips
@@ -472,13 +473,11 @@ def _walk(obj: Objective, x, S, L, c, current: float, limits: _Limits):
                 if current < best_raw:
                     best_raw, best_x = current, [bits[:] for bits in x]
             L[j] = load
-            start = 0
-        sweep, first = sweep + 1, 0
+        sweep += 1
         if frozen:
-            hit = limits.first_acceptance(np.array(seen).ravel(), sweep)
-            if hit is None:
+            sweep = limits.first_acceptance(np.array(seen).ravel(), sweep)
+            if sweep is None:
                 break
-            sweep, first = hit
     return best_raw, best_x
 
 
@@ -500,7 +499,8 @@ def solve_anneal(q: QuboInstance, cfg: AnnealConfig) -> SolveResult:
     at j, L_j the load of j and c_i the bits node i has set. A proposal
     is O(1) and a flip updates O(degree + 1) sums (_walk). Frozen sweeps
     are skipped exactly, by comparing the deltas the walk computed in
-    the sweep that froze with the limits that follow, so every result
+    the sweep that froze with the limits that follow; the walk resumes
+    at bit 0 of the first sweep with a passing proposal, so every result
     equals a plain proposal-by-proposal scan of the same rule. Auto
     temperatures come from the objective's QUBO rows
     (_auto_temperatures).
@@ -535,8 +535,8 @@ def solve_anneal(q: QuboInstance, cfg: AnnealConfig) -> SolveResult:
 
 
 def _fixed_tables(neighbours, w, alpha):
-    """What seeding, _move_tables and _local_search read that stays
-    fixed through a solve: every (node, neighbour, edge coefficient) of
+    """What _move_tables and _local_search read that stays fixed
+    through a descent: every (node, neighbour, edge coefficient) of
     the neighbour lists, node by node in list order; the weights w and
     2*alpha*w; the weight d[i, j] = w_j - w_i that swapping i and j
     moves onto i's producer, and 2*alpha*d; and the mask of the pairs
@@ -549,37 +549,28 @@ def _fixed_tables(neighbours, w, alpha):
     return node, nbr, coeff, w, 2.0 * alpha * w, d, 2.0 * alpha * d, lower
 
 
-def _greedy_seed(orders, fixed, k):
-    """Greedy seeding of every restart in lockstep, orders (restarts, n)
-    holding each restart's nodes in seeding order. Node i goes to the
-    producer j of lowest cost 2*alpha*w_i*L_j, the annealer's balance
-    field, to which the coefficients of i's neighbours already at j are
-    then added in neighbour-list order; the first minimum wins. fixed is
-    _fixed_tables(neighbours, w, alpha). Returns producer ids (restarts,
-    n), -1 before a node is placed, and loads (restarts, k)."""
-    r, n = orders.shape
-    node, nbr, coeff, w, reach = fixed[:5]
-    p = np.full((r, n), -1)
-    loads = np.zeros((r, k))
-    rows = np.arange(r)
-    # the entries of i's neighbours at every position, restart by
-    # restart, each in list order; cut[t] is where position t's begin
-    first = np.searchsorted(node, np.arange(n + 1))
-    lo, count = first[orders.T].ravel(), np.diff(first)[orders.T].ravel()
-    ends = np.cumsum(count)
-    entry = np.arange(ends[-1]) - np.repeat(ends - count - lo, count)
-    restart = np.repeat(np.tile(rows, n), count)
-    cut = np.append(0, ends[r - 1::r])
-    for t, i in enumerate(orders.T):
-        cost = reach[i][:, None] * loads
-        at, on = entry[cut[t]:cut[t + 1]], restart[cut[t]:cut[t + 1]]
-        producer = p[on, nbr[at]]
-        placed = producer >= 0
-        np.add.at(cost, (on[placed], producer[placed]), coeff[at[placed]])
-        best = cost.argmin(axis=1)
-        p[rows, i] = best
-        loads[rows, best] += w[i]
-    return p, loads
+def _greedy_seed(orders, neighbours, w, alpha, k):
+    """Greedy seeding, one restart after another, each from its own order
+    of the nodes. Node i goes to the producer j of lowest cost
+    2*alpha*w_i*L_j, the annealer's balance field, to which the
+    coefficients of i's neighbours already at j are then added in
+    neighbour-list order; the first minimum wins. neighbours holds each
+    node's (neighbour, edge coefficient) pairs. Returns producer ids
+    (restarts, n) and loads (restarts, k)."""
+    reach = [2.0 * alpha * wi for wi in w]
+    producers, loads = [], []
+    for order in orders:
+        p, load = [-1] * len(w), [0.0] * k
+        for i in order:
+            cost = [reach[i] * lj for lj in load]
+            for u, coeff in neighbours[i]:
+                if p[u] >= 0:
+                    cost[p[u]] += coeff
+            p[i] = best = cost.index(min(cost))
+            load[best] += w[i]
+        producers.append(p)
+        loads.append(load)
+    return np.array(producers), np.array(loads)
 
 
 def _move_tables(p, loads, fixed):
@@ -663,17 +654,17 @@ def solve_heuristic(q: QuboInstance, seed: int = 0, restarts: int = 8) -> SolveR
 
     Node terms are left out: a feasible assignment pays each of them
     exactly once. Restart 0 seeds nodes heaviest-first; later restarts
-    use random orders. All restarts are seeded and then descend in
-    lockstep, a fixed handful of numpy calls per seeding position and
-    per step. Both read one flat list of (node, neighbour, edge
-    coefficient) entries built once per solve (_fixed_tables): seeding
-    adds the coefficients of a node's placed neighbours after the
-    balance term 2*alpha*w_i*L_j, in neighbour-list order, and the
-    descent sums them into one node-by-producer table (_move_tables),
-    in groups whose swap tables stay near 8 MB. Each restart matches a
-    scalar scan bit for bit. Restarts compete on the QUBO energy of
-    their final assignments in q, ties to the earliest restart, so
-    results line up with the other solvers.
+    use random orders. Seeding scans one restart after another over the
+    neighbour lists, adding the coefficients of a node's placed
+    neighbours after the balance term 2*alpha*w_i*L_j in list order
+    (_greedy_seed). All restarts then descend in lockstep, a fixed
+    handful of numpy calls per step, reading one flat list of (node,
+    neighbour, edge coefficient) entries built once per solve
+    (_fixed_tables) and summing it into one node-by-producer table
+    (_move_tables), in groups whose swap tables stay near 8 MB. Each
+    restart matches a scalar scan bit for bit. Restarts compete on the
+    QUBO energy of their final assignments in q, ties to the earliest
+    restart, so results line up with the other solvers.
     """
     restarts = number(restarts, "restarts", SolverError, integer=True, least=1)
     seed = number(seed, "seed", SolverError, integer=True, least=0)
@@ -681,13 +672,12 @@ def solve_heuristic(q: QuboInstance, seed: int = 0, restarts: int = 8) -> SolveR
     n = q.n
     if q.k == 1:  # every node on producer 0 is the only feasible answer
         return _result(q, [[0] * n], "heuristic", seed, 0)
-    weights = obj.weights.tolist()
-    fixed = _fixed_tables(_neighbours(obj), obj.weights, obj.alpha)
+    weights, neighbours = obj.weights.tolist(), _neighbours(obj)
 
     children = np.random.SeedSequence(seed).spawn(max(restarts - 1, 1))
-    orders = np.array([sorted(range(n), key=lambda i: (-weights[i], i))] + [
-        np.random.default_rng(child).permutation(n) for child in children[: restarts - 1]
-    ])
-    producers, loads = _greedy_seed(orders, fixed, q.k)
-    moves = _local_search(producers, loads, fixed)
+    orders = [sorted(range(n), key=lambda i: (-weights[i], i))] + [
+        np.random.default_rng(child).permutation(n).tolist() for child in children[: restarts - 1]
+    ]
+    producers, loads = _greedy_seed(orders, neighbours, weights, obj.alpha, q.k)
+    moves = _local_search(producers, loads, _fixed_tables(neighbours, obj.weights, obj.alpha))
     return _result(q, producers, "heuristic", seed, int(moves.sum()))

@@ -251,8 +251,9 @@ def sweep_to_dict(result: SweepResult) -> dict:
 def sweep_from_dict(doc) -> SweepResult:
     """The SweepResult a sweep_to_dict document holds. Raises
     WorkflowError, "not a sweep result file (...)", unless provenance
-    is an object whose config holds max_producers and kpi_alpha, and
-    whose label, if any, is a string or null; warnings, if any, is a
+    is an object whose config holds max_producers and kpi_alpha that
+    SweepConfig accepts (its refusal shown after "provenance.config."),
+    and whose label, if any, is a string or null; warnings, if any, is a
     list of strings; and reports is a list of objects, each a valid
     KpiReport (its refusal shown after "reports[i].") whose k is at most
     max_producers, whose kpi_alpha is the config's, whose kpi number
@@ -267,8 +268,11 @@ def sweep_from_dict(doc) -> SweepResult:
     config = provenance.get("config") if isinstance(provenance, dict) else None
     if not (isinstance(config, dict) and {"max_producers", "kpi_alpha"} <= config.keys()):
         raise bad("expected an object whose provenance.config holds max_producers and kpi_alpha")
-    max_producers = number(config["max_producers"], "provenance.config.max_producers", bad, True)
-    kpi_alpha = number(config["kpi_alpha"], "provenance.config.kpi_alpha", bad)
+    try:
+        config = SweepConfig(max_producers=config["max_producers"], kpi_alpha=config["kpi_alpha"])
+    except WorkflowError as exc:
+        raise bad(f"provenance.config.{exc}") from exc
+    max_producers, kpi_alpha = config.max_producers, config.kpi_alpha
     if not isinstance(provenance.get("label", ""), str | None):
         raise bad(f"provenance.label must be a string or null, got {shown(provenance['label'])}")
     warnings = doc.get("warnings", [])

@@ -660,8 +660,13 @@ def _jain_of(d, jain):
 NO_CONFIG = "expected an object whose provenance.config holds max_producers and kpi_alpha"
 
 
+def _config_of(d, field, value):
+    """d with no reports and provenance.config's field set to value."""
+    return _spoilt(_spoilt(d, "reports", value=[]), "provenance", "config", field, value=value)
+
+
 # the spoilt sweep file, and how its refusal names what is wrong: the
-# last ten hold numbers and strings of the right types that no sweep writes
+# last twelve hold numbers and strings of the right types that no sweep writes
 @pytest.mark.parametrize("spoil, field", [
     pytest.param(lambda d: {**d, "reports": [*d["reports"], {**d["reports"][0], "k": "x"}]},
                  "reports[2].k must be an integer", id="k-text"),
@@ -693,6 +698,9 @@ NO_CONFIG = "expected an object whose provenance.config holds max_producers and 
                  "reports[0].assignment: node 0 must be an integer", id="assignment-text"),
     pytest.param(lambda d: _spoilt(d, "warnings", value=3), "warnings must be a list of strings",
                  id="warnings-int"),
+    pytest.param(lambda d: _spoilt(d, "provenance", "config", "max_producers", value=True),
+                 "provenance.config.max_producers must be an integer, got true",
+                 id="max-producers-bool"),
     pytest.param(lambda d: [d], NO_CONFIG, id="document-list"),
     pytest.param(lambda d: _spoilt(d, "reports", 0, "k", value=0), "reports[0].k must lie in 1..2",
                  id="k-zero"),
@@ -719,6 +727,11 @@ NO_CONFIG = "expected an object whose provenance.config holds max_producers and 
                  id="kpi-off-its-parts"),
     pytest.param(lambda d: _kpi_of(d, float("nan")),
                  "reports[0].kpi NaN does not recompute from its parts (0.5)", id="kpi-nan"),
+    pytest.param(lambda d: _config_of(d, "kpi_alpha", 7.0),
+                 "provenance.config.kpi_alpha must lie in [0, 1], got 7.0", id="no-reports-kpi-alpha-7"),
+    pytest.param(lambda d: _config_of(d, "max_producers", -3),
+                 "provenance.config.max_producers must be >= 1, got -3",
+                 id="no-reports-max-producers-minus-3"),
 ])
 def test_compare_rejects_malformed_sweep_files(spoil, field, tmp_path, capsys):
     topo_path, csv_path = tmp_path / "ring.json", tmp_path / "demands.csv"

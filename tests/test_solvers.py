@@ -719,10 +719,8 @@ def test_lockstep_seeding_matches_scalar_reference(k):
         neighbours, w, beta, alpha = search_problem(topo, weights, k)
         beta *= sign
         orders = seeding_orders(w, rng)
-        p, loads = solvers._greedy_seed(
-            np.array(orders), kernel_inputs(neighbours, w, beta, alpha), k
-        )
         coeffs = edge_coefficients(neighbours, beta)
+        p, loads = solvers._greedy_seed(orders, coeffs, w, alpha, k)
         for r, order in enumerate(orders):
             ref_p, ref_loads = greedy_seed_reference(order, coeffs, w, k, alpha)
             assert p[r].tolist() == ref_p, (name, r)
@@ -734,9 +732,7 @@ def test_lockstep_seeding_matches_scalar_reference(k):
         coeffs = [[(3, 1.0)], [(3, -1.0)], [(3, 1e-30)], [(0, 1.0), (1, -1.0), (2, 1e-30)]]
         w = [0.0] * 4
         orders = [[0, 1, 2, 3], [2, 0, 1, 3], [0, 3, 1, 2]]
-        p, loads = solvers._greedy_seed(
-            np.array(orders), solvers._fixed_tables(coeffs, np.array(w), 1.0), k
-        )
+        p, loads = solvers._greedy_seed(orders, coeffs, w, 1.0, k)
         for r, order in enumerate(orders):
             assert (p[r].tolist(), loads[r].tolist()) == greedy_seed_reference(order, coeffs, w, k, 1.0)
         assert p[:2, 3].tolist() == [1, 1]
@@ -1176,10 +1172,12 @@ def test_structured_field_matches_the_qubo(suite):
 
 
 def first_acceptance_scan(deltas, limits, sweep):
+    """The first sweep from `sweep` on that holds a passing proposal, by
+    a row-major scan of the table limits; None if there is none."""
     for s in range(sweep, len(limits)):
         for i in range(deltas.size):
             if deltas[i] <= limits[s, i]:
-                return s, i
+                return s
     return None
 
 
@@ -1219,7 +1217,7 @@ class FrozenLimits(TableLimits):
 def first_acceptance(deltas, limits, sweep, cuts=()):
     """_Limits.first_acceptance from sweep `sweep` of the table limits
     cut into blocks before each sweep in cuts, once the sweeps before it
-    are read as the walk reads them; (sweep, var) or None."""
+    are read as the walk reads them; a sweep or None."""
     stream = TableLimits(limits, cuts)
     for before in range(sweep):
         stream.row(before)
@@ -1254,11 +1252,11 @@ def test_first_acceptance_edge_cases():
     for cuts in ((), (1,), (3, 4), tuple(range(1, 9))):
         assert first_acceptance(deltas, misses, 0, cuts) is None
         assert first_acceptance(deltas, misses, 9, cuts) is None
-        assert first_acceptance(deltas, tie, 0, cuts) == (0, 2)
+        assert first_acceptance(deltas, tie, 0, cuts) == 0
         assert first_acceptance(deltas, tie, 1, cuts) is None
-        assert first_acceptance(deltas, last, 0, cuts) == (8, 1)
-        assert first_acceptance(-deltas, misses, 0, cuts) == (0, 0)
-    assert first_acceptance(np.array([-0.0]), np.array([[0.0]]), 0) == (0, 0)
+        assert first_acceptance(deltas, last, 0, cuts) == 8
+        assert first_acceptance(-deltas, misses, 0, cuts) == 0
+    assert first_acceptance(np.array([-0.0]), np.array([[0.0]]), 0) == 0
 
 
 def cold_stream(temps, nv, seed):
@@ -1295,7 +1293,7 @@ def test_scan_stops_at_the_first_unreachable_sweep(monkeypatch):
                 limits.row(sweep)
             low = np.array([np.nan, 0.9 * whole[cold // 2:cold, 1].max(), np.inf, 3.0])
             want = first_acceptance_scan(low, whole, cold // 2)
-            assert want is not None and want[0] < cold
+            assert want is not None and want < cold
             assert limits.first_acceptance(low, cold // 2) == want
 
 
