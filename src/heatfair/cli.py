@@ -163,12 +163,10 @@ def _cmd_solve(ns: argparse.Namespace, args: dict) -> int:
     topo = graphs.load_topology(ns.topology)
     weights = demand.load_weights(args["weights"])
     name = args["solver"]
-    result, report, warning = workflow.solve_cell(
+    result, report = workflow.solve_cell(
         topo, weights, args["k"], _solver_spec(args, name), args["seed"],
         penalty=_custom_penalty(args), kpi_alpha=args["kpi_alpha"],
     )
-    if warning:
-        print(f"warning: {warning}", file=sys.stderr)
     doc = result.as_dict()
     doc["wall_time"] = None  # keep outputs byte-stable; timing goes to stderr
     doc.update((key, getattr(report, key)) for key in ("jain", "distance_index", "kpi", "kpi_alpha"))

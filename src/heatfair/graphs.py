@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .ioutil import number, read_json, write_json
+from .ioutil import number, read_json, shown, write_json
 
 
 class TopologyError(ValueError):
@@ -266,7 +266,9 @@ def topology_from_dict(data: dict) -> Topology:
         nid = number(entry["id"], f"node entry {pos}: id", TopologyError, integer=True)
         ids.append(nid)
         if "label" in entry:
-            labels[nid] = str(entry["label"])
+            if not isinstance(entry["label"], str):
+                raise TopologyError(f"node entry {pos}: label must be a string, got {shown(entry['label'])}")
+            labels[nid] = entry["label"]
         if ("x" in entry) != ("y" in entry):
             raise TopologyError(
                 f"node entry {pos}: 'x' and 'y' must appear together"

@@ -22,12 +22,15 @@ every edge leaving a producer's area, which rewards keeping neighbours
 together. tests/test_qubo.py pins both readings. Both builders build
 only the Objective, which the instance carries. The Objective holds one
 layout of a single producer's terms (Objective._layout): the build
-check reads it, feasible_energies scores from it, and the expansion
-tiles it over the producers. An instance stores its terms once, as
-arrays in key order (linear terms by variable, quadratic ones by (row,
-col)), expanded on first use or read from a file by import_qubo; its
-dicts are views of them. Energies add the terms in that order, so an
-instance and its exported copy give the same floats.
+check reads it, and the expansion tiles it over the producers. An
+instance stores its terms once, as arrays in key order (linear terms by
+variable, quadratic ones by (row, col)), expanded on first use or read
+from a file by import_qubo; its dicts are views of them. energies()
+adds the terms of any bit vector in that order, offset first, so an
+instance and its exported copy give the same floats. feasible_energies
+scores feasible assignments from the Objective in its closed form,
+which has no offset: the penalty terms, which cancel in the offset
+form, are never summed, so a large gamma or n costs no precision.
 """
 
 from __future__ import annotations
@@ -440,27 +443,17 @@ def energies(q: QuboInstance, bit_matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def _in_key_order(keys: np.ndarray, vals: np.ndarray, unset: int) -> np.ndarray:
-    """vals (terms,) laid out per row by a stable sort of keys (rows,
-    terms); terms keyed unset or above come last, as -0.0, which adds
-    nothing to any sum."""
-    out = vals[np.argsort(keys, axis=1, kind="stable")]
-    np.copyto(out, -0.0, where=np.arange(vals.size) >= (keys < unset).sum(axis=1, keepdims=True))
-    return out
-
-
 def feasible_energies(q: QuboInstance, producer_rows) -> np.ndarray:
     """Energies of feasible assignments, one row of producer ids per
-    assignment (node i at producer row[i]), read from q's objective
-    without its terms; each equals energies() of the row's one-hot bits
-    bit for bit.
-
-    A feasible row sets one linear term per node and its same-producer
-    pairs. energies() adds them after the offset in key order, which
-    tiles the objective's layout (Objective._layout) producer by
-    producer: so one stable sort of the row's linear terms by producer,
-    and one of its set pairs, lay them out in that order, and a
-    cumulative sum adds them one at a time.
+    assignment (node i at producer row[i]), in the objective's closed
+    form, read from q's objective without its terms and with no offset:
+    alpha * sum_j (L_j - target)^2, plus the edge coefficients whose two
+    ends share a producer, plus the node terms. The loads L_j add the
+    weights in node order (np.bincount), and each sum adds its terms one
+    at a time, in producer, edge and node order (a cumulative sum), so
+    every energy is one fixed float sum. The penalty terms do not cancel
+    here, as they do in energies() of the row's one-hot bits, which
+    agrees only to within rounding of the offset and the set terms.
     """
     obj = q.objective
     if obj is None:
@@ -469,23 +462,15 @@ def feasible_energies(q: QuboInstance, producer_rows) -> np.ndarray:
     n, k = q.n, q.k
     if rows.ndim != 2 or rows.shape[1] != n or np.any((rows < 0) | (rows >= k)):
         raise QuboError(f"producer rows must be (rows, {n}) ids in 0..{k - 1}")
-    small = np.int16 if k < 2**15 else np.int64  # radix-sortable keys
-    rows = rows.astype(small)
-    t = obj._layout
-    quad = 1 + t.lin_vals.size  # the first quadratic column
-    width = quad + t.vals.size
-    out = np.empty(rows.shape[0])
-    step = max(1, (1 << 20) // width)  # rows per block of ~2^20 terms
-    for start in range(0, rows.shape[0], step):
-        p = rows[start:start + step]
-        terms = np.empty((p.shape[0], width))
-        terms[:, 0] = q.offset
-        terms[:, 1:quad] = _in_key_order(p[:, t.lin_vars], t.lin_vals, k)
-        at = p[:, t.rows]
-        keys = np.where(at == p[:, t.cols], at, small(k))  # an unset pair is keyed k
-        terms[:, quad:] = _in_key_order(keys, t.vals, k)
-        out[start:start + step] = np.cumsum(terms, axis=1, out=terms)[:, -1]
-    return out
+    rows = rows.astype(np.intp)
+    r = rows.shape[0]
+    at = (rows + k * np.arange(r)[:, None]).ravel()  # row r's producer j is bin r*k + j
+    loads = np.bincount(at, weights=np.tile(obj.weights, r), minlength=r * k)
+    off = loads.reshape(r, k) - obj.target
+    u, v = obj.ends.T
+    terms = np.column_stack([obj.alpha * np.cumsum(off * off, axis=1)[:, -1],
+                             np.where(rows[:, u] == rows[:, v], obj.edge_coeff, -0.0)])
+    return np.cumsum(terms, axis=1)[:, -1] + np.cumsum(obj.node_linear)[-1]
 
 
 def default_penalties(topo: graphs.Topology, w, k: int) -> PenaltyConfig:

@@ -39,10 +39,11 @@ Three routes with very different trust levels:
 
 All three take only the instance and their own settings, and end the
 same way (_result): their candidates (every assignment, or each
-restart's final one) are scored with qubo.feasible_energies, read from
-the Objective and equal to qubo.energies bit for bit, and the first
-within a relative 1e-9 of the lowest energy wins. All solvers are
-deterministic functions of (instance, config, seed) and return
+restart's final one) are scored with qubo.feasible_energies, the
+objective's closed form read from the Objective, with no offset, and
+the first within a relative 1e-9 of the lowest energy wins. Only the
+annealer's walk tracks the raw QUBO energy, offset included. All
+solvers are deterministic functions of (instance, config, seed) and return
 assignments in canonical producer order (the producer of the
 lowest-numbered node is 0, the next distinct producer is 1, and so on),
 so results can be compared across solvers with plain equality.
@@ -229,8 +230,9 @@ def _result(q: QuboInstance, producer_rows, name: str, seed: int, iterations: in
     """The answer among candidate assignments, one producer row each, in
     the solver's order: the first row whose energy lies within a
     relative 1e-9 of the lowest, so exact ties resolve by that order
-    rather than by summation noise. It is reported in canonical form
-    with the energy of that form's bit vector."""
+    rather than by summation noise. Energies are feasible_energies', the
+    objective's closed form, so no offset's rounding enters the choice.
+    The row is reported in canonical form with that form's energy."""
     rows = np.asarray(producer_rows)
     assignment = canonical_form(rows[np.argmax(_near_lowest(feasible_energies(q, rows)))], q.k)
     return SolveResult(

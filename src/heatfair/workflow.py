@@ -141,8 +141,9 @@ def _cell_seed(seed: int, k: int, solver_index: int) -> int:
 
 def precision_warning(q: QuboInstance) -> str | None:
     """A warning when the offset's unit in the last place exceeds the
-    smallest nonzero |edge coefficient|, so that the energy cannot
-    resolve the pipe term; None otherwise."""
+    smallest nonzero |edge coefficient|, so that the energy of a bit
+    vector, which sums the offset (qubo.energies, or a sampler reading
+    the export), cannot resolve the pipe term; None otherwise."""
     coeff = np.abs(q.objective.edge_coeff)
     smallest, ulp = float(coeff[coeff != 0.0].min(initial=math.inf)), math.ulp(q.offset)
     if ulp > smallest:
@@ -154,12 +155,11 @@ def precision_warning(q: QuboInstance) -> str | None:
 def solve_cell(
     topo: graphs.Topology, weights, k: int, spec: SolverSpec, seed: int,
     penalty: PenaltyConfig | None = None, kpi_alpha: float = 0.5, sp=None,
-) -> tuple[SolveResult, KpiReport, str | None]:
+) -> tuple[SolveResult, KpiReport]:
     """One cell of a sweep: build the weighted QUBO for k producers
     (penalty None takes the builder's defaults), solve it with spec's
     solver and score the answer. sp, the all-pairs shortest paths, is
-    computed by the scoring when not given. Also returns the instance's
-    precision_warning."""
+    computed by the scoring when not given."""
     q = build_qubo(topo, weights, k, penalty)
     if spec.name == "exhaustive":
         result = solve_exhaustive(q, max_vars=spec.exhaustive_cap)
@@ -171,7 +171,7 @@ def solve_cell(
         result.assignment, topo, weights, kpi_alpha=kpi_alpha,
         solver_name=spec.name, energy=result.energy, sp=sp,
     )
-    return result, report, precision_warning(q)
+    return result, report
 
 
 def run_sweep(
@@ -179,9 +179,8 @@ def run_sweep(
     label: str | None = None,
 ) -> SweepResult:
     """Algorithm: run solve_cell for each k and solver. Skipped cells
-    (the exhaustive size cap) become warnings, never silent gaps, and so
-    do energies without precision (precision_warning); any other solver
-    error fails the sweep. Deterministic for a fixed seed,
+    (the exhaustive size cap) become warnings, never silent gaps; any
+    other solver error fails the sweep. Deterministic for a fixed seed,
     regardless of threads: cells run largest k first, so a pool of
     threads does not end on one long cell, and reports come out by k,
     then solver name.
@@ -208,7 +207,7 @@ def run_sweep(
     def run_one(cell):
         k, solver_index, spec = cell
         try:
-            _, report, warning = solve_cell(
+            _, report = solve_cell(
                 topo, weights, k, spec, _cell_seed(cfg.seed, k, solver_index),
                 penalty=cfg.penalty, kpi_alpha=cfg.kpi_alpha, sp=sp,
             )
@@ -216,7 +215,7 @@ def run_sweep(
             if spec.name != "exhaustive":  # only its size cap skips a cell
                 raise
             return k, solver_index, None, f"k={k} {spec.name}: skipped ({exc})"
-        return k, solver_index, report, None if warning is None else f"k={k} {spec.name}: {warning}"
+        return k, solver_index, report, None
 
     if threads == 1:
         outcomes = [run_one(cell) for cell in cells]

@@ -31,6 +31,7 @@ from heatfair import (
     uniform_weights,
     workflow,
 )
+from oracles import modified_cost_direct
 
 PATH4 = Topology(nodes=4, edges=((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)))
 
@@ -346,10 +347,12 @@ def test_overflowing_distances_exit_2(length, command, flags, message, tmp_path,
     assert not any(tmp_path.glob("out*"))
 
 
-@pytest.mark.parametrize("gamma, warns", [("1e300", True), ("1e20", True), ("1e12", False), (None, False)])
-def test_solve_warns_when_the_penalties_leave_the_energy_without_precision(gamma, warns, tmp_path, capsys):
-    # the offset's last digit outweighs the smallest pipe coefficient
-    # from gamma = 1e20 on; the answer is still written, with exit 0
+@pytest.mark.parametrize("gamma", ["1e300", "1e20", "1e12", None])
+def test_solve_reports_the_objective_without_a_warning_at_any_penalties(gamma, tmp_path, capsys):
+    # from gamma = 1e20 on the offset's last digit outweighs the smallest
+    # pipe coefficient, but the reported energy is the objective's closed
+    # form, which sums no offset: no warning, and the direct objective of
+    # the assignment within a relative n*eps
     topo_path, w_path, out = tmp_path / "ring.json", tmp_path / "w.json", tmp_path / "res.json"
     assert cli.main(["generate", "ring", "--nodes", "12", "--chords", "2", "-o", str(topo_path)]) == 0
     write_demands(tmp_path / "d.csv", 12)
@@ -358,11 +361,28 @@ def test_solve_warns_when_the_penalties_leave_the_energy_without_precision(gamma
     penalties = [] if gamma is None else ["--alpha", "1", "--gamma", gamma]
     assert cli.main(["solve", str(topo_path), "--weights", str(w_path), "--k", "3",
                      *penalties, "-o", str(out)]) == 0
-    warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
-    assert len(warnings) == warns
-    if warns:
-        assert "without precision" in warnings[0]
-    assert out.exists()
+    assert "warning:" not in capsys.readouterr().err
+    topo, w = load_topology(str(topo_path)), load_weights(str(w_path))
+    cfg = default_penalties(topo, w, 3) if gamma is None else PenaltyConfig(alpha=1.0, gamma=float(gamma))
+    doc = json.loads(out.read_text())
+    x = np.eye(3)[doc["assignment"]]
+    want = modified_cost_direct(topo, w.values, 3, cfg.beta, cfg.alpha, cfg.gamma, x)
+    assert abs(doc["energy"] - want) <= 12 * np.finfo(float).eps * abs(want)
+
+
+def test_solve_refuses_a_label_that_is_not_a_string(tmp_path, capsys):
+    topo_path, w_path, out = tmp_path / "ring.json", tmp_path / "w.json", tmp_path / "res.json"
+    doc = graphs.topology_to_dict(PATH4)
+    doc["nodes"] = [{**node, "label": f"n{node['id']}"} for node in doc["nodes"]]
+    doc["nodes"][2]["label"] = None
+    topo_path.write_text(json.dumps(doc))
+    save_weights(uniform_weights(4), str(w_path))
+    capsys.readouterr()
+    assert cli.main(["solve", str(topo_path), "--weights", str(w_path), "--k", "2", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "node entry 2: label must be a string, got null" in err
+    assert not out.exists()
 
 
 def test_qubo_export_matches_library_build(tmp_path):

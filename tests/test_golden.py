@@ -5,12 +5,24 @@ The 24-node ring and tree and their demand profile are the ones
 scripts/reproduce_trends.py sweeps (pipe lengths uniform in [0.5, 2.0],
 topology seed 7, demand seed 11, anchor scale 20); the 8-node ring is
 small enough for the exhaustive solver. Every float in these files comes
-from IEEE arithmetic in a fixed order (the heuristic prices load balance
-with products such as 2*alpha*w_i*L_j and takes no square, sums are
-sequential), so the digests hold on any libm. Anneal outputs are left
-out: the annealer's acceptance limits use np.log1p, whose last bit
-follows numpy's SIMD dispatch target, and a gate must not depend on the
-host CPU.
+from IEEE arithmetic in a fixed order, and no libm call, so the digests
+hold on any host:
+
+- which assignment wins: the heuristic prices load balance with
+  products such as 2*alpha*w_i*L_j, takes no square, and adds edge
+  coefficients in neighbour-list order;
+- energy: qubo.feasible_energies, the objective's closed form with no
+  offset. np.bincount adds each producer's load in node order, and the
+  balance, edge and node sums are cumulative sums, one term at a time,
+  in producer, edge and node order, never numpy's pairwise sum;
+- jain: the loads of fairness.producer_loads (np.bincount, node order),
+  then numpy's sum and dot product of the k loads;
+- distance_index: numpy's sums of the pair distances, in
+  np.triu_indices order; kpi blends the two indices.
+
+Anneal outputs are left out: the annealer's acceptance limits use
+np.log1p, whose last bit follows numpy's SIMD dispatch target, and a
+gate must not depend on the host CPU.
 """
 
 import hashlib
@@ -41,24 +53,24 @@ QUBOS = {
 }
 
 GOLDEN = {
-    "ring24-heuristic.json": "f50bbde7b079736ff35d757064040c89636b97b68bf6c545a8065bc187ec5ec3",
-    "ring24-heuristic.csv": "92b2a972c0dda006e5383b501857af1246cd0ed7b653f50ce7d8ad8329538b44",
+    "ring24-heuristic.json": "1e24a6deec1bee33b3cdd531531bfe8769f912ea3037bd709f91bbc5d62d18de",
+    "ring24-heuristic.csv": "eba5768637c70a8902f562691d22e932f523ae00fe174c4ab6efcd447d4f5683",
     "ring24-heuristic.jain.dat": "b0741289de0c8b39d03e1a78e646a79d83983124e98722f5a29b7e9be2fd3834",
     "ring24-heuristic.distance_index.dat":
         "228db2b7cf2620fc70a1ee4e08c9f298f80c2ca41b638bf81b466f62afd9ef60",
     "ring24-heuristic.kpi.dat": "d55f7687e78245d6b4f3c38af549a14f90a9fca2d1832cfacc9991df5a8434aa",
     "tree24-heuristic-seed3.json":
-        "6f65e84c7e775b2d9dc16174a3dfaf8673af69d4bf96bb821939503bbc9a7482",
+        "a8dddd59b546c55508112d73dc6e5a6607b42cea86e5727310abdf35b7929ca6",
     "tree24-heuristic-seed3.csv":
-        "01e8ce3df51909c2be037f7514ec0cc3eb68fd066bafa5a4b1b336734e04e798",
+        "e4161d5548faed6428011d888edfac13a0aec33f54833dd529c0e31a8be46319",
     "tree24-heuristic-seed3.jain.dat":
         "58d10611de57bec3758af0d8b6a5e4aa7066a9007be9478f94a405f9d8dd766c",
     "tree24-heuristic-seed3.distance_index.dat":
         "cfb02ae69a64bdc9555fc53e60857a5dd4367495db31e1745f23585c095d95a1",
     "tree24-heuristic-seed3.kpi.dat":
         "fb7a7fe222d743f008a552ff43858b51d2d6edbcaa5ea11b45ebf9cf2706b443",
-    "ring8-exhaustive.json": "a819e5bef4a6a9be0e8a9b286fe600d2c34e9d378cebb3b66bb8e059367be139",
-    "ring8-exhaustive.csv": "4a78afcd3b26f68f7b09747fd0276c64dc32c6a4946683c5c181579d010cb1f6",
+    "ring8-exhaustive.json": "443ce812b290b3cc569cbb0d8b0cbedf7f15076984ce499ff44d8c73959079bd",
+    "ring8-exhaustive.csv": "b83f46d783d9118efaf2f5793d948f4a7fa49103c3ae935db33bc4543b28ad62",
     "ring8-exhaustive.jain.dat": "a5cc01e6ff88ee7528ba4c49eddf610b230327d0051ed84437bf72401f20731c",
     "ring8-exhaustive.distance_index.dat":
         "c0742bd3b3d97957b232d595682f25bda24f7b3b2f52b21b37721862b3bf88e5",

@@ -1,4 +1,5 @@
 import itertools
+import json
 import re
 
 import numpy as np
@@ -307,6 +308,15 @@ def test_dict_form_validates_ids_and_fields():
         topology_from_dict(
             {"nodes": [{"id": 0, "label": "a"}, {"id": 1}], "edges": []}
         )
+
+
+@pytest.mark.parametrize("label", [None, [1, 2], 7, True])
+def test_dict_form_label_must_be_a_string(label):
+    # a label that is not a JSON string is refused, not read as its str()
+    nodes = [{"id": 0, "label": "plant"}, {"id": 1, "label": label}]
+    with pytest.raises(TopologyError, match=re.escape(
+            f"node entry 1: label must be a string, got {json.dumps(label)}")):
+        topology_from_dict({"nodes": nodes, "edges": []})
 
 
 def test_dict_form_labels_and_positions_every_node_or_none():

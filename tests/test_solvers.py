@@ -361,10 +361,10 @@ def test_anneal_handles_flat_landscape():
     flat = qubo.Objective(ends=np.zeros((0, 2), dtype=np.int64), edge_coeff=np.zeros(0),
                           node_linear=np.zeros(2), weights=np.ones(2), target=2.0,
                           alpha=0.0, gamma=0.0)
-    q = QuboInstance(n=2, k=1, offset=5.0, objective=flat)
+    q = QuboInstance(n=2, k=1, offset=0.0, objective=flat)
     r = solve_anneal(q, AnnealConfig(sweeps=50, restarts=1, seed=0))
     assert r.assignment.producer_of == (0, 0)
-    assert r.energy == 5.0
+    assert r.energy == 0.0
 
 
 def test_anneal_respects_explicit_schedules():
@@ -562,7 +562,23 @@ def test_heuristic_ties_go_to_the_first_restart(suite, monkeypatch):
     assert np.all(np.abs(scores - scores.min()) <= 1e-9 * abs(scores.min()))
     assert r.assignment == canonical_form(finals[0], 5)
     assert r.assignment.producer_of == (0, 1, 2, 3, 4, 1)
-    assert r.energy == energy(q, encode(r.assignment, q))
+    assert r.energy == pytest.approx(energy(q, encode(r.assignment, q)), rel=1e-12)
+
+
+@pytest.mark.parametrize("network", ["ring", "tree"])
+def test_heuristic_answer_does_not_depend_on_gamma(network):
+    # the heuristic never reads gamma, and the closed form it is scored
+    # by has no gamma term: gamma = 1e300, whose offset swamps every
+    # energy summed through it, gives the default answer bit for bit
+    rule = DistanceRule(kind="uniform", low=0.5, high=2.0)
+    topo = (generate_ring(24, chords=4, rule=rule, seed=7) if network == "ring"
+            else generate_tree(24, branching=3, rule=rule, seed=7))
+    w = compute_weights(synthetic_demands(24, timesteps=168, seed=11, anchor_scale=20.0))
+    for k in (2, 3, 4, 6, 8):
+        cfg = default_penalties(topo, w, k)
+        want = solve_heuristic(build_qubo(topo, w, k, cfg))
+        got = solve_heuristic(build_qubo(topo, w, k, PenaltyConfig(beta=1.0, alpha=cfg.alpha, gamma=1e300)))
+        assert (got.assignment, got.energy) == (want.assignment, want.energy), k
 
 
 def test_heuristic_beats_random_sampling_on_large_ring():

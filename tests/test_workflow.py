@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from oracles import modified_cost_direct
 from test_demand import CSV_LABELS
 
 from heatfair import (
@@ -80,17 +81,22 @@ def test_size_capped_cells_become_warnings_not_gaps():
     assert "k=4 exhaustive: skipped" in res.warnings[0]
 
 
-def test_energies_without_precision_become_warnings():
+def test_energies_at_any_penalties_are_the_objective_without_warnings():
     # gamma = 1e20 leaves the offset's last digit above every pipe
-    # coefficient: each cell is still reported, with a warning
+    # coefficient, but a reported energy is the objective's closed form,
+    # which sums no offset: no cell warns, and each energy is the direct
+    # objective of its assignment within a relative n*eps
     topo = generate_ring(12, chords=2)
     demands = synthetic_demands(12, timesteps=24, seed=0)
+    weights = compute_weights(demands).values
     solvers = (SolverSpec(name="heuristic", restarts=2),)
-    res = run_sweep(topo, demands, SweepConfig(
-        max_producers=3, solvers=solvers, penalty=PenaltyConfig(alpha=1.0, gamma=1e20)))
-    assert [r.k for r in res.reports] == [1, 2, 3]
-    assert [w.split(":")[0] for w in res.warnings] == ["k=1 heuristic", "k=2 heuristic", "k=3 heuristic"]
-    assert all("without precision" in w for w in res.warnings)
+    penalty = PenaltyConfig(alpha=1.0, gamma=1e20)
+    res = run_sweep(topo, demands, SweepConfig(max_producers=3, solvers=solvers, penalty=penalty))
+    assert [r.k for r in res.reports] == [1, 2, 3] and res.warnings == ()
+    for r in res.reports:
+        x = np.eye(r.k)[list(r.assignment)]
+        want = modified_cost_direct(topo, weights, r.k, penalty.beta, penalty.alpha, penalty.gamma, x)
+        assert abs(r.energy - want) <= 12 * np.finfo(float).eps * abs(want), r.k
     assert run_sweep(topo, demands, SweepConfig(max_producers=3, solvers=solvers)).warnings == ()
 
 
