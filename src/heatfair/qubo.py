@@ -20,10 +20,8 @@ neighbours apart (balance and one-hot terms do the grouping). The
 unweighted variant (build_unweighted_qubo) instead charges beta for
 every edge leaving a producer's area, which rewards keeping neighbours
 together. tests/test_qubo.py pins both readings. Both builders build
-only the Objective, which the instance carries. The Objective holds one
-layout of a single producer's terms (Objective._layout): the build
-check reads it, and the expansion tiles it over the producers. An
-instance stores its terms once, as arrays in key order (linear terms by
+only the Objective, and the instance derives all else from it. Its
+terms are stored once, as arrays in key order (linear terms by
 variable, quadratic ones by (row, col)), expanded on first use or read
 from a file by import_qubo; its dicts are views of them. energies()
 adds the terms of any bit vector in that order, offset first, so an
@@ -80,7 +78,9 @@ class Objective:
     """What a QUBO expands. Per producer j: edge_coeff[e] for each edge
     ends[e] inside j, node_linear[i] for each node i at j, and
     alpha * (load_j - target)^2, load_j the weights at j. Per node i:
-    gamma * (producers of i - 1)^2. The four arrays are read-only copies."""
+    gamma * (producers of i - 1)^2. The four arrays are read-only copies
+    of n node and m edge entries: n is the weights', and ends are m
+    distinct (u, v) pairs with 0 <= u < v < n."""
 
     ends: np.ndarray  # (m, 2)
     edge_coeff: np.ndarray  # (m,)
@@ -95,6 +95,15 @@ class Objective:
             arr = np.array(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        n, ends = self.weights.size, self.ends
+        if not (self.weights.shape == self.node_linear.shape == (n,)
+                and ends.shape == self.edge_coeff.shape + (2,) and np.all((0 <= ends) & (ends < n))):
+            raise QuboError(f"objective does not fit: {n} weights, {self.node_linear.size} node terms, "
+                            f"{self.edge_coeff.size} edge coefficients, edge ends of shape {ends.shape} "
+                            f"in {ends.min(initial=0)}..{ends.max(initial=0)}")
+        if not (np.all(ends[:, 0] < ends[:, 1])
+                and np.unique(ends[:, 0] * n + ends[:, 1]).size == len(ends)):
+            raise QuboError("objective edge ends must be distinct (u, v) pairs with u < v")
 
     @functools.cached_property
     @np.errstate(over="ignore", invalid="ignore")  # a non-finite term is the build check's to name
@@ -106,22 +115,6 @@ class Objective:
         lin.flags.writeable = False
         return lin
 
-    @functools.cached_property
-    @np.errstate(over="ignore", invalid="ignore")
-    def _layout(self) -> Terms:
-        """Producer 0's terms in key order, zeros dropped, as a Terms; an
-        edge's coefficient is edge_coeff plus the balance pair
-        2*alpha*w_u*w_v. Producer j holds the same coefficients at keys
-        shifted by j*n. Edge ends must be distinct pairs u < v
-        (_check_objective_terms)."""
-        n, w, (u, v) = self.weights.size, self.weights, self.ends.T
-        us, vs = np.triu_indices(n, 1)
-        vals = 2.0 * self.alpha * w[us] * w[vs]
-        edges = u * (2 * n - u - 1) // 2 + v - u - 1  # each edge's position among the pairs
-        vals[edges] = self.edge_coeff + vals[edges]
-        nodes, quad = np.flatnonzero(self.lin), vals != 0.0
-        return _read_only(Terms(nodes, self.lin[nodes], us[quad], vs[quad], vals[quad]))
-
 
 # An instance's stored terms, read-only arrays in key order: linear
 # (variables, values) by variable, then quadratic (rows, cols, values).
@@ -131,52 +124,39 @@ Terms = collections.namedtuple("Terms", "lin_vars lin_vals rows cols vals")
 class QuboInstance:
     """Coefficients of one assignment problem.
 
-    n and k are integers of at least 1 and the offset a number, read by
-    ioutil.number. terms holds every stored term; zero coefficients are
-    not stored, and every coefficient and the offset are finite. An
-    instance is given exactly one of objective and terms. objective is
-    what a builder expanded, sized for n nodes; the terms are expanded
-    from it on first use, and no solver reads them. Given terms
-    (import_qubo's) are checked and stored by _checked_terms. Either
-    way they are in key order. linear (variable -> coefficient) and
+    A built instance is given k and a builder's objective alone: n is
+    the objective's, the offset adds alpha*target^2 k times, then gamma
+    n times, and the terms are expanded from it on first use (_expand),
+    which no solver needs. An imported one is given n, k, the offset and
+    the terms that _checked_terms checks and stores. n and k are
+    integers of at least 1 and the offset a number (ioutil.number).
+    terms holds every nonzero term in key order; every coefficient and
+    the offset are finite. linear (variable -> coefficient) and
     quadratic ((v1, v2) with v1 < v2 -> coefficient) are dict views of
     terms, built on first use. Instances are immutable; equality
     compares n, k, the offset and the terms.
     """
 
-    def __init__(
-        self,
-        n: int,
-        k: int,
-        offset: float,
-        objective: Objective | None = None,
-        terms: Terms | None = None,
-    ) -> None:
-        n = number(n, "n", QuboError, integer=True, least=1)
+    def __init__(self, *, k: int, n: int | None = None, offset: float | None = None,
+                 objective: Objective | None = None, terms: Terms | None = None) -> None:
         k = number(k, "k", QuboError, integer=True, least=1)
+        if sum(x is None for x in (n, offset, terms)) != (0 if objective is None else 3):
+            raise QuboError("give an instance k and either its objective alone or n, the offset and its terms")
+        if objective is not None:
+            n, offset, obj = objective.weights.size, 0.0, objective
+            for term in itertools.chain(itertools.repeat(obj.alpha * obj.target * obj.target, k),
+                                        itertools.repeat(obj.gamma, n)):
+                offset += term
+        n = number(n, "n", QuboError, integer=True, least=1)
         offset = number(offset, "offset", QuboError)
         for name, value in (("n", n), ("k", k), ("offset", offset), ("objective", objective)):
             object.__setattr__(self, name, value)
         if not math.isfinite(offset):
             raise QuboError(f"offset is {offset!r}, not finite")
-        if (objective is None) == (terms is None):
-            raise QuboError("give an instance either its terms or its objective")
-        obj = objective
         if terms is not None:
             vars(self)["terms"] = _checked_terms(terms, n * k)
-        elif not (
-            obj.weights.shape == obj.node_linear.shape == (n,)
-            and obj.ends.shape == obj.edge_coeff.shape + (2,)
-            and np.all((0 <= obj.ends) & (obj.ends < n))
-        ):
-            raise QuboError(
-                f"objective does not fit {n} nodes: {obj.weights.size} weights, "
-                f"{obj.node_linear.size} node terms, {obj.edge_coeff.size} edge "
-                f"coefficients, edge ends of shape {obj.ends.shape} in "
-                f"{obj.ends.min(initial=0)}..{obj.ends.max(initial=0)}"
-            )
         else:
-            _check_objective_terms(obj, n, k)
+            _check_objective_terms(objective, k)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"QuboInstance is immutable; cannot set {name!r}")
@@ -192,7 +172,7 @@ class QuboInstance:
 
     @functools.cached_property
     def terms(self) -> Terms:
-        return _expand(self.objective, self.n, self.k)
+        return _expand(self.objective, self.k)
 
     @functools.cached_property
     def linear(self) -> dict[int, float]:
@@ -299,39 +279,47 @@ def _check_k(n: int, k) -> int:
     return k
 
 
-def _assemble(
-    topo: graphs.Topology,
-    k: int,
-    cfg: PenaltyConfig,
-    edge_coeff: np.ndarray,
-    node_linear: np.ndarray,
-    weights: np.ndarray,
-    target: float,
-) -> QuboInstance:
+def _assemble(topo: graphs.Topology, k: int, cfg: PenaltyConfig, edge_coeff: np.ndarray,
+              node_linear: np.ndarray, weights: np.ndarray, target: float) -> QuboInstance:
     """The instance of the shared objective shape: per producer,
     edge_coeff on each topology edge, node_linear on each node, and the
     balance square alpha * (sum_i w_i x_ij - target)^2; per node the
-    one-hot square. Only the Objective and the offset are built here;
-    the instance's terms are expanded from them on first use (_expand).
+    one-hot square. Only the Objective is built here; the instance
+    derives the rest from it, its terms on first use (_expand).
     """
     obj = Objective(
         ends=np.array([(u, v) for u, v, _ in topo.edges], dtype=np.int64).reshape(-1, 2),
         edge_coeff=edge_coeff, node_linear=node_linear, weights=weights, target=target,
         alpha=cfg.alpha, gamma=cfg.gamma,
     )
-    offset = 0.0
-    for term in [obj.alpha * obj.target * obj.target] * k + [obj.gamma] * topo.nodes:
-        offset += term
-    return QuboInstance(n=topo.nodes, k=k, offset=offset, objective=obj)
+    return QuboInstance(k=k, objective=obj)
 
 
-def _expand(obj: Objective, n: int, k: int) -> Terms:
-    """The terms of a built instance in key order: obj._layout at every
-    producer, each row's pairs followed by its one-hot pairs. Each
-    coefficient adds its parts in a fixed order (graph or node term,
-    balance, one-hot); tests/oracles.py accumulated_terms is the
-    term-by-term reference."""
-    t = obj._layout
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite term is the build check's to name
+def _layout(obj: Objective, lo: int, hi: int) -> Terms:
+    """Producer 0's linear terms and the pairs of its rows lo..hi-1, in
+    key order with zeros dropped, as a Terms. A pair (u, v), u < v,
+    holds the balance term 2*alpha*w_u*w_v, added to edge_coeff if it is
+    an edge; producer j holds the same terms at keys shifted by j*n."""
+    n, w, (u, v) = obj.weights.size, obj.weights, obj.ends.T
+    us, vs = np.triu_indices(hi - lo, lo + 1, n)
+    us = us + lo
+    vals = 2.0 * obj.alpha * w[us] * w[vs]
+    u, v, coeff = (x[(lo <= u) & (u < hi)] for x in (u, v, obj.edge_coeff))
+    edges = (u - lo) * (2 * n - 1 - u - lo) // 2 + v - u - 1  # each edge's position among the pairs
+    vals[edges] = coeff + vals[edges]
+    nodes, quad = np.flatnonzero(obj.lin), vals != 0.0
+    return Terms(nodes, obj.lin[nodes], us[quad], vs[quad], vals[quad])
+
+
+def _expand(obj: Objective, k: int) -> Terms:
+    """The terms of a built instance in key order: the _layout of all
+    rows at every producer, each row's pairs followed by its one-hot
+    pairs. Each coefficient adds its parts in a fixed order (graph or
+    node term, balance, one-hot); tests/oracles.py accumulated_terms is
+    the term-by-term reference."""
+    n = obj.weights.size
+    t = _layout(obj, 0, n)
     shift = n * np.arange(k)[:, None]  # producer j's keys are producer 0's plus j*n
     upper = np.triu(np.ones((k, k), dtype=bool), 1)[:, None]
     j, i, j2 = np.nonzero(np.broadcast_to(upper, (k, n, k)))  # the one-hot pairs in key order
@@ -346,23 +334,29 @@ def _expand(obj: Objective, n: int, k: int) -> Terms:
     ))
 
 
-def _check_objective_terms(obj: Objective, n: int, k: int) -> None:
-    """QuboInstance's term checks on a built instance, without its terms.
-    Edge ends must be distinct (u, v) pairs with u < v. Every producer
-    holds the same coefficients, so the first non-finite one in key
-    order is among producer 0's (obj._layout) and the one-hot pair
-    (0, n) after row 0's pairs; _checked_terms names it."""
-    ends = obj.ends
-    if not (np.all(ends[:, 0] < ends[:, 1])
-            and np.unique(ends[:, 0] * n + ends[:, 1]).size == len(ends)):
-        raise QuboError("objective edge ends must be distinct (u, v) pairs with u < v")
-    t = obj._layout
-    first = np.arange(min(k - 1, 1))  # the first one-hot pair, if k > 1
-    one_hot = np.full(first.size, 2.0 * obj.gamma)
-    if not all(np.isfinite(vals).all() for vals in (t.lin_vals, t.vals, one_hot)):
-        at = np.searchsorted(t.rows, 1)
-        _checked_terms(t._replace(rows=np.insert(t.rows, at, first), cols=np.insert(t.cols, at, first + n),
-                                  vals=np.insert(t.vals, at, one_hot)), n * k)
+@np.errstate(over="ignore", invalid="ignore")
+def _check_objective_terms(obj: Objective, k: int) -> None:
+    """QuboInstance's term checks on a built instance, in O(n + m), with
+    no terms kept. Every producer holds producer 0's terms, so the first
+    non-finite one in key order is linear or in its first row u with a
+    non-finite pair: an edge's edge_coeff + 2*alpha*w_u*w_v, a pair's
+    (2*alpha*w_u) * w_v, or a one-hot pair's 2*gamma if k > 1. Float
+    products grow with |w_v|, so row u's pairs overflow exactly when the
+    one with the largest |w_v|, v > u, does. Only that row's terms and
+    the linear ones go to _checked_terms, which names the term."""
+    n, w, (u, v) = obj.weights.size, obj.weights, obj.ends.T
+    scale = 2.0 * obj.alpha * w
+    largest = np.maximum.accumulate(np.abs(w)[::-1])[::-1]  # row u's is the largest |w_v|, v >= u
+    bad = np.append(~np.isfinite(scale[:-1] * largest[1:]), False)
+    bad[u[~np.isfinite(obj.edge_coeff + scale[u] * w[v])]] = True
+    bad |= k > 1 and not math.isfinite(2.0 * obj.gamma)
+    if bad.any() or not np.isfinite(obj.lin).all():
+        row = np.flatnonzero(bad)[:1]  # the first row that holds a non-finite pair, if any
+        lo = row[0] if row.size else n
+        t = _layout(obj, lo, lo + row.size)
+        hot = row[:k - 1]  # and its one-hot pair (u, u + n), if k > 1
+        _checked_terms(t._replace(rows=np.append(t.rows, hot), cols=np.append(t.cols, hot + n),
+                                  vals=np.append(t.vals, np.full(hot.size, 2.0 * obj.gamma))), n * k)
 
 
 # an overflowing coefficient is QuboInstance's to reject, with no numpy warning first
@@ -460,7 +454,8 @@ def feasible_energies(q: QuboInstance, producer_rows) -> np.ndarray:
         raise QuboError("feasible energies need the instance's objective; an imported one has none")
     rows = np.asarray(producer_rows)
     n, k = q.n, q.k
-    if rows.ndim != 2 or rows.shape[1] != n or np.any((rows < 0) | (rows >= k)):
+    if (rows.ndim != 2 or rows.shape[1] != n or rows.dtype.kind not in "iu"
+            or np.any((rows < 0) | (rows >= k))):
         raise QuboError(f"producer rows must be (rows, {n}) ids in 0..{k - 1}")
     rows = rows.astype(np.intp)
     r = rows.shape[0]

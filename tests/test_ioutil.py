@@ -25,6 +25,7 @@ from heatfair import (
     SolverError,
     SolverSpec,
     SweepConfig,
+    Terms,
     Topology,
     TopologyError,
     WorkflowError,
@@ -88,6 +89,7 @@ def test_constructors_refuse_what_is_not_their_number(build, error):
 
 RING = generate_ring(4)
 RING_QUBO = build_qubo(RING, uniform_weights(4), 2)
+NO_TERMS = Terms(*(np.zeros(0, dtype) for dtype in (np.int64, float, np.int64, np.int64, float)))
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -122,11 +124,11 @@ RING_QUBO = build_qubo(RING, uniform_weights(4), 2)
     (lambda: synthetic_demands(4, seed=-1), DemandError, "seed must be >= 0, got -1"),
     (lambda: synthetic_demands(4, seed=1.5), DemandError, "seed must be an integer, got 1.5"),
     (lambda: synthetic_demands(4, seed=True), DemandError, "seed must be an integer, got true"),
-    (lambda: QuboInstance(n="2", k=1, offset=0.0, objective=RING_QUBO.objective), QuboError,
+    (lambda: QuboInstance(n="2", k=1, offset=0.0, terms=NO_TERMS), QuboError,
      'n must be an integer, got "2"'),
-    (lambda: QuboInstance(n=4, k=True, offset=0.0, objective=RING_QUBO.objective), QuboError,
+    (lambda: QuboInstance(k=True, objective=RING_QUBO.objective), QuboError,
      "k must be an integer, got true"),
-    (lambda: QuboInstance(n=4, k=2, offset="0", objective=RING_QUBO.objective), QuboError,
+    (lambda: QuboInstance(n=4, k=2, offset="0", terms=NO_TERMS), QuboError,
      'offset must be a number, got "0"'),
     (lambda: Assignment(producer_of=(0, 1), k=1.5), SolverError, "k must be an integer, got 1.5"),
     (lambda: run_sweep(RING, synthetic_demands(4, timesteps=4), SweepConfig(max_producers=2),
@@ -140,9 +142,9 @@ RING_QUBO = build_qubo(RING, uniform_weights(4), 2)
     (lambda: synthetic_demands(0), DemandError, "nodes must be >= 1, got 0"),
     (lambda: synthetic_demands(4, timesteps=0), DemandError, "timesteps must be >= 1, got 0"),
     (lambda: build_qubo(RING, uniform_weights(4), 0), QuboError, "k must be >= 1, got 0"),
-    (lambda: QuboInstance(n=0, k=1, offset=0.0, objective=RING_QUBO.objective), QuboError,
+    (lambda: QuboInstance(n=0, k=1, offset=0.0, terms=NO_TERMS), QuboError,
      "n must be >= 1, got 0"),
-    (lambda: QuboInstance(n=4, k=0, offset=0.0, objective=RING_QUBO.objective), QuboError,
+    (lambda: QuboInstance(k=0, objective=RING_QUBO.objective), QuboError,
      "k must be >= 1, got 0"),
     (lambda: distance_index(Assignment(producer_of=(0, 1, 0, 1), k=2), RING, sp=np.zeros((2, 2))),
      FairnessError, "sp has shape (2, 2), but 4 nodes need (4, 4)"),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from heatfair import (
+    AnnealConfig,
     PenaltyConfig,
     QuboError,
     QuboFormatError,
@@ -16,6 +17,7 @@ from heatfair import (
     build_qubo,
     build_unweighted_qubo,
     compute_weights,
+    decode_and_repair,
     default_penalties,
     energies,
     energy,
@@ -24,6 +26,8 @@ from heatfair import (
     generate_ring,
     generate_tree,
     import_qubo,
+    solve_anneal,
+    solve_heuristic,
     synthetic_demands,
     uniform_weights,
 )
@@ -389,22 +393,33 @@ def test_built_instances_reject_the_first_non_finite_term():
     assert message.startswith("quadratic coefficient of (0, 1) is inf")
     with pytest.raises(QuboError, match=r"^quadratic coefficient of \(0, 1\) is inf, not finite$"):
         build_qubo(ring, w, 4, cfg)
-    # with a hand-set offset, a term no builder can overflow alone: the
-    # lowest variable first; a one-hot pair, (0, n), after row 0's pairs
-    # and before row 1's
+    # a hand-made objective, a term no builder can overflow alone: the
+    # linear terms come first, the lowest variable first, though the
+    # pair (0, 1) is not finite either
     q = build_qubo(SINGLE_EDGE, uniform_weights(2), 2, PenaltyConfig())
-    obj = dataclasses.replace(q.objective, node_linear=np.array([0.0, np.inf]), gamma=np.inf)
+    obj = dataclasses.replace(q.objective, node_linear=np.array([-np.inf, np.inf]),
+                              edge_coeff=np.array([np.inf]))
     with pytest.raises(QuboError, match=r"^linear coefficient of variable 0 is -inf, not finite$"):
-        QuboInstance(n=2, k=2, offset=1.0, objective=obj)
-    obj = dataclasses.replace(q.objective, gamma=1e308)
-    with pytest.raises(QuboError, match=r"^quadratic coefficient of \(0, 2\) is inf, not finite$"):
-        QuboInstance(n=2, k=2, offset=1.0, objective=obj)
+        QuboInstance(k=2, objective=obj)
+    # the offset adds gamma once per node, so at n >= 2 it is at least
+    # 2*gamma in floats: a one-hot pair 2*gamma past the float range
+    # makes the offset non-finite, which is named before any term, here
+    # before an edge of row 0, (0, 1), and before the one-hot (0, 3)
+    with pytest.raises(QuboError, match=r"^offset is inf, not finite$"):
+        build_qubo(SINGLE_EDGE, uniform_weights(2), 2, PenaltyConfig(gamma=9e307))
     path = Topology(nodes=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
     q = build_qubo(path, uniform_weights(3), 2, PenaltyConfig())
-    for edge_coeff, key in (([np.inf, 1.0], "0, 1"), ([1.0, np.inf], "0, 3")):
+    for edge_coeff in ([np.inf, 1.0], [1.0, np.inf]):
         obj = dataclasses.replace(q.objective, gamma=1e308, edge_coeff=np.array(edge_coeff))
-        with pytest.raises(QuboError, match=rf"^quadratic coefficient of \({key}\) is inf, not finite$"):
-            QuboInstance(n=3, k=2, offset=1.0, objective=obj)
+        with pytest.raises(QuboError, match=r"^offset is inf, not finite$"):
+            QuboInstance(k=2, objective=obj)
+    # at n = 1 the offset holds gamma once, and the one-hot pair (0, 1)
+    # is the first term that is not finite
+    one = qubo.Objective(ends=np.zeros((0, 2), dtype=np.int64), edge_coeff=np.zeros(0),
+                         node_linear=np.zeros(1), weights=np.ones(1), target=0.5,
+                         alpha=1.0, gamma=1e308)
+    with pytest.raises(QuboError, match=r"^quadratic coefficient of \(0, 1\) is inf, not finite$"):
+        QuboInstance(k=2, objective=one)
 
 
 def test_a_refused_build_expands_nothing(monkeypatch):
@@ -415,6 +430,41 @@ def test_a_refused_build_expands_nothing(monkeypatch):
     ring = generate_ring(6, chords=2, seed=4)
     with pytest.raises(QuboError, match=r"^quadratic coefficient of \(0, 1\) is inf, not finite$"):
         build_qubo(ring, uniform_weights(6), 3, PenaltyConfig(beta=1e308, alpha=1.0, gamma=1.0))
+
+
+def test_solving_a_built_instance_expands_nothing(monkeypatch, suite):
+    # every solver, the repair and the closed form read the objective
+    def refuse(*args):
+        raise AssertionError("terms expanded")
+
+    monkeypatch.setattr(qubo, "_expand", refuse)
+    solved = 0
+    for entry in suite:
+        n = entry.topo.nodes
+        for k in range(1, min(n, 3) + 1):
+            for q in (build_qubo(entry.topo, entry.weights, k), build_unweighted_qubo(entry.topo, k)):
+                feasible_energies(q, [np.arange(n) % k])
+                solve_heuristic(q, seed=1, restarts=2)
+                solve_anneal(q, AnnealConfig(sweeps=20, restarts=2, seed=1))
+                decode_and_repair(q, np.ones(q.num_vars))
+                assert "terms" not in vars(q)
+                solved += 1
+    assert solved > 100
+
+
+def test_built_offsets_are_the_accumulated_offset(suite):
+    # the instance derives its offset from the objective, in the same
+    # float order as the term-by-term reference
+    for entry in suite:
+        n, w = entry.topo.nodes, entry.weights
+        for k in range(1, min(n, 4) + 1):
+            for unweighted in (False, True):
+                cfg = default_penalties(entry.topo, uniform_weights(n) if unweighted else w, k)
+                q = (build_unweighted_qubo(entry.topo, k, cfg) if unweighted
+                     else build_qubo(entry.topo, w, k, cfg))
+                want = accumulated_terms(entry.topo, w.values, k, cfg.beta, cfg.alpha, cfg.gamma,
+                                         unweighted)[2]
+                assert q.offset == want, (entry.name, k, unweighted)
 
 
 def test_instance_dicts_are_an_export_view():
@@ -428,19 +478,25 @@ def test_instance_dicts_are_an_export_view():
     assert q.quadratic is q.quadratic
     with pytest.raises(AttributeError, match="immutable"):
         q.offset = 0.0
-    for given in ({}, {"objective": q.objective, "terms": q.terms}):
-        with pytest.raises(QuboError, match="^give an instance either its terms or its objective$"):
-            QuboInstance(n=6, k=3, offset=q.offset, **given)
+    # a built instance is given k and its objective alone, an imported
+    # one n, k, the offset and its terms
+    obj, terms, n, offset = ({"objective": q.objective}, {"terms": q.terms}, {"n": 6},
+                             {"offset": q.offset})
+    for given in ({}, {**obj, **terms}, {**obj, **n}, {**obj, **offset}, {**obj, **n, **offset},
+                  {**obj, **terms, **n, **offset}, terms, {**terms, **n}, {**terms, **offset},
+                  {**n, **offset}):
+        with pytest.raises(QuboError, match="^give an instance k and either its objective alone "
+                                            "or n, the offset and its terms$"):
+            QuboInstance(k=3, **given)
+    assert QuboInstance(k=3, **terms, **n, **offset) == q
     for ends in ([[1, 0]], [[0, 0]], [[0, 1], [0, 1]]):
-        obj = dataclasses.replace(q.objective, ends=np.array(ends),
-                                  edge_coeff=np.ones(len(ends)))
-        with pytest.raises(QuboError, match="distinct .* with u < v"):
-            QuboInstance(n=6, k=3, offset=q.offset, objective=obj)
+        with pytest.raises(QuboError, match="^objective edge ends must be distinct .* with u < v$"):
+            dataclasses.replace(q.objective, ends=np.array(ends), edge_coeff=np.ones(len(ends)))
 
 
 def test_building_at_1000_nodes_expands_no_dicts():
-    # the dicts of this instance hold 4.02M terms (~1 GB); the objective
-    # and the build-time checks need a few arrays of n*(n-1)/2 floats
+    # the dicts of this instance hold 4.02M terms (~1 GB); the build
+    # reads the objective's O(n + m) parts and keeps no n(n-1)/2 layout
     n, k = 1000, 8
     rule = DistanceRule(kind="uniform", low=0.5, high=2.0)
     topo = generate_ring(n, chords=n // 6, rule=rule, seed=1)
@@ -449,14 +505,16 @@ def test_building_at_1000_nodes_expands_no_dicts():
     tracemalloc.start()
     try:
         q = build_qubo(topo, w, k, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 50 * 2**20
+    assert peak < 4 * 2**20
+    assert kept < 2**20
     assert "terms" not in vars(q)
 
 
 def test_instance_rejects_an_objective_of_another_size():
+    # the objective refuses itself, before any instance is made of it
     q = build_qubo(SINGLE_EDGE, uniform_weights(2), 1, PenaltyConfig())
     for change, message in (
         ({"weights": np.ones(3)}, "3 weights, 2 node terms"),
@@ -466,8 +524,8 @@ def test_instance_rejects_an_objective_of_another_size():
         ({"ends": np.array([[0, 2]])}, r"\(1, 2\) in 0\.\.2"),
         ({"ends": np.array([[-1, 1]])}, r"\(1, 2\) in -1\.\.1"),
     ):
-        with pytest.raises(QuboError, match=message):
-            QuboInstance(n=2, k=1, offset=q.offset, objective=dataclasses.replace(q.objective, **change))
+        with pytest.raises(QuboError, match=f"^objective does not fit: .*{message}"):
+            dataclasses.replace(q.objective, **change)
 
 
 def test_too_many_producers_rejected():
@@ -664,6 +722,15 @@ def test_feasible_energies_check_their_rows(tmp_path):
     export_qubo(q, str(path))
     with pytest.raises(QuboError, match="imported one has none"):
         feasible_energies(import_qubo(str(path)), [[0, 1]])
+
+
+@pytest.mark.parametrize("bad", [0.5, np.nan, "0", True], ids=["half", "nan", "text", "bool"])
+def test_feasible_energies_refuse_ids_that_are_not_integers(bad):
+    # no id is truncated, cast from nan or compared as text: a float, a
+    # string or a bool row is refused as any other bad row
+    q = build_qubo(SINGLE_EDGE, uniform_weights(2), 2, PenaltyConfig())
+    with pytest.raises(QuboError, match=r"^producer rows must be \(rows, 2\) ids in 0\.\.1$"):
+        feasible_energies(q, [[bad, bad]])
 
 
 def test_export_import_round_trip(suite, tmp_path):

@@ -361,7 +361,8 @@ def test_anneal_handles_flat_landscape():
     flat = qubo.Objective(ends=np.zeros((0, 2), dtype=np.int64), edge_coeff=np.zeros(0),
                           node_linear=np.zeros(2), weights=np.ones(2), target=2.0,
                           alpha=0.0, gamma=0.0)
-    q = QuboInstance(n=2, k=1, offset=0.0, objective=flat)
+    q = QuboInstance(k=1, objective=flat)
+    assert q.offset == 0.0
     r = solve_anneal(q, AnnealConfig(sweeps=50, restarts=1, seed=0))
     assert r.assignment.producer_of == (0, 0)
     assert r.energy == 0.0
