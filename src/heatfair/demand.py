@@ -13,7 +13,7 @@ import dataclasses
 
 import numpy as np
 
-from .ioutil import csv_text, number, read_json, write_json
+from .ioutil import csv_text, number, number_array, read_json, write_json
 
 
 class DemandError(ValueError):
@@ -28,7 +28,7 @@ class DemandMatrix:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
+        values = number_array(self.values, "demands", DemandError)
         if values.ndim != 2:
             raise DemandError(
                 f"demand table must be two-dimensional, got shape {values.shape}"
@@ -48,8 +48,6 @@ class DemandMatrix:
             raise DemandError(
                 f"negative demand at timestep {bad[0]}, node {bad[1]}"
             )
-        values = values.copy()
-        values.flags.writeable = False
         object.__setattr__(self, "values", values)
         if self.labels is not None:
             if len(self.labels) != values.shape[1]:
@@ -79,7 +77,7 @@ class WeightVector:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
+        values = number_array(self.values, "weights", DemandError)
         if values.ndim != 1 or values.size < 1:
             raise DemandError(
                 f"weights must be a non-empty vector, got shape {values.shape}"
@@ -89,8 +87,6 @@ class WeightVector:
         total = float(values.sum())
         if abs(total - 1.0) > 1e-12:
             raise DemandError(f"weights must sum to 1, got {total!r}")
-        values = values.copy()
-        values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
     @property

@@ -1,6 +1,6 @@
 """File helpers shared across modules: atomic writes, JSON in and out,
-the one rule for CSV text, and the one check of a number read from
-outside."""
+the one rule for CSV text, and the one check of a number, or an array
+of numbers, read from outside."""
 
 from __future__ import annotations
 
@@ -10,6 +10,8 @@ import operator
 import os
 import re
 from collections.abc import Iterable
+
+import numpy as np
 
 
 def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
@@ -92,3 +94,15 @@ def number(value, what: str, error, integer: bool = False, least: int | None = N
     except OverflowError:  # an integer past the float range
         pass
     raise error(f"{what} must be {'an integer' if integer else 'a number'}, got {shown(value)}")
+
+
+def number_array(values, what: str, error) -> np.ndarray:
+    """values as a new read-only float array, read from integers or
+    floats, never from bools or text: any other array raises
+    error(f"{what} must be numbers, got an array of {dtype}")."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise error(f"{what} must be numbers, got an array of {arr.dtype}")
+    arr = arr.astype(float)
+    arr.flags.writeable = False
+    return arr

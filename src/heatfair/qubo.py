@@ -4,9 +4,7 @@ The assignment of n nodes to k producers is encoded in n*k binary
 variables x[i, j] ("node i belongs to producer j"), flattened as
 var = j*n + i. The objective combines three terms:
 
-  beta  * sum_j x_j' DL x_j           pipe distance between same-producer
-                                      neighbours (DL is the zero-diagonal
-                                      edge-distance matrix)
+  beta  * the graph term              the pipes, read one of two ways
   alpha * (sum_i w_i x_ij - W/k)^2    producer load balance, W = sum w_i
   gamma * (sum_j x_ij - 1)^2          each node picks exactly one producer
 
@@ -14,14 +12,17 @@ Expanding the squares yields linear coefficients, strictly
 upper-triangular quadratic coefficients, and a constant offset, so QUBO
 energies equal the objective value directly, with no dropped constants.
 
-Sign of the graph term: the weighted distance term charges 2*beta*d for
-every pipe kept inside one producer's area, so on its own it pushes
-neighbours apart (balance and one-hot terms do the grouping). The
-unweighted variant (build_unweighted_qubo) instead charges beta for
-every edge leaving a producer's area, which rewards keeping neighbours
-together. tests/test_qubo.py pins both readings. Both builders build
-only the Objective, and the instance derives all else from it. Its
-terms are stored once, as arrays in key order (linear terms by
+The graph term is read one of two ways. build_qubo's "within" is
+sum_j x_j' DL x_j, DL the zero-diagonal edge-distance matrix: it
+charges 2*beta*d for every pipe of length d kept inside one producer's
+area, so on its own it pushes neighbours apart (balance and one-hot
+terms do the grouping). build_unweighted_qubo's "cut", with unit
+weights, is sum_j x_j' L x_j, L the graph Laplacian (Lucas,
+arXiv:1302.5843, section 2.2): it charges 2*beta for every pipe between
+two areas, which rewards keeping neighbours together. Both builders
+call one, _build; tests/test_qubo.py pins both readings. The builder
+builds only the Objective, and the instance derives all else from it.
+Its terms are stored once, as arrays in key order (linear terms by
 variable, quadratic ones by (row, col)), expanded on first use or read
 from a file by import_qubo; its dicts are views of them. energies()
 adds the terms of any bit vector in that order, offset first, so an
@@ -43,7 +44,7 @@ import numpy as np
 
 from . import graphs
 from .demand import WeightVector, uniform_weights
-from .ioutil import atomic_write_text, number
+from .ioutil import atomic_write_text, number, number_array
 
 
 class QuboError(ValueError):
@@ -57,7 +58,7 @@ class QuboFormatError(QuboError):
 @dataclasses.dataclass(frozen=True)
 class PenaltyConfig:
     """The three penalty constants of the objective (module docstring):
-    beta on pipe distance, alpha on every producer's load balance and
+    beta on the graph term, alpha on every producer's load balance and
     gamma on every node's one-hot square. Each must be a finite,
     positive number (ioutil.number) and is stored as a float."""
 
@@ -80,7 +81,7 @@ class Objective:
     alpha * (load_j - target)^2, load_j the weights at j. Per node i:
     gamma * (producers of i - 1)^2. The four arrays are read-only copies
     of n node and m edge entries: n is the weights', and ends are m
-    distinct (u, v) pairs with 0 <= u < v < n."""
+    distinct integer (u, v) pairs with 0 <= u < v < n."""
 
     ends: np.ndarray  # (m, 2)
     edge_coeff: np.ndarray  # (m,)
@@ -96,6 +97,8 @@ class Objective:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         n, ends = self.weights.size, self.ends
+        if ends.dtype.kind not in "iu":
+            raise QuboError(f"objective does not fit: edge ends of dtype {ends.dtype}, not integers")
         if not (self.weights.shape == self.node_linear.shape == (n,)
                 and ends.shape == self.edge_coeff.shape + (2,) and np.all((0 <= ends) & (ends < n))):
             raise QuboError(f"objective does not fit: {n} weights, {self.node_linear.size} node terms, "
@@ -256,14 +259,11 @@ def _checked_terms(terms, nv: int) -> Terms:
 
 
 def _weight_array(w, n: int) -> np.ndarray:
-    if isinstance(w, WeightVector):
-        arr = np.asarray(w.values, dtype=float)
-    else:
-        arr = np.asarray(w, dtype=float)
-        if arr.ndim != 1:
-            raise QuboError(f"weights must be a vector, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-            raise QuboError("weights must be finite and strictly positive")
+    arr = number_array(w.values if isinstance(w, WeightVector) else w, "weights", QuboError)
+    if arr.ndim != 1:
+        raise QuboError(f"weights must be a vector, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+        raise QuboError("weights must be finite and strictly positive")
     if arr.size != n:
         raise QuboError(f"got {arr.size} weights for {n} nodes")
     return arr
@@ -277,22 +277,6 @@ def _check_k(n: int, k) -> int:
             f"targets degenerate"
         )
     return k
-
-
-def _assemble(topo: graphs.Topology, k: int, cfg: PenaltyConfig, edge_coeff: np.ndarray,
-              node_linear: np.ndarray, weights: np.ndarray, target: float) -> QuboInstance:
-    """The instance of the shared objective shape: per producer,
-    edge_coeff on each topology edge, node_linear on each node, and the
-    balance square alpha * (sum_i w_i x_ij - target)^2; per node the
-    one-hot square. Only the Objective is built here; the instance
-    derives the rest from it, its terms on first use (_expand).
-    """
-    obj = Objective(
-        ends=np.array([(u, v) for u, v, _ in topo.edges], dtype=np.int64).reshape(-1, 2),
-        edge_coeff=edge_coeff, node_linear=node_linear, weights=weights, target=target,
-        alpha=cfg.alpha, gamma=cfg.gamma,
-    )
-    return QuboInstance(k=k, objective=obj)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite term is the build check's to name
@@ -359,48 +343,59 @@ def _check_objective_terms(obj: Objective, k: int) -> None:
                                   vals=np.append(t.vals, np.full(hot.size, 2.0 * obj.gamma))), n * k)
 
 
+def _pipes(topo: graphs.Topology) -> tuple[np.ndarray, np.ndarray]:
+    """The ends, an (m, 2) int64 array, and the lengths of topo's m
+    pipes, in edge order: the one read of topo.edges."""
+    edges = np.array(topo.edges, dtype=object).reshape(-1, 3)
+    return edges[:, :2].astype(np.int64), edges[:, 2].astype(float)
+
+
+def _at_nodes(ends: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
+    """Each of the n nodes' sum of c over its pipes, added in edge order."""
+    return np.bincount(ends.ravel(), weights=np.repeat(c, 2), minlength=n)
+
+
 # an overflowing coefficient is QuboInstance's to reject, with no numpy warning first
 @np.errstate(over="ignore", invalid="ignore")
+def _build(topo: graphs.Topology, w, k: int, cfg: PenaltyConfig | None, cut: bool) -> QuboInstance:
+    """The instance of build_qubo (weights w, the "within" graph term)
+    or, if cut, of build_unweighted_qubo (unit weights, the "cut" graph
+    term with c_e = 1); see module docstring."""
+    n = topo.nodes
+    k = _check_k(n, k)
+    cfg = cfg or default_penalties(topo, uniform_weights(n) if cut else w, k)
+    ends, lengths = _pipes(topo)
+    if cut:
+        c = np.ones(lengths.size)
+        weights, edge_coeff, node_linear = np.ones(n), -2.0 * cfg.beta * c, cfg.beta * _at_nodes(ends, c, n)
+    else:
+        weights, edge_coeff, node_linear = _weight_array(w, n), 2.0 * cfg.beta * lengths, np.zeros(n)
+    obj = Objective(ends=ends, edge_coeff=edge_coeff, node_linear=node_linear, weights=weights,
+                    target=float(weights.sum()) / k, alpha=cfg.alpha, gamma=cfg.gamma)
+    return QuboInstance(k=k, objective=obj)
+
+
 def build_qubo(
     topo: graphs.Topology, w, k: int, cfg: PenaltyConfig | None = None
 ) -> QuboInstance:
-    """Weighted objective over n*k variables; see module docstring.
+    """Weighted objective over n*k variables with the "within" graph
+    term; see module docstring.
 
     w may be a WeightVector or any positive vector; the balance target
     is W/k with W its actual sum, so unnormalised weights work too.
     cfg None takes default_penalties(topo, w, k).
     """
-    n = topo.nodes
-    k = _check_k(n, k)
-    cfg = cfg or default_penalties(topo, w, k)
-    weights = _weight_array(w, n)
-    target = float(weights.sum()) / k
-    dists = np.array([dist for _, _, dist in topo.edges], dtype=float)
-    edge_coeff = 2.0 * cfg.beta * dists
-    return _assemble(topo, k, cfg, edge_coeff, np.zeros(n), weights, target)
+    return _build(topo, w, k, cfg, cut=False)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def build_unweighted_qubo(
     topo: graphs.Topology, k: int, cfg: PenaltyConfig | None = None
 ) -> QuboInstance:
-    """Node-count variant: cut edges via the combinatorial Laplacian and
-    a balance target of n/k nodes per producer.
-
-    Unlike the weighted form, the graph term here rewards keeping
-    neighbours together (it counts edges leaving each group), while the
-    weighted form's distance term counts edges kept inside each group.
-    cfg None takes default_penalties(topo, uniform_weights(n), k).
+    """Node-count variant: the "cut" graph term with unit weights, so a
+    balance target of n/k nodes per producer. cfg None takes
+    default_penalties(topo, uniform_weights(n), k).
     """
-    n = topo.nodes
-    k = _check_k(n, k)
-    cfg = cfg or default_penalties(topo, uniform_weights(n), k)
-    degree = np.zeros(n, dtype=np.int64)
-    for u, v, _ in topo.edges:
-        degree[u] += 1
-        degree[v] += 1
-    edge_coeff = np.full(topo.num_edges, -2.0 * cfg.beta)
-    return _assemble(topo, k, cfg, edge_coeff, cfg.beta * degree, np.ones(n), n / k)
+    return _build(topo, None, k, cfg, cut=True)
 
 
 def energy(q: QuboInstance, bits) -> float:
@@ -482,12 +477,8 @@ def default_penalties(topo: graphs.Topology, w, k: int) -> PenaltyConfig:
     k = _check_k(n, k)
     weights = _weight_array(w, n)
     beta = 1.0
-    row_sums = np.zeros(n)
     with np.errstate(over="ignore"):  # an overflowed sum is inf, refused below
-        for u, v, dist in topo.edges:
-            row_sums[u] += dist
-            row_sums[v] += dist
-    scale = float(row_sums.max())
+        scale = float(_at_nodes(*_pipes(topo), n).max())
     if not math.isfinite(scale):
         raise QuboError(
             "the distance scale (the largest sum of pipe lengths at one node) "

@@ -16,6 +16,7 @@ from heatfair import (
     AnnealConfig,
     Assignment,
     DemandError,
+    DemandMatrix,
     DistanceRule,
     FairnessError,
     KpiReport,
@@ -28,6 +29,7 @@ from heatfair import (
     Terms,
     Topology,
     TopologyError,
+    WeightVector,
     WorkflowError,
     build_qubo,
     build_unweighted_qubo,
@@ -113,6 +115,16 @@ NO_TERMS = Terms(*(np.zeros(0, dtype) for dtype in (np.int64, float, np.int64, n
     (lambda: build_qubo(RING, uniform_weights(4), True), QuboError, "k must be an integer, got true"),
     (lambda: build_qubo(RING, uniform_weights(4), 2.5), QuboError, "k must be an integer, got 2.5"),
     (lambda: build_unweighted_qubo(RING, 2.0), QuboError, "k must be an integer, got 2.0"),
+    (lambda: WeightVector(np.array(["0.25"] * 4)), DemandError,
+     "weights must be numbers, got an array of <U4"),
+    (lambda: WeightVector([True]), DemandError, "weights must be numbers, got an array of bool"),
+    (lambda: DemandMatrix(values=[["1.0", "2.0"]]), DemandError,
+     "demands must be numbers, got an array of <U3"),
+    (lambda: DemandMatrix(values=[[True, False]]), DemandError,
+     "demands must be numbers, got an array of bool"),
+    (lambda: build_qubo(RING, [True] * 4, 2), QuboError, "weights must be numbers, got an array of bool"),
+    (lambda: build_qubo(RING, ["0.25"] * 4, 2, PenaltyConfig()), QuboError,
+     "weights must be numbers, got an array of <U4"),
     (lambda: score_assignment(Assignment(producer_of=(0, 1, 0, 1), k=2), RING, uniform_weights(4),
                               kpi_alpha="0.5"), FairnessError, 'kpi_alpha must be a number, got "0.5"'),
     (lambda: generate_ring(5, seed=-1), TopologyError, "seed must be >= 0, got -1"),
@@ -154,7 +166,8 @@ NO_TERMS = Terms(*(np.zeros(0, dtype) for dtype in (np.int64, float, np.int64, n
 ], ids=["heuristic-seed", "heuristic-seed-none", "heuristic-restarts-bool",
         "heuristic-restarts-float", "exhaustive-cap-bool", "ring-nodes", "ring-chords",
         "tree-branching", "uniform-nodes", "demand-timesteps", "demand-anchor", "qubo-k-bool",
-        "qubo-k-float", "unweighted-k-float", "kpi-alpha-text",
+        "qubo-k-float", "unweighted-k-float", "weights-text", "weights-bool", "demands-text",
+        "demands-bool", "qubo-weights-bool", "qubo-weights-text", "kpi-alpha-text",
         "ring-seed-negative", "ring-seed-float", "ring-seed-bool", "tree-seed-negative",
         "tree-seed-float", "tree-seed-bool", "demand-seed-negative", "demand-seed-float",
         "demand-seed-bool",

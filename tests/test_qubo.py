@@ -514,7 +514,8 @@ def test_building_at_1000_nodes_expands_no_dicts():
 
 
 def test_instance_rejects_an_objective_of_another_size():
-    # the objective refuses itself, before any instance is made of it
+    # the objective refuses itself, before any instance is made of it;
+    # float or bool ends are refused, not left to fail as numpy indices
     q = build_qubo(SINGLE_EDGE, uniform_weights(2), 1, PenaltyConfig())
     for change, message in (
         ({"weights": np.ones(3)}, "3 weights, 2 node terms"),
@@ -523,6 +524,8 @@ def test_instance_rejects_an_objective_of_another_size():
         ({"ends": np.array([[0, 1], [0, 1]])}, r"1 edge coefficients, edge ends of shape \(2, 2\)"),
         ({"ends": np.array([[0, 2]])}, r"\(1, 2\) in 0\.\.2"),
         ({"ends": np.array([[-1, 1]])}, r"\(1, 2\) in -1\.\.1"),
+        ({"ends": np.array([[0.0, 1.0]])}, "edge ends of dtype float64, not integers"),
+        ({"ends": np.array([[False, True]])}, "edge ends of dtype bool, not integers"),
     ):
         with pytest.raises(QuboError, match=f"^objective does not fit: .*{message}"):
             dataclasses.replace(q.objective, **change)
@@ -651,6 +654,22 @@ def test_default_penalties_always_positive():
     for n in (2, 5, 8):
         cfg = default_penalties(generate_ring(max(n, 3), seed=n), uniform_weights(max(n, 3)), 2)
         assert cfg.alpha > 0 and cfg.gamma > 0
+
+
+def test_default_penalties_sum_each_nodes_pipes_in_edge_order(suite):
+    # S adds each node's pipe lengths one at a time in edge order, as
+    # the loop here does, so every penalty is the loop's to the bit; at
+    # the star's hub, (0.1 + 0.2) + 0.7 and 0.1 + (0.2 + 0.7) differ
+    star = Topology(nodes=4, edges=((0, 1, 0.1), (0, 2, 0.2), (0, 3, 0.7)))
+    for topo, w in [(e.topo, e.weights.values) for e in suite] + [(star, np.full(4, 0.25))]:
+        sums = [0.0] * topo.nodes
+        for u, v, dist in topo.edges:
+            sums[u] += dist
+            sums[v] += dist
+        scale, w_min = max(sums) or 1.0, float(w.min())
+        alpha = scale / (w_min * w_min)
+        want = PenaltyConfig(beta=1.0, alpha=alpha, gamma=2.0 * (scale + alpha * float(w.max())))
+        assert default_penalties(topo, w, 2) == want, topo
 
 
 def test_default_penalties_refuse_scales_past_the_float_range():

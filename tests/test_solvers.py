@@ -1131,10 +1131,10 @@ def test_anneal_matches_reference_on_exact_ties(monkeypatch):
     # during frozen stretches, often on an exact tie, and which bit
     # crosses first is the answer.
     tick = 5e-324
-    path = Topology(nodes=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
-    q = qubo._assemble(path, 1, PenaltyConfig(alpha=20 * tick, gamma=tick),
-                       np.array([-81 * tick, -81 * tick]), np.array([-4, 53, -4]) * tick,
-                       np.ones(3), 0.5)
+    path = qubo.Objective(ends=np.array([[0, 1], [1, 2]]), edge_coeff=np.array([-81 * tick, -81 * tick]),
+                          node_linear=np.array([-4, 53, -4]) * tick, weights=np.ones(3), target=0.5,
+                          alpha=20 * tick, gamma=tick)
+    q = QuboInstance(k=1, objective=path)
     assert q.linear == {0: -5 * tick, 1: 52 * tick, 2: -5 * tick}
     assert q.quadratic == {(0, 1): -41 * tick, (1, 2): -41 * tick, (0, 2): 40 * tick}
     assert q.offset == 8 * tick
