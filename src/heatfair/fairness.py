@@ -22,7 +22,7 @@ import numpy as np
 
 from . import graphs
 from .demand import WeightVector
-from .ioutil import number, shown
+from .ioutil import number, number_array, shown
 from .solvers import Assignment, SolverError
 
 
@@ -52,7 +52,7 @@ def jain_index(loads) -> float:
     largest entry into [0.5, 1), which leaves the index unchanged. An
     empty, non-vector, negative, non-finite or all-zero y raises
     FairnessError."""
-    y = np.asarray(loads, dtype=float)
+    y = number_array(loads, "loads", FairnessError)
     if y.ndim != 1 or y.size < 1:
         raise FairnessError(f"loads must be a non-empty vector, got {y.shape}")
     if not np.all(np.isfinite(y)) or np.any(y < 0.0):
@@ -139,7 +139,7 @@ class KpiReport:
         if not isinstance(self.assignment, tuple | list):
             raise FairnessError(f"assignment must be a list, got {shown(self.assignment)}")
         try:
-            placed = Assignment(tuple(self.assignment), self.k).producer_of if self.assignment else ()
+            placed = Assignment(self.assignment, self.k).producer_of if self.assignment else ()
         except SolverError as exc:
             raise FairnessError(f"assignment: {exc}") from exc
         object.__setattr__(self, "assignment", placed)

@@ -26,16 +26,14 @@ Three routes with very different trust levels:
                     instance has none. Seeding and descent price load
                     balance by the annealer's field rule,
                     2*alpha*w_i*L_j, taking no square. Seeding scans one
-                    restart after another, adding the coefficients of a
-                    node's placed neighbours from its neighbour list
-                    after the balance term. All restarts then descend
-                    in lockstep, each step a fixed handful of numpy
-                    calls over tables of every move's delta, read from
-                    one table of each node's edge coefficients per
-                    producer, summed from one flat list of (node,
-                    neighbour, edge coefficient) entries. Both sum
-                    exactly as a scalar scan would: in neighbour-list
-                    order, first minimum in scan order.
+                    restart after another. All restarts then descend in
+                    lockstep, each step a fixed handful of numpy calls
+                    over one row of every move's delta per restart,
+                    read from node-by-producer sums of edge coefficients
+                    taken from one flat list of (node, neighbour, edge
+                    coefficient) entries. Both sum exactly as a scalar
+                    scan would: in neighbour-list order, first minimum
+                    in scan order.
 
 All three take only the instance and their own settings, and end the
 same way (_result): their candidates (every assignment, or each
@@ -56,7 +54,7 @@ import math
 
 import numpy as np
 
-from .ioutil import number
+from .ioutil import number, shown
 from .qubo import Objective, QuboInstance, feasible_energies
 
 SCHEDULES = ("geometric", "linear")
@@ -76,10 +74,14 @@ class Assignment:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "k", number(self.k, "k", SolverError, integer=True, least=1))
-        if not self.producer_of:
+        try:  # a tuple first, so an id array reads like a list
+            ids = tuple(self.producer_of)
+        except TypeError:
+            raise SolverError(f"producer_of must be producer ids, got {shown(self.producer_of)}") from None
+        if not ids:
             raise SolverError("assignment needs at least one node")
         object.__setattr__(self, "producer_of", tuple(
-            number(p, f"node {i}", SolverError, integer=True) for i, p in enumerate(self.producer_of)
+            number(p, f"node {i}", SolverError, integer=True) for i, p in enumerate(ids)
         ))
         for i, p in enumerate(self.producer_of):
             if not (0 <= p < self.k):
@@ -540,15 +542,13 @@ def _fixed_tables(neighbours, w, alpha):
     """What _move_tables and _local_search read that stays fixed
     through a descent: every (node, neighbour, edge coefficient) of
     the neighbour lists, node by node in list order; the weights w and
-    2*alpha*w; the weight d[i, j] = w_j - w_i that swapping i and j
-    moves onto i's producer, and 2*alpha*d; and the mask of the pairs
-    i >= j."""
+    2*alpha*w; and the weight d[i, j] = w_j - w_i that swapping i and j
+    moves onto i's producer, and 2*alpha*d."""
     node = np.array([i for i, edges in enumerate(neighbours) for _ in edges], dtype=np.intp)
     nbr = np.array([u for edges in neighbours for u, _ in edges], dtype=np.intp)
     coeff = np.array([c for edges in neighbours for _, c in edges], dtype=float)
     d = w - w[:, None]
-    lower = np.arange(w.size)[:, None] >= np.arange(w.size)
-    return node, nbr, coeff, w, 2.0 * alpha * w, d, 2.0 * alpha * d, lower
+    return node, nbr, coeff, w, 2.0 * alpha * w, d, 2.0 * alpha * d
 
 
 def _greedy_seed(orders, neighbours, w, alpha, k):
@@ -576,10 +576,11 @@ def _greedy_seed(orders, neighbours, w, alpha, k):
 
 
 def _move_tables(p, loads, fixed):
-    """Deltas of every move, (restarts, n*k) for relocating node i to
-    producer j and (restarts, n*n) for swapping the producers of nodes
-    i < j, at producer ids p (restarts, n). Moves that are not
-    candidates (own producer, i >= j, shared producer) hold +inf.
+    """Deltas of every move at producer ids p (restarts, n), one row of
+    n*k + n*n per restart: relocating node i to producer j at i*k + j,
+    then swapping the producers of nodes i and j at n*k + i*n + j.
+    Moves that are not candidates (own producer, shared producer) hold
+    +inf.
 
     g[r, i, j] sums the coefficients of i's neighbours at producer j
     from +0.0 in neighbour-list order (np.add.at applies repeated
@@ -589,10 +590,12 @@ def _move_tables(p, loads, fixed):
     are neighbours, as a swap leaves that edge cut. The balance change
     is added after, priced by the annealer's field rule: 2*alpha*w_i *
     (L_j - (L_a - w_i)) for a relocation, and 2*alpha*d * ((L_a - L_b)
-    + d) for a swap, d = w_j - w_i. fixed is _fixed_tables(neighbours,
-    w, alpha)."""
+    + d) for a swap, d = w_j - w_i. The swap block is symmetric bit for
+    bit: (j, i) adds the same edge parts and 2*c_ij, and negates both
+    balance factors, which IEEE arithmetic does exactly. fixed is
+    _fixed_tables(neighbours, w, alpha)."""
     (r, n), k = p.shape, loads.shape[1]
-    node, nbr, coeff, w, reach, d, reach_d, lower = fixed
+    node, nbr, coeff, w, reach, d, reach_d = fixed
     rows = np.arange(r)[:, None]
     g = np.zeros((r, n, k))
     np.add.at(g, (rows, node, p[:, nbr]), coeff)
@@ -605,8 +608,8 @@ def _move_tables(p, loads, fixed):
     rel += reach[:, None] * (loads[:, None, :] - (own - w)[:, :, None])
     np.putmask(rel, p[:, :, None] == np.arange(k), np.inf)
     swp += reach_d * ((own[:, :, None] - own[:, None, :]) + d)
-    np.putmask(swp, (p[:, :, None] == p[:, None, :]) | lower, np.inf)
-    return rel.reshape(r, -1), swp.reshape(r, -1)
+    np.putmask(swp, p[:, :, None] == p[:, None, :], np.inf)
+    return np.concatenate((rel.reshape(r, -1), swp.reshape(r, -1)), axis=1)
 
 
 def _local_search(p, loads, fixed):
@@ -615,10 +618,10 @@ def _local_search(p, loads, fixed):
     p (restarts, n) producer ids and loads (restarts, k) are updated in
     place; returns the moves applied per restart. fixed is
     _fixed_tables(neighbours, w, alpha). Each step reads _move_tables
-    and takes the first minimum of the relocations, row-major over
-    (node, producer), unless the first minimum of the swaps, row-major
-    over i < j, lies strictly below it; a restart stops when neither is
-    below -1e-12.
+    and applies each restart's first minimum if it lies below -1e-12;
+    a restart whose minimum does not stops. Relocations come first in
+    the row, so an exact tie goes to the relocation, and the swap
+    block is symmetric, so its first minimum lies at some i < j.
     """
     (r, n), k = p.shape, loads.shape[1]
     w = fixed[3]
@@ -626,26 +629,25 @@ def _local_search(p, loads, fixed):
     moves = np.zeros(r, dtype=np.int64)
     todo = np.arange(r)
     while todo.size:
-        live, at = todo[:group], np.arange(min(group, todo.size))
-        rel, swp = _move_tables(p[live], loads[live], fixed)
-        rel_at, swp_at = rel.argmin(axis=1), swp.argmin(axis=1)
-        bar = np.minimum(rel[at, rel_at], -1e-12)
-        swap = swp[at, swp_at] < bar
-        relocate = ~swap & (bar < -1e-12)
+        live = todo[:group]
+        table = _move_tables(p[live], loads[live], fixed)
+        at = table.argmin(axis=1)
+        move = table[np.arange(live.size), at] < -1e-12
+        relocate, swap = move & (at < n * k), move & (at >= n * k)
 
-        rows, (i, dest) = live[relocate], np.divmod(rel_at[relocate], k)
+        rows, (i, dest) = live[relocate], np.divmod(at[relocate], k)
         loads[rows, p[rows, i]] -= w[i]
         loads[rows, dest] += w[i]
         p[rows, i] = dest
 
-        rows, (i, j) = live[swap], np.divmod(swp_at[swap], n)
+        rows, (i, j) = live[swap], np.divmod(at[swap] - n * k, n)
         a, b = p[rows, i], p[rows, j]
         loads[rows, a] += w[j] - w[i]
         loads[rows, b] += w[i] - w[j]
         p[rows, i], p[rows, j] = b, a
 
-        moves[live] += relocate | swap
-        todo = np.concatenate([live[relocate | swap], todo[group:]])
+        moves[live] += move
+        todo = np.concatenate([live[move], todo[group:]])
     return moves
 
 
@@ -656,17 +658,14 @@ def solve_heuristic(q: QuboInstance, seed: int = 0, restarts: int = 8) -> SolveR
 
     Node terms are left out: a feasible assignment pays each of them
     exactly once. Restart 0 seeds nodes heaviest-first; later restarts
-    use random orders. Seeding scans one restart after another over the
-    neighbour lists, adding the coefficients of a node's placed
-    neighbours after the balance term 2*alpha*w_i*L_j in list order
-    (_greedy_seed). All restarts then descend in lockstep, a fixed
-    handful of numpy calls per step, reading one flat list of (node,
-    neighbour, edge coefficient) entries built once per solve
-    (_fixed_tables) and summing it into one node-by-producer table
-    (_move_tables), in groups whose swap tables stay near 8 MB. Each
-    restart matches a scalar scan bit for bit. Restarts compete on the
-    QUBO energy of their final assignments in q, ties to the earliest
-    restart, so results line up with the other solvers.
+    use random orders. Seeding scans one restart after another
+    (_greedy_seed). All restarts then descend in lockstep
+    (_local_search), in groups whose swap tables stay near 8 MB, each
+    step applying the first minimum of every restart's row of move
+    deltas (_move_tables); each restart matches a scalar scan bit for
+    bit. Restarts compete on the QUBO energy of their final assignments
+    in q, ties to the earliest restart, so results line up with the
+    other solvers.
     """
     restarts = number(restarts, "restarts", SolverError, integer=True, least=1)
     seed = number(seed, "seed", SolverError, integer=True, least=0)
@@ -676,9 +675,9 @@ def solve_heuristic(q: QuboInstance, seed: int = 0, restarts: int = 8) -> SolveR
         return _result(q, [[0] * n], "heuristic", seed, 0)
     weights, neighbours = obj.weights.tolist(), _neighbours(obj)
 
-    children = np.random.SeedSequence(seed).spawn(max(restarts - 1, 1))
     orders = [sorted(range(n), key=lambda i: (-weights[i], i))] + [
-        np.random.default_rng(child).permutation(n).tolist() for child in children[: restarts - 1]
+        np.random.default_rng(child).permutation(n).tolist()
+        for child in np.random.SeedSequence(seed).spawn(restarts - 1)
     ]
     producers, loads = _greedy_seed(orders, neighbours, weights, obj.alpha, q.k)
     moves = _local_search(producers, loads, _fixed_tables(neighbours, obj.weights, obj.alpha))

@@ -65,7 +65,9 @@ def test_producer_loads_validation():
     (np.array([0.5, -0.1]), "loads must be finite and nonnegative"),
     ([0.5, float("nan")], "loads must be finite and nonnegative"),
     ([float("inf"), 1.0], "loads must be finite and nonnegative"),
-], ids=["matrix", "scalar", "empty", "negative", "nan", "inf"])
+    (["1", "2"], "loads must be numbers, got an array of <U1"),
+    ([True, False], "loads must be numbers, got an array of bool"),
+], ids=["matrix", "scalar", "empty", "negative", "nan", "inf", "text", "bool"])
 def test_jain_refuses_what_is_not_a_load_vector(loads, message):
     with pytest.raises(FairnessError, match=f"^{message}$"):
         jain_index(loads)

@@ -77,6 +77,13 @@ def test_assignment_validation():
         Assignment(producer_of=(0,), k=0)
     with pytest.raises(SolverError, match="at least one node"):
         Assignment(producer_of=(), k=1)
+    with pytest.raises(SolverError, match="at least one node"):
+        Assignment(producer_of=np.array([], dtype=int), k=1)
+    # an id array reads like a list, whatever its length
+    assert Assignment(producer_of=np.array([0]), k=1).producer_of == (0,)
+    assert Assignment(producer_of=np.array([0, 1]), k=2).producer_of == (0, 1)
+    with pytest.raises(SolverError, match=r"^producer_of must be producer ids, got 3$"):
+        Assignment(producer_of=3, k=4)
 
 
 def test_encode_round_trips_through_repair():
@@ -784,6 +791,18 @@ def test_lockstep_search_matches_scalar_reference(k):
             assert p[r].tolist() == ref_p, (name, r)
             assert loads[r].tolist() == ref_loads, (name, r)
             assert moves[r] == ref_moves, (name, r)
+    if k == 2:
+        # on the path 0-1-2 (edge coefficients 1.0, alpha 0) from (0, 0, 1),
+        # relocating node 0 and swapping nodes 1 and 2 both change the
+        # energy by exactly -1.0: the tie goes to the relocation
+        neighbours, w = [[(1, 1.0)], [(0, 1.0), (2, 1.0)], [(1, 1.0)]], [1 / 3] * 3
+        start = ([0, 0, 1], loads_of([0, 0, 1], w, 2))
+        args = (*start, neighbours, w, 0.5, 0.0)
+        assert relocate_delta(0, 1, *args) == swap_delta(1, 2, *args) == -1.0
+        ref = local_search_reference(*args)
+        assert ref == ([1, 0, 1], loads_of([1, 0, 1], w, 2), 1)
+        p, loads, moves = lockstep([start], neighbours, w, 0.5, 0.0, steps=2)
+        assert (p[0].tolist(), loads[0].tolist(), moves[0]) == ref
 
 
 def test_move_tables_equal_reference_deltas_bit_for_bit():
@@ -817,7 +836,9 @@ def test_move_tables_equal_reference_deltas_bit_for_bit():
             states = [rng.integers(0, k, size=n).tolist() for _ in range(3)]
             p = np.array(states)
             loads = np.array([loads_of(s, w, k) for s in states])
-            rel, swp = solvers._move_tables(p, loads, kernel_inputs(neighbours, w, beta, alpha))
+            table = solvers._move_tables(p, loads, kernel_inputs(neighbours, w, beta, alpha))
+            rel, swp = table[:, :n * k], table[:, n * k:]
+            assert table.shape == (3, n * k + n * n)
             args = (neighbours, w, beta, alpha)
             for r, state in enumerate(states):
                 state_loads = loads[r].tolist()
@@ -831,8 +852,10 @@ def test_move_tables_equal_reference_deltas_bit_for_bit():
                             assert float(got).hex() == want.hex(), (r, i, dest)
                     for j in range(n):
                         got = swp[r, i * n + j]
-                        if j <= i or state[i] == state[j]:
+                        if state[i] == state[j]:
                             assert got == np.inf
+                        elif j < i:  # the swap block is symmetric bit for bit
+                            assert float(got).hex() == float(swp[r, j * n + i]).hex(), (r, i, j)
                         else:
                             want = swap_delta(i, j, state, state_loads, *args)
                             assert float(got).hex() == want.hex(), (r, i, j)
@@ -853,7 +876,8 @@ def test_move_tables_price_the_objective(k):
         p = rng.integers(0, k, size=(3, n))
         loads = np.array([loads_of(s, obj.weights.tolist(), k) for s in p.tolist()])
         fixed = solvers._fixed_tables(solvers._neighbours(obj), obj.weights, obj.alpha)
-        rel, swp = solvers._move_tables(p.copy(), loads, fixed)
+        table = solvers._move_tables(p.copy(), loads, fixed)
+        rel, swp = table[:, :n * k], table[:, n * k:]
         for r, state in enumerate(p):
             before = feasible_energies(q, [state])[0]
             afters, got = [], []
@@ -866,7 +890,7 @@ def test_move_tables_price_the_objective(k):
                 afters[-1][[i, j]] = state[[j, i]]
                 got.append(swp[r, i * n + j])
             want = feasible_energies(q, afters) - before
-            assert len(got) == n * (k - 1) + int((state[:, None] != state).sum()) // 2
+            assert len(got) == n * (k - 1) + int((state[:, None] != state).sum())
             tolerance = 1e-9 * (abs(q.offset) + abs(before))
             assert np.abs(np.array(got) - want).max() <= tolerance, (name, r)
 
@@ -1333,15 +1357,16 @@ def test_scan_with_nan_and_infinite_deltas_matches_a_row_major_scan(monkeypatch)
 
 
 def test_anneal24_sized_solve_holds_one_small_buffer():
-    # a 24-node ring at k=4, 2000 sweeps x 8 restarts: one buffer of at
-    # most 2**15 limits (256 KB) and the scan's windows over it
+    # a 24-node ring at k=4, 2000 sweeps x 2 restarts: one buffer of at
+    # most 2**15 limits (256 KB) and the scan's windows over it; a solve
+    # that kept each restart's buffer would hold two
     rule = DistanceRule(kind="uniform", low=0.5, high=2.0)
     topo = generate_ring(24, chords=4, rule=rule, seed=7)
     weights = compute_weights(synthetic_demands(24, timesteps=168, seed=11, anchor_scale=20.0))
     q = build_qubo(topo, weights, 4, default_penalties(topo, weights, 4))
     tracemalloc.start()
     try:
-        solve_anneal(q, AnnealConfig(sweeps=2000, restarts=8))
+        solve_anneal(q, AnnealConfig(sweeps=2000, restarts=2))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
