@@ -22,9 +22,12 @@ arXiv:1302.5843, section 2.2): it charges 2*beta for every pipe between
 two areas, which rewards keeping neighbours together. Both builders
 call one, _build; tests/test_qubo.py pins both readings. The builder
 builds only the Objective, and the instance derives all else from it.
-Its terms are stored once, as arrays in key order (linear terms by
-variable, quadratic ones by (row, col)), expanded on first use or read
-from a file by import_qubo; its dicts are views of them. energies()
+A producer's terms, one-hot pairs included, are laid out once
+(_layout), in key order; the expansion tiles that layout at every
+producer, and a refused build names its first bad term from it. An
+instance's terms are stored once, as arrays in key order (linear terms
+by variable, quadratic ones by (row, col)), expanded on first use or
+read from a file by import_qubo; its dicts are views of them. energies()
 adds the terms of any bit vector in that order, offset first, so an
 instance and its exported copy give the same floats. feasible_energies
 scores feasible assignments from the Objective in its closed form,
@@ -130,9 +133,12 @@ class QuboInstance:
     A built instance is given k and a builder's objective alone: n is
     the objective's, the offset adds alpha*target^2 k times, then gamma
     n times, and the terms are expanded from it on first use (_expand),
-    which no solver needs. An imported one is given n, k, the offset and
-    the terms that _checked_terms checks and stores. n and k are
-    integers of at least 1 and the offset a number (ioutil.number).
+    which no solver needs; the build checks them from the objective's
+    O(n + m) closed-form parts (_check_objective_terms), and only a
+    refusal lays out producer 0's terms, to name the first bad one. An
+    imported one is given n, k, the offset and the terms that
+    _checked_terms checks and stores. n and k are integers of at least
+    1 and the offset a number (ioutil.number).
     terms holds every nonzero term in key order; every coefficient and
     the offset are finite. linear (variable -> coefficient) and
     quadratic ((v1, v2) with v1 < v2 -> coefficient) are dict views of
@@ -280,67 +286,55 @@ def _check_k(n: int, k) -> int:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite term is the build check's to name
-def _layout(obj: Objective, lo: int, hi: int) -> Terms:
-    """Producer 0's linear terms and the pairs of its rows lo..hi-1, in
-    key order with zeros dropped, as a Terms. A pair (u, v), u < v,
-    holds the balance term 2*alpha*w_u*w_v, added to edge_coeff if it is
-    an edge; producer j holds the same terms at keys shifted by j*n."""
+def _layout(obj: Objective, k: int) -> Terms:
+    """Producer 0's terms in key order, as a Terms: its linear terms,
+    then per row u its pairs (u, v), v > u, with zeros dropped, then its
+    one-hot pairs (u, j*n + u), j = 1..k-1. A pair holds the balance term
+    2*alpha*w_u*w_v, added to edge_coeff if it is an edge; a one-hot pair
+    holds 2*gamma. Producer j holds the same terms at keys shifted by
+    j*n, less the one-hot pairs shifted past the last producer."""
     n, w, (u, v) = obj.weights.size, obj.weights, obj.ends.T
-    us, vs = np.triu_indices(hi - lo, lo + 1, n)
-    us = us + lo
+    us, vs = np.triu_indices(n, 1)
     vals = 2.0 * obj.alpha * w[us] * w[vs]
-    u, v, coeff = (x[(lo <= u) & (u < hi)] for x in (u, v, obj.edge_coeff))
-    edges = (u - lo) * (2 * n - 1 - u - lo) // 2 + v - u - 1  # each edge's position among the pairs
-    vals[edges] = coeff + vals[edges]
-    nodes, quad = np.flatnonzero(obj.lin), vals != 0.0
-    return Terms(nodes, obj.lin[nodes], us[quad], vs[quad], vals[quad])
+    edges = u * (2 * n - 1 - u) // 2 + v - u - 1  # each edge's position among the pairs
+    vals[edges] = obj.edge_coeff + vals[edges]
+    nodes, quad, hot = np.flatnonzero(obj.lin), vals != 0.0, np.repeat(np.arange(n), k - 1)
+    rows = np.concatenate([us[quad], hot])
+    at = np.argsort(rows, kind="stable")  # a row's pairs stay before its one-hot pairs
+    return Terms(nodes, obj.lin[nodes], rows[at],
+                 np.concatenate([vs[quad], hot + n * np.tile(np.arange(1, k), n)])[at],
+                 np.concatenate([vals[quad], np.full(hot.size, 2.0 * obj.gamma)])[at])
 
 
 def _expand(obj: Objective, k: int) -> Terms:
-    """The terms of a built instance in key order: the _layout of all
-    rows at every producer, each row's pairs followed by its one-hot
-    pairs. Each coefficient adds its parts in a fixed order (graph or
-    node term, balance, one-hot); tests/oracles.py accumulated_terms is
-    the term-by-term reference."""
-    n = obj.weights.size
-    t = _layout(obj, 0, n)
+    """The terms of a built instance in key order: the _layout tiled at
+    every producer j, keys shifted by j*n, dropping the one-hot pairs
+    whose column passes the last producer. Each coefficient adds its
+    parts in a fixed order (graph or node term, balance, one-hot);
+    tests/oracles.py accumulated_terms is the term-by-term reference."""
+    n, t = obj.weights.size, _layout(obj, k)
     shift = n * np.arange(k)[:, None]  # producer j's keys are producer 0's plus j*n
-    upper = np.triu(np.ones((k, k), dtype=bool), 1)[:, None]
-    j, i, j2 = np.nonzero(np.broadcast_to(upper, (k, n, k)))  # the one-hot pairs in key order
-    rows = np.concatenate([(shift + t.rows).ravel(), j * n + i])
-    # a stable merge of two runs sorted by row: a row's pairs stay before
-    # its one-hot pairs, whose columns lie past the row's producer
-    at = np.argsort(rows, kind="stable")
-    return _read_only(Terms(
-        (shift + t.lin_vars).ravel(), np.tile(t.lin_vals, k), rows[at],
-        np.concatenate([(shift + t.cols).ravel(), j2 * n + i])[at],
-        np.concatenate([np.tile(t.vals, k), np.full(i.size, 2.0 * obj.gamma)])[at],
-    ))
+    cols = (shift + t.cols).ravel()
+    kept = cols < n * k
+    return _read_only(Terms((shift + t.lin_vars).ravel(), np.tile(t.lin_vals, k),
+                            (shift + t.rows).ravel()[kept], cols[kept], np.tile(t.vals, k)[kept]))
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _check_objective_terms(obj: Objective, k: int) -> None:
     """QuboInstance's term checks on a built instance, in O(n + m), with
-    no terms kept. Every producer holds producer 0's terms, so the first
-    non-finite one in key order is linear or in its first row u with a
-    non-finite pair: an edge's edge_coeff + 2*alpha*w_u*w_v, a pair's
-    (2*alpha*w_u) * w_v, or a one-hot pair's 2*gamma if k > 1. Float
-    products grow with |w_v|, so row u's pairs overflow exactly when the
-    one with the largest |w_v|, v > u, does. Only that row's terms and
-    the linear ones go to _checked_terms, which names the term."""
+    no terms kept. Every producer holds producer 0's terms, which are
+    finite if 2*gamma is when k > 1, each edge's edge_coeff +
+    2*alpha*w_u*w_v is, each row u's largest balance pair
+    (2*alpha*w_u) * max |w_v|, v > u, is (float products grow with
+    |w_v|), and Objective.lin is. If one is not, _checked_terms names
+    the first non-finite term of the _layout."""
     n, w, (u, v) = obj.weights.size, obj.weights, obj.ends.T
     scale = 2.0 * obj.alpha * w
     largest = np.maximum.accumulate(np.abs(w)[::-1])[::-1]  # row u's is the largest |w_v|, v >= u
-    bad = np.append(~np.isfinite(scale[:-1] * largest[1:]), False)
-    bad[u[~np.isfinite(obj.edge_coeff + scale[u] * w[v])]] = True
-    bad |= k > 1 and not math.isfinite(2.0 * obj.gamma)
-    if bad.any() or not np.isfinite(obj.lin).all():
-        row = np.flatnonzero(bad)[:1]  # the first row that holds a non-finite pair, if any
-        lo = row[0] if row.size else n
-        t = _layout(obj, lo, lo + row.size)
-        hot = row[:k - 1]  # and its one-hot pair (u, u + n), if k > 1
-        _checked_terms(t._replace(rows=np.append(t.rows, hot), cols=np.append(t.cols, hot + n),
-                                  vals=np.append(t.vals, np.full(hot.size, 2.0 * obj.gamma))), n * k)
+    if not ((k == 1 or math.isfinite(2.0 * obj.gamma)) and np.isfinite(obj.edge_coeff + scale[u] * w[v]).all()
+            and np.isfinite(scale[:-1] * largest[1:]).all() and np.isfinite(obj.lin).all()):
+        _checked_terms(_layout(obj, k), n * k)
 
 
 def _pipes(topo: graphs.Topology) -> tuple[np.ndarray, np.ndarray]:

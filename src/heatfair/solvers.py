@@ -49,6 +49,7 @@ so results can be compared across solvers with plain equality.
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 import math
 
@@ -74,7 +75,9 @@ class Assignment:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "k", number(self.k, "k", SolverError, integer=True, least=1))
-        try:  # a tuple first, so an id array reads like a list
+        try:  # a tuple first, so an id array reads like a list; a map or a set has no node order
+            if isinstance(self.producer_of, (collections.abc.Mapping, collections.abc.Set)):
+                raise TypeError
             ids = tuple(self.producer_of)
         except TypeError:
             raise SolverError(f"producer_of must be producer ids, got {shown(self.producer_of)}") from None
@@ -157,15 +160,11 @@ class AnnealConfig:
 def canonical_form(producer_of, k: int) -> Assignment:
     """Relabel producers in order of first appearance; empty producers
     keep the leftover ids. Objective values are label-invariant, so
-    this only fixes the representative."""
+    this only fixes the representative. producer_of is read as an
+    Assignment first, so ids outside 0..k-1 are refused."""
+    ids = Assignment(producer_of, k).producer_of
     relabel: dict[int, int] = {}
-    out = []
-    for i, p in enumerate(producer_of):
-        p = number(p, f"node {i}", SolverError, integer=True)
-        if p not in relabel:
-            relabel[p] = len(relabel)
-        out.append(relabel[p])
-    return Assignment(producer_of=tuple(out), k=k)
+    return Assignment(tuple(relabel.setdefault(p, len(relabel)) for p in ids), k)
 
 
 def _objective(q: QuboInstance, who: str) -> Objective:

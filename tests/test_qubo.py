@@ -432,6 +432,37 @@ def test_a_refused_build_expands_nothing(monkeypatch):
         build_qubo(ring, uniform_weights(6), 3, PenaltyConfig(beta=1e308, alpha=1.0, gamma=1.0))
 
 
+def test_a_refused_1000_node_build_lays_out_one_producer():
+    # a refusal names its term from producer 0's layout alone, ~35 MiB
+    # at its peak; a full expansion at n=1000, k=8 peaks at ~170 MiB
+    n = 1000
+    w = np.ones(n)
+    w[[5, 9]] = 1e154  # 2 * 1e154 * 1e154 overflows; no edge joins 5 and 9
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuboError, match=r"^quadratic coefficient of \(5, 9\) is inf, not finite$"):
+            build_qubo(generate_ring(n), w, 8, PenaltyConfig(1, 1, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+def test_the_layout_is_in_key_order_with_no_repeats(suite):
+    # a refused build hands the layout to _checked_terms, which reads it
+    # in the order given; that order must already be key order
+    checked = 0
+    for entry in suite:
+        n = entry.topo.nodes
+        for k in range(1, min(n, 3) + 1):
+            for q in (build_qubo(entry.topo, entry.weights, k), build_unweighted_qubo(entry.topo, k)):
+                layout = qubo._layout(q.objective, k)
+                for got, want in zip(qubo._checked_terms(layout, n * k), layout):
+                    assert got.dtype == want.dtype and np.array_equal(got, want), (entry.name, k)
+                checked += 1
+    assert checked > 100
+
+
 def test_solving_a_built_instance_expands_nothing(monkeypatch, suite):
     # every solver, the repair and the closed form read the objective
     def refuse(*args):

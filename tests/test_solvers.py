@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -84,6 +85,12 @@ def test_assignment_validation():
     assert Assignment(producer_of=np.array([0, 1]), k=2).producer_of == (0, 1)
     with pytest.raises(SolverError, match=r"^producer_of must be producer ids, got 3$"):
         Assignment(producer_of=3, k=4)
+    # a map or a set has no node order: a dict would read as its keys, a set in hash order
+    for given, text in (({0: 1, 1: 0}, '{"0": 1, "1": 0}'), ({1, 0}, "{0, 1}"),
+                        (frozenset({0}), "frozenset({0})"), ({0: 1}.keys(), "dict_keys([0])")):
+        with pytest.raises(SolverError, match=rf"^producer_of must be producer ids, got {re.escape(text)}$"):
+            Assignment(producer_of=given, k=2)
+    assert Assignment(producer_of=[1, 0], k=2).producer_of == (1, 0)
 
 
 def test_encode_round_trips_through_repair():
@@ -100,6 +107,15 @@ def test_canonical_form_relabels_by_first_appearance():
     assert canonical_form((2, 2, 0, 1), 3).producer_of == (0, 0, 1, 2)
     assert canonical_form((1, 0), 2).producer_of == (0, 1)
     assert canonical_form((0, 0), 4).producer_of == (0, 0)
+
+
+def test_canonical_form_refuses_ids_outside_the_producers():
+    # the row is read as an Assignment first, so it is not relabelled into range
+    for row, at, p in (([5, 7], 0, 5), ([-1, 3, -1], 0, -1), ((0, 1, 2), 2, 2)):
+        with pytest.raises(SolverError, match=rf"^node {at} assigned to producer {p}, outside 0..1$"):
+            canonical_form(row, 2)
+    with pytest.raises(SolverError, match=r"^producer_of must be producer ids, got \{0, 1\}$"):
+        canonical_form({0, 1}, 2)
 
 
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=8), st.permutations([0, 1, 2, 3]))
