@@ -587,7 +587,8 @@ def _entries(path: str):
     first = _first_broken(_broken(a, b, vals, lin, num_vars)[0][:3])  # the values come last
     if first:
         at, rule = first
-        why = (f"variable outside 0..{num_vars - 1}", "quadratic entry must have i < j",
+        var = a[at] if not 0 <= int(a[at]) < num_vars else b[at]
+        why = (f"variable {var} outside 0..{num_vars - 1}", "quadratic entry must have i < j",
                f"duplicate linear entry for {a[at]}" if lin[at]
                else f"duplicate quadratic entry ({a[at]}, {b[at]})")[rule]
         raise QuboFormatError(f"{path}: line {linenos[at]}: {why}")
@@ -618,7 +619,7 @@ def _sidecar(path: str, num_vars: int) -> tuple[int, int]:
     try:
         n, k = int(parts[1]), int(parts[2])
     except ValueError:
-        raise QuboFormatError(f"{path}: line 1: malformed header") from None
+        raise QuboFormatError(f"{path}: line 1: malformed header {head!r}") from None
     if n * k != num_vars:
         raise QuboFormatError(f"{path}: n*k = {n * k} does not match {num_vars} variables")
     if count != num_vars:
@@ -635,8 +636,8 @@ def _sidecar(path: str, num_vars: int) -> tuple[int, int]:
         raise QuboFormatError(f"{path}: line {linenos[at]}: {why}")
     if fault:
         lineno, line = fault
-        why = f"malformed entry {line!r}" if len(line.split()) == 3 else "expected '<var> <node> <producer>'"
-        raise QuboFormatError(f"{path}: line {lineno}: {why}")
+        why = "malformed entry" if len(line.split()) == 3 else "expected '<var> <node> <producer>', got"
+        raise QuboFormatError(f"{path}: line {lineno}: {why} {line!r}")
     return n, k
 
 

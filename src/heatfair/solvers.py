@@ -6,7 +6,8 @@ Three routes with very different trust levels:
                     on desk-scale instances, hard-capped by size.
   solve_anneal      Metropolis single-bit-flip simulated annealing over
                     the raw binary variables of the instance's
-                    Objective, then repaired to a feasible assignment.
+                    Objective, then repaired to a feasible assignment;
+                    _restart_bests sets up and walks every restart.
                     Fields, auto temperatures and repair read only the
                     Objective. A field comes from running sums (edge
                     coefficients of a node's neighbours per producer,
@@ -312,7 +313,12 @@ def _auto_temperatures(obj: Objective, k: int) -> tuple[float, float]:
     return t_initial, 1e-4 * t_initial
 
 
-def _temperature_schedule(cfg: AnnealConfig, t_initial: float, t_final: float):
+def _temperature_schedule(obj: Objective, k: int, cfg: AnnealConfig) -> np.ndarray:
+    """cfg's temperatures, or _auto_temperatures' if it sets none, one per sweep."""
+    if cfg.t_initial is None:
+        t_initial, t_final = _auto_temperatures(obj, k)
+    else:
+        t_initial, t_final = cfg.t_initial, cfg.t_final
     space = np.geomspace if cfg.schedule == "geometric" else np.linspace
     try:
         return space(t_initial, t_final, cfg.sweeps)
@@ -425,7 +431,7 @@ def _start(obj: Objective, offset: float, bits: np.ndarray):
 
 
 def _walk(obj: Objective, x, S, L, c, current: float, limits: _Limits):
-    """Anneal one restart from the _start state against the limits of
+    """Anneal one restart of _restart_bests from its _start state against
     the stream limits, one n*k wide row per sweep; returns the lowest
     raw energy seen and its bits as x. Proposal (sweep, v) flips bit
     v = j*n + i when sign * field <= limit, sign = 1 - 2 * x[j][i]. A
@@ -484,10 +490,31 @@ def _walk(obj: Objective, x, S, L, c, current: float, limits: _Limits):
     return best_raw, best_x
 
 
+def _restart_bests(q: QuboInstance, temps: np.ndarray, cfg: AnnealConfig):
+    """Each restart's lowest raw-energy bits, flat, restart by restart, at
+    any k. Restart r draws from child r of SeedSequence(cfg.seed) its
+    random feasible start, then its limits at temps (_Limits), against
+    which _walk anneals it from _start. q.objective must be set."""
+    obj, nv = q.objective, q.num_vars
+    # a temperature near the largest float gives limits and ceilings of
+    # +inf, as Python floats give them: every finite delta then passes
+    with np.errstate(over="ignore"):
+        ceiling = _CEILING * np.maximum.accumulate(temps[::-1])[::-1]
+    for child in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
+        rng = np.random.default_rng(child)
+        bits = np.zeros(nv)
+        bits[rng.integers(0, q.k, size=q.n) * q.n + np.arange(q.n)] = 1.0
+        _, best = _walk(obj, *_start(obj, q.offset, bits), _Limits(rng, temps, ceiling, nv))
+        yield np.ravel(best)
+
+
 def solve_anneal(q: QuboInstance, cfg: AnnealConfig) -> SolveResult:
     """Single-bit-flip Metropolis annealing on q.objective (required: an
     imported instance has none), best of cfg.restarts restarts, each
-    started from a random feasible assignment.
+    started from a random feasible assignment (_restart_bests). The
+    schedule, auto temperatures from the objective's QUBO rows
+    included, is laid out first, so its refusals hold at k = 1 too,
+    which is answered without a walk.
 
     Proposal (sweep, v) flips bit v = (i, j) when sign * field <= limit,
     with sign = 1 - 2 * bit and limit = -temp[sweep] * log1p(-u), u drawn
@@ -504,37 +531,19 @@ def solve_anneal(q: QuboInstance, cfg: AnnealConfig) -> SolveResult:
     are skipped exactly, by comparing the deltas the walk computed in
     the sweep that froze with the limits that follow; the walk resumes
     at bit 0 of the first sweep with a passing proposal, so every result
-    equals a plain proposal-by-proposal scan of the same rule. Auto
-    temperatures come from the objective's QUBO rows
-    (_auto_temperatures).
+    equals a plain proposal-by-proposal scan of the same rule.
 
     The lowest raw-energy state seen in each restart is repaired by
     decode_and_repair's rule; restarts compete on post-repair energy,
     ties to the earliest restart.
     """
     obj = _objective(q, "the annealer")
-    if cfg.t_initial is None:
-        t_initial, t_final = _auto_temperatures(obj, q.k)
-    else:
-        t_initial, t_final = cfg.t_initial, cfg.t_final
-    temps = _temperature_schedule(cfg, t_initial, t_final)
-    nv = q.num_vars
+    temps = _temperature_schedule(obj, q.k, cfg)
+    iterations = cfg.sweeps * q.num_vars * cfg.restarts
     if q.k == 1:  # every node on producer 0 is the only feasible answer
-        return _result(q, [[0] * q.n], "anneal", cfg.seed, cfg.sweeps * nv * cfg.restarts)
-    # a temperature near the largest float gives limits and ceilings of
-    # +inf, as Python floats give them: every finite delta then passes
-    with np.errstate(over="ignore"):
-        ceiling = _CEILING * np.maximum.accumulate(temps[::-1])[::-1]
-
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    repaired = []
-    for restart in range(cfg.restarts):
-        rng = np.random.default_rng(children[restart])
-        bits = np.zeros(nv)
-        bits[rng.integers(0, q.k, size=q.n) * q.n + np.arange(q.n)] = 1.0
-        _, best = _walk(obj, *_start(obj, q.offset, bits), _Limits(rng, temps, ceiling, nv))
-        repaired.append(_repair(obj, np.ravel(best)).producer_of)
-    return _result(q, repaired, "anneal", cfg.seed, cfg.sweeps * nv * cfg.restarts)
+        return _result(q, [[0] * q.n], "anneal", cfg.seed, iterations)
+    repaired = [_repair(obj, best).producer_of for best in _restart_bests(q, temps, cfg)]
+    return _result(q, repaired, "anneal", cfg.seed, iterations)
 
 
 def _fixed_tables(neighbours, w, alpha):
@@ -662,9 +671,9 @@ def solve_heuristic(q: QuboInstance, seed: int = 0, restarts: int = 8) -> SolveR
     (_local_search), in groups whose swap tables stay near 8 MB, each
     step applying the first minimum of every restart's row of move
     deltas (_move_tables); each restart matches a scalar scan bit for
-    bit. Restarts compete on the QUBO energy of their final assignments
-    in q, ties to the earliest restart, so results line up with the
-    other solvers.
+    bit. Restarts compete on the feasible_energies of their final
+    assignments, the objective's closed form with no offset, ties to
+    the earliest restart, so results line up with the other solvers.
     """
     restarts = number(restarts, "restarts", SolverError, integer=True, least=1)
     seed = number(seed, "seed", SolverError, integer=True, least=0)

@@ -945,14 +945,14 @@ def test_import_names_the_first_fault_of_many(tmp_path, monkeypatch, block):
         ("p qubo 2 1 1 0.0\n0 1 1.0\n0 1 2.0\n1 0 1.0\n", "line 3: duplicate quadratic entry (0, 1)"),
         ("p qubo 2 1 0 0.0\n0 0 0.0\n\n0 0 1.0\n", "line 4: duplicate linear entry for 0"),
         ("p qubo 2 9 9 0.0\n0 0 1.0\n\n1 0 1.0\n0 1 x\n", "line 4: quadratic entry must have i < j"),
-        ("p qubo 2 1 0 0.0\n0 0 nan\n5 1 1.0\n0 1\n", "line 3: variable outside 0..1"),
+        ("p qubo 2 1 0 0.0\n0 0 nan\n5 1 1.0\n0 1\n", "line 3: variable 5 outside 0..1"),
         ("p qubo 2 1 0 0.0\n0 0 1.0\n0 1\n1 0 1.0\n", "line 3: expected '<i> <j> <value>', got '0 1'"),
         ("p qubo 2 1 0 0.0\n0 0 x\n0 1\n", "line 2: malformed entry '0 0 x'"),
         ("p qubo 2 1 0 0.0\n0 1 1.0\n0 1 1.0\nx y z\n", "line 3: duplicate quadratic entry (0, 1)"),
         ("p qubo 2 1 0 0.0\n\n\n0 0 1.0\n1 1 1.0 2\n0 0 1.0\n",
          "line 5: expected '<i> <j> <value>', got '1 1 1.0 2'"),
-        (f"p qubo 2 1 0 0.0\n{HUGE} {HUGE} 1.0\n0 {HUGE} 0.0\n", "line 2: variable outside 0..1"),
-        (f"p qubo 2 1 0 0.0\n0 1 1.0\n0 {-HUGE} 1.0\n", "line 3: variable outside 0..1"),
+        (f"p qubo 2 1 0 0.0\n{HUGE} {HUGE} 1.0\n0 {HUGE} 0.0\n", f"line 2: variable {HUGE} outside 0..1"),
+        (f"p qubo 2 1 0 0.0\n0 1 1.0\n0 {-HUGE} 1.0\n", f"line 3: variable {-HUGE} outside 0..1"),
         ("p qubo 2 1 0 0.0\n0 0\x0c1.0\n", "line 2: expected '<i> <j> <value>', got '0 0'"),
         ("p qubo 2 1 0 0.0\n1\xa01\t0.0\n", "zero linear coefficient stored for variable 1"),
         ("p qubo 2 2 0 nan\n0 0 0.0\n", "header promises 2 linear and 0 quadratic entries, found 1 and 0"),
@@ -1062,7 +1062,7 @@ def test_import_names_the_first_sidecar_fault_in_any_block(tmp_path, monkeypatch
     map_path = tmp_path / "late.qubo.map"
     for text, message in (
         ("map 2 2\n\n0 0 0\n1 1 0\n\n2 0 1\n1 1 0\n", "line 7: variable 1 listed twice"),
-        ("map 2 2\n0 0 0\n1 1 0\n2 0 1\n\n3 1 1 0\n", "line 6: expected '<var> <node> <producer>'"),
+        ("map 2 2\n0 0 0\n1 1 0\n2 0 1\n\n3 1 1 0\n", "line 6: expected '<var> <node> <producer>', got '3 1 1 0'"),
         ("map 2 2\n0 0 0\n1 1 0\n\n2 0 1\n3 1 x\n", "line 6: malformed entry '3 1 x'"),
         ("map 2 2\n0 0 0\n1 1 0\n2 1 1\nx y z\n", "line 4: mapping is not producer-major "
          "(expected var = producer*2 + node)"),
@@ -1075,7 +1075,7 @@ def test_import_names_the_first_sidecar_fault_in_any_block(tmp_path, monkeypatch
          "(expected var = producer*2 + node)"),
         ("map 2 2\n0 0\n0 0 0\n1 1 0\n2 0 1\n3 1 1\n", "expected 4 mapping rows, found 5"),
         ("map 2 2\n0 0 0\n1 1 0\n2 0 1\n3 1 1\n\n0 0 0 0\n", "expected 4 mapping rows, found 5"),
-        ("map 2 x\n0 0 0\n", "line 1: malformed header"),
+        ("map 2 x\n0 0 0\n", "line 1: malformed header 'map 2 x'"),
         ("map 1 2\n0 0 0\n1 1 0\n2 0 1\n3 1 1\n", "n*k = 2 does not match 4 variables"),
     ):
         map_path.write_text(text)

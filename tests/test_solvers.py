@@ -348,23 +348,25 @@ def test_anneal_rejects_a_schedule_too_big_to_lay_out(schedule):
 
 
 @pytest.mark.parametrize("schedule", ["geometric", "linear"])
-def test_anneal_at_temperatures_near_the_float_limit_matches_the_reference(schedule, monkeypatch):
+def test_anneal_at_temperatures_near_the_float_limit_matches_the_reference(schedule):
     # limits and ceilings past the largest float are +inf, as the
     # reference's Python floats give them, and no overflow is warned of
     topo = generate_ring(6, chords=2, seed=9)
     w = uniform_weights(6)
     q = build_qubo(topo, w, 2, default_penalties(topo, w, 2))
-    assert_anneal_matches_reference(q, 30, 2, schedule, 1e308, 1e-308, seed=5,
-                                    monkeypatch=monkeypatch)
+    assert_anneal_matches_reference(q, 30, 2, schedule, 1e308, 1e-308, seed=5)
 
 
 def test_anneal_refuses_a_derived_temperature_past_the_float_range():
-    # the offset stays finite, but a QUBO row's |coupling| sum does not
-    q = build_qubo(generate_ring(12), uniform_weights(12), 12, PenaltyConfig(alpha=1.0, gamma=1e307))
-    assert np.isfinite(q.offset)
-    with pytest.raises(SolverError, match=r"derived initial temperature, is not finite; "
-                                          r"scale the penalties down$"):
-        solve_anneal(q, AnnealConfig(sweeps=10, restarts=1))
+    # the offset stays finite, but a QUBO row's |coupling| sum does not; the
+    # schedule is laid out before k = 1 is answered, so k = 1 is refused too
+    star = Topology(nodes=4, edges=((0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)))
+    for q in (build_qubo(generate_ring(12), uniform_weights(12), 12, PenaltyConfig(alpha=1.0, gamma=1e307)),
+              *(build_qubo(star, uniform_weights(4), k, PenaltyConfig(beta=4e307)) for k in (1, 2))):
+        assert np.isfinite(q.offset)
+        with pytest.raises(SolverError, match=r"derived initial temperature, is not finite; "
+                                              r"scale the penalties down$"):
+            solve_anneal(q, AnnealConfig(sweeps=10, restarts=1))
 
 
 def test_anneal_is_deterministic_per_seed():
@@ -947,54 +949,23 @@ ANNEAL_CONFIGS = [
 ]
 
 
-def walked_bests(q, cfg):
-    """Each restart's raw best bits from solve_anneal's walk, started as
-    solve_anneal starts it. solve_anneal answers k = 1 without walking,
-    yet k = 1 instances are the easiest to give exact ties, and the walk
-    treats every k alike."""
-    obj = q.objective
-    if cfg.t_initial is None:
-        temps = solvers._auto_temperatures(obj, q.k)
-    else:
-        temps = cfg.t_initial, cfg.t_final
-    temps = solvers._temperature_schedule(cfg, *temps)
-    ceiling = solvers._CEILING * np.maximum.accumulate(temps[::-1])[::-1]
-    bests = []
-    for child in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
-        rng = np.random.default_rng(child)
-        bits = np.zeros(q.num_vars)
-        bits[rng.integers(0, q.k, size=q.n) * q.n + np.arange(q.n)] = 1.0
-        limits = solvers._Limits(rng, temps, ceiling, q.num_vars)
-        _, best = solvers._walk(obj, *solvers._start(obj, q.offset, bits), limits)
-        bests.append(np.ravel(best).tolist())
-    return bests
-
-
-def assert_anneal_matches_reference(q, sweeps, restarts, schedule, t_initial, t_final,
-                                    seed, monkeypatch):
-    """solve_anneal's raw best bits per restart and its result equal the
-    scalar reference loop's, compared with ==. At k = 1 solve_anneal
-    walks nothing (no bits reach _repair), so walked_bests walks for it,
-    and its answer still equals the reference's."""
+def assert_anneal_matches_reference(q, sweeps, restarts, schedule, t_initial, t_final, seed):
+    """solve_anneal's raw best bits per restart, from the routine it walks
+    its restarts with, and its result equal the scalar reference loop's,
+    compared with ==. The bits are compared at k = 1 too, where
+    solve_anneal walks nothing: k = 1 instances give exact ties most
+    easily, and the walk treats every k alike."""
     cfg = AnnealConfig(sweeps=sweeps, restarts=restarts, schedule=schedule,
                        t_initial=t_initial, t_final=t_final, seed=seed)
-    raw = []
-    repair = solvers._repair
-    monkeypatch.setattr(
-        solvers, "_repair", lambda obj, vec: raw.append(vec.tolist()) or repair(obj, vec)
-    )
-    got = solve_anneal(q, cfg)
-    monkeypatch.setattr(solvers, "_repair", repair)
-
     obj = q.objective
+    temps = solvers._temperature_schedule(obj, q.k, cfg)
+    raw = [best.tolist() for best in solvers._restart_bests(q, temps, cfg)]
     want_raw = anneal_reference(obj.ends, obj.edge_coeff, obj.node_linear, obj.weights,
                                 obj.target, obj.alpha, obj.gamma, q.k, sweeps, restarts,
                                 seed, schedule, t_initial, t_final)
-    if q.k == 1:
-        assert raw == []
-        raw = walked_bests(q, cfg)
     assert raw == want_raw
-    rows = [repair(obj, np.array(bits)).producer_of for bits in want_raw]
+    got = solve_anneal(q, cfg)
+    rows = [solvers._repair(obj, np.array(bits)).producer_of for bits in want_raw]
     want = solvers._result(q, rows, "anneal", seed, sweeps * q.num_vars * restarts)
     assert got.assignment == want.assignment
     assert got.energy.hex() == want.energy.hex()
@@ -1012,7 +983,7 @@ def test_anneal_matches_reference_across_limit_blocks(block_sweeps, suite, monke
                        default_penalties(entry.topo, entry.weights, k))
         monkeypatch.setattr(solvers, "_LIMIT_BLOCK", block_sweeps * q.num_vars)
         config = ANNEAL_CONFIGS[case % len(ANNEAL_CONFIGS)]
-        assert_anneal_matches_reference(q, *config, seed=case, monkeypatch=monkeypatch)
+        assert_anneal_matches_reference(q, *config, seed=case)
 
 
 @pytest.mark.parametrize("block_sweeps", [1, 3, 7, None])
@@ -1098,7 +1069,7 @@ def test_auto_temperatures_build_no_square_array():
 
 
 @pytest.mark.parametrize("k", range(1, 5))
-def test_anneal_matches_scalar_reference(k, suite, monkeypatch):
+def test_anneal_matches_scalar_reference(k, suite):
     case = k
     for entry in suite:
         if k > entry.topo.nodes:
@@ -1111,7 +1082,7 @@ def test_anneal_matches_scalar_reference(k, suite, monkeypatch):
                                   default_penalties(entry.topo, uniform, k)),
         ):
             config = ANNEAL_CONFIGS[case % len(ANNEAL_CONFIGS)]
-            assert_anneal_matches_reference(q, *config, seed=case, monkeypatch=monkeypatch)
+            assert_anneal_matches_reference(q, *config, seed=case)
             case += 1
 
 
@@ -1184,8 +1155,7 @@ def test_anneal_matches_reference_on_exact_ties(monkeypatch):
         monkeypatch.setattr(solvers, "_LIMIT_BLOCK", block)
         for seed in range(4):
             for schedule in ("geometric", "linear"):
-                assert_anneal_matches_reference(q, 400, 8, schedule, 2 * tick, tick,
-                                                seed=seed, monkeypatch=monkeypatch)
+                assert_anneal_matches_reference(q, 400, 8, schedule, 2 * tick, tick, seed=seed)
 
 
 def test_structured_field_matches_the_qubo(suite):
