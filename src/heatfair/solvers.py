@@ -121,9 +121,10 @@ class SolveResult:
 class AnnealConfig:
     """Simulated-annealing knobs, read by ioutil.number. sweeps and
     restarts are integers of at least 1, seed one of at least 0.
-    Temperatures of None are derived from the instance (t_initial = the
-    largest possible single-flip energy change, t_final = 1e-4 of that);
-    set ones must be finite, with t_initial > t_final > 0."""
+    Temperatures of None are derived from the objective (t_initial = the
+    largest single-flip reach, a QUBO row's |linear| plus |coupling| sum,
+    read per node and edge; t_final = 1e-4 of that); set ones must be
+    finite, with t_initial > t_final > 0."""
 
     sweeps: int = 2000
     restarts: int = 8
@@ -280,31 +281,22 @@ def solve_exhaustive(q: QuboInstance, max_vars: int = 24) -> SolveResult:
 
 def _auto_temperatures(obj: Objective, k: int) -> tuple[float, float]:
     """t_initial = the largest single-flip reach, |lin| plus the
-    |coupling| sum of a QUBO row, and t_final = 1e-4 of it. Each row
-    holds the builder's floats and is summed in its column order: j
-    one-hot entries 2*gamma, the pairs at producer j by ascending node
-    (2*alpha*w_a*w_b for a < b, plus the edge coefficient on an edge),
-    then k-1-j one-hot entries. The sums of all n*k rows advance
-    together, one column at a time, so no n*n array is built."""
-    w, n = obj.weights, obj.weights.size
+    |coupling| sum of a QUBO row, and t_final = 1e-4 of it. Row (i, j)
+    couples k-1 one-hot bits by 2*gamma and each other node b's bit at j
+    by 2*alpha*w_i*w_b, plus c_e on an edge e, so every j gives node i
+    one reach, in closed form: |lin_i| + 2*(k-1)*|gamma| +
+    |2*alpha*w_i| * (the |w_b| summed in node order, less |w_i|), plus
+    |2*alpha*w_u*w_v + c_e| - |2*alpha*w_u*w_v| for each edge e = (u, v)
+    at i, added in edge order. O(n + m); no row is laid out."""
+    w, (u, v) = obj.weights, obj.ends.T
     reach = 2.0 * obj.alpha * w
-    one_hot = abs(2.0 * obj.gamma)
-    neighbours = _neighbours(obj)
-    sums = np.zeros((n, k))  # sums[i, j]: row (i, j) so far
-    with np.errstate(over="ignore"):  # an overflowed row sum is inf, refused below
-        for j in range(1, k):
-            sums[:, j:] += one_hot
-        pair = np.empty(n)
-        for b in range(n):  # the pairs' column b of every row, then |.|
-            pair[:b] = reach[:b] * w[b]
-            pair[b] = 0.0
-            pair[b + 1:] = reach[b] * w[b + 1:]
-            for a, coeff in neighbours[b]:
-                pair[a] += coeff
-            sums += np.abs(pair, out=pair)[:, None]
-        for j in range(1, k):
-            sums[:, :k - j] += one_hot
-        t_initial = float((np.abs(obj.lin)[:, None] + sums).max())
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite reach is refused below
+        balance = np.abs(reach) * (np.cumsum(np.abs(w))[-1] - np.abs(w))
+        pair = reach[u] * w[v]
+        fix = np.abs(pair + obj.edge_coeff) - np.abs(pair)
+        rows = (np.abs(obj.lin) + 2.0 * (k - 1) * abs(obj.gamma) + balance
+                + np.bincount(obj.ends.ravel(), weights=np.repeat(fix, 2), minlength=w.size))
+        t_initial = float(rows.max())
     if not math.isfinite(t_initial):
         raise SolverError("the largest single-flip energy change, the derived initial "
                           "temperature, is not finite; scale the penalties down")

@@ -475,9 +475,7 @@ def anneal_reference(ends, edge_coeff, node_linear, weights, target, alpha, gamm
     restart's energy starts at the objective's constant (k copies of
     alpha*target^2, then n of gamma, added one by one) and takes the
     field of every start bit, switched on in variable order. Temperatures
-    of None mean t_initial = the largest single-flip reach, |linear| plus
-    the |coupling| sum of a variable's QUBO row in column order, each
-    coupling built as the builder expands it, and t_final = 1e-4 of it.
+    of None are closed_form_temperatures'.
     """
     n = len(weights)
     nv = n * k
@@ -491,28 +489,7 @@ def anneal_reference(ends, edge_coeff, node_linear, weights, target, alpha, gamm
     lin = [(float(node_linear[i]) + alpha * (w[i] * w[i] - 2.0 * target * w[i])) - gamma
            for i in range(n)]
     if t_initial is None:
-        on_edge = dict(zip(ends, edge_coeff))
-        reach = []
-        for j in range(k):
-            for i in range(n):
-                total = 0.0
-                for col in range(nv):
-                    j2, u = divmod(col, n)
-                    if col == j * n + i:
-                        continue
-                    if j2 != j:
-                        coeff = 2.0 * gamma if u == i else 0.0
-                    else:
-                        a, b = min(i, u), max(i, u)
-                        coeff = 2.0 * alpha * w[a] * w[b]
-                        if (a, b) in on_edge:
-                            coeff = on_edge[(a, b)] + coeff
-                    total += abs(coeff)
-                reach.append(abs(lin[i]) + total)
-        t_initial = max(reach)
-        if t_initial <= 0.0:
-            t_initial = 1.0
-        t_final = 1e-4 * t_initial
+        t_initial, t_final = closed_form_temperatures(ends, edge_coeff, lin, w, alpha, gamma, k)
     if sweeps == 1:
         temps = [t_initial]
     elif schedule == "geometric":
@@ -570,11 +547,35 @@ def anneal_reference(ends, edge_coeff, node_linear, weights, target, alpha, gamm
     return best
 
 
+def closed_form_temperatures(ends, edge_coeff, lin, weights, alpha, gamma, k):
+    """solvers._auto_temperatures one float at a time, in its order: node
+    i's reach is |lin_i| + 2*(k-1)*|gamma| + |2*alpha*w_i| * (the |w|s
+    added in node order, less |w_i|), plus, added at u and then at v of
+    each edge (u, v) in edge order, |2*alpha*w_u*w_v + c| - |2*alpha*w_u*w_v|.
+    t_initial is the largest reach (1.0 if that is not positive), and
+    t_final = 1e-4 of it."""
+    w = [float(x) for x in weights]
+    total = 0.0
+    for x in w:
+        total += abs(x)
+    fix = [0.0] * len(w)
+    for (u, v), coeff in zip(ends, edge_coeff):
+        pair = 2.0 * alpha * w[int(u)] * w[int(v)]
+        step = abs(pair + float(coeff)) - abs(pair)
+        fix[int(u)] += step
+        fix[int(v)] += step
+    t_initial = max(abs(float(lin[i])) + 2.0 * (k - 1) * abs(gamma)
+                    + abs(2.0 * alpha * w[i]) * (total - abs(w[i])) + fix[i] for i in range(len(w)))
+    if t_initial <= 0.0:
+        t_initial = 1.0
+    return t_initial, 1e-4 * t_initial
+
+
 def auto_temperatures_reference(obj, k):
-    """solvers._auto_temperatures through n x n arrays: the symmetric
-    |pair| matrix, and per producer j each QUBO row laid out in full (j
-    one-hot entries, the pairs, k-1-j one-hot entries) and summed by
-    np.cumsum in column order."""
+    """The derived temperatures through n x n arrays, apart from the
+    closed form: the symmetric |pair| matrix, and per producer j each
+    QUBO row laid out in full (j one-hot entries, the pairs, k-1-j
+    one-hot entries) and summed by np.cumsum in column order."""
     w, n = obj.weights, obj.weights.size
     pair = np.triu((2.0 * obj.alpha * w)[:, None] * w, 1)
     pair[tuple(obj.ends.T)] += obj.edge_coeff

@@ -40,6 +40,7 @@ from oracles import (
     anneal_reference,
     auto_temperatures_reference,
     build_suite,
+    closed_form_temperatures,
     encode,
     feasible_assignments,
     greedy_seed_reference,
@@ -1040,6 +1041,10 @@ def ring_instance(n, k):
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_auto_temperatures_equal_the_dense_rows(k, suite):
+    # the closed form equals its scalar reference bit for bit, and the dense
+    # rows, summed in column order, within (n + k) roundings; the extra
+    # objectives are signed_cases' negated edge coefficients, its degree-11
+    # complete graph and, at k = 1, one node without edges
     instances = [ring_instance(n, k) for n in ((24, 160, 1000) if k == 8 else (24, 160))]
     for entry in suite:
         if k <= entry.topo.nodes:
@@ -1049,14 +1054,26 @@ def test_auto_temperatures_equal_the_dense_rows(k, suite):
                            default_penalties(entry.topo, entry.weights, k)),
                 build_unweighted_qubo(entry.topo, k, default_penalties(entry.topo, uniform, k)),
             ]
-    for q in instances:
-        got = solvers._auto_temperatures(q.objective, k)
-        want = auto_temperatures_reference(q.objective, k)
+    objectives = [q.objective for q in instances]
+    for name, topo, weights, sign in signed_cases():
+        if (sign < 0 or name == "complete12") and k <= topo.nodes:
+            obj = build_qubo(topo, weights, k, default_penalties(topo, weights, k)).objective
+            objectives.append(dataclasses.replace(obj, edge_coeff=sign * obj.edge_coeff))
+    if k == 1:
+        objectives.append(build_qubo(Topology(nodes=1, edges=()), uniform_weights(1), 1).objective)
+    assert len(objectives) == len(instances) + (5 if k == 1 else 4)
+    for obj in objectives:
+        got = solvers._auto_temperatures(obj, k)
+        want = closed_form_temperatures(obj.ends, obj.edge_coeff, obj.lin, obj.weights,
+                                        obj.alpha, obj.gamma, k)
         assert [t.hex() for t in got] == [t.hex() for t in want]
+        bound = (obj.weights.size + k) * np.finfo(float).eps
+        for t, dense in zip(got, auto_temperatures_reference(obj, k)):
+            assert abs(t - dense) <= bound * dense
 
 
 def test_auto_temperatures_build_no_square_array():
-    # the row sums advance a column at a time in an (n, k) array; the
+    # the reach is read per node and per edge, in O(n + m) floats; the
     # dense rows' n x n pair matrix alone would be 8 MB here
     q = ring_instance(1000, 8)
     tracemalloc.start()
