@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Subcommands: generate, weights, qubo, solve, sweep, compare. Every
-output file is written atomically; failures leave no partial files and
-exit nonzero with a single "error: ..." line on stderr.
+output file is written atomically, so none is left half written, but
+the files a command wrote before a failing one stay (the .qubo before
+its .map, a sweep's formats). Failures exit nonzero with a single
+"error: ..." line on stderr, which names the file a write failed on.
 
 Option precedence is defaults < --config file < explicit flags. All
 randomness flows from --seed (default 0), and outputs contain no

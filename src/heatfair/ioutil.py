@@ -17,17 +17,21 @@ import numpy as np
 def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
     """Write text, one str or blocks of it in turn, via a sibling temp
     file so readers never see partial output. The file gets the mode a
-    plain open() gives: 0o666 less the umask."""
+    plain open() gives: 0o666 less the umask. A failed write raises an
+    OSError that names path, not the temp file, which is removed."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.writelines([text] if isinstance(text, str) else text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def read_json(path: str, error: type[Exception]):

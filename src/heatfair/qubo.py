@@ -506,6 +506,7 @@ def export_qubo(q: QuboInstance, path: str) -> None:
 
 
 _BLOCK = 1 << 10  # lines written or read per step
+_KIND = dict.fromkeys(["<offset>", "<value>"], float)  # fields of a form read as floats; others as ints
 
 
 def _lines(a: np.ndarray, b: np.ndarray, vals: np.ndarray):
@@ -528,28 +529,41 @@ def _column(kind: type, tokens: list[str]) -> np.ndarray:
 
 def _columns(lines: list[str], counts: np.ndarray, kinds) -> list[np.ndarray]:
     """The columns of lines, whose token counts are counts. Each line
-    must be blank or three tokens that kinds (a type per column) read;
-    any other raises ValueError."""
-    if np.any((counts != 0) & (counts != 3)):
-        raise ValueError("a line of other than three tokens")
+    must be blank or one token per kind (a type per column) that the
+    kind reads; any other raises ValueError."""
+    if np.any((counts != 0) & (counts != len(kinds))):
+        raise ValueError("a line of another token count")
     tokens = " ".join(lines).split()
-    return [_column(kind, tokens[at::3]) for at, kind in enumerate(kinds)]
+    return [_column(kind, tokens[at::len(kinds)]) for at, kind in enumerate(kinds)]
 
 
-def _read(path: str, kinds):
-    """The first line of the text file at path and, from the lines after
-    it, read _BLOCK at a time: the line numbers and columns of those
-    before the first that _columns cannot read with kinds; that line as
-    (number, text), or None; and how many of them are not blank. Lines
-    are split as str.splitlines splits the whole text, and a UTF-8
-    byte-order mark is skipped."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        blocks = iter(lambda: "".join(itertools.islice(fh, _BLOCK)).splitlines(), [])
-        first = next(blocks, None)
-        if first is None:
-            raise QuboFormatError(f"{path}: file is empty")
-        read, fault, count, lineno = [], None, 0, 2
-        for lines in itertools.chain([first[1:]], blocks):
+def _read(path: str, head: str, entry: str):
+    """The text file at path, a line of the form head and then lines blank
+    or of the form entry, each form as its refusals print it. Refused in
+    turn: an empty file, a bad header, text that is not UTF-8. Returns
+    the header's fields; of the lines after it, read _BLOCK at a time,
+    the numbers and columns of those before the first that does not read,
+    that line's refusal or None, and how many are not blank. Lines split
+    as str.splitlines splits the text; a UTF-8 byte-order mark is skipped."""
+    words, kinds = head.split(), [_KIND.get(field, int) for field in entry.split()]
+    fields, read, fault, count, lineno = None, [], None, 0, 2
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        for text in iter(lambda: "".join(itertools.islice(fh, _BLOCK)), ""):
+            lines = text.splitlines()
+            if fields is None:  # the header is named before the text's bytes
+                first = lines.pop(0)
+                parts = first.split()
+                if len(parts) != len(words) or any(w != p for w, p in zip(words, parts) if w[0] != "<"):
+                    raise QuboFormatError(f"{path}: line 1: expected {head!r}, got {first!r}")
+                try:
+                    fields = [_KIND.get(w, int)(p) for w, p in zip(words, parts) if w[0] == "<"]
+                except ValueError:
+                    raise QuboFormatError(f"{path}: line 1: malformed header {first!r}") from None
+            if not text.isascii():  # a byte that is not UTF-8 was read as a lone surrogate
+                try:
+                    text.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise QuboFormatError(f"{path}: not UTF-8 text ({exc})") from None
             counts = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
             count += np.count_nonzero(counts)
             if fault is None:
@@ -562,27 +576,23 @@ def _read(path: str, kinds):
                             _columns([line], counts[end:end + 1], kinds)
                         except ValueError:
                             break
-                    fault = lineno + end, line
+                    why = "malformed entry" if counts[end] == len(kinds) else f"expected {entry!r}, got"
+                    fault = QuboFormatError(f"{path}: line {lineno + end}: {why} {line!r}")
                     cols = _columns(lines[:end], counts[:end], kinds)
                 read.append([lineno + np.flatnonzero(counts[:end]), *cols])
             lineno += len(lines)
-    return first[0], [np.concatenate(col) for col in zip(*read)], fault, count
+    if fields is None:
+        raise QuboFormatError(f"{path}: file is empty")
+    return fields, [np.concatenate(col) for col in zip(*read)], fault, count
 
 
 def _entries(path: str):
     """The variable count, offset and terms of the coordinate file at
-    path. The first faulty entry line is named: one that is not '<i>
-    <j> <value>', an id out of range, a repeated entry, or i > j; then a
-    count other than the header's."""
-    head, (linenos, a, b, vals), fault, _ = _read(path, (int, int, float))
-    parts = head.split()
-    if len(parts) != 6 or parts[:2] != ["p", "qubo"]:
-        raise QuboFormatError(
-            f"{path}: line 1: expected 'p qubo <vars> <linear> <quad> <offset>', got {head!r}")
-    try:
-        num_vars, num_linear, num_quad, offset = (*map(int, parts[2:5]), float(parts[5]))
-    except ValueError:
-        raise QuboFormatError(f"{path}: line 1: malformed header {head!r}") from None
+    path. After _read's refusals, the first faulty entry line is named:
+    an id out of range, a repeated entry, i > j, or one _read could not
+    read; then a count other than the header's."""
+    (num_vars, num_linear, num_quad, offset), (linenos, a, b, vals), fault, _ = _read(
+        path, "p qubo <vars> <linear> <quad> <offset>", "<i> <j> <value>")
     lin = a == b
     first = _first_broken(_broken(a, b, vals, lin, num_vars)[0][:3])  # the values come last
     if first:
@@ -593,9 +603,7 @@ def _entries(path: str):
                else f"duplicate quadratic entry ({a[at]}, {b[at]})")[rule]
         raise QuboFormatError(f"{path}: line {linenos[at]}: {why}")
     if fault:
-        lineno, line = fault
-        why = "malformed entry" if len(line.split()) == 3 else "expected '<i> <j> <value>', got"
-        raise QuboFormatError(f"{path}: line {lineno}: {why} {line!r}")
+        raise fault
     terms = Terms(a[lin], vals[lin], a[~lin], b[~lin], vals[~lin])
     if terms.lin_vars.size != num_linear or terms.rows.size != num_quad:
         raise QuboFormatError(
@@ -607,19 +615,13 @@ def _entries(path: str):
 
 def _sidecar(path: str, num_vars: int) -> tuple[int, int]:
     """n and k of the .map sidecar at path, whose rows must list each of
-    the num_vars variables once, producer-major. Named in turn: the
-    header, n*k, the row count, then the first faulty row."""
+    the num_vars variables once, producer-major. Named in turn: a missing
+    file, _read's refusals, n*k, the row count, then the first faulty row."""
     try:
-        head, (linenos, var, node, producer), fault, count = _read(path, (int, int, int))
+        (n, k), (linenos, var, node, producer), fault, count = _read(
+            path, "map <n> <k>", "<var> <node> <producer>")
     except FileNotFoundError:
         raise QuboFormatError(f"{path}: sidecar mapping file not found") from None
-    parts = head.split()
-    if len(parts) != 3 or parts[0] != "map":
-        raise QuboFormatError(f"{path}: line 1: expected 'map <n> <k>', got {head!r}")
-    try:
-        n, k = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise QuboFormatError(f"{path}: line 1: malformed header {head!r}") from None
     if n * k != num_vars:
         raise QuboFormatError(f"{path}: n*k = {n * k} does not match {num_vars} variables")
     if count != num_vars:
@@ -635,17 +637,15 @@ def _sidecar(path: str, num_vars: int) -> tuple[int, int]:
                f"variable {var[at]} outside 0..{num_vars - 1}", f"variable {var[at]} listed twice")[rule]
         raise QuboFormatError(f"{path}: line {linenos[at]}: {why}")
     if fault:
-        lineno, line = fault
-        why = "malformed entry" if len(line.split()) == 3 else "expected '<var> <node> <producer>', got"
-        raise QuboFormatError(f"{path}: line {lineno}: {why} {line!r}")
+        raise fault
     return n, k
 
 
 def import_qubo(path: str) -> QuboInstance:
-    """The instance in a coordinate file and its <path>.map sidecar,
-    its terms in any order. Both files are streamed, _BLOCK lines at a
-    time, never held whole, and may start with a UTF-8 byte-order mark.
-    The .qubo's faults are named first (_entries), then the sidecar's
+    """The instance in a coordinate file and its <path>.map sidecar, its
+    terms in any order. Both files are streamed as UTF-8, _BLOCK lines at
+    a time, and may start with a byte-order mark. Each refusal names its
+    file: the .qubo's faults first (_entries), then the sidecar's
     (_sidecar), then a zero or non-finite value."""
     num_vars, offset, terms = _entries(path)
     n, k = _sidecar(path + ".map", num_vars)

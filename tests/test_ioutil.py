@@ -3,6 +3,7 @@ reader and constructor applies it, the one CSV rule (ioutil.csv_text),
 and the mode of written files."""
 
 import csv
+import errno
 import io
 import json
 import os
@@ -36,6 +37,7 @@ from heatfair import (
     canonical_form,
     cli,
     distance_index,
+    export_qubo,
     generate_ring,
     generate_tree,
     run_sweep,
@@ -48,7 +50,7 @@ from heatfair import (
     synthetic_demands,
     uniform_weights,
 )
-from heatfair.ioutil import atomic_write_text, csv_text, number, shown
+from heatfair.ioutil import atomic_write_text, csv_text, number, shown, write_json
 
 HUGE = 10**400  # an integer past the float range
 
@@ -303,6 +305,20 @@ def test_written_files_get_the_mode_a_plain_open_gives(tmp_path, mask):
     for name in ("atomic.txt", "ring.json"):
         assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == want
     assert sorted(p.name for p in tmp_path.iterdir()) == ["atomic.txt", "plain.txt", "ring.json"]
+
+
+def test_a_failed_write_names_the_requested_file(tmp_path):
+    # the error keeps the failure's errno but names the file asked for,
+    # not the temp file it was written through, and leaves no temp file
+    q = build_qubo(generate_ring(4), uniform_weights(4), 2)
+    (tmp_path / "adir").mkdir()
+    for write in (lambda path: write_json(path, {}), lambda path: export_qubo(q, path)):
+        for name, code in (("nodir/out", errno.ENOENT), ("adir", errno.EISDIR)):
+            path = str(tmp_path / name)
+            with pytest.raises(OSError) as caught:
+                write(path)
+            assert str(caught.value) == f"[Errno {code}] {os.strerror(code)}: {path!r}"
+    assert [p.name for p in tmp_path.rglob("*")] == ["adir"]  # no tmp*.tmp file anywhere
 
 
 def test_csv_text_quotes_exactly_the_fields_that_need_it():

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -1084,6 +1085,27 @@ def test_import_names_the_first_sidecar_fault_in_any_block(tmp_path, monkeypatch
         assert str(caught.value) == f"{map_path}: {message}"
     map_path.write_text("map 2 2\n\n3 1 1\n0 0 0\n\n2 0 1\n1 1 0\n")
     assert import_qubo(str(path)) == instance_of(2, 2, {0: 1.0}, {})
+
+
+@pytest.mark.parametrize("block", [None, 1, 2])
+@pytest.mark.parametrize("suffix", ["", ".map"])
+def test_import_refuses_text_that_is_not_utf8(tmp_path, monkeypatch, block, suffix):
+    # a byte that is not UTF-8, in a late block of either file, is refused
+    # naming the file, as load_demands refuses it; a bad header is named first
+    if block:
+        monkeypatch.setattr(qubo, "_BLOCK", block)
+    path = tmp_path / "bytes.qubo"
+    export_qubo(instance_of(2, 2, {0: 1.0}, {(0, 1): 2.0}), str(path))
+    bad = tmp_path / f"bytes.qubo{suffix}"
+    text = bad.read_bytes() + b"\n" * 2000 + b"\xff\n"
+    bad.write_bytes(text)
+    with pytest.raises(QuboFormatError) as caught:
+        import_qubo(str(path))
+    assert str(caught.value).startswith(
+        f"{bad}: not UTF-8 text ('utf-8' codec can't decode byte 0xff in position ")
+    bad.write_bytes(b"x" + text)
+    with pytest.raises(QuboFormatError, match=rf"^{re.escape(str(bad))}: line 1: expected '"):
+        import_qubo(str(path))
 
 
 def test_import_reads_crlf_files_as_lf(tmp_path):
